@@ -24,6 +24,7 @@
 //! its checksum, and parse the checkpoint.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
@@ -157,9 +158,15 @@ fn run(cfg: &DurableRecoveryCfg, d: &Dataset, max_updates: u64, dir: Option<Path
     )
 }
 
+/// A fresh store directory, unique per call: concurrent benchmark runs in
+/// one process (the unit tests below) must never share a checkpoint store.
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("async-bench-durable-{tag}-{}", std::process::id()));
+    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "async-bench-durable-{tag}-{}-{n}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -41,7 +41,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use async_linalg::{compress, sparse, GradDelta, Quant};
+use async_linalg::{
+    compress, sparse, sparse_wire_len, CompressedDelta, GradDelta, Quant, SparseVec,
+};
 use parking_lot::RwLock;
 use sparklet::{Payload, WorkerCtx};
 
@@ -825,20 +827,14 @@ impl<T: Payload + Send + Sync + 'static> HistoryHandle<T> {
     }
 }
 
-/// Wire size of a sparse patch with `nnz` entries: the `SparseVec` wire
-/// shape, `(len, dim)` header plus a 4-byte index and 8-byte value each.
-fn patch_wire_bytes(nnz: usize) -> u64 {
-    16 + 12 * nnz as u64
-}
-
-/// Wire size of a patch whose values ship as `quant` codes: the `(len,
-/// dim)` header, plus a scale and 1- or 2-byte codes for the quantized
-/// forms (a 4-byte index per entry in every form).
-fn qpatch_wire_bytes(quant: Quant, nnz: usize) -> u64 {
+/// Wire size of a version-diff patch over `support`: the [`SparseVec`]
+/// payload an exact patch ships as, the [`CompressedDelta`] frame a
+/// quantized one does. The in-process engines charge this; the remote
+/// engine's [`WirePlan`] sections encode to exactly this many bytes.
+fn patch_wire_len(quant: Quant, support: &[u32]) -> u64 {
     match quant {
-        Quant::Exact => patch_wire_bytes(nnz),
-        Quant::I8 => 24 + 5 * nnz as u64,
-        Quant::F16 => 24 + 6 * nnz as u64,
+        Quant::Exact => sparse_wire_len(Quant::Exact, support),
+        q => CompressedDelta::sparse_frame_len(q, support),
     }
 }
 
@@ -853,7 +849,74 @@ fn quantize_diff(d: f64, scale: f64, quant: Quant) -> f64 {
     }
 }
 
+/// Takes the cached model `version` out of `ctx` to patch it forward — in
+/// place when the cache was its only owner, else via one copy.
+///
+/// # Panics
+/// Panics if `version` is not cached: patches are only planned against a
+/// base the worker (or its driver-side mirror) holds.
+fn take_cached_model(ctx: &mut WorkerCtx, bcast_id: u64, version: u64) -> Vec<f64> {
+    let base = ctx
+        .cache_remove((bcast_id, version))
+        .unwrap_or_else(|| panic!("patch base version {version} is not cached on the worker"))
+        .downcast::<Vec<f64>>()
+        .expect("history cache type mismatch");
+    Arc::try_unwrap(base).unwrap_or_else(|shared| shared.as_ref().clone())
+}
+
 impl HistoryHandle<Vec<f64>> {
+    /// Assembles, in `scratch`, the patch that takes a worker caching
+    /// `base_version` to this handle's version: the union of the gap's
+    /// change supports with the target's values there. Returns the patch's
+    /// wire bytes, its value format and the target snapshot — or `None`
+    /// when resolution must fall back to the full snapshot: the gap
+    /// outruns the ring, a spanned version declared a dense change, or the
+    /// patch would not undercut the dense wire size.
+    fn assemble_patch(
+        &self,
+        base_version: u64,
+        scratch: &mut PatchScratch,
+    ) -> Option<(u64, Quant, Arc<Vec<f64>>)> {
+        let PatchScratch { union, tmp, values } = scratch;
+        let t = self.table.read();
+        let supports = t.ring_supports(base_version + 1, self.version)?;
+        union.clear();
+        for s in supports {
+            if union.is_empty() {
+                union.extend_from_slice(s);
+            } else {
+                sparse::merge_union_u32(union, s, tmp);
+                std::mem::swap(union, tmp);
+            }
+        }
+        let entry = t.versions[t.idx(self.version)]
+            .as_ref()
+            .unwrap_or_else(|| panic!("history version {} was pruned while in use", self.version));
+        let bytes = patch_wire_len(t.patch_quant, union);
+        if bytes >= entry.bytes {
+            return None;
+        }
+        // The patch carries the coordinates' *final* values at the target
+        // version — scatter-assign reconstructs it exactly.
+        let target = Arc::clone(&entry.value);
+        values.clear();
+        values.extend(union.iter().map(|&i| target[i as usize]));
+        Some((bytes, t.patch_quant, target))
+    }
+
+    /// Advances the traffic counters for one shipped patch of `bytes`.
+    fn count_patch(&self, bytes: u64, quantized: bool) {
+        let c = &self.counters;
+        c.fetches.fetch_add(1, Ordering::Relaxed);
+        c.fetched_bytes.fetch_add(bytes, Ordering::Relaxed);
+        c.incremental_fetches.fetch_add(1, Ordering::Relaxed);
+        c.incremental_bytes.fetch_add(bytes, Ordering::Relaxed);
+        if quantized {
+            c.quantized_patches.fetch_add(1, Ordering::Relaxed);
+            c.quantized_patch_bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+
     /// Resolves the handle's version like [`HistoryHandle::value`], but —
     /// when the broadcast has incremental resolution enabled and the
     /// worker's cache holds an older model — ships a **version-diff patch**
@@ -891,57 +954,16 @@ impl HistoryHandle<Vec<f64>> {
             Some(v) if v < version => v,
             _ => return self.value_at(ctx, version),
         };
-        // Assemble the patch under the table read lock: union the change
-        // supports of the gap, bail to the snapshot fallback if any is
-        // missing/dense or the patch would not undercut the dense wire.
         // The scratch is checked out of a pool (not locked for the whole
         // assembly), so concurrent fetches on other workers proceed.
         let mut scratch = self.patch_scratch.checkout();
-        let PatchScratch { union, tmp, values } = &mut scratch;
-        let (patch_bytes, patch_quant) = {
-            let t = self.table.read();
-            let Some(supports) = t.ring_supports(base_version + 1, version) else {
-                drop(t);
-                self.patch_scratch.give_back(scratch);
-                return self.value_at(ctx, version);
-            };
-            union.clear();
-            for s in supports {
-                if union.is_empty() {
-                    union.extend_from_slice(s);
-                } else {
-                    sparse::merge_union_u32(union, s, tmp);
-                    std::mem::swap(union, tmp);
-                }
-            }
-            let entry = t.versions[t.idx(version)]
-                .as_ref()
-                .unwrap_or_else(|| panic!("history version {version} was pruned while in use"));
-            let bytes = qpatch_wire_bytes(t.patch_quant, union.len());
-            if bytes >= entry.bytes {
-                drop(t);
-                self.patch_scratch.give_back(scratch);
-                return self.value_at(ctx, version);
-            }
-            // The patch carries the coordinates' *final* values at the
-            // target version — scatter-assign reconstructs it exactly.
-            let target = &entry.value;
-            values.clear();
-            values.extend(union.iter().map(|&i| target[i as usize]));
-            (bytes, t.patch_quant)
+        let Some((patch_bytes, patch_quant, _)) = self.assemble_patch(base_version, &mut scratch)
+        else {
+            self.patch_scratch.give_back(scratch);
+            return self.value_at(ctx, version);
         };
-        // Take the base out of the worker cache and patch it forward —
-        // in place when the worker is the only owner, else via one copy.
-        let base_any = ctx
-            .cache_remove((self.bcast_id, base_version))
-            .expect("newest cached version is present");
-        let base = base_any
-            .downcast::<Vec<f64>>()
-            .expect("history cache type mismatch");
-        let mut w = match Arc::try_unwrap(base) {
-            Ok(owned) => owned,
-            Err(shared) => shared.as_ref().clone(),
-        };
+        let PatchScratch { union, values, .. } = &scratch;
+        let mut w = take_cached_model(ctx, self.bcast_id, base_version);
         if patch_quant == Quant::Exact {
             sparse::scatter_assign(union, values, &mut w);
         } else {
@@ -958,25 +980,10 @@ impl HistoryHandle<Vec<f64>> {
                 let wi = &mut w[i as usize];
                 *wi += quantize_diff(tv - *wi, scale, patch_quant);
             }
-            self.counters
-                .quantized_patches
-                .fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .quantized_patch_bytes
-                .fetch_add(patch_bytes, Ordering::Relaxed);
         }
         self.patch_scratch.give_back(scratch);
+        self.count_patch(patch_bytes, patch_quant != Quant::Exact);
         let value = Arc::new(w);
-        self.counters.fetches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .fetched_bytes
-            .fetch_add(patch_bytes, Ordering::Relaxed);
-        self.counters
-            .incremental_fetches
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .incremental_bytes
-            .fetch_add(patch_bytes, Ordering::Relaxed);
         ctx.cache_put_fetched(
             key,
             value.clone() as Arc<dyn std::any::Any + Send + Sync>,
@@ -1023,56 +1030,22 @@ impl HistoryHandle<Vec<f64>> {
             _ => return self.wire_plan_at(mirror, version),
         };
         let mut scratch = self.patch_scratch.checkout();
-        let PatchScratch { union, tmp, values } = &mut scratch;
-        let (patch_bytes, patch_quant, target) = {
-            let t = self.table.read();
-            let Some(supports) = t.ring_supports(base_version + 1, version) else {
-                drop(t);
-                self.patch_scratch.give_back(scratch);
-                return self.wire_plan_at(mirror, version);
-            };
-            union.clear();
-            for s in supports {
-                if union.is_empty() {
-                    union.extend_from_slice(s);
-                } else {
-                    sparse::merge_union_u32(union, s, tmp);
-                    std::mem::swap(union, tmp);
-                }
-            }
-            let entry = t.versions[t.idx(version)]
-                .as_ref()
-                .unwrap_or_else(|| panic!("history version {version} was pruned while in use"));
-            let bytes = qpatch_wire_bytes(t.patch_quant, union.len());
-            if bytes >= entry.bytes {
-                drop(t);
-                self.patch_scratch.give_back(scratch);
-                return self.wire_plan_at(mirror, version);
-            }
-            let target = Arc::clone(&entry.value);
-            values.clear();
-            values.extend(union.iter().map(|&i| target[i as usize]));
-            (bytes, t.patch_quant, target)
+        let Some((patch_bytes, patch_quant, target)) =
+            self.assemble_patch(base_version, &mut scratch)
+        else {
+            self.patch_scratch.give_back(scratch);
+            return self.wire_plan_at(mirror, version);
         };
-        let indices = union.clone();
-        let patch_values = values.clone();
+        let indices = scratch.union.clone();
+        let patch_values = scratch.values.clone();
         self.patch_scratch.give_back(scratch);
-        let base_any = mirror
-            .cache_remove((self.bcast_id, base_version))
-            .expect("newest cached version is present");
-        self.counters.fetches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .fetched_bytes
-            .fetch_add(patch_bytes, Ordering::Relaxed);
-        self.counters
-            .incremental_fetches
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .incremental_bytes
-            .fetch_add(patch_bytes, Ordering::Relaxed);
+        let mut w = take_cached_model(mirror, self.bcast_id, base_version);
+        self.count_patch(patch_bytes, patch_quant != Quant::Exact);
         if patch_quant == Quant::Exact {
             // The patched result *is* the target version: mirror it directly
             // instead of re-running the scatter driver-side.
+            let patch = SparseVec::new(indices, patch_values, target.len())
+                .expect("a union of ring supports is sorted and within the model");
             mirror.cache_put_fetched(
                 key,
                 target as Arc<dyn std::any::Any + Send + Sync>,
@@ -1081,8 +1054,7 @@ impl HistoryHandle<Vec<f64>> {
             return WirePlan::Patch {
                 base: base_version,
                 version,
-                indices,
-                values: patch_values,
+                patch,
                 evict_below,
             };
         }
@@ -1091,46 +1063,28 @@ impl HistoryHandle<Vec<f64>> {
         // not the exact history), so the worker's dequantized apply lands on
         // exactly the vector cached here — driver and worker stay bitwise in
         // lockstep even though neither holds the exact target.
-        let base_vec = base_any
-            .downcast::<Vec<f64>>()
-            .expect("history cache type mismatch");
-        let mut w = match Arc::try_unwrap(base_vec) {
-            Ok(owned) => owned,
-            Err(shared) => shared.as_ref().clone(),
-        };
-        let mut scale = 0.0f64;
-        for (&i, &tv) in indices.iter().zip(patch_values.iter()) {
-            scale = scale.max((tv - w[i as usize]).abs());
-        }
-        let codes = match patch_quant {
-            Quant::I8 => {
-                let mut codes = Vec::with_capacity(indices.len());
-                for (&i, &tv) in indices.iter().zip(patch_values.iter()) {
-                    let wi = &mut w[i as usize];
-                    let code = compress::quantize_i8(tv - *wi, scale);
-                    *wi += compress::dequantize_i8(code, scale);
-                    codes.push(code);
-                }
-                PatchCodes::I8(codes)
-            }
-            Quant::F16 => {
-                let mut codes = Vec::with_capacity(indices.len());
-                for (&i, &tv) in indices.iter().zip(patch_values.iter()) {
-                    let wi = &mut w[i as usize];
-                    let code = compress::quantize_f16(tv - *wi, scale);
-                    *wi += compress::dequantize_f16(code, scale);
-                    codes.push(code);
-                }
-                PatchCodes::F16(codes)
-            }
+        let diffs = indices
+            .iter()
+            .zip(patch_values.iter())
+            .map(|(&i, &tv)| tv - w[i as usize]);
+        let scale = diffs.clone().fold(0.0f64, |m, d| m.max(d.abs()));
+        let dim = w.len();
+        let delta = match patch_quant {
+            Quant::I8 => CompressedDelta::I8 {
+                dim,
+                scale,
+                codes: diffs.map(|d| compress::quantize_i8(d, scale)).collect(),
+                indices,
+            },
+            Quant::F16 => CompressedDelta::F16 {
+                dim,
+                scale,
+                codes: diffs.map(|d| compress::quantize_f16(d, scale)).collect(),
+                indices,
+            },
             Quant::Exact => unreachable!("exact patches returned above"),
         };
-        self.counters
-            .quantized_patches
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .quantized_patch_bytes
-            .fetch_add(patch_bytes, Ordering::Relaxed);
+        delta.add_into(&mut w);
         mirror.cache_put_fetched(
             key,
             Arc::new(w) as Arc<dyn std::any::Any + Send + Sync>,
@@ -1139,9 +1093,7 @@ impl HistoryHandle<Vec<f64>> {
         WirePlan::QPatch {
             base: base_version,
             version,
-            indices,
-            scale,
-            codes,
+            delta,
             evict_below,
         }
     }
@@ -1213,17 +1165,15 @@ pub enum WirePlan {
         /// Evict cached versions below this before inserting.
         evict_below: u64,
     },
-    /// Version-diff patch: scatter `indices`/`values` onto the cached
-    /// `base` to reconstruct `version` bit-exactly.
+    /// Version-diff patch: scatter-assign `patch` onto the cached `base`
+    /// to reconstruct `version` bit-exactly.
     Patch {
         /// Cached version the patch applies on top of.
         base: u64,
         /// Version the patched vector becomes.
         version: u64,
-        /// Changed coordinates (strictly increasing).
-        indices: Vec<u32>,
-        /// Final values of those coordinates at `version`.
-        values: Vec<f64>,
+        /// The changed coordinates with their final values at `version`.
+        patch: SparseVec,
         /// Evict cached versions below this before patching.
         evict_below: u64,
     },
@@ -1237,48 +1187,13 @@ pub enum WirePlan {
         base: u64,
         /// Version the patched vector becomes.
         version: u64,
-        /// Changed coordinates (strictly increasing).
-        indices: Vec<u32>,
-        /// Per-patch normalization: the largest `|target − base|` diff.
-        scale: f64,
-        /// Quantized diff codes, one per index.
-        codes: PatchCodes,
+        /// Quantized `target − base` differences over the changed
+        /// coordinates (an `I8` or `F16` frame, scale = the largest
+        /// difference).
+        delta: CompressedDelta,
         /// Evict cached versions below this before patching.
         evict_below: u64,
     },
-}
-
-/// The quantized diff codes carried by a [`WirePlan::QPatch`], in the wire
-/// format chosen via [`AsyncBcast::set_patch_quant`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PatchCodes {
-    /// 1-byte codes: `diff ≈ code · scale / 127`.
-    I8(Vec<i8>),
-    /// IEEE-754 half-precision bit patterns: `diff ≈ f16(code) · scale`.
-    F16(Vec<u16>),
-}
-
-impl PatchCodes {
-    /// Number of codes (equals the patch's index count).
-    pub fn len(&self) -> usize {
-        match self {
-            PatchCodes::I8(c) => c.len(),
-            PatchCodes::F16(c) => c.len(),
-        }
-    }
-
-    /// True when the patch carries no codes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The wire format these codes use.
-    pub fn quant(&self) -> Quant {
-        match self {
-            PatchCodes::I8(_) => Quant::I8,
-            PatchCodes::F16(_) => Quant::F16,
-        }
-    }
 }
 
 impl WirePlan {
@@ -1297,9 +1212,9 @@ impl WirePlan {
     ///
     /// # Panics
     /// Panics if the cache diverged from the driver's mirror (a `Cached`
-    /// miss or a missing `Patch` base) — with the remote engine's
-    /// epoch-guarded task stream that indicates a protocol bug, not a
-    /// recoverable condition.
+    /// miss, a missing `Patch` base, or a patch of another dimension) —
+    /// with the remote engine's epoch-guarded task stream that indicates a
+    /// protocol bug, not a recoverable condition.
     pub fn apply(self, ctx: &mut WorkerCtx, bcast_id: u64) -> Arc<Vec<f64>> {
         match self {
             WirePlan::Cached {
@@ -1331,67 +1246,35 @@ impl WirePlan {
             WirePlan::Patch {
                 base,
                 version,
-                indices,
-                values,
+                patch,
                 evict_below,
             } => {
                 ctx.cache_evict_below(bcast_id, evict_below);
-                let base_any = ctx.cache_remove((bcast_id, base)).unwrap_or_else(|| {
-                    panic!("wire plan expected patch base {base} cached on the worker")
-                });
-                let base_vec = base_any
-                    .downcast::<Vec<f64>>()
-                    .expect("history cache type mismatch");
-                let mut w = match Arc::try_unwrap(base_vec) {
-                    Ok(owned) => owned,
-                    Err(shared) => shared.as_ref().clone(),
-                };
-                sparse::scatter_assign(&indices, &values, &mut w);
+                let mut w = take_cached_model(ctx, bcast_id, base);
+                assert_eq!(patch.dim(), w.len(), "patch dimension mismatch");
+                sparse::scatter_assign(patch.indices(), patch.values(), &mut w);
                 let value = Arc::new(w);
                 ctx.cache_put_fetched(
                     (bcast_id, version),
                     value.clone() as Arc<dyn std::any::Any + Send + Sync>,
-                    patch_wire_bytes(indices.len()),
+                    patch.encoded_len(),
                 );
                 value
             }
             WirePlan::QPatch {
                 base,
                 version,
-                indices,
-                scale,
-                codes,
+                delta,
                 evict_below,
             } => {
                 ctx.cache_evict_below(bcast_id, evict_below);
-                let base_any = ctx.cache_remove((bcast_id, base)).unwrap_or_else(|| {
-                    panic!("wire plan expected patch base {base} cached on the worker")
-                });
-                let base_vec = base_any
-                    .downcast::<Vec<f64>>()
-                    .expect("history cache type mismatch");
-                let mut w = match Arc::try_unwrap(base_vec) {
-                    Ok(owned) => owned,
-                    Err(shared) => shared.as_ref().clone(),
-                };
-                let bytes = qpatch_wire_bytes(codes.quant(), indices.len());
-                match &codes {
-                    PatchCodes::I8(c) => {
-                        for (&i, &code) in indices.iter().zip(c.iter()) {
-                            w[i as usize] += compress::dequantize_i8(code, scale);
-                        }
-                    }
-                    PatchCodes::F16(c) => {
-                        for (&i, &code) in indices.iter().zip(c.iter()) {
-                            w[i as usize] += compress::dequantize_f16(code, scale);
-                        }
-                    }
-                }
+                let mut w = take_cached_model(ctx, bcast_id, base);
+                delta.add_into(&mut w);
                 let value = Arc::new(w);
                 ctx.cache_put_fetched(
                     (bcast_id, version),
                     value.clone() as Arc<dyn std::any::Any + Send + Sync>,
-                    bytes,
+                    delta.encoded_len(),
                 );
                 value
             }
@@ -1678,9 +1561,10 @@ mod tests {
         assert_eq!(got.as_slice(), w.as_slice(), "bit-exact reconstruction");
         let s = b.stats();
         assert_eq!(s.incremental_fetches, 1);
-        // Union support {3, 12, 40, 77} -> 4 entries.
-        assert_eq!(s.incremental_bytes, 16 + 12 * 4);
-        assert_eq!(s.fetched_bytes, dense_bytes + 16 + 12 * 4);
+        // Union support {3, 12, 40, 77}: header, four one-byte index
+        // varints, four f64 values.
+        assert_eq!(s.incremental_bytes, 16 + 4 + 8 * 4);
+        assert_eq!(s.fetched_bytes, dense_bytes + 16 + 4 + 8 * 4);
         // The patched value is cached: resolving again is free.
         b.handle().value_incremental(&mut ctx);
         assert_eq!(b.stats().fetches, 2);
@@ -1747,12 +1631,12 @@ mod tests {
 
     #[test]
     fn oversized_patch_falls_back_to_snapshot() {
-        // Patch wire (16 + 12·nnz) must undercut the dense wire (8 + 8·dim);
-        // with dim 10 and a 7-coordinate change it cannot.
+        // Patch wire (16 + 9·nnz here) must undercut the dense wire
+        // (8 + 8·dim); with dim 10 and an 8-coordinate change it cannot.
         let dim = 10;
         let mut ctx = WorkerCtx::new(0);
         let b = incr_bcast(dim, 8, &mut ctx);
-        let pairs: Vec<(u32, f64)> = (0..7).map(|i| (i as u32, 1.0)).collect();
+        let pairs: Vec<(u32, f64)> = (0..8).map(|i| (i as u32, 1.0)).collect();
         let u = sparse_delta(&pairs, dim);
         let mut w = vec![0.0; dim];
         u.axpy_into(1.0, &mut w);
@@ -1864,6 +1748,7 @@ mod tests {
         let mut w = vec![0.0; dim];
         let mut saw_patch = false;
         let mut saw_snapshot = false;
+        let mut mirror_charged = 0u64;
         for k in 0..10u32 {
             let u = if k == 4 {
                 // One dense update mid-stream forces a snapshot fallback.
@@ -1880,10 +1765,20 @@ mod tests {
             wired.push_snapshot_diff(&w, &u);
             let expect = local.handle().value_incremental(&mut ctx);
             let plan = wired.handle().wire_plan(&mut mirror);
+            // What the mirror was charged for this plan is what its
+            // payload section encodes to on the remote engine's socket.
+            let charged = mirror.take_charges().0;
+            mirror_charged += charged;
             match &plan {
-                WirePlan::Patch { .. } => saw_patch = true,
-                WirePlan::Snapshot { .. } => saw_snapshot = true,
-                WirePlan::Cached { .. } => {}
+                WirePlan::Patch { patch, .. } => {
+                    saw_patch = true;
+                    assert_eq!(charged, patch.encoded_len(), "push {k}");
+                }
+                WirePlan::Snapshot { values, .. } => {
+                    saw_snapshot = true;
+                    assert_eq!(charged, values.encoded_len(), "push {k}");
+                }
+                WirePlan::Cached { .. } => assert_eq!(charged, 0),
                 WirePlan::QPatch { .. } => panic!("quantization is off"),
             }
             let got = plan.apply(&mut remote, wired.id());
@@ -1905,7 +1800,7 @@ mod tests {
         assert_eq!(a.incremental_fetches, b.incremental_fetches);
         assert_eq!(a.incremental_bytes, b.incremental_bytes);
         // The mirror charged the same wire bytes the in-process worker did.
-        assert_eq!(ctx.take_charges().0, mirror.take_charges().0);
+        assert_eq!(ctx.take_charges().0, mirror_charged);
     }
 
     #[test]
@@ -1942,17 +1837,18 @@ mod tests {
                 wired.push_snapshot_diff(&w, &u);
                 let expect = local.handle().value_incremental(&mut ctx);
                 let plan = wired.handle().wire_plan(&mut mirror);
-                if let WirePlan::QPatch {
-                    scale,
-                    ref codes,
-                    ref indices,
-                    ..
-                } = plan
-                {
+                let charged = mirror.take_charges().0;
+                if let WirePlan::QPatch { ref delta, .. } = plan {
                     saw_qpatch = true;
-                    assert!(scale.is_finite() && scale >= 0.0);
-                    assert_eq!(codes.len(), indices.len());
-                    assert_eq!(codes.quant(), quant);
+                    match (delta, quant) {
+                        (CompressedDelta::I8 { scale, .. }, Quant::I8)
+                        | (CompressedDelta::F16 { scale, .. }, Quant::F16) => {
+                            assert!(scale.is_finite() && *scale >= 0.0);
+                        }
+                        other => panic!("wrong frame for the configured quant: {other:?}"),
+                    }
+                    assert_eq!(delta.dim(), dim);
+                    assert_eq!(charged, delta.encoded_len(), "{quant:?} push {k}");
                 }
                 let got = plan.apply(&mut remote, wired.id());
                 assert_eq!(got.as_slice(), expect.as_slice(), "{quant:?} push {k}");
@@ -1974,8 +1870,11 @@ mod tests {
             assert_eq!(a.quantized_patch_bytes, b.quantized_patch_bytes);
             assert!(a.quantized_patches > 0);
             // Quantized patches are cheaper on the wire than exact ones
-            // would have been: bytes per patch < exact patch formula.
-            assert!(a.quantized_patch_bytes < a.quantized_patches * patch_wire_bytes(2));
+            // would have been (every patch here spans two coordinates).
+            assert!(
+                a.quantized_patch_bytes
+                    < a.quantized_patches * patch_wire_len(Quant::Exact, &[0, 1])
+            );
             assert_eq!(a.fetched_bytes, b.fetched_bytes);
         }
     }

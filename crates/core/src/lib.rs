@@ -40,7 +40,7 @@ pub mod context;
 pub mod stat;
 
 pub use barrier::BarrierFilter;
-pub use broadcast::{AsyncBcast, HistoryHandle, HistoryStats, PatchCodes, ReadPin, WirePlan};
+pub use broadcast::{AsyncBcast, HistoryHandle, HistoryStats, ReadPin, WirePlan};
 pub use context::{
     AsyncContext, DegradePolicy, RemoteRoutine, SubmitOpts, Tagged, TaskAttrs, WaveDirective,
 };

@@ -7,7 +7,7 @@
 use async_core::AsyncBcast;
 use async_linalg::{GradDelta, SparseVec};
 use proptest::prelude::*;
-use sparklet::WorkerCtx;
+use sparklet::{Payload, WorkerCtx};
 
 const DIM: usize = 400;
 
@@ -107,11 +107,13 @@ proptest! {
         let mut server_w = vec![0.0; DIM];
         let mut ctx = WorkerCtx::new(0);
         b.handle().value_incremental(&mut ctx);
+        let mut patch_bytes = 0u64;
         for r in 0..rounds {
             let i = (r * 37 % DIM) as u32;
-            let u = GradDelta::Sparse(
-                SparseVec::from_pairs(vec![(i, 1.0 + r as f64)], DIM).expect("in range"),
-            );
+            let support = SparseVec::from_pairs(vec![(i, 1.0 + r as f64)], DIM).expect("in range");
+            // A one-coordinate patch is that coordinate's sparse payload.
+            patch_bytes += support.encoded_len();
+            let u = GradDelta::Sparse(support);
             apply_update(&mut server_w, &u);
             b.push_snapshot_diff(&server_w, &u);
             let got = b.handle().value_incremental(&mut ctx);
@@ -119,7 +121,9 @@ proptest! {
         }
         let s = b.stats();
         prop_assert_eq!(s.incremental_fetches, rounds as u64);
-        // One-coordinate patches: 28 bytes each vs a 3208-byte snapshot.
-        prop_assert_eq!(s.incremental_bytes, 28 * rounds as u64);
+        // 25 or 26 bytes each (one or two index bytes) vs a 3208-byte
+        // snapshot.
+        prop_assert_eq!(s.incremental_bytes, patch_bytes);
+        prop_assert!(patch_bytes <= 26 * rounds as u64);
     }
 }

@@ -170,7 +170,8 @@ mod tests {
     #[test]
     fn round_trips_through_disk() {
         let d = parse_str("sample", SAMPLE, None).unwrap();
-        let dir = std::env::temp_dir().join("async_data_libsvm_test");
+        let dir =
+            std::env::temp_dir().join(format!("async_data_libsvm_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.svm");
         write_file(&d, &path).unwrap();
@@ -181,7 +182,7 @@ mod tests {
             let w: Vec<f64> = (0..d.cols()).map(|j| (j + 1) as f64).collect();
             assert!((back.features().row_dot(i, &w) - d.features().row_dot(i, &w)).abs() < 1e-12);
         }
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

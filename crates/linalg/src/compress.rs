@@ -25,6 +25,7 @@
 
 use crate::delta::GradDelta;
 use crate::sparse::{merge_union_u32, SparseVec};
+use crate::wire::sparse_wire_len;
 
 /// Value quantization applied to shipped (top-k selected) coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -40,20 +41,14 @@ pub enum Quant {
     I8,
 }
 
-/// Wire bytes of a compressed sparse delta with `nnz` shipped entries, as
-/// both the simulator's modeled accounting and the remote frame layer
-/// charge it. Single source of truth: the `sparklet` payload codec for
-/// [`CompressedDelta`] produces exactly this many bytes.
-///
-/// * `Exact`: compressed-delta tag + sparse `GradDelta` encoding
-///   (tag + nnz + dim headers + 12 bytes/entry).
-/// * `I8`: tag + nnz + dim + scale headers + 5 bytes/entry.
-/// * `F16`: tag + nnz + dim + scale headers + 6 bytes/entry.
-pub fn quant_wire_bytes(quant: Quant, nnz: usize) -> u64 {
-    match quant {
-        Quant::Exact => 18 + 12 * nnz as u64,
-        Quant::I8 => 25 + 5 * nnz as u64,
-        Quant::F16 => 25 + 6 * nnz as u64,
+impl Quant {
+    /// Wire bytes of one shipped value in this format.
+    pub fn value_bytes(self) -> usize {
+        match self {
+            Quant::Exact => 8,
+            Quant::F16 => 2,
+            Quant::I8 => 1,
+        }
     }
 }
 
@@ -215,7 +210,7 @@ pub fn select_top_k(
 /// either exact values or quantization codes with their scale. This is
 /// what remote workers actually put on the TCP socket (via the `sparklet`
 /// payload codec); the simulator models the identical byte count via
-/// [`quant_wire_bytes`] without materializing codes.
+/// [`CompressedDelta::sparse_frame_len`] without materializing codes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompressedDelta {
     /// Unquantized (sparsification-only) passthrough.
@@ -263,20 +258,54 @@ impl CompressedDelta {
         }
     }
 
-    /// Exact wire size in bytes (what the payload codec emits and what the
-    /// simulator charges). Matches [`quant_wire_bytes`] on sparse deltas.
-    pub fn wire_bytes(&self) -> u64 {
+    /// Wire size of the frame carrying a sparse selection over `indices`
+    /// in the `quant` format, without materializing it: the frame tag, then
+    /// either the tagged sparse [`GradDelta`] payload (`Exact`) or a
+    /// quantized sparse section. This is what the payload codec emits for
+    /// such a frame and what the simulator charges for it.
+    pub fn sparse_frame_len(quant: Quant, indices: &[u32]) -> u64 {
+        let tags = if quant == Quant::Exact { 2 } else { 1 };
+        tags + sparse_wire_len(quant, indices)
+    }
+
+    /// Calls `f(index, dequantized value)` for every entry of a quantized
+    /// frame, in index order; nothing for an `Exact` one.
+    fn for_each_dequantized(&self, mut f: impl FnMut(u32, f64)) {
         match self {
-            // Tag byte + the GradDelta payload encoding (itself tagged).
-            CompressedDelta::Exact(g) => {
-                1 + 1
-                    + match g {
-                        GradDelta::Dense(v) => 8 + 8 * v.len() as u64,
-                        GradDelta::Sparse(s) => 16 + 12 * s.nnz() as u64,
-                    }
+            CompressedDelta::Exact(_) => {}
+            CompressedDelta::I8 {
+                scale,
+                indices,
+                codes,
+                ..
+            } => {
+                for (&i, &c) in indices.iter().zip(codes) {
+                    f(i, dequantize_i8(c, *scale));
+                }
             }
-            CompressedDelta::I8 { indices, .. } => quant_wire_bytes(Quant::I8, indices.len()),
-            CompressedDelta::F16 { indices, .. } => quant_wire_bytes(Quant::F16, indices.len()),
+            CompressedDelta::F16 {
+                scale,
+                indices,
+                codes,
+                ..
+            } => {
+                for (&i, &c) in indices.iter().zip(codes) {
+                    f(i, dequantize_f16(c, *scale));
+                }
+            }
+        }
+    }
+
+    /// `out[i] += value` for every shipped entry, dequantizing on the fly
+    /// — how a quantized version-diff patch moves a cached model forward.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != self.dim()`.
+    pub fn add_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dim(), "add_into: dimension mismatch");
+        match self {
+            CompressedDelta::Exact(g) => g.axpy_into(1.0, out),
+            quantized => quantized.for_each_dequantized(|i, v| out[i as usize] += v),
         }
     }
 
@@ -292,28 +321,14 @@ impl CompressedDelta {
         val.clear();
         match self {
             CompressedDelta::Exact(g) => g,
-            CompressedDelta::I8 {
-                dim,
-                scale,
-                indices,
-                codes,
-            } => {
-                idx.extend_from_slice(&indices);
-                val.extend(codes.iter().map(|&c| dequantize_i8(c, scale)));
+            quantized => {
+                quantized.for_each_dequantized(|i, v| {
+                    idx.push(i);
+                    val.push(v);
+                });
                 GradDelta::Sparse(
-                    SparseVec::new(idx, val, dim).expect("compressed support is sorted"),
-                )
-            }
-            CompressedDelta::F16 {
-                dim,
-                scale,
-                indices,
-                codes,
-            } => {
-                idx.extend_from_slice(&indices);
-                val.extend(codes.iter().map(|&c| dequantize_f16(c, scale)));
-                GradDelta::Sparse(
-                    SparseVec::new(idx, val, dim).expect("compressed support is sorted"),
+                    SparseVec::new(idx, val, quantized.dim())
+                        .expect("compressed support is sorted"),
                 )
             }
         }
@@ -614,9 +629,10 @@ impl EfState {
         self.scale
     }
 
-    /// Modeled/actual wire bytes of the last shipped message.
+    /// Wire bytes of the last shipped message: the encoded size of
+    /// [`EfState::to_compressed`], computed without materializing it.
     pub fn wire_bytes(&self) -> u64 {
-        quant_wire_bytes(self.quant, self.sel_idx.len())
+        CompressedDelta::sparse_frame_len(self.quant, &self.sel_idx)
     }
 
     /// Materializes the last shipped message as an owned wire value (the
@@ -848,12 +864,14 @@ mod tests {
         let pairs: Vec<(u32, f64)> = (0..200).map(|i| (i, 1.0 + i as f64)).collect();
         let mut ef = EfState::new(dim);
         ef.compress(&sparse(&pairs, dim), 32, Quant::I8);
-        assert_eq!(ef.wire_bytes(), 25 + 5 * 32);
-        let cd = ef.to_compressed();
-        assert_eq!(cd.wire_bytes(), ef.wire_bytes());
-        assert_eq!(cd.nnz(), 32);
-        // >5x smaller than the exact sparse wire for the same support.
-        assert!(quant_wire_bytes(Quant::Exact, 200) > 5 * ef.wire_bytes());
+        // Tag + nnz/dim/scale header + index block + one code byte each.
+        let index_block = crate::index_codec::encoded_len(ef.shipped_indices()) as u64;
+        assert!(index_block <= 33, "top-32 of 200 adjacent candidates");
+        assert_eq!(ef.wire_bytes(), 25 + index_block + 32);
+        assert_eq!(ef.to_compressed().nnz(), 32);
+        // >20x smaller than the exact sparse wire of the raw delta.
+        let all: Vec<u32> = (0..200).collect();
+        assert!(CompressedDelta::sparse_frame_len(Quant::Exact, &all) > 20 * ef.wire_bytes());
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //!   high-precision baseline optima for the paper's error metric;
 //! * gradient compression kernels ([`compress`]): deterministic top-k
 //!   selection, a per-partition error-feedback residual ([`EfState`]), and
-//!   scale-normalized int8 / half-precision value quantization.
+//!   scale-normalized int8 / half-precision value quantization;
+//! * the delta-varint sorted-index wire codec every sparse payload shares
+//!   ([`wire`]), with the positioned [`DecodeError`] its decoder reports.
 //!
 //! All kernels are pure, allocation-conscious (callers pass output buffers
 //! where it matters), and deterministic.
@@ -39,10 +41,11 @@ pub mod parallel;
 pub mod shard;
 pub mod solve;
 pub mod sparse;
+pub mod wire;
 
 pub use compress::{
-    dequantize_f16, dequantize_i8, f16_bits_to_f64, f32_to_f16_bits, quant_wire_bytes,
-    quantize_f16, quantize_i8, select_top_k, CompressedDelta, EfState, NonFiniteDelta, Quant,
+    dequantize_f16, dequantize_i8, f16_bits_to_f64, f32_to_f16_bits, quantize_f16, quantize_i8,
+    select_top_k, CompressedDelta, EfState, NonFiniteDelta, Quant,
 };
 pub use csr::CsrMatrix;
 pub use delta::{DeltaFold, GradDelta};
@@ -51,6 +54,7 @@ pub use matrix::Matrix;
 pub use parallel::ParallelismCfg;
 pub use shard::{DisjointSlices, ShardPool};
 pub use sparse::SparseVec;
+pub use wire::{index_codec, sparse_wire_len, DecodeError};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;

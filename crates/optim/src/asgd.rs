@@ -39,6 +39,7 @@ pub struct Asgd {
     pub objective: Objective,
     resume: Option<Checkpoint>,
     bank: Option<CompressorBank>,
+    pool: Option<ScratchPool>,
 }
 
 impl Asgd {
@@ -48,7 +49,16 @@ impl Asgd {
             objective,
             resume: None,
             bank: None,
+            pool: None,
         }
+    }
+
+    /// Injects the [`ScratchPool`] the next run recycles its buffers
+    /// through, so a test can inspect [`ScratchPool::depth`] after the
+    /// run; by default each run builds its own.
+    pub fn with_scratch_pool(mut self, pool: ScratchPool) -> Self {
+        self.pool = Some(pool);
+        self
     }
 
     /// Injects the [`CompressorBank`] the next run's tasks compress
@@ -142,7 +152,7 @@ impl AsyncSolver for Asgd {
         }
         // Steady-state buffer recycling: gradients, sampling buffers, and
         // the result deltas all cycle through the pool.
-        let pool = ScratchPool::new();
+        let pool = self.pool.take().unwrap_or_default();
         let bank = self.bank.take().unwrap_or_default();
         // A resumed run reloads the crashed run's error-feedback residuals
         // so compression continues bit-identically instead of restarting

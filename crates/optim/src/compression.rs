@@ -247,7 +247,11 @@ mod tests {
             }
             GradDelta::Dense(_) => panic!("compressed deltas are sparse"),
         }
-        assert_eq!(wire, async_linalg::quant_wire_bytes(Quant::Exact, 2));
+        assert_eq!(
+            wire,
+            async_linalg::CompressedDelta::Exact(d.clone()).encoded_len(),
+            "charged as the frame a remote worker would ship"
+        );
         // The raw delta's dense buffer went back to the pool.
         assert_eq!(pool.depth().2, 1);
         // The unshipped coordinates wait in the residual.

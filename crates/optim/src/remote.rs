@@ -34,12 +34,14 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use async_core::{AsyncBcast, PatchCodes, RemoteRoutine, WirePlan};
+use async_core::{AsyncBcast, RemoteRoutine, WirePlan};
 use async_data::{sampler, Block};
 use async_linalg::{
-    CompressedDelta, CsrMatrix, DenseMatrix, EfState, GradDelta, Matrix, Quant, SparseVec,
+    index_codec, CompressedDelta, CsrMatrix, DenseMatrix, EfState, GradDelta, Matrix, Quant,
+    SparseVec,
 };
 use bytes::{BufMut, BytesMut};
+use sparklet::payload::encode_sparse;
 use sparklet::{DecodeError, Payload, Rdd, RoutineRegistry, WorkerCtx};
 
 use crate::asaga::DeltaMsg;
@@ -94,30 +96,6 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
-    fn i8(&mut self) -> Result<i8, DecodeError> {
-        Ok(self.u8()? as i8)
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        let rest = self.rest();
-        let b = rest.get(..2).ok_or_else(|| DecodeError::Truncated {
-            at: self.at + rest.len(),
-            needed: 2usize.saturating_sub(rest.len()),
-        })?;
-        self.at += 2;
-        Ok(u16::from_le_bytes(b.try_into().expect("2-byte slice")))
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let rest = self.rest();
-        let b = rest.get(..4).ok_or_else(|| DecodeError::Truncated {
-            at: self.at + rest.len(),
-            needed: 4usize.saturating_sub(rest.len()),
-        })?;
-        self.at += 4;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-    }
-
     fn payload<T: Payload>(&mut self) -> Result<T, DecodeError> {
         let at = self.at;
         let (v, n) = T::decode(self.rest()).map_err(|e| e.shifted(at))?;
@@ -151,21 +129,19 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_u32s(buf: &mut BytesMut, vals: &[u32]) {
-    buf.put_u64_le(vals.len() as u64);
-    for &v in vals {
-        buf.put_u32_le(v);
-    }
+/// Sampled block-local rows: a count, then the index block of the (sorted,
+/// distinct) row list.
+fn put_rows(buf: &mut BytesMut, rows: &[u32]) {
+    buf.put_u64_le(rows.len() as u64);
+    index_codec::encode(rows, |b| buf.put_slice(b));
 }
 
-fn get_u32s(r: &mut Reader) -> Result<Vec<u32>, DecodeError> {
-    let n64 = r.u64()?;
-    let n = r.checked_count(n64, 4)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u32()?);
-    }
-    Ok(out)
+/// Reads the rows [`put_rows`] wrote; every row is below `block_rows`.
+fn get_rows(r: &mut Reader, block_rows: usize) -> Result<Vec<u32>, DecodeError> {
+    let n = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+    let (rows, used) = index_codec::decode(r.rest(), n, block_rows).map_err(|e| e.shifted(r.at))?;
+    r.at += used;
+    Ok(rows)
 }
 
 fn put_u64s(buf: &mut BytesMut, vals: &[u64]) {
@@ -282,12 +258,7 @@ fn encode_block(b: &Block, buf: &mut BytesMut) {
                 // The `SparseVec` wire shape, written straight from the
                 // CSR row without materializing a vector.
                 let (idx, val) = csr.row(i);
-                buf.put_u64_le(idx.len() as u64);
-                buf.put_u64_le(csr.ncols() as u64);
-                for (&ix, &v) in idx.iter().zip(val) {
-                    buf.put_u32_le(ix);
-                    buf.put_f64_le(v);
-                }
+                encode_sparse(buf, idx, val, csr.ncols());
             }
         }
     }
@@ -375,49 +346,26 @@ fn encode_plan(p: &WirePlan, buf: &mut BytesMut) {
         WirePlan::Patch {
             base,
             version,
-            indices,
-            values,
+            patch,
             evict_below,
         } => {
             buf.put_u8(2);
             buf.put_u64_le(*base);
             buf.put_u64_le(*version);
             buf.put_u64_le(*evict_below);
-            buf.put_u64_le(indices.len() as u64);
-            for (&i, &v) in indices.iter().zip(values.iter()) {
-                buf.put_u32_le(i);
-                buf.put_f64_le(v);
-            }
+            patch.encode(buf);
         }
         WirePlan::QPatch {
             base,
             version,
-            indices,
-            scale,
-            codes,
+            delta,
             evict_below,
         } => {
             buf.put_u8(3);
             buf.put_u64_le(*base);
             buf.put_u64_le(*version);
             buf.put_u64_le(*evict_below);
-            buf.put_f64_le(*scale);
-            buf.put_u8(quant_byte(codes.quant()));
-            buf.put_u64_le(indices.len() as u64);
-            match codes {
-                PatchCodes::I8(cs) => {
-                    for (&i, &c) in indices.iter().zip(cs.iter()) {
-                        buf.put_u32_le(i);
-                        buf.put_i8(c);
-                    }
-                }
-                PatchCodes::F16(cs) => {
-                    for (&i, &c) in indices.iter().zip(cs.iter()) {
-                        buf.put_u32_le(i);
-                        buf.put_u16_le(c);
-                    }
-                }
-            }
+            delta.encode(buf);
         }
     }
 }
@@ -440,75 +388,28 @@ fn decode_plan(r: &mut Reader) -> Result<WirePlan, DecodeError> {
                 evict_below,
             })
         }
-        2 => {
-            let base = r.u64()?;
-            let version = r.u64()?;
-            let evict_below = r.u64()?;
-            let n64 = r.u64()?;
-            let n = r.checked_count(n64, 12)?;
-            let mut indices = Vec::with_capacity(n);
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                indices.push(r.u32()?);
-                values.push(r.f64()?);
-            }
-            Ok(WirePlan::Patch {
-                base,
-                version,
-                indices,
-                values,
-                evict_below,
-            })
-        }
+        2 => Ok(WirePlan::Patch {
+            base: r.u64()?,
+            version: r.u64()?,
+            evict_below: r.u64()?,
+            patch: r.payload()?,
+        }),
         3 => {
             let base = r.u64()?;
             let version = r.u64()?;
             let evict_below = r.u64()?;
-            let at_scale = r.at;
-            let scale = r.f64()?;
-            if !scale.is_finite() || scale < 0.0 {
+            let at_delta = r.at;
+            let delta: CompressedDelta = r.payload()?;
+            if matches!(delta, CompressedDelta::Exact(_)) {
                 return Err(DecodeError::Invalid {
-                    at: at_scale,
-                    what: "quantized patch scale must be finite and non-negative",
+                    at: at_delta,
+                    what: "quantized patch with an exact frame (use tag 2)",
                 });
             }
-            let quant = decode_quant(r)?;
-            let n64 = r.u64()?;
-            let codes = match quant {
-                Quant::I8 => {
-                    let n = r.checked_count(n64, 5)?;
-                    let mut indices = Vec::with_capacity(n);
-                    let mut cs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        indices.push(r.u32()?);
-                        cs.push(r.i8()?);
-                    }
-                    (indices, PatchCodes::I8(cs))
-                }
-                Quant::F16 => {
-                    let n = r.checked_count(n64, 6)?;
-                    let mut indices = Vec::with_capacity(n);
-                    let mut cs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        indices.push(r.u32()?);
-                        cs.push(r.u16()?);
-                    }
-                    (indices, PatchCodes::F16(cs))
-                }
-                Quant::Exact => {
-                    return Err(DecodeError::Invalid {
-                        at: at_scale,
-                        what: "quantized patch with exact format (use tag 2)",
-                    })
-                }
-            };
-            let (indices, codes) = codes;
             Ok(WirePlan::QPatch {
                 base,
                 version,
-                indices,
-                scale,
-                codes,
+                delta,
                 evict_below,
             })
         }
@@ -626,8 +527,8 @@ fn decode_response_delta(
         Ok((g, wire))
     } else {
         let cd: CompressedDelta = r.payload()?;
-        let wire = cd.wire_bytes();
-        Ok((cd.to_delta(), wire))
+        let wire = cd.encoded_len();
+        Ok((cd.into_delta_buffers(Vec::new(), Vec::new()), wire))
     }
 }
 
@@ -764,7 +665,7 @@ pub(crate) fn asaga_routine(
             buf.put_u64_le(part as u64);
             ship_block_if_new(mirror, part, block, &mut buf);
             encode_plan(&w_plan, &mut buf);
-            put_u32s(&mut buf, &rows);
+            put_rows(&mut buf, &rows);
             put_u64s(&mut buf, &row_versions);
             buf.put_u64_le(plans.len() as u64);
             for p in &plans {
@@ -795,7 +696,7 @@ fn asaga_handler(ctx: &mut WorkerCtx, request: &[u8]) -> Result<Vec<u8>, DecodeE
     let part = r.u64()? as usize;
     let block = resolve_block(ctx, part, &mut r)?;
     let w_cur = decode_plan(&mut r)?.apply(ctx, bcast_id);
-    let rows = get_u32s(&mut r)?;
+    let rows = get_rows(&mut r, block.rows())?;
     let row_versions = get_u64s(&mut r)?;
     if row_versions.len() != rows.len() {
         return Err(DecodeError::Invalid {
@@ -820,12 +721,6 @@ fn asaga_handler(ctx: &mut WorkerCtx, request: &[u8]) -> Result<Vec<u8>, DecodeE
     let mut coefs = Vec::with_capacity(rows.len());
     for (&rr, vj) in rows.iter().zip(&row_versions) {
         let i = rr as usize;
-        if i >= block.rows() {
-            return Err(DecodeError::Invalid {
-                at: r.at,
-                what: "sampled row out of block range",
-            });
-        }
         let j = block.global_row(i);
         let w_old = resolved.get(vj).ok_or(DecodeError::Invalid {
             at: r.at,
@@ -940,8 +835,7 @@ mod tests {
             WirePlan::Patch {
                 base: 4,
                 version: 6,
-                indices: vec![0, 3, 17],
-                values: vec![0.5, -0.25, 8.0],
+                patch: SparseVec::new(vec![0, 3, 17], vec![0.5, -0.25, 8.0], 20).unwrap(),
                 evict_below: 4,
             },
         ];
@@ -957,15 +851,33 @@ mod tests {
 
     #[test]
     fn hostile_counts_cannot_size_allocations() {
-        // A u32 list claiming u64::MAX entries with 4 bytes of body.
+        // A row list claiming u64::MAX entries with 4 bytes of body.
         let mut buf = BytesMut::new();
         buf.put_u64_le(u64::MAX);
         buf.put_u32_le(1);
         let bytes = buf.into_vec();
         let mut r = Reader::new(&bytes);
         assert!(matches!(
-            get_u32s(&mut r),
+            get_rows(&mut r, 100),
+            Err(DecodeError::Truncated { at: 12, .. })
+        ));
+        // Same for the u64 list behind it.
+        let mut r = Reader::new(&bytes);
+        assert!(matches!(
+            get_u64s(&mut r),
             Err(DecodeError::LengthOverflow { .. })
+        ));
+        // Rows round-trip, and a row past the block is refused.
+        let mut buf = BytesMut::new();
+        put_rows(&mut buf, &[0, 3, 200, 201]);
+        let bytes = buf.into_vec();
+        assert_eq!(
+            get_rows(&mut Reader::new(&bytes), 202).unwrap(),
+            vec![0, 3, 200, 201]
+        );
+        assert!(matches!(
+            get_rows(&mut Reader::new(&bytes), 201),
+            Err(DecodeError::Invalid { .. })
         ));
     }
 
@@ -1005,27 +917,36 @@ mod tests {
         assert!(resolve_block(&mut fresh, 0, &mut Reader::new(&[0])).is_err());
     }
 
-    #[test]
-    fn quantized_patch_plans_roundtrip() {
-        let plans = vec![
+    fn qpatches() -> Vec<WirePlan> {
+        vec![
             WirePlan::QPatch {
                 base: 11,
                 version: 13,
-                indices: vec![2, 9, 40],
-                scale: 3.5,
-                codes: PatchCodes::I8(vec![-127, 0, 64]),
+                delta: CompressedDelta::I8 {
+                    dim: 64,
+                    scale: 3.5,
+                    indices: vec![2, 9, 40],
+                    codes: vec![-127, 0, 64],
+                },
                 evict_below: 11,
             },
             WirePlan::QPatch {
                 base: 5,
                 version: 6,
-                indices: vec![0, 1],
-                scale: 0.0,
-                codes: PatchCodes::F16(vec![0x3c00, 0xbc00]),
+                delta: CompressedDelta::F16 {
+                    dim: 2,
+                    scale: 0.0,
+                    indices: vec![0, 1],
+                    codes: vec![0x3c00, 0xbc00],
+                },
                 evict_below: 2,
             },
-        ];
-        for p in &plans {
+        ]
+    }
+
+    #[test]
+    fn quantized_patch_plans_roundtrip() {
+        for p in &qpatches() {
             let mut buf = BytesMut::new();
             encode_plan(p, &mut buf);
             let bytes = buf.into_vec();
@@ -1036,71 +957,84 @@ mod tests {
     }
 
     #[test]
+    fn patch_sections_encode_to_their_modeled_bytes() {
+        // A plan is `tag | base | version | evict_below | section`; the
+        // section is the payload the simulator charges for, so the bytes
+        // on the socket past the 25-byte plan header equal the modeled
+        // charge (`WirePlan::apply` bills `encoded_len` of the same value).
+        let exact = WirePlan::Patch {
+            base: 4,
+            version: 6,
+            patch: SparseVec::new(vec![0, 3, 400, 70_000], vec![0.5; 4], 70_001).unwrap(),
+            evict_below: 4,
+        };
+        for p in qpatches().iter().chain([&exact]) {
+            let modeled = match p {
+                WirePlan::Patch { patch, .. } => patch.encoded_len(),
+                WirePlan::QPatch { delta, .. } => delta.encoded_len(),
+                _ => unreachable!(),
+            };
+            let mut buf = BytesMut::new();
+            encode_plan(p, &mut buf);
+            assert_eq!(buf.len() as u64 - 25, modeled, "{p:?}");
+        }
+    }
+
+    #[test]
     fn hostile_quantized_patches_are_rejected_with_positions() {
         // A well-formed frame truncated at every prefix fails with an
         // error positioned at or before the cut.
-        let p = WirePlan::QPatch {
-            base: 1,
-            version: 2,
-            indices: vec![3, 4],
-            scale: 1.0,
-            codes: PatchCodes::F16(vec![0x3800, 0x4200]),
-            evict_below: 0,
-        };
-        let mut buf = BytesMut::new();
-        encode_plan(&p, &mut buf);
-        let bytes = buf.into_vec();
-        for cut in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..cut]);
-            let err = decode_plan(&mut r).expect_err("truncation must fail");
-            assert!(err.at() <= cut, "error at {} past cut {cut}", err.at());
+        for p in &qpatches() {
+            let mut buf = BytesMut::new();
+            encode_plan(p, &mut buf);
+            let bytes = buf.into_vec();
+            for cut in 0..bytes.len() {
+                let mut r = Reader::new(&bytes[..cut]);
+                let err = decode_plan(&mut r).expect_err("truncation must fail");
+                assert!(err.at() <= cut, "error at {} past cut {cut}", err.at());
+            }
         }
 
-        // Tag 3 with a non-finite scale is invalid.
+        let head = |buf: &mut BytesMut| {
+            buf.put_u8(3);
+            buf.put_u64_le(1);
+            buf.put_u64_le(2);
+            buf.put_u64_le(0);
+        };
+
+        // A non-finite scale is invalid, positioned at the scale field.
         let mut buf = BytesMut::new();
-        buf.put_u8(3);
-        buf.put_u64_le(1);
-        buf.put_u64_le(2);
-        buf.put_u64_le(0);
-        buf.put_f64_le(f64::NAN);
+        head(&mut buf);
         buf.put_u8(1);
         buf.put_u64_le(0);
+        buf.put_u64_le(4);
+        buf.put_f64_le(f64::NAN);
         let bytes = buf.into_vec();
-        assert!(matches!(
-            decode_plan(&mut Reader::new(&bytes)),
-            Err(DecodeError::Invalid { .. })
-        ));
+        assert_eq!(
+            decode_plan(&mut Reader::new(&bytes)).unwrap_err().at(),
+            25 + 1 + 16
+        );
 
-        // Tag 3 declaring the Exact quant is a protocol contradiction —
+        // Tag 3 carrying an exact frame is a protocol contradiction —
         // exact diffs travel as tag-2 plain patches.
         let mut buf = BytesMut::new();
-        buf.put_u8(3);
-        buf.put_u64_le(1);
-        buf.put_u64_le(2);
-        buf.put_u64_le(0);
-        buf.put_f64_le(1.0);
-        buf.put_u8(0);
-        buf.put_u64_le(0);
+        head(&mut buf);
+        CompressedDelta::Exact(GradDelta::Dense(vec![1.0])).encode(&mut buf);
         let bytes = buf.into_vec();
         assert!(matches!(
             decode_plan(&mut Reader::new(&bytes)),
-            Err(DecodeError::Invalid { .. })
+            Err(DecodeError::Invalid { at: 25, .. })
         ));
 
         // A hostile count cannot size the allocation.
         let mut buf = BytesMut::new();
-        buf.put_u8(3);
-        buf.put_u64_le(1);
-        buf.put_u64_le(2);
-        buf.put_u64_le(0);
-        buf.put_f64_le(1.0);
+        head(&mut buf);
         buf.put_u8(1);
         buf.put_u64_le(u64::MAX);
+        buf.put_u64_le(4);
+        buf.put_f64_le(1.0);
         let bytes = buf.into_vec();
-        assert!(matches!(
-            decode_plan(&mut Reader::new(&bytes)),
-            Err(DecodeError::LengthOverflow { .. })
-        ));
+        assert!(decode_plan(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]

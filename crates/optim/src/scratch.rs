@@ -42,7 +42,7 @@ pub struct TaskScratch {
     pub ids: Vec<u64>,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Inner {
     scratch: Vec<TaskScratch>,
     sparse: Vec<(Vec<u32>, Vec<f64>)>,
@@ -50,10 +50,25 @@ struct Inner {
     folds: Vec<DeltaFold>,
 }
 
+/// Most buffers of one kind the pool parks. Far above what a wave keeps in
+/// flight (a few per worker), so a closed checkout/return cycle never hits
+/// it; it exists for *open* cycles — on the remote engine gradients are
+/// computed worker-side and every decoded response delta is recycled here
+/// without a matching checkout, which would otherwise grow the pool by one
+/// buffer per step for the whole run.
+const MAX_PARKED: usize = 64;
+
+/// Parks `item` unless its list is full (then it is simply dropped).
+fn park<T>(list: &mut Vec<T>, item: T) {
+    if list.len() < MAX_PARKED {
+        list.push(item);
+    }
+}
+
 /// A shared pool of reusable solver buffers. Cheap to clone (clones share
-/// the pool); empty pools grow on demand and never shrink, so a fixed
-/// workload stops allocating after its first few iterations.
-#[derive(Clone, Default)]
+/// the pool); empty pools grow on demand up to a fixed depth per kind, so
+/// a fixed workload stops allocating after its first few iterations.
+#[derive(Debug, Clone, Default)]
 pub struct ScratchPool {
     inner: Arc<Mutex<Inner>>,
 }
@@ -75,7 +90,7 @@ impl ScratchPool {
 
     /// Returns a per-task scratch to the pool.
     pub fn give_back(&self, s: TaskScratch) {
-        self.lock().scratch.push(s);
+        park(&mut self.lock().scratch, s);
     }
 
     /// Checks out an index/value buffer pair for a sparse delta.
@@ -94,7 +109,7 @@ impl ScratchPool {
 
     /// Returns a dense buffer to the pool.
     pub fn give_back_dense(&self, buf: Vec<f64>) {
-        self.lock().dense.push(buf);
+        park(&mut self.lock().dense, buf);
     }
 
     /// Checks out a [`DeltaFold`] accumulator cleared to dimension `dim`.
@@ -110,7 +125,7 @@ impl ScratchPool {
 
     /// Returns a fold accumulator to the pool.
     pub fn give_back_fold(&self, f: DeltaFold) {
-        self.lock().folds.push(f);
+        park(&mut self.lock().folds, f);
     }
 
     /// Tears a consumed delta apart and returns its backing buffers to the
@@ -119,9 +134,9 @@ impl ScratchPool {
         match delta {
             GradDelta::Sparse(s) => {
                 let (idx, val, _) = s.into_parts();
-                self.lock().sparse.push((idx, val));
+                park(&mut self.lock().sparse, (idx, val));
             }
-            GradDelta::Dense(v) => self.lock().dense.push(v),
+            GradDelta::Dense(v) => self.give_back_dense(v),
         }
     }
 
@@ -132,10 +147,13 @@ impl ScratchPool {
         let mut inner = self.lock();
         match inner.scratch.iter_mut().find(|s| s.ids.capacity() == 0) {
             Some(s) => s.ids = ids,
-            None => inner.scratch.push(TaskScratch {
-                ids,
-                ..TaskScratch::default()
-            }),
+            None => park(
+                &mut inner.scratch,
+                TaskScratch {
+                    ids,
+                    ..TaskScratch::default()
+                },
+            ),
         }
     }
 
@@ -209,6 +227,25 @@ mod tests {
         assert_eq!(f2.dim(), 6);
         assert_eq!(f2.nnz(), 0);
         assert!(!f2.is_dense());
+    }
+
+    #[test]
+    fn unmatched_recycling_cannot_grow_the_pool() {
+        // The remote engine's shape: deltas arrive decoded (never checked
+        // out of this pool) and are recycled every step.
+        let pool = ScratchPool::new();
+        for step in 0..10 * MAX_PARKED {
+            pool.recycle_delta(GradDelta::Dense(vec![step as f64; 8]));
+            pool.recycle_delta(GradDelta::Sparse(
+                SparseVec::new(vec![1], vec![1.0], 8).unwrap(),
+            ));
+            pool.recycle_ids(vec![step as u64]);
+            pool.give_back_fold(DeltaFold::new(8));
+        }
+        assert_eq!(
+            pool.depth(),
+            (MAX_PARKED, MAX_PARKED, MAX_PARKED, MAX_PARKED)
+        );
     }
 
     #[test]

@@ -11,9 +11,16 @@
 //! `ScratchPool` exists for. Engine-side costs outside it (boxing a task
 //! closure, the 1-allocation `Arc` cell of a broadcast snapshot push) are
 //! bounded separately by `snapshot_push_is_allocation_bounded`.
+//!
+//! The counter is **per thread**: each test measures the thread that drives
+//! its loop, so sibling tests and the harness cannot pollute a window and
+//! the suite holds under any `--test-threads`. The price: of a sharded
+//! wave, only the driving thread's share of the shard jobs is inside the
+//! window (it participates in every wave; the pool's threads run the same
+//! code on the other shards).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use async_core::AsyncBcast;
 use async_data::{sampler, Dataset, SynthSpec};
@@ -22,23 +29,33 @@ use async_optim::{Objective, ScratchPool, ShardedAbsorber};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per-thread, so sibling tests (and the harness's own bookkeeping
+    // thread) running in parallel cannot pollute a measured window. `Cell`
+    // of a `u64` has no destructor and a const initializer: touching it
+    // from inside the allocator neither allocates nor outlives the thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: delegates every operation to `System`, only adding a counter.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -46,8 +63,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations performed so far **by the calling thread**.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 fn sparse_dataset() -> Dataset {

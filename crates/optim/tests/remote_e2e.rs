@@ -12,7 +12,7 @@ use async_cluster::{ChaosSchedule, ClusterSpec, CommModel, DelayModel, VDur, VTi
 use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
 use async_linalg::ParallelismCfg;
-use async_optim::{Asaga, Asgd, AsyncMsgd, AsyncSolver, Objective, SolverCfg};
+use async_optim::{Asaga, Asgd, AsyncMsgd, AsyncSolver, Objective, ScratchPool, SolverCfg};
 use sparklet::{Driver, EngineBuilder};
 
 const WORKERS: usize = 4;
@@ -135,13 +135,7 @@ fn loopback_workers_run_the_full_solver_stack_without_processes() {
     let objective = Objective::LeastSquares { lambda: 1e-3 };
     let baseline = objective.optimum(ParallelismCfg::sequential(), &d).unwrap();
     let f0 = objective.full_objective(ParallelismCfg::sequential(), &d, &vec![0.0; d.cols()]);
-    let engine = EngineBuilder::remote()
-        .spec(quiet_spec())
-        .time_scale(0.0)
-        .loopback_workers(Arc::new(async_optim::worker_registry))
-        .build()
-        .expect("loopback workers need no binary");
-    let mut ctx = AsyncContext::new(Driver::from_engine(engine));
+    let mut ctx = loopback_ctx(quiet_spec());
     let r = Asaga::new(objective).run(&mut ctx, &d, &cfg(150, 7));
     assert_eq!(r.updates, 150);
     let gap = r.final_objective - baseline;
@@ -149,4 +143,79 @@ fn loopback_workers_run_the_full_solver_stack_without_processes() {
         gap < 0.15 * (f0 - baseline),
         "loopback ASAGA should converge: gap {gap}"
     );
+}
+
+/// A loopback remote context: worker event loops on in-process threads,
+/// the same wire protocol as real worker processes.
+fn loopback_ctx(spec: ClusterSpec) -> AsyncContext {
+    let engine = EngineBuilder::remote()
+        .spec(spec)
+        .time_scale(0.0)
+        .loopback_workers(Arc::new(async_optim::worker_registry))
+        .build()
+        .expect("loopback workers need no binary");
+    AsyncContext::new(Driver::from_engine(engine))
+}
+
+#[test]
+fn scratch_pool_stays_bounded_over_a_long_remote_run() {
+    // On the remote engine gradients are computed worker-side, so the
+    // driver recycles one decoded delta per step into a pool nothing ever
+    // checks out of. The parked lists must stay bounded by a constant, not
+    // grow with the step count (they used to: ~0.5 KB retained per step).
+    let d = dataset();
+    let spec = ClusterSpec::homogeneous(2, DelayModel::None)
+        .with_comm(CommModel::free())
+        .with_sched_overhead(VDur::ZERO);
+    let depth_after = |updates: u64| {
+        let pool = ScratchPool::new();
+        let mut ctx = loopback_ctx(spec.clone());
+        let r = Asgd::new(Objective::LeastSquares { lambda: 1e-3 })
+            .with_scratch_pool(pool.clone())
+            .run(&mut ctx, &d, &cfg(updates, 5));
+        assert_eq!(r.updates, updates);
+        pool.depth()
+    };
+    let short = depth_after(500);
+    let long = depth_after(10_000);
+    assert_eq!(short, long, "pool depth must not depend on the step count");
+    let (scratch, sparse, dense, folds) = long;
+    assert!(
+        scratch.max(sparse).max(dense).max(folds) <= 64,
+        "parked lists exceed the fixed bound: {long:?}"
+    );
+}
+
+#[test]
+fn sparse_ring_run_ships_identical_bytes_on_sim_and_loopback() {
+    // The wire-size contract: the simulator charges `encoded_len` of every
+    // sparse payload and the remote engine mirrors those charges while
+    // shipping the real encodings, so a sparse incremental-broadcast run
+    // reports the same traffic on both. One worker and a zero-cost cluster
+    // pin the completion order, so the two trajectories are the same run.
+    let (d, _) = SynthSpec::sparse("remote-bytes", 256, 5_000, 12, 9)
+        .generate()
+        .unwrap();
+    let spec = ClusterSpec::homogeneous(1, DelayModel::None)
+        .with_comm(CommModel::free())
+        .with_sched_overhead(VDur::ZERO);
+    let ring_cfg = SolverCfg::builder()
+        .step(0.5)
+        .batch_fraction(0.1)
+        .barrier(BarrierFilter::Asp)
+        .bcast_ring(8)
+        .max_updates(300)
+        .seed(23)
+        .build()
+        .unwrap();
+    let objective = Objective::Logistic { lambda: 0.0 };
+    let mut sim_ctx = AsyncContext::sim(spec.clone());
+    let sim = Asgd::new(objective).run(&mut sim_ctx, &d, &ring_cfg);
+    let mut rem_ctx = loopback_ctx(spec);
+    let rem = Asgd::new(objective).run(&mut rem_ctx, &d, &ring_cfg);
+    assert_eq!((sim.updates, rem.updates), (300, 300));
+    assert_eq!(sim.final_objective.to_bits(), rem.final_objective.to_bits());
+    assert_eq!(sim.bytes_shipped, rem.bytes_shipped);
+    assert_eq!(sim.result_bytes, rem.result_bytes);
+    assert!(sim.result_bytes > 0 && sim.bytes_shipped > sim.result_bytes);
 }

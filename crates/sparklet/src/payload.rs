@@ -15,103 +15,9 @@
 
 use std::sync::Arc;
 
-use async_linalg::{CompressedDelta, GradDelta, SparseVec};
+pub use async_linalg::DecodeError;
+use async_linalg::{index_codec, sparse_wire_len, CompressedDelta, GradDelta, Quant, SparseVec};
 use bytes::{BufMut, BytesMut};
-
-/// Why a wire decode failed, with the byte offset where it did.
-///
-/// Every variant carries `at`, the offset (from the start of the buffer
-/// handed to the outermost [`Payload::decode`] call) at which the decoder
-/// gave up. Nested decoders re-base child errors so positions stay
-/// end-to-end meaningful — the error from a `Vec<(u64, GradDelta)>` table
-/// points into the table's bytes, not into one entry's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The input ended before a fixed-size field or counted body: `needed`
-    /// more bytes were required at offset `at`.
-    Truncated {
-        /// Offset at which the input ran out.
-        at: usize,
-        /// Bytes still required at that offset.
-        needed: usize,
-    },
-    /// A discriminant byte named no known variant.
-    BadTag {
-        /// Offset of the offending tag byte.
-        at: usize,
-        /// The unrecognized tag value.
-        tag: u8,
-    },
-    /// A length prefix that cannot be honest: it overflows size arithmetic
-    /// or exceeds any plausible buffer. Checked *before* any allocation it
-    /// would size, so a hostile prefix cannot drive memory growth.
-    LengthOverflow {
-        /// Offset of the offending length prefix.
-        at: usize,
-        /// The claimed length.
-        len: u64,
-    },
-    /// Structurally well-formed bytes that violate a value invariant (e.g.
-    /// unsorted sparse indices).
-    Invalid {
-        /// Offset of the value whose invariant failed.
-        at: usize,
-        /// Which invariant failed.
-        what: &'static str,
-    },
-}
-
-impl DecodeError {
-    /// The offset where decoding failed.
-    pub fn at(&self) -> usize {
-        match *self {
-            DecodeError::Truncated { at, .. }
-            | DecodeError::BadTag { at, .. }
-            | DecodeError::LengthOverflow { at, .. }
-            | DecodeError::Invalid { at, .. } => at,
-        }
-    }
-
-    /// The same error re-based `base` bytes later — how composite decoders
-    /// keep child error positions meaningful in the parent's frame.
-    #[must_use]
-    pub fn shifted(self, base: usize) -> Self {
-        match self {
-            DecodeError::Truncated { at, needed } => DecodeError::Truncated {
-                at: at + base,
-                needed,
-            },
-            DecodeError::BadTag { at, tag } => DecodeError::BadTag { at: at + base, tag },
-            DecodeError::LengthOverflow { at, len } => {
-                DecodeError::LengthOverflow { at: at + base, len }
-            }
-            DecodeError::Invalid { at, what } => DecodeError::Invalid {
-                at: at + base,
-                what,
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated { at, needed } => {
-                write!(
-                    f,
-                    "truncated input at byte {at}: {needed} more bytes needed"
-                )
-            }
-            DecodeError::BadTag { at, tag } => write!(f, "bad tag {tag:#04x} at byte {at}"),
-            DecodeError::LengthOverflow { at, len } => {
-                write!(f, "implausible length {len} at byte {at}")
-            }
-            DecodeError::Invalid { at, what } => write!(f, "invalid value at byte {at}: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 /// Decode result: the value plus the bytes consumed.
 pub type DecodeResult<T> = Result<(T, usize), DecodeError>;
@@ -132,7 +38,8 @@ fn put_f64s_le(buf: &mut BytesMut, xs: &[f64]) {
     }
 }
 
-/// Reads `n` little-endian `f64`s starting at offset `at` of `bytes`. The
+/// Reads `n` little-endian `f64`s starting at offset `at` of `bytes` — the
+/// mirror of [`put_f64s_le`]: one byte copy on little-endian targets. The
 /// count is untrusted wire data: the length check uses checked arithmetic
 /// so a hostile prefix can neither wrap the bound nor drive an allocation.
 fn get_f64s_le(bytes: &[u8], at: usize, n: usize) -> Result<Vec<f64>, DecodeError> {
@@ -146,6 +53,17 @@ fn get_f64s_le(bytes: &[u8], at: usize, n: usize) -> Result<Vec<f64>, DecodeErro
             needed: need - body.len(),
         });
     }
+    #[cfg(target_endian = "little")]
+    {
+        let mut out = vec![0.0f64; n];
+        // SAFETY: `out` owns `n` initialized `f64`s, i.e. `need = 8 n`
+        // writable bytes; every bit pattern is a valid `f64`, and on a
+        // little-endian target the wire order is the in-memory order.
+        let dst = unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), need) };
+        dst.copy_from_slice(&body[..need]);
+        Ok(out)
+    }
+    #[cfg(not(target_endian = "little"))]
     Ok(body[..need]
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
@@ -277,43 +195,81 @@ impl Payload for Arc<[f64]> {
     }
 }
 
+/// Writes the head of a sparse section: the `nnz | dim` header, the scale
+/// of a quantized section, and the delta-varint index block. The caller
+/// appends the value slab.
+fn put_sparse_head(buf: &mut BytesMut, indices: &[u32], dim: usize, scale: Option<f64>) {
+    buf.put_u64_le(indices.len() as u64);
+    buf.put_u64_le(dim as u64);
+    if let Some(scale) = scale {
+        buf.put_f64_le(scale);
+    }
+    index_codec::encode(indices, |b| buf.put_slice(b));
+}
+
+/// Reads the head [`put_sparse_head`] wrote for a section of `quant`
+/// values from the front of `bytes`, and bounds the value slab against the
+/// input so callers may slice it unchecked. Returns `(indices, dim, scale,
+/// slab offset)`; `scale` is 0 for an `Exact` section. The untrusted count
+/// sizes nothing until the index decoder has checked it against the input.
+fn get_sparse_head(
+    bytes: &[u8],
+    quant: Quant,
+) -> Result<(Vec<u32>, usize, f64, usize), DecodeError> {
+    let nnz64 = get_u64_le(bytes, 0)?;
+    let dim = usize::try_from(get_u64_le(bytes, 8)?).unwrap_or(usize::MAX);
+    let (scale, head) = if quant != Quant::Exact {
+        let scale = f64::from_bits(get_u64_le(bytes, 16)?);
+        if !scale.is_finite() || scale < 0.0 {
+            return Err(DecodeError::Invalid {
+                at: 16,
+                what: "quantization scale not finite and non-negative",
+            });
+        }
+        (scale, 24)
+    } else {
+        (0.0, 16)
+    };
+    let nnz =
+        usize::try_from(nnz64).map_err(|_| DecodeError::LengthOverflow { at: 0, len: nnz64 })?;
+    let (indices, used) =
+        index_codec::decode(&bytes[head..], nnz, dim).map_err(|e| e.shifted(head))?;
+    let slab = head + used;
+    // `nnz <= bytes.len()` was established by the index decoder.
+    let need = nnz.saturating_mul(quant.value_bytes());
+    if bytes.len() - slab < need {
+        return Err(DecodeError::Truncated {
+            at: bytes.len(),
+            needed: need - (bytes.len() - slab),
+        });
+    }
+    Ok((indices, dim, scale, slab))
+}
+
+/// Appends the [`SparseVec`] wire shape for borrowed parts — how a CSR row
+/// ships without materializing a vector. `indices` must be strictly
+/// increasing and below `dim`.
+pub fn encode_sparse(buf: &mut BytesMut, indices: &[u32], values: &[f64], dim: usize) {
+    put_sparse_head(buf, indices, dim, None);
+    put_f64s_le(buf, values);
+}
+
 impl Payload for SparseVec {
-    /// `(len, dim)` header plus a 4-byte column index and 8-byte value per
-    /// stored entry — the wire shape of a sparse gradient delta.
+    /// `nnz | dim` header, delta-varint index block, `f64` value slab — the
+    /// wire shape of a sparse gradient delta.
     fn encoded_len(&self) -> u64 {
-        16 + 12 * self.nnz() as u64
+        sparse_wire_len(Quant::Exact, self.indices())
     }
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.nnz() as u64);
-        buf.put_u64_le(self.dim() as u64);
-        for (i, v) in self.indices().iter().zip(self.values().iter()) {
-            buf.put_u32_le(*i);
-            buf.put_f64_le(*v);
-        }
+        encode_sparse(buf, self.indices(), self.values(), self.dim());
     }
     fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        let nnz64 = get_u64_le(bytes, 0)?;
-        let nnz = nnz64 as usize;
-        let dim = get_u64_le(bytes, 8)? as usize;
-        // Validate the untrusted count against the available bytes (with
-        // checked arithmetic) before any allocation sized by it.
-        let overflow = DecodeError::LengthOverflow { at: 0, len: nnz64 };
-        let body = nnz.checked_mul(12).ok_or(overflow)?;
-        let total = body.checked_add(16).ok_or(overflow)?;
-        let mut rest = bytes.get(16..total).ok_or_else(|| DecodeError::Truncated {
-            at: bytes.len(),
-            needed: total.saturating_sub(bytes.len()),
-        })?;
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            indices.push(u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")));
-            values.push(f64::from_le_bytes(rest[4..12].try_into().expect("8 bytes")));
-            rest = &rest[12..];
-        }
+        let (indices, dim, _, slab) = get_sparse_head(bytes, Quant::Exact)?;
+        let values = get_f64s_le(bytes, slab, indices.len())?;
+        let total = slab + 8 * values.len();
         let sv = SparseVec::new(indices, values, dim).map_err(|_| DecodeError::Invalid {
             at: 16,
-            what: "sparse indices not strictly increasing or out of dimension",
+            what: "sparse indices rejected",
         })?;
         Ok((sv, total))
     }
@@ -360,70 +316,20 @@ impl Payload for GradDelta {
     }
 }
 
-/// Decodes one quantized-sparse body (`nnz`, `dim`, `scale` headers after
-/// a 1-byte tag, then `code_bytes`-wide codes interleaved with 4-byte
-/// indices). Returns `(dim, scale, indices, raw code bytes)`; positions
-/// are relative to the start of the tagged value.
-#[allow(clippy::type_complexity)]
-fn decode_quant_body(
-    bytes: &[u8],
-    code_bytes: usize,
-) -> Result<(usize, f64, Vec<u32>, Vec<u8>, usize), DecodeError> {
-    let nnz64 = get_u64_le(bytes, 1)?;
-    let nnz = nnz64 as usize;
-    let dim = get_u64_le(bytes, 9)? as usize;
-    let scale = f64::from_le_bytes(
-        bytes
-            .get(17..25)
-            .ok_or_else(|| DecodeError::Truncated {
-                at: bytes.len(),
-                needed: 25usize.saturating_sub(bytes.len()),
-            })?
-            .try_into()
-            .expect("8-byte slice"),
-    );
-    if !scale.is_finite() || scale < 0.0 {
-        return Err(DecodeError::Invalid {
-            at: 17,
-            what: "quantization scale not finite and non-negative",
-        });
-    }
-    // Validate the untrusted count with checked arithmetic before any
-    // allocation it would size.
-    let overflow = DecodeError::LengthOverflow { at: 1, len: nnz64 };
-    let body = nnz.checked_mul(4 + code_bytes).ok_or(overflow)?;
-    let total = body.checked_add(25).ok_or(overflow)?;
-    let mut rest = bytes.get(25..total).ok_or_else(|| DecodeError::Truncated {
-        at: bytes.len(),
-        needed: total.saturating_sub(bytes.len()),
-    })?;
-    let mut indices = Vec::with_capacity(nnz);
-    let mut codes = Vec::with_capacity(nnz * code_bytes);
-    for _ in 0..nnz {
-        indices.push(u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")));
-        codes.extend_from_slice(&rest[4..4 + code_bytes]);
-        rest = &rest[4 + code_bytes..];
-    }
-    let sorted = indices.windows(2).all(|w| w[0] < w[1])
-        && indices.last().is_none_or(|&i| (i as usize) < dim);
-    if !sorted {
-        return Err(DecodeError::Invalid {
-            at: 25,
-            what: "compressed support not strictly increasing or out of dimension",
-        });
-    }
-    Ok((dim, scale, indices, codes, total))
-}
-
 impl Payload for CompressedDelta {
     /// One tag byte plus either the exact `GradDelta` payload or a
-    /// quantized sparse body (`nnz`/`dim`/`scale` headers, then a 4-byte
-    /// index and a 1- or 2-byte code per entry). `encoded_len` equals
-    /// [`CompressedDelta::wire_bytes`] by construction — the simulator's
-    /// modeled accounting and the remote frame layer charge the same
-    /// bytes.
+    /// quantized sparse section (`nnz | dim | scale` header, index block,
+    /// then a 1- or 2-byte code per entry).
     fn encoded_len(&self) -> u64 {
-        self.wire_bytes()
+        match self {
+            CompressedDelta::Exact(g) => 1 + g.encoded_len(),
+            CompressedDelta::I8 { indices, .. } => {
+                CompressedDelta::sparse_frame_len(Quant::I8, indices)
+            }
+            CompressedDelta::F16 { indices, .. } => {
+                CompressedDelta::sparse_frame_len(Quant::F16, indices)
+            }
+        }
     }
     fn encode(&self, buf: &mut BytesMut) {
         match self {
@@ -438,11 +344,8 @@ impl Payload for CompressedDelta {
                 codes,
             } => {
                 buf.put_u8(1);
-                buf.put_u64_le(indices.len() as u64);
-                buf.put_u64_le(*dim as u64);
-                buf.put_f64_le(*scale);
-                for (i, c) in indices.iter().zip(codes.iter()) {
-                    buf.put_u32_le(*i);
+                put_sparse_head(buf, indices, *dim, Some(*scale));
+                for c in codes {
                     buf.put_i8(*c);
                 }
             }
@@ -453,11 +356,8 @@ impl Payload for CompressedDelta {
                 codes,
             } => {
                 buf.put_u8(2);
-                buf.put_u64_le(indices.len() as u64);
-                buf.put_u64_le(*dim as u64);
-                buf.put_f64_le(*scale);
-                for (i, c) in indices.iter().zip(codes.iter()) {
-                    buf.put_u32_le(*i);
+                put_sparse_head(buf, indices, *dim, Some(*scale));
+                for c in codes {
                     buf.put_u16_le(*c);
                 }
             }
@@ -467,14 +367,17 @@ impl Payload for CompressedDelta {
         let tag = *bytes
             .first()
             .ok_or(DecodeError::Truncated { at: 0, needed: 1 })?;
+        let body = &bytes[1..];
         match tag {
             0 => {
-                let (g, n) = GradDelta::decode(&bytes[1..]).map_err(|e| e.shifted(1))?;
+                let (g, n) = GradDelta::decode(body).map_err(|e| e.shifted(1))?;
                 Ok((CompressedDelta::Exact(g), 1 + n))
             }
             1 => {
-                let (dim, scale, indices, codes, total) = decode_quant_body(bytes, 1)?;
-                let codes = codes.iter().map(|&b| b as i8).collect();
+                let (indices, dim, scale, slab) =
+                    get_sparse_head(body, Quant::I8).map_err(|e| e.shifted(1))?;
+                let end = slab + indices.len();
+                let codes = body[slab..end].iter().map(|&b| b as i8).collect();
                 Ok((
                     CompressedDelta::I8 {
                         dim,
@@ -482,14 +385,16 @@ impl Payload for CompressedDelta {
                         indices,
                         codes,
                     },
-                    total,
+                    1 + end,
                 ))
             }
             2 => {
-                let (dim, scale, indices, codes, total) = decode_quant_body(bytes, 2)?;
-                let codes = codes
+                let (indices, dim, scale, slab) =
+                    get_sparse_head(body, Quant::F16).map_err(|e| e.shifted(1))?;
+                let end = slab + 2 * indices.len();
+                let codes = body[slab..end]
                     .chunks_exact(2)
-                    .map(|c| u16::from_le_bytes(c.try_into().expect("2 bytes")))
+                    .map(|c| u16::from_le_bytes([c[0], c[1]]))
                     .collect();
                 Ok((
                     CompressedDelta::F16 {
@@ -498,7 +403,7 @@ impl Payload for CompressedDelta {
                         indices,
                         codes,
                     },
-                    total,
+                    1 + end,
                 ))
             }
             tag => Err(DecodeError::BadTag { at: 0, tag }),
@@ -626,8 +531,14 @@ mod tests {
     fn sparse_payload_sizes_match_encoding() {
         let s = SparseVec::from_pairs(vec![(3, 1.5), (9, -2.0), (40, 0.25)], 64).unwrap();
         assert_eq!(encoded_bytes(&s) as u64, s.encoded_len());
-        assert_eq!(s.encoded_len(), 16 + 12 * 3);
+        // Header, three one-byte index varints, three f64 values.
+        assert_eq!(s.encoded_len(), 16 + 3 + 8 * 3);
         roundtrip(&s);
+        // Borrowed parts (a CSR row) write the identical bytes.
+        let (mut owned, mut borrowed) = (BytesMut::new(), BytesMut::new());
+        s.encode(&mut owned);
+        encode_sparse(&mut borrowed, s.indices(), s.values(), s.dim());
+        assert_eq!(owned.as_slice(), borrowed.as_slice());
         let gd = GradDelta::Sparse(s);
         assert_eq!(encoded_bytes(&gd) as u64, gd.encoded_len());
         roundtrip(&gd);
@@ -655,11 +566,12 @@ mod tests {
             indices: vec![0, 31],
             codes: vec![0x3c00, 0xbc00],
         };
-        assert_eq!(i8d.encoded_len(), 25 + 5 * 3);
-        assert_eq!(f16d.encoded_len(), 25 + 6 * 2);
+        // Tag + nnz/dim/scale header, then 1 index byte + 1 or 2 code bytes
+        // per entry.
+        assert_eq!(i8d.encoded_len(), 25 + 2 * 3);
+        assert_eq!(f16d.encoded_len(), 25 + 3 * 2);
         for cd in [&exact, &i8d, &f16d] {
             assert_eq!(encoded_bytes(cd) as u64, cd.encoded_len());
-            assert_eq!(cd.encoded_len(), cd.wire_bytes());
             roundtrip(cd);
         }
         // Quantized forms undercut the exact sparse wire at equal support.
@@ -695,19 +607,17 @@ mod tests {
             CompressedDelta::decode(buf.as_slice()),
             Err(DecodeError::Invalid { at: 17, .. })
         ));
-        // Unsorted support.
+        // Support past the dimension: gaps 5 then 4 land on indices 5, 10,
+        // and the error points at the second index's varint.
         let mut buf = BytesMut::new();
         buf.put_u8(1);
         buf.put_u64_le(2);
         buf.put_u64_le(10);
         buf.put_f64_le(1.0);
-        buf.put_u32_le(5);
-        buf.put_i8(1);
-        buf.put_u32_le(3);
-        buf.put_i8(1);
+        buf.put_slice(&[5, 4, 1, 1]);
         assert!(matches!(
             CompressedDelta::decode(buf.as_slice()),
-            Err(DecodeError::Invalid { at: 25, .. })
+            Err(DecodeError::Invalid { at: 26, .. })
         ));
         // Truncation positions point at the cut.
         let full = CompressedDelta::I8 {
@@ -749,17 +659,17 @@ mod tests {
             GradDelta::decode(&[9u8, 0, 0]),
             Err(DecodeError::BadTag { at: 0, tag: 9 })
         );
-        // SparseVec decode re-validates invariants: unsorted indices fail.
+        // The index block cannot express an unsorted support (gaps are
+        // unsigned); an index past the dimension is what is left to reject.
         let mut bad = BytesMut::new();
         bad.put_u64_le(2);
         bad.put_u64_le(10);
-        bad.put_u32_le(5);
+        bad.put_slice(&[5, 4]);
         bad.put_f64_le(1.0);
-        bad.put_u32_le(3);
         bad.put_f64_le(1.0);
         assert!(matches!(
             SparseVec::decode(bad.as_slice()),
-            Err(DecodeError::Invalid { at: 16, .. })
+            Err(DecodeError::Invalid { at: 17, .. })
         ));
     }
 

@@ -180,7 +180,6 @@ proptest! {
         // The simulator's modeled byte accounting is the encoder's actual
         // output length — one source of truth.
         prop_assert_eq!(buf.len() as u64, cd.encoded_len());
-        prop_assert_eq!(cd.encoded_len(), cd.wire_bytes());
 
         let bytes = buf.into_vec();
         let (back, used) = match CompressedDelta::decode(&bytes) {
@@ -229,13 +228,38 @@ fn hostile_counts_cannot_size_allocations() {
         bytes::BufMut::put_u64_le(&mut buf, u64::MAX); // claimed nnz
         bytes::BufMut::put_u64_le(&mut buf, 8); // dim
         bytes::BufMut::put_f64_le(&mut buf, 1.0); // scale
-        bytes::BufMut::put_u32_le(&mut buf, 0); // one lonely index
+        bytes::BufMut::put_u8(&mut buf, 0); // one lonely index
         let bytes = buf.into_vec();
         let err = CompressedDelta::decode(&bytes).expect_err("hostile count must fail");
+        // Every index needs a byte: the input is short by the rest of them.
         assert!(
-            matches!(err, DecodeError::LengthOverflow { .. }),
-            "want LengthOverflow, got {err:?}"
+            matches!(err, DecodeError::Truncated { at: 26, .. }),
+            "want Truncated at the end of input, got {err:?}"
         );
+    }
+}
+
+/// A shipped frame's size is what the compressor said it would be before
+/// materializing it — the number the simulator charges per result.
+#[test]
+fn ef_state_wire_bytes_is_the_shipped_frames_encoded_len() {
+    use async_linalg::{EfState, Quant};
+    let dim = 70_000;
+    // Candidates far enough apart that selected gaps need 1-3 byte varints.
+    let pairs: Vec<(u32, f64)> = (0..300u32)
+        .map(|i| (i * 233, f64::from(i % 17) - 8.0))
+        .collect();
+    let g = GradDelta::Sparse(SparseVec::from_pairs(pairs, dim).unwrap());
+    for quant in [Quant::Exact, Quant::I8, Quant::F16] {
+        for k in [1, 7, 64, usize::MAX] {
+            let mut ef = EfState::new(dim);
+            ef.compress(&g, k, quant);
+            let cd = ef.to_compressed();
+            let mut buf = BytesMut::new();
+            cd.encode(&mut buf);
+            assert_eq!(ef.wire_bytes(), buf.len() as u64, "{quant:?} k={k}");
+            assert_eq!(ef.wire_bytes(), cd.encoded_len(), "{quant:?} k={k}");
+        }
     }
 }
 

@@ -131,6 +131,40 @@ proptest! {
     }
 
     #[test]
+    fn arbitrary_bytes_never_panic_the_sparse_payload_decoders(
+        tag in 0u8..4,
+        nnz in 0u64..40,
+        dim in 0u64..5_000,
+        body in proptest::collection::vec(0u8..255, 0..96usize),
+    ) {
+        // What a Completion frame's response body is handed to. The bytes
+        // are shaped like a sparse section (small count, small dimension)
+        // so the index and slab decoders are actually reached; any result
+        // but a panic or an out-of-bounds `used` is acceptable.
+        use async_linalg::{CompressedDelta, GradDelta, SparseVec};
+        use sparklet::Payload;
+        let mut section = BytesMut::new();
+        section.put_u64_le(nnz);
+        section.put_u64_le(dim);
+        section.put_slice(&body);
+        if let Ok((sv, used)) = SparseVec::decode(section.as_slice()) {
+            prop_assert!(used <= section.len());
+            prop_assert_eq!(sv.nnz() as u64, nnz);
+        }
+        let mut tagged = vec![tag];
+        tagged.extend_from_slice(section.as_slice());
+        if let Ok((_, used)) = GradDelta::decode(&tagged) {
+            prop_assert!(used <= tagged.len());
+        }
+        if let Ok((cd, used)) = CompressedDelta::decode(&tagged) {
+            prop_assert!(used <= tagged.len());
+            // A frame that decoded is safe to dequantize and apply.
+            let g = cd.to_delta();
+            prop_assert_eq!(g.dim(), cd.dim());
+        }
+    }
+
+    #[test]
     fn hostile_length_prefixes_are_rejected(over in 1u32..1_000_000) {
         // Lengths past MAX_FRAME_LEN (or zero) are LengthOverflow at
         // offset 0, checked before any allocation.
