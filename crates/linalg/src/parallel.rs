@@ -31,7 +31,7 @@ impl ParallelismCfg {
     }
 
     /// Sequential execution (one thread).
-    pub fn sequential() -> Self {
+    pub const fn sequential() -> Self {
         Self { threads: 1 }
     }
 

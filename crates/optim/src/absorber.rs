@@ -225,7 +225,7 @@ impl ShardedAbsorber {
     /// One exact staleness-damped momentum update, shard-parallel:
     /// `u ← β·u + g + λ·w; w ← w − γ·u` with the serial solver's exact
     /// per-coordinate expressions (dense arm fused, sparse arm as decay +
-    /// support scatter + step). Bit-identical to the serial apply.
+    /// support scatter + step) — the `n = 1` [`ShardedAbsorber::msgd_wave`].
     ///
     /// # Panics
     /// Panics on a dimension mismatch.
@@ -238,15 +238,7 @@ impl ShardedAbsorber {
         gamma: f64,
         lambda: f64,
     ) {
-        self.check_dims(w.len(), g.dim());
-        assert_eq!(u.len(), self.dim, "msgd_step: velocity dim mismatch");
-        let wv = DisjointSlices::new(w);
-        let uv = DisjointSlices::new(u);
-        self.pool.for_each(&mut self.shards, |_, sh| {
-            // SAFETY: shard ranges are disjoint by construction.
-            let (wc, uc) = unsafe { (wv.range(sh.range.clone()), uv.range(sh.range.clone())) };
-            msgd_apply_range(wc, uc, g, beta, gamma, lambda, sh.range.start);
-        });
+        self.msgd_wave(w, u, 1, |_| g, &[beta], &[gamma], lambda);
     }
 
     /// One momentum wave: the batch's updates applied delta-sequentially
@@ -298,8 +290,8 @@ impl ShardedAbsorber {
     /// `w ← w − a·(δ + ᾱ + λ·w)` (with `δ` scattered on its support in the
     /// sparse arm) followed by the table-mean absorption
     /// `ᾱ ← ᾱ + scale·δ`, in the serial solver's exact per-coordinate
-    /// order — bit-identical to the serial apply. `a = γ·damp`; `scale` is
-    /// the batch fraction `b/n` of the telescoping delta.
+    /// order — the `n = 1` [`ShardedAbsorber::asaga_wave`]. `a = γ·damp`;
+    /// `scale` is the batch fraction `b/n` of the telescoping delta.
     ///
     /// # Panics
     /// Panics on a dimension mismatch.
@@ -312,15 +304,7 @@ impl ShardedAbsorber {
         lambda: f64,
         scale: f64,
     ) {
-        self.check_dims(w.len(), delta.dim());
-        assert_eq!(alpha_bar.len(), self.dim, "asaga_step: ᾱ dim mismatch");
-        let wv = DisjointSlices::new(w);
-        let av = DisjointSlices::new(alpha_bar);
-        self.pool.for_each(&mut self.shards, |_, sh| {
-            // SAFETY: shard ranges are disjoint by construction.
-            let (wc, ac) = unsafe { (wv.range(sh.range.clone()), av.range(sh.range.clone())) };
-            asaga_apply_range(wc, ac, delta, a, lambda, scale, sh.range.start);
-        });
+        self.asaga_wave(w, alpha_bar, 1, |_| delta, &[1.0], a, lambda, &[scale]);
     }
 
     /// One ASAGA wave: the batch's updates applied delta-sequentially

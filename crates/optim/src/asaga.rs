@@ -26,51 +26,25 @@
 //! implicit initial version 0), and updated incrementally from each task's
 //! telescoping delta.
 
-use async_cluster::ConvergenceTrace;
 use async_core::{AsyncBcast, AsyncContext, SubmitOpts, Tagged};
 use async_data::sampler;
 use async_data::{Block, Dataset};
 use async_linalg::{GradDelta, Matrix};
-use sparklet::{Payload, Rdd, WorkerCtx};
+use sparklet::WorkerCtx;
 
 use crate::absorber::ShardedAbsorber;
 use crate::checkpoint::{Checkpoint, SolverHistory};
-use crate::compression::{CompressCfg, CompressorBank};
-use crate::durable::{DurableSession, DurableStats};
+use crate::compression::CompressorBank;
 use crate::objective::Objective;
-use crate::scratch::ScratchPool;
-use crate::serving::{PublishedModel, ServeCounters};
-use crate::solver::{
-    begin_supervised, block_rdd, crossed_multiple, stalled_should_wait, wave_admitted, AsyncSolver,
-    PinLedger, RunReport, SolverCfg,
-};
-
-/// One task's SAGA contribution. Crate-visible so the remote wire codec
-/// ([`crate::remote`]) can decode worker responses into the same message
-/// type the in-process closures return.
-pub(crate) struct DeltaMsg {
-    /// `(1/b) Σⱼ (f'ⱼ(w_cur) − f'ⱼ(w_{φⱼ}))·xⱼ` over the batch, sparse
-    /// over CSR partitions (the telescoping difference has the batch's
-    /// support, so it ships and applies without densifying). With
-    /// compression on this is the dequantized top-k selection.
-    pub(crate) delta: GradDelta,
-    /// Global row ids of the batch (for the server's table update) —
-    /// never compressed: the table must record every sampled row.
-    pub(crate) indices: Vec<u64>,
-    /// Stored feature entries the two gradient evaluations touched.
-    pub(crate) entries: u64,
-    /// Modeled wire bytes of the delta: its own encoding when compression
-    /// is off, the compressed frame size otherwise.
-    pub(crate) wire_bytes: u64,
-}
+use crate::server_loop::{step_damp, GradMsg, ServerLoop, UpdateRule, WaveEnv, EVAL};
+use crate::solver::{AsyncSolver, RunReport, SolverCfg, SolverError};
 
 /// Asynchronous SAGA with server-side history.
 #[derive(Debug, Clone)]
 pub struct Asaga {
     /// The objective being minimized.
     pub objective: Objective,
-    resume: Option<Checkpoint>,
-    bank: Option<CompressorBank>,
+    server: ServerLoop,
 }
 
 impl Asaga {
@@ -78,8 +52,7 @@ impl Asaga {
     pub fn new(objective: Objective) -> Self {
         Self {
             objective,
-            resume: None,
-            bank: None,
+            server: ServerLoop::default(),
         }
     }
 
@@ -87,43 +60,99 @@ impl Asaga {
     /// through (only consulted when [`crate::SolverCfg::compress`] is on);
     /// by default each run builds its own.
     pub fn with_compressor_bank(mut self, bank: CompressorBank) -> Self {
-        self.bank = Some(bank);
+        self.server.bank = Some(bank);
         self
     }
 
-    /// Seeds the next [`AsyncSolver::run`] from a checkpoint. The server
-    /// model restores bit-identically; the SAGA table is *re-based* at the
-    /// restored model — every sample's `φⱼ` becomes `w`, and ᾱ is
-    /// recomputed as the full gradient at `w`, which is exactly consistent
-    /// with that table (see the crate's checkpoint docs for why the
-    /// pre-crash running ᾱ cannot be reused).
+    /// Seeds the next run from a checkpoint. The server model restores
+    /// bit-identically; the SAGA table is *re-based* at the restored model
+    /// — every sample's `φⱼ` becomes `w`, and ᾱ is recomputed as the full
+    /// gradient at `w`, which is exactly consistent with that table (see
+    /// the crate's checkpoint docs for why the pre-crash running ᾱ cannot
+    /// be reused).
     ///
-    /// Validated against the dataset at `run` time, which panics on a
-    /// solver/dimension/history mismatch.
+    /// Validated against the dataset at run time: a solver, dimension or
+    /// history mismatch is a [`SolverError`].
     pub fn resume_from(mut self, ckpt: Checkpoint) -> Self {
-        self.resume = Some(ckpt);
+        self.server.resume = Some(ckpt);
         self
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn submit_wave(
-        &self,
+impl AsyncSolver for Asaga {
+    fn name(&self) -> &'static str {
+        AsagaRule::NAME
+    }
+
+    fn try_run(
+        &mut self,
         ctx: &mut AsyncContext,
-        rdd: &Rdd<Block>,
-        bcast: &AsyncBcast<Vec<f64>>,
+        dataset: &Dataset,
         cfg: &SolverCfg,
-        minibatch_hint: u64,
-        pool: &ScratchPool,
-        bank: &CompressorBank,
-    ) -> Vec<usize> {
+    ) -> Result<RunReport, SolverError> {
+        let rule = AsagaRule {
+            objective: self.objective,
+            rows: dataset.rows(),
+            alpha_bar: Vec::new(),
+            damps: Vec::new(),
+            scales: Vec::new(),
+        };
+        self.server.run(rule, ctx, dataset, cfg)
+    }
+}
+
+/// The SAGA estimator step `w ← w − γ·d·(δ + ᾱ + λ·w)` followed by the
+/// table-mean absorption `ᾱ ← ᾱ + (b/n)·δ`.
+struct AsagaRule {
+    objective: Objective,
+    /// Dataset rows `n`: the sample universe of the version table.
+    rows: usize,
+    /// ᾱ, the mean table gradient.
+    alpha_bar: Vec<f64>,
+    damps: Vec<f64>,
+    scales: Vec<f64>,
+}
+
+impl UpdateRule for AsagaRule {
+    const NAME: &'static str = "asaga";
+
+    fn objective(&self) -> Objective {
+        self.objective
+    }
+
+    fn universe(&self) -> u64 {
+        self.rows as u64
+    }
+
+    /// Every row's implicit initial version is the broadcast base — w₀ on
+    /// a cold start, the re-based restored model on resume — so seeding ᾱ
+    /// with one full-gradient pass at that model is exactly consistent
+    /// with the version table either way.
+    fn restore(
+        &mut self,
+        history: Option<SolverHistory>,
+        dataset: &Dataset,
+        w: &[f64],
+    ) -> Result<(), &'static str> {
+        if !matches!(history, None | Some(SolverHistory::Saga { .. })) {
+            return Err("a SAGA history");
+        }
+        self.alpha_bar = vec![0.0; w.len()];
+        self.objective
+            .full_grad(EVAL, dataset, w, &mut self.alpha_bar);
+        Ok(())
+    }
+
+    fn submit(&self, ctx: &mut AsyncContext, env: &WaveEnv<'_>) -> Vec<usize> {
+        let (rdd, bcast, cfg) = (env.rdd, env.bcast, env.cfg);
         let handle = bcast.handle();
         let server_table = bcast.clone();
         let version = ctx.version();
         let obj = self.objective;
         let (seed, fraction) = (cfg.seed, cfg.batch_fraction);
         let compress = cfg.compress;
-        let pool = pool.clone();
-        let bank = bank.clone();
+        let pool = env.pool.clone();
+        let bank = env.bank.clone();
         let task = move |wctx: &mut WorkerCtx, data: Vec<Block>, part: usize| {
             let block = &data[0];
             let w_cur = handle.value(wctx);
@@ -183,15 +212,9 @@ impl Asaga {
             pool.give_back(scratch);
             // The telescoping difference compresses like any other delta;
             // the table-update row ids always travel exact.
-            let (delta, wire_bytes) = match compress {
-                CompressCfg::Off => {
-                    let wire = delta.encoded_len();
-                    (delta, wire)
-                }
-                CompressCfg::TopK { k, quant } => bank.compress(part, delta, k, quant, &pool),
-            };
-            DeltaMsg {
-                delta,
+            let (g, wire_bytes) = bank.ship(compress, part, delta, &pool);
+            GradMsg {
+                g,
                 indices,
                 entries,
                 wire_bytes,
@@ -199,332 +222,65 @@ impl Asaga {
         };
         let opts = SubmitOpts {
             // One version ID per sample plus the current model's ID.
-            extra_bytes: AsyncBcast::<Vec<f64>>::id_ship_bytes(minibatch_hint as usize),
+            extra_bytes: AsyncBcast::<Vec<f64>>::id_ship_bytes(env.minibatch_hint as usize),
             // Two gradient evaluations per sampled row.
             cost_scale: 4.0 * fraction,
-            minibatch: minibatch_hint,
+            minibatch: env.minibatch_hint,
             ..SubmitOpts::default()
         };
         // The wire form for the remote backend: sampling and version
         // lookup run driver-side in `build` (the submission instant — the
         // same moment the simulator runs the closure above), and the
         // worker replays the arithmetic. In-process engines ignore it.
-        let routine =
-            crate::remote::asaga_routine(rdd, bcast, obj, seed, version, fraction, compress);
-        let submitted = ctx.async_reduce_wired(rdd, &cfg.barrier, opts, task, Some(&routine));
-        // Pin the submission version once per in-flight task: `record_use`
-        // at consumption must find it alive.
-        for _ in &submitted {
-            bcast.pin(version);
-        }
-        submitted
-    }
-}
-
-impl AsyncSolver for Asaga {
-    fn name(&self) -> &'static str {
-        "asaga"
+        let routine = crate::remote::asaga_routine(env, obj, version);
+        ctx.async_reduce_wired(rdd, &cfg.barrier, opts, task, Some(&routine))
     }
 
-    fn run(&mut self, ctx: &mut AsyncContext, dataset: &Dataset, cfg: &SolverCfg) -> RunReport {
-        assert_eq!(ctx.pending(), 0, "asaga: context has in-flight tasks");
-        let (lost0, retried0) = begin_supervised(ctx, cfg);
-        let (blocks, rdd) = block_rdd(ctx, dataset, cfg);
-        let dcols = dataset.cols();
-        let n = dataset.rows();
-        let mean_rows = n / blocks.len().max(1);
-        let minibatch_hint = ((mean_rows as f64 * cfg.batch_fraction).ceil() as u64).max(1);
+    /// SAGA's table update: the batch is now recorded at the version the
+    /// task computed against (which also drives history pruning).
+    fn consume(&mut self, bcast: &AsyncBcast<Vec<f64>>, task: &Tagged<GradMsg>) {
+        bcast.record_use(&task.value.indices, task.attrs.issued_version);
+    }
 
-        // Durability: open the store when configured; an explicit
-        // `resume_from` takes precedence over the store's newest valid
-        // generation, and a durable auto-resume completes the crashed
-        // run's lineage budget instead of adding a fresh one.
-        let mut durable = cfg.durable_dir.as_deref().map(|dir| {
-            DurableSession::open(dir).expect("asaga: cannot open durable checkpoint store")
-        });
-        let explicit = self.resume.take();
-        let from_store = explicit.is_none();
-        let resume = explicit.or_else(|| durable.as_mut().and_then(DurableSession::take_resume));
-
-        // Resume from a checkpoint when one is installed: the model
-        // restores bit-identically and the SAGA table re-bases at it —
-        // the broadcast below seats the restored w as its base version, so
-        // every sample's implicit φⱼ is the restored model, and the
-        // full-gradient seeding of ᾱ right after is exactly consistent.
-        let (mut w, base_updates, resumed) = match resume {
-            Some(ckpt) => {
-                ckpt.validate_for("asaga", dcols)
-                    .expect("asaga: incompatible resume checkpoint");
-                assert!(
-                    matches!(ckpt.history, SolverHistory::Saga { .. }),
-                    "asaga: checkpoint lacks a SAGA history"
-                );
-                for warning in cfg.lint_resume(&ckpt) {
-                    eprintln!("asaga resume: {warning}");
-                }
-                // Re-seat the version counter so task RNG streams (keyed
-                // on seed, version, part) continue the crashed run's
-                // numbering.
-                ctx.reseat_version(ckpt.version);
-                (ckpt.w, ckpt.updates, Some((ckpt.version, ckpt.residuals)))
-            }
-            None => (vec![0.0; dcols], 0, None),
-        };
-        let budget = if from_store && resumed.is_some() {
-            cfg.max_updates.saturating_sub(base_updates)
-        } else {
-            cfg.max_updates
-        };
-        // Every row's implicit initial version is the broadcast base: w₀
-        // on a cold start, the re-based restored model on resume.
-        let bcast = match &resumed {
-            Some((version, _)) => ctx.async_broadcast_at(w.clone(), n as u64, *version),
-            None => ctx.async_broadcast(w.clone(), n as u64),
-        };
-        // Steady-state buffer recycling for the delta/ids result cycle.
-        let pool = ScratchPool::new();
-        let bank = self.bank.take().unwrap_or_default();
-        // A resumed run reloads the crashed run's error-feedback residuals
-        // so compression continues instead of restarting cold.
-        if let Some((_, Some(residuals))) = &resumed {
-            bank.restore_residuals(residuals);
+    fn absorb(
+        &mut self,
+        server: &mut ShardedAbsorber,
+        w: &mut [f64],
+        wave: &[Tagged<GradMsg>],
+        _ctx: &AsyncContext,
+        cfg: &SolverCfg,
+    ) -> bool {
+        self.damps.clear();
+        self.scales.clear();
+        for t in wave {
+            self.damps.push(step_damp(cfg, t.attrs.staleness));
+            self.scales
+                .push(t.value.indices.len() as f64 / self.rows.max(1) as f64);
         }
-        // A bank reused across runs keeps only this run's partitions.
-        bank.retain_parts_below(blocks.len().max(1));
-        if let Some(feed) = cfg.serve_feed.as_ref() {
-            feed.publish(PublishedModel {
-                bcast: bcast.clone(),
-                objective: self.objective,
-                dim: dcols,
-            });
-        }
-        // ᾱ = mean table gradient, seeded at w₀ so it is exactly consistent
-        // with the version table.
-        let mut alpha_bar = vec![0.0; dcols];
-        self.objective
-            .full_grad(cfg.eval_threads, dataset, &w, &mut alpha_bar);
+        // SAGA's estimator uses ᾱ *before* each delta's own table
+        // absorption: E[f'ⱼ(φⱼ)] over the pre-update table equals ᾱ_old,
+        // which is what keeps g unbiased — the absorber preserves that
+        // step/absorb interleaving per delta within each shard,
+        // bit-identical to stepping the batch one delta at a time.
+        let delta = |k: usize| &wave[k].value.g;
+        let (lambda, n) = (self.objective.lambda(), wave.len());
+        let (damps, scales) = (&self.damps, &self.scales);
+        server.asaga_wave(
+            w,
+            &mut self.alpha_bar,
+            n,
+            delta,
+            damps,
+            cfg.step,
+            lambda,
+            scales,
+        );
+        false
+    }
 
-        let mut trace = ConvergenceTrace::new();
-        let f0 = self.objective.full_objective(cfg.eval_threads, dataset, &w);
-        trace.push(ctx.now(), f0 - cfg.baseline);
-
-        // The versions each worker's in-flight tasks pinned. Entries are
-        // cleared on consumption; whatever remains at run end (tasks lost
-        // to worker failure never come back) is unpinned explicitly so no
-        // model version leaks past the run.
-        let mut pinned = PinLedger::new(ctx.workers());
-        let mut checkpoints = Vec::new();
-
-        let v0 = ctx.version();
-        let ws = self.submit_wave(ctx, &rdd, &bcast, cfg, minibatch_hint, &pool, &bank);
-        pinned.record_wave(v0, &ws);
-
-        // The sharded server: both the model step and the ᾱ table-mean
-        // re-base run shard-parallel; batched waves apply the deltas
-        // sequentially within each shard (each estimator step must see the
-        // ᾱ left by the previous table update — the ordering that keeps
-        // SAGA unbiased).
-        let mut server = ShardedAbsorber::new(dcols, cfg.server_threads);
-        let absorb_batch = cfg.absorb_batch.max(1);
-        let mut wave: Vec<Tagged<DeltaMsg>> = Vec::new();
-        let mut damps: Vec<f64> = Vec::new();
-        let mut scales: Vec<f64> = Vec::new();
-
-        let mut updates = 0u64;
-        let mut tasks_completed = 0u64;
-        let mut max_staleness = 0u64;
-        let mut grad_entries = 0u64;
-        let mut result_bytes = 0u64;
-        let mut wall_clock = ctx.now();
-        let lambda = self.objective.lambda();
-        while updates < budget {
-            // Degrade-policy gate: see `SolverCfg::degrade`.
-            if !wave_admitted(ctx) {
-                break;
-            }
-            let want = absorb_batch.min((budget - updates) as usize);
-            crate::solver::collect_wave(ctx, want, &mut wave);
-            if wave.is_empty() {
-                // Total stall (all in-flight tasks lost): restart with a
-                // fresh wave if revived/joined workers are available, or
-                // wait toward a scheduled recovery before giving up.
-                let v = ctx.version();
-                let ws = self.submit_wave(ctx, &rdd, &bcast, cfg, minibatch_hint, &pool, &bank);
-                if ws.is_empty() {
-                    if stalled_should_wait(ctx) {
-                        continue;
-                    }
-                    break;
-                }
-                pinned.record_wave(v, &ws);
-                continue;
-            }
-            damps.clear();
-            scales.clear();
-            for t in &wave {
-                tasks_completed += 1;
-                max_staleness = max_staleness.max(t.attrs.staleness);
-                grad_entries += t.value.entries;
-                result_bytes += t.value.wire_bytes;
-                let task_version = t.attrs.issued_version;
-                // SAGA's table update: the batch is now recorded at the
-                // version the task computed against; then release the
-                // in-flight pin.
-                bcast.record_use(&t.value.indices, task_version);
-                bcast.unpin(task_version);
-                pinned.consume(t.attrs.worker, task_version);
-                damps.push(if cfg.staleness_damping {
-                    1.0 / (1.0 + t.attrs.staleness as f64)
-                } else {
-                    1.0
-                });
-                scales.push(t.value.indices.len() as f64 / n.max(1) as f64);
-            }
-            // SAGA's estimator uses ᾱ *before* each delta's own table
-            // absorption: E[f'ⱼ(φⱼ)] over the pre-update table equals
-            // ᾱ_old, which is what keeps g unbiased — the absorber
-            // preserves that step/absorb interleaving per delta, sharded
-            // (bit-identical to the serial order for any thread count).
-            if wave.len() == 1 {
-                server.asaga_step(
-                    &mut w,
-                    &mut alpha_bar,
-                    &wave[0].value.delta,
-                    cfg.step * damps[0],
-                    lambda,
-                    scales[0],
-                );
-            } else {
-                let nw = wave.len();
-                let deltas = &wave;
-                server.asaga_wave(
-                    &mut w,
-                    &mut alpha_bar,
-                    nw,
-                    |k| &deltas[k].value.delta,
-                    &damps,
-                    cfg.step,
-                    lambda,
-                    &scales,
-                );
-            }
-            for t in wave.drain(..) {
-                pool.recycle_ids(t.value.indices);
-                pool.recycle_delta(t.value.delta);
-            }
-            let prev_updates = updates;
-            updates += damps.len() as u64;
-            // One model version and one snapshot push per wave (the
-            // historical per-delta cadence when absorb_batch = 1).
-            ctx.advance_version();
-            bcast.push_snapshot_sharded(&w, None, server.pool());
-            wall_clock = ctx.now();
-            if cfg.eval_every > 0 && crossed_multiple(prev_updates, updates, cfg.eval_every) {
-                let f = self.objective.full_objective(cfg.eval_threads, dataset, &w);
-                trace.push(wall_clock, f - cfg.baseline);
-            }
-            if cfg.checkpoint_every > 0
-                && crossed_multiple(prev_updates, updates, cfg.checkpoint_every)
-            {
-                let lineage = base_updates + updates;
-                let version = ctx.version();
-                checkpoints.push(Checkpoint {
-                    solver: "asaga".to_string(),
-                    updates: lineage,
-                    version,
-                    w: w.clone(),
-                    history: SolverHistory::Saga {
-                        alpha_bar: alpha_bar.clone(),
-                    },
-                    residuals: Some(bank.export_residuals()),
-                });
-                if let Some(session) = durable.as_mut() {
-                    // The just-pushed snapshot rides to the background
-                    // writer as a read pin; ᾱ clones like the in-memory
-                    // checkpoint already does.
-                    if let Some(pin) = bcast.try_pin_read_at(version) {
-                        session.submit(
-                            lineage,
-                            "asaga",
-                            lineage,
-                            version,
-                            pin,
-                            SolverHistory::Saga {
-                                alpha_bar: alpha_bar.clone(),
-                            },
-                            bank.export_residuals(),
-                        );
-                    }
-                }
-            }
-            let v = ctx.version();
-            let ws = self.submit_wave(ctx, &rdd, &bcast, cfg, minibatch_hint, &pool, &bank);
-            pinned.record_wave(v, &ws);
-        }
-
-        let final_objective = self.objective.full_objective(cfg.eval_threads, dataset, &w);
-        trace.push(wall_clock, final_objective - cfg.baseline);
-
-        // Final durable save (deduplicated when the run ended exactly on a
-        // cadence boundary), then drain the writer before reporting.
-        let durable_stats = match durable {
-            Some(mut session) => {
-                let lineage = base_updates + updates;
-                if let Some(pin) = bcast.try_pin_read_at(ctx.version()) {
-                    session.submit(
-                        lineage,
-                        "asaga",
-                        lineage,
-                        ctx.version(),
-                        pin,
-                        SolverHistory::Saga {
-                            alpha_bar: alpha_bar.clone(),
-                        },
-                        bank.export_residuals(),
-                    );
-                }
-                session.finish()
-            }
-            None => DurableStats::default(),
-        };
-
-        // Drain in-flight tasks, releasing their pins without applying.
-        while let Some(t) = ctx.collect::<DeltaMsg>() {
-            bcast.unpin(t.attrs.issued_version);
-            pinned.consume(t.attrs.worker, t.attrs.issued_version);
-            pool.recycle_ids(t.value.indices);
-            pool.recycle_delta(t.value.delta);
-        }
-        // Tasks lost to worker failures never surface: release their pins
-        // so the model versions they held can prune.
-        pinned.release_leftovers(&bcast);
-
-        let serve = match cfg.serve_feed.as_ref() {
-            Some(feed) => {
-                feed.mark_done();
-                feed.counters()
-            }
-            None => ServeCounters::default(),
-        };
-
-        RunReport {
-            trace,
-            updates,
-            tasks_completed,
-            max_staleness,
-            wall_clock,
-            mean_wait: ctx.driver().wait_recorder().overall_mean(),
-            bytes_shipped: ctx.driver().total_bytes_shipped(),
-            grad_entries,
-            result_bytes,
-            worker_clocks: ctx.stat().workers.iter().map(|s| s.clock).collect(),
-            final_w: w,
-            final_objective,
-            checkpoints,
-            serve,
-            lost_tasks: ctx.lost_tasks() - lost0,
-            retried_tasks: ctx.retried_tasks() - retried0,
-            durable: durable_stats,
+    fn history(&self) -> SolverHistory {
+        SolverHistory::Saga {
+            alpha_bar: self.alpha_bar.clone(),
         }
     }
 }

@@ -104,6 +104,12 @@ pub enum CheckpointError {
         /// Dataset feature dimension.
         expected: usize,
     },
+    /// The [`SolverHistory`] is not the kind (or the dimension) the
+    /// resuming solver restores.
+    HistoryMismatch {
+        /// The history the solver needs.
+        expected: &'static str,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -121,6 +127,9 @@ impl std::fmt::Display for CheckpointError {
                     f,
                     "checkpoint dimension {found} != dataset dimension {expected}"
                 )
+            }
+            CheckpointError::HistoryMismatch { expected } => {
+                write!(f, "checkpoint history is not {expected}")
             }
         }
     }

@@ -84,6 +84,25 @@ impl CompressorBank {
         }
     }
 
+    /// What a task ships for its raw delta under `cfg`, with its modeled
+    /// wire bytes: the delta's own encoding when compression is off, else
+    /// [`CompressorBank::compress`].
+    pub(crate) fn ship(
+        &self,
+        cfg: CompressCfg,
+        part: usize,
+        g: GradDelta,
+        pool: &ScratchPool,
+    ) -> (GradDelta, u64) {
+        match cfg {
+            CompressCfg::Off => {
+                let wire = g.encoded_len();
+                (g, wire)
+            }
+            CompressCfg::TopK { k, quant } => self.compress(part, g, k, quant, pool),
+        }
+    }
+
     /// Compresses one task's raw delta for `part`: folds it into the
     /// partition's residual, selects and quantizes the top `k`
     /// coordinates, recycles the raw delta's buffers into `pool`, and

@@ -435,7 +435,6 @@ pub struct DurableStats {
 /// solver's hot path. The model rides as a [`ReadPin`] — the wave loop
 /// pays one pin increment, not an `O(dim)` clone.
 struct CheckpointJob {
-    generation: u64,
     solver: &'static str,
     updates: u64,
     version: u64,
@@ -494,7 +493,7 @@ impl DurableSession {
                     let _ = writer_store
                         .lock()
                         .expect("checkpoint store poisoned")
-                        .save(job.generation, &bytes);
+                        .save(job.updates, &bytes);
                 }
             })?;
         Ok(Self {
@@ -526,14 +525,13 @@ impl DurableSession {
         self.resumed_from
     }
 
-    /// Queues one checkpoint capture for the background writer. The
-    /// model `w` rides as a [`ReadPin`]; everything else is owned.
-    /// Duplicate generations (e.g. the final save landing on a cadence
-    /// boundary) are skipped.
-    #[allow(clippy::too_many_arguments)]
+    /// Queues one checkpoint capture for the background writer, as
+    /// generation `updates` (the lineage's update count). The model `w`
+    /// rides as a [`ReadPin`]; everything else is owned. Duplicate
+    /// generations (e.g. the final save landing on a cadence boundary) are
+    /// skipped.
     pub fn submit(
         &mut self,
-        generation: u64,
         solver: &'static str,
         updates: u64,
         version: u64,
@@ -541,13 +539,12 @@ impl DurableSession {
         history: SolverHistory,
         residuals: Vec<(u64, Vec<f64>)>,
     ) {
-        if self.last_submitted == Some(generation) {
+        if self.last_submitted == Some(updates) {
             return;
         }
-        self.last_submitted = Some(generation);
+        self.last_submitted = Some(updates);
         if let Some(tx) = self.tx.as_ref() {
             let _ = tx.send(CheckpointJob {
-                generation,
                 solver,
                 updates,
                 version,

@@ -1,8 +1,10 @@
 //! # async-optim
 //!
 //! Distributed optimization algorithms on the ASYNC engine (§5 of the
-//! paper): an [`AsyncSolver`] abstraction plus the two solvers the paper
-//! implements in its Listings —
+//! paper): an [`AsyncSolver`] abstraction over one server loop — submit,
+//! collect, update, rebroadcast, written once — and the update rules that
+//! plug into it: the two solvers the paper implements in its Listings and
+//! a delay-adaptive third —
 //!
 //! * [`Asgd`] — asynchronous mini-batch SGD (Listing 3): collect a
 //!   gradient, apply it, rebroadcast, refill whichever workers the barrier
@@ -63,6 +65,7 @@ pub mod msgd;
 pub mod objective;
 pub mod remote;
 pub mod scratch;
+mod server_loop;
 pub mod serving;
 pub mod solver;
 
@@ -79,4 +82,6 @@ pub use objective::Objective;
 pub use remote::{worker_registry, EF_NS, ROUTINE_ASAGA, ROUTINE_GRAD};
 pub use scratch::{ScratchPool, TaskScratch};
 pub use serving::{LoggedQuery, PublishedModel, ServeCounters, ServeFeed, ServeStats};
-pub use solver::{block_rdd, AsyncSolver, RunReport, SolverCfg, SolverCfgBuilder, SolverCfgError};
+pub use solver::{
+    block_rdd, AsyncSolver, RunReport, SolverCfg, SolverCfgBuilder, SolverCfgError, SolverError,
+};

@@ -21,27 +21,20 @@
 //!
 //! Under BSP (s ≡ 0) this is exactly classical heavy-ball SGD; under ASP
 //! against a straggler the velocity forgets stale directions at the rate
-//! staleness is observed. Gradient tasks are the same [`crate::solver`]
-//! wave as [`crate::Asgd`]'s, so the solver rides the sparse fast path on
+//! staleness is observed. Gradient tasks are the same wave as
+//! [`crate::Asgd`]'s, so the solver rides the sparse fast path on
 //! CSR partitions (the velocity itself is dense — momentum mixes every
 //! coordinate).
 
-use async_cluster::ConvergenceTrace;
 use async_core::{AsyncContext, Tagged};
 use async_data::Dataset;
 
 use crate::absorber::ShardedAbsorber;
 use crate::checkpoint::{Checkpoint, SolverHistory};
 use crate::compression::CompressorBank;
-use crate::durable::{DurableSession, DurableStats};
 use crate::objective::Objective;
-use crate::scratch::ScratchPool;
-use crate::serving::{PublishedModel, ServeCounters};
-use crate::solver::{
-    begin_supervised, block_rdd, collect_wave, crossed_multiple, drain_grad_tasks,
-    stalled_should_wait, submit_grad_wave, wave_admitted, AsyncSolver, GradMsg, PinLedger,
-    RunReport, SolverCfg,
-};
+use crate::server_loop::{staleness_damp, step_damp, GradMsg, ServerLoop, UpdateRule};
+use crate::solver::{AsyncSolver, RunReport, SolverCfg, SolverError};
 
 /// Asynchronous momentum SGD with staleness-adaptive damping.
 #[derive(Debug, Clone)]
@@ -51,8 +44,7 @@ pub struct AsyncMsgd {
     /// Base momentum β₀, applied in full when a result arrives with zero
     /// observed staleness and damped as `β₀/(1+s)` otherwise.
     pub momentum: f64,
-    resume: Option<Checkpoint>,
-    bank: Option<CompressorBank>,
+    server: ServerLoop,
 }
 
 impl AsyncMsgd {
@@ -61,8 +53,7 @@ impl AsyncMsgd {
         Self {
             objective,
             momentum: 0.9,
-            resume: None,
-            bank: None,
+            server: ServerLoop::default(),
         }
     }
 
@@ -70,7 +61,7 @@ impl AsyncMsgd {
     /// through (only consulted when [`crate::SolverCfg::compress`] is on);
     /// by default each run builds its own.
     pub fn with_compressor_bank(mut self, bank: CompressorBank) -> Self {
-        self.bank = Some(bank);
+        self.server.bank = Some(bank);
         self
     }
 
@@ -84,321 +75,102 @@ impl AsyncMsgd {
         self
     }
 
-    /// Seeds the next [`AsyncSolver::run`] from a checkpoint: the server
-    /// model *and* the heavy-ball velocity restore bit-identically.
+    /// Seeds the next run from a checkpoint: the server model *and* the
+    /// heavy-ball velocity restore bit-identically.
     ///
-    /// Validated against the dataset at `run` time, which panics on a
-    /// solver/dimension/history mismatch.
+    /// Validated against the dataset at run time: a solver, dimension or
+    /// history mismatch is a [`SolverError`].
     pub fn resume_from(mut self, ckpt: Checkpoint) -> Self {
-        self.resume = Some(ckpt);
+        self.server.resume = Some(ckpt);
         self
     }
 }
 
 impl AsyncSolver for AsyncMsgd {
     fn name(&self) -> &'static str {
-        "async-msgd"
+        MsgdRule::NAME
     }
 
-    fn run(&mut self, ctx: &mut AsyncContext, dataset: &Dataset, cfg: &SolverCfg) -> RunReport {
-        assert_eq!(ctx.pending(), 0, "async-msgd: context has in-flight tasks");
-        let (lost0, retried0) = begin_supervised(ctx, cfg);
-        let (blocks, rdd) = block_rdd(ctx, dataset, cfg);
-        let dcols = dataset.cols();
-        let mean_rows = dataset.rows() / blocks.len().max(1);
-        let minibatch_hint = ((mean_rows as f64 * cfg.batch_fraction).ceil() as u64).max(1);
+    fn try_run(
+        &mut self,
+        ctx: &mut AsyncContext,
+        dataset: &Dataset,
+        cfg: &SolverCfg,
+    ) -> Result<RunReport, SolverError> {
+        let rule = MsgdRule {
+            objective: self.objective,
+            momentum: self.momentum,
+            u: Vec::new(),
+            betas: Vec::new(),
+            gammas: Vec::new(),
+        };
+        self.server.run(rule, ctx, dataset, cfg)
+    }
+}
 
-        // Buffer recycling for the gradient/result cycle; the velocity is
-        // checked out of the same pool below.
-        let pool = ScratchPool::new();
-        let bank = self.bank.take().unwrap_or_default();
-        // Durability: open the store when configured; an explicit
-        // `resume_from` takes precedence over the store's newest valid
-        // generation, and a durable auto-resume completes the crashed
-        // run's lineage budget instead of adding a fresh one.
-        let mut durable = cfg.durable_dir.as_deref().map(|dir| {
-            DurableSession::open(dir).expect("async-msgd: cannot open durable checkpoint store")
-        });
-        let explicit = self.resume.take();
-        let from_store = explicit.is_none();
-        let resume = explicit.or_else(|| durable.as_mut().and_then(DurableSession::take_resume));
-        // Resume from a checkpoint when one is installed: both the server
-        // model and the heavy-ball velocity restore bit-identically.
-        let (mut w, mut u, base_updates, resumed) = match resume {
-            Some(ckpt) => {
-                ckpt.validate_for("async-msgd", dcols)
-                    .expect("async-msgd: incompatible resume checkpoint");
-                for warning in cfg.lint_resume(&ckpt) {
-                    eprintln!("async-msgd resume: {warning}");
-                }
-                // Per-task RNG streams key on (seed, version, part) —
-                // re-seating keeps the resumed trajectory on the crashed
-                // run's version numbering.
-                ctx.reseat_version(ckpt.version);
-                match ckpt.history {
-                    SolverHistory::Momentum(u) => {
-                        assert_eq!(u.len(), dcols, "async-msgd: velocity dimension mismatch");
-                        (
-                            ckpt.w,
-                            u,
-                            ckpt.updates,
-                            Some((ckpt.version, ckpt.residuals)),
-                        )
-                    }
-                    _ => panic!("async-msgd: checkpoint lacks a momentum history"),
-                }
-            }
-            // The heavy-ball velocity; dense by nature (momentum mixes
-            // every coordinate), updated in O(dim) per server update.
-            None => (vec![0.0; dcols], pool.checkout_dense(dcols), 0, None),
+/// The staleness-damped heavy-ball recurrence of the module docs.
+struct MsgdRule {
+    objective: Objective,
+    momentum: f64,
+    /// The velocity; dense by nature (momentum mixes every coordinate), so
+    /// every version is a dense change.
+    u: Vec<f64>,
+    betas: Vec<f64>,
+    gammas: Vec<f64>,
+}
+
+impl UpdateRule for MsgdRule {
+    const NAME: &'static str = "async-msgd";
+
+    fn objective(&self) -> Objective {
+        self.objective
+    }
+
+    fn restore(
+        &mut self,
+        history: Option<SolverHistory>,
+        _dataset: &Dataset,
+        w: &[f64],
+    ) -> Result<(), &'static str> {
+        self.u = match history {
+            None => vec![0.0; w.len()],
+            Some(SolverHistory::Momentum(u)) if u.len() == w.len() => u,
+            Some(_) => return Err("a momentum history of the model's dimension"),
         };
-        let budget = if from_store && resumed.is_some() {
-            cfg.max_updates.saturating_sub(base_updates)
-        } else {
-            cfg.max_updates
-        };
-        let bcast = match &resumed {
-            Some((version, _)) => ctx.async_broadcast_at(w.clone(), 0, *version),
-            None => ctx.async_broadcast(w.clone(), 0),
-        };
-        // A resumed run reloads the crashed run's error-feedback residuals
-        // so compression continues instead of restarting cold.
-        if let Some((_, Some(residuals))) = &resumed {
-            bank.restore_residuals(residuals);
+        Ok(())
+    }
+
+    fn absorb(
+        &mut self,
+        server: &mut ShardedAbsorber,
+        w: &mut [f64],
+        wave: &[Tagged<GradMsg>],
+        ctx: &AsyncContext,
+        cfg: &SolverCfg,
+    ) -> bool {
+        // The staleness-adaptive rule: consult the STAT table for the
+        // worst delay visible right now (one snapshot per wave), fold in
+        // each result's own staleness tag, and damp momentum (and
+        // optionally the step) per consumed result.
+        let worst_in_flight = ctx.stat().max_staleness();
+        self.betas.clear();
+        self.gammas.clear();
+        for t in wave {
+            let observed = t.attrs.staleness.max(worst_in_flight);
+            self.betas.push(self.momentum * staleness_damp(observed));
+            self.gammas.push(cfg.step * step_damp(cfg, observed));
         }
-        // A bank reused across runs keeps only this run's partitions.
-        bank.retain_parts_below(blocks.len().max(1));
-        if let Some(feed) = cfg.serve_feed.as_ref() {
-            feed.publish(PublishedModel {
-                bcast: bcast.clone(),
-                objective: self.objective,
-                dim: dcols,
-            });
-        }
-
-        let mut trace = ConvergenceTrace::new();
-        let f0 = self.objective.full_objective(cfg.eval_threads, dataset, &w);
-        trace.push(ctx.now(), f0 - cfg.baseline);
-
-        let mut pinned = PinLedger::new(ctx.workers());
-        let mut checkpoints = Vec::new();
-
-        let v0 = ctx.version();
-        let ws = submit_grad_wave(
-            ctx,
-            &rdd,
-            &bcast,
-            cfg,
-            minibatch_hint,
-            self.objective,
-            &pool,
-            &bank,
-        );
-        pinned.record_wave(v0, &ws);
-
-        // The sharded server: momentum's recurrence has no fold form, so
-        // batched waves apply delta-sequentially *within* each shard — one
-        // pool dispatch and one snapshot push per wave.
-        let mut server = ShardedAbsorber::new(dcols, cfg.server_threads);
-        let absorb_batch = cfg.absorb_batch.max(1);
-        let mut wave: Vec<Tagged<GradMsg>> = Vec::new();
-        let mut betas: Vec<f64> = Vec::new();
-        let mut gammas: Vec<f64> = Vec::new();
-
-        let mut updates = 0u64;
-        let mut tasks_completed = 0u64;
-        let mut max_staleness = 0u64;
-        let mut grad_entries = 0u64;
-        let mut result_bytes = 0u64;
-        let mut wall_clock = ctx.now();
+        // Momentum's recurrence has no fold form: the wave applies
+        // delta-sequentially within each shard, bit-identical to stepping
+        // the batch one delta at a time with the same (βₖ, γₖ) sequence.
+        let delta = |k: usize| &wave[k].value.g;
         let lambda = self.objective.lambda();
-        while updates < budget {
-            // Degrade-policy gate: see `SolverCfg::degrade`.
-            if !wave_admitted(ctx) {
-                break;
-            }
-            let want = absorb_batch.min((budget - updates) as usize);
-            collect_wave(ctx, want, &mut wave);
-            if wave.is_empty() {
-                // Total stall (all in-flight tasks lost): restart with a
-                // fresh wave if revived/joined workers are available, or
-                // wait toward a scheduled recovery before giving up.
-                let v = ctx.version();
-                let ws = submit_grad_wave(
-                    ctx,
-                    &rdd,
-                    &bcast,
-                    cfg,
-                    minibatch_hint,
-                    self.objective,
-                    &pool,
-                    &bank,
-                );
-                if ws.is_empty() {
-                    if stalled_should_wait(ctx) {
-                        continue;
-                    }
-                    break;
-                }
-                pinned.record_wave(v, &ws);
-                continue;
-            }
-            // The staleness-adaptive rule: consult the STAT table for the
-            // worst delay visible right now (one snapshot per wave), fold
-            // in each result's own staleness tag, and damp momentum (and
-            // optionally the step) per consumed result.
-            let snap = ctx.stat();
-            betas.clear();
-            gammas.clear();
-            for t in &wave {
-                tasks_completed += 1;
-                max_staleness = max_staleness.max(t.attrs.staleness);
-                grad_entries += t.value.entries;
-                result_bytes += t.value.wire_bytes;
-                bcast.unpin(t.attrs.issued_version);
-                pinned.consume(t.attrs.worker, t.attrs.issued_version);
-                let observed = t.attrs.staleness.max(snap.max_staleness());
-                let damp = 1.0 / (1.0 + observed as f64);
-                betas.push(self.momentum * damp);
-                gammas.push(cfg.step * if cfg.staleness_damping { damp } else { 1.0 });
-            }
-            // The per-coordinate recurrence is the serial one in either
-            // branch; sharding (any thread count) and the wave form are
-            // both bit-identical to stepping the batch one delta at a
-            // time with the same (βₖ, γₖ) sequence.
-            if wave.len() == 1 {
-                server.msgd_step(
-                    &mut w,
-                    &mut u,
-                    &wave[0].value.g,
-                    betas[0],
-                    gammas[0],
-                    lambda,
-                );
-            } else {
-                let n = wave.len();
-                let deltas = &wave;
-                server.msgd_wave(
-                    &mut w,
-                    &mut u,
-                    n,
-                    |k| &deltas[k].value.g,
-                    &betas,
-                    &gammas,
-                    lambda,
-                );
-            }
-            let prev_updates = updates;
-            updates += wave.len() as u64;
-            // One model version and one snapshot push per wave; momentum
-            // mixes every coordinate, so every version is a dense change
-            // (the shard-parallel memcpy and buffer recycling still apply).
-            ctx.advance_version();
-            bcast.push_snapshot_sharded(&w, None, server.pool());
-            for t in wave.drain(..) {
-                pool.recycle_delta(t.value.g);
-            }
-            wall_clock = ctx.now();
-            if cfg.eval_every > 0 && crossed_multiple(prev_updates, updates, cfg.eval_every) {
-                let f = self.objective.full_objective(cfg.eval_threads, dataset, &w);
-                trace.push(wall_clock, f - cfg.baseline);
-            }
-            if cfg.checkpoint_every > 0
-                && crossed_multiple(prev_updates, updates, cfg.checkpoint_every)
-            {
-                let lineage = base_updates + updates;
-                let version = ctx.version();
-                checkpoints.push(Checkpoint {
-                    solver: "async-msgd".to_string(),
-                    updates: lineage,
-                    version,
-                    w: w.clone(),
-                    history: SolverHistory::Momentum(u.clone()),
-                    residuals: Some(bank.export_residuals()),
-                });
-                if let Some(session) = durable.as_mut() {
-                    // The just-pushed snapshot rides to the background
-                    // writer as a read pin; the velocity clone matches the
-                    // in-memory checkpoint's cost.
-                    if let Some(pin) = bcast.try_pin_read_at(version) {
-                        session.submit(
-                            lineage,
-                            "async-msgd",
-                            lineage,
-                            version,
-                            pin,
-                            SolverHistory::Momentum(u.clone()),
-                            bank.export_residuals(),
-                        );
-                    }
-                }
-            }
-            let v = ctx.version();
-            let ws = submit_grad_wave(
-                ctx,
-                &rdd,
-                &bcast,
-                cfg,
-                minibatch_hint,
-                self.objective,
-                &pool,
-                &bank,
-            );
-            pinned.record_wave(v, &ws);
-        }
+        let (betas, gammas) = (&self.betas, &self.gammas);
+        server.msgd_wave(w, &mut self.u, wave.len(), delta, betas, gammas, lambda);
+        false
+    }
 
-        let final_objective = self.objective.full_objective(cfg.eval_threads, dataset, &w);
-        trace.push(wall_clock, final_objective - cfg.baseline);
-
-        // Final durable save (deduplicated when the run ended exactly on a
-        // cadence boundary), then drain the writer before reporting.
-        let durable_stats = match durable {
-            Some(mut session) => {
-                let lineage = base_updates + updates;
-                if let Some(pin) = bcast.try_pin_read_at(ctx.version()) {
-                    session.submit(
-                        lineage,
-                        "async-msgd",
-                        lineage,
-                        ctx.version(),
-                        pin,
-                        SolverHistory::Momentum(u.clone()),
-                        bank.export_residuals(),
-                    );
-                }
-                session.finish()
-            }
-            None => DurableStats::default(),
-        };
-
-        drain_grad_tasks(ctx, &bcast, pinned);
-
-        let serve = match cfg.serve_feed.as_ref() {
-            Some(feed) => {
-                feed.mark_done();
-                feed.counters()
-            }
-            None => ServeCounters::default(),
-        };
-
-        RunReport {
-            trace,
-            updates,
-            tasks_completed,
-            max_staleness,
-            wall_clock,
-            mean_wait: ctx.driver().wait_recorder().overall_mean(),
-            bytes_shipped: ctx.driver().total_bytes_shipped(),
-            grad_entries,
-            result_bytes,
-            worker_clocks: ctx.stat().workers.iter().map(|s| s.clock).collect(),
-            final_w: w,
-            final_objective,
-            checkpoints,
-            serve,
-            lost_tasks: ctx.lost_tasks() - lost0,
-            retried_tasks: ctx.retried_tasks() - retried0,
-            durable: durable_stats,
-        }
+    fn history(&self) -> SolverHistory {
+        SolverHistory::Momentum(self.u.clone())
     }
 }

@@ -34,7 +34,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use async_core::{AsyncBcast, RemoteRoutine, WirePlan};
+use async_core::{RemoteRoutine, WirePlan};
 use async_data::{sampler, Block};
 use async_linalg::{
     index_codec, CompressedDelta, CsrMatrix, DenseMatrix, EfState, GradDelta, Matrix, Quant,
@@ -42,12 +42,11 @@ use async_linalg::{
 };
 use bytes::{BufMut, BytesMut};
 use sparklet::payload::encode_sparse;
-use sparklet::{DecodeError, Payload, Rdd, RoutineRegistry, WorkerCtx};
+use sparklet::{DecodeError, Payload, RoutineRegistry, WorkerCtx};
 
-use crate::asaga::DeltaMsg;
 use crate::compression::CompressCfg;
 use crate::objective::Objective;
-use crate::solver::GradMsg;
+use crate::server_loop::{GradMsg, WaveEnv};
 
 /// Routine id of the ASGD/MSGD mini-batch gradient task.
 pub const ROUTINE_GRAD: u32 = 1;
@@ -541,15 +540,9 @@ fn decode_response_delta(
 /// networked twin of the closure's `value_incremental` — and ships the
 /// pure sampling inputs;
 /// the worker re-derives the identical batch.
-pub(crate) fn grad_routine(
-    rdd: &Rdd<Block>,
-    bcast: &AsyncBcast<Vec<f64>>,
-    objective: Objective,
-    seed: u64,
-    version: u64,
-    fraction: f64,
-    compress: CompressCfg,
-) -> RemoteRoutine {
+pub(crate) fn grad_routine(env: &WaveEnv<'_>, objective: Objective, version: u64) -> RemoteRoutine {
+    let (rdd, bcast) = (env.rdd, env.bcast);
+    let (seed, fraction, compress) = (env.cfg.seed, env.cfg.batch_fraction, env.cfg.compress);
     let ops = rdd.ops();
     let handle = bcast.handle();
     let bcast_id = bcast.id();
@@ -579,6 +572,7 @@ pub(crate) fn grad_routine(
             let entries = r.u64()?;
             Ok(Box::new(GradMsg {
                 g,
+                indices: Vec::new(),
                 entries,
                 wire_bytes,
             }))
@@ -621,14 +615,12 @@ fn grad_handler(ctx: &mut WorkerCtx, request: &[u8]) -> Result<Vec<u8>, DecodeEr
 /// rows, their versions, and one [`WirePlan`] per distinct version in
 /// first-need order.
 pub(crate) fn asaga_routine(
-    rdd: &Rdd<Block>,
-    bcast: &AsyncBcast<Vec<f64>>,
+    env: &WaveEnv<'_>,
     objective: Objective,
-    seed: u64,
     version: u64,
-    fraction: f64,
-    compress: CompressCfg,
 ) -> RemoteRoutine {
+    let (rdd, bcast) = (env.rdd, env.bcast);
+    let (seed, fraction, compress) = (env.cfg.seed, env.cfg.batch_fraction, env.cfg.compress);
     let ops = rdd.ops();
     let handle = bcast.handle();
     let server_table = bcast.clone();
@@ -675,11 +667,11 @@ pub(crate) fn asaga_routine(
         }),
         decode: Arc::new(move |bytes: &[u8]| {
             let mut r = Reader::new(bytes);
-            let (delta, wire_bytes) = decode_response_delta(&mut r, compress)?;
+            let (g, wire_bytes) = decode_response_delta(&mut r, compress)?;
             let indices = get_u64s(&mut r)?;
             let entries = r.u64()?;
-            Ok(Box::new(DeltaMsg {
-                delta,
+            Ok(Box::new(GradMsg {
+                g,
                 indices,
                 entries,
                 wire_bytes,

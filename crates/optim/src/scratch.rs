@@ -142,8 +142,12 @@ impl ScratchPool {
 
     /// Returns a SAGA id buffer to the pool (rides the scratch list via a
     /// fresh [`TaskScratch`] when none is checked out — ids travel with
-    /// results, detached from their original scratch).
+    /// results, detached from their original scratch). A buffer that never
+    /// allocated (the SGD family ships no ids) has nothing to return.
     pub fn recycle_ids(&self, ids: Vec<u64>) {
+        if ids.capacity() == 0 {
+            return;
+        }
         let mut inner = self.lock();
         match inner.scratch.iter_mut().find(|s| s.ids.capacity() == 0) {
             Some(s) => s.ids = ids,

@@ -1,24 +1,21 @@
-//! The [`AsyncSolver`] interface and shared run machinery.
+//! The [`AsyncSolver`] interface: configuration, report and errors.
 //!
 //! A solver drives an [`AsyncContext`] with gradient tasks under a
 //! [`BarrierFilter`] and applies collected updates server-side — the shape
-//! of the paper's Listings 3–4. Everything a run produces (convergence
-//! trace, staleness extremes, wait/byte accounting) lands in a
-//! [`RunReport`] so benches and tests read one structure.
+//! of the paper's Listings 3–4, written once in `server_loop`.
+//! Everything a run produces (convergence trace, staleness extremes,
+//! wait/byte accounting) lands in a [`RunReport`] so benches and tests read
+//! one structure.
 
 use async_cluster::{ConvergenceTrace, VDur, VTime};
-use async_core::{
-    AsyncBcast, AsyncContext, BarrierFilter, DegradePolicy, SubmitOpts, WaveDirective,
-};
-use async_data::{sampler, Block, Dataset};
-use async_linalg::{GradDelta, ParallelismCfg};
-use sparklet::{Payload, Rdd, WorkerCtx};
+use async_core::{AsyncContext, BarrierFilter, DegradePolicy};
+use async_data::{Block, Dataset};
+use sparklet::Rdd;
 
-use crate::checkpoint::Checkpoint;
-use crate::compression::{CompressCfg, CompressorBank};
+use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::compression::CompressCfg;
 use crate::durable::DurableStats;
 use crate::objective::Objective;
-use crate::scratch::ScratchPool;
 use crate::serving::{ServeCounters, ServeFeed};
 
 /// Configuration shared by all solvers.
@@ -45,8 +42,6 @@ pub struct SolverCfg {
     pub partitions: usize,
     /// Sampling seed; runs are pure functions of `(cfg, cluster spec)`.
     pub seed: u64,
-    /// Driver-side parallelism for objective evaluations.
-    pub eval_threads: ParallelismCfg,
     /// Capture a [`Checkpoint`] of the server state every this many
     /// updates (0 = never); captured checkpoints land in
     /// [`RunReport::checkpoints`], ready for `to_bytes` and a later
@@ -111,7 +106,7 @@ pub struct SolverCfg {
     /// default, ships raw deltas bit-identically to builds predating the
     /// compression layer). With [`CompressCfg::TopK`], every solver routes
     /// its deltas through a per-partition error-feedback compressor
-    /// ([`CompressorBank`]): the shipped message carries only the `k`
+    /// ([`crate::CompressorBank`]): the shipped message carries only the `k`
     /// largest-magnitude coordinates of the accumulated gradient signal in
     /// the configured wire format, and [`RunReport::result_bytes`] counts
     /// the compressed frame sizes. On ASGD with an incremental broadcast
@@ -167,7 +162,6 @@ impl Default for SolverCfg {
             baseline: 0.0,
             partitions: 0,
             seed: 42,
-            eval_threads: ParallelismCfg::sequential(),
             checkpoint_every: 0,
             bcast_ring: 0,
             server_threads: 1,
@@ -274,8 +268,6 @@ impl SolverCfgBuilder {
         partitions: usize,
         /// Sampling seed ([`SolverCfg::seed`]).
         seed: u64,
-        /// Driver-side evaluation parallelism ([`SolverCfg::eval_threads`]).
-        eval_threads: ParallelismCfg,
         /// Checkpoint cadence ([`SolverCfg::checkpoint_every`]).
         checkpoint_every: u64,
         /// Incremental-broadcast ring capacity ([`SolverCfg::bcast_ring`]).
@@ -443,238 +435,81 @@ pub struct RunReport {
     pub durable: DurableStats,
 }
 
+/// Why a run refused to start: every way configuration (as opposed to a
+/// bug in this crate) can stop the server loop, detected before the first
+/// task is submitted.
+#[derive(Debug)]
+pub enum SolverError {
+    /// The context still has tasks in flight from an earlier use.
+    BusyContext {
+        /// Solver attempting the run.
+        solver: &'static str,
+        /// Tasks in flight.
+        pending: usize,
+    },
+    /// [`SolverCfg::durable_dir`] could not be opened as a checkpoint store.
+    Store {
+        /// Solver attempting the run.
+        solver: &'static str,
+        /// The underlying I/O failure.
+        source: std::io::Error,
+    },
+    /// The resume checkpoint does not fit this solver: another solver's,
+    /// another model dimension, or a foreign [`crate::SolverHistory`].
+    Checkpoint {
+        /// Solver attempting the resume.
+        solver: &'static str,
+        /// What did not match.
+        source: CheckpointError,
+    },
+}
+
+impl std::fmt::Display for SolverError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SolverError::BusyContext { solver, pending } => {
+                write!(f, "{solver}: context has {pending} in-flight tasks")
+            }
+            SolverError::Store { solver, source } => {
+                write!(
+                    f,
+                    "{solver}: cannot open durable checkpoint store: {source}"
+                )
+            }
+            SolverError::Checkpoint { solver, source } => {
+                write!(f, "{solver}: incompatible resume checkpoint: {source}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SolverError {}
+
 /// An asynchronous optimization algorithm runnable on an [`AsyncContext`].
 pub trait AsyncSolver {
     /// Short name for reports ("asgd", "asaga", ...).
     fn name(&self) -> &'static str;
 
     /// Runs the algorithm to `cfg.max_updates` model updates. The context
-    /// must be fresh (no in-flight tasks); the solver drains its own
-    /// outstanding tasks before returning.
-    fn run(&mut self, ctx: &mut AsyncContext, dataset: &Dataset, cfg: &SolverCfg) -> RunReport;
-}
+    /// must have no in-flight tasks; the solver drains its own outstanding
+    /// tasks before returning. Errors come back before anything is
+    /// submitted.
+    fn try_run(
+        &mut self,
+        ctx: &mut AsyncContext,
+        dataset: &Dataset,
+        cfg: &SolverCfg,
+    ) -> Result<RunReport, SolverError>;
 
-/// A mini-batch gradient computed by one task — the message shape shared
-/// by the plain-SGD-family solvers ([`crate::Asgd`], [`crate::AsyncMsgd`]).
-pub(crate) struct GradMsg {
-    /// `(1/b) Σ f'(xᵢᵀw, yᵢ)·xᵢ` over the sampled rows (no ridge term),
-    /// sparse over CSR partitions. With compression on this is the
-    /// dequantized top-k selection, not the raw gradient.
-    pub g: GradDelta,
-    /// Stored feature entries the gradient kernel touched.
-    pub entries: u64,
-    /// Modeled wire bytes of this message: the delta's own encoding when
-    /// compression is off, the compressed frame size otherwise.
-    pub wire_bytes: u64,
-}
-
-/// Submits one [`GradMsg`] gradient wave: a mini-batch gradient task per
-/// barrier-admitted worker, with only the current model's 8-byte version
-/// ID as task payload and a cost of ~2 work units per sampled nonzero
-/// (one fused margins-plus-gather pass). Pins the submission version once
-/// per in-flight task; callers pair each pin with an unpin at consumption
-/// (or run end for lost tasks).
-///
-/// Tasks draw every transient buffer from `pool` and resolve the model
-/// through the incremental path (`value_incremental`, which is exactly the
-/// plain fetch when the broadcast's ring is disabled); results are
-/// bit-identical to the pre-pool implementation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn submit_grad_wave(
-    ctx: &mut AsyncContext,
-    rdd: &Rdd<Block>,
-    bcast: &AsyncBcast<Vec<f64>>,
-    cfg: &SolverCfg,
-    minibatch_hint: u64,
-    objective: Objective,
-    pool: &ScratchPool,
-    bank: &CompressorBank,
-) -> Vec<usize> {
-    let handle = bcast.handle();
-    let version = ctx.version();
-    let (seed, fraction) = (cfg.seed, cfg.batch_fraction);
-    let compress = cfg.compress;
-    let pool = pool.clone();
-    let bank = bank.clone();
-    let task = move |wctx: &mut WorkerCtx, data: Vec<Block>, part: usize| {
-        let block = &data[0];
-        let w = handle.value_incremental(wctx);
-        let mut scratch = pool.checkout();
-        let mut rng = sampler::derive_rng(seed, version, part as u64);
-        sampler::sample_fraction_into(&mut rng, block.rows(), fraction, &mut scratch.rows);
-        let g = objective.minibatch_grad_delta_pooled(block, &w, &mut scratch, &pool);
-        let entries = block.features().rows_nnz(&scratch.rows);
-        pool.give_back(scratch);
-        let (g, wire_bytes) = match compress {
-            CompressCfg::Off => {
-                let wire = g.encoded_len();
-                (g, wire)
-            }
-            CompressCfg::TopK { k, quant } => bank.compress(part, g, k, quant, &pool),
-        };
-        GradMsg {
-            g,
-            entries,
-            wire_bytes,
-        }
-    };
-    let opts = SubmitOpts {
-        extra_bytes: AsyncBcast::<Vec<f64>>::id_ship_bytes(0),
-        cost_scale: 2.0 * fraction,
-        minibatch: minibatch_hint,
-        ..SubmitOpts::default()
-    };
-    // The wire form for the remote backend: the request ships the model's
-    // wire plan plus the pure sampling inputs, and the worker re-derives
-    // the identical batch (`derive_rng` is a pure function of seed,
-    // version, and partition). In-process engines ignore it.
-    let routine =
-        crate::remote::grad_routine(rdd, bcast, objective, seed, version, fraction, compress);
-    let submitted = ctx.async_reduce_wired(rdd, &cfg.barrier, opts, task, Some(&routine));
-    // Pin the submission version per in-flight task so a queued task on
-    // the threaded backend can never see its model version pruned.
-    for _ in &submitted {
-        bcast.pin(version);
+    /// [`AsyncSolver::try_run`] for callers that treat a refused run as
+    /// fatal.
+    ///
+    /// # Panics
+    /// Panics with the [`SolverError`]'s message.
+    fn run(&mut self, ctx: &mut AsyncContext, dataset: &Dataset, cfg: &SolverCfg) -> RunReport {
+        self.try_run(ctx, dataset, cfg)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
-    submitted
-}
-
-/// Installs the run's supervision knobs on the context and returns the
-/// `(lost, retried)` counter baselines, so the report can attribute only
-/// this run's losses (contexts are reused across runs).
-pub(crate) fn begin_supervised(ctx: &mut AsyncContext, cfg: &SolverCfg) -> (u64, u64) {
-    ctx.set_degrade_policy(cfg.degrade);
-    ctx.set_retry_lost(cfg.retry_lost);
-    (ctx.lost_tasks(), ctx.retried_tasks())
-}
-
-/// The policy gate at every wave boundary: `Proceed` falls through,
-/// `Wait` blocks toward the engine's next scheduled recovery, `Halt` (or
-/// a wait nothing can satisfy) tells the caller to end the run. With the
-/// default policy and a non-empty alive set this is a pure read.
-pub(crate) fn wave_admitted(ctx: &mut AsyncContext) -> bool {
-    match ctx.degrade_directive() {
-        WaveDirective::Proceed => true,
-        WaveDirective::Halt => false,
-        WaveDirective::Wait => ctx.await_recovery(),
-    }
-}
-
-/// The stall decision after a fresh submission admitted nobody: wait for a
-/// scheduled recovery unless the policy already says halt. Returns `true`
-/// when the caller should retry the wave. When nothing is scheduled,
-/// `await_recovery` returns immediately and this reproduces the historical
-/// unconditional give-up.
-pub(crate) fn stalled_should_wait(ctx: &mut AsyncContext) -> bool {
-    !matches!(ctx.degrade_directive(), WaveDirective::Halt) && ctx.await_recovery()
-}
-
-/// The per-worker ledger of history-broadcast pins held by in-flight (or
-/// lost) tasks. Under static membership a worker holds at most one pin,
-/// but under churn a worker can accumulate pins from *lost* incarnations
-/// (a task dies with its worker and never surfaces) while its revived self
-/// holds a live one — so the ledger keeps a list per worker and releases
-/// every leftover at run end. It also grows on demand: mid-run joins push
-/// worker ids past the cluster's starting size.
-pub(crate) struct PinLedger {
-    by_worker: Vec<Vec<u64>>,
-}
-
-impl PinLedger {
-    /// A ledger for a cluster starting with `n` workers.
-    pub fn new(n: usize) -> Self {
-        Self {
-            by_worker: vec![Vec::new(); n],
-        }
-    }
-
-    /// Records that `worker`'s newly submitted task pinned `version`.
-    pub fn record(&mut self, worker: usize, version: u64) {
-        if self.by_worker.len() <= worker {
-            self.by_worker.resize_with(worker + 1, Vec::new);
-        }
-        self.by_worker[worker].push(version);
-    }
-
-    /// Records a whole submitted wave at `version`.
-    pub fn record_wave(&mut self, version: u64, ws: &[usize]) {
-        for &w in ws {
-            self.record(w, version);
-        }
-    }
-
-    /// Consumes one pin of `version` held by `worker` (its task's result
-    /// arrived and the caller unpinned the broadcast). A retried task
-    /// completes on a *different* worker than the one whose submission
-    /// recorded the pin, so a primary-key miss falls back to consuming the
-    /// version wherever it was recorded — without the fallback the
-    /// original entry would linger and `release_leftovers` would unpin a
-    /// version the consumer already unpinned.
-    pub fn consume(&mut self, worker: usize, version: u64) {
-        if let Some(pins) = self.by_worker.get_mut(worker) {
-            if let Some(i) = pins.iter().position(|&v| v == version) {
-                pins.swap_remove(i);
-                return;
-            }
-        }
-        for pins in &mut self.by_worker {
-            if let Some(i) = pins.iter().position(|&v| v == version) {
-                pins.swap_remove(i);
-                return;
-            }
-        }
-    }
-
-    /// Releases every leftover pin — tasks lost to worker failures never
-    /// surface, so their versions are unpinned here at run end.
-    pub fn release_leftovers(self, bcast: &AsyncBcast<Vec<f64>>) {
-        for v in self.by_worker.into_iter().flatten() {
-            bcast.unpin(v);
-        }
-    }
-}
-
-/// True when `now` crossed a multiple of `every` that `prev` had not yet
-/// reached — the wave-aware replacement for `now % every == 0`: identical
-/// for unit steps, and still firing once per crossed multiple when a
-/// batched wave advances `updates` by more than one.
-pub(crate) fn crossed_multiple(prev: u64, now: u64, every: u64) -> bool {
-    now / every > prev / every
-}
-
-/// Collects one absorption wave: blocks for the first result, then drains
-/// up to `want − 1` more that have already arrived (`want` is the absorb
-/// batch capped at the remaining update budget). With `want == 1` this is
-/// exactly one `collect` call. `wave` is a reused buffer; it comes back
-/// empty only when every in-flight task was lost.
-pub(crate) fn collect_wave<R: Send + 'static>(
-    ctx: &mut AsyncContext,
-    want: usize,
-    wave: &mut Vec<async_core::Tagged<R>>,
-) {
-    wave.clear();
-    ctx.collect_up_to_into(want.max(1), wave);
-}
-
-/// Drains in-flight [`GradMsg`] tasks (discarding their gradients) and
-/// releases every outstanding pin — including those of tasks lost to
-/// worker failures, which never surface — so the context and the history
-/// broadcast are clean for the next run.
-pub(crate) fn drain_grad_tasks(
-    ctx: &mut AsyncContext,
-    bcast: &AsyncBcast<Vec<f64>>,
-    mut pinned: PinLedger,
-) {
-    // The run is over: abandon queued retries up front so the drain
-    // doesn't re-issue work nobody will consume, and again afterwards for
-    // tasks lost (and left unplaceable) during the drain itself.
-    ctx.cancel_retries();
-    while let Some(t) = ctx.collect::<GradMsg>() {
-        bcast.unpin(t.attrs.issued_version);
-        pinned.consume(t.attrs.worker, t.attrs.issued_version);
-    }
-    ctx.cancel_retries();
-    pinned.release_leftovers(bcast);
 }
 
 /// Partitions `dataset` into `cfg.partitions` blocks (default: one per

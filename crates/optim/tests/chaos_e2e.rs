@@ -55,6 +55,19 @@ fn mixed_chaos() -> ChaosSchedule {
         .revive(VTime::from_micros(100), 3)
 }
 
+type SolverFactory = Box<dyn Fn() -> Box<dyn AsyncSolver>>;
+
+fn solvers(objective: Objective) -> Vec<(&'static str, SolverFactory)> {
+    vec![
+        ("asgd", Box::new(move || Box::new(Asgd::new(objective)))),
+        ("asaga", Box::new(move || Box::new(Asaga::new(objective)))),
+        (
+            "async-msgd",
+            Box::new(move || Box::new(AsyncMsgd::new(objective).with_momentum(0.5))),
+        ),
+    ]
+}
+
 fn run_solver(
     solver: &mut dyn AsyncSolver,
     d: &Dataset,
@@ -81,15 +94,7 @@ fn every_solver_and_barrier_survives_mixed_chaos() {
     let baseline = objective.optimum(ParallelismCfg::sequential(), &d).unwrap();
     let f0 = objective.full_objective(ParallelismCfg::sequential(), &d, &vec![0.0; d.cols()]);
     let gap0 = f0 - baseline;
-    type SolverFactory = Box<dyn Fn() -> Box<dyn AsyncSolver>>;
-    let solvers: Vec<(&str, SolverFactory)> = vec![
-        ("asgd", Box::new(move || Box::new(Asgd::new(objective)))),
-        ("asaga", Box::new(move || Box::new(Asaga::new(objective)))),
-        (
-            "async-msgd",
-            Box::new(move || Box::new(AsyncMsgd::new(objective).with_momentum(0.5))),
-        ),
-    ];
+    let solvers = solvers(objective);
     let barriers = [
         BarrierFilter::Asp,
         BarrierFilter::Bsp,
@@ -417,4 +422,55 @@ fn chaos_asgd_converges_on_the_threaded_engine() {
     std::thread::sleep(std::time::Duration::from_millis(2));
     let _ = ctx.collect_all::<()>();
     assert_eq!(ctx.workers(), WORKERS + 1);
+}
+
+#[test]
+fn a_run_leaves_the_context_clean_for_a_different_solver() {
+    // Every worker dies mid-run with nothing scheduled to bring one back,
+    // under bounded retry: the in-flight tasks are lost, their retries
+    // queue with nobody to place them on, and the run gives up short of
+    // its budget. The end-of-run drain must abandon those retries —
+    // nothing in flight, nothing queued — or the next run on the context
+    // would be handed another solver's messages. After two workers come
+    // back, a *different* solver then runs to completion on the same
+    // context (its broadcast seated at the version the first run reached).
+    let d = dataset();
+    let objective = Objective::LeastSquares { lambda: 1e-3 };
+    let solvers = solvers(objective);
+    let blackout = ChaosSchedule::new()
+        .kill(VTime::from_micros(20), 0)
+        .kill(VTime::from_micros(20), 1)
+        .kill(VTime::from_micros(21), 2)
+        .kill(VTime::from_micros(21), 3);
+    let budget = 60;
+    let cfg = SolverCfg {
+        retry_lost: 3,
+        ..cfg(BarrierFilter::Asp, budget, 11)
+    };
+    for (i, (name, make)) in solvers.iter().enumerate() {
+        let (next_name, make_next) = &solvers[(i + 1) % solvers.len()];
+        let mut ctx = sim_ctx();
+        ctx.driver_mut().install_chaos(&blackout);
+        let first = make().run(&mut ctx, &d, &cfg);
+        assert!(first.updates < budget, "{name}: the blackout ends the run");
+        assert_eq!(
+            (ctx.pending(), ctx.retries_pending()),
+            (0, 0),
+            "{name}: drained context"
+        );
+        let back = ctx.now() + VDur::from_micros(5);
+        ctx.driver_mut()
+            .install_chaos(&ChaosSchedule::new().revive(back, 0).revive(back, 2));
+        let second = make_next().run(&mut ctx, &d, &cfg);
+        assert_eq!(second.updates, budget, "{name} then {next_name}");
+        assert!(
+            second.final_objective.is_finite(),
+            "{name} then {next_name}"
+        );
+        assert_eq!(
+            (ctx.pending(), ctx.retries_pending()),
+            (0, 0),
+            "{name} then {next_name}: drained context"
+        );
+    }
 }
