@@ -25,17 +25,33 @@
 //! version, the set of coordinates that version's update modified
 //! (declared by the optimizer through
 //! [`AsyncBcast::push_snapshot_diff`]). When a worker whose newest cached
-//! model is version `v` resolves version `cur`, the server folds the
-//! supports of `v+1..=cur` into one union and ships a **sparse patch** —
-//! the changed coordinates with their *final* values at `cur` — instead of
-//! the dense vector. The worker scatter-assigns the patch onto its cached
-//! base, which reconstructs the server model **bit-exactly**: changed
-//! coordinates receive the server's exact values, untouched coordinates
-//! were by definition never modified. Resolution falls back to the full
-//! dense snapshot when the gap outruns the ring, any spanned version
-//! declared a dense (unknown-support) change, the worker has no cached
-//! base (fresh executors, churn revivals), or the patch would not undercut
-//! the dense wire size.
+//! model is version `v` resolves version `cur`, the server unions the
+//! supports of `v+1..=cur` and ships a **sparse patch** — the changed
+//! coordinates with their *final* values at `cur` — instead of the dense
+//! vector. Scatter-assigning the patch onto the cached base reconstructs
+//! the server model **bit-exactly**: changed coordinates receive the
+//! server's exact values, untouched coordinates were by definition never
+//! modified. Resolution falls back to the full dense snapshot when the gap
+//! outruns the ring, any spanned version declared a dense (unknown-support)
+//! change, the worker has no cached base (fresh executors, churn
+//! revivals), or the patch would not undercut the dense wire size.
+//!
+//! Who performs the scatter depends on the engine and on the patch's value
+//! format ([`AsyncBcast::set_patch_quant`]):
+//!
+//! * **In process** (simulator, threaded engine), exact patches: nobody.
+//!   The reconstruction *is* the target version, so
+//!   [`HistoryHandle::value_incremental`] charges the patch's wire bytes,
+//!   caches and returns the server's own `Arc` of the target snapshot (as
+//!   every dense fetch does), and hands the base it lets go of back to the
+//!   server's recycled-buffer pool when the worker was its last owner.
+//! * **In process**, quantized patches: the worker's model legitimately
+//!   differs from the target, so it keeps a private copy and moves each
+//!   changed coordinate by the dequantized difference.
+//! * **Remote** workers hold their own memory: the driver plans against a
+//!   cache mirror ([`HistoryHandle::wire_plan`], which is also the only
+//!   place patch values are gathered) and the worker replays
+//!   [`WirePlan::Patch`] / [`WirePlan::QPatch`] with [`WirePlan::apply`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,13 +173,7 @@ impl<T> VersionTable<T> {
             if let Some(e) = self.versions[i].take() {
                 self.live_count -= 1;
                 self.live_bytes -= e.bytes;
-                // Reclaim the snapshot buffer for a later `push_snapshot`
-                // when nothing else still shares it.
-                if self.free_snapshots.len() < 4 {
-                    if let Ok(value) = Arc::try_unwrap(e.value) {
-                        self.free_snapshots.push(value);
-                    }
-                }
+                self.reclaim(e.value);
             }
         }
         // Advance the live watermark past pruned slots.
@@ -171,6 +181,18 @@ impl<T> VersionTable<T> {
             && self.versions[(self.min_live - self.base) as usize].is_none()
         {
             self.min_live += 1;
+        }
+    }
+
+    /// Keeps `value`'s buffer for a later `push_snapshot` when nothing else
+    /// still shares it. Called by the pruner and by a worker letting go of
+    /// a patch base: a snapshot a worker cache still referenced when it
+    /// was pruned is reclaimed here by whichever owner drops it last.
+    fn reclaim(&mut self, value: Arc<T>) {
+        if self.free_snapshots.len() < 4 {
+            if let Ok(value) = Arc::try_unwrap(value) {
+                self.free_snapshots.push(value);
+            }
         }
     }
 
@@ -192,23 +214,27 @@ impl<T> VersionTable<T> {
 
     /// The sparse supports of versions `from..=to`, if every one of them is
     /// in the ring with a known sparse support.
-    fn ring_supports(&self, from: u64, to: u64) -> Option<Vec<&[u32]>> {
+    fn ring_supports(&self, from: u64, to: u64) -> Option<impl Iterator<Item = &[u32]>> {
+        fn sparse(slot: &(u64, ChangeSupport)) -> Option<&[u32]> {
+            match &slot.1 {
+                ChangeSupport::Sparse(s) => Some(s),
+                ChangeSupport::Dense => None,
+            }
+        }
         let &(lo, _) = self.ring.front()?;
         if from < lo || to < from {
             return None;
         }
-        let mut out = Vec::with_capacity((to - from + 1) as usize);
-        for v in from..=to {
-            let idx = (v - lo) as usize;
-            match self.ring.get(idx) {
-                Some((rv, ChangeSupport::Sparse(s))) => {
-                    debug_assert_eq!(*rv, v, "ring versions are contiguous");
-                    out.push(s.as_slice());
-                }
-                _ => return None,
-            }
+        // Ring versions are contiguous, so a version's slot is its offset.
+        let (a, b) = ((from - lo) as usize, (to - lo) as usize);
+        if b >= self.ring.len() {
+            return None;
         }
-        Some(out)
+        debug_assert_eq!(self.ring[a].0, from, "ring versions are contiguous");
+        let span = || self.ring.range(a..=b);
+        span()
+            .all(|slot| sparse(slot).is_some())
+            .then(|| span().filter_map(sparse))
     }
 }
 
@@ -223,15 +249,19 @@ struct Counters {
     quantized_patch_bytes: AtomicU64,
 }
 
-/// Reusable scratch for assembling version-diff patches. Scratches live in
-/// a checkout/return pool (see [`ScratchStore`]) so concurrent incremental
-/// fetches on the threaded engine never serialize on one buffer, while
-/// steady-state patch assembly still performs no allocations.
+/// Reusable scratch for assembling a version-diff patch's support: the
+/// bitmap the gap's change supports are unioned through and the sorted
+/// union read back out of it. Patch *values* are never staged here — the
+/// in-process engines read them from the target snapshot, and
+/// [`HistoryHandle::wire_plan`] gathers them straight into the plan it
+/// ships. Scratches live in a checkout/return pool (see [`ScratchStore`])
+/// so concurrent incremental fetches on the threaded engine never
+/// serialize on one buffer, while a steady-state resolve performs no
+/// allocations.
 #[derive(Default)]
 struct PatchScratch {
+    bitmap: sparse::BitmapUnion,
     union: Vec<u32>,
-    tmp: Vec<u32>,
-    values: Vec<f64>,
 }
 
 /// Pool of patch scratches: the lock is held only for the pop/push, never
@@ -849,46 +879,45 @@ fn quantize_diff(d: f64, scale: f64, quant: Quant) -> f64 {
     }
 }
 
-/// Takes the cached model `version` out of `ctx` to patch it forward — in
-/// place when the cache was its only owner, else via one copy.
+/// Removes the cached model `version` — the base a patch supersedes — from
+/// `ctx`.
 ///
 /// # Panics
 /// Panics if `version` is not cached: patches are only planned against a
 /// base the worker (or its driver-side mirror) holds.
-fn take_cached_model(ctx: &mut WorkerCtx, bcast_id: u64, version: u64) -> Vec<f64> {
-    let base = ctx
-        .cache_remove((bcast_id, version))
+fn remove_cached_model(ctx: &mut WorkerCtx, bcast_id: u64, version: u64) -> Arc<Vec<f64>> {
+    ctx.cache_remove((bcast_id, version))
         .unwrap_or_else(|| panic!("patch base version {version} is not cached on the worker"))
         .downcast::<Vec<f64>>()
-        .expect("history cache type mismatch");
-    Arc::try_unwrap(base).unwrap_or_else(|shared| shared.as_ref().clone())
+        .expect("history cache type mismatch")
+}
+
+/// Takes the cached model `version` out of `ctx` as a private vector to
+/// patch forward — in place when the cache was its only owner, else via one
+/// copy. For the paths whose result is not a server snapshot: quantized
+/// patches and a remote worker's [`WirePlan::apply`].
+fn take_cached_model(ctx: &mut WorkerCtx, bcast_id: u64, version: u64) -> Vec<f64> {
+    Arc::try_unwrap(remove_cached_model(ctx, bcast_id, version))
+        .unwrap_or_else(|shared| shared.as_ref().clone())
 }
 
 impl HistoryHandle<Vec<f64>> {
-    /// Assembles, in `scratch`, the patch that takes a worker caching
-    /// `base_version` to this handle's version: the union of the gap's
-    /// change supports with the target's values there. Returns the patch's
-    /// wire bytes, its value format and the target snapshot — or `None`
-    /// when resolution must fall back to the full snapshot: the gap
-    /// outruns the ring, a spanned version declared a dense change, or the
-    /// patch would not undercut the dense wire size.
+    /// Assembles, in `scratch.union`, the support of the patch that takes
+    /// a worker caching `base_version` to this handle's version: the union
+    /// of the gap's change supports. Returns the patch's wire bytes, its
+    /// value format and the target snapshot (whose values on that support
+    /// are the patch's values) — or `None` when resolution must fall back
+    /// to the full snapshot: the gap outruns the ring, a spanned version
+    /// declared a dense change, or the patch would not undercut the dense
+    /// wire size.
     fn assemble_patch(
         &self,
         base_version: u64,
         scratch: &mut PatchScratch,
     ) -> Option<(u64, Quant, Arc<Vec<f64>>)> {
-        let PatchScratch { union, tmp, values } = scratch;
+        let PatchScratch { bitmap, union } = scratch;
         let t = self.table.read();
-        let supports = t.ring_supports(base_version + 1, self.version)?;
-        union.clear();
-        for s in supports {
-            if union.is_empty() {
-                union.extend_from_slice(s);
-            } else {
-                sparse::merge_union_u32(union, s, tmp);
-                std::mem::swap(union, tmp);
-            }
-        }
+        bitmap.union_into(t.ring_supports(base_version + 1, self.version)?, union);
         let entry = t.versions[t.idx(self.version)]
             .as_ref()
             .unwrap_or_else(|| panic!("history version {} was pruned while in use", self.version));
@@ -896,12 +925,20 @@ impl HistoryHandle<Vec<f64>> {
         if bytes >= entry.bytes {
             return None;
         }
-        // The patch carries the coordinates' *final* values at the target
-        // version — scatter-assign reconstructs it exactly.
-        let target = Arc::clone(&entry.value);
-        values.clear();
-        values.extend(union.iter().map(|&i| target[i as usize]));
-        Some((bytes, t.patch_quant, target))
+        Some((bytes, t.patch_quant, Arc::clone(&entry.value)))
+    }
+
+    /// Lets go of the cached base an exact patch supersedes. The cache
+    /// shares its models with the version table, so a base the server
+    /// pruned while this cache still held it could not be recycled then:
+    /// when this was its last owner, its buffer goes back to the server's
+    /// free pool now, keeping a steady-state `push_snapshot` a `memcpy`.
+    fn release_base(&self, ctx: &mut WorkerCtx, base_version: u64) {
+        let base = remove_cached_model(ctx, self.bcast_id, base_version);
+        // Checked first so a still-shared base costs no table lock.
+        if Arc::strong_count(&base) == 1 {
+            self.table.write().reclaim(base);
+        }
     }
 
     /// Advances the traffic counters for one shipped patch of `bytes`.
@@ -919,13 +956,16 @@ impl HistoryHandle<Vec<f64>> {
 
     /// Resolves the handle's version like [`HistoryHandle::value`], but —
     /// when the broadcast has incremental resolution enabled and the
-    /// worker's cache holds an older model — ships a **version-diff patch**
-    /// (the union of the gap's change supports with their final values)
-    /// instead of the dense snapshot, scatter-assigning it onto the cached
-    /// base. The reconstruction is bit-exact (see the module docs); only
-    /// the charged wire bytes differ. Falls back to the full snapshot when
-    /// the gap outruns the ring, a spanned version has an unknown support,
-    /// no cached base exists, or the patch would not be smaller.
+    /// worker's cache holds an older model — is charged for a
+    /// **version-diff patch** (the union of the gap's change supports with
+    /// their final values) instead of the dense snapshot. An exact patch
+    /// reconstructs the target bit for bit (see the module docs), so the
+    /// worker simply swaps its cached base for the server's shared
+    /// snapshot of the target: only the charged wire bytes differ from a
+    /// dense fetch. A quantized patch is applied onto a private copy of
+    /// the base. Falls back to the full snapshot when the gap outruns the
+    /// ring, a spanned version has an unknown support, no cached base
+    /// exists, or the patch would not be smaller.
     pub fn value_incremental(&self, ctx: &mut WorkerCtx) -> Arc<Vec<f64>> {
         if self.table.read().ring_capacity == 0 {
             // Ring disabled: behave exactly like `value`, watermark
@@ -957,33 +997,36 @@ impl HistoryHandle<Vec<f64>> {
         // The scratch is checked out of a pool (not locked for the whole
         // assembly), so concurrent fetches on other workers proceed.
         let mut scratch = self.patch_scratch.checkout();
-        let Some((patch_bytes, patch_quant, _)) = self.assemble_patch(base_version, &mut scratch)
+        let Some((patch_bytes, patch_quant, target)) =
+            self.assemble_patch(base_version, &mut scratch)
         else {
             self.patch_scratch.give_back(scratch);
             return self.value_at(ctx, version);
         };
-        let PatchScratch { union, values, .. } = &scratch;
-        let mut w = take_cached_model(ctx, self.bcast_id, base_version);
-        if patch_quant == Quant::Exact {
-            sparse::scatter_assign(union, values, &mut w);
+        let value = if patch_quant == Quant::Exact {
+            // Scatter-assigning the target's values onto the base would
+            // yield the target: share the server's snapshot instead.
+            self.release_base(ctx, base_version);
+            target
         } else {
             // Quantized patch: each changed coordinate moves by the
             // dequantized code of its target−base difference, against a
             // per-patch scale of the largest such difference — exactly
             // the value a remote worker reconstructs from the shipped
             // codes (`WirePlan::QPatch`).
+            let mut w = take_cached_model(ctx, self.bcast_id, base_version);
             let mut scale = 0.0f64;
-            for (&i, &tv) in union.iter().zip(values.iter()) {
-                scale = scale.max((tv - w[i as usize]).abs());
+            for &i in &scratch.union {
+                scale = scale.max((target[i as usize] - w[i as usize]).abs());
             }
-            for (&i, &tv) in union.iter().zip(values.iter()) {
+            for &i in &scratch.union {
                 let wi = &mut w[i as usize];
-                *wi += quantize_diff(tv - *wi, scale, patch_quant);
+                *wi += quantize_diff(target[i as usize] - *wi, scale, patch_quant);
             }
-        }
+            Arc::new(w)
+        };
         self.patch_scratch.give_back(scratch);
         self.count_patch(patch_bytes, patch_quant != Quant::Exact);
-        let value = Arc::new(w);
         ctx.cache_put_fetched(
             key,
             value.clone() as Arc<dyn std::any::Any + Send + Sync>,
@@ -1036,15 +1079,17 @@ impl HistoryHandle<Vec<f64>> {
             self.patch_scratch.give_back(scratch);
             return self.wire_plan_at(mirror, version);
         };
+        // The plan owns its index and value vectors: the only two
+        // allocations of an exact plan.
         let indices = scratch.union.clone();
-        let patch_values = scratch.values.clone();
         self.patch_scratch.give_back(scratch);
-        let mut w = take_cached_model(mirror, self.bcast_id, base_version);
         self.count_patch(patch_bytes, patch_quant != Quant::Exact);
         if patch_quant == Quant::Exact {
             // The patched result *is* the target version: mirror it directly
             // instead of re-running the scatter driver-side.
-            let patch = SparseVec::new(indices, patch_values, target.len())
+            self.release_base(mirror, base_version);
+            let values = indices.iter().map(|&i| target[i as usize]).collect();
+            let patch = SparseVec::new(indices, values, target.len())
                 .expect("a union of ring supports is sorted and within the model");
             mirror.cache_put_fetched(
                 key,
@@ -1063,10 +1108,8 @@ impl HistoryHandle<Vec<f64>> {
         // not the exact history), so the worker's dequantized apply lands on
         // exactly the vector cached here — driver and worker stay bitwise in
         // lockstep even though neither holds the exact target.
-        let diffs = indices
-            .iter()
-            .zip(patch_values.iter())
-            .map(|(&i, &tv)| tv - w[i as usize]);
+        let mut w = take_cached_model(mirror, self.bcast_id, base_version);
+        let diffs = indices.iter().map(|&i| target[i as usize] - w[i as usize]);
         let scale = diffs.clone().fold(0.0f64, |m, d| m.max(d.abs()));
         let dim = w.len();
         let delta = match patch_quant {
@@ -1568,6 +1611,32 @@ mod tests {
         // The patched value is cached: resolving again is free.
         b.handle().value_incremental(&mut ctx);
         assert_eq!(b.stats().fetches, 2);
+    }
+
+    #[test]
+    fn exact_resolve_shares_the_snapshot_and_hands_the_base_back() {
+        let dim = 64;
+        let mut ctx = WorkerCtx::new(0);
+        let b = incr_bcast(dim, 8, &mut ctx);
+        let base_ptr = b.handle().value_incremental(&mut ctx).as_ptr();
+        let mut w = vec![0.0; dim];
+        w[5] = 1.0;
+        // The push prunes v0 while the worker's cache still shares it, so
+        // the pruner cannot recycle its buffer.
+        b.push_snapshot_diff(&w, &sparse_delta(&[(5, 1.0)], dim));
+        let got = b.handle().value_incremental(&mut ctx);
+        assert_eq!(b.stats().incremental_fetches, 1, "charged as a patch");
+        assert_eq!(
+            got.as_ptr(),
+            b.pin_read().as_ptr(),
+            "the worker holds the server's snapshot, not a copy"
+        );
+        assert_eq!(ctx.cache_len(), 1, "the base left the cache");
+        // The worker was v0's last owner: its buffer is the next push's.
+        w[9] = 2.0;
+        b.push_snapshot_diff(&w, &sparse_delta(&[(9, 2.0)], dim));
+        assert_eq!(b.stats().recycled_buffers, 1);
+        assert_eq!(b.pin_read().as_ptr(), base_ptr);
     }
 
     #[test]

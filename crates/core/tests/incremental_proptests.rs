@@ -2,10 +2,12 @@
 //! the gap pattern, ring size, mix of sparse/dense updates, or worker
 //! churn, a resolved model must be **bit-identical** to the server's dense
 //! snapshot of that version — the incremental path may only change the
-//! bytes on the wire, never the values.
+//! bytes on the wire, never the values. In process an exact resolve goes
+//! further: it returns the server's snapshot itself, not a reconstruction,
+//! while a quantized patch must land on a model of the worker's own.
 
 use async_core::AsyncBcast;
-use async_linalg::{GradDelta, SparseVec};
+use async_linalg::{GradDelta, Quant, SparseVec};
 use proptest::prelude::*;
 use sparklet::{Payload, WorkerCtx};
 
@@ -28,9 +30,10 @@ fn apply_update(w: &mut [f64], u: &GradDelta) {
     u.axpy_into(1.0, w);
 }
 
-fn run_schedule(ring: usize, steps: &[Step]) -> Result<(), String> {
+fn run_schedule(ring: usize, quant: Quant, steps: &[Step]) -> Result<(), String> {
     let b: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; DIM], 0);
     b.enable_incremental(ring);
+    b.set_patch_quant(quant);
     let mut server_w = vec![0.0; DIM];
     let mut workers: Vec<WorkerCtx> = (0..3).map(WorkerCtx::new).collect();
     for step in steps {
@@ -48,7 +51,20 @@ fn run_schedule(ring: usize, steps: &[Step]) -> Result<(), String> {
                 b.push_snapshot_diff(&server_w, &u);
             }
             Step::Fetch(w) => {
+                let patches = b.stats().incremental_fetches;
                 let got = b.handle().value_incremental(&mut workers[*w]);
+                let patched = b.stats().incremental_fetches > patches;
+                let pin = b
+                    .try_pin_read_at(b.latest_version())
+                    .expect("the latest version is live");
+                let shared = got.as_ptr() == pin.value().as_ptr();
+                if quant != Quant::Exact {
+                    // The worker's model now carries quantization error:
+                    // it cannot be the server's snapshot.
+                    prop_assert!(!(patched && shared), "quantized patch aliases the server");
+                    continue;
+                }
+                prop_assert!(shared, "worker {} holds a copy, not the snapshot", w);
                 prop_assert!(
                     got.as_slice() == server_w.as_slice(),
                     "worker {} diverged at version {}",
@@ -60,6 +76,9 @@ fn run_schedule(ring: usize, steps: &[Step]) -> Result<(), String> {
                 workers[*w] = WorkerCtx::new(*w);
             }
         }
+    }
+    if quant != Quant::Exact {
+        return Ok(());
     }
     // Every worker converges on a final fetch, whatever its history.
     for w in workers.iter_mut() {
@@ -95,7 +114,9 @@ proptest! {
                 _ => Step::Fetch(w),
             })
             .collect();
-        run_schedule(ring, &steps)?;
+        for quant in [Quant::Exact, Quant::I8, Quant::F16] {
+            run_schedule(ring, quant, &steps)?;
+        }
     }
 
     #[test]

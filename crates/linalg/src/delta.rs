@@ -112,8 +112,8 @@ impl GradDelta {
     /// supports in-place inside the accumulator's ping-pong buffers; a
     /// dense delta (or an accumulator that already went dense) takes the
     /// dense path. Checked out of `async-optim`'s `ScratchPool` via
-    /// `checkout_fold`; the broadcast ring folds bare index supports with
-    /// [`crate::sparse::merge_union_u32`] instead.
+    /// `checkout_fold`; the broadcast ring unions bare index supports with
+    /// [`crate::sparse::BitmapUnion`] instead.
     pub fn fold_into(&self, a: f64, acc: &mut DeltaFold) {
         acc.fold_scaled(a, self);
     }

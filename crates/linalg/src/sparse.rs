@@ -221,9 +221,73 @@ pub fn scatter_assign(indices: &[u32], values: &[f64], out: &mut [f64]) {
     }
 }
 
+/// Reusable `u64`-bitmap scratch for the sorted union of several strictly
+/// increasing index lists — the broadcast ring's support union (the union
+/// of a gap's per-version change supports is the patch support).
+///
+/// Each entry sets one bit; the union is then read back in order with
+/// `trailing_zeros` over the touched word range only, so a call costs
+/// O(entries + touched words) however many lists there are, with none of
+/// a merge's unpredictable per-entry compare branches. Words are zeroed
+/// as they are read: the bitmap is all-zero between calls and never needs
+/// a separate clear.
+#[derive(Debug, Default)]
+pub struct BitmapUnion {
+    words: Vec<u64>,
+}
+
+impl BitmapUnion {
+    /// Writes the sorted union of `lists` into `out` (cleared first). The
+    /// result equals folding the lists with [`merge_union_u32`].
+    ///
+    /// Each list must be strictly increasing; the bitmap grows to cover
+    /// the largest index seen and keeps that size for later calls.
+    pub fn union_into<'a>(
+        &mut self,
+        lists: impl IntoIterator<Item = &'a [u32]>,
+        out: &mut Vec<u32>,
+    ) {
+        out.clear();
+        let mut lists = lists.into_iter();
+        let Some(first) = lists.next() else { return };
+        let Some(second) = lists.next() else {
+            // One list is its own union.
+            out.extend_from_slice(first);
+            return;
+        };
+        // Touched word range, half-open; sortedness makes each list's
+        // first and last entry its extremes.
+        let (mut lo, mut hi) = (usize::MAX, 0usize);
+        for list in [first, second].into_iter().chain(lists) {
+            debug_assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "union_into: list not strictly increasing"
+            );
+            let (Some(&min), Some(&max)) = (list.first(), list.last()) else {
+                continue;
+            };
+            lo = lo.min(min as usize / 64);
+            hi = hi.max(max as usize / 64 + 1);
+            if hi > self.words.len() {
+                self.words.resize(hi, 0);
+            }
+            for &i in list {
+                self.words[i as usize / 64] |= 1u64 << (i % 64);
+            }
+        }
+        for w in lo..hi {
+            let mut bits = std::mem::take(&mut self.words[w]);
+            while bits != 0 {
+                out.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
 /// Union-merge of two strictly increasing index lists into `out` (cleared
-/// first). The building block of the broadcast ring's support fold: the
-/// union of per-version change supports is the patch support.
+/// first) — the two-way fold the error-feedback compressor grows its
+/// residual support with.
 #[inline]
 pub fn merge_union_u32(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.clear();
@@ -353,6 +417,23 @@ mod tests {
         assert_eq!(out, vec![2, 3]);
         merge_union_u32(&[5], &[], &mut out);
         assert_eq!(out, vec![5]);
+    }
+
+    #[test]
+    fn bitmap_union_sorts_dedups_and_leaves_the_bitmap_clear() {
+        let mut bitmap = BitmapUnion::default();
+        let mut out = vec![99];
+        bitmap.union_into([], &mut out);
+        assert!(out.is_empty());
+        bitmap.union_into([&[3u32, 64, 200][..]], &mut out);
+        assert_eq!(out, vec![3, 64, 200], "one list is copied through");
+        let lists: [&[u32]; 4] = [&[1, 4, 63, 64], &[0, 4, 129], &[], &[64, 127, 128]];
+        bitmap.union_into(lists, &mut out);
+        assert_eq!(out, vec![0, 1, 4, 63, 64, 127, 128, 129]);
+        assert!(
+            bitmap.words.iter().all(|&w| w == 0),
+            "words read are zeroed"
+        );
     }
 
     #[test]

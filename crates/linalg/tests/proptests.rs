@@ -225,3 +225,48 @@ proptest! {
         prop_assert!(resid < 1e-8, "residual {resid}");
     }
 }
+
+/// The broadcast ring's support-union kernel against a `BTreeSet` oracle,
+/// with **one** scratch reused across every case: a probe spanning the
+/// whole index range shows the bitmap all-zero on entry each time —
+/// including right after a call whose result the caller threw away (the
+/// ring's "patch would not undercut the snapshot" fallback).
+#[test]
+fn bitmap_union_equals_btreeset_union_with_one_reused_scratch() {
+    use async_linalg::sparse::BitmapUnion;
+    use std::collections::BTreeSet;
+
+    const MAX_DIM: u32 = 64 * 12;
+    let mut bitmap = BitmapUnion::default();
+    let (mut out, mut discarded) = (Vec::new(), Vec::new());
+    let raw_lists = proptest::collection::vec(
+        proptest::collection::vec(0u32..u32::MAX, 0usize..48),
+        1usize..17,
+    );
+    // `dim = 64 * words + rem` is never a multiple of 64; `pin_last` picks
+    // the list (if it exists) that receives the index `dim - 1`.
+    let strat = ((0u32..11, 1u32..64), raw_lists, 0usize..20, 0u8..2);
+    proptest!(|(((words, rem), raw, pin_last, discard) in strat)| {
+        let dim = 64 * words + rem;
+        let mut lists: Vec<Vec<u32>> = raw
+            .into_iter()
+            .map(|l| l.into_iter().map(|i| i % dim).collect())
+            .collect();
+        if let Some(l) = lists.get_mut(pin_last) {
+            l.push(dim - 1);
+        }
+        for l in lists.iter_mut() {
+            l.sort_unstable();
+            l.dedup();
+        }
+        if discard == 1 {
+            bitmap.union_into(lists.iter().rev().map(Vec::as_slice), &mut discarded);
+        }
+        bitmap.union_into([&[0u32][..], &[MAX_DIM - 1][..]], &mut out);
+        prop_assert_eq!(&out, &vec![0, MAX_DIM - 1]);
+
+        bitmap.union_into(lists.iter().map(Vec::as_slice), &mut out);
+        let oracle: BTreeSet<u32> = lists.iter().flatten().copied().collect();
+        prop_assert_eq!(&out, &oracle.into_iter().collect::<Vec<u32>>());
+    });
+}

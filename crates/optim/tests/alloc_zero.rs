@@ -10,7 +10,10 @@
 //! Scope: this is the per-iteration compute-and-absorb cycle the
 //! `ScratchPool` exists for. Engine-side costs outside it (boxing a task
 //! closure, the 1-allocation `Arc` cell of a broadcast snapshot push) are
-//! bounded separately by `snapshot_push_is_allocation_bounded`.
+//! bounded separately by `snapshot_push_is_allocation_bounded`; the
+//! worker-side model resolve through the version-diff ring is held to zero
+//! by `incremental_resolve_allocates_nothing_once_warm`, and the remote
+//! driver's plan of it to the two vectors it ships.
 //!
 //! The counter is **per thread**: each test measures the thread that drives
 //! its loop, so sibling tests and the harness cannot pollute a window and
@@ -22,10 +25,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use async_core::AsyncBcast;
+use async_core::{AsyncBcast, WirePlan};
 use async_data::{sampler, Dataset, SynthSpec};
 use async_linalg::GradDelta;
 use async_optim::{Objective, ScratchPool, ShardedAbsorber};
+use sparklet::WorkerCtx;
 
 struct CountingAlloc;
 
@@ -285,4 +289,101 @@ fn snapshot_push_is_allocation_bounded() {
         "snapshot push should cost O(1) small allocations, got {per_push} per push"
     );
     assert!(b.stats().recycled_buffers >= 30);
+}
+
+/// A strictly increasing ~2 000-entry change support over `dim` = 65 536:
+/// one coordinate out of every 32-wide stripe, chosen by `round`.
+fn striped_support(round: u64, support: &mut Vec<u32>) {
+    support.clear();
+    support.extend((0..2048u64).map(|stripe| {
+        let pick = (stripe.wrapping_mul(0x9E37_79B9) ^ round.wrapping_mul(0x85EB_CA6B)) % 32;
+        (stripe * 32 + pick) as u32
+    }));
+}
+
+/// Applies one round's update to `w` and publishes it with its support.
+fn push_striped(b: &AsyncBcast<Vec<f64>>, w: &mut [f64], support: &mut Vec<u32>, round: u64) {
+    striped_support(round, support);
+    for &i in support.iter() {
+        w[i as usize] += 1.0 + round as f64;
+    }
+    b.push_snapshot_with_support(w, Some(support));
+}
+
+#[test]
+fn incremental_resolve_allocates_nothing_once_warm() {
+    // The sparse_ring_sim steady state: four workers take turns resolving
+    // the latest version, each four versions behind. An exact patch is a
+    // bitmap union in a pooled scratch plus a cache swap onto the server's
+    // shared snapshot — no allocation — and every base a worker lets go of
+    // returns to the server, so the pushes keep recycling buffers.
+    let dim = 65_536;
+    let b: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; dim], 0);
+    b.enable_incremental(16);
+    let mut workers: Vec<WorkerCtx> = (0..4).map(WorkerCtx::new).collect();
+    let mut w = vec![0.0; dim];
+    let mut support = Vec::new();
+    const PUSHES: u64 = 400;
+    let mut resolve_allocs = 0;
+    for round in 0..PUSHES {
+        push_striped(&b, &mut w, &mut support, round);
+        let handle = b.handle();
+        let before = allocations();
+        let got = handle.value_incremental(&mut workers[(round % 4) as usize]);
+        if round >= 100 {
+            resolve_allocs += allocations() - before;
+        }
+        assert_eq!(got[support[0] as usize], w[support[0] as usize]);
+    }
+    let s = b.stats();
+    assert_eq!(
+        s.incremental_fetches,
+        PUSHES - 4,
+        "all but the cold fetches patch"
+    );
+    assert_eq!(
+        resolve_allocs, 0,
+        "warm incremental resolves must not allocate (over the last 300)"
+    );
+    assert!(
+        s.recycled_buffers >= 390,
+        "released patch bases must keep snapshot pushes recycling: {s:?}"
+    );
+}
+
+#[test]
+fn exact_wire_plan_allocates_only_the_patch_it_ships() {
+    // The remote driver's mirror shares its cached base with the version
+    // table. While a reader still pins that version the base cannot be
+    // taken by value — and an exact plan has no use for it: planning must
+    // cost the shipped patch's index and value vectors, never a model copy.
+    let dim = 65_536;
+    let b: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; dim], 0);
+    b.enable_incremental(16);
+    let mut mirror = WorkerCtx::new(0);
+    let mut w = vec![0.0; dim];
+    let mut support = Vec::new();
+    for round in 0..3 {
+        // Round 0 is the cold snapshot plan, round 1 warms the scratch.
+        let base_pin = b.pin_read();
+        assert!(matches!(
+            b.handle().wire_plan(&mut mirror),
+            WirePlan::Cached { .. } | WirePlan::Snapshot { .. }
+        ));
+        for step in 0..4 {
+            push_striped(&b, &mut w, &mut support, round * 4 + step);
+        }
+        let handle = b.handle();
+        let before = allocations();
+        let plan = handle.wire_plan(&mut mirror);
+        let allocs = allocations() - before;
+        let WirePlan::Patch { base, patch, .. } = plan else {
+            panic!("a four-version gap inside the ring plans a patch");
+        };
+        assert_eq!(base, base_pin.version(), "planned against the pinned base");
+        assert!(patch.nnz() > 2048, "union of four supports");
+        if round == 2 {
+            assert_eq!(allocs, 2, "exactly the patch's indices and values");
+        }
+    }
 }

@@ -76,10 +76,14 @@ impl WorkerCtx {
         self.cache.insert(key, value);
     }
 
-    /// Removes and returns a cached entry. Incremental broadcast resolution
-    /// takes the worker's newest cached model out of the cache, patches it
-    /// forward (in place when uniquely owned), and reinserts it at the new
-    /// version's key.
+    /// Removes and returns a cached entry — how incremental broadcast
+    /// resolution retires the base a version-diff patch supersedes. In
+    /// process, an exact patch's result is the server's shared snapshot of
+    /// the target, cached in the base's place while the base's buffer goes
+    /// back to the server for recycling; a quantized patch, and a remote
+    /// worker applying a shipped `WirePlan::{Patch, QPatch}`, scatter onto
+    /// the removed base (in place when uniquely owned) and reinsert it at
+    /// the new version's key.
     pub fn cache_remove(&mut self, key: (u64, u64)) -> Option<CachedValue> {
         self.cache.remove(&key)
     }
