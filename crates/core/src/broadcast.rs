@@ -41,7 +41,8 @@
 //!
 //! * **In process** (simulator, threaded engine), exact patches: nobody.
 //!   The reconstruction *is* the target version, so
-//!   [`HistoryHandle::value_incremental`] charges the patch's wire bytes,
+//!   [`HistoryHandle::value_incremental`] charges the patch's wire bytes
+//!   — sized from the support bitmap, the patch itself is never built —
 //!   caches and returns the server's own `Arc` of the target snapshot (as
 //!   every dense fetch does), and hands the base it lets go of back to the
 //!   server's recycled-buffer pool when the worker was its last owner.
@@ -251,7 +252,9 @@ struct Counters {
 
 /// Reusable scratch for assembling a version-diff patch's support: the
 /// bitmap the gap's change supports are unioned through and the sorted
-/// union read back out of it. Patch *values* are never staged here — the
+/// union read back out of it (only for patches whose entries are visited:
+/// an in-process exact patch is sized from the bitmap and leaves `union`
+/// alone). Patch *values* are never staged here — the
 /// in-process engines read them from the target snapshot, and
 /// [`HistoryHandle::wire_plan`] gathers them straight into the plan it
 /// ships. Scratches live in a checkout/return pool (see [`ScratchStore`])
@@ -868,6 +871,15 @@ fn patch_wire_len(quant: Quant, support: &[u32]) -> u64 {
     }
 }
 
+/// [`patch_wire_len`] of an exact patch from its support's size alone —
+/// `entries` indices in an index block of `index_bytes` — for the resolve
+/// that sizes the support without building it. The header and the value
+/// width are read off [`sparse_wire_len`] and [`Quant::value_bytes`], so
+/// the section's shape stays defined there.
+fn exact_patch_wire_len(entries: usize, index_bytes: usize) -> u64 {
+    sparse_wire_len(Quant::Exact, &[]) + (index_bytes + Quant::Exact.value_bytes() * entries) as u64
+}
+
 /// Quantize-dequantize one patch diff `d` against `scale` (callers never
 /// pass `Quant::Exact`).
 #[inline]
@@ -902,26 +914,38 @@ fn take_cached_model(ctx: &mut WorkerCtx, bcast_id: u64, version: u64) -> Vec<f6
 }
 
 impl HistoryHandle<Vec<f64>> {
-    /// Assembles, in `scratch.union`, the support of the patch that takes
-    /// a worker caching `base_version` to this handle's version: the union
-    /// of the gap's change supports. Returns the patch's wire bytes, its
-    /// value format and the target snapshot (whose values on that support
-    /// are the patch's values) — or `None` when resolution must fall back
-    /// to the full snapshot: the gap outruns the ring, a spanned version
-    /// declared a dense change, or the patch would not undercut the dense
-    /// wire size.
+    /// Sizes the patch that takes a worker caching `base_version` to this
+    /// handle's version, over the union of the gap's change supports.
+    /// Returns the patch's wire bytes, its value format and the target
+    /// snapshot (whose values on that support are the patch's values) — or
+    /// `None` when resolution must fall back to the full snapshot: the gap
+    /// outruns the ring, a spanned version declared a dense change, or the
+    /// patch would not undercut the dense wire size.
+    ///
+    /// The support itself is left in `scratch.union` when the caller
+    /// `needs_support` or the patch is quantized (its codes are computed
+    /// per entry). An in-process exact patch is never built — the worker
+    /// takes the target snapshot — so it is only sized, straight from the
+    /// bitmap, and `scratch.union` is not written.
     fn assemble_patch(
         &self,
         base_version: u64,
         scratch: &mut PatchScratch,
+        needs_support: bool,
     ) -> Option<(u64, Quant, Arc<Vec<f64>>)> {
         let PatchScratch { bitmap, union } = scratch;
         let t = self.table.read();
-        bitmap.union_into(t.ring_supports(base_version + 1, self.version)?, union);
+        let supports = t.ring_supports(base_version + 1, self.version)?;
+        let bytes = if needs_support || t.patch_quant != Quant::Exact {
+            bitmap.union_into(supports, union);
+            patch_wire_len(t.patch_quant, union)
+        } else {
+            let (entries, index_bytes) = bitmap.union_index_len(supports);
+            exact_patch_wire_len(entries, index_bytes)
+        };
         let entry = t.versions[t.idx(self.version)]
             .as_ref()
             .unwrap_or_else(|| panic!("history version {} was pruned while in use", self.version));
-        let bytes = patch_wire_len(t.patch_quant, union);
         if bytes >= entry.bytes {
             return None;
         }
@@ -998,7 +1022,7 @@ impl HistoryHandle<Vec<f64>> {
         // assembly), so concurrent fetches on other workers proceed.
         let mut scratch = self.patch_scratch.checkout();
         let Some((patch_bytes, patch_quant, target)) =
-            self.assemble_patch(base_version, &mut scratch)
+            self.assemble_patch(base_version, &mut scratch, false)
         else {
             self.patch_scratch.give_back(scratch);
             return self.value_at(ctx, version);
@@ -1074,7 +1098,7 @@ impl HistoryHandle<Vec<f64>> {
         };
         let mut scratch = self.patch_scratch.checkout();
         let Some((patch_bytes, patch_quant, target)) =
-            self.assemble_patch(base_version, &mut scratch)
+            self.assemble_patch(base_version, &mut scratch, true)
         else {
             self.patch_scratch.give_back(scratch);
             return self.wire_plan_at(mirror, version);
@@ -1805,71 +1829,91 @@ mod tests {
         // planned against a driver-side mirror and applied on a "remote"
         // worker ctx. Values, traffic stats, and cache shapes must agree
         // at every step, and the plan kinds must follow the same
-        // patch/snapshot decisions.
-        let dim = 120;
-        let local: AsyncBcast<Vec<f64>> = AsyncBcast::new(7, vec![0.0; dim], 0);
-        let wired: AsyncBcast<Vec<f64>> = AsyncBcast::new(7, vec![0.0; dim], 0);
-        local.enable_incremental(4);
-        wired.enable_incremental(4);
-        let mut ctx = WorkerCtx::new(0); // in-process worker
-        let mut mirror = WorkerCtx::new(0); // driver-side mirror
-        let mut remote = WorkerCtx::new(0); // networked worker
-        let mut w = vec![0.0; dim];
-        let mut saw_patch = false;
-        let mut saw_snapshot = false;
-        let mut mirror_charged = 0u64;
-        for k in 0..10u32 {
-            let u = if k == 4 {
-                // One dense update mid-stream forces a snapshot fallback.
-                for wi in w.iter_mut() {
-                    *wi += 0.25;
+        // patch/snapshot decisions. The in-process side only *sizes* its
+        // exact patches (from the bitmap) while the plans ship theirs, so
+        // the second case resolves every other push (two-list unions) over
+        // a support whose first index and gaps need 2- and 3-byte varints.
+        type Update = fn(u32) -> Vec<(u32, f64)>;
+        let near: Update = |k| vec![(k % 120, 1.0), (k * 7 % 120, -0.5)];
+        let far: Update = |k| {
+            vec![
+                (130 + k, 1.0),
+                (130 + 200 * (k + 1), -0.5),
+                (20_000 + 17_000 * (k % 2), 0.25),
+            ]
+        };
+        for (dim, stride, update) in [(120, 1, near), (40_000, 2, far)] {
+            let local: AsyncBcast<Vec<f64>> = AsyncBcast::new(7, vec![0.0; dim], 0);
+            let wired: AsyncBcast<Vec<f64>> = AsyncBcast::new(7, vec![0.0; dim], 0);
+            local.enable_incremental(4);
+            wired.enable_incremental(4);
+            let mut ctx = WorkerCtx::new(0); // in-process worker
+            let mut mirror = WorkerCtx::new(0); // driver-side mirror
+            let mut remote = WorkerCtx::new(0); // networked worker
+            let mut w = vec![0.0; dim];
+            let mut saw_patch = false;
+            let mut saw_snapshot = false;
+            let mut saw_wide_gap = false;
+            let mut mirror_charged = 0u64;
+            for k in 0..6 * stride {
+                let u = if k == 4 {
+                    // One dense update mid-stream forces a snapshot fallback.
+                    for wi in w.iter_mut() {
+                        *wi += 0.25;
+                    }
+                    GradDelta::Dense(vec![0.25; dim])
+                } else {
+                    let u = sparse_delta(&update(k), dim);
+                    u.axpy_into(1.0, &mut w);
+                    u
+                };
+                local.push_snapshot_diff(&w, &u);
+                wired.push_snapshot_diff(&w, &u);
+                if (k + 1) % stride != 0 {
+                    continue;
                 }
-                GradDelta::Dense(vec![0.25; dim])
-            } else {
-                let u = sparse_delta(&[(k % dim as u32, 1.0), (k * 7 % dim as u32, -0.5)], dim);
-                u.axpy_into(1.0, &mut w);
-                u
-            };
-            local.push_snapshot_diff(&w, &u);
-            wired.push_snapshot_diff(&w, &u);
-            let expect = local.handle().value_incremental(&mut ctx);
-            let plan = wired.handle().wire_plan(&mut mirror);
-            // What the mirror was charged for this plan is what its
-            // payload section encodes to on the remote engine's socket.
-            let charged = mirror.take_charges().0;
-            mirror_charged += charged;
-            match &plan {
-                WirePlan::Patch { patch, .. } => {
-                    saw_patch = true;
-                    assert_eq!(charged, patch.encoded_len(), "push {k}");
+                let expect = local.handle().value_incremental(&mut ctx);
+                let plan = wired.handle().wire_plan(&mut mirror);
+                // What the mirror was charged for this plan is what its
+                // payload section encodes to on the remote engine's socket.
+                let charged = mirror.take_charges().0;
+                mirror_charged += charged;
+                match &plan {
+                    WirePlan::Patch { patch, .. } => {
+                        saw_patch = true;
+                        saw_wide_gap |=
+                            async_linalg::index_codec::encoded_len(patch.indices()) > patch.nnz();
+                        assert_eq!(charged, patch.encoded_len(), "push {k}");
+                    }
+                    WirePlan::Snapshot { values, .. } => {
+                        saw_snapshot = true;
+                        assert_eq!(charged, values.encoded_len(), "push {k}");
+                    }
+                    WirePlan::Cached { .. } => assert_eq!(charged, 0),
+                    WirePlan::QPatch { .. } => panic!("quantization is off"),
                 }
-                WirePlan::Snapshot { values, .. } => {
-                    saw_snapshot = true;
-                    assert_eq!(charged, values.encoded_len(), "push {k}");
-                }
-                WirePlan::Cached { .. } => assert_eq!(charged, 0),
-                WirePlan::QPatch { .. } => panic!("quantization is off"),
+                let got = plan.apply(&mut remote, wired.id());
+                assert_eq!(got.as_slice(), expect.as_slice(), "push {k}");
+                assert_eq!(ctx.cache_len(), mirror.cache_len(), "push {k}");
+                assert_eq!(ctx.cache_len(), remote.cache_len(), "push {k}");
+                // Re-planning the same version is a cache hit on the mirror.
+                let again = wired.handle().wire_plan(&mut mirror);
+                assert!(matches!(again, WirePlan::Cached { .. }), "push {k}");
+                assert_eq!(
+                    again.apply(&mut remote, wired.id()).as_slice(),
+                    expect.as_slice()
+                );
             }
-            let got = plan.apply(&mut remote, wired.id());
-            assert_eq!(got.as_slice(), expect.as_slice(), "push {k}");
-            assert_eq!(ctx.cache_len(), mirror.cache_len(), "push {k}");
-            assert_eq!(ctx.cache_len(), remote.cache_len(), "push {k}");
-            // Re-planning the same version is a cache hit on the mirror.
-            let again = wired.handle().wire_plan(&mut mirror);
-            assert!(matches!(again, WirePlan::Cached { .. }), "push {k}");
-            assert_eq!(
-                again.apply(&mut remote, wired.id()).as_slice(),
-                expect.as_slice()
-            );
+            assert!(saw_patch && saw_snapshot, "both plan kinds exercised");
+            assert_eq!(saw_wide_gap, dim > 120, "multi-byte index varints");
+            let (a, b) = (local.stats(), wired.stats());
+            assert_eq!(a.fetches, b.fetches);
+            assert_eq!(a.fetched_bytes, b.fetched_bytes);
+            assert_eq!(a.incremental_fetches, b.incremental_fetches);
+            assert_eq!(a.incremental_bytes, b.incremental_bytes);
+            // The mirror charged the same wire bytes the in-process worker did.
+            assert_eq!(ctx.take_charges().0, mirror_charged);
         }
-        assert!(saw_patch && saw_snapshot, "both plan kinds exercised");
-        let (a, b) = (local.stats(), wired.stats());
-        assert_eq!(a.fetches, b.fetches);
-        assert_eq!(a.fetched_bytes, b.fetched_bytes);
-        assert_eq!(a.incremental_fetches, b.incremental_fetches);
-        assert_eq!(a.incremental_bytes, b.incremental_bytes);
-        // The mirror charged the same wire bytes the in-process worker did.
-        assert_eq!(ctx.take_charges().0, mirror_charged);
     }
 
     #[test]

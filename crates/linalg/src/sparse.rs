@@ -3,6 +3,7 @@
 //! A [`SparseVec`] is the natural representation of a single high-dimensional
 //! training example (e.g. one rcv1 document: dimension 47k, ~70 nonzeros).
 
+use crate::wire::index_codec;
 use crate::{Error, Result};
 
 /// A sparse vector: strictly increasing `indices` paired with `values`,
@@ -48,7 +49,9 @@ impl SparseVec {
     }
 
     /// Builds from possibly-unsorted `(index, value)` pairs; duplicate
-    /// indices are summed.
+    /// indices are summed, in an unspecified order (the sort is unstable):
+    /// three or more duplicates of one index may round differently from a
+    /// left-to-right sum.
     pub fn from_pairs(mut pairs: Vec<(u32, f64)>, dim: usize) -> Result<Self> {
         pairs.sort_unstable_by_key(|p| p.0);
         let mut indices = Vec::with_capacity(pairs.len());
@@ -225,8 +228,10 @@ pub fn scatter_assign(indices: &[u32], values: &[f64], out: &mut [f64]) {
 /// increasing index lists — the broadcast ring's support union (the union
 /// of a gap's per-version change supports is the patch support).
 ///
-/// Each entry sets one bit; the union is then read back in order with
-/// `trailing_zeros` over the touched word range only, so a call costs
+/// Each entry sets one bit; the union is then read back in order over the
+/// touched word range only — as a list with `trailing_zeros`
+/// ([`BitmapUnion::union_into`]) or, when only its wire size is wanted, as
+/// a per-word count ([`BitmapUnion::union_index_len`]) — so a call costs
 /// O(entries + touched words) however many lists there are, with none of
 /// a merge's unpredictable per-entry compare branches. Words are zeroed
 /// as they are read: the bitmap is all-zero between calls and never needs
@@ -240,8 +245,7 @@ impl BitmapUnion {
     /// Writes the sorted union of `lists` into `out` (cleared first). The
     /// result equals folding the lists with [`merge_union_u32`].
     ///
-    /// Each list must be strictly increasing; the bitmap grows to cover
-    /// the largest index seen and keeps that size for later calls.
+    /// Each list must be strictly increasing.
     pub fn union_into<'a>(
         &mut self,
         lists: impl IntoIterator<Item = &'a [u32]>,
@@ -255,13 +259,58 @@ impl BitmapUnion {
             out.extend_from_slice(first);
             return;
         };
-        // Touched word range, half-open; sortedness makes each list's
-        // first and last entry its extremes.
+        for w in self.mark([first, second].into_iter().chain(lists)) {
+            let mut bits = std::mem::take(&mut self.words[w]);
+            while bits != 0 {
+                out.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// The size of the union of `lists` without building it: its entry
+    /// count, and the bytes of its [`index_codec`] block — exactly
+    /// `(union.len(), index_codec::encoded_len(&union))` for the `union`
+    /// that [`BitmapUnion::union_into`] would write.
+    ///
+    /// Entries are one `count_ones` per word. Every index costs one block
+    /// byte plus the extra bytes of a varint of 128 or more, and only a
+    /// word's *first* set bit can follow a gap that wide (two bits of one
+    /// word are less than 64 apart), so the surcharge is taken once per
+    /// non-zero word.
+    ///
+    /// Each list must be strictly increasing.
+    pub fn union_index_len<'a>(
+        &mut self,
+        lists: impl IntoIterator<Item = &'a [u32]>,
+    ) -> (usize, usize) {
+        let (mut entries, mut extra) = (0usize, 0u32);
+        // The smallest value the next index may take, as in `encode`.
+        let mut floor = 0u32;
+        for w in self.mark(lists.into_iter()) {
+            let bits = std::mem::take(&mut self.words[w]);
+            if bits != 0 {
+                let base = (w * 64) as u32;
+                entries += bits.count_ones() as usize;
+                extra += index_codec::extra_varint_bytes(base + bits.trailing_zeros() - floor);
+                floor = base.wrapping_add(64 - bits.leading_zeros());
+            }
+        }
+        (entries, entries + extra as usize)
+    }
+
+    /// Sets the bit of every entry of `lists` and returns the touched word
+    /// range. Each list must be strictly increasing; the bitmap grows to
+    /// cover the largest index seen and keeps that size for later calls.
+    /// The caller reads the range back, zeroing each word it reads.
+    fn mark<'a>(&mut self, lists: impl Iterator<Item = &'a [u32]>) -> std::ops::Range<usize> {
+        // Half-open; sortedness makes each list's first and last entry its
+        // extremes.
         let (mut lo, mut hi) = (usize::MAX, 0usize);
-        for list in [first, second].into_iter().chain(lists) {
+        for list in lists {
             debug_assert!(
                 list.windows(2).all(|w| w[0] < w[1]),
-                "union_into: list not strictly increasing"
+                "BitmapUnion: list not strictly increasing"
             );
             let (Some(&min), Some(&max)) = (list.first(), list.last()) else {
                 continue;
@@ -275,13 +324,7 @@ impl BitmapUnion {
                 self.words[i as usize / 64] |= 1u64 << (i % 64);
             }
         }
-        for w in lo..hi {
-            let mut bits = std::mem::take(&mut self.words[w]);
-            while bits != 0 {
-                out.push((w * 64) as u32 + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        }
+        lo..hi
     }
 }
 

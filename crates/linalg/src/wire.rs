@@ -138,7 +138,7 @@ pub mod index_codec {
     /// comparisons: no branch and a `u32` result, so the sizing pass over a
     /// patch support vectorizes.
     #[inline]
-    fn extra_varint_bytes(v: u32) -> u32 {
+    pub(crate) fn extra_varint_bytes(v: u32) -> u32 {
         u32::from(v >= 1 << 7)
             + u32::from(v >= 1 << 14)
             + u32::from(v >= 1 << 21)

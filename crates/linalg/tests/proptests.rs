@@ -270,3 +270,129 @@ fn bitmap_union_equals_btreeset_union_with_one_reused_scratch() {
         prop_assert_eq!(&out, &oracle.into_iter().collect::<Vec<u32>>());
     });
 }
+
+/// The radix gather's contract, **bit for bit**: per output column, the
+/// contributions `coef·val` are added in batch row order. Columns come from
+/// three narrow windows (bottom, somewhere, top of the column range), so
+/// ≥ 3-way duplicates are the norm while every radix digit still has to
+/// order something; `ncols` sits on each pass-count boundary. One set of
+/// buffers is reused throughout, so `pairs` always enters holding the
+/// previous case's garbage.
+#[test]
+fn gather_axpy_into_sums_duplicates_in_batch_row_order_bitwise() {
+    use std::collections::BTreeMap;
+
+    const NCOLS: [usize; 7] = [1, 7, 256, 257, 65_536, 65_537, (1 << 24) + 1];
+    let (mut pairs, mut idx, mut val) = (Vec::new(), Vec::new(), Vec::new());
+    // Raw matrix rows (0–7 entries each, empty rows included) and the batch
+    // as (row pick, coefficient), empty batches included.
+    let raw_rows = proptest::collection::vec(
+        proptest::collection::vec((0u32..u32::MAX, -10.0..10.0f64), 0usize..8),
+        1usize..10,
+    );
+    let batch = proptest::collection::vec((0usize..64, -5.0..5.0f64), 0usize..24);
+    let strat = (
+        (0usize..NCOLS.len(), 1u32..12, 0u32..u32::MAX),
+        raw_rows,
+        batch,
+    );
+    proptest!(|(((pick, width, offset), raw_rows, batch) in strat)| {
+        let ncols = NCOLS[pick];
+        let width = width.min(ncols as u32);
+        let top = ncols as u32 - width;
+        let windows = [0, offset % (top + 1), top];
+        let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+        for raw in &raw_rows {
+            let row: BTreeMap<u32, f64> = raw
+                .iter()
+                .map(|&(r, v)| (windows[r as usize % 3] + (r / 3) % width, v))
+                .collect();
+            indices.extend(row.keys());
+            data.extend(row.values());
+            indptr.push(indices.len());
+        }
+        let csr = CsrMatrix::new(indptr, indices, data, raw_rows.len(), ncols).unwrap();
+        let rows: Vec<u32> = batch.iter().map(|&(r, _)| (r % raw_rows.len()) as u32).collect();
+        let coefs: Vec<f64> = batch.iter().map(|&(_, a)| a).collect();
+
+        // The sum starts from the first product, not from 0.0 (which would
+        // turn a lone -0.0 into +0.0).
+        let mut oracle: BTreeMap<u32, f64> = BTreeMap::new();
+        for (&r, &a) in rows.iter().zip(&coefs) {
+            let (cols, vals) = csr.row(r as usize);
+            for (&c, &v) in cols.iter().zip(vals) {
+                oracle.entry(c).and_modify(|sum| *sum += a * v).or_insert(a * v);
+            }
+        }
+
+        csr.gather_axpy_into(&rows, &coefs, &mut pairs, &mut idx, &mut val);
+        let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(&idx, &oracle.keys().copied().collect::<Vec<u32>>());
+        prop_assert_eq!(bits(&val), bits(&oracle.values().copied().collect::<Vec<f64>>()));
+        // The allocating form is the same kernel.
+        let allocating = csr.gather_axpy(&rows, &coefs);
+        prop_assert_eq!(allocating.indices(), idx.as_slice());
+        prop_assert_eq!(bits(allocating.values()), bits(&val));
+    });
+}
+
+/// The size-only read-back against the union it does not build: for lists
+/// drawn as overlapping subsets of one strictly increasing pool — first
+/// index 0, small or large; gaps of 1, under 128, right on the 128 and
+/// 16 384 varint boundaries, and well past them — `union_index_len`
+/// returns the built union's length and its index-block bytes. **One**
+/// scratch serves every case and both read-backs; the full-range probe
+/// shows every word it touched was left zero.
+#[test]
+fn bitmap_union_index_len_equals_the_built_unions_size() {
+    use async_linalg::index_codec;
+    use async_linalg::sparse::BitmapUnion;
+    use std::collections::BTreeSet;
+
+    const GAP_BASE: [u32; 6] = [1, 1, 127, 128, 16_383, 16_384];
+    const GAP_SPAN: [u32; 6] = [1, 127, 4, 2_000, 4, 40_000];
+    // Past anything a pool of 60 entries reaches from the largest start.
+    const MAX_INDEX: u32 = (1 << 22) + 60 * 60_000;
+    let mut bitmap = BitmapUnion::default();
+    let mut out = Vec::new();
+    let pool_gaps = proptest::collection::vec((0usize..6, 0u32..u32::MAX), 0usize..60);
+    // Each list keeps the pool entries whose bit is set in its mask.
+    let masks = proptest::collection::vec(0u64..u64::MAX, 0usize..6);
+    let strat = ((0usize..3, 0u32..1 << 22), pool_gaps, masks);
+    proptest!(|(((start_kind, start), pool_gaps, masks) in strat)| {
+        let mut next = [0, start % 128, start][start_kind];
+        let pool: Vec<u32> = pool_gaps
+            .iter()
+            .map(|&(class, raw)| {
+                let index = next;
+                next += GAP_BASE[class] + raw % GAP_SPAN[class];
+                index
+            })
+            .collect();
+        let lists: Vec<Vec<u32>> = masks
+            .iter()
+            .map(|mask| {
+                pool.iter()
+                    .enumerate()
+                    .filter(|(k, _)| mask >> (k % 64) & 1 == 1)
+                    .map(|(_, &i)| i)
+                    .collect()
+            })
+            .collect();
+        let union: Vec<u32> = lists
+            .iter()
+            .flatten()
+            .copied()
+            .collect::<BTreeSet<u32>>()
+            .into_iter()
+            .collect();
+
+        let sized = bitmap.union_index_len(lists.iter().map(Vec::as_slice));
+        prop_assert_eq!(sized, (union.len(), index_codec::encoded_len(&union)));
+        bitmap.union_into([&[0u32][..], &[MAX_INDEX][..]], &mut out);
+        prop_assert_eq!(&out, &vec![0, MAX_INDEX]);
+        // The list read-back over the same marking pass agrees.
+        bitmap.union_into(lists.iter().map(Vec::as_slice), &mut out);
+        prop_assert_eq!(&out, &union);
+    });
+}

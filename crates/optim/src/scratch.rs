@@ -36,7 +36,8 @@ pub struct TaskScratch {
     pub margins: Vec<f64>,
     /// Per-row loss-derivative coefficients, parallel to `rows`.
     pub coefs: Vec<f64>,
-    /// Gather scratch for the sparse backward kernel.
+    /// Gather scratch for the sparse backward kernel: the gathered pairs
+    /// and, behind them, the radix sort's second buffer.
     pub pairs: Vec<(u32, f64)>,
     /// Global row ids (SAGA's table-update message), parallel to `rows`.
     pub ids: Vec<u64>,

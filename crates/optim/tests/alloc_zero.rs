@@ -27,7 +27,7 @@ use std::cell::Cell;
 
 use async_core::{AsyncBcast, WirePlan};
 use async_data::{sampler, Dataset, SynthSpec};
-use async_linalg::GradDelta;
+use async_linalg::{GradDelta, Matrix};
 use async_optim::{Objective, ScratchPool, ShardedAbsorber};
 use sparklet::WorkerCtx;
 
@@ -122,6 +122,20 @@ fn steady_state_iterations_allocate_nothing() {
     for i in 0..ROUNDS {
         iteration(&objective, block, &mut w, &mut grad_sum, &pool, i);
     }
+    // The gather scratch holds the pairs and the radix sort's ping-pong
+    // half: twice the largest batch so far, the last one included.
+    let gather_scratch = || {
+        let scratch = pool.checkout();
+        let last_batch_nnz = match block.features() {
+            Matrix::Sparse(csr) => csr.rows_nnz(&scratch.rows) as usize,
+            Matrix::Dense(_) => unreachable!("the dataset is sparse"),
+        };
+        let sizes = (scratch.pairs.len(), scratch.pairs.capacity());
+        pool.give_back(scratch);
+        assert!(last_batch_nnz > 0 && sizes.0 >= 2 * last_batch_nnz);
+        sizes
+    };
+    let warm = gather_scratch();
 
     let before = allocations();
     for i in 0..ROUNDS {
@@ -134,6 +148,11 @@ fn steady_state_iterations_allocate_nothing() {
         "steady-state solver iterations must not allocate ({} allocations over {} rounds)",
         after - before,
         ROUNDS
+    );
+    assert_eq!(
+        gather_scratch(),
+        warm,
+        "the gather scratch stops growing once warm"
     );
 }
 
