@@ -23,15 +23,14 @@
 //! diffs) sparse, which is exactly the configuration `SolverCfg::lint`
 //! steers compression users to.
 
-use std::time::Instant;
-
-use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
-use async_core::{AsyncContext, BarrierFilter};
-use async_data::{Dataset, SynthSpec};
+use async_cluster::DelayModel;
+use async_core::BarrierFilter;
+use async_data::SynthSpec;
 use async_linalg::Quant;
-use async_optim::{Asgd, AsyncSolver, CompressCfg, Objective, RunReport, SolverCfg};
+use async_optim::{CompressCfg, Objective, SolverCfg};
 
-use crate::json_f64;
+use crate::doc::{bench_doc, BenchDoc, ReportField};
+use crate::workload::{modeled_cluster, LabeledRun, TwoEngineAsgd, WallClockArm, SIM_ARM_FIELDS};
 
 /// Configuration of the compressed-communication benchmark.
 #[derive(Debug, Clone)]
@@ -88,44 +87,18 @@ impl Default for CommCompressCfg {
     }
 }
 
-/// One simulated (deterministic) run's measurements.
-#[derive(Debug, Clone)]
-pub struct SimArm {
-    /// "off", "topk" or "topk_i8".
-    pub label: &'static str,
-    /// Full run report.
-    pub report: RunReport,
-}
-
-/// One threaded (wall-clock) run's measurements.
-#[derive(Debug, Clone)]
-pub struct WallClockArm {
-    /// "off" or "topk_i8".
-    pub label: &'static str,
-    /// Real steps (server updates) per second of host time.
-    pub steps_per_sec: f64,
-    /// Host seconds the run took.
-    pub elapsed_secs: f64,
-    /// Worker → server result bytes.
-    pub result_bytes: u64,
-    /// Updates actually applied.
-    pub updates: u64,
-    /// Final objective value.
-    pub final_objective: f64,
-}
-
 /// The benchmark outcome: three simulated arms, ratios and verdicts, two
 /// wall-clock arms.
 #[derive(Debug, Clone)]
 pub struct CommCompress {
     /// The configuration measured.
     pub cfg: CommCompressCfg,
-    /// Simulated uncompressed arm (deterministic, the reference).
-    pub sim_off: SimArm,
-    /// Simulated top-k (exact values) arm.
-    pub sim_topk: SimArm,
-    /// Simulated top-k + int8 arm.
-    pub sim_topk_i8: SimArm,
+    /// Simulated uncompressed arm, "off" (deterministic, the reference).
+    pub sim_off: LabeledRun,
+    /// Simulated top-k (exact values) arm, "topk".
+    pub sim_topk: LabeledRun,
+    /// Simulated top-k + int8 arm, "topk_i8".
+    pub sim_topk_i8: LabeledRun,
     /// `sim_off.result_bytes / sim_topk.result_bytes`.
     pub result_bytes_ratio_topk: f64,
     /// `sim_off.result_bytes / sim_topk_i8.result_bytes` — the headline.
@@ -145,35 +118,32 @@ pub struct CommCompress {
     pub wc_speedup: f64,
 }
 
-fn dataset(cfg: &CommCompressCfg) -> Dataset {
-    let (base, w_star) = SynthSpec::sparse(
+/// The ridge-free sparse logistic problem: λ = 0 keeps the gradient
+/// support — and so the top-k candidate set and the broadcast diffs —
+/// sparse.
+fn workload(cfg: &CommCompressCfg) -> TwoEngineAsgd {
+    let data = SynthSpec::sparse(
         "comm-compress",
         cfg.rows,
         cfg.cols,
         cfg.nnz_per_row,
         cfg.seed,
     )
-    .generate()
-    .expect("synthetic generation");
-    let labels: Vec<f64> = (0..base.rows())
-        .map(|i| {
-            if base.features().row_dot(i, &w_star) >= 0.0 {
-                1.0
-            } else {
-                -1.0
-            }
-        })
-        .collect();
-    Dataset::new("comm-compress-pm1", base.features().clone(), labels).expect("relabel")
-}
-
-fn cluster(cfg: &CommCompressCfg) -> ClusterSpec {
-    ClusterSpec::homogeneous(cfg.workers, DelayModel::None)
-        .with_comm(CommModel {
-            per_msg: VDur::from_micros(cfg.per_msg_us),
-            ns_per_byte: cfg.ns_per_byte,
-        })
-        .with_sched_overhead(VDur::from_micros(cfg.per_msg_us / 2))
+    .generate_classification()
+    .expect("synthetic generation")
+    .0;
+    let cluster = modeled_cluster(
+        cfg.workers,
+        DelayModel::None,
+        cfg.per_msg_us,
+        cfg.ns_per_byte,
+    );
+    let objective = Objective::Logistic { lambda: 0.0 };
+    TwoEngineAsgd {
+        data,
+        cluster,
+        objective,
+    }
 }
 
 fn solver_cfg(cfg: &CommCompressCfg, updates: u64, compress: CompressCfg) -> SolverCfg {
@@ -188,12 +158,6 @@ fn solver_cfg(cfg: &CommCompressCfg, updates: u64, compress: CompressCfg) -> Sol
         compress,
         ..SolverCfg::default()
     }
-}
-
-/// The ridge-free logistic objective: λ = 0 keeps the gradient support —
-/// and so the top-k candidate set and the broadcast diffs — sparse.
-fn objective() -> Objective {
-    Objective::Logistic { lambda: 0.0 }
 }
 
 fn arms(cfg: &CommCompressCfg) -> [(&'static str, CompressCfg); 3] {
@@ -216,42 +180,6 @@ fn arms(cfg: &CommCompressCfg) -> [(&'static str, CompressCfg); 3] {
     ]
 }
 
-fn run_sim(
-    cfg: &CommCompressCfg,
-    data: &Dataset,
-    compress: CompressCfg,
-    label: &'static str,
-) -> SimArm {
-    let mut ctx = AsyncContext::sim(cluster(cfg));
-    let report =
-        Asgd::new(objective()).run(&mut ctx, data, &solver_cfg(cfg, cfg.updates, compress));
-    SimArm { label, report }
-}
-
-fn run_threaded(
-    cfg: &CommCompressCfg,
-    data: &Dataset,
-    compress: CompressCfg,
-    label: &'static str,
-) -> WallClockArm {
-    let mut ctx = AsyncContext::threaded(cluster(cfg), cfg.time_scale);
-    let mut solver_cfg = solver_cfg(cfg, cfg.wc_updates, compress);
-    // No mid-run objective evaluations: the wall clock should measure the
-    // iteration loop, not the trace.
-    solver_cfg.eval_every = 0;
-    let t0 = Instant::now();
-    let report = Asgd::new(objective()).run(&mut ctx, data, &solver_cfg);
-    let elapsed_secs = t0.elapsed().as_secs_f64();
-    WallClockArm {
-        label,
-        steps_per_sec: report.updates as f64 / elapsed_secs.max(1e-9),
-        elapsed_secs,
-        result_bytes: report.result_bytes,
-        updates: report.updates,
-        final_objective: report.final_objective,
-    }
-}
-
 /// A compressed arm is "within tolerance" when it closes at least 90% of
 /// the optimality gap the uncompressed arm closes (both start from ln 2 on
 /// ±1 logistic labels at w = 0).
@@ -263,11 +191,17 @@ fn within_tolerance(off_final: f64, comp_final: f64) -> bool {
 /// Runs the five measurements (three simulated and gated, two threaded
 /// and wall-clock).
 pub fn run_comm_compress(cfg: CommCompressCfg) -> CommCompress {
-    let data = dataset(&cfg);
-    let [(l0, c0), (l1, c1), (l2, c2)] = arms(&cfg);
-    let sim_off = run_sim(&cfg, &data, c0, l0);
-    let sim_topk = run_sim(&cfg, &data, c1, l1);
-    let sim_topk_i8 = run_sim(&cfg, &data, c2, l2);
+    let w = workload(&cfg);
+    let run_sim = |(label, compress)| {
+        let report = w.sim(&solver_cfg(&cfg, cfg.updates, compress));
+        LabeledRun { label, report }
+    };
+    let run_threaded =
+        |(_, compress)| w.threaded(cfg.time_scale, &solver_cfg(&cfg, cfg.wc_updates, compress));
+    let [off, topk, topk_i8] = arms(&cfg);
+    let sim_off = run_sim(off);
+    let sim_topk = run_sim(topk);
+    let sim_topk_i8 = run_sim(topk_i8);
     let off_bytes = sim_off.report.result_bytes as f64;
     let result_bytes_ratio_topk = off_bytes / sim_topk.report.result_bytes.max(1) as f64;
     let result_bytes_ratio_topk_i8 = off_bytes / sim_topk_i8.report.result_bytes.max(1) as f64;
@@ -281,8 +215,8 @@ pub fn run_comm_compress(cfg: CommCompressCfg) -> CommCompress {
         sim_off.report.final_objective,
         sim_topk_i8.report.final_objective,
     );
-    let wc_off = run_threaded(&cfg, &data, c0, l0);
-    let wc_topk_i8 = run_threaded(&cfg, &data, c2, l2);
+    let wc_off = run_threaded(off);
+    let wc_topk_i8 = run_threaded(topk_i8);
     let wc_speedup = wc_topk_i8.steps_per_sec / wc_off.steps_per_sec.max(1e-9);
     eprintln!(
         "comm_compress: modeled result bytes {:.1}x (topk) / {:.1}x (topk+i8) smaller; wall-clock {:.0} vs {:.0} steps/s ({:.2}x) [profile: lto=thin, codegen-units=1, panic=abort bins]",
@@ -308,79 +242,56 @@ pub fn run_comm_compress(cfg: CommCompressCfg) -> CommCompress {
     }
 }
 
-fn sim_json(a: &SimArm, indent: &str) -> String {
-    let r = &a.report;
-    let trace: Vec<String> = r
-        .trace
-        .points()
-        .iter()
-        .map(|&(t, e)| format!("[{}, {}]", json_f64(t.as_millis_f64()), json_f64(e)))
-        .collect();
-    format!(
-        "{{\n{i}  \"arm\": \"{}\",\n{i}  \"updates\": {},\n{i}  \"tasks_completed\": {},\n{i}  \"max_staleness\": {},\n{i}  \"bytes_shipped\": {},\n{i}  \"result_bytes\": {},\n{i}  \"grad_entries\": {},\n{i}  \"wall_clock_ms\": {},\n{i}  \"final_objective\": {},\n{i}  \"trace_ms_objective\": [{}]\n{i}}}",
-        a.label,
-        r.updates,
-        r.tasks_completed,
-        r.max_staleness,
-        r.bytes_shipped,
-        r.result_bytes,
-        r.grad_entries,
-        json_f64(r.wall_clock.as_millis_f64()),
-        json_f64(r.final_objective),
-        trace.join(", "),
-        i = indent,
-    )
-}
+const DESCRIPTION: &str = "uncompressed vs top-k vs top-k+int8 gradient shipping (error feedback; quantized incremental-broadcast patches in the int8 arm) for ASGD on a high-dim sparse logistic workload; modeled bytes and loss verdicts on the simulator (gated), real steps/sec on the threaded engine (wc_, not gated); built with the tuned release profile (lto=thin, codegen-units=1, panic=abort bins)";
 
-fn wc_json(a: &WallClockArm, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"arm\": \"{}\",\n{i}  \"wc_steps_per_sec\": {},\n{i}  \"wc_elapsed_secs\": {},\n{i}  \"wc_result_bytes\": {},\n{i}  \"wc_updates\": {},\n{i}  \"wc_final_objective\": {}\n{i}}}",
-        a.label,
-        json_f64(a.steps_per_sec),
-        json_f64(a.elapsed_secs),
-        a.result_bytes,
-        a.updates,
-        json_f64(a.final_objective),
-        i = indent,
-    )
-}
+const WC_FIELDS: [ReportField; 3] = [
+    ReportField::ResultBytes,
+    ReportField::Updates,
+    ReportField::FinalObjective,
+];
 
 impl CommCompress {
-    /// Renders the benchmark as a stable JSON document. Keys starting with
-    /// `wc_` are host wall-clock observations and are excluded from the CI
-    /// byte-reproduction gate (`grep -v wc_`); every other byte —
-    /// including the loss-tolerance verdicts — is deterministic for a
-    /// fixed configuration.
-    pub fn to_json(&self) -> String {
+    /// The `BENCH_comm_compress.json` document; lines under `wc_` keys are
+    /// host observations outside the byte gate (the contract:
+    /// [`crate::doc`]), the loss-tolerance verdicts are gated.
+    pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
-        format!(
-            "{{\n  \"benchmark\": \"comm_compress\",\n  \"description\": \"uncompressed vs top-k vs top-k+int8 gradient shipping (error feedback; quantized incremental-broadcast patches in the int8 arm) for ASGD on a high-dim sparse logistic workload; modeled bytes and loss verdicts on the simulator (gated), real steps/sec on the threaded engine (wc_, not gated); built with the tuned release profile (lto=thin, codegen-units=1, panic=abort bins)\",\n  \"config\": {{\n    \"workers\": {},\n    \"dataset\": \"sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda 0\",\n    \"k\": {},\n    \"updates\": {},\n    \"wc_updates\": {},\n    \"batch_fraction\": {},\n    \"step\": {},\n    \"ring\": {},\n    \"per_msg_us\": {},\n    \"ns_per_byte\": {},\n    \"time_scale\": {},\n    \"seed\": {}\n  }},\n  \"sim_off\": {},\n  \"sim_topk\": {},\n  \"sim_topk_i8\": {},\n  \"result_bytes_ratio_off_over_topk\": {},\n  \"result_bytes_ratio_off_over_topk_i8\": {},\n  \"bcast_bytes_ratio_off_over_topk_i8\": {},\n  \"topk_within_loss_tolerance\": {},\n  \"topk_i8_within_loss_tolerance\": {},\n  \"wc_threaded_off\": {},\n  \"wc_threaded_topk_i8\": {},\n  \"wc_steps_per_sec_speedup_topk_i8_over_off\": {}\n}}\n",
-            c.workers,
-            c.rows,
-            c.cols,
-            c.nnz_per_row,
-            c.k,
-            c.updates,
-            c.wc_updates,
-            json_f64(c.batch_fraction),
-            json_f64(c.step),
-            c.ring,
-            c.per_msg_us,
-            json_f64(c.ns_per_byte),
-            json_f64(c.time_scale),
-            c.seed,
-            sim_json(&self.sim_off, "  "),
-            sim_json(&self.sim_topk, "  "),
-            sim_json(&self.sim_topk_i8, "  "),
-            json_f64(self.result_bytes_ratio_topk),
-            json_f64(self.result_bytes_ratio_topk_i8),
-            json_f64(self.bcast_bytes_ratio_topk_i8),
-            self.topk_within_loss_tolerance,
-            self.topk_i8_within_loss_tolerance,
-            wc_json(&self.wc_off, "  "),
-            wc_json(&self.wc_topk_i8, "  "),
-            json_f64(self.wc_speedup),
-        )
+        let sim = |a: &LabeledRun| a.doc("arm", &SIM_ARM_FIELDS);
+        let wc =
+            |a: &LabeledRun, t: &WallClockArm| t.doc(bench_doc! { "arm": a.label }, &WC_FIELDS);
+        let dataset = format!(
+            "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda 0",
+            c.rows, c.cols, c.nnz_per_row
+        );
+        bench_doc! {
+            "benchmark": "comm_compress",
+            "description": DESCRIPTION,
+            "config": bench_doc! {
+                "workers": c.workers,
+                "dataset": dataset,
+                "k": c.k,
+                "updates": c.updates,
+                "wc_updates": c.wc_updates,
+                "batch_fraction": c.batch_fraction,
+                "step": c.step,
+                "ring": c.ring,
+                "per_msg_us": c.per_msg_us,
+                "ns_per_byte": c.ns_per_byte,
+                "time_scale": c.time_scale,
+                "seed": c.seed,
+            },
+            "sim_off": sim(&self.sim_off),
+            "sim_topk": sim(&self.sim_topk),
+            "sim_topk_i8": sim(&self.sim_topk_i8),
+            "result_bytes_ratio_off_over_topk": self.result_bytes_ratio_topk,
+            "result_bytes_ratio_off_over_topk_i8": self.result_bytes_ratio_topk_i8,
+            "bcast_bytes_ratio_off_over_topk_i8": self.bcast_bytes_ratio_topk_i8,
+            "topk_within_loss_tolerance": self.topk_within_loss_tolerance,
+            "topk_i8_within_loss_tolerance": self.topk_i8_within_loss_tolerance,
+            "wc_threaded_off": wc(&self.sim_off, &self.wc_off),
+            "wc_threaded_topk_i8": wc(&self.sim_topk_i8, &self.wc_topk_i8),
+            "wc_steps_per_sec_speedup_topk_i8_over_off": self.wc_speedup,
+        }
     }
 }
 
@@ -439,22 +350,13 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_filters_wall_clock_keys() {
-        let b = run_comm_compress(small_cfg());
-        let j1 = b.to_json();
-        let j2 = b.to_json();
-        assert_eq!(j1, j2, "rendering must be deterministic");
-        for key in [
-            "\"benchmark\": \"comm_compress\"",
-            "\"result_bytes_ratio_off_over_topk_i8\"",
-            "\"topk_i8_within_loss_tolerance\"",
-            "\"wc_steps_per_sec\"",
-        ] {
-            assert!(j1.contains(key), "missing {key}");
-        }
-        // Every wall-clock observation lives under a wc_ key, so the CI
-        // gate's grep -v '"wc_' filter drops them all.
-        let gated: Vec<&str> = j1.lines().filter(|l| !l.contains("\"wc_")).collect();
-        assert!(gated.iter().all(|l| !l.contains("steps_per_sec")));
-        assert!(gated.iter().any(|l| l.contains("result_bytes")));
+        let run = || run_comm_compress(small_cfg()).doc();
+        let probes = [
+            "result_bytes_ratio_off_over_topk_i8",
+            "topk_i8_within_loss_tolerance",
+            "wc_threaded_off.wc_steps_per_sec",
+            "sim_off.result_bytes",
+        ];
+        crate::doc::oracle::check(run, "comm_compress", &probes);
     }
 }

@@ -35,7 +35,7 @@ use async_optim::{
     SolverCfg,
 };
 
-use crate::json_f64;
+use crate::doc::{bench_doc, BenchDoc, ReportField};
 
 /// Configuration of the durable-recovery benchmark.
 #[derive(Debug, Clone)]
@@ -292,52 +292,54 @@ fn time_recovery(dir: &PathBuf, payload_bytes: u64) -> WcRecovery {
     }
 }
 
-fn arm_json(a: &RecoveryArm, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"run\": \"{}\",\n{i}  \"resumed_from_generation\": {},\n{i}  \"replayed_updates\": {},\n{i}  \"saves_ok\": {},\n{i}  \"saves_failed\": {},\n{i}  \"bytes_written\": {},\n{i}  \"write_amplification\": {},\n{i}  \"bit_identical_to_uninterrupted\": {},\n{i}  \"final_objective\": {}\n{i}}}",
-        a.name,
-        a.resumed_from,
-        a.replayed_updates,
-        a.saves_ok,
-        a.saves_failed,
-        a.bytes_written,
-        json_f64(a.write_amplification),
-        a.bit_identical,
-        json_f64(a.final_objective),
-        i = indent,
-    )
-}
+const DESCRIPTION: &str = "One ASGD lineage three ways: uninterrupted; crashed at a cadence boundary and auto-resumed from the crash-consistent store (must finish bit-identically); and resumed through disk havoc — a torn half-write above the newest generation plus bit rot inside it — falling back to the newest valid generation. The wc_ keys time cold recovery on this host (ungated)";
+
+const UNINTERRUPTED_FIELDS: [ReportField; 3] = [
+    ReportField::Updates,
+    ReportField::FinalObjective,
+    ReportField::WallClockMs,
+];
 
 impl DurableRecovery {
-    /// Renders the benchmark as a stable JSON document. Keys starting with
-    /// `wc_` are host wall-clock observations and are excluded from the CI
-    /// byte-reproduction gate (`grep -v '"wc_'`); every other byte is
-    /// deterministic for a fixed configuration.
-    pub fn to_json(&self) -> String {
+    /// The `BENCH_durable_recovery.json` document; lines under `wc_` keys
+    /// are host observations outside the byte gate (the contract:
+    /// [`crate::doc`]).
+    pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
-        let arms: Vec<String> = self
-            .arms
-            .iter()
-            .map(|a| format!("  \"{}\": {}", a.name, arm_json(a, "  ")))
-            .collect();
-        format!(
-            "{{\n  \"benchmark\": \"durable_recovery\",\n  \"description\": \"One ASGD lineage three ways: uninterrupted; crashed at a cadence boundary and auto-resumed from the crash-consistent store (must finish bit-identically); and resumed through disk havoc — a torn half-write above the newest generation plus bit rot inside it — falling back to the newest valid generation. The wc_ keys time cold recovery on this host (ungated)\",\n  \"config\": {{\n    \"workers\": {},\n    \"dataset\": \"dense synthetic {}x{}\",\n    \"updates\": {},\n    \"crash_at\": {},\n    \"checkpoint_every\": {},\n    \"batch_fraction\": {},\n    \"step\": {},\n    \"seed\": {}\n  }},\n  \"uninterrupted\": {{\n    \"updates\": {},\n    \"final_objective\": {},\n    \"wall_clock_ms\": {}\n  }},\n  \"checkpoint_payload_bytes\": {},\n{},\n  \"wc_recovery\": {{\n    \"wc_recover_secs\": {},\n    \"wc_recover_mb_per_sec\": {}\n  }}\n}}\n",
-            c.workers,
-            c.rows,
-            c.cols,
-            c.updates,
-            c.crash_at,
-            c.checkpoint_every,
-            json_f64(c.batch_fraction),
-            json_f64(c.step),
-            c.seed,
-            self.uninterrupted.updates,
-            json_f64(self.uninterrupted.final_objective),
-            json_f64(self.uninterrupted.wall_clock.as_millis_f64()),
-            self.checkpoint_payload_bytes,
-            arms.join(",\n"),
-            json_f64(self.wc_recovery.recover_secs),
-            json_f64(self.wc_recovery.mb_per_sec),
+        let mut doc = bench_doc! {
+            "benchmark": "durable_recovery",
+            "description": DESCRIPTION,
+            "config": bench_doc! {
+                "workers": c.workers,
+                "dataset": format!("dense synthetic {}x{}", c.rows, c.cols),
+                "updates": c.updates,
+                "crash_at": c.crash_at,
+                "checkpoint_every": c.checkpoint_every,
+                "batch_fraction": c.batch_fraction,
+                "step": c.step,
+                "seed": c.seed,
+            },
+            "uninterrupted": BenchDoc::new().report(&self.uninterrupted, &UNINTERRUPTED_FIELDS),
+            "checkpoint_payload_bytes": self.checkpoint_payload_bytes,
+        };
+        for a in &self.arms {
+            let arm = bench_doc! {
+                "run": a.name,
+                "resumed_from_generation": a.resumed_from,
+                "replayed_updates": a.replayed_updates,
+                "saves_ok": a.saves_ok,
+                "saves_failed": a.saves_failed,
+                "bytes_written": a.bytes_written,
+                "write_amplification": a.write_amplification,
+                "bit_identical_to_uninterrupted": a.bit_identical,
+                "final_objective": a.final_objective,
+            };
+            doc = doc.put(a.name, arm);
+        }
+        let wc = &self.wc_recovery;
+        doc.put(
+            "wc_recovery",
+            bench_doc! { "wc_recover_secs": wc.recover_secs, "wc_recover_mb_per_sec": wc.mb_per_sec },
         )
     }
 }
@@ -345,6 +347,7 @@ impl DurableRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::oracle;
 
     fn small_cfg() -> DurableRecoveryCfg {
         DurableRecoveryCfg {
@@ -395,30 +398,18 @@ mod tests {
     fn gated_portion_is_deterministic() {
         let a = run_durable_recovery(small_cfg());
         let b = run_durable_recovery(small_cfg());
-        let strip = |j: &str| -> String {
-            j.lines()
-                .filter(|l| !l.contains("\"wc_"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&a.to_json()), strip(&b.to_json()));
+        oracle::gated_lines_agree(&a.doc(), &b.doc());
     }
 
     #[test]
     fn json_is_well_formed_enough() {
-        let j = run_durable_recovery(small_cfg()).to_json();
-        assert!(j.contains("\"benchmark\": \"durable_recovery\""));
-        for k in [
-            "\"resumed\"",
-            "\"faulted\"",
+        let probes = [
+            "resumed.write_amplification",
+            "faulted.bit_identical_to_uninterrupted",
             "checkpoint_payload_bytes",
-            "write_amplification",
-            "wc_recovery",
-        ] {
-            assert!(j.contains(k), "missing {k}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
+            "wc_recovery.wc_recover_secs",
+        ];
+        let doc = run_durable_recovery(small_cfg()).doc();
+        oracle::well_formed(&doc, "durable_recovery", &probes);
     }
 }

@@ -15,13 +15,14 @@
 //! Everything is deterministic; the JSON is byte-reproducible and diffed
 //! in CI like the other two benchmark files.
 
-use async_cluster::{ChaosAction, ChaosSchedule, ClusterSpec, CommModel, DelayModel, VDur, VTime};
+use async_cluster::{ChaosAction, ChaosSchedule, DelayModel, VTime};
 use async_core::{AsyncContext, BarrierFilter};
 use async_data::SynthSpec;
 use async_linalg::ParallelismCfg;
 use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
 
-use crate::json_f64;
+use crate::doc::{bench_doc, BenchDoc, ReportField, Value};
+use crate::workload::modeled_cluster;
 
 /// Configuration of the elastic-chaos benchmark.
 #[derive(Debug, Clone)]
@@ -89,14 +90,12 @@ pub struct ElasticChaos {
 }
 
 fn ctx(cfg: &ElasticChaosCfg) -> AsyncContext {
-    AsyncContext::sim(
-        ClusterSpec::homogeneous(cfg.workers, DelayModel::None)
-            .with_comm(CommModel {
-                per_msg: VDur::from_micros(cfg.per_msg_us),
-                ns_per_byte: 1.0,
-            })
-            .with_sched_overhead(VDur::from_micros(cfg.per_msg_us / 2)),
-    )
+    AsyncContext::sim(modeled_cluster(
+        cfg.workers,
+        DelayModel::None,
+        cfg.per_msg_us,
+        1.0,
+    ))
 }
 
 fn solver_cfg(cfg: &ElasticChaosCfg, barrier: BarrierFilter, baseline: f64) -> SolverCfg {
@@ -159,93 +158,82 @@ pub fn run_elastic_chaos(cfg: ElasticChaosCfg) -> ElasticChaos {
             error_ratio,
         });
     }
+    for o in &outcomes {
+        eprintln!(
+            "elastic_chaos: {} churn slowdown {:.3}x, final-error ratio {:.3}",
+            o.name, o.wall_clock_slowdown, o.error_ratio,
+        );
+    }
     ElasticChaos { cfg, outcomes }
 }
 
-fn run_json(label: &str, r: &RunReport, indent: &str) -> String {
-    let clocks: Vec<String> = r.worker_clocks.iter().map(|c| c.to_string()).collect();
-    let trace: Vec<String> = r
-        .trace
-        .points()
-        .iter()
-        .map(|&(t, e)| format!("[{}, {}]", json_f64(t.as_millis_f64()), json_f64(e)))
-        .collect();
-    format!(
-        "{{\n{i}  \"run\": \"{}\",\n{i}  \"wall_clock_ms\": {},\n{i}  \"updates\": {},\n{i}  \"tasks_completed\": {},\n{i}  \"max_staleness\": {},\n{i}  \"bytes_shipped\": {},\n{i}  \"final_error\": {},\n{i}  \"worker_clocks\": [{}],\n{i}  \"trace_ms_error\": [{}]\n{i}}}",
-        label,
-        json_f64(r.wall_clock.as_millis_f64()),
-        r.updates,
-        r.tasks_completed,
-        r.max_staleness,
-        r.bytes_shipped,
-        json_f64(r.trace.final_error().unwrap_or(f64::NAN)),
-        clocks.join(", "),
-        trace.join(", "),
-        i = indent,
-    )
-}
+const DESCRIPTION: &str = "ASGD convergence-to-budget under kill/revive/join churn (pcs_churn preset: ~25% of the fleet lost and replaced, one elastic join) vs a static cluster, across ASP/BSP/SSP barriers";
 
-fn chaos_json(s: &ChaosSchedule) -> String {
-    let events: Vec<String> = s
-        .events()
-        .iter()
-        .map(|e| {
-            let (kind, worker) = match e.action {
-                ChaosAction::Kill(w) => ("kill", w as i64),
-                ChaosAction::Revive(w) => ("revive", w as i64),
-                ChaosAction::Join => ("join", -1),
-            };
-            format!(
-                "{{\"at_ms\": {}, \"action\": \"{kind}\", \"worker\": {worker}}}",
-                json_f64(e.at.as_millis_f64())
-            )
-        })
-        .collect();
-    format!("[{}]", events.join(", "))
+const RUN_FIELDS: [ReportField; 8] = [
+    ReportField::WallClockMs,
+    ReportField::Updates,
+    ReportField::TasksCompleted,
+    ReportField::MaxStaleness,
+    ReportField::BytesShipped,
+    ReportField::FinalError,
+    ReportField::WorkerClocks,
+    ReportField::TraceMsError,
+];
+
+/// One inline row per scripted event; a join has no worker yet (`-1`).
+fn chaos_events(s: &ChaosSchedule) -> Value {
+    Value::inline(s.events().iter().map(|e| {
+        let (action, worker) = match e.action {
+            ChaosAction::Kill(w) => ("kill", w as i64),
+            ChaosAction::Revive(w) => ("revive", w as i64),
+            ChaosAction::Join => ("join", -1),
+        };
+        bench_doc! { "at_ms": e.at.as_millis_f64(), "action": action, "worker": worker }
+    }))
 }
 
 impl ElasticChaos {
-    /// Renders the benchmark as a stable, human-diffable JSON document.
-    pub fn to_json(&self) -> String {
+    /// The `BENCH_elastic_chaos.json` document; every byte is
+    /// deterministic.
+    pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
-        let blocks: Vec<String> = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                let (kills, revives, joins) = o.chaos.counts();
-                format!(
-                    "  \"{}\": {{\n    \"chaos_events\": {},\n    \"kills\": {},\n    \"revives\": {},\n    \"joins\": {},\n    \"static\": {},\n    \"chaos\": {},\n    \"wall_clock_slowdown_chaos_over_static\": {},\n    \"final_error_ratio_chaos_over_static\": {}\n  }}",
-                    o.name,
-                    chaos_json(&o.chaos),
-                    kills,
-                    revives,
-                    joins,
-                    run_json("static", &o.static_run, "    "),
-                    run_json("chaos", &o.chaos_run, "    "),
-                    json_f64(o.wall_clock_slowdown),
-                    json_f64(o.error_ratio),
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"benchmark\": \"elastic_chaos\",\n  \"description\": \"ASGD convergence-to-budget under kill/revive/join churn (pcs_churn preset: ~25% of the fleet lost and replaced, one elastic join) vs a static cluster, across ASP/BSP/SSP barriers\",\n  \"config\": {{\n    \"workers\": {},\n    \"dataset\": \"dense synthetic {}x{}\",\n    \"updates\": {},\n    \"batch_fraction\": {},\n    \"step\": {},\n    \"per_msg_us\": {},\n    \"chaos_horizon_fraction\": {},\n    \"seed\": {}\n  }},\n{}\n}}\n",
-            c.workers,
-            c.rows,
-            c.cols,
-            c.updates,
-            json_f64(c.batch_fraction),
-            json_f64(c.step),
-            c.per_msg_us,
-            json_f64(c.chaos_horizon_fraction),
-            c.seed,
-            blocks.join(",\n"),
-        )
+        let run = |label: &str, r: &RunReport| bench_doc! { "run": label }.report(r, &RUN_FIELDS);
+        let mut doc = bench_doc! {
+            "benchmark": "elastic_chaos",
+            "description": DESCRIPTION,
+            "config": bench_doc! {
+                "workers": c.workers,
+                "dataset": format!("dense synthetic {}x{}", c.rows, c.cols),
+                "updates": c.updates,
+                "batch_fraction": c.batch_fraction,
+                "step": c.step,
+                "per_msg_us": c.per_msg_us,
+                "chaos_horizon_fraction": c.chaos_horizon_fraction,
+                "seed": c.seed,
+            },
+        };
+        for o in &self.outcomes {
+            let (kills, revives, joins) = o.chaos.counts();
+            let outcome = bench_doc! {
+                "chaos_events": chaos_events(&o.chaos),
+                "kills": kills,
+                "revives": revives,
+                "joins": joins,
+                "static": run("static", &o.static_run),
+                "chaos": run("chaos", &o.chaos_run),
+                "wall_clock_slowdown_chaos_over_static": o.wall_clock_slowdown,
+                "final_error_ratio_chaos_over_static": o.error_ratio,
+            };
+            doc = doc.put(o.name, outcome);
+        }
+        doc
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::oracle;
 
     fn small_cfg() -> ElasticChaosCfg {
         ElasticChaosCfg {
@@ -294,18 +282,13 @@ mod tests {
     fn elastic_chaos_is_deterministic() {
         let a = run_elastic_chaos(small_cfg());
         let b = run_elastic_chaos(small_cfg());
-        assert_eq!(a.to_json(), b.to_json());
+        oracle::gated_lines_agree(&a.doc(), &b.doc());
     }
 
     #[test]
     fn json_is_well_formed_enough() {
-        let j = run_elastic_chaos(small_cfg()).to_json();
-        assert!(j.contains("\"benchmark\": \"elastic_chaos\""));
-        for k in ["\"asp\"", "\"bsp\"", "\"ssp2\"", "chaos_events"] {
-            assert!(j.contains(k), "missing {k}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
+        let probes = ["asp.chaos_events", "bsp.static", "ssp2.chaos"];
+        let doc = run_elastic_chaos(small_cfg()).doc();
+        oracle::well_formed(&doc, "elastic_chaos", &probes);
     }
 }

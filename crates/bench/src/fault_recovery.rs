@@ -24,16 +24,17 @@
 //! steps/s through heartbeats, task deadlines, retry, and respawn.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur, VTime};
+use async_cluster::{ClusterSpec, DelayModel, VDur, VTime};
 use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
 use async_linalg::ParallelismCfg;
 use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
 use sparklet::{Driver, EngineBuilder, FaultPlan, SuperviseCfg};
 
-use crate::json_f64;
+use crate::doc::{bench_doc, BenchDoc, ReportField, Value};
+use crate::workload::{modeled_cluster, WallClockArm};
 
 /// Configuration of the fault-recovery benchmark.
 #[derive(Debug, Clone)]
@@ -105,16 +106,10 @@ pub struct SimArm {
 /// The loopback wall-clock arm (host-dependent, `wc_` keys only).
 #[derive(Debug, Clone)]
 pub struct WcArm {
-    /// Server updates per second of host time.
-    pub steps_per_sec: f64,
-    /// Host seconds the run took.
-    pub elapsed_secs: f64,
-    /// Updates actually applied.
-    pub updates: u64,
-    /// Tasks permanently lost (must be zero for a recovered run).
-    pub lost_tasks: u64,
-    /// Tasks re-placed by the retry layer.
-    pub retried_tasks: u64,
+    /// The timed run; its report carries the updates applied, the tasks
+    /// permanently lost (must be zero for a recovered run) and the tasks
+    /// re-placed by the retry layer.
+    pub run: WallClockArm,
     /// Workers the supervisor respawned.
     pub respawns: u64,
     /// The acceptance verdict: full budget spent and nothing lost.
@@ -140,12 +135,7 @@ pub struct FaultRecovery {
 }
 
 fn spec(cfg: &FaultRecoveryCfg) -> ClusterSpec {
-    ClusterSpec::homogeneous(cfg.workers, DelayModel::None)
-        .with_comm(CommModel {
-            per_msg: VDur::from_micros(cfg.per_msg_us),
-            ns_per_byte: 1.0,
-        })
-        .with_sched_overhead(VDur::from_micros(cfg.per_msg_us / 2))
+    modeled_cluster(cfg.workers, DelayModel::None, cfg.per_msg_us, 1.0)
 }
 
 fn solver_cfg(cfg: &FaultRecoveryCfg, updates: u64, retry: u32, baseline: f64) -> SolverCfg {
@@ -296,110 +286,94 @@ fn run_wc_loopback(cfg: &FaultRecoveryCfg, dataset: &Dataset, baseline: f64) -> 
         ..SuperviseCfg::default()
     });
     let objective = Objective::LeastSquares { lambda: 1e-3 };
-    let t0 = Instant::now();
-    let report = Asgd::new(objective).run(
-        &mut ctx,
-        dataset,
-        &solver_cfg(cfg, cfg.wc_updates, cfg.retry_lost, baseline),
-    );
-    let elapsed_secs = t0.elapsed().as_secs_f64();
+    let run = WallClockArm::time(|| {
+        Asgd::new(objective).run(
+            &mut ctx,
+            dataset,
+            &solver_cfg(cfg, cfg.wc_updates, cfg.retry_lost, baseline),
+        )
+    });
     WcArm {
-        steps_per_sec: report.updates as f64 / elapsed_secs.max(1e-9),
-        elapsed_secs,
-        updates: report.updates,
-        lost_tasks: report.lost_tasks,
-        retried_tasks: report.retried_tasks,
         respawns: ctx.driver().supervised_respawns(),
-        recovered: report.updates == cfg.wc_updates && report.lost_tasks == 0,
+        recovered: run.report.updates == cfg.wc_updates && run.report.lost_tasks == 0,
+        run,
     }
 }
 
-fn run_json(arm: &SimArm, indent: &str) -> String {
-    let r = &arm.report;
-    let clocks: Vec<String> = r.worker_clocks.iter().map(|c| c.to_string()).collect();
-    let trace: Vec<String> = r
-        .trace
-        .points()
-        .iter()
-        .map(|&(t, e)| format!("[{}, {}]", json_f64(t.as_millis_f64()), json_f64(e)))
-        .collect();
-    format!(
-        "{{\n{i}  \"run\": \"{}\",\n{i}  \"wall_clock_ms\": {},\n{i}  \"updates\": {},\n{i}  \"tasks_completed\": {},\n{i}  \"lost_tasks\": {},\n{i}  \"retried_tasks\": {},\n{i}  \"supervised_respawns\": {},\n{i}  \"max_staleness\": {},\n{i}  \"bytes_shipped\": {},\n{i}  \"final_error\": {},\n{i}  \"worker_clocks\": [{}],\n{i}  \"trace_ms_error\": [{}]\n{i}}}",
-        arm.name,
-        json_f64(r.wall_clock.as_millis_f64()),
-        r.updates,
-        r.tasks_completed,
-        r.lost_tasks,
-        r.retried_tasks,
-        arm.respawns,
-        r.max_staleness,
-        r.bytes_shipped,
-        json_f64(r.trace.final_error().unwrap_or(f64::NAN)),
-        clocks.join(", "),
-        trace.join(", "),
-        i = indent,
-    )
-}
+const DESCRIPTION: &str = "ASGD through a one-way kill burst (no scripted revivals): unsupervised, the casualties' in-flight tasks are lost for good; supervised, backed-off respawn plus bounded retry restores the fleet and the run ends with zero losses. The wc_ arm replays the supervised stack over loopback TCP with dropped frames (host-dependent, ungated)";
 
-fn wc_json(a: &WcArm, indent: &str) -> String {
-    // Every measurement line carries a `wc_` key: the numbers are host
-    // wall-clock observations and the CI byte gate drops them.
-    format!(
-        "{{\n{i}  \"wc_steps_per_sec\": {},\n{i}  \"wc_elapsed_secs\": {},\n{i}  \"wc_updates\": {},\n{i}  \"wc_lost_tasks\": {},\n{i}  \"wc_retried_tasks\": {},\n{i}  \"wc_supervised_respawns\": {},\n{i}  \"wc_recovered\": {}\n{i}}}",
-        json_f64(a.steps_per_sec),
-        json_f64(a.elapsed_secs),
-        a.updates,
-        a.lost_tasks,
-        a.retried_tasks,
-        a.respawns,
-        a.recovered,
-        i = indent,
-    )
-}
+/// What a simulated arm prints; `supervised_respawns` (the driver's count,
+/// not the report's) goes between the first five and the rest.
+const RUN_FIELDS: [ReportField; 10] = [
+    ReportField::WallClockMs,
+    ReportField::Updates,
+    ReportField::TasksCompleted,
+    ReportField::LostTasks,
+    ReportField::RetriedTasks,
+    ReportField::MaxStaleness,
+    ReportField::BytesShipped,
+    ReportField::FinalError,
+    ReportField::WorkerClocks,
+    ReportField::TraceMsError,
+];
+
+const WC_FIELDS: [ReportField; 3] = [
+    ReportField::Updates,
+    ReportField::LostTasks,
+    ReportField::RetriedTasks,
+];
 
 impl FaultRecovery {
-    /// Renders the benchmark as a stable JSON document. Keys starting
-    /// with `wc_` are host wall-clock observations and are excluded from
-    /// the CI byte-reproduction gate (`grep -v '"wc_'`); every other byte
-    /// is deterministic for a fixed configuration.
-    pub fn to_json(&self) -> String {
+    /// The `BENCH_fault_recovery.json` document; lines under `wc_` keys
+    /// are host observations outside the byte gate (the contract:
+    /// [`crate::doc`]).
+    pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
-        let kills: Vec<String> = self
-            .kill_schedule
-            .iter()
-            .map(|&(w, at)| {
-                format!(
-                    "{{\"worker\": {w}, \"at_ms\": {}}}",
-                    json_f64(at.as_millis_f64())
-                )
-            })
-            .collect();
-        let arms: Vec<String> = self
-            .arms
-            .iter()
-            .map(|a| format!("  \"{}\": {}", a.name, run_json(a, "  ")))
-            .collect();
-        format!(
-            "{{\n  \"benchmark\": \"fault_recovery\",\n  \"description\": \"ASGD through a one-way kill burst (no scripted revivals): unsupervised, the casualties' in-flight tasks are lost for good; supervised, backed-off respawn plus bounded retry restores the fleet and the run ends with zero losses. The wc_ arm replays the supervised stack over loopback TCP with dropped frames (host-dependent, ungated)\",\n  \"config\": {{\n    \"workers\": {},\n    \"kills\": {},\n    \"dataset\": \"dense synthetic {}x{}\",\n    \"updates\": {},\n    \"batch_fraction\": {},\n    \"step\": {},\n    \"per_msg_us\": {},\n    \"kill_at_fraction\": {},\n    \"backoff_fraction\": {},\n    \"retry_lost\": {},\n    \"wc_updates\": {},\n    \"wc_drop\": {},\n    \"seed\": {}\n  }},\n  \"kill_schedule\": [{}],\n{},\n  \"wall_clock_slowdown_supervised_over_baseline\": {},\n  \"final_error_ratio_supervised_over_baseline\": {},\n  \"wc_loopback\": {}\n}}\n",
-            c.workers,
-            c.kills,
-            c.rows,
-            c.cols,
-            c.updates,
-            json_f64(c.batch_fraction),
-            json_f64(c.step),
-            c.per_msg_us,
-            json_f64(c.kill_at_fraction),
-            json_f64(c.backoff_fraction),
-            c.retry_lost,
-            c.wc_updates,
-            json_f64(c.wc_drop),
-            c.seed,
-            kills.join(", "),
-            arms.join(",\n"),
-            json_f64(self.recovery_slowdown),
-            json_f64(self.error_ratio),
-            wc_json(&self.wc_loopback, "  "),
+        let wc = &self.wc_loopback;
+        let kill = |&(worker, at): &(usize, VTime)| {
+            bench_doc! { "worker": worker, "at_ms": at.as_millis_f64() }
+        };
+        let mut doc = bench_doc! {
+            "benchmark": "fault_recovery",
+            "description": DESCRIPTION,
+            "config": bench_doc! {
+                "workers": c.workers,
+                "kills": c.kills,
+                "dataset": format!("dense synthetic {}x{}", c.rows, c.cols),
+                "updates": c.updates,
+                "batch_fraction": c.batch_fraction,
+                "step": c.step,
+                "per_msg_us": c.per_msg_us,
+                "kill_at_fraction": c.kill_at_fraction,
+                "backoff_fraction": c.backoff_fraction,
+                "retry_lost": c.retry_lost,
+                "wc_updates": c.wc_updates,
+                "wc_drop": c.wc_drop,
+                "seed": c.seed,
+            },
+            "kill_schedule": Value::inline(self.kill_schedule.iter().map(kill)),
+        };
+        for a in &self.arms {
+            let run = bench_doc! { "run": a.name }
+                .report(&a.report, &RUN_FIELDS[..5])
+                .put("supervised_respawns", a.respawns)
+                .report(&a.report, &RUN_FIELDS[5..]);
+            doc = doc.put(a.name, run);
+        }
+        doc.put(
+            "wall_clock_slowdown_supervised_over_baseline",
+            self.recovery_slowdown,
+        )
+        .put(
+            "final_error_ratio_supervised_over_baseline",
+            self.error_ratio,
+        )
+        .put(
+            "wc_loopback",
+            wc.run
+                .doc(BenchDoc::new(), &WC_FIELDS)
+                .put("wc_supervised_respawns", wc.respawns)
+                .put("wc_recovered", wc.recovered),
         )
     }
 }
@@ -407,6 +381,7 @@ impl FaultRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::oracle;
 
     fn small_cfg() -> FaultRecoveryCfg {
         FaultRecoveryCfg {
@@ -459,7 +434,7 @@ mod tests {
         assert!(
             b.wc_loopback.recovered,
             "loopback arm lost {} of {} updates",
-            b.wc_loopback.lost_tasks, b.wc_loopback.updates
+            b.wc_loopback.run.report.lost_tasks, b.wc_loopback.run.report.updates
         );
     }
 
@@ -467,30 +442,19 @@ mod tests {
     fn gated_portion_is_deterministic() {
         let a = run_fault_recovery(small_cfg());
         let b = run_fault_recovery(small_cfg());
-        let strip = |j: &str| -> String {
-            j.lines()
-                .filter(|l| !l.contains("\"wc_"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&a.to_json()), strip(&b.to_json()));
+        oracle::gated_lines_agree(&a.doc(), &b.doc());
     }
 
     #[test]
     fn json_is_well_formed_enough() {
-        let j = run_fault_recovery(small_cfg()).to_json();
-        assert!(j.contains("\"benchmark\": \"fault_recovery\""));
-        for k in [
-            "\"baseline\"",
-            "\"unsupervised\"",
-            "\"supervised\"",
+        let probes = [
+            "baseline",
+            "unsupervised",
+            "supervised.supervised_respawns",
             "kill_schedule",
-            "wc_loopback",
-        ] {
-            assert!(j.contains(k), "missing {k}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
+            "wc_loopback.wc_recovered",
+        ];
+        let doc = run_fault_recovery(small_cfg()).doc();
+        oracle::well_formed(&doc, "fault_recovery", &probes);
     }
 }

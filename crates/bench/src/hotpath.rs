@@ -20,14 +20,13 @@
 //! gradient's support, which is what makes version diffs exact (the e2e
 //! suite proves bit-identity against the dense arm under free comms).
 
-use std::time::Instant;
+use async_cluster::DelayModel;
+use async_core::BarrierFilter;
+use async_data::SynthSpec;
+use async_optim::{Objective, SolverCfg};
 
-use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
-use async_core::{AsyncContext, BarrierFilter};
-use async_data::{Dataset, SynthSpec};
-use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
-
-use crate::json_f64;
+use crate::doc::{bench_doc, BenchDoc, ReportField};
+use crate::workload::{modeled_cluster, LabeledRun, TwoEngineAsgd, WallClockArm, SIM_ARM_FIELDS};
 
 /// Configuration of the hot-path benchmark.
 #[derive(Debug, Clone)]
@@ -80,46 +79,20 @@ impl Default for HotpathCfg {
     }
 }
 
-/// One simulated (deterministic) run's measurements.
-#[derive(Debug, Clone)]
-pub struct SimArm {
-    /// "dense_full" or "incremental".
-    pub label: &'static str,
-    /// Full run report.
-    pub report: RunReport,
-}
-
-/// One threaded (wall-clock) run's measurements.
-#[derive(Debug, Clone)]
-pub struct WallClockArm {
-    /// "dense_full" or "incremental".
-    pub label: &'static str,
-    /// Real steps (server updates) per second of host time.
-    pub steps_per_sec: f64,
-    /// Host seconds the run took.
-    pub elapsed_secs: f64,
-    /// Bytes shipped to workers (completion order makes this
-    /// host-dependent on the threaded engine).
-    pub bytes_shipped: u64,
-    /// Updates actually applied.
-    pub updates: u64,
-    /// Final objective value.
-    pub final_objective: f64,
-}
-
 /// The benchmark outcome: both engines, both arms, headline ratios.
 #[derive(Debug, Clone)]
 pub struct Hotpath {
     /// The configuration measured.
     pub cfg: HotpathCfg,
-    /// Simulated dense-full-broadcast arm (deterministic).
-    pub sim_dense: SimArm,
-    /// Simulated incremental arm (deterministic).
-    pub sim_incremental: SimArm,
+    /// Simulated dense-full-broadcast arm, "dense_full" (deterministic).
+    pub sim_dense: LabeledRun,
+    /// Simulated incremental arm, "incremental" (deterministic).
+    pub sim_incremental: LabeledRun,
     /// `sim_dense.bytes_shipped / sim_incremental.bytes_shipped` — the
     /// broadcast bytes-on-wire reduction (deterministic, gated).
     pub bytes_ratio: f64,
-    /// Threaded dense-full arm (wall clock, not gated).
+    /// Threaded dense-full arm (wall clock, not gated; completion order
+    /// makes even its byte counts host-dependent).
     pub wc_dense: WallClockArm,
     /// Threaded incremental arm (wall clock, not gated).
     pub wc_incremental: WallClockArm,
@@ -127,30 +100,25 @@ pub struct Hotpath {
     pub wc_speedup: f64,
 }
 
-fn dataset(cfg: &HotpathCfg) -> Dataset {
-    let (base, w_star) =
-        SynthSpec::sparse("hotpath", cfg.rows, cfg.cols, cfg.nnz_per_row, cfg.seed)
-            .generate()
-            .expect("synthetic generation");
-    let labels: Vec<f64> = (0..base.rows())
-        .map(|i| {
-            if base.features().row_dot(i, &w_star) >= 0.0 {
-                1.0
-            } else {
-                -1.0
-            }
-        })
-        .collect();
-    Dataset::new("hotpath-pm1", base.features().clone(), labels).expect("relabel")
-}
-
-fn cluster(cfg: &HotpathCfg) -> ClusterSpec {
-    ClusterSpec::homogeneous(cfg.workers, DelayModel::None)
-        .with_comm(CommModel {
-            per_msg: VDur::from_micros(cfg.per_msg_us),
-            ns_per_byte: cfg.ns_per_byte,
-        })
-        .with_sched_overhead(VDur::from_micros(cfg.per_msg_us / 2))
+/// The ridge-free sparse logistic problem: λ = 0 keeps the ASGD change
+/// support sparse, which is the workload the incremental broadcast targets.
+fn workload(cfg: &HotpathCfg) -> TwoEngineAsgd {
+    let data = SynthSpec::sparse("hotpath", cfg.rows, cfg.cols, cfg.nnz_per_row, cfg.seed)
+        .generate_classification()
+        .expect("synthetic generation")
+        .0;
+    let cluster = modeled_cluster(
+        cfg.workers,
+        DelayModel::None,
+        cfg.per_msg_us,
+        cfg.ns_per_byte,
+    );
+    let objective = Objective::Logistic { lambda: 0.0 };
+    TwoEngineAsgd {
+        data,
+        cluster,
+        objective,
+    }
 }
 
 fn solver_cfg(cfg: &HotpathCfg, updates: u64, ring: usize) -> SolverCfg {
@@ -166,52 +134,21 @@ fn solver_cfg(cfg: &HotpathCfg, updates: u64, ring: usize) -> SolverCfg {
     }
 }
 
-/// The ridge-free logistic objective: λ = 0 keeps the ASGD change support
-/// sparse, which is the workload the incremental broadcast targets.
-fn objective() -> Objective {
-    Objective::Logistic { lambda: 0.0 }
-}
-
-fn run_sim(cfg: &HotpathCfg, data: &Dataset, ring: usize, label: &'static str) -> SimArm {
-    let mut ctx = AsyncContext::sim(cluster(cfg));
-    let report = Asgd::new(objective()).run(&mut ctx, data, &solver_cfg(cfg, cfg.updates, ring));
-    SimArm { label, report }
-}
-
-fn run_threaded(
-    cfg: &HotpathCfg,
-    data: &Dataset,
-    ring: usize,
-    label: &'static str,
-) -> WallClockArm {
-    let mut ctx = AsyncContext::threaded(cluster(cfg), cfg.time_scale);
-    let mut solver_cfg = solver_cfg(cfg, cfg.wc_updates, ring);
-    // No mid-run objective evaluations: the wall clock should measure the
-    // iteration loop, not the trace.
-    solver_cfg.eval_every = 0;
-    let t0 = Instant::now();
-    let report = Asgd::new(objective()).run(&mut ctx, data, &solver_cfg);
-    let elapsed_secs = t0.elapsed().as_secs_f64();
-    WallClockArm {
-        label,
-        steps_per_sec: report.updates as f64 / elapsed_secs.max(1e-9),
-        elapsed_secs,
-        bytes_shipped: report.bytes_shipped,
-        updates: report.updates,
-        final_objective: report.final_objective,
-    }
-}
-
 /// Runs the four measurements (two simulated and gated, two threaded and
 /// wall-clock).
 pub fn run_hotpath(cfg: HotpathCfg) -> Hotpath {
-    let data = dataset(&cfg);
-    let sim_dense = run_sim(&cfg, &data, 0, "dense_full");
-    let sim_incremental = run_sim(&cfg, &data, cfg.ring, "incremental");
+    let w = workload(&cfg);
+    let run_sim = |label, ring| {
+        let report = w.sim(&solver_cfg(&cfg, cfg.updates, ring));
+        LabeledRun { label, report }
+    };
+    let run_threaded = |ring| w.threaded(cfg.time_scale, &solver_cfg(&cfg, cfg.wc_updates, ring));
+    let sim_dense = run_sim("dense_full", 0);
+    let sim_incremental = run_sim("incremental", cfg.ring);
     let bytes_ratio =
         sim_dense.report.bytes_shipped as f64 / sim_incremental.report.bytes_shipped.max(1) as f64;
-    let wc_dense = run_threaded(&cfg, &data, 0, "dense_full");
-    let wc_incremental = run_threaded(&cfg, &data, cfg.ring, "incremental");
+    let wc_dense = run_threaded(0);
+    let wc_incremental = run_threaded(cfg.ring);
     let wc_speedup = wc_incremental.steps_per_sec / wc_dense.steps_per_sec.max(1e-9);
     eprintln!(
         "hotpath: modeled broadcast bytes {:.1}x smaller; wall-clock {:.0} vs {:.0} steps/s ({:.2}x) [profile: lto=thin, codegen-units=1, panic=abort bins]",
@@ -228,72 +165,49 @@ pub fn run_hotpath(cfg: HotpathCfg) -> Hotpath {
     }
 }
 
-fn sim_json(a: &SimArm, indent: &str) -> String {
-    let r = &a.report;
-    let trace: Vec<String> = r
-        .trace
-        .points()
-        .iter()
-        .map(|&(t, e)| format!("[{}, {}]", json_f64(t.as_millis_f64()), json_f64(e)))
-        .collect();
-    format!(
-        "{{\n{i}  \"arm\": \"{}\",\n{i}  \"updates\": {},\n{i}  \"tasks_completed\": {},\n{i}  \"max_staleness\": {},\n{i}  \"bytes_shipped\": {},\n{i}  \"result_bytes\": {},\n{i}  \"grad_entries\": {},\n{i}  \"wall_clock_ms\": {},\n{i}  \"final_objective\": {},\n{i}  \"trace_ms_objective\": [{}]\n{i}}}",
-        a.label,
-        r.updates,
-        r.tasks_completed,
-        r.max_staleness,
-        r.bytes_shipped,
-        r.result_bytes,
-        r.grad_entries,
-        json_f64(r.wall_clock.as_millis_f64()),
-        json_f64(r.final_objective),
-        trace.join(", "),
-        i = indent,
-    )
-}
+const DESCRIPTION: &str = "dense-full vs incremental (version-diffed) broadcast for ASGD on a high-dim sparse logistic workload; modeled bytes on the simulator (gated), real steps/sec on the threaded engine (wc_, not gated); built with the tuned release profile (lto=thin, codegen-units=1, panic=abort for bins)";
 
-fn wc_json(a: &WallClockArm, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"arm\": \"{}\",\n{i}  \"wc_steps_per_sec\": {},\n{i}  \"wc_elapsed_secs\": {},\n{i}  \"wc_bytes_shipped\": {},\n{i}  \"wc_updates\": {},\n{i}  \"wc_final_objective\": {}\n{i}}}",
-        a.label,
-        json_f64(a.steps_per_sec),
-        json_f64(a.elapsed_secs),
-        a.bytes_shipped,
-        a.updates,
-        json_f64(a.final_objective),
-        i = indent,
-    )
-}
+const WC_FIELDS: [ReportField; 3] = [
+    ReportField::BytesShipped,
+    ReportField::Updates,
+    ReportField::FinalObjective,
+];
 
 impl Hotpath {
-    /// Renders the benchmark as a stable JSON document. Keys starting with
-    /// `wc_` are host wall-clock observations and are excluded from the CI
-    /// byte-reproduction gate (`grep -v wc_`); every other byte is
-    /// deterministic for a fixed configuration.
-    pub fn to_json(&self) -> String {
+    /// The `BENCH_hotpath.json` document; lines under `wc_` keys are host
+    /// observations outside the byte gate (the contract: [`crate::doc`]).
+    pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
-        format!(
-            "{{\n  \"benchmark\": \"hotpath\",\n  \"description\": \"dense-full vs incremental (version-diffed) broadcast for ASGD on a high-dim sparse logistic workload; modeled bytes on the simulator (gated), real steps/sec on the threaded engine (wc_, not gated); built with the tuned release profile (lto=thin, codegen-units=1, panic=abort for bins)\",\n  \"config\": {{\n    \"workers\": {},\n    \"dataset\": \"sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda 0\",\n    \"updates\": {},\n    \"wc_updates\": {},\n    \"batch_fraction\": {},\n    \"step\": {},\n    \"ring\": {},\n    \"per_msg_us\": {},\n    \"ns_per_byte\": {},\n    \"time_scale\": {},\n    \"seed\": {}\n  }},\n  \"sim_dense_full\": {},\n  \"sim_incremental\": {},\n  \"broadcast_bytes_ratio_dense_over_incremental\": {},\n  \"wc_threaded_dense_full\": {},\n  \"wc_threaded_incremental\": {},\n  \"wc_steps_per_sec_speedup_incremental_over_dense\": {}\n}}\n",
-            c.workers,
-            c.rows,
-            c.cols,
-            c.nnz_per_row,
-            c.updates,
-            c.wc_updates,
-            json_f64(c.batch_fraction),
-            json_f64(c.step),
-            c.ring,
-            c.per_msg_us,
-            json_f64(c.ns_per_byte),
-            json_f64(c.time_scale),
-            c.seed,
-            sim_json(&self.sim_dense, "  "),
-            sim_json(&self.sim_incremental, "  "),
-            json_f64(self.bytes_ratio),
-            wc_json(&self.wc_dense, "  "),
-            wc_json(&self.wc_incremental, "  "),
-            json_f64(self.wc_speedup),
-        )
+        let sim = |a: &LabeledRun| a.doc("arm", &SIM_ARM_FIELDS);
+        let wc =
+            |a: &LabeledRun, t: &WallClockArm| t.doc(bench_doc! { "arm": a.label }, &WC_FIELDS);
+        let dataset = format!(
+            "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda 0",
+            c.rows, c.cols, c.nnz_per_row
+        );
+        bench_doc! {
+            "benchmark": "hotpath",
+            "description": DESCRIPTION,
+            "config": bench_doc! {
+                "workers": c.workers,
+                "dataset": dataset,
+                "updates": c.updates,
+                "wc_updates": c.wc_updates,
+                "batch_fraction": c.batch_fraction,
+                "step": c.step,
+                "ring": c.ring,
+                "per_msg_us": c.per_msg_us,
+                "ns_per_byte": c.ns_per_byte,
+                "time_scale": c.time_scale,
+                "seed": c.seed,
+            },
+            "sim_dense_full": sim(&self.sim_dense),
+            "sim_incremental": sim(&self.sim_incremental),
+            "broadcast_bytes_ratio_dense_over_incremental": self.bytes_ratio,
+            "wc_threaded_dense_full": wc(&self.sim_dense, &self.wc_dense),
+            "wc_threaded_incremental": wc(&self.sim_incremental, &self.wc_incremental),
+            "wc_steps_per_sec_speedup_incremental_over_dense": self.wc_speedup,
+        }
     }
 }
 
@@ -330,26 +244,16 @@ mod tests {
 
     #[test]
     fn modeled_numbers_are_deterministic() {
-        let a = run_hotpath(small_cfg());
-        let b = run_hotpath(small_cfg());
-        let strip = |j: &str| -> String {
-            j.lines()
-                .filter(|l| !l.contains("\"wc_"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&a.to_json()), strip(&b.to_json()));
-        let j = a.to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
+        let run = || run_hotpath(small_cfg()).doc();
+        let probes = ["sim_incremental", "wc_threaded_dense_full.wc_steps_per_sec"];
+        crate::doc::oracle::check(run, "hotpath", &probes);
     }
 
     #[test]
     fn threaded_arms_complete_their_budget() {
         let h = run_hotpath(small_cfg());
-        assert_eq!(h.wc_dense.updates, 60);
-        assert_eq!(h.wc_incremental.updates, 60);
+        assert_eq!(h.wc_dense.report.updates, 60);
+        assert_eq!(h.wc_incremental.report.updates, 60);
         assert!(h.wc_dense.steps_per_sec > 0.0);
         assert!(h.wc_incremental.steps_per_sec > 0.0);
     }

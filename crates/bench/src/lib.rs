@@ -1,23 +1,19 @@
 //! # async-bench
 //!
 //! Experiment harnesses reproducing the paper's measurements on the
-//! simulated cluster. The first datapoint of the performance trajectory is
-//! the §6.3 controlled-delay-straggler ablation: ASGD under ASP vs BSP,
-//! same update budget, one straggler — ASP's wall clock (virtual time) and
-//! worker wait times must undercut BSP's, which is the paper's headline
-//! effect (Figures 3–4).
+//! simulated cluster (plus host wall-clock arms on the threaded and remote
+//! engines). Each bench is one module: its `Cfg`, its run function, and a
+//! `doc()` that lays the outcome out as a [`BenchDoc`]. The one printer in
+//! [`doc`] turns that into the bytes of a committed `BENCH_<name>.json`;
+//! for a fixed configuration every line whose key does not start `wc_` is
+//! deterministic, which is what makes the files diffable across PRs.
 //!
-//! Reports are serialized to JSON by hand (the build environment is
-//! offline, so no serde); the output is deterministic byte-for-byte for a
-//! fixed configuration, making the benchmark file diffable across PRs.
+//! Adding a bench: a module with a `doc()`, one row in [`BENCHES`], one
+//! committed `BENCH_<name>.json` — CI regenerates and diffs every row.
 
-use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
-use async_core::{AsyncContext, BarrierFilter};
-use async_data::{Dataset, SynthSpec};
-use async_linalg::ParallelismCfg;
-use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
-
+pub mod async_vs_bsp;
 pub mod comm_compress;
+pub mod doc;
 pub mod durable_recovery;
 pub mod elastic_chaos;
 pub mod fault_recovery;
@@ -26,249 +22,64 @@ pub mod remote_engine;
 pub mod serve_qps;
 pub mod server_scaling;
 pub mod sparse_fastpath;
+pub mod workload;
 
-/// Configuration of the ASP-vs-BSP straggler ablation.
-#[derive(Debug, Clone)]
-pub struct AblationCfg {
-    /// Cluster size.
-    pub workers: usize,
-    /// Controlled-delay straggler intensity (1.0 = half speed).
-    pub intensity: f64,
-    /// Dataset rows (dense synthetic, epsilon-like shape at small scale).
-    pub rows: usize,
-    /// Dataset feature dimension.
-    pub cols: usize,
-    /// Server update budget per mode.
-    pub updates: u64,
-    /// Mini-batch fraction per task.
-    pub batch_fraction: f64,
-    /// Step size.
-    pub step: f64,
-    /// Per-message latency in µs. Task compute must dominate this for
-    /// straggler effects to be visible (the delay factor stretches compute,
-    /// not communication — as in the paper, where tasks run for seconds).
-    pub per_msg_us: u64,
-    /// Sampling seed.
-    pub seed: u64,
-}
+pub use doc::BenchDoc;
 
-impl Default for AblationCfg {
-    fn default() -> Self {
-        Self {
-            workers: 8,
-            intensity: 1.0,
-            rows: 8_192,
-            cols: 256,
-            updates: 400,
-            batch_fraction: 0.25,
-            step: 0.05,
-            per_msg_us: 100,
-            seed: 2024,
-        }
-    }
-}
+/// A bench's name and its run at the default (committed) configuration.
+pub type Bench = (&'static str, fn() -> BenchDoc);
 
-/// One mode's measurements.
-#[derive(Debug, Clone)]
-pub struct ModeResult {
-    /// "asp" or "bsp".
-    pub mode: &'static str,
-    /// Full run report.
-    pub report: RunReport,
-}
-
-/// The ablation outcome: both modes plus the headline ratios.
-#[derive(Debug, Clone)]
-pub struct Ablation {
-    /// The configuration measured.
-    pub cfg: AblationCfg,
-    /// ASP run.
-    pub asp: ModeResult,
-    /// BSP run.
-    pub bsp: ModeResult,
-    /// `bsp.wall_clock / asp.wall_clock` — >1 means asynchrony wins.
-    pub wall_clock_speedup: f64,
-    /// `bsp.mean_wait / asp.mean_wait` at µs resolution. When ASP never
-    /// waits (its mean rounds to 0 µs — the paper's Figure-4 outcome) this
-    /// is `f64::INFINITY` if BSP waited and `0.0` if neither did; the JSON
-    /// rendering serializes non-finite values as `null`.
-    pub wait_ratio: f64,
-}
-
-fn run_mode(
-    cfg: &AblationCfg,
-    dataset: &Dataset,
-    baseline: f64,
-    barrier: BarrierFilter,
-) -> RunReport {
-    let mut ctx = AsyncContext::sim(
-        ClusterSpec::homogeneous(
-            cfg.workers,
-            DelayModel::ControlledDelay {
-                worker: cfg.workers - 1,
-                intensity: cfg.intensity,
-            },
-        )
-        .with_comm(CommModel {
-            per_msg: VDur::from_micros(cfg.per_msg_us),
-            ns_per_byte: 1.0,
-        })
-        .with_sched_overhead(VDur::from_micros(cfg.per_msg_us / 2)),
-    );
-    let objective = Objective::LeastSquares { lambda: 1e-3 };
-    let solver_cfg = SolverCfg {
-        step: cfg.step,
-        batch_fraction: cfg.batch_fraction,
-        barrier,
-        max_updates: cfg.updates,
-        eval_every: cfg.updates / 8,
-        baseline,
-        seed: cfg.seed,
-        ..SolverCfg::default()
-    };
-    Asgd::new(objective).run(&mut ctx, dataset, &solver_cfg)
-}
-
-/// Runs the ablation: the same ASGD workload under ASP and BSP on
-/// identical clusters with one controlled-delay straggler.
-pub fn run_async_vs_bsp(cfg: AblationCfg) -> Ablation {
-    let (dataset, _) = SynthSpec::dense("bench-dense", cfg.rows, cfg.cols, cfg.seed)
-        .generate()
-        .unwrap();
-    // The CGLS baseline is identical for both modes; solve once.
-    let baseline = Objective::LeastSquares { lambda: 1e-3 }
-        .optimum(ParallelismCfg::sequential(), &dataset)
-        .expect("least-squares baseline");
-    let asp = run_mode(&cfg, &dataset, baseline, BarrierFilter::Asp);
-    let bsp = run_mode(&cfg, &dataset, baseline, BarrierFilter::Bsp);
-    let wall_clock_speedup =
-        bsp.wall_clock.as_micros() as f64 / asp.wall_clock.as_micros().max(1) as f64;
-    let wait_ratio = if asp.mean_wait.as_micros() == 0 {
-        if bsp.mean_wait.as_micros() == 0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        bsp.mean_wait.as_micros() as f64 / asp.mean_wait.as_micros() as f64
-    };
-    Ablation {
-        cfg,
-        asp: ModeResult {
-            mode: "asp",
-            report: asp,
-        },
-        bsp: ModeResult {
-            mode: "bsp",
-            report: bsp,
-        },
-        wall_clock_speedup,
-        wait_ratio,
-    }
-}
-
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn mode_json(m: &ModeResult, indent: &str) -> String {
-    let r = &m.report;
-    let clocks: Vec<String> = r.worker_clocks.iter().map(|c| c.to_string()).collect();
-    let trace: Vec<String> = r
-        .trace
-        .points()
-        .iter()
-        .map(|&(t, e)| format!("[{}, {}]", json_f64(t.as_millis_f64()), json_f64(e)))
-        .collect();
-    format!(
-        "{{\n{i}  \"mode\": \"{}\",\n{i}  \"wall_clock_ms\": {},\n{i}  \"mean_wait_ms\": {},\n{i}  \"updates\": {},\n{i}  \"tasks_completed\": {},\n{i}  \"max_staleness\": {},\n{i}  \"bytes_shipped\": {},\n{i}  \"final_error\": {},\n{i}  \"worker_clocks\": [{}],\n{i}  \"trace_ms_error\": [{}]\n{i}}}",
-        m.mode,
-        json_f64(r.wall_clock.as_millis_f64()),
-        json_f64(r.mean_wait.as_millis_f64()),
-        r.updates,
-        r.tasks_completed,
-        r.max_staleness,
-        r.bytes_shipped,
-        json_f64(r.trace.final_error().unwrap_or(f64::NAN)),
-        clocks.join(", "),
-        trace.join(", "),
-        i = indent,
-    )
-}
-
-impl Ablation {
-    /// Renders the ablation as a stable, human-diffable JSON document.
-    pub fn to_json(&self) -> String {
-        let c = &self.cfg;
-        format!(
-            "{{\n  \"benchmark\": \"async_vs_bsp\",\n  \"description\": \"ASGD wall-clock (virtual) under ASP vs BSP with one controlled-delay straggler (paper §6.3, Figures 3-4)\",\n  \"config\": {{\n    \"workers\": {},\n    \"straggler_intensity\": {},\n    \"dataset\": \"dense synthetic {}x{}\",\n    \"updates\": {},\n    \"batch_fraction\": {},\n    \"step\": {},\n    \"per_msg_us\": {},\n    \"seed\": {}\n  }},\n  \"asp\": {},\n  \"bsp\": {},\n  \"wall_clock_speedup_asp_over_bsp\": {},\n  \"mean_wait_ratio_bsp_over_asp\": {}\n}}\n",
-            c.workers,
-            json_f64(c.intensity),
-            c.rows,
-            c.cols,
-            c.updates,
-            json_f64(c.batch_fraction),
-            json_f64(c.step),
-            c.per_msg_us,
-            c.seed,
-            mode_json(&self.asp, "  "),
-            mode_json(&self.bsp, "  "),
-            json_f64(self.wall_clock_speedup),
-            json_f64(self.wait_ratio),
-        )
-    }
-}
+/// Every bench, sorted by name: the `bench` binary's subcommand table.
+pub const BENCHES: [Bench; 10] = [
+    ("async_vs_bsp", || {
+        async_vs_bsp::run_async_vs_bsp(Default::default()).doc()
+    }),
+    ("comm_compress", || {
+        comm_compress::run_comm_compress(Default::default()).doc()
+    }),
+    ("durable_recovery", || {
+        durable_recovery::run_durable_recovery(Default::default()).doc()
+    }),
+    ("elastic_chaos", || {
+        elastic_chaos::run_elastic_chaos(Default::default()).doc()
+    }),
+    ("fault_recovery", || {
+        fault_recovery::run_fault_recovery(Default::default()).doc()
+    }),
+    ("hotpath", || hotpath::run_hotpath(Default::default()).doc()),
+    ("remote_engine", || {
+        remote_engine::run_remote_engine(Default::default()).doc()
+    }),
+    ("serve_qps", || {
+        serve_qps::run_serve_qps(Default::default()).doc()
+    }),
+    ("server_scaling", || {
+        server_scaling::run_server_scaling(Default::default()).doc()
+    }),
+    ("sparse_fastpath", || {
+        sparse_fastpath::run_sparse_fastpath(Default::default()).doc()
+    }),
+];
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::BENCHES;
 
-    fn small_cfg() -> AblationCfg {
-        // Free comms so compute (and therefore the straggler) dominates
-        // even at test scale.
-        AblationCfg {
-            workers: 4,
-            rows: 256,
-            cols: 32,
-            updates: 60,
-            per_msg_us: 0,
-            ..AblationCfg::default()
-        }
-    }
-
+    /// CI byte-gates `bench all` against the committed files; a table row
+    /// without a file (or a file without a row) would be ungated.
     #[test]
-    fn asp_beats_bsp_under_straggler() {
-        let a = run_async_vs_bsp(small_cfg());
-        assert_eq!(a.asp.report.updates, 60);
-        assert_eq!(a.bsp.report.updates, 60);
-        assert!(
-            a.wall_clock_speedup > 1.0,
-            "ASP must reach the update budget sooner: speedup {}",
-            a.wall_clock_speedup
-        );
-        assert!(a.bsp.report.mean_wait > a.asp.report.mean_wait);
-    }
-
-    #[test]
-    fn ablation_is_deterministic() {
-        let a = run_async_vs_bsp(small_cfg());
-        let b = run_async_vs_bsp(small_cfg());
-        assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let a = run_async_vs_bsp(small_cfg());
-        let j = a.to_json();
-        assert!(j.contains("\"benchmark\": \"async_vs_bsp\""));
-        assert!(j.contains("\"asp\""));
-        assert!(j.contains("\"bsp\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
+    fn the_table_and_the_committed_files_name_the_same_benches() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut committed: Vec<String> = std::fs::read_dir(root)
+            .expect("workspace root")
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|f| f.starts_with("BENCH_") && f.ends_with(".json"))
+            .collect();
+        committed.sort();
+        let table: Vec<String> = BENCHES
+            .iter()
+            .map(|(name, _)| format!("BENCH_{name}.json"))
+            .collect();
+        assert_eq!(table, committed, "BENCHES is sorted by name");
     }
 }

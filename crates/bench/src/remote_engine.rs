@@ -20,8 +20,6 @@
 //! oracle — the same contract `remote_e2e.rs` asserts — under `wc_` keys
 //! (the gap depends on the host's real completion order).
 
-use std::time::Instant;
-
 use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
 use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
@@ -29,7 +27,8 @@ use async_linalg::ParallelismCfg;
 use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
 use sparklet::{Driver, EngineBuilder};
 
-use crate::json_f64;
+use crate::doc::{bench_doc, BenchDoc, ReportField, Value};
+use crate::workload::{WallClockArm, SIM_ARM_FIELDS};
 
 /// Configuration of the remote-engine benchmark.
 #[derive(Debug, Clone)]
@@ -80,21 +79,25 @@ pub struct RemoteArm {
     /// "process" (real OS worker processes) or "loopback" (in-process
     /// threads speaking the same wire protocol).
     pub transport: &'static str,
-    /// Server updates per second of host time, end to end through the
-    /// frame codec.
-    pub steps_per_sec: f64,
-    /// Host seconds the run took.
-    pub elapsed_secs: f64,
-    /// Updates actually applied.
-    pub updates: u64,
-    /// Final objective value.
-    pub final_objective: f64,
+    /// The timed run: steps/s end to end through the frame codec.
+    pub run: WallClockArm,
     /// `(remote_gap − sim_gap) / gap0`: signed relative disagreement with
     /// the oracle on how far the run closed the optimality gap.
     pub gap_disagreement: f64,
     /// The `remote_e2e.rs` contract: both gaps below 15% of the initial
     /// gap and within 10% of each other.
     pub agrees_with_sim: bool,
+}
+
+/// A remote arm that could not start on this host (no discoverable
+/// `async_worker` binary, say). It is still emitted, under `wc_` keys
+/// only, so the gated lines do not depend on what happens to be built.
+#[derive(Debug, Clone)]
+pub struct SkippedArm {
+    /// The transport that was unavailable.
+    pub transport: &'static str,
+    /// Why the engine could not be built.
+    pub reason: String,
 }
 
 /// The benchmark outcome: the gated oracle plus the wall-clock arms.
@@ -109,7 +112,7 @@ pub struct RemoteEngine {
     /// Sim run's final optimality gap.
     pub sim_gap: f64,
     /// Remote arms: `[process, loopback]` (wall clock, not gated).
-    pub arms: Vec<RemoteArm>,
+    pub arms: Vec<Result<RemoteArm, SkippedArm>>,
 }
 
 fn dataset(cfg: &RemoteEngineCfg) -> Dataset {
@@ -148,7 +151,7 @@ fn run_remote(
     baseline: f64,
     gap0: f64,
     sim_gap: f64,
-) -> Option<RemoteArm> {
+) -> Result<RemoteArm, SkippedArm> {
     let mut b = EngineBuilder::remote().spec(cluster(cfg)).time_scale(0.0);
     b = match transport {
         "loopback" => b.loopback_workers(std::sync::Arc::new(async_optim::worker_registry)),
@@ -157,24 +160,21 @@ fn run_remote(
             None => b,
         },
     };
-    let engine = match b.build() {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("remote_engine: {transport} arm unavailable ({e}); skipping");
-            return None;
+    let engine = b.build().map_err(|e| {
+        eprintln!("remote_engine: {transport} arm unavailable ({e}); skipping");
+        SkippedArm {
+            transport,
+            reason: e.to_string(),
         }
-    };
+    })?;
     let mut ctx = AsyncContext::new(Driver::from_engine(engine));
-    let t0 = Instant::now();
-    let report = Asgd::new(objective(cfg)).run(&mut ctx, data, &solver_cfg(cfg, cfg.wc_updates, 0));
-    let elapsed_secs = t0.elapsed().as_secs_f64();
-    let gap = report.final_objective - baseline;
-    Some(RemoteArm {
+    let run = WallClockArm::time(|| {
+        Asgd::new(objective(cfg)).run(&mut ctx, data, &solver_cfg(cfg, cfg.wc_updates, 0))
+    });
+    let gap = run.report.final_objective - baseline;
+    Ok(RemoteArm {
         transport,
-        steps_per_sec: report.updates as f64 / elapsed_secs.max(1e-9),
-        elapsed_secs,
-        updates: report.updates,
-        final_objective: report.final_objective,
+        run,
         gap_disagreement: (gap - sim_gap) / gap0.max(1e-12),
         agrees_with_sim: gap < 0.15 * gap0
             && sim_gap < 0.15 * gap0
@@ -198,14 +198,14 @@ pub fn run_remote_engine(cfg: RemoteEngineCfg) -> RemoteEngine {
         &solver_cfg(&cfg, cfg.updates, (cfg.updates / 6).max(1)),
     );
     let sim_gap = sim.final_objective - baseline;
-    let arms: Vec<RemoteArm> = ["process", "loopback"]
+    let arms: Vec<_> = ["process", "loopback"]
         .iter()
-        .filter_map(|t| run_remote(&cfg, &data, t, baseline, gap0, sim_gap))
+        .map(|t| run_remote(&cfg, &data, t, baseline, gap0, sim_gap))
         .collect();
-    for a in &arms {
+    for a in arms.iter().flatten() {
         eprintln!(
             "remote_engine: {} arm {:.0} steps/s over {} updates; agrees with sim: {}",
-            a.transport, a.steps_per_sec, a.updates, a.agrees_with_sim,
+            a.transport, a.run.steps_per_sec, a.run.report.updates, a.agrees_with_sim,
         );
     }
     RemoteEngine {
@@ -217,76 +217,49 @@ pub fn run_remote_engine(cfg: RemoteEngineCfg) -> RemoteEngine {
     }
 }
 
-fn sim_json(r: &RunReport, indent: &str) -> String {
-    let trace: Vec<String> = r
-        .trace
-        .points()
-        .iter()
-        .map(|&(t, e)| format!("[{}, {}]", json_f64(t.as_millis_f64()), json_f64(e)))
-        .collect();
-    format!(
-        "{{\n{i}  \"updates\": {},\n{i}  \"tasks_completed\": {},\n{i}  \"max_staleness\": {},\n{i}  \"bytes_shipped\": {},\n{i}  \"result_bytes\": {},\n{i}  \"grad_entries\": {},\n{i}  \"wall_clock_ms\": {},\n{i}  \"final_objective\": {},\n{i}  \"trace_ms_objective\": [{}]\n{i}}}",
-        r.updates,
-        r.tasks_completed,
-        r.max_staleness,
-        r.bytes_shipped,
-        r.result_bytes,
-        r.grad_entries,
-        json_f64(r.wall_clock.as_millis_f64()),
-        json_f64(r.final_objective),
-        trace.join(", "),
-        i = indent,
-    )
-}
+const DESCRIPTION: &str = "ASGD through the multi-process remote engine vs the deterministic simulator: the sim oracle is byte-gated; wc_ arms are real cross-process (and loopback-thread) steps/sec through the frame codec with sim-agreement verdicts (host-dependent, ungated)";
 
-fn arm_json(a: &RemoteArm, indent: &str) -> String {
-    // Every line of an arm object carries a `wc_` key: the measurements are
-    // host wall-clock observations and the CI byte gate drops them.
-    format!(
-        "{{\n{i}  \"wc_transport\": \"{}\",\n{i}  \"wc_steps_per_sec\": {},\n{i}  \"wc_elapsed_secs\": {},\n{i}  \"wc_updates\": {},\n{i}  \"wc_final_objective\": {},\n{i}  \"wc_gap_disagreement_vs_sim\": {},\n{i}  \"wc_agrees_with_sim\": {}\n{i}}}",
-        a.transport,
-        json_f64(a.steps_per_sec),
-        json_f64(a.elapsed_secs),
-        a.updates,
-        json_f64(a.final_objective),
-        json_f64(a.gap_disagreement),
-        a.agrees_with_sim,
-        i = indent,
-    )
-}
+const WC_FIELDS: [ReportField; 2] = [ReportField::Updates, ReportField::FinalObjective];
 
 impl RemoteEngine {
-    /// Renders the benchmark as a stable JSON document. Keys starting with
-    /// `wc_` are host wall-clock observations and are excluded from the CI
-    /// byte-reproduction gate (`grep -v '"wc_'`); every other byte is
-    /// deterministic for a fixed configuration. The remote arm *count* can
-    /// vary only if the process arm is unavailable, so the arm array is
-    /// rendered as one line per arm — each fully under `wc_` keys except
-    /// the braces, which stay balanced either way.
-    pub fn to_json(&self) -> String {
+    /// The `BENCH_remote_engine.json` document; lines under `wc_` keys are
+    /// host observations outside the byte gate (the contract:
+    /// [`crate::doc`]). Every key of an arm object is `wc_`, run or skipped,
+    /// so what survives the gate of `wc_remote_arms` is one pair of braces
+    /// per transport either way.
+    pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
-        let arms: Vec<String> = self.arms.iter().map(|a| arm_json(a, "    ")).collect();
-        format!(
-            "{{\n  \"benchmark\": \"remote_engine\",\n  \"description\": \"ASGD through the multi-process remote engine vs the deterministic simulator: the sim oracle is byte-gated; wc_ arms are real cross-process (and loopback-thread) steps/sec through the frame codec with sim-agreement verdicts (host-dependent, ungated)\",\n  \"config\": {{\n    \"workers\": {},\n    \"dataset\": \"dense synthetic {}x{}, lambda {}\",\n    \"updates\": {},\n    \"wc_updates\": {},\n    \"batch_fraction\": {},\n    \"step\": {},\n    \"seed\": {}\n  }},\n  \"sim_oracle\": {},\n  \"sim_final_gap_over_gap0\": {},\n  \"wc_remote_arms\": [\n    {}\n  ]\n}}\n",
-            c.workers,
-            c.rows,
-            c.cols,
-            json_f64(c.lambda),
-            c.updates,
-            c.wc_updates,
-            json_f64(c.batch_fraction),
-            json_f64(c.step),
-            c.seed,
-            sim_json(&self.sim, "  "),
-            json_f64(self.sim_gap / self.gap0.max(1e-12)),
-            arms.join(",\n    "),
-        )
+        let arm = |a: &Result<RemoteArm, SkippedArm>| match a {
+            Ok(a) => a
+                .run
+                .doc(bench_doc! { "wc_transport": a.transport }, &WC_FIELDS)
+                .put("wc_gap_disagreement_vs_sim", a.gap_disagreement)
+                .put("wc_agrees_with_sim", a.agrees_with_sim),
+            Err(s) => bench_doc! { "wc_transport": s.transport, "wc_skipped": s.reason.as_str() },
+        };
+        bench_doc! {
+            "benchmark": "remote_engine",
+            "description": DESCRIPTION,
+            "config": bench_doc! {
+                "workers": c.workers,
+                "dataset": format!("dense synthetic {}x{}, lambda {:.6}", c.rows, c.cols, c.lambda),
+                "updates": c.updates,
+                "wc_updates": c.wc_updates,
+                "batch_fraction": c.batch_fraction,
+                "step": c.step,
+                "seed": c.seed,
+            },
+            "sim_oracle": BenchDoc::new().report(&self.sim, &SIM_ARM_FIELDS),
+            "sim_final_gap_over_gap0": self.sim_gap / self.gap0.max(1e-12),
+            "wc_remote_arms": Value::block(self.arms.iter().map(arm)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::oracle;
 
     fn small_cfg() -> RemoteEngineCfg {
         RemoteEngineCfg {
@@ -308,9 +281,10 @@ mod tests {
         let loopback = r
             .arms
             .iter()
+            .flatten()
             .find(|a| a.transport == "loopback")
             .expect("loopback arm always runs");
-        assert_eq!(loopback.updates, 60);
+        assert_eq!(loopback.run.report.updates, 60);
         assert!(
             loopback.agrees_with_sim,
             "gap disagreement {}",
@@ -320,24 +294,38 @@ mod tests {
 
     #[test]
     fn gated_portion_is_deterministic() {
-        let a = run_remote_engine(small_cfg());
-        let b = run_remote_engine(small_cfg());
-        let strip = |j: &str| -> String {
-            j.lines()
-                .filter(|l| !l.contains("\"wc_"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&a.to_json()), strip(&b.to_json()));
-        let j = a.to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
+        let run = || run_remote_engine(small_cfg()).doc();
+        let probes = ["sim_oracle.trace_ms_objective", "sim_final_gap_over_gap0"];
+        oracle::check(run, "remote_engine", &probes);
     }
 
     #[test]
     fn missing_worker_binary_degrades_to_the_loopback_arm() {
         let r = run_remote_engine(small_cfg());
-        assert!(r.arms.iter().all(|a| a.transport == "loopback"));
+        assert!(r.arms.iter().flatten().all(|a| a.transport == "loopback"));
+    }
+
+    #[test]
+    fn a_skipped_arm_keeps_the_gated_lines_of_the_committed_file() {
+        let doc = run_remote_engine(small_cfg()).doc();
+        for (path, value) in [
+            ("wc_remote_arms.0.wc_transport", "process"),
+            ("wc_remote_arms.1.wc_transport", "loopback"),
+        ] {
+            assert_eq!(oracle::lookup(&doc, path), Some(&Value::Str(value.into())));
+        }
+        assert!(oracle::lookup(&doc, "wc_remote_arms.0.wc_skipped").is_some());
+        assert!(oracle::lookup(&doc, "wc_remote_arms.1.wc_skipped").is_none());
+        assert!(oracle::lookup(&doc, "wc_remote_arms.2.wc_transport").is_none());
+        // What the gate keeps of the arm section is one pair of braces per
+        // transport — the committed two-arm file's shape.
+        let text = doc.render();
+        let gated = oracle::gated(&text);
+        let section = gated
+            .iter()
+            .position(|l| l.contains("sim_final_gap_over_gap0"))
+            .expect("the line before the arm section");
+        let shape: Vec<&str> = gated[section + 1..].iter().map(|l| l.trim()).collect();
+        assert_eq!(shape, ["{", "},", "{", "}", "]", "}"]);
     }
 }

@@ -22,14 +22,13 @@
 //!    (one fused pass and one snapshot push per wave instead of per
 //!    delta) carries the speedup; on multi-core hosts the two compound.
 
-use std::time::Instant;
+use async_cluster::DelayModel;
+use async_core::BarrierFilter;
+use async_data::SynthSpec;
+use async_optim::{Objective, RunReport, SolverCfg};
 
-use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
-use async_core::{AsyncContext, BarrierFilter};
-use async_data::{Dataset, SynthSpec};
-use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
-
-use crate::json_f64;
+use crate::doc::{bench_doc, BenchDoc, ReportField, Value};
+use crate::workload::{modeled_cluster, TwoEngineAsgd, WallClockArm, SIM_ARM_FIELDS};
 
 /// Configuration of the server-scaling benchmark.
 #[derive(Debug, Clone)]
@@ -90,23 +89,6 @@ pub struct SimArm {
     pub report: RunReport,
 }
 
-/// One threaded (wall-clock) arm's measurements.
-#[derive(Debug, Clone)]
-pub struct WallClockArm {
-    /// Absorption threads of this arm.
-    pub server_threads: usize,
-    /// Wave size cap of this arm.
-    pub absorb_batch: usize,
-    /// Absorbed deltas (server updates) per second of host time.
-    pub steps_per_sec: f64,
-    /// Host seconds the run took.
-    pub elapsed_secs: f64,
-    /// Updates actually applied.
-    pub updates: u64,
-    /// Final objective value.
-    pub final_objective: f64,
-}
-
 /// The benchmark outcome: both engines, every arm, headline verdicts.
 #[derive(Debug, Clone)]
 pub struct ServerScaling {
@@ -124,35 +106,22 @@ pub struct ServerScaling {
     pub wc_speedup_max_over_serial: f64,
 }
 
-fn dataset(cfg: &ServerScalingCfg) -> Dataset {
-    let (base, w_star) = SynthSpec::sparse(
+fn workload(cfg: &ServerScalingCfg) -> TwoEngineAsgd {
+    let data = SynthSpec::sparse(
         "server-scaling",
         cfg.rows,
         cfg.cols,
         cfg.nnz_per_row,
         cfg.seed,
     )
-    .generate()
-    .expect("synthetic generation");
-    let labels: Vec<f64> = (0..base.rows())
-        .map(|i| {
-            if base.features().row_dot(i, &w_star) >= 0.0 {
-                1.0
-            } else {
-                -1.0
-            }
-        })
-        .collect();
-    Dataset::new("server-scaling-pm1", base.features().clone(), labels).expect("relabel")
-}
-
-fn cluster(cfg: &ServerScalingCfg) -> ClusterSpec {
-    ClusterSpec::homogeneous(cfg.workers, DelayModel::None)
-        .with_comm(CommModel {
-            per_msg: VDur::from_micros(cfg.per_msg_us),
-            ns_per_byte: 0.05,
-        })
-        .with_sched_overhead(VDur::from_micros(cfg.per_msg_us / 2))
+    .generate_classification()
+    .expect("synthetic generation")
+    .0;
+    TwoEngineAsgd {
+        data,
+        cluster: modeled_cluster(cfg.workers, DelayModel::None, cfg.per_msg_us, 0.05),
+        objective: Objective::Logistic { lambda: cfg.lambda },
+    }
 }
 
 fn solver_cfg(cfg: &ServerScalingCfg, updates: u64, arm: (usize, usize)) -> SolverCfg {
@@ -169,45 +138,19 @@ fn solver_cfg(cfg: &ServerScalingCfg, updates: u64, arm: (usize, usize)) -> Solv
     }
 }
 
-fn objective(cfg: &ServerScalingCfg) -> Objective {
-    Objective::Logistic { lambda: cfg.lambda }
-}
-
-fn run_sim(cfg: &ServerScalingCfg, data: &Dataset, arm: (usize, usize)) -> SimArm {
-    let mut ctx = AsyncContext::sim(cluster(cfg));
-    let report = Asgd::new(objective(cfg)).run(&mut ctx, data, &solver_cfg(cfg, cfg.updates, arm));
-    SimArm {
-        server_threads: arm.0,
-        absorb_batch: arm.1,
-        report,
-    }
-}
-
-fn run_threaded(cfg: &ServerScalingCfg, data: &Dataset, arm: (usize, usize)) -> WallClockArm {
-    // time_scale 0: no modeled-time sleeps — the threaded run measures the
-    // real compute pipeline, which this workload makes server-bound.
-    let mut ctx = AsyncContext::threaded(cluster(cfg), 0.0);
-    let mut scfg = solver_cfg(cfg, cfg.wc_updates, arm);
-    // No mid-run objective evaluations: the wall clock should measure the
-    // absorption loop, not the trace.
-    scfg.eval_every = 0;
-    let t0 = Instant::now();
-    let report = Asgd::new(objective(cfg)).run(&mut ctx, data, &scfg);
-    let elapsed_secs = t0.elapsed().as_secs_f64();
-    WallClockArm {
-        server_threads: arm.0,
-        absorb_batch: arm.1,
-        steps_per_sec: report.updates as f64 / elapsed_secs.max(1e-9),
-        elapsed_secs,
-        updates: report.updates,
-        final_objective: report.final_objective,
-    }
-}
-
 /// Runs every arm on both engines and checks the bit-identity contract.
 pub fn run_server_scaling(cfg: ServerScalingCfg) -> ServerScaling {
-    let data = dataset(&cfg);
-    let sim: Vec<SimArm> = cfg.arms.iter().map(|&a| run_sim(&cfg, &data, a)).collect();
+    let w = workload(&cfg);
+    let run_sim = |&arm: &(usize, usize)| SimArm {
+        server_threads: arm.0,
+        absorb_batch: arm.1,
+        report: w.sim(&solver_cfg(&cfg, cfg.updates, arm)),
+    };
+    // time_scale 0: no modeled-time sleeps — the threaded run measures the
+    // real compute pipeline, which this workload makes server-bound.
+    let run_threaded =
+        |&arm: &(usize, usize)| w.threaded(0.0, &solver_cfg(&cfg, cfg.wc_updates, arm));
+    let sim: Vec<SimArm> = cfg.arms.iter().map(run_sim).collect();
     // Every absorb_batch = 1 arm must reproduce the serial server
     // bit-exactly, whatever its thread count.
     let serial = sim
@@ -223,20 +166,15 @@ pub fn run_server_scaling(cfg: ServerScalingCfg) -> ServerScaling {
             && a.report.bytes_shipped == serial.report.bytes_shipped
             && a.report.updates == serial.report.updates
     });
-    let wc: Vec<WallClockArm> = cfg
-        .arms
-        .iter()
-        .map(|&a| run_threaded(&cfg, &data, a))
-        .collect();
+    let wc: Vec<WallClockArm> = cfg.arms.iter().map(run_threaded).collect();
     let wc_speedup_max_over_serial = wc.last().map_or(1.0, |last| {
         last.steps_per_sec / wc[0].steps_per_sec.max(1e-9)
     });
     eprintln!(
-        "server_scaling: sharding bit-identical: {}; wall-clock {:.0} steps/s at {}x{} vs {:.0} serial ({:.2}x)",
+        "server_scaling: sharding bit-identical: {}; wall-clock {:.0} steps/s at {} vs {:.0} serial ({:.2}x)",
         sharding_bit_identical,
         wc.last().map_or(0.0, |a| a.steps_per_sec),
-        wc.last().map_or(0, |a| a.server_threads),
-        wc.last().map_or(0, |a| a.absorb_batch),
+        cfg.arms.last().map_or_else(String::new, arm_label),
         wc[0].steps_per_sec,
         wc_speedup_max_over_serial,
     );
@@ -249,73 +187,51 @@ pub fn run_server_scaling(cfg: ServerScalingCfg) -> ServerScaling {
     }
 }
 
-fn sim_json(a: &SimArm, indent: &str) -> String {
-    let r = &a.report;
-    let trace: Vec<String> = r
-        .trace
-        .points()
-        .iter()
-        .map(|&(t, e)| format!("[{}, {}]", json_f64(t.as_millis_f64()), json_f64(e)))
-        .collect();
-    format!(
-        "{{\n{i}  \"server_threads\": {},\n{i}  \"absorb_batch\": {},\n{i}  \"updates\": {},\n{i}  \"tasks_completed\": {},\n{i}  \"max_staleness\": {},\n{i}  \"bytes_shipped\": {},\n{i}  \"result_bytes\": {},\n{i}  \"grad_entries\": {},\n{i}  \"wall_clock_ms\": {},\n{i}  \"final_objective\": {},\n{i}  \"trace_ms_objective\": [{}]\n{i}}}",
-        a.server_threads,
-        a.absorb_batch,
-        r.updates,
-        r.tasks_completed,
-        r.max_staleness,
-        r.bytes_shipped,
-        r.result_bytes,
-        r.grad_entries,
-        json_f64(r.wall_clock.as_millis_f64()),
-        json_f64(r.final_objective),
-        trace.join(", "),
-        i = indent,
-    )
+/// `"4x1"`: an arm as `server_threads x absorb_batch`.
+fn arm_label(arm: &(usize, usize)) -> String {
+    format!("{}x{}", arm.0, arm.1)
 }
 
-fn wc_json(a: &WallClockArm, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"arm\": \"{}x{}\",\n{i}  \"wc_steps_per_sec\": {},\n{i}  \"wc_elapsed_secs\": {},\n{i}  \"wc_updates\": {},\n{i}  \"wc_final_objective\": {}\n{i}}}",
-        a.server_threads,
-        a.absorb_batch,
-        json_f64(a.steps_per_sec),
-        json_f64(a.elapsed_secs),
-        a.updates,
-        json_f64(a.final_objective),
-        i = indent,
-    )
-}
+const DESCRIPTION: &str = "sharded-server absorption throughput vs server_threads x absorb_batch for ASGD on a server-bound high-dim sparse logistic workload; simulated arms are deterministic and byte-gated (the 4x1 arm must equal 1x1 bit-exactly), wc_ arms are real threaded-engine steps/sec (host-dependent, ungated; the thread axis needs physical cores — single-core builders see the batching axis carry the speedup)";
+
+const WC_FIELDS: [ReportField; 2] = [ReportField::Updates, ReportField::FinalObjective];
 
 impl ServerScaling {
-    /// Renders the benchmark as a stable JSON document. Keys starting with
-    /// `wc_` are host wall-clock observations and are excluded from the CI
-    /// byte-reproduction gate (`grep -v wc_`); every other byte is
-    /// deterministic for a fixed configuration.
-    pub fn to_json(&self) -> String {
+    /// The `BENCH_server_scaling.json` document; lines under `wc_` keys
+    /// are host observations outside the byte gate (the contract:
+    /// [`crate::doc`]).
+    pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
-        let arms: Vec<String> = c.arms.iter().map(|(t, b)| format!("\"{t}x{b}\"")).collect();
-        let sims: Vec<String> = self.sim.iter().map(|a| sim_json(a, "    ")).collect();
-        let wcs: Vec<String> = self.wc.iter().map(|a| wc_json(a, "    ")).collect();
-        format!(
-            "{{\n  \"benchmark\": \"server_scaling\",\n  \"description\": \"sharded-server absorption throughput vs server_threads x absorb_batch for ASGD on a server-bound high-dim sparse logistic workload; simulated arms are deterministic and byte-gated (the 4x1 arm must equal 1x1 bit-exactly), wc_ arms are real threaded-engine steps/sec (host-dependent, ungated; the thread axis needs physical cores — single-core builders see the batching axis carry the speedup)\",\n  \"config\": {{\n    \"workers\": {},\n    \"dataset\": \"sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda {}\",\n    \"updates\": {},\n    \"wc_updates\": {},\n    \"batch_fraction\": {},\n    \"step\": {},\n    \"per_msg_us\": {},\n    \"arms\": [{}],\n    \"seed\": {}\n  }},\n  \"sim_arms\": [\n    {}\n  ],\n  \"sharding_bit_identical_to_serial\": {},\n  \"wc_threaded_arms\": [\n    {}\n  ],\n  \"wc_steps_per_sec_speedup_max_arm_over_serial\": {}\n}}\n",
-            c.workers,
-            c.rows,
-            c.cols,
-            c.nnz_per_row,
-            json_f64(c.lambda),
-            c.updates,
-            c.wc_updates,
-            json_f64(c.batch_fraction),
-            json_f64(c.step),
-            c.per_msg_us,
-            arms.join(", "),
-            c.seed,
-            sims.join(",\n    "),
-            self.sharding_bit_identical,
-            wcs.join(",\n    "),
-            json_f64(self.wc_speedup_max_over_serial),
-        )
+        let sim = |a: &SimArm| {
+            bench_doc! { "server_threads": a.server_threads, "absorb_batch": a.absorb_batch }
+                .report(&a.report, &SIM_ARM_FIELDS)
+        };
+        let wc = |(arm, t): (&(usize, usize), &WallClockArm)| {
+            t.doc(bench_doc! { "arm": arm_label(arm) }, &WC_FIELDS)
+        };
+        let dataset = format!(
+            "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda {:.6}",
+            c.rows, c.cols, c.nnz_per_row, c.lambda
+        );
+        bench_doc! {
+            "benchmark": "server_scaling",
+            "description": DESCRIPTION,
+            "config": bench_doc! {
+                "workers": c.workers,
+                "dataset": dataset,
+                "updates": c.updates,
+                "wc_updates": c.wc_updates,
+                "batch_fraction": c.batch_fraction,
+                "step": c.step,
+                "per_msg_us": c.per_msg_us,
+                "arms": Value::inline(c.arms.iter().map(arm_label)),
+                "seed": c.seed,
+            },
+            "sim_arms": Value::block(self.sim.iter().map(sim)),
+            "sharding_bit_identical_to_serial": self.sharding_bit_identical,
+            "wc_threaded_arms": Value::block(c.arms.iter().zip(&self.wc).map(wc)),
+            "wc_steps_per_sec_speedup_max_arm_over_serial": self.wc_speedup_max_over_serial,
+        }
     }
 }
 
@@ -349,26 +265,16 @@ mod tests {
 
     #[test]
     fn modeled_numbers_are_deterministic() {
-        let a = run_server_scaling(small_cfg());
-        let b = run_server_scaling(small_cfg());
-        let strip = |j: &str| -> String {
-            j.lines()
-                .filter(|l| !l.contains("\"wc_"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&a.to_json()), strip(&b.to_json()));
-        let j = a.to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
+        let run = || run_server_scaling(small_cfg()).doc();
+        let probes = ["sim_arms.3.absorb_batch", "wc_threaded_arms.3.wc_updates"];
+        crate::doc::oracle::check(run, "server_scaling", &probes);
     }
 
     #[test]
     fn threaded_arms_complete_their_budget() {
         let s = run_server_scaling(small_cfg());
-        for a in &s.wc {
-            assert_eq!(a.updates, 48, "{}x{}", a.server_threads, a.absorb_batch);
+        for (arm, a) in s.cfg.arms.iter().zip(&s.wc) {
+            assert_eq!(a.report.updates, 48, "{}", arm_label(arm));
             assert!(a.steps_per_sec > 0.0);
         }
     }

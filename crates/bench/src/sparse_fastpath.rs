@@ -26,7 +26,8 @@ use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
 use async_optim::{Asgd, AsyncMsgd, AsyncSolver, Objective, RunReport, SolverCfg};
 
-use crate::json_f64;
+use crate::doc::{bench_doc, BenchDoc, ReportField};
+use crate::workload::{modeled_cluster, LabeledRun};
 
 /// Configuration of the sparse-fast-path benchmark.
 #[derive(Debug, Clone)]
@@ -73,28 +74,19 @@ impl Default for SparseFastpathCfg {
     }
 }
 
-/// One run's measurements plus its label.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// "dense", "sparse", "msgd_asp" or "msgd_ssp".
-    pub label: &'static str,
-    /// Full run report.
-    pub report: RunReport,
-}
-
 /// The benchmark outcome: the four runs plus the headline ratios.
 #[derive(Debug, Clone)]
 pub struct SparseFastpath {
     /// The configuration measured.
     pub cfg: SparseFastpathCfg,
     /// ASGD on dense storage (no straggler).
-    pub dense: RunResult,
+    pub dense: LabeledRun,
     /// ASGD on CSR storage, same logical data (no straggler).
-    pub sparse: RunResult,
+    pub sparse: LabeledRun,
     /// AsyncMsgd under ASP on CSR storage, one straggler.
-    pub msgd_asp: RunResult,
+    pub msgd_asp: LabeledRun,
     /// AsyncMsgd under SSP(2) on CSR storage, one straggler.
-    pub msgd_ssp: RunResult,
+    pub msgd_ssp: LabeledRun,
     /// `dense.grad_entries / sparse.grad_entries` — kernel-work ratio.
     pub entries_ratio: f64,
     /// `dense.result_bytes / sparse.result_bytes` — result-wire ratio.
@@ -108,33 +100,15 @@ pub struct SparseFastpath {
 /// The ±1-labelled logistic problem in both storages (labels from the
 /// planted linear model, shared between the two datasets).
 fn paired_datasets(cfg: &SparseFastpathCfg) -> (Dataset, Dataset) {
-    let (base, w_star) =
-        SynthSpec::sparse("fastpath", cfg.rows, cfg.cols, cfg.nnz_per_row, cfg.seed)
-            .generate()
-            .expect("synthetic generation");
-    let labels: Vec<f64> = (0..base.rows())
-        .map(|i| {
-            if base.features().row_dot(i, &w_star) >= 0.0 {
-                1.0
-            } else {
-                -1.0
-            }
-        })
-        .collect();
-    let sparse = Dataset::new("fastpath-pm1", base.features().clone(), labels).expect("relabel");
+    let (sparse, _) = SynthSpec::sparse("fastpath", cfg.rows, cfg.cols, cfg.nnz_per_row, cfg.seed)
+        .generate_classification()
+        .expect("synthetic generation");
     let dense = sparse.densified();
     (sparse, dense)
 }
 
 fn ctx(cfg: &SparseFastpathCfg, delay: DelayModel) -> AsyncContext {
-    AsyncContext::sim(
-        ClusterSpec::homogeneous(cfg.workers, delay)
-            .with_comm(CommModel {
-                per_msg: VDur::from_micros(cfg.per_msg_us),
-                ns_per_byte: 1.0,
-            })
-            .with_sched_overhead(VDur::from_micros(cfg.per_msg_us / 2)),
-    )
+    AsyncContext::sim(modeled_cluster(cfg.workers, delay, cfg.per_msg_us, 1.0))
 }
 
 fn solver_cfg(cfg: &SparseFastpathCfg, barrier: BarrierFilter) -> SolverCfg {
@@ -163,7 +137,7 @@ pub fn run_sparse_fastpath(cfg: SparseFastpathCfg) -> SparseFastpath {
             t0.elapsed(),
             report.grad_entries
         );
-        RunResult { label, report }
+        LabeledRun { label, report }
     };
 
     let dense = timed("dense", &mut || {
@@ -213,6 +187,9 @@ pub fn run_sparse_fastpath(cfg: SparseFastpathCfg) -> SparseFastpath {
     let msgd_asp_speedup = msgd_ssp.report.wall_clock.as_micros() as f64
         / msgd_asp.report.wall_clock.as_micros().max(1) as f64;
 
+    eprintln!(
+        "sparse_fastpath: {entries_ratio:.1}x less gradient work, {result_bytes_ratio:.1}x smaller results, {wall_clock_speedup:.2}x modeled speedup; msgd ASP {msgd_asp_speedup:.2}x over SSP",
+    );
     SparseFastpath {
         cfg,
         dense,
@@ -226,58 +203,54 @@ pub fn run_sparse_fastpath(cfg: SparseFastpathCfg) -> SparseFastpath {
     }
 }
 
-fn run_json(r: &RunResult, indent: &str) -> String {
-    let rep = &r.report;
-    let clocks: Vec<String> = rep.worker_clocks.iter().map(|c| c.to_string()).collect();
-    let trace: Vec<String> = rep
-        .trace
-        .points()
-        .iter()
-        .map(|&(t, e)| format!("[{}, {}]", json_f64(t.as_millis_f64()), json_f64(e)))
-        .collect();
-    format!(
-        "{{\n{i}  \"run\": \"{}\",\n{i}  \"wall_clock_ms\": {},\n{i}  \"updates\": {},\n{i}  \"tasks_completed\": {},\n{i}  \"max_staleness\": {},\n{i}  \"grad_entries\": {},\n{i}  \"result_bytes\": {},\n{i}  \"bytes_shipped\": {},\n{i}  \"final_objective\": {},\n{i}  \"worker_clocks\": [{}],\n{i}  \"trace_ms_objective\": [{}]\n{i}}}",
-        r.label,
-        json_f64(rep.wall_clock.as_millis_f64()),
-        rep.updates,
-        rep.tasks_completed,
-        rep.max_staleness,
-        rep.grad_entries,
-        rep.result_bytes,
-        rep.bytes_shipped,
-        json_f64(rep.final_objective),
-        clocks.join(", "),
-        trace.join(", "),
-        i = indent,
-    )
-}
+const DESCRIPTION: &str = "CSR vs dense gradient path on one logical high-dim/low-nnz logistic workload (ASGD), plus AsyncMsgd staleness-adaptive momentum under ASP vs SSP with one controlled-delay straggler";
+
+const RUN_FIELDS: [ReportField; 10] = [
+    ReportField::WallClockMs,
+    ReportField::Updates,
+    ReportField::TasksCompleted,
+    ReportField::MaxStaleness,
+    ReportField::GradEntries,
+    ReportField::ResultBytes,
+    ReportField::BytesShipped,
+    ReportField::FinalObjective,
+    ReportField::WorkerClocks,
+    ReportField::TraceMsObjective,
+];
 
 impl SparseFastpath {
-    /// Renders the benchmark as a stable, human-diffable JSON document.
-    pub fn to_json(&self) -> String {
+    /// The `BENCH_sparse_fastpath.json` document; every byte is
+    /// deterministic.
+    pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
-        format!(
-            "{{\n  \"benchmark\": \"sparse_fastpath\",\n  \"description\": \"CSR vs dense gradient path on one logical high-dim/low-nnz logistic workload (ASGD), plus AsyncMsgd staleness-adaptive momentum under ASP vs SSP with one controlled-delay straggler\",\n  \"config\": {{\n    \"workers\": {},\n    \"dataset\": \"sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels\",\n    \"updates\": {},\n    \"batch_fraction\": {},\n    \"step\": {},\n    \"momentum\": {},\n    \"straggler_intensity\": {},\n    \"per_msg_us\": {},\n    \"seed\": {}\n  }},\n  \"dense\": {},\n  \"sparse\": {},\n  \"msgd_asp\": {},\n  \"msgd_ssp\": {},\n  \"grad_entries_ratio_dense_over_sparse\": {},\n  \"result_bytes_ratio_dense_over_sparse\": {},\n  \"wall_clock_speedup_sparse_over_dense\": {},\n  \"wall_clock_speedup_msgd_asp_over_ssp\": {}\n}}\n",
-            c.workers,
-            c.rows,
-            c.cols,
-            c.nnz_per_row,
-            c.updates,
-            json_f64(c.batch_fraction),
-            json_f64(c.step),
-            json_f64(c.momentum),
-            json_f64(c.intensity),
-            c.per_msg_us,
-            c.seed,
-            run_json(&self.dense, "  "),
-            run_json(&self.sparse, "  "),
-            run_json(&self.msgd_asp, "  "),
-            run_json(&self.msgd_ssp, "  "),
-            json_f64(self.entries_ratio),
-            json_f64(self.result_bytes_ratio),
-            json_f64(self.wall_clock_speedup),
-            json_f64(self.msgd_asp_speedup),
-        )
+        let run = |r: &LabeledRun| r.doc("run", &RUN_FIELDS);
+        let dataset = format!(
+            "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels",
+            c.rows, c.cols, c.nnz_per_row
+        );
+        bench_doc! {
+            "benchmark": "sparse_fastpath",
+            "description": DESCRIPTION,
+            "config": bench_doc! {
+                "workers": c.workers,
+                "dataset": dataset,
+                "updates": c.updates,
+                "batch_fraction": c.batch_fraction,
+                "step": c.step,
+                "momentum": c.momentum,
+                "straggler_intensity": c.intensity,
+                "per_msg_us": c.per_msg_us,
+                "seed": c.seed,
+            },
+            "dense": run(&self.dense),
+            "sparse": run(&self.sparse),
+            "msgd_asp": run(&self.msgd_asp),
+            "msgd_ssp": run(&self.msgd_ssp),
+            "grad_entries_ratio_dense_over_sparse": self.entries_ratio,
+            "result_bytes_ratio_dense_over_sparse": self.result_bytes_ratio,
+            "wall_clock_speedup_sparse_over_dense": self.wall_clock_speedup,
+            "wall_clock_speedup_msgd_asp_over_ssp": self.msgd_asp_speedup,
+        }
     }
 }
 
@@ -343,13 +316,7 @@ mod tests {
 
     #[test]
     fn fastpath_json_is_deterministic_and_well_formed() {
-        let a = run_sparse_fastpath(small_cfg());
-        let b = run_sparse_fastpath(small_cfg());
-        assert_eq!(a.to_json(), b.to_json());
-        let j = a.to_json();
-        assert!(j.contains("\"benchmark\": \"sparse_fastpath\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
+        let run = || run_sparse_fastpath(small_cfg()).doc();
+        crate::doc::oracle::check(run, "sparse_fastpath", &["dense", "msgd_ssp"]);
     }
 }

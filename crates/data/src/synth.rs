@@ -80,12 +80,6 @@ impl SynthSpec {
         Self::dense("epsilon-like", scaled(400_000, scale), 2_000, seed)
     }
 
-    /// Generates the dataset along with the planted model `w*`.
-    ///
-    /// Features: dense entries are `N(0,1)`-ish (via the sum-of-uniforms
-    /// approximation, adequate for benchmarks and cheap); sparse rows draw a
-    /// Poisson-ish nonzero count around `nnz_per_row` with distinct sorted
-    /// column indices. Labels: `y = x·w* + ε`.
     /// Like [`SynthSpec::generate`], but relabels into ±1 classes by the
     /// sign of the planted model's margin `x·w*` — the shape of the
     /// paper's logistic-regression workload. The dataset name gains a
@@ -109,6 +103,12 @@ impl SynthSpec {
         Ok((d, w_star))
     }
 
+    /// Generates the dataset along with the planted model `w*`.
+    ///
+    /// Features: dense entries are `N(0,1)`-ish (via the sum-of-uniforms
+    /// approximation, adequate for benchmarks and cheap); sparse rows draw a
+    /// Poisson-ish nonzero count around `nnz_per_row` with distinct sorted
+    /// column indices. Labels: `y = x·w* + ε`.
     pub fn generate(&self) -> Result<(Dataset, Vec<f64>)> {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let w_star: Vec<f64> = (0..self.cols)

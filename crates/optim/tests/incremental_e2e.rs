@@ -15,19 +15,10 @@ use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
 use proptest::prelude::*;
 
 fn sparse_dataset(seed: u64) -> Dataset {
-    let (base, w_star) = SynthSpec::sparse("incr-e2e", 240, 3_000, 16, seed)
-        .generate()
-        .expect("synthetic generation");
-    let labels: Vec<f64> = (0..base.rows())
-        .map(|i| {
-            if base.features().row_dot(i, &w_star) >= 0.0 {
-                1.0
-            } else {
-                -1.0
-            }
-        })
-        .collect();
-    Dataset::new("incr-e2e-pm1", base.features().clone(), labels).expect("relabel")
+    SynthSpec::sparse("incr-e2e", 240, 3_000, 16, seed)
+        .generate_classification()
+        .expect("synthetic generation")
+        .0
 }
 
 fn ctx(workers: usize, delay: DelayModel) -> AsyncContext {

@@ -57,7 +57,6 @@ pub struct EngineBuilder {
     worker_args: Vec<String>,
     loopback: Option<Arc<dyn Fn() -> RoutineRegistry + Send + Sync>>,
     handshake_timeout: Option<Duration>,
-    poll_interval: Option<Duration>,
     heartbeat: Option<Duration>,
     liveness: Option<Duration>,
     task_deadline: Option<Duration>,
@@ -79,7 +78,6 @@ impl EngineBuilder {
             worker_args: Vec::new(),
             loopback: None,
             handshake_timeout: None,
-            poll_interval: None,
             heartbeat: None,
             liveness: None,
             task_deadline: None,
@@ -164,13 +162,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Cap on each deadline-aware wait in the remote result pump (default
-    /// 500 µs); only applies while a timer is armed.
-    pub fn poll_interval(mut self, d: Duration) -> Self {
-        self.poll_interval = Some(d);
-        self
-    }
-
     /// Remote worker heartbeat period (default: no heartbeats).
     pub fn heartbeat(mut self, period: Duration) -> Self {
         self.heartbeat = Some(period);
@@ -231,7 +222,6 @@ impl EngineBuilder {
                     addr: self.addr,
                     launcher,
                     handshake_timeout: self.handshake_timeout.unwrap_or(defaults.handshake_timeout),
-                    poll_interval: self.poll_interval.unwrap_or(defaults.poll_interval),
                     heartbeat: self.heartbeat,
                     liveness: self.liveness,
                     task_deadline: self.task_deadline,

@@ -93,7 +93,11 @@ use crate::worker::WorkerCtx;
 /// Default for [`RemoteConfig::handshake_timeout`].
 const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Default for [`RemoteConfig::poll_interval`].
+/// Upper bound on how long the result pump blocks per wait *while a timer
+/// is armed* (scheduled chaos, liveness, or task deadlines): it waits
+/// until the earliest deadline, capped by this, the historical poll
+/// cadence. With no timers armed it parks on a blocking receive and burns
+/// no cycles.
 const DEFAULT_POLL_INTERVAL: Duration = Duration::from_micros(500);
 
 /// How a [`RemoteEngine`] starts worker incarnations.
@@ -129,12 +133,6 @@ pub struct RemoteConfig {
     /// How long to wait for a freshly spawned worker process to connect
     /// and greet before declaring the spawn failed (default 10 s).
     pub handshake_timeout: Duration,
-    /// Upper bound on how long the result pump blocks per wait *while a
-    /// timer is armed* (scheduled chaos, liveness, or task deadlines).
-    /// The pump waits exactly until the earliest deadline, capped by this
-    /// (default 500 µs, the historical poll cadence); with no timers armed
-    /// it parks on a blocking receive and burns no cycles.
-    pub poll_interval: Duration,
     /// Worker heartbeat period. `None` (default) disables heartbeats.
     pub heartbeat: Option<Duration>,
     /// Liveness deadline: a worker whose frames (beats or completions)
@@ -159,7 +157,6 @@ impl RemoteConfig {
             addr: "127.0.0.1:0".to_string(),
             launcher,
             handshake_timeout: DEFAULT_HANDSHAKE_TIMEOUT,
-            poll_interval: DEFAULT_POLL_INTERVAL,
             heartbeat: None,
             liveness: None,
             task_deadline: None,
@@ -257,7 +254,6 @@ pub struct RemoteEngine {
     local_addr: String,
     launcher: WorkerLauncher,
     handshake_timeout: Duration,
-    poll_interval: Duration,
     heartbeat: Option<Duration>,
     liveness: Option<Duration>,
     task_deadline: Option<Duration>,
@@ -328,7 +324,6 @@ impl RemoteEngine {
             local_addr,
             launcher: cfg.launcher,
             handshake_timeout: cfg.handshake_timeout,
-            poll_interval: cfg.poll_interval.max(Duration::from_micros(1)),
             heartbeat: cfg.heartbeat,
             liveness: cfg.liveness,
             task_deadline: cfg.task_deadline,
@@ -610,14 +605,14 @@ impl RemoteEngine {
 
     /// One deadline-aware wait on the result channel: parks indefinitely
     /// when no timer is armed, otherwise until the earliest deadline
-    /// (capped by `poll_interval`, the historical cadence).
+    /// (capped by [`DEFAULT_POLL_INTERVAL`]).
     fn wait_event(&self) -> Result<WireEvent, RecvTimeoutError> {
         match self.wait_horizon() {
             None => self
                 .results_rx
                 .recv()
                 .map_err(|_| RecvTimeoutError::Disconnected),
-            Some(d) => self.results_rx.recv_timeout(d.min(self.poll_interval)),
+            Some(d) => self.results_rx.recv_timeout(d.min(DEFAULT_POLL_INTERVAL)),
         }
     }
 

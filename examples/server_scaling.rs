@@ -27,19 +27,9 @@ use std::time::Instant;
 use async_engine::prelude::*;
 
 fn main() {
-    let (base, w_star) = SynthSpec::sparse("server-demo", 1_024, 65_536, 16, 3)
-        .generate()
+    let (dataset, _) = SynthSpec::sparse("server-demo", 1_024, 65_536, 16, 3)
+        .generate_classification()
         .unwrap();
-    let labels: Vec<f64> = (0..base.rows())
-        .map(|i| {
-            if base.features().row_dot(i, &w_star) >= 0.0 {
-                1.0
-            } else {
-                -1.0
-            }
-        })
-        .collect();
-    let dataset = Dataset::new("server-demo-pm1", base.features().clone(), labels).unwrap();
     let objective = Objective::Logistic { lambda: 1e-3 };
 
     println!("sharded-server sweep: 1024x65536 sparse logistic, 4 workers, 300 updates/arm");
