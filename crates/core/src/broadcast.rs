@@ -49,10 +49,14 @@
 //! * **In process**, quantized patches: the worker's model legitimately
 //!   differs from the target, so it keeps a private copy and moves each
 //!   changed coordinate by the dequantized difference.
-//! * **Remote** workers hold their own memory: the driver plans against a
-//!   cache mirror ([`HistoryHandle::wire_plan`], which is also the only
-//!   place patch values are gathered) and the worker replays
+//! * **Remote** workers hold their own memory: the driver runs the same
+//!   resolve against a cache mirror ([`HistoryHandle::wire_plan`], which is
+//!   also the only place patch values are gathered) and the worker replays
 //!   [`WirePlan::Patch`] / [`WirePlan::QPatch`] with [`WirePlan::apply`].
+//!
+//! Both are views of one private decision (`HistoryHandle::resolve`), so
+//! what the simulator charges and what the remote engine ships cannot
+//! drift apart.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -833,12 +837,21 @@ impl<T: Payload + Send + Sync + 'static> HistoryHandle<T> {
     /// Panics if `version` was pruned, which means the caller failed to
     /// keep it referenced through [`AsyncBcast::record_use`].
     pub fn value_at(&self, ctx: &mut WorkerCtx, version: u64) -> Arc<T> {
+        self.fetch_at(ctx, version).0
+    }
+
+    /// The plain resolve under [`HistoryHandle::value_at`] and
+    /// [`HistoryHandle::wire_plan_at`]: `version` from `ctx`'s cache, else a
+    /// charged fetch from the server store. Also says whether the cache
+    /// already held it.
+    fn fetch_at(&self, ctx: &mut WorkerCtx, version: u64) -> (Arc<T>, bool) {
         // Honour the server's watermark: cached versions below it can never
         // be requested again.
         ctx.cache_evict_below(self.bcast_id, self.min_live);
         let key = (self.bcast_id, version);
         if let Some(any) = ctx.cache_get(key) {
-            return any.downcast::<T>().expect("history cache type mismatch");
+            let value = any.downcast::<T>().expect("history cache type mismatch");
+            return (value, true);
         }
         let (value, bytes) = {
             let t = self.table.read();
@@ -856,7 +869,7 @@ impl<T: Payload + Send + Sync + 'static> HistoryHandle<T> {
             value.clone() as Arc<dyn std::any::Any + Send + Sync>,
             bytes,
         );
-        value
+        (value, false)
     }
 }
 
@@ -880,38 +893,26 @@ fn exact_patch_wire_len(entries: usize, index_bytes: usize) -> u64 {
     sparse_wire_len(Quant::Exact, &[]) + (index_bytes + Quant::Exact.value_bytes() * entries) as u64
 }
 
-/// Quantize-dequantize one patch diff `d` against `scale` (callers never
-/// pass `Quant::Exact`).
-#[inline]
-fn quantize_diff(d: f64, scale: f64, quant: Quant) -> f64 {
-    match quant {
-        Quant::I8 => compress::dequantize_i8(compress::quantize_i8(d, scale), scale),
-        Quant::F16 => compress::dequantize_f16(compress::quantize_f16(d, scale), scale),
-        Quant::Exact => d,
-    }
-}
-
 /// Removes the cached model `version` — the base a patch supersedes — from
-/// `ctx`.
-///
-/// # Panics
-/// Panics if `version` is not cached: patches are only planned against a
-/// base the worker (or its driver-side mirror) holds.
-fn remove_cached_model(ctx: &mut WorkerCtx, bcast_id: u64, version: u64) -> Arc<Vec<f64>> {
-    ctx.cache_remove((bcast_id, version))
-        .unwrap_or_else(|| panic!("patch base version {version} is not cached on the worker"))
+/// `ctx`; `None` when the cache holds no model there.
+fn remove_cached_model(ctx: &mut WorkerCtx, bcast_id: u64, version: u64) -> Option<Arc<Vec<f64>>> {
+    ctx.cache_remove((bcast_id, version))?
         .downcast::<Vec<f64>>()
-        .expect("history cache type mismatch")
+        .ok()
 }
 
 /// Takes the cached model `version` out of `ctx` as a private vector to
 /// patch forward — in place when the cache was its only owner, else via one
 /// copy. For the paths whose result is not a server snapshot: quantized
 /// patches and a remote worker's [`WirePlan::apply`].
-fn take_cached_model(ctx: &mut WorkerCtx, bcast_id: u64, version: u64) -> Vec<f64> {
-    Arc::try_unwrap(remove_cached_model(ctx, bcast_id, version))
-        .unwrap_or_else(|shared| shared.as_ref().clone())
+fn take_cached_model(ctx: &mut WorkerCtx, bcast_id: u64, version: u64) -> Option<Vec<f64>> {
+    let model = remove_cached_model(ctx, bcast_id, version)?;
+    Some(Arc::try_unwrap(model).unwrap_or_else(|shared| shared.as_ref().clone()))
 }
+
+/// Why an in-process resolve may `expect` its patch base: the base is the
+/// newest version it just found in the very cache it removes it from.
+const BASE_IS_CACHED: &str = "the patch base was just found in this cache";
 
 impl HistoryHandle<Vec<f64>> {
     /// Sizes the patch that takes a worker caching `base_version` to this
@@ -958,7 +959,7 @@ impl HistoryHandle<Vec<f64>> {
     /// when this was its last owner, its buffer goes back to the server's
     /// free pool now, keeping a steady-state `push_snapshot` a `memcpy`.
     fn release_base(&self, ctx: &mut WorkerCtx, base_version: u64) {
-        let base = remove_cached_model(ctx, self.bcast_id, base_version);
+        let base = remove_cached_model(ctx, self.bcast_id, base_version).expect(BASE_IS_CACHED);
         // Checked first so a still-shared base costs no table lock.
         if Arc::strong_count(&base) == 1 {
             self.table.write().reclaim(base);
@@ -991,229 +992,207 @@ impl HistoryHandle<Vec<f64>> {
     /// ring, a spanned version has an unknown support, no cached base
     /// exists, or the patch would not be smaller.
     pub fn value_incremental(&self, ctx: &mut WorkerCtx) -> Arc<Vec<f64>> {
-        if self.table.read().ring_capacity == 0 {
-            // Ring disabled: behave exactly like `value`, watermark
-            // eviction included.
-            return self.value(ctx);
-        }
-        let version = self.version;
-        // Unlike the watermark eviction of `value_at`, the worker keeps its
-        // *newest* cached model even when the server pruned that version —
-        // patching reads only the gap's supports (in the ring) and the
-        // target's values, never the server-side base. Everything older is
-        // evicted, bounding the cache at one model per broadcast.
-        if let Some(newest) = ctx.cache_newest_version(self.bcast_id) {
-            ctx.cache_evict_below(self.bcast_id, newest);
-        }
-        let key = (self.bcast_id, version);
-        if let Some(any) = ctx.cache_get(key) {
-            return any
-                .downcast::<Vec<f64>>()
-                .expect("history cache type mismatch");
-        }
-        // A usable base is the worker's newest cached version *below* the
-        // requested one (per-worker versions are nondecreasing, so this is
-        // the common steady-state shape).
-        let base_version = match ctx.cache_newest_version(self.bcast_id) {
-            Some(v) if v < version => v,
-            _ => return self.value_at(ctx, version),
-        };
-        // The scratch is checked out of a pool (not locked for the whole
-        // assembly), so concurrent fetches on other workers proceed.
-        let mut scratch = self.patch_scratch.checkout();
-        let Some((patch_bytes, patch_quant, target)) =
-            self.assemble_patch(base_version, &mut scratch, false)
-        else {
-            self.patch_scratch.give_back(scratch);
-            return self.value_at(ctx, version);
-        };
-        let value = if patch_quant == Quant::Exact {
-            // Scatter-assigning the target's values onto the base would
-            // yield the target: share the server's snapshot instead.
-            self.release_base(ctx, base_version);
-            target
-        } else {
-            // Quantized patch: each changed coordinate moves by the
-            // dequantized code of its target−base difference, against a
-            // per-patch scale of the largest such difference — exactly
-            // the value a remote worker reconstructs from the shipped
-            // codes (`WirePlan::QPatch`).
-            let mut w = take_cached_model(ctx, self.bcast_id, base_version);
-            let mut scale = 0.0f64;
-            for &i in &scratch.union {
-                scale = scale.max((target[i as usize] - w[i as usize]).abs());
-            }
-            for &i in &scratch.union {
-                let wi = &mut w[i as usize];
-                *wi += quantize_diff(target[i as usize] - *wi, scale, patch_quant);
-            }
-            Arc::new(w)
-        };
-        self.patch_scratch.give_back(scratch);
-        self.count_patch(patch_bytes, patch_quant != Quant::Exact);
-        ctx.cache_put_fetched(
-            key,
-            value.clone() as Arc<dyn std::any::Any + Send + Sync>,
-            patch_bytes,
-        );
-        value
+        self.resolve(ctx, false).0
     }
 
     /// Plans how to materialize this handle's version on a **networked**
-    /// worker whose cache the driver tracks through `mirror`: the exact
-    /// decision [`HistoryHandle::value_incremental`] would take on that
-    /// worker, reified as a shippable [`WirePlan`] instead of executed in
-    /// process. The mirror receives the same cache bookkeeping (watermark
-    /// evictions, fetched-entry insertions, byte charges) a real resolution
-    /// performs, and the broadcast's traffic counters advance identically —
-    /// so a remote run reports the same fetch/patch statistics as the
-    /// simulator, and the next plan for the same worker sees the cache
-    /// state this one left behind. The worker applies the plan with
-    /// [`WirePlan::apply`], which reproduces the resolved value bit-exactly.
+    /// worker whose cache the driver tracks through `mirror`: runs the very
+    /// resolve [`HistoryHandle::value_incremental`] runs, against the
+    /// mirror, and ships what it did as a [`WirePlan`]. The mirror thereby
+    /// receives the cache bookkeeping (evictions, fetched-entry insertions,
+    /// byte charges) of a real resolution and the broadcast's traffic
+    /// counters advance identically — so a remote run reports the same
+    /// fetch/patch statistics as the simulator, and the next plan for the
+    /// same worker sees the cache state this one left behind. The worker
+    /// applies the plan with [`WirePlan::apply`], which reproduces the
+    /// resolved value bit-exactly.
     pub fn wire_plan(&self, mirror: &mut WorkerCtx) -> WirePlan {
-        if self.table.read().ring_capacity == 0 {
-            return self.wire_plan_at(mirror, self.version);
-        }
-        let version = self.version;
-        // Keep the newest cached model, evict everything older — the same
-        // bound `value_incremental` enforces. The plan carries the
-        // watermark so the worker's cache evicts in lockstep.
-        let evict_below = match mirror.cache_newest_version(self.bcast_id) {
-            Some(newest) => {
-                mirror.cache_evict_below(self.bcast_id, newest);
-                newest
-            }
-            None => 0,
-        };
-        let key = (self.bcast_id, version);
-        if mirror.cache_get(key).is_some() {
-            return WirePlan::Cached {
-                version,
-                evict_below,
-            };
-        }
-        let base_version = match mirror.cache_newest_version(self.bcast_id) {
-            Some(v) if v < version => v,
-            _ => return self.wire_plan_at(mirror, version),
-        };
-        let mut scratch = self.patch_scratch.checkout();
-        let Some((patch_bytes, patch_quant, target)) =
-            self.assemble_patch(base_version, &mut scratch, true)
-        else {
-            self.patch_scratch.give_back(scratch);
-            return self.wire_plan_at(mirror, version);
-        };
-        // The plan owns its index and value vectors: the only two
-        // allocations of an exact plan.
-        let indices = scratch.union.clone();
-        self.patch_scratch.give_back(scratch);
-        self.count_patch(patch_bytes, patch_quant != Quant::Exact);
-        if patch_quant == Quant::Exact {
-            // The patched result *is* the target version: mirror it directly
-            // instead of re-running the scatter driver-side.
-            self.release_base(mirror, base_version);
-            let values = indices.iter().map(|&i| target[i as usize]).collect();
-            let patch = SparseVec::new(indices, values, target.len())
-                .expect("a union of ring supports is sorted and within the model");
-            mirror.cache_put_fetched(
-                key,
-                target as Arc<dyn std::any::Any + Send + Sync>,
-                patch_bytes,
-            );
-            return WirePlan::Patch {
-                base: base_version,
-                version,
-                patch,
-                evict_below,
-            };
-        }
-        // Quantized patch: codes are computed against the *mirror's* cached
-        // base (which carries the worker's accumulated quantization error,
-        // not the exact history), so the worker's dequantized apply lands on
-        // exactly the vector cached here — driver and worker stay bitwise in
-        // lockstep even though neither holds the exact target.
-        let mut w = take_cached_model(mirror, self.bcast_id, base_version);
-        let diffs = indices.iter().map(|&i| target[i as usize] - w[i as usize]);
-        let scale = diffs.clone().fold(0.0f64, |m, d| m.max(d.abs()));
-        let dim = w.len();
-        let delta = match patch_quant {
-            Quant::I8 => CompressedDelta::I8 {
-                dim,
-                scale,
-                codes: diffs.map(|d| compress::quantize_i8(d, scale)).collect(),
-                indices,
-            },
-            Quant::F16 => CompressedDelta::F16 {
-                dim,
-                scale,
-                codes: diffs.map(|d| compress::quantize_f16(d, scale)).collect(),
-                indices,
-            },
-            Quant::Exact => unreachable!("exact patches returned above"),
-        };
-        delta.add_into(&mut w);
-        mirror.cache_put_fetched(
-            key,
-            Arc::new(w) as Arc<dyn std::any::Any + Send + Sync>,
-            patch_bytes,
-        );
-        WirePlan::QPatch {
-            base: base_version,
-            version,
-            delta,
-            evict_below,
-        }
+        self.resolve(mirror, true).1
     }
 
     /// Plans the materialization of an arbitrary historical `version` on a
-    /// networked worker — the wire form of [`HistoryHandle::value_at`],
-    /// with the same mirror bookkeeping contract as
+    /// networked worker — [`HistoryHandle::value_at`] run against the
+    /// mirror, with the same bookkeeping contract as
     /// [`HistoryHandle::wire_plan`].
     ///
     /// # Panics
     /// Panics if `version` was pruned (see [`HistoryHandle::value_at`]).
     pub fn wire_plan_at(&self, mirror: &mut WorkerCtx, version: u64) -> WirePlan {
-        mirror.cache_evict_below(self.bcast_id, self.min_live);
-        let key = (self.bcast_id, version);
-        if mirror.cache_get(key).is_some() {
-            return WirePlan::Cached {
+        self.fetch_plan_at(mirror, version).1
+    }
+
+    /// [`HistoryHandle::fetch_at`], reported as the plan that repeats it on
+    /// a networked worker: a hit is `Cached`, a fetch ships the `Snapshot`.
+    fn fetch_plan_at(&self, ctx: &mut WorkerCtx, version: u64) -> (Arc<Vec<f64>>, WirePlan) {
+        let (value, hit) = self.fetch_at(ctx, version);
+        let evict_below = self.min_live;
+        let plan = if hit {
+            WirePlan::Cached {
                 version,
-                evict_below: self.min_live,
-            };
-        }
-        let (value, bytes) = {
-            let t = self.table.read();
-            let entry = t.versions[t.idx(version)]
-                .as_ref()
-                .unwrap_or_else(|| panic!("history version {version} was pruned while in use"));
-            (Arc::clone(&entry.value), entry.bytes)
+                evict_below,
+            }
+        } else {
+            WirePlan::Snapshot {
+                version,
+                values: Arc::clone(&value),
+                evict_below,
+            }
         };
-        self.counters.fetches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .fetched_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-        mirror.cache_put_fetched(
-            key,
-            value.clone() as Arc<dyn std::any::Any + Send + Sync>,
-            bytes,
-        );
-        WirePlan::Snapshot {
-            version,
-            values: value,
-            evict_below: self.min_live,
+        (value, plan)
+    }
+
+    /// The one resolve decision under [`HistoryHandle::value_incremental`]
+    /// (`ctx` is the worker's cache) and [`HistoryHandle::wire_plan`] (`ctx`
+    /// is the driver's mirror of it, `wire` set): brings `ctx` to this
+    /// handle's version the cheapest way the ring allows, and reports what
+    /// it did as the plan that repeats it on a networked worker. Only a
+    /// `wire` resolve fills in the payload of the patch it charged for; in
+    /// process a patch plan stays hollow, and an exact patch — merely sized
+    /// — allocates nothing.
+    fn resolve(&self, ctx: &mut WorkerCtx, wire: bool) -> (Arc<Vec<f64>>, WirePlan) {
+        let version = self.version;
+        if self.table.read().ring_capacity == 0 {
+            // Ring disabled: the plain fetch, watermark eviction included.
+            return self.fetch_plan_at(ctx, version);
         }
+        // Unlike the watermark eviction of `value_at`, the worker keeps its
+        // *newest* cached model even when the server pruned that version —
+        // patching reads only the gap's supports (in the ring) and the
+        // target's values, never the server-side base. Everything older is
+        // evicted, bounding the cache at one model per broadcast; a plan
+        // carries the watermark so the worker's cache evicts in lockstep.
+        let newest = ctx.cache_newest_version(self.bcast_id);
+        if let Some(newest) = newest {
+            ctx.cache_evict_below(self.bcast_id, newest);
+        }
+        let evict_below = newest.unwrap_or(0);
+        let key = (self.bcast_id, version);
+        if let Some(any) = ctx.cache_get(key) {
+            let value = any
+                .downcast::<Vec<f64>>()
+                .expect("history cache type mismatch");
+            let plan = WirePlan::Cached {
+                version,
+                evict_below,
+            };
+            return (value, plan);
+        }
+        // A usable base is the worker's newest cached version *below* the
+        // requested one (per-worker versions are nondecreasing, so this is
+        // the common steady-state shape).
+        let base = match newest {
+            Some(v) if v < version => v,
+            _ => return self.fetch_plan_at(ctx, version),
+        };
+        // The scratch is checked out of a pool (not locked for the whole
+        // assembly), so concurrent fetches on other workers proceed.
+        let mut scratch = self.patch_scratch.checkout();
+        let Some((patch_bytes, quant, target)) = self.assemble_patch(base, &mut scratch, wire)
+        else {
+            self.patch_scratch.give_back(scratch);
+            return self.fetch_plan_at(ctx, version);
+        };
+        // A shipped plan owns its index and value (or code) vectors: the
+        // only allocations of an exact one.
+        let indices = if wire {
+            scratch.union.clone()
+        } else {
+            Vec::new()
+        };
+        let (value, plan) = if quant == Quant::Exact {
+            // Scatter-assigning the target's values onto the base would
+            // yield the target: share the server's snapshot instead.
+            self.release_base(ctx, base);
+            let values = indices.iter().map(|&i| target[i as usize]).collect();
+            let patch = SparseVec::new(indices, values, target.len())
+                .expect("a union of ring supports is sorted and within the model");
+            let plan = WirePlan::Patch {
+                base,
+                version,
+                patch,
+                evict_below,
+            };
+            (target, plan)
+        } else {
+            // Quantized patch, against a per-patch scale of the largest
+            // target−base difference. The base is `ctx`'s own — on a mirror
+            // it carries the worker's accumulated quantization error, not
+            // the exact history — and each entry moves by the dequantized
+            // value of the very code a plan ships, so driver and worker
+            // stay bitwise in lockstep though neither holds the target.
+            let mut w = take_cached_model(ctx, self.bcast_id, base).expect(BASE_IS_CACHED);
+            let scale = scratch.union.iter().fold(0.0f64, |m, &i| {
+                m.max((target[i as usize] - w[i as usize]).abs())
+            });
+            // Only a plan keeps the codes, in the one list of its format.
+            let (mut codes_i8, mut codes_f16) = (Vec::new(), Vec::new());
+            for &i in &scratch.union {
+                let wi = &mut w[i as usize];
+                let diff = target[i as usize] - *wi;
+                *wi += match quant {
+                    Quant::I8 => {
+                        let code = compress::quantize_i8(diff, scale);
+                        if wire {
+                            codes_i8.push(code);
+                        }
+                        compress::dequantize_i8(code, scale)
+                    }
+                    Quant::F16 => {
+                        let code = compress::quantize_f16(diff, scale);
+                        if wire {
+                            codes_f16.push(code);
+                        }
+                        compress::dequantize_f16(code, scale)
+                    }
+                    Quant::Exact => unreachable!("exact patches share the target above"),
+                };
+            }
+            let dim = w.len();
+            let delta = if quant == Quant::I8 {
+                CompressedDelta::I8 {
+                    dim,
+                    scale,
+                    indices,
+                    codes: codes_i8,
+                }
+            } else {
+                CompressedDelta::F16 {
+                    dim,
+                    scale,
+                    indices,
+                    codes: codes_f16,
+                }
+            };
+            let plan = WirePlan::QPatch {
+                base,
+                version,
+                delta,
+                evict_below,
+            };
+            (Arc::new(w), plan)
+        };
+        self.patch_scratch.give_back(scratch);
+        self.count_patch(patch_bytes, quant != Quant::Exact);
+        ctx.cache_put_fetched(
+            key,
+            Arc::clone(&value) as Arc<dyn std::any::Any + Send + Sync>,
+            patch_bytes,
+        );
+        (value, plan)
     }
 }
 
 /// How a networked worker materializes one history-broadcast version: the
 /// driver resolves each version against its per-worker cache **mirror**
-/// ([`HistoryHandle::wire_plan`]) and ships the resulting plan inside the
-/// task request; the worker replays it with [`WirePlan::apply`]. Because
-/// the plan is chosen against the mirror, `Cached` never misses on the
-/// worker and `Patch` always finds its base — as long as driver and worker
-/// process the same task stream, which the remote engine's epoch guard
-/// enforces (a reconnected worker gets a fresh mirror, so its first plans
-/// are `Snapshot`s).
+/// ([`HistoryHandle::wire_plan`] — the in-process resolve itself, run on
+/// the mirror) and ships what that resolve did inside the task request;
+/// the worker replays it with [`WirePlan::apply`]. Because the plan is
+/// chosen against the mirror, `Cached` never misses on the worker and
+/// `Patch` always finds its base — as long as driver and worker process the
+/// same task stream, which the remote engine's epoch guard enforces (a
+/// reconnected worker gets a fresh mirror, so its first plans are
+/// `Snapshot`s). A worker still checks: [`WirePlan::apply`] refuses a plan
+/// its cache cannot honour instead of panicking.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WirePlan {
     /// The worker already holds `version`; nothing crosses the wire.
@@ -1277,75 +1256,68 @@ impl WirePlan {
     /// Executes the plan against a worker's local cache, returning the
     /// materialized model vector and caching it for later plans.
     ///
-    /// # Panics
-    /// Panics if the cache diverged from the driver's mirror (a `Cached`
-    /// miss, a missing `Patch` base, or a patch of another dimension) —
-    /// with the remote engine's epoch-guarded task stream that indicates a
-    /// protocol bug, not a recoverable condition.
-    pub fn apply(self, ctx: &mut WorkerCtx, bcast_id: u64) -> Arc<Vec<f64>> {
-        match self {
-            WirePlan::Cached {
-                version,
-                evict_below,
-            } => {
+    /// # Errors
+    /// Names what the cache lacks when it diverged from the driver's mirror
+    /// — a `Cached` miss, a missing `Patch` base, a patch of another
+    /// dimension than its base. With the remote engine's epoch-guarded task
+    /// stream that is a protocol violation by the peer; a plan is outside
+    /// input, so it is refused rather than trusted.
+    pub fn apply(self, ctx: &mut WorkerCtx, bcast_id: u64) -> Result<Arc<Vec<f64>>, &'static str> {
+        const NO_BASE: &str = "wire plan patches a base the worker does not cache";
+        const BAD_DIM: &str = "wire plan patch and its cached base differ in dimension";
+        let version = self.version();
+        let (value, bytes) = match self {
+            WirePlan::Cached { evict_below, .. } => {
                 ctx.cache_evict_below(bcast_id, evict_below);
-                ctx.cache_get((bcast_id, version))
-                    .unwrap_or_else(|| {
-                        panic!("wire plan expected version {version} cached on the worker")
-                    })
-                    .downcast::<Vec<f64>>()
-                    .expect("history cache type mismatch")
+                return ctx
+                    .cache_get((bcast_id, version))
+                    .and_then(|any| any.downcast::<Vec<f64>>().ok())
+                    .ok_or("wire plan expects a model the worker does not cache");
             }
             WirePlan::Snapshot {
-                version,
                 values,
                 evict_below,
+                ..
             } => {
                 ctx.cache_evict_below(bcast_id, evict_below);
                 let bytes = values.encoded_len();
-                ctx.cache_put_fetched(
-                    (bcast_id, version),
-                    values.clone() as Arc<dyn std::any::Any + Send + Sync>,
-                    bytes,
-                );
-                values
+                (values, bytes)
             }
             WirePlan::Patch {
                 base,
-                version,
                 patch,
                 evict_below,
+                ..
             } => {
                 ctx.cache_evict_below(bcast_id, evict_below);
-                let mut w = take_cached_model(ctx, bcast_id, base);
-                assert_eq!(patch.dim(), w.len(), "patch dimension mismatch");
+                let mut w = take_cached_model(ctx, bcast_id, base).ok_or(NO_BASE)?;
+                if patch.dim() != w.len() {
+                    return Err(BAD_DIM);
+                }
                 sparse::scatter_assign(patch.indices(), patch.values(), &mut w);
-                let value = Arc::new(w);
-                ctx.cache_put_fetched(
-                    (bcast_id, version),
-                    value.clone() as Arc<dyn std::any::Any + Send + Sync>,
-                    patch.encoded_len(),
-                );
-                value
+                (Arc::new(w), patch.encoded_len())
             }
             WirePlan::QPatch {
                 base,
-                version,
                 delta,
                 evict_below,
+                ..
             } => {
                 ctx.cache_evict_below(bcast_id, evict_below);
-                let mut w = take_cached_model(ctx, bcast_id, base);
+                let mut w = take_cached_model(ctx, bcast_id, base).ok_or(NO_BASE)?;
+                if delta.dim() != w.len() {
+                    return Err(BAD_DIM);
+                }
                 delta.add_into(&mut w);
-                let value = Arc::new(w);
-                ctx.cache_put_fetched(
-                    (bcast_id, version),
-                    value.clone() as Arc<dyn std::any::Any + Send + Sync>,
-                    delta.encoded_len(),
-                );
-                value
+                (Arc::new(w), delta.encoded_len())
             }
-        }
+        };
+        ctx.cache_put_fetched(
+            (bcast_id, version),
+            value.clone() as Arc<dyn std::any::Any + Send + Sync>,
+            bytes,
+        );
+        Ok(value)
     }
 }
 
@@ -1892,7 +1864,7 @@ mod tests {
                     WirePlan::Cached { .. } => assert_eq!(charged, 0),
                     WirePlan::QPatch { .. } => panic!("quantization is off"),
                 }
-                let got = plan.apply(&mut remote, wired.id());
+                let got = plan.apply(&mut remote, wired.id()).unwrap();
                 assert_eq!(got.as_slice(), expect.as_slice(), "push {k}");
                 assert_eq!(ctx.cache_len(), mirror.cache_len(), "push {k}");
                 assert_eq!(ctx.cache_len(), remote.cache_len(), "push {k}");
@@ -1900,7 +1872,7 @@ mod tests {
                 let again = wired.handle().wire_plan(&mut mirror);
                 assert!(matches!(again, WirePlan::Cached { .. }), "push {k}");
                 assert_eq!(
-                    again.apply(&mut remote, wired.id()).as_slice(),
+                    again.apply(&mut remote, wired.id()).unwrap().as_slice(),
                     expect.as_slice()
                 );
             }
@@ -1963,7 +1935,7 @@ mod tests {
                     assert_eq!(delta.dim(), dim);
                     assert_eq!(charged, delta.encoded_len(), "{quant:?} push {k}");
                 }
-                let got = plan.apply(&mut remote, wired.id());
+                let got = plan.apply(&mut remote, wired.id()).unwrap();
                 assert_eq!(got.as_slice(), expect.as_slice(), "{quant:?} push {k}");
                 // Per-coordinate error of the quantized trajectory vs the
                 // exact model: bounded by the format's relative error times
@@ -2023,11 +1995,11 @@ mod tests {
         // Fresh worker: historical v1 ships as a snapshot...
         let plan = h.wire_plan_at(&mut mirror, 1);
         assert!(matches!(plan, WirePlan::Snapshot { version: 1, .. }));
-        assert_eq!(plan.apply(&mut remote, h.id())[0], 1.0);
+        assert_eq!(plan.apply(&mut remote, h.id()).unwrap()[0], 1.0);
         // ...and planning it again is a cache hit.
         let plan = h.wire_plan_at(&mut mirror, 1);
         assert!(matches!(plan, WirePlan::Cached { version: 1, .. }));
-        assert_eq!(plan.apply(&mut remote, h.id())[0], 1.0);
+        assert_eq!(plan.apply(&mut remote, h.id()).unwrap()[0], 1.0);
         assert_eq!(b.stats().fetches, 1);
     }
 

@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use async_cluster::{ClusterSpec, VDur, VTime, WorkerId};
-use sparklet::rdd::Data;
+use sparklet::rdd::{Data, RddOps};
 use sparklet::{
     BcastCharge, Completion, DecodeError, Driver, Payload, Rdd, TaskFn, WireTask, WorkerCtx,
 };
@@ -152,6 +152,34 @@ pub enum WaveDirective {
     Wait,
     /// The policy is violated and no recovery is scheduled: stop.
     Halt,
+}
+
+impl RemoteRoutine {
+    /// The wire form of one submission of this routine over partition
+    /// `part` — the first, and every retry of it.
+    fn wire_task(&self, part: usize) -> WireTask {
+        let build = Arc::clone(&self.build);
+        let decode = Arc::clone(&self.decode);
+        WireTask {
+            routine: self.routine,
+            build: Box::new(move |mirror: &mut WorkerCtx| build(mirror, part)),
+            decode: Box::new(move |bytes: &[u8]| decode(bytes)),
+        }
+    }
+}
+
+/// The run closure of one submission of `f` over partition `part` of the
+/// lineage `ops` — the first, and every retry of it.
+fn run_closure<T, R, F>(ops: Arc<dyn RddOps<T>>, f: F, part: usize) -> TaskFn
+where
+    T: Data,
+    R: Send + 'static,
+    F: Fn(&mut WorkerCtx, Vec<T>, usize) -> R + Send + 'static,
+{
+    Box::new(move |ctx: &mut WorkerCtx| {
+        let data = ops.compute(part);
+        Box::new(f(ctx, data, part)) as Box<dyn Any + Send>
+    })
 }
 
 /// Rebuilds a lost task's run closure for re-submission. Stored `Arc`'d so
@@ -433,16 +461,7 @@ impl AsyncContext {
                 .retry_queue
                 .pop_front()
                 .expect("queue checked non-empty");
-            let part = t.tag as usize;
-            let wire = t.wire.as_ref().map(|r| {
-                let build = Arc::clone(&r.build);
-                let decode = Arc::clone(&r.decode);
-                WireTask {
-                    routine: r.routine,
-                    build: Box::new(move |mirror: &mut WorkerCtx| build(mirror, part)),
-                    decode: Box::new(move |bytes: &[u8]| decode(bytes)),
-                }
-            });
+            let wire = t.wire.as_ref().map(|r| r.wire_task(t.tag as usize));
             let issued_at = self.driver.now();
             if self
                 .driver
@@ -608,22 +627,9 @@ impl AsyncContext {
             // Cycle through the worker's partitions as its clock advances,
             // so every partition is visited at the worker's own pace.
             let part = parts[(self.stat.get(w).clock as usize) % parts.len()];
-            let ops = rdd.ops();
-            let f_run = f.clone();
             let cost = rdd.cost_hint(part) * opts.effective_cost_scale();
-            let run = Box::new(move |ctx: &mut WorkerCtx| {
-                let data = ops.compute(part);
-                Box::new(f_run(ctx, data, part)) as Box<dyn Any + Send>
-            });
-            let wire = remote.map(|r| {
-                let build = Arc::clone(&r.build);
-                let decode = Arc::clone(&r.decode);
-                WireTask {
-                    routine: r.routine,
-                    build: Box::new(move |mirror: &mut WorkerCtx| build(mirror, part)),
-                    decode: Box::new(move |bytes: &[u8]| decode(bytes)),
-                }
-            });
+            let run = run_closure(rdd.ops(), f.clone(), part);
+            let wire = remote.map(|r| r.wire_task(part));
             let issued_at = self.driver.now();
             if self
                 .driver
@@ -636,16 +642,9 @@ impl AsyncContext {
                 // task if its worker dies. Off (the default), no state is
                 // captured and losses surface exactly as before.
                 if self.retry_max > 0 {
-                    let ops = rdd.ops();
-                    let f = f.clone();
-                    let replay: ReplayFn = Arc::new(move || {
-                        let ops = Arc::clone(&ops);
-                        let f = f.clone();
-                        Box::new(move |ctx: &mut WorkerCtx| {
-                            let data = ops.compute(part);
-                            Box::new(f(ctx, data, part)) as Box<dyn Any + Send>
-                        })
-                    });
+                    let (ops, f) = (rdd.ops(), f.clone());
+                    let replay: ReplayFn =
+                        Arc::new(move || run_closure(Arc::clone(&ops), f.clone(), part));
                     self.tickets.push(RetryTicket {
                         worker: w,
                         tag: part as u64,

@@ -26,8 +26,9 @@
 //! implicit initial version 0), and updated incrementally from each task's
 //! telescoping delta.
 
+use std::sync::Arc;
+
 use async_core::{AsyncBcast, AsyncContext, SubmitOpts, Tagged};
-use async_data::sampler;
 use async_data::{Block, Dataset};
 use async_linalg::{GradDelta, Matrix};
 use sparklet::WorkerCtx;
@@ -36,6 +37,7 @@ use crate::absorber::ShardedAbsorber;
 use crate::checkpoint::{Checkpoint, SolverHistory};
 use crate::compression::CompressorBank;
 use crate::objective::Objective;
+use crate::scratch::{ScratchPool, TaskScratch};
 use crate::server_loop::{step_damp, GradMsg, ServerLoop, UpdateRule, WaveEnv, EVAL};
 use crate::solver::{AsyncSolver, RunReport, SolverCfg, SolverError};
 
@@ -101,6 +103,63 @@ impl AsyncSolver for Asaga {
     }
 }
 
+/// The body of one ASAGA task, run by the in-process closure and by the
+/// remote worker's handler alike: the telescoping difference
+/// `(1/b) Σⱼ (f'ⱼ(w_cur) − f'ⱼ(w_{φⱼ}))·xⱼ` over the batch in
+/// `scratch.rows` (gathered sparsely on CSR partitions, scattered densely
+/// otherwise) and the stored entries it touched. `old_model(k, j)` resolves
+/// `w_{φⱼ}` for batch position `k`, global row `j` — once per row, in batch
+/// order. The batch's global row ids (SAGA's table-update message) are left
+/// in `scratch.ids`; every buffer comes from `pool`.
+pub(crate) fn saga_difference(
+    objective: Objective,
+    block: &Block,
+    w_cur: &[f64],
+    scratch: &mut TaskScratch,
+    pool: &ScratchPool,
+    mut old_model: impl FnMut(usize, u64) -> Arc<Vec<f64>>,
+) -> (GradDelta, u64) {
+    let scale = 1.0 / scratch.rows.len().max(1) as f64;
+    let labels = block.labels();
+    let features = block.features();
+    scratch.ids.clear();
+    scratch.coefs.clear();
+    for (k, &r) in scratch.rows.iter().enumerate() {
+        let i = r as usize;
+        let j = block.global_row(i);
+        let w_old = old_model(k, j);
+        let d_new = objective.dloss(features.row_dot(i, w_cur), labels[i]);
+        let d_old = objective.dloss(features.row_dot(i, &w_old), labels[i]);
+        scratch.coefs.push(scale * (d_new - d_old));
+        scratch.ids.push(j);
+    }
+    let delta = match features {
+        Matrix::Sparse(csr) => {
+            let (mut idx, mut val) = pool.checkout_sparse();
+            csr.gather_axpy_into(
+                &scratch.rows,
+                &scratch.coefs,
+                &mut scratch.pairs,
+                &mut idx,
+                &mut val,
+            );
+            GradDelta::Sparse(
+                async_linalg::SparseVec::new(idx, val, block.cols())
+                    .expect("gather kernel produces valid sparse output"),
+            )
+        }
+        Matrix::Dense(_) => {
+            let mut d = pool.checkout_dense(block.cols());
+            for (&r, &a) in scratch.rows.iter().zip(scratch.coefs.iter()) {
+                features.row_axpy(r as usize, a, &mut d);
+            }
+            GradDelta::Dense(d)
+        }
+    };
+    // Two gradient evaluations per sampled row.
+    (delta, 2 * features.rows_nnz(&scratch.rows))
+}
+
 /// The SAGA estimator step `w ← w − γ·d·(δ + ᾱ + λ·w)` followed by the
 /// table-mean absorption `ᾱ ← ᾱ + (b/n)·δ`.
 struct AsagaRule {
@@ -149,7 +208,7 @@ impl UpdateRule for AsagaRule {
         let server_table = bcast.clone();
         let version = ctx.version();
         let obj = self.objective;
-        let (seed, fraction) = (cfg.seed, cfg.batch_fraction);
+        let batch = env.batch(version);
         let compress = cfg.compress;
         let pool = env.pool.clone();
         let bank = env.bank.clone();
@@ -157,57 +216,14 @@ impl UpdateRule for AsagaRule {
             let block = &data[0];
             let w_cur = handle.value(wctx);
             let mut scratch = pool.checkout();
-            let mut rng = sampler::derive_rng(seed, version, part as u64);
-            sampler::sample_fraction_into(&mut rng, block.rows(), fraction, &mut scratch.rows);
-            let scale = 1.0 / scratch.rows.len().max(1) as f64;
-            let labels = block.labels();
-            let features = block.features();
-            // Per-row telescoping coefficients `scale·(f'ⱼ(w_cur) −
-            // f'ⱼ(w_{φⱼ}))`; the combination is gathered sparsely on CSR
-            // partitions and scattered densely otherwise. The id and
-            // coefficient buffers come from the pool; `ids` travels with
-            // the result and is recycled server-side after the table
-            // update.
-            scratch.ids.clear();
-            scratch.coefs.clear();
-            for &r in &scratch.rows {
-                let i = r as usize;
-                let j = block.global_row(i);
-                // The ID of the model version row j last saw — attached by
-                // the server at submission (the simulated engine runs this
-                // closure at exactly that instant).
-                let vj = server_table.version_for_index(j);
-                let w_old = handle.value_at(wctx, vj);
-                let d_new = obj.dloss(features.row_dot(i, &w_cur), labels[i]);
-                let d_old = obj.dloss(features.row_dot(i, &w_old), labels[i]);
-                scratch.coefs.push(scale * (d_new - d_old));
-                scratch.ids.push(j);
-            }
-            let delta = match features {
-                Matrix::Sparse(csr) => {
-                    let (mut idx, mut val) = pool.checkout_sparse();
-                    csr.gather_axpy_into(
-                        &scratch.rows,
-                        &scratch.coefs,
-                        &mut scratch.pairs,
-                        &mut idx,
-                        &mut val,
-                    );
-                    GradDelta::Sparse(
-                        async_linalg::SparseVec::new(idx, val, block.cols())
-                            .expect("gather kernel produces valid sparse output"),
-                    )
-                }
-                Matrix::Dense(_) => {
-                    let mut d = pool.checkout_dense(block.cols());
-                    for (&r, &a) in scratch.rows.iter().zip(scratch.coefs.iter()) {
-                        features.row_axpy(r as usize, a, &mut d);
-                    }
-                    GradDelta::Dense(d)
-                }
-            };
-            // Two gradient evaluations per sampled row.
-            let entries = 2 * features.rows_nnz(&scratch.rows);
+            batch.sample_into(block, part, &mut scratch.rows);
+            // The ID of the model version row j last saw — attached by the
+            // server at submission (the simulated engine runs this closure
+            // at exactly that instant).
+            let old = |_, j| handle.value_at(wctx, server_table.version_for_index(j));
+            let (delta, entries) = saga_difference(obj, block, &w_cur, &mut scratch, &pool, old);
+            // `ids` travels with the result and is recycled server-side
+            // after the table update.
             let indices = std::mem::take(&mut scratch.ids);
             pool.give_back(scratch);
             // The telescoping difference compresses like any other delta;
@@ -224,14 +240,15 @@ impl UpdateRule for AsagaRule {
             // One version ID per sample plus the current model's ID.
             extra_bytes: AsyncBcast::<Vec<f64>>::id_ship_bytes(env.minibatch_hint as usize),
             // Two gradient evaluations per sampled row.
-            cost_scale: 4.0 * fraction,
+            cost_scale: 4.0 * batch.fraction,
             minibatch: env.minibatch_hint,
             ..SubmitOpts::default()
         };
         // The wire form for the remote backend: sampling and version
         // lookup run driver-side in `build` (the submission instant — the
         // same moment the simulator runs the closure above), and the
-        // worker replays the arithmetic. In-process engines ignore it.
+        // worker runs the same `saga_difference` on what they produced.
+        // In-process engines ignore it.
         let routine = crate::remote::asaga_routine(env, obj, version);
         ctx.async_reduce_wired(rdd, &cfg.barrier, opts, task, Some(&routine))
     }

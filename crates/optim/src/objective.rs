@@ -109,42 +109,17 @@ impl Objective {
 
     /// Mini-batch data gradient as a [`GradDelta`]: identical semantics to
     /// [`Objective::minibatch_grad`], but CSR blocks take the sparse fast
-    /// path — margins via [`async_linalg::CsrMatrix::rows_dot`], then one
-    /// [`async_linalg::CsrMatrix::gather_axpy`] over the per-row loss
-    /// derivatives — so the gradient's cost and size scale with the batch's
-    /// stored nonzeros, never with the feature dimension. Dense blocks
-    /// fall back to the dense kernel unchanged.
-    pub fn minibatch_grad_delta(&self, block: &Block, rows: &[u32], w: &[f64]) -> GradDelta {
-        match block.features() {
-            Matrix::Sparse(csr) => {
-                if rows.is_empty() {
-                    return GradDelta::zero_sparse(block.cols());
-                }
-                let labels = block.labels();
-                let scale = 1.0 / rows.len() as f64;
-                let margins = csr.rows_dot(rows, w);
-                let coefs: Vec<f64> = rows
-                    .iter()
-                    .zip(margins)
-                    .map(|(&r, z)| scale * self.dloss(z, labels[r as usize]))
-                    .collect();
-                GradDelta::Sparse(csr.gather_axpy(rows, &coefs))
-            }
-            Matrix::Dense(_) => {
-                let mut g = vec![0.0; block.cols()];
-                self.minibatch_grad(block, rows, w, &mut g);
-                GradDelta::Dense(g)
-            }
-        }
-    }
-
-    /// The zero-allocation variant of [`Objective::minibatch_grad_delta`]:
-    /// the batch is `scratch.rows` (sampled there by the caller), the
-    /// margin/coefficient buffers come from `scratch`, and the returned
-    /// delta's backing arrays come from `pool` — returned to it by the
-    /// server via [`ScratchPool::recycle_delta`] after absorption. Values
-    /// are **bit-identical** to `minibatch_grad_delta` (same kernels, same
-    /// operation order); only the buffers' provenance differs.
+    /// path — margins via [`async_linalg::CsrMatrix::rows_dot_into`], then
+    /// one [`async_linalg::CsrMatrix::gather_axpy_into`] over the per-row
+    /// loss derivatives — so the gradient's cost and size scale with the
+    /// batch's stored nonzeros, never with the feature dimension. Dense
+    /// blocks fall back to the dense kernel unchanged.
+    ///
+    /// Allocation-free once warm: the batch is `scratch.rows` (sampled
+    /// there by the caller), the margin/coefficient buffers come from
+    /// `scratch`, and the returned delta's backing arrays come from `pool`
+    /// — returned to it via [`ScratchPool::recycle_delta`] once the delta
+    /// is absorbed (in process) or encoded (on a remote worker).
     pub fn minibatch_grad_delta_pooled(
         &self,
         block: &Block,
@@ -259,6 +234,15 @@ mod tests {
         SynthSpec::dense("obj", 60, 8, 11).generate().unwrap().0
     }
 
+    /// The delta kernel over an explicit batch, from cold buffers.
+    fn grad_delta(o: &Objective, block: &Block, rows: &[u32], w: &[f64]) -> GradDelta {
+        let mut scratch = TaskScratch {
+            rows: rows.to_vec(),
+            ..TaskScratch::default()
+        };
+        o.minibatch_grad_delta_pooled(block, w, &mut scratch, &ScratchPool::new())
+    }
+
     #[test]
     fn least_squares_loss_and_derivative_agree() {
         let o = Objective::LeastSquares { lambda: 0.0 };
@@ -329,8 +313,8 @@ mod tests {
             let dense_blocks = dd.partition(3);
             for (sb, db) in sparse_blocks.iter().zip(&dense_blocks) {
                 let rows: Vec<u32> = (0..sb.rows() as u32).step_by(2).collect();
-                let gs = o.minibatch_grad_delta(sb, &rows, &w);
-                let gd = o.minibatch_grad_delta(db, &rows, &w);
+                let gs = grad_delta(&o, sb, &rows, &w);
+                let gd = grad_delta(&o, db, &rows, &w);
                 assert!(gs.is_sparse() && !gd.is_sparse());
                 let (a, b) = (gs.to_dense(), gd.to_dense());
                 for (x, y) in a.iter().zip(&b) {
@@ -347,7 +331,7 @@ mod tests {
             .unwrap();
         let b = &sd.partition(1)[0];
         let o = Objective::Logistic { lambda: 0.0 };
-        let g = o.minibatch_grad_delta(b, &[], &vec![0.0; 50]);
+        let g = grad_delta(&o, b, &[], &vec![0.0; 50]);
         assert_eq!(g.nnz(), 0);
         assert_eq!(g.dim(), 50);
     }

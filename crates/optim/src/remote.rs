@@ -6,18 +6,20 @@
 //! driver-side at submission (against the worker's cache mirror — the same
 //! instant the simulator runs closures, so model-version resolution and
 //! byte accounting agree with the deterministic oracle) and whose routine
-//! handler recomputes the identical f64 arithmetic inside the worker
-//! process. Two routines cover all three solvers:
+//! handler decodes the request and calls, inside the worker process, the
+//! same task body the in-process closure calls — this module holds codecs,
+//! no solver arithmetic. Two routines cover all three solvers:
 //!
 //! * [`ROUTINE_GRAD`] — the mini-batch gradient wave shared by ASGD and
-//!   momentum SGD. The request ships only the objective, the sampling
-//!   seed/version, and a [`WirePlan`] for the current model; the worker
-//!   re-derives the batch from the pure sampling RNG.
-//! * [`ROUTINE_ASAGA`] — the SAGA telescoping-difference wave. Batch rows
-//!   and their per-sample historical versions **must** be resolved
-//!   driver-side (the server attaches version IDs at submission), so the
-//!   request carries the sampled rows, their versions, and one plan per
-//!   distinct version.
+//!   momentum SGD (`server_loop::grad_task`). The request ships only the
+//!   objective, the batch draw's seed/version/fraction, and a [`WirePlan`]
+//!   for the current model; the worker re-derives the batch from the pure
+//!   sampling RNG.
+//! * [`ROUTINE_ASAGA`] — the SAGA telescoping-difference wave
+//!   (`asaga::saga_difference`). Batch rows and their per-sample historical
+//!   versions **must** be resolved driver-side (the server attaches version
+//!   IDs at submission), so the request carries the sampled rows, their
+//!   versions, and one plan per distinct version.
 //!
 //! Each partition's data block crosses the wire **once per worker
 //! incarnation**: the driver mirrors which blocks a worker holds under a
@@ -28,6 +30,10 @@
 //! materialize partitions without charging either, and the sim-vs-remote
 //! accounting contract is "identical bytes", not "more honest bytes".
 //!
+//! A request is outside input even when every byte of it decodes: a plan
+//! the worker's cache cannot honour, or a model that does not fit its
+//! block, is a `DecodeError` (a clean disconnect), not a kernel assert.
+//!
 //! [`worker_registry`] assembles the handler table; the `async_worker`
 //! binary is `worker_main(worker_registry())`.
 
@@ -35,7 +41,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use async_core::{RemoteRoutine, WirePlan};
-use async_data::{sampler, Block};
+use async_data::Block;
 use async_linalg::{
     index_codec, CompressedDelta, CsrMatrix, DenseMatrix, EfState, GradDelta, Matrix, Quant,
     SparseVec,
@@ -44,9 +50,11 @@ use bytes::{BufMut, BytesMut};
 use sparklet::payload::encode_sparse;
 use sparklet::{DecodeError, Payload, RoutineRegistry, WorkerCtx};
 
+use crate::asaga::saga_difference;
 use crate::compression::CompressCfg;
 use crate::objective::Objective;
-use crate::server_loop::{GradMsg, WaveEnv};
+use crate::scratch::ScratchPool;
+use crate::server_loop::{grad_task, BatchSpec, GradMsg, WaveEnv};
 
 /// Routine id of the ASGD/MSGD mini-batch gradient task.
 pub const ROUTINE_GRAD: u32 = 1;
@@ -311,7 +319,8 @@ fn decode_block(r: &mut Reader) -> Result<Block, DecodeError> {
     };
     let at = r.at;
     let labels: Vec<f64> = r.payload()?;
-    if labels.len() != features.nrows() || row_offset + features.nrows() > total_rows {
+    let row_end = row_offset.checked_add(features.nrows());
+    if labels.len() != features.nrows() || row_end.is_none_or(|end| end > total_rows) {
         return Err(DecodeError::Invalid {
             at,
             what: "block labels or row range inconsistent with its features",
@@ -414,6 +423,32 @@ fn decode_plan(r: &mut Reader) -> Result<WirePlan, DecodeError> {
         }
         tag => Err(DecodeError::BadTag { at, tag }),
     }
+}
+
+/// Worker-side: decodes the next plan and replays it against the worker's
+/// cache, returning the version and model it materialized. Every model a
+/// handler computes with enters here, so this is where a plan the cache
+/// cannot honour, or a model of another width than `block`, is refused —
+/// the kernels behind it assert on both.
+fn resolve_model(
+    ctx: &mut WorkerCtx,
+    r: &mut Reader,
+    bcast_id: u64,
+    block: &Block,
+) -> Result<(u64, Arc<Vec<f64>>), DecodeError> {
+    let at = r.at;
+    let plan = decode_plan(r)?;
+    let version = plan.version();
+    let w = plan
+        .apply(ctx, bcast_id)
+        .map_err(|what| DecodeError::Invalid { at, what })?;
+    if w.len() != block.cols() {
+        return Err(DecodeError::Invalid {
+            at,
+            what: "resolved model does not fit the block's columns",
+        });
+    }
+    Ok((version, w))
 }
 
 // ---------------------------------------------------------------------------
@@ -537,12 +572,11 @@ fn decode_response_delta(
 
 /// The wire form of one `submit_grad_wave` submission. `build` resolves
 /// the model through [`async_core::HistoryHandle::wire_plan`] — the
-/// networked twin of the closure's `value_incremental` — and ships the
-/// pure sampling inputs;
-/// the worker re-derives the identical batch.
+/// closure's `value_incremental`, run against the mirror — and ships the
+/// batch draw; the worker re-derives the identical batch.
 pub(crate) fn grad_routine(env: &WaveEnv<'_>, objective: Objective, version: u64) -> RemoteRoutine {
     let (rdd, bcast) = (env.rdd, env.bcast);
-    let (seed, fraction, compress) = (env.cfg.seed, env.cfg.batch_fraction, env.cfg.compress);
+    let (batch, compress) = (env.batch(version), env.cfg.compress);
     let ops = rdd.ops();
     let handle = bcast.handle();
     let bcast_id = bcast.id();
@@ -552,14 +586,14 @@ pub(crate) fn grad_routine(env: &WaveEnv<'_>, objective: Objective, version: u64
             let data = ops.compute(part);
             let block = &data[0];
             // Model first, exactly like the closure: the plan's charges
-            // are the bytes `value_incremental` would have charged.
+            // are the bytes `value_incremental` charges.
             let plan = handle.wire_plan(mirror);
             let mut buf = BytesMut::new();
             encode_objective(&objective, &mut buf);
-            buf.put_u64_le(seed);
-            buf.put_u64_le(version);
+            buf.put_u64_le(batch.seed);
+            buf.put_u64_le(batch.version);
             buf.put_u64_le(bcast_id);
-            buf.put_f64_le(fraction);
+            buf.put_f64_le(batch.fraction);
             encode_compress(&compress, &mut buf);
             buf.put_u64_le(part as u64);
             ship_block_if_new(mirror, part, block, &mut buf);
@@ -580,7 +614,11 @@ pub(crate) fn grad_routine(env: &WaveEnv<'_>, objective: Objective, version: u64
     }
 }
 
-fn grad_handler(ctx: &mut WorkerCtx, request: &[u8]) -> Result<Vec<u8>, DecodeError> {
+fn grad_handler(
+    pool: &ScratchPool,
+    ctx: &mut WorkerCtx,
+    request: &[u8],
+) -> Result<Vec<u8>, DecodeError> {
     let mut r = Reader::new(request);
     let objective = decode_objective(&mut r)?;
     let seed = r.u64()?;
@@ -590,16 +628,16 @@ fn grad_handler(ctx: &mut WorkerCtx, request: &[u8]) -> Result<Vec<u8>, DecodeEr
     let compress = decode_compress(&mut r)?;
     let part = r.u64()? as usize;
     let block = resolve_block(ctx, part, &mut r)?;
-    let plan = decode_plan(&mut r)?;
-    let w = plan.apply(ctx, bcast_id);
-    // The same pure RNG the in-process closure derives: identical batch.
-    let mut rng = sampler::derive_rng(seed, version, part as u64);
-    let mut rows = Vec::new();
-    sampler::sample_fraction_into(&mut rng, block.rows(), fraction, &mut rows);
-    let g = objective.minibatch_grad_delta(&block, &rows, &w);
-    let entries = block.features().rows_nnz(&rows);
+    let (_, w) = resolve_model(ctx, &mut r, bcast_id, &block)?;
+    let batch = BatchSpec {
+        seed,
+        version,
+        fraction,
+    };
+    let (g, entries) = grad_task(objective, &block, &w, batch, part, pool);
     let mut buf = BytesMut::new();
     encode_response_delta(ctx, part, &g, compress, &mut buf);
+    pool.recycle_delta(g);
     buf.put_u64_le(entries);
     Ok(buf.into_vec())
 }
@@ -620,7 +658,7 @@ pub(crate) fn asaga_routine(
     version: u64,
 ) -> RemoteRoutine {
     let (rdd, bcast) = (env.rdd, env.bcast);
-    let (seed, fraction, compress) = (env.cfg.seed, env.cfg.batch_fraction, env.cfg.compress);
+    let (batch, compress) = (env.batch(version), env.cfg.compress);
     let ops = rdd.ops();
     let handle = bcast.handle();
     let server_table = bcast.clone();
@@ -634,9 +672,8 @@ pub(crate) fn asaga_routine(
             // `value_at` per sampled row (repeat versions resolve from the
             // mirror cache and ship nothing).
             let w_plan = handle.wire_plan_at(mirror, handle.version());
-            let mut rng = sampler::derive_rng(seed, version, part as u64);
             let mut rows = Vec::new();
-            sampler::sample_fraction_into(&mut rng, block.rows(), fraction, &mut rows);
+            batch.sample_into(block, part, &mut rows);
             let mut row_versions = Vec::with_capacity(rows.len());
             let mut plans: Vec<WirePlan> = Vec::new();
             let mut seen: Vec<u64> = Vec::new();
@@ -680,14 +717,18 @@ pub(crate) fn asaga_routine(
     }
 }
 
-fn asaga_handler(ctx: &mut WorkerCtx, request: &[u8]) -> Result<Vec<u8>, DecodeError> {
+fn asaga_handler(
+    pool: &ScratchPool,
+    ctx: &mut WorkerCtx,
+    request: &[u8],
+) -> Result<Vec<u8>, DecodeError> {
     let mut r = Reader::new(request);
     let objective = decode_objective(&mut r)?;
     let bcast_id = r.u64()?;
     let compress = decode_compress(&mut r)?;
     let part = r.u64()? as usize;
     let block = resolve_block(ctx, part, &mut r)?;
-    let w_cur = decode_plan(&mut r)?.apply(ctx, bcast_id);
+    let (_, w_cur) = resolve_model(ctx, &mut r, bcast_id, &block)?;
     let rows = get_rows(&mut r, block.rows())?;
     let row_versions = get_u64s(&mut r)?;
     if row_versions.len() != rows.len() {
@@ -701,53 +742,45 @@ fn asaga_handler(ctx: &mut WorkerCtx, request: &[u8]) -> Result<Vec<u8>, DecodeE
     let nplans = r.checked_count(nplans64, 17)?;
     let mut resolved: HashMap<u64, Arc<Vec<f64>>> = HashMap::with_capacity(nplans);
     for _ in 0..nplans {
-        let plan = decode_plan(&mut r)?;
-        let v = plan.version();
-        resolved.insert(v, plan.apply(ctx, bcast_id));
+        let (version, w) = resolve_model(ctx, &mut r, bcast_id, &block)?;
+        resolved.insert(version, w);
     }
-    // The closure's arithmetic, term for term.
-    let scale = 1.0 / rows.len().max(1) as f64;
-    let labels = block.labels();
-    let features = block.features();
-    let mut ids = Vec::with_capacity(rows.len());
-    let mut coefs = Vec::with_capacity(rows.len());
-    for (&rr, vj) in rows.iter().zip(&row_versions) {
-        let i = rr as usize;
-        let j = block.global_row(i);
-        let w_old = resolved.get(vj).ok_or(DecodeError::Invalid {
-            at: r.at,
-            what: "row version has no shipped plan",
-        })?;
-        let d_new = objective.dloss(features.row_dot(i, &w_cur), labels[i]);
-        let d_old = objective.dloss(features.row_dot(i, w_old), labels[i]);
-        coefs.push(scale * (d_new - d_old));
-        ids.push(j);
-    }
-    let delta = match features {
-        Matrix::Sparse(csr) => GradDelta::Sparse(csr.gather_axpy(&rows, &coefs)),
-        Matrix::Dense(_) => {
-            let mut d = vec![0.0; block.cols()];
-            for (&rr, &a) in rows.iter().zip(coefs.iter()) {
-                features.row_axpy(rr as usize, a, &mut d);
-            }
-            GradDelta::Dense(d)
-        }
+    let no_plan = DecodeError::Invalid {
+        at: r.at,
+        what: "row version has no shipped plan",
     };
-    let entries = 2 * features.rows_nnz(&rows);
+    let olds: Vec<&Arc<Vec<f64>>> = row_versions
+        .iter()
+        .map(|v| resolved.get(v).ok_or(no_plan))
+        .collect::<Result<_, _>>()?;
+    let mut scratch = pool.checkout();
+    scratch.rows = rows;
+    let old = |k: usize, _| Arc::clone(olds[k]);
+    let (delta, entries) = saga_difference(objective, &block, &w_cur, &mut scratch, pool, old);
     let mut buf = BytesMut::new();
     encode_response_delta(ctx, part, &delta, compress, &mut buf);
-    put_u64s(&mut buf, &ids);
+    pool.recycle_delta(delta);
+    put_u64s(&mut buf, &scratch.ids);
     buf.put_u64_le(entries);
+    pool.give_back(scratch);
     Ok(buf.into_vec())
 }
 
 /// The routine table a worker process serves: everything this crate's
 /// solvers submit. The `async_worker` binary is
-/// `sparklet::remote::worker_main(worker_registry())`.
+/// `sparklet::remote::worker_main(worker_registry())`. A registry serves one
+/// worker incarnation, and so does the buffer pool its handlers share (a
+/// response delta goes back to it once encoded).
 pub fn worker_registry() -> RoutineRegistry {
     let mut reg = RoutineRegistry::new();
-    reg.register(ROUTINE_GRAD, grad_handler);
-    reg.register(ROUTINE_ASAGA, asaga_handler);
+    let pool = ScratchPool::new();
+    let grad_pool = pool.clone();
+    reg.register(ROUTINE_GRAD, move |ctx, req| {
+        grad_handler(&grad_pool, ctx, req)
+    });
+    reg.register(ROUTINE_ASAGA, move |ctx, req| {
+        asaga_handler(&pool, ctx, req)
+    });
     reg
 }
 
@@ -1027,6 +1060,166 @@ mod tests {
         buf.put_f64_le(1.0);
         let bytes = buf.into_vec();
         assert!(decode_plan(&mut Reader::new(&bytes)).is_err());
+    }
+
+    /// Broadcast id the handler-level requests below resolve models under.
+    const BCAST: u64 = 3;
+
+    /// A `ROUTINE_GRAD` request over `block` (shipped inline as partition
+    /// 0) whose model resolves through `plan` under broadcast `bcast_id`.
+    fn grad_request(block: &Block, bcast_id: u64, plan: &WirePlan) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        encode_objective(&Objective::Logistic { lambda: 0.0 }, &mut buf);
+        buf.put_u64_le(7); // seed
+        buf.put_u64_le(0); // version
+        buf.put_u64_le(bcast_id);
+        buf.put_f64_le(0.5);
+        encode_compress(&CompressCfg::Off, &mut buf);
+        buf.put_u64_le(0); // part
+        buf.put_u8(1);
+        encode_block(block, &mut buf);
+        encode_plan(plan, &mut buf);
+        buf.into_vec()
+    }
+
+    /// A `ROUTINE_ASAGA` request over rows 0 and 1 of `block`, both last
+    /// seen at version 0, with `history` as its per-version plans.
+    fn asaga_request(block: &Block, w_plan: &WirePlan, history: &[WirePlan]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        encode_objective(&Objective::Logistic { lambda: 0.0 }, &mut buf);
+        buf.put_u64_le(BCAST);
+        encode_compress(&CompressCfg::Off, &mut buf);
+        buf.put_u64_le(0); // part
+        buf.put_u8(1);
+        encode_block(block, &mut buf);
+        encode_plan(w_plan, &mut buf);
+        put_rows(&mut buf, &[0, 1]);
+        put_u64s(&mut buf, &[0, 0]);
+        buf.put_u64_le(history.len() as u64);
+        for p in history {
+            encode_plan(p, &mut buf);
+        }
+        buf.into_vec()
+    }
+
+    #[test]
+    fn well_formed_requests_the_worker_cannot_honour_are_refused_not_fatal() {
+        // Every request below decodes cleanly, byte for byte; what is wrong
+        // is what it asks of the worker's cache or of its block. Each used
+        // to end in a panic (a `WirePlan::apply` expect, `add_into`'s or
+        // `dense::dot`'s length assert) — an abort in a release worker, and
+        // on loopback in the driver with it.
+        let block = &blocks(true)[0];
+        let cols = block.cols();
+        let pool = ScratchPool::new();
+        let snapshot = |version: u64, len: usize| WirePlan::Snapshot {
+            version,
+            values: Arc::new(vec![0.25; len]),
+            evict_below: 0,
+        };
+        let cached = |version: u64| WirePlan::Cached {
+            version,
+            evict_below: 0,
+        };
+        let patch = |dim: usize| WirePlan::Patch {
+            base: 1,
+            version: 2,
+            patch: SparseVec::new(vec![0], vec![1.0], dim).unwrap(),
+            evict_below: 0,
+        };
+        let qpatch = |dim: usize| WirePlan::QPatch {
+            base: 1,
+            version: 2,
+            delta: CompressedDelta::I8 {
+                dim,
+                scale: 1.0,
+                indices: vec![0],
+                codes: vec![5],
+            },
+            evict_below: 0,
+        };
+        let fresh = || WorkerCtx::new(0);
+        // A worker that served an honest request and so caches version 1,
+        // the base the patches name.
+        let warm = || {
+            let mut ctx = fresh();
+            let honest = grad_request(block, BCAST, &snapshot(1, cols));
+            grad_handler(&pool, &mut ctx, &honest).expect("an honest request is served");
+            ctx
+        };
+        // Controls: the same builders with honest plans are served.
+        let mut ctx = warm();
+        let honest = grad_request(block, BCAST, &patch(cols));
+        grad_handler(&pool, &mut ctx, &honest).expect("a patch over the cached base");
+        let honest = asaga_request(block, &cached(2), &[snapshot(0, cols)]);
+        asaga_handler(&pool, &mut ctx, &honest).expect("an honest request is served");
+        type Handler = fn(&ScratchPool, &mut WorkerCtx, &[u8]) -> Result<Vec<u8>, DecodeError>;
+        let grad = |plan: &WirePlan| (grad_handler as Handler, grad_request(block, BCAST, plan));
+        let asaga = |w_plan: &WirePlan, history: &[WirePlan]| {
+            (
+                asaga_handler as Handler,
+                asaga_request(block, w_plan, history),
+            )
+        };
+        let hostile = [
+            ("cached miss", fresh(), grad(&cached(999))),
+            ("missing patch base", fresh(), grad(&patch(cols))),
+            ("missing quantized-patch base", fresh(), grad(&qpatch(cols))),
+            ("short snapshot", fresh(), grad(&snapshot(1, 3))),
+            ("patch of another dimension", warm(), grad(&patch(cols + 3))),
+            (
+                "quantized patch of another dimension",
+                warm(),
+                grad(&qpatch(cols + 3)),
+            ),
+            (
+                // After `resolve_block`, `(BLOCKS_NS, 0)` holds the block.
+                "cached entry that is not a model",
+                fresh(),
+                (
+                    grad_handler as Handler,
+                    grad_request(block, BLOCKS_NS, &cached(0)),
+                ),
+            ),
+            (
+                "asaga: short current model",
+                fresh(),
+                asaga(&snapshot(1, 3), &[snapshot(0, cols)]),
+            ),
+            (
+                "asaga: historical plan of another dimension",
+                fresh(),
+                asaga(&snapshot(1, cols), &[snapshot(0, 3)]),
+            ),
+            (
+                "asaga: historical cached miss",
+                fresh(),
+                asaga(&snapshot(1, cols), &[cached(0)]),
+            ),
+            (
+                "asaga: row version without a plan",
+                fresh(),
+                asaga(&snapshot(1, cols), &[snapshot(5, cols)]),
+            ),
+        ];
+        for (name, mut ctx, (handler, request)) in hostile {
+            let got = handler(&pool, &mut ctx, &request);
+            assert!(
+                matches!(got, Err(DecodeError::Invalid { .. })),
+                "{name}: {got:?}"
+            );
+        }
+
+        // A block whose row range overflows `usize` is refused by the
+        // checked sum, not wrapped past the `total_rows` bound.
+        let mut buf = BytesMut::new();
+        encode_block(block, &mut buf);
+        let mut bytes = buf.into_vec();
+        bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_block(&mut Reader::new(&bytes)),
+            Err(DecodeError::Invalid { .. })
+        ));
     }
 
     #[test]

@@ -54,9 +54,11 @@ struct Inner {
 /// Most buffers of one kind the pool parks. Far above what a wave keeps in
 /// flight (a few per worker), so a closed checkout/return cycle never hits
 /// it; it exists for *open* cycles — on the remote engine gradients are
-/// computed worker-side and every decoded response delta is recycled here
-/// without a matching checkout, which would otherwise grow the pool by one
-/// buffer per step for the whole run.
+/// computed worker-side and every decoded response delta is recycled into
+/// the driver's pool without a matching checkout, which would otherwise
+/// grow it by one buffer per step for the whole run. (The worker-side pool
+/// of `worker_registry` is a closed cycle: a handler's delta goes back to
+/// the pool it was checked out of once it is encoded.)
 const MAX_PARKED: usize = 64;
 
 /// Parks `item` unless its list is full (then it is simply dropped).

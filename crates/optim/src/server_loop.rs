@@ -131,29 +131,71 @@ pub(crate) fn step_damp(cfg: &SolverCfg, staleness: u64) -> f64 {
     }
 }
 
+/// The inputs of a task's mini-batch draw: with the partition they
+/// determine the batch, so a networked worker re-derives the driver's.
+#[derive(Clone, Copy)]
+pub(crate) struct BatchSpec {
+    pub seed: u64,
+    /// Model version the task was issued at.
+    pub version: u64,
+    pub fraction: f64,
+}
+
+impl BatchSpec {
+    /// Samples `fraction` of `block` (partition `part`) into `rows`.
+    pub fn sample_into(self, block: &Block, part: usize, rows: &mut Vec<u32>) {
+        let mut rng = sampler::derive_rng(self.seed, self.version, part as u64);
+        sampler::sample_fraction_into(&mut rng, block.rows(), self.fraction, rows);
+    }
+}
+
+impl WaveEnv<'_> {
+    /// The draw of a wave submitted at model `version`.
+    pub fn batch(&self, version: u64) -> BatchSpec {
+        BatchSpec {
+            seed: self.cfg.seed,
+            version,
+            fraction: self.cfg.batch_fraction,
+        }
+    }
+}
+
+/// The body of one mini-batch gradient task, run by the in-process closure
+/// and by the remote worker's handler alike: draw the batch, run the pooled
+/// kernel at `w`, count the stored entries it touched.
+pub(crate) fn grad_task(
+    objective: Objective,
+    block: &Block,
+    w: &[f64],
+    batch: BatchSpec,
+    part: usize,
+    pool: &ScratchPool,
+) -> (GradDelta, u64) {
+    let mut scratch = pool.checkout();
+    batch.sample_into(block, part, &mut scratch.rows);
+    let g = objective.minibatch_grad_delta_pooled(block, w, &mut scratch, pool);
+    let entries = block.features().rows_nnz(&scratch.rows);
+    pool.give_back(scratch);
+    (g, entries)
+}
+
 /// Submits one mini-batch gradient wave: only the current model's 8-byte
 /// version ID as task payload and a cost of ~2 work units per sampled
 /// nonzero (one fused margins-plus-gather pass).
 ///
-/// Tasks draw every transient buffer from the pool and resolve the model
-/// through the incremental path (`value_incremental`, which is exactly the
-/// plain fetch when the broadcast's ring is disabled).
+/// Tasks resolve the model through the incremental path
+/// (`value_incremental`, which is exactly the plain fetch when the
+/// broadcast's ring is disabled) and run [`grad_task`].
 fn submit_grad_wave(ctx: &mut AsyncContext, env: &WaveEnv<'_>, objective: Objective) -> Vec<usize> {
     let handle = env.bcast.handle();
     let version = ctx.version();
-    let (seed, fraction) = (env.cfg.seed, env.cfg.batch_fraction);
+    let batch = env.batch(version);
     let compress = env.cfg.compress;
     let pool = env.pool.clone();
     let bank = env.bank.clone();
     let task = move |wctx: &mut WorkerCtx, data: Vec<Block>, part: usize| {
-        let block = &data[0];
         let w = handle.value_incremental(wctx);
-        let mut scratch = pool.checkout();
-        let mut rng = sampler::derive_rng(seed, version, part as u64);
-        sampler::sample_fraction_into(&mut rng, block.rows(), fraction, &mut scratch.rows);
-        let g = objective.minibatch_grad_delta_pooled(block, &w, &mut scratch, &pool);
-        let entries = block.features().rows_nnz(&scratch.rows);
-        pool.give_back(scratch);
+        let (g, entries) = grad_task(objective, &data[0], &w, batch, part, &pool);
         let (g, wire_bytes) = bank.ship(compress, part, g, &pool);
         GradMsg {
             g,
@@ -164,14 +206,13 @@ fn submit_grad_wave(ctx: &mut AsyncContext, env: &WaveEnv<'_>, objective: Object
     };
     let opts = SubmitOpts {
         extra_bytes: AsyncBcast::<Vec<f64>>::id_ship_bytes(0),
-        cost_scale: 2.0 * fraction,
+        cost_scale: 2.0 * batch.fraction,
         minibatch: env.minibatch_hint,
         ..SubmitOpts::default()
     };
     // The wire form for the remote backend: the request ships the model's
-    // wire plan plus the pure sampling inputs, and the worker re-derives
-    // the identical batch (`derive_rng` is a pure function of seed,
-    // version, and partition). In-process engines ignore it.
+    // wire plan plus the batch draw, and the worker runs the same
+    // `grad_task` on them. In-process engines ignore it.
     let routine = crate::remote::grad_routine(env, objective, version);
     ctx.async_reduce_wired(env.rdd, &env.cfg.barrier, opts, task, Some(&routine))
 }

@@ -11,8 +11,10 @@ use std::sync::Arc;
 use async_cluster::{ChaosSchedule, ClusterSpec, CommModel, DelayModel, VDur, VTime};
 use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
-use async_linalg::ParallelismCfg;
-use async_optim::{Asaga, Asgd, AsyncMsgd, AsyncSolver, Objective, ScratchPool, SolverCfg};
+use async_linalg::{ParallelismCfg, Quant};
+use async_optim::{
+    Asaga, Asgd, AsyncMsgd, AsyncSolver, CompressCfg, Objective, ScratchPool, SolverCfg,
+};
 use sparklet::{Driver, EngineBuilder};
 
 const WORKERS: usize = 4;
@@ -218,4 +220,87 @@ fn sparse_ring_run_ships_identical_bytes_on_sim_and_loopback() {
     assert_eq!(sim.bytes_shipped, rem.bytes_shipped);
     assert_eq!(sim.result_bytes, rem.result_bytes);
     assert!(sim.result_bytes > 0 && sim.bytes_shipped > sim.result_bytes);
+}
+
+#[test]
+fn every_task_body_and_resolve_path_is_bit_identical_on_sim_and_loopback() {
+    // The contract of the shared task bodies and the shared resolve
+    // decision, as one table: the same pinned-worker drill as the test
+    // above, over every routine (gradient, SAGA difference), both storages,
+    // both compressor paths and both resolve paths (plain fetch, exact and
+    // quantized ring patches). A row that drifts is a twin that diverged.
+    let dense = dataset();
+    let (csr, _) = SynthSpec::sparse("remote-parity", 256, 2_000, 12, 9)
+        .generate()
+        .unwrap();
+    let ridge = Objective::LeastSquares { lambda: 1e-3 };
+    let logistic = Objective::Logistic { lambda: 0.0 };
+    let asgd = |o| Box::new(Asgd::new(o)) as Box<dyn AsyncSolver>;
+    let msgd = |o| Box::new(AsyncMsgd::new(o).with_momentum(0.5)) as Box<dyn AsyncSolver>;
+    let asaga = |o| Box::new(Asaga::new(o)) as Box<dyn AsyncSolver>;
+    let base = || {
+        SolverCfg::builder()
+            .step(0.04)
+            .batch_fraction(0.25)
+            .barrier(BarrierFilter::Asp)
+            .max_updates(200)
+            .seed(23)
+    };
+    let topk = |k, quant| CompressCfg::TopK { k, quant };
+    type Make = dyn Fn(Objective) -> Box<dyn AsyncSolver>;
+    let rows: [(&str, &Dataset, Objective, &Make, SolverCfg); 6] = [
+        ("asgd dense", &dense, ridge, &asgd, base().build().unwrap()),
+        ("msgd dense", &dense, ridge, &msgd, base().build().unwrap()),
+        (
+            "asaga dense",
+            &dense,
+            ridge,
+            &asaga,
+            base().build().unwrap(),
+        ),
+        (
+            "asaga csr",
+            &csr,
+            logistic,
+            &asaga,
+            base().step(0.5).batch_fraction(0.1).build().unwrap(),
+        ),
+        (
+            "asgd dense + top-k i8",
+            &dense,
+            ridge,
+            &asgd,
+            base().compress(topk(4, Quant::I8)).build().unwrap(),
+        ),
+        (
+            "asgd csr + ring + top-k f16 (quantized patches)",
+            &csr,
+            logistic,
+            &asgd,
+            base()
+                .step(0.5)
+                .batch_fraction(0.1)
+                .bcast_ring(8)
+                .compress(topk(32, Quant::F16))
+                .build()
+                .unwrap(),
+        ),
+    ];
+    let spec = ClusterSpec::homogeneous(1, DelayModel::None)
+        .with_comm(CommModel::free())
+        .with_sched_overhead(VDur::ZERO);
+    for (name, d, objective, make, cfg) in rows {
+        let sim = make(objective).run(&mut AsyncContext::sim(spec.clone()), d, &cfg);
+        let rem = make(objective).run(&mut loopback_ctx(spec.clone()), d, &cfg);
+        assert_eq!((sim.updates, rem.updates), (200, 200), "{name}");
+        assert_eq!(
+            sim.final_objective.to_bits(),
+            rem.final_objective.to_bits(),
+            "{name}: {} vs {}",
+            sim.final_objective,
+            rem.final_objective
+        );
+        assert_eq!(sim.bytes_shipped, rem.bytes_shipped, "{name}");
+        assert_eq!(sim.result_bytes, rem.result_bytes, "{name}");
+    }
 }

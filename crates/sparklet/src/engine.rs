@@ -14,6 +14,7 @@
 //! stale results precisely as they would on a real cluster.
 
 use std::any::Any;
+use std::collections::VecDeque;
 
 use async_cluster::{VDur, VTime, WorkerId};
 
@@ -144,6 +145,55 @@ pub struct WireTask {
     /// Decodes the worker's response bytes into the task output.
     #[allow(clippy::type_complexity)]
     pub decode: Box<dyn Fn(&[u8]) -> Result<TaskOutput, DecodeError> + Send>,
+}
+
+/// A membership change scheduled against elapsed engine time.
+pub(crate) enum PendingChaos {
+    Fail(WorkerId),
+    Revive(WorkerId),
+    Join,
+}
+
+impl PendingChaos {
+    /// Applies the change to `engine`; reviving a worker that is alive by
+    /// then is a no-op.
+    pub fn apply(self, engine: &mut impl Engine) {
+        match self {
+            PendingChaos::Fail(w) => engine.kill_worker(w),
+            PendingChaos::Revive(w) => {
+                let _ = engine.revive_worker(w);
+            }
+            PendingChaos::Join => {
+                engine.add_worker();
+            }
+        }
+    }
+}
+
+/// The wall-clock engines' schedule of membership changes (the simulator
+/// keeps its own in its event queue): time-sorted, applied by the owning
+/// engine once elapsed real time passes an event's instant.
+#[derive(Default)]
+pub(crate) struct ChaosQueue(VecDeque<(VTime, PendingChaos)>);
+
+impl ChaosQueue {
+    /// Schedules `ev` at `at`, after everything already scheduled at or
+    /// before that instant (a stable insert).
+    pub fn push(&mut self, at: VTime, ev: PendingChaos) {
+        let pos = self.0.partition_point(|&(t, _)| t <= at);
+        self.0.insert(pos, (at, ev));
+    }
+
+    /// Takes the earliest event if its instant is not after `now`.
+    pub fn pop_due(&mut self, now: VTime) -> Option<PendingChaos> {
+        let &(at, _) = self.0.front()?;
+        (at <= now).then(|| self.0.pop_front().expect("checked front").1)
+    }
+
+    /// The instant of the earliest scheduled event.
+    pub fn front_at(&self) -> Option<VTime> {
+        self.0.front().map(|&(at, _)| at)
+    }
 }
 
 /// A cluster of workers executing tasks. One task per worker at a time

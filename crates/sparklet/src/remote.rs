@@ -84,7 +84,9 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use async_cluster::straggler::DelayAssignment;
 use async_cluster::{ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
 
-use crate::engine::{Completion, Engine, EngineError, Task, TaskDone, TaskOutput, WireTask};
+use crate::engine::{
+    ChaosQueue, Completion, Engine, EngineError, PendingChaos, Task, TaskDone, TaskOutput, WireTask,
+};
 use crate::fault::{FaultAction, FaultDir, FaultInjector, FaultPlan};
 use crate::frame::{encode_frame, read_frame, write_frame, Msg};
 use crate::payload::DecodeError;
@@ -236,13 +238,6 @@ struct InflightEntry {
     issued_real: Instant,
 }
 
-/// A membership change scheduled against elapsed engine time.
-enum PendingChaos {
-    Fail(WorkerId),
-    Revive(WorkerId),
-    Join,
-}
-
 /// The remote multi-process engine. See the module docs.
 pub struct RemoteEngine {
     spec: ClusterSpec,
@@ -283,7 +278,7 @@ pub struct RemoteEngine {
     task_seq: Vec<u64>,
     pending: usize,
     queued: VecDeque<Completion>,
-    chaos: VecDeque<(VTime, PendingChaos)>,
+    chaos: ChaosQueue,
 }
 
 impl RemoteEngine {
@@ -342,7 +337,7 @@ impl RemoteEngine {
             task_seq: vec![0; n],
             pending: 0,
             queued: VecDeque::new(),
-            chaos: VecDeque::new(),
+            chaos: ChaosQueue::default(),
         };
         for w in 0..n {
             engine.conns.push(None);
@@ -519,20 +514,8 @@ impl RemoteEngine {
 
     /// Applies scheduled membership events whose instant has passed.
     fn apply_due_chaos(&mut self) {
-        while let Some(&(at, _)) = self.chaos.front() {
-            if at > self.elapsed() {
-                break;
-            }
-            let (_, ev) = self.chaos.pop_front().expect("checked front");
-            match ev {
-                PendingChaos::Fail(w) => self.kill_worker(w),
-                PendingChaos::Revive(w) => {
-                    let _ = self.revive_worker(w); // no-op if already alive
-                }
-                PendingChaos::Join => {
-                    self.add_worker();
-                }
-            }
+        while let Some(ev) = self.chaos.pop_due(self.elapsed()) {
+            ev.apply(self);
         }
     }
 
@@ -578,7 +561,7 @@ impl RemoteEngine {
                 None => d,
             });
         };
-        if let Some(&(at, _)) = self.chaos.front() {
+        if let Some(at) = self.chaos.front_at() {
             let left = at.saturating_since(self.elapsed());
             fold(Duration::from_micros(left.as_micros()));
         }
@@ -613,15 +596,6 @@ impl RemoteEngine {
                 .recv()
                 .map_err(|_| RecvTimeoutError::Disconnected),
             Some(d) => self.results_rx.recv_timeout(d.min(DEFAULT_POLL_INTERVAL)),
-        }
-    }
-
-    /// Inserts a scheduled event keeping the list time-sorted (stable).
-    fn push_chaos(&mut self, at: VTime, ev: PendingChaos) {
-        let pos = self.chaos.iter().position(|&(t, _)| t > at);
-        match pos {
-            Some(i) => self.chaos.insert(i, (at, ev)),
-            None => self.chaos.push_back((at, ev)),
         }
     }
 
@@ -994,19 +968,19 @@ impl Engine for RemoteEngine {
     }
 
     fn schedule_failure(&mut self, w: WorkerId, at: VTime) {
-        self.push_chaos(at, PendingChaos::Fail(w));
+        self.chaos.push(at, PendingChaos::Fail(w));
     }
 
     fn schedule_revival(&mut self, w: WorkerId, at: VTime) {
-        self.push_chaos(at, PendingChaos::Revive(w));
+        self.chaos.push(at, PendingChaos::Revive(w));
     }
 
     fn schedule_join(&mut self, at: VTime) {
-        self.push_chaos(at, PendingChaos::Join);
+        self.chaos.push(at, PendingChaos::Join);
     }
 
     fn next_event_at(&self) -> Option<VTime> {
-        self.chaos.front().map(|&(at, _)| at)
+        self.chaos.front_at()
     }
 }
 

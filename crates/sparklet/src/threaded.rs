@@ -25,7 +25,9 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use async_cluster::straggler::DelayAssignment;
 use async_cluster::{ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
 
-use crate::engine::{Completion, Engine, EngineError, Task, TaskDone, TaskFn, TaskOutput};
+use crate::engine::{
+    ChaosQueue, Completion, Engine, EngineError, PendingChaos, Task, TaskDone, TaskFn, TaskOutput,
+};
 use crate::worker::WorkerCtx;
 
 enum Msg {
@@ -48,13 +50,6 @@ struct WireDone {
     tag: u64,
     output: TaskOutput,
     bytes_in: u64,
-}
-
-/// A membership change scheduled against elapsed engine time.
-enum PendingChaos {
-    Fail(WorkerId),
-    Revive(WorkerId),
-    Join,
 }
 
 /// The threaded engine. See the module docs.
@@ -82,9 +77,9 @@ pub struct ThreadedEngine {
     pending: usize,
     /// Failure/revival notifications waiting to be handed out by `next`.
     queued: VecDeque<Completion>,
-    /// Scheduled membership events, sorted by time; applied when elapsed
-    /// real time passes them (checked at submit/next/try_next boundaries).
-    chaos: VecDeque<(VTime, PendingChaos)>,
+    /// Scheduled membership events; applied when elapsed real time passes
+    /// them (checked at submit/next/try_next boundaries).
+    chaos: ChaosQueue,
 }
 
 impl ThreadedEngine {
@@ -119,7 +114,7 @@ impl ThreadedEngine {
             task_seq: vec![0; n],
             pending: 0,
             queued: VecDeque::new(),
-            chaos: VecDeque::new(),
+            chaos: ChaosQueue::default(),
         };
         for w in 0..n {
             let tx = engine.spawn_worker(w);
@@ -162,29 +157,8 @@ impl ThreadedEngine {
     /// Applies scheduled membership events whose instant has passed,
     /// pushing their notifications onto the queued completions.
     fn apply_due_chaos(&mut self) {
-        while let Some(&(at, _)) = self.chaos.front() {
-            if at > self.elapsed() {
-                break;
-            }
-            let (_, ev) = self.chaos.pop_front().expect("checked front");
-            match ev {
-                PendingChaos::Fail(w) => self.kill_worker(w),
-                PendingChaos::Revive(w) => {
-                    let _ = self.revive_worker(w); // no-op if already alive
-                }
-                PendingChaos::Join => {
-                    self.add_worker();
-                }
-            }
-        }
-    }
-
-    /// Inserts a scheduled event keeping the list time-sorted (stable).
-    fn push_chaos(&mut self, at: VTime, ev: PendingChaos) {
-        let pos = self.chaos.iter().position(|&(t, _)| t > at);
-        match pos {
-            Some(i) => self.chaos.insert(i, (at, ev)),
-            None => self.chaos.push_back((at, ev)),
+        while let Some(ev) = self.chaos.pop_due(self.elapsed()) {
+            ev.apply(self);
         }
     }
 
@@ -414,19 +388,19 @@ impl Engine for ThreadedEngine {
     }
 
     fn schedule_failure(&mut self, w: WorkerId, at: VTime) {
-        self.push_chaos(at, PendingChaos::Fail(w));
+        self.chaos.push(at, PendingChaos::Fail(w));
     }
 
     fn schedule_revival(&mut self, w: WorkerId, at: VTime) {
-        self.push_chaos(at, PendingChaos::Revive(w));
+        self.chaos.push(at, PendingChaos::Revive(w));
     }
 
     fn schedule_join(&mut self, at: VTime) {
-        self.push_chaos(at, PendingChaos::Join);
+        self.chaos.push(at, PendingChaos::Join);
     }
 
     fn next_event_at(&self) -> Option<VTime> {
-        self.chaos.front().map(|&(at, _)| at)
+        self.chaos.front_at()
     }
 }
 
