@@ -556,7 +556,6 @@ mod tests {
             worker_clocks: vec![54, 54, 54, 54, 54, 54, 53, 31],
             final_w: Vec::new(),
             final_objective: 0.0,
-            checkpoints: Vec::new(),
             serve: Default::default(),
             lost_tasks: 0,
             retried_tasks: 0,

@@ -10,10 +10,13 @@
 //! they would be on a real driver failure, and workers re-sync from the
 //! history broadcast on their first post-restore task.
 //!
-//! The wire format is hand-rolled little-endian (the build environment is
-//! offline — no serde) and round-trips `f64`s **bit-identically**
-//! ([`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`]), so a restored
-//! server model is exactly the checkpointed one.
+//! The byte format is a small header followed by [`sparklet::Payload`]
+//! sections — the dense vectors and the residual table are the encodings
+//! the wire already has, written and read by the same codec — and
+//! round-trips `f64`s **bit-identically** ([`Checkpoint::to_bytes`] /
+//! [`Checkpoint::from_bytes`]), so a restored server model is exactly the
+//! checkpointed one. A run captures checkpoints into its durable store
+//! ([`crate::durable`]); whoever wants one in hand reads it from there.
 //!
 //! Resume semantics per solver (`resume_from` on each):
 //!
@@ -28,11 +31,12 @@
 //!   the *old* per-sample table, which died with the driver, so reusing it
 //!   against the re-based table would bias the estimator.
 
+use bytes::{BufMut, BytesMut};
+use sparklet::{DecodeError, Payload};
+
 /// Magic prefix of the checkpoint wire format.
 const MAGIC: &[u8; 8] = b"ASYNCKPT";
-/// Format version written by [`Checkpoint::to_bytes`]. Format 1 (no model
-/// version, no compressor residuals) is still parsed: see
-/// [`Checkpoint::from_bytes`].
+/// The one format version written and parsed.
 const FORMAT: u32 = 2;
 
 /// Solver-specific auxiliary state captured alongside the model.
@@ -77,9 +81,9 @@ pub struct Checkpoint {
     /// Solver-specific history.
     pub history: SolverHistory,
     /// Per-partition error-feedback residuals of the run's
-    /// [`crate::CompressorBank`], sorted by partition. `Some(vec![])` for a
-    /// run with compression off; `None` only for checkpoints parsed from
-    /// the residual-less legacy format (see [`Checkpoint::has_residuals`]).
+    /// [`crate::CompressorBank`], sorted by partition. Every captured
+    /// checkpoint records them (`Some(vec![])` with compression off); a
+    /// hand-built `None` restores nothing, so the compressors restart cold.
     pub residuals: Option<Vec<(u64, Vec<f64>)>>,
 }
 
@@ -88,7 +92,7 @@ pub struct Checkpoint {
 pub enum CheckpointError {
     /// The byte stream is not a checkpoint (bad magic or truncation).
     Malformed(&'static str),
-    /// The format version is newer than this build understands.
+    /// The format version is not the one this build reads.
     UnsupportedFormat(u32),
     /// The checkpoint was produced by a different solver.
     SolverMismatch {
@@ -137,13 +141,41 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-fn put_f64s(out: &mut Vec<u8>, v: &[f64]) {
-    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-    for x in v {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
+/// The one encoder: the header, then `Payload` sections — the model, the
+/// history's tag and vector, the residual flag and table. Takes the model
+/// as a slice so the durable writer encodes straight from its read pin.
+pub(crate) fn encode(
+    solver: &str,
+    updates: u64,
+    version: u64,
+    w: &[f64],
+    history: &SolverHistory,
+    residuals: Option<&Vec<(u64, Vec<f64>)>>,
+) -> Vec<u8> {
+    let mut out = BytesMut::with_capacity(64 + 8 * w.len());
+    out.put_slice(MAGIC);
+    out.put_u32_le(FORMAT);
+    out.put_u32_le(solver.len() as u32);
+    out.put_slice(solver.as_bytes());
+    out.put_u64_le(updates);
+    out.put_u64_le(version);
+    w.encode(&mut out);
+    out.put_u8(history.tag());
+    match history {
+        SolverHistory::None => {}
+        SolverHistory::Momentum(v) | SolverHistory::Saga { alpha_bar: v } => v.encode(&mut out),
     }
+    match residuals {
+        None => out.put_u8(0),
+        Some(parts) => {
+            out.put_u8(1);
+            parts.encode(&mut out);
+        }
+    }
+    out.into_vec()
 }
 
+/// A cursor over outside bytes: every read is bounds-checked.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -151,10 +183,9 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
-            return Err(CheckpointError::Malformed("truncated"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = self.buf[self.pos..]
+            .get(..n)
+            .ok_or(CheckpointError::Malformed("truncated"))?;
         self.pos += n;
         Ok(s)
     }
@@ -167,23 +198,20 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// One `Payload` section. Its decoder bounds every declared length by
+    /// the bytes present before allocating; a length that cannot be honest
+    /// is reported as `overflow`, anything else ran off the end.
+    fn payload<T: Payload>(&mut self, overflow: &'static str) -> Result<T, CheckpointError> {
+        let (value, used) = T::decode(&self.buf[self.pos..]).map_err(|e| match e {
+            DecodeError::LengthOverflow { .. } => CheckpointError::Malformed(overflow),
+            _ => CheckpointError::Malformed("truncated"),
+        })?;
+        self.pos += used;
+        Ok(value)
+    }
+
     fn f64s(&mut self) -> Result<Vec<f64>, CheckpointError> {
-        let n = self.u64()? as usize;
-        // Guard length against truncated buffers before allocating.
-        let needed = n
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(self.pos))
-            .ok_or(CheckpointError::Malformed("vector length overflows"))?;
-        if needed > self.buf.len() {
-            return Err(CheckpointError::Malformed("vector length overruns buffer"));
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(f64::from_bits(u64::from_le_bytes(
-                self.take(8)?.try_into().unwrap(),
-            )));
-        }
-        Ok(v)
+        self.payload("vector length overflows")
     }
 }
 
@@ -192,45 +220,25 @@ impl Checkpoint {
     /// payloads are written as raw bits, so
     /// `from_bytes(to_bytes(c)) == c` *bit-for-bit*.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + 8 * self.w.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT.to_le_bytes());
-        out.extend_from_slice(&(self.solver.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.solver.as_bytes());
-        out.extend_from_slice(&self.updates.to_le_bytes());
-        out.extend_from_slice(&self.version.to_le_bytes());
-        put_f64s(&mut out, &self.w);
-        out.push(self.history.tag());
-        match &self.history {
-            SolverHistory::None => {}
-            SolverHistory::Momentum(u) => put_f64s(&mut out, u),
-            SolverHistory::Saga { alpha_bar } => put_f64s(&mut out, alpha_bar),
-        }
-        match &self.residuals {
-            None => out.push(0),
-            Some(parts) => {
-                out.push(1);
-                out.extend_from_slice(&(parts.len() as u64).to_le_bytes());
-                for (part, residual) in parts {
-                    out.extend_from_slice(&part.to_le_bytes());
-                    put_f64s(&mut out, residual);
-                }
-            }
-        }
-        out
+        encode(
+            &self.solver,
+            self.updates,
+            self.version,
+            &self.w,
+            &self.history,
+            self.residuals.as_ref(),
+        )
     }
 
-    /// Parses the wire format produced by [`Checkpoint::to_bytes`].
-    /// Accepts the current format and the residual-less legacy format 1,
-    /// for which the model version defaults to the update count and
-    /// `residuals` parses as `None` (see [`Checkpoint::has_residuals`]).
+    /// Parses the wire format produced by [`Checkpoint::to_bytes`]; any
+    /// other format version is [`CheckpointError::UnsupportedFormat`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader { buf: bytes, pos: 0 };
         if r.take(8)? != MAGIC {
             return Err(CheckpointError::Malformed("bad magic"));
         }
         let format = r.u32()?;
-        if format != 1 && format != FORMAT {
+        if format != FORMAT {
             return Err(CheckpointError::UnsupportedFormat(format));
         }
         let name_len = r.u32()? as usize;
@@ -238,10 +246,9 @@ impl Checkpoint {
             .map_err(|_| CheckpointError::Malformed("solver name not utf-8"))?
             .to_string();
         let updates = r.u64()?;
-        let version = if format >= 2 { r.u64()? } else { updates };
+        let version = r.u64()?;
         let w = r.f64s()?;
-        let tag = r.take(1)?[0];
-        let history = match tag {
+        let history = match r.take(1)?[0] {
             0 => SolverHistory::None,
             1 => SolverHistory::Momentum(r.f64s()?),
             2 => SolverHistory::Saga {
@@ -249,39 +256,18 @@ impl Checkpoint {
             },
             _ => return Err(CheckpointError::Malformed("unknown history tag")),
         };
-        let residuals = if format >= 2 {
-            match r.take(1)?[0] {
-                0 => None,
-                1 => {
-                    let count = r.u64()? as usize;
-                    // Each entry is at least 16 bytes (part id + length);
-                    // bound the count before allocating.
-                    match count.checked_mul(16).and_then(|b| b.checked_add(r.pos)) {
-                        Some(needed) if needed <= bytes.len() => {}
-                        _ => {
-                            return Err(CheckpointError::Malformed(
-                                "residual count overruns buffer",
-                            ))
-                        }
-                    }
-                    let mut parts = Vec::with_capacity(count);
-                    let mut prev: Option<u64> = None;
-                    for _ in 0..count {
-                        let part = r.u64()?;
-                        if prev.is_some_and(|p| p >= part) {
-                            return Err(CheckpointError::Malformed(
-                                "residual partitions not strictly increasing",
-                            ));
-                        }
-                        prev = Some(part);
-                        parts.push((part, r.f64s()?));
-                    }
-                    Some(parts)
+        let residuals = match r.take(1)?[0] {
+            0 => None,
+            1 => {
+                let parts: Vec<(u64, Vec<f64>)> = r.payload("residual count overruns buffer")?;
+                if parts.windows(2).any(|p| p[0].0 >= p[1].0) {
+                    return Err(CheckpointError::Malformed(
+                        "residual partitions not strictly increasing",
+                    ));
                 }
-                _ => return Err(CheckpointError::Malformed("unknown residual flag")),
+                Some(parts)
             }
-        } else {
-            None
+            _ => return Err(CheckpointError::Malformed("unknown residual flag")),
         };
         if r.pos != bytes.len() {
             return Err(CheckpointError::Malformed("trailing bytes"));
@@ -294,16 +280,6 @@ impl Checkpoint {
             history,
             residuals,
         })
-    }
-
-    /// Whether the error-feedback residual section was recorded at all —
-    /// `false` only for checkpoints parsed from the legacy format, which
-    /// predates residual capture. [`crate::SolverCfg::lint`] warns when a
-    /// compressed run resumes from such a checkpoint: the restored bank
-    /// starts with zero residuals, silently dropping the accumulated error
-    /// feedback.
-    pub fn has_residuals(&self) -> bool {
-        self.residuals.is_some()
     }
 
     /// Validates that this checkpoint can seed `expected` over a dataset of
@@ -380,6 +356,70 @@ mod tests {
         }
     }
 
+    /// The header every format-2 checkpoint starts with.
+    fn header(solver: &str, updates: u64, version: u64) -> Vec<u8> {
+        let mut bytes = b"ASYNCKPT".to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&(solver.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(solver.as_bytes());
+        bytes.extend_from_slice(&updates.to_le_bytes());
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes
+    }
+
+    /// A dense vector section: `u64` length, then raw little-endian bits.
+    fn vector(bytes: &mut Vec<u8>, v: &[f64]) {
+        bytes.extend_from_slice(&(v.len() as u64).to_le_bytes());
+        for x in v {
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn format_2_layout_is_pinned() {
+        // Hand-assembled, so a codec change that moved the layout
+        // symmetrically (and so kept every round trip green) fails here.
+        let msgd = Checkpoint {
+            solver: "async-msgd".into(),
+            updates: 7,
+            version: 5,
+            w: vec![1.5, -2.0, 0.25],
+            history: SolverHistory::Momentum(vec![0.5, -0.0, -1.0]),
+            residuals: Some(vec![(0, vec![3.0, -0.5]), (3, vec![])]),
+        };
+        let mut expected = header("async-msgd", 7, 5);
+        vector(&mut expected, &msgd.w);
+        expected.push(1); // history tag: Momentum
+        vector(&mut expected, &[0.5, -0.0, -1.0]);
+        expected.push(1); // residual flag: recorded
+        expected.extend_from_slice(&2u64.to_le_bytes()); // partitions
+        expected.extend_from_slice(&0u64.to_le_bytes());
+        vector(&mut expected, &[3.0, -0.5]);
+        expected.extend_from_slice(&3u64.to_le_bytes());
+        vector(&mut expected, &[]);
+        assert_eq!(
+            expected.len(),
+            8 + 4 + 4 + 10 + 16 + 32 + 1 + 32 + 1 + 8 + 32 + 16
+        );
+        assert_eq!(msgd.to_bytes(), expected);
+        assert_eq!(Checkpoint::from_bytes(&expected), Ok(msgd));
+
+        let asgd = Checkpoint {
+            solver: "asgd".into(),
+            updates: 55,
+            version: 9,
+            w: vec![1.5, -2.0],
+            history: SolverHistory::None,
+            residuals: None,
+        };
+        let mut expected = header("asgd", 55, 9);
+        vector(&mut expected, &asgd.w);
+        expected.push(0); // history tag: None
+        expected.push(0); // residual flag: not recorded
+        assert_eq!(asgd.to_bytes(), expected);
+        assert_eq!(Checkpoint::from_bytes(&expected), Ok(asgd));
+    }
+
     #[test]
     fn malformed_inputs_are_rejected() {
         assert_eq!(
@@ -404,36 +444,12 @@ mod tests {
             Checkpoint::from_bytes(&future),
             Err(CheckpointError::UnsupportedFormat(99))
         );
-    }
-
-    /// Hand-built legacy (format 1) bytes: no version field, no residual
-    /// section — exactly what a pre-durability build serialized.
-    fn legacy_bytes() -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&4u32.to_le_bytes());
-        bytes.extend_from_slice(b"asgd");
-        bytes.extend_from_slice(&55u64.to_le_bytes()); // updates
-        bytes.extend_from_slice(&2u64.to_le_bytes()); // w length
-        bytes.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&(-2.0f64).to_bits().to_le_bytes());
-        bytes.push(0); // history tag: None
-        bytes
-    }
-
-    #[test]
-    fn legacy_format_parses_without_version_or_residuals() {
-        let ckpt = Checkpoint::from_bytes(&legacy_bytes()).expect("legacy parse");
-        assert_eq!(ckpt.solver, "asgd");
-        assert_eq!(ckpt.updates, 55);
-        assert_eq!(ckpt.version, 55, "legacy version defaults to updates");
-        assert_eq!(ckpt.w, vec![1.5, -2.0]);
-        assert_eq!(ckpt.history, SolverHistory::None);
-        assert!(!ckpt.has_residuals(), "legacy checkpoints lack residuals");
-        // Re-serializing upgrades to the current format and round-trips.
-        let upgraded = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("upgrade");
-        assert_eq!(upgraded, ckpt);
+        let mut legacy = sample().to_bytes();
+        legacy[8] = 1; // the residual-less format no build writes any more
+        assert_eq!(
+            Checkpoint::from_bytes(&legacy),
+            Err(CheckpointError::UnsupportedFormat(1))
+        );
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! to disk through a [`CheckpointStore`], and on its next start finds the
 //! newest **valid** generation and resumes from it — model, solver
 //! history, error-feedback residuals, model version, and update budget
-//! included.
+//! included. This is the only place a run captures checkpoints to: a
+//! capture is pinned by the loop, encoded from the pin and committed by
+//! the writer thread, which owns the store while the run lasts; a
+//! checkpoint in hand is one read back from here
+//! ([`CheckpointStore::latest_valid`], [`CheckpointStore::read`]).
 //!
 //! # The atomic-rename protocol
 //!
@@ -46,12 +50,11 @@ use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::thread;
 
 use async_core::ReadPin;
 
-use crate::checkpoint::{Checkpoint, SolverHistory};
+use crate::checkpoint::{self, Checkpoint, SolverHistory};
 
 /// Magic prefix of a generation manifest.
 const MANIFEST_MAGIC: &[u8; 8] = b"ASYNCMF1";
@@ -366,14 +369,15 @@ impl CheckpointStore {
         Ok(gens)
     }
 
-    /// Whether generation `g` passes manifest validation: manifest parses,
-    /// names `g`, and the payload matches its recorded length and
-    /// checksum.
+    /// Whether generation `g` passes manifest validation.
     pub fn is_valid(&self, generation: u64) -> bool {
-        self.read_valid(generation).is_some()
+        self.read(generation).is_some()
     }
 
-    fn read_valid(&self, generation: u64) -> Option<Vec<u8>> {
+    /// The payload of generation `g`, if it passes manifest validation:
+    /// the manifest parses, names `g`, and the payload matches its recorded
+    /// length and checksum.
+    pub fn read(&self, generation: u64) -> Option<Vec<u8>> {
         let manifest = fs::read(self.manifest_path(generation)).ok()?;
         if manifest.len() != MANIFEST_LEN || &manifest[..8] != MANIFEST_MAGIC {
             return None;
@@ -399,7 +403,7 @@ impl CheckpointStore {
         let gens = self.generations().ok()?;
         gens.iter()
             .rev()
-            .find_map(|&g| self.read_valid(g).map(|bytes| (g, bytes)))
+            .find_map(|&g| self.read(g).map(|bytes| (g, bytes)))
     }
 
     /// Deletes generations beyond the retention window, keeping the
@@ -434,124 +438,82 @@ pub struct DurableStats {
 /// owned or pinned, so serialization and disk I/O happen entirely off the
 /// solver's hot path. The model rides as a [`ReadPin`] — the wave loop
 /// pays one pin increment, not an `O(dim)` clone.
-struct CheckpointJob {
-    solver: &'static str,
-    updates: u64,
-    version: u64,
-    w: ReadPin<Vec<f64>>,
-    history: SolverHistory,
-    residuals: Vec<(u64, Vec<f64>)>,
+pub(crate) struct CheckpointJob {
+    pub solver: &'static str,
+    /// Lineage-total update count: the generation it commits as.
+    pub updates: u64,
+    pub version: u64,
+    pub w: ReadPin<Vec<f64>>,
+    pub history: SolverHistory,
+    pub residuals: Vec<(u64, Vec<f64>)>,
 }
 
-/// One solver run's durability session: owns the [`CheckpointStore`], the
-/// background writer thread, and the resume bookkeeping. Constructed by
-/// the solvers when [`crate::SolverCfg::durable_dir`] is set.
-pub struct DurableSession {
-    store: Arc<Mutex<CheckpointStore>>,
+/// One solver run's durability session: the channel to the background
+/// writer thread, which owns the [`CheckpointStore`] until
+/// [`DurableSession::finish`] joins it. Opened by the server loop when
+/// [`crate::SolverCfg::durable_dir`] is set.
+pub(crate) struct DurableSession {
     tx: Option<mpsc::Sender<CheckpointJob>>,
-    writer: Option<thread::JoinHandle<()>>,
+    writer: Option<thread::JoinHandle<StoreCounters>>,
     resumed_from: Option<u64>,
-    last_submitted: Option<u64>,
-}
-
-impl std::fmt::Debug for DurableSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableSession")
-            .field("resumed_from", &self.resumed_from)
-            .field("last_submitted", &self.last_submitted)
-            .finish_non_exhaustive()
-    }
 }
 
 impl DurableSession {
-    /// Opens the store at `dir` and spawns the background writer.
-    pub fn open(dir: &Path) -> io::Result<Self> {
-        Self::with_store(CheckpointStore::open(dir)?)
-    }
-
-    /// Wraps an already-configured store (fault plans, retention).
-    pub fn with_store(store: CheckpointStore) -> io::Result<Self> {
-        let store = Arc::new(Mutex::new(store));
+    /// With `resume`, reads the newest valid generation out of `store` as
+    /// this run's resume point; then moves the store into the writer
+    /// thread. `None` without `resume` and on a cold start (empty or fully
+    /// invalid store). The payload passed manifest validation, so a parse
+    /// failure means a foreign file wearing our manifest — surfaced as a
+    /// cold start rather than a panic.
+    pub fn with_store(
+        mut store: CheckpointStore,
+        resume: bool,
+    ) -> io::Result<(Self, Option<Checkpoint>)> {
+        let newest = if resume { store.latest_valid() } else { None };
+        let (resumed_from, ckpt) = newest
+            .and_then(|(g, bytes)| Some((g, Checkpoint::from_bytes(&bytes).ok()?)))
+            .unzip();
         let (tx, rx) = mpsc::channel::<CheckpointJob>();
-        let writer_store = Arc::clone(&store);
         let writer = thread::Builder::new()
             .name("async-checkpointer".into())
             .spawn(move || {
+                // A job is skipped only when its generation is already
+                // durable: a cadence save that failed leaves the run-end
+                // save of the same generation a fresh attempt.
+                let mut committed = resumed_from;
                 while let Ok(job) = rx.recv() {
-                    let ckpt = Checkpoint {
-                        solver: job.solver.to_string(),
-                        updates: job.updates,
-                        version: job.version,
-                        w: job.w.value().clone(),
-                        history: job.history,
-                        residuals: Some(job.residuals),
-                    };
+                    if committed == Some(job.updates) {
+                        continue;
+                    }
+                    let bytes = checkpoint::encode(
+                        job.solver,
+                        job.updates,
+                        job.version,
+                        &job.w,
+                        &job.history,
+                        Some(&job.residuals),
+                    );
                     // Release the pin before the (slow) disk commit so the
                     // snapshot ring can move on.
                     drop(job.w);
-                    let bytes = ckpt.to_bytes();
-                    let _ = writer_store
-                        .lock()
-                        .expect("checkpoint store poisoned")
-                        .save(job.updates, &bytes);
+                    if store.save(job.updates, &bytes).is_ok() {
+                        committed = Some(job.updates);
+                    }
                 }
+                store.counters()
             })?;
-        Ok(Self {
-            store,
+        let session = Self {
             tx: Some(tx),
             writer: Some(writer),
-            resumed_from: None,
-            last_submitted: None,
-        })
+            resumed_from,
+        };
+        Ok((session, ckpt))
     }
 
-    /// The newest valid generation's checkpoint, recording it as this
-    /// run's resume point. `None` on a cold start (empty or fully invalid
-    /// store). The payload passed manifest validation, so a parse failure
-    /// here means a foreign file wearing our manifest — surfaced as a
-    /// cold start rather than a panic.
-    pub fn take_resume(&mut self) -> Option<Checkpoint> {
-        let store = self.store.lock().expect("checkpoint store poisoned");
-        let (generation, bytes) = store.latest_valid()?;
-        drop(store);
-        let ckpt = Checkpoint::from_bytes(&bytes).ok()?;
-        self.resumed_from = Some(generation);
-        self.last_submitted = Some(generation);
-        Some(ckpt)
-    }
-
-    /// Generation this session resumed from, if any.
-    pub fn resumed_from(&self) -> Option<u64> {
-        self.resumed_from
-    }
-
-    /// Queues one checkpoint capture for the background writer, as
-    /// generation `updates` (the lineage's update count). The model `w`
-    /// rides as a [`ReadPin`]; everything else is owned. Duplicate
-    /// generations (e.g. the final save landing on a cadence boundary) are
-    /// skipped.
-    pub fn submit(
-        &mut self,
-        solver: &'static str,
-        updates: u64,
-        version: u64,
-        w: ReadPin<Vec<f64>>,
-        history: SolverHistory,
-        residuals: Vec<(u64, Vec<f64>)>,
-    ) {
-        if self.last_submitted == Some(updates) {
-            return;
-        }
-        self.last_submitted = Some(updates);
+    /// Queues one capture for the background writer.
+    pub fn submit(&self, job: CheckpointJob) {
         if let Some(tx) = self.tx.as_ref() {
-            let _ = tx.send(CheckpointJob {
-                solver,
-                updates,
-                version,
-                w,
-                history,
-                residuals,
-            });
+            let _ = tx.send(job);
         }
     }
 
@@ -559,16 +521,11 @@ impl DurableSession {
     /// durability outcome.
     pub fn finish(mut self) -> DurableStats {
         drop(self.tx.take());
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
+        let writer = self.writer.take();
+        let store = writer.map(|w| w.join().expect("checkpoint writer panicked"));
         DurableStats {
             resumed_from: self.resumed_from,
-            store: self
-                .store
-                .lock()
-                .expect("checkpoint store poisoned")
-                .counters(),
+            store: store.unwrap_or_default(),
         }
     }
 }
@@ -734,6 +691,38 @@ mod tests {
         assert_eq!(s.fault_for(2), Some(DiskFault::FailFsync));
         assert_eq!(s.fault_for(0), None);
         assert_eq!(s.fault_for(99), None);
+    }
+
+    #[test]
+    fn failed_save_leaves_the_same_generation_a_fresh_attempt() {
+        // A run ending on a cadence boundary submits that generation
+        // twice. The first commit fails, so the second must be tried; only
+        // once it is durable is a further submission a duplicate.
+        let dir = scratch_dir("retry");
+        let store = CheckpointStore::open(&dir)
+            .unwrap()
+            .with_fault_plan(DiskFaultPlan::scripted(&[(0, DiskFault::FailFsync)]));
+        let (session, resumed) = DurableSession::with_store(store, true).unwrap();
+        assert!(resumed.is_none(), "cold store");
+        let bcast = async_core::AsyncBcast::new(0, vec![1.0, -2.0], 0);
+        for _ in 0..3 {
+            session.submit(CheckpointJob {
+                solver: "asgd",
+                updates: 8,
+                version: 0,
+                w: bcast.pin_read(),
+                history: SolverHistory::None,
+                residuals: Vec::new(),
+            });
+        }
+        let stats = session.finish();
+        assert_eq!((stats.store.saves_failed, stats.store.saves_ok), (1, 1));
+        assert_eq!(stats.resumed_from, None);
+        let store = CheckpointStore::open(&dir).unwrap();
+        let (generation, bytes) = store.latest_valid().expect("the retry committed");
+        assert_eq!(generation, 8);
+        assert_eq!(Checkpoint::from_bytes(&bytes).unwrap().w, [1.0, -2.0]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -37,21 +37,23 @@
 //!
 //! The solvers are *elastic*: they keep running through worker kills,
 //! revivals, and mid-run joins (see `async_cluster::chaos` for churn
-//! scripts), and [`checkpoint`] snapshots the server state —
-//! bit-identical serialize/restore plus per-solver `resume_from` — so a
-//! crashed driver resumes instead of restarting. `tests/chaos_e2e.rs`
-//! and `tests/chaos_proptests.rs` exercise all of it end to end.
+//! scripts), and a [`checkpoint`] of the server state — bit-identical
+//! serialize/restore plus per-solver `resume_from` — lets a crashed
+//! driver resume instead of restarting. `tests/chaos_e2e.rs` and
+//! `tests/chaos_proptests.rs` exercise all of it end to end.
 //!
-//! Checkpoints become *durable* through [`durable`]: an atomic on-disk
-//! generation store (temp file + fsync + rename, checksummed manifests),
-//! a background checkpointer that captures snapshots off the hot path via
-//! the read-pin API, and [`SolverCfg::durable_dir`]-driven auto-resume —
-//! a restarted driver picks up the newest valid generation, re-seats the
-//! broadcast ring at the crashed run's model version, and continues
-//! bit-identically. [`durable::DiskFaultPlan`] injects torn writes,
-//! failed fsyncs, bit rot, and dropped manifests to prove the recovery
-//! paths; `tests/durable_e2e.rs` and `tests/durable_proptests.rs` drive
-//! it.
+//! A run's checkpoints live in one place, its [`durable`] store
+//! ([`SolverCfg::durable_dir`]): an atomic on-disk generation store (temp
+//! file + fsync + rename, checksummed manifests), written by a background
+//! checkpointer that takes each [`SolverCfg::checkpoint_every`] capture
+//! as a read pin and encodes it off the hot path, and read back with
+//! [`CheckpointStore::latest_valid`] / [`CheckpointStore::read`]. A
+//! restarted driver auto-resumes: it picks up the newest valid
+//! generation, re-seats the broadcast ring at the crashed run's model
+//! version, and continues bit-identically. [`durable::DiskFaultPlan`]
+//! injects torn writes, failed fsyncs, bit rot, and dropped manifests to
+//! prove the recovery paths; `tests/durable_e2e.rs` and
+//! `tests/durable_proptests.rs` drive it.
 
 #![deny(missing_docs)]
 
@@ -74,9 +76,7 @@ pub use asaga::Asaga;
 pub use asgd::Asgd;
 pub use checkpoint::{Checkpoint, CheckpointError, SolverHistory};
 pub use compression::{CompressCfg, CompressorBank};
-pub use durable::{
-    CheckpointStore, DiskFault, DiskFaultPlan, DurableSession, DurableStats, StoreCounters,
-};
+pub use durable::{CheckpointStore, DiskFault, DiskFaultPlan, DurableStats, StoreCounters};
 pub use msgd::AsyncMsgd;
 pub use objective::Objective;
 pub use remote::{worker_registry, EF_NS, ROUTINE_ASAGA, ROUTINE_GRAD};

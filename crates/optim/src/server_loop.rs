@@ -21,7 +21,7 @@ use sparklet::{Rdd, WorkerCtx};
 use crate::absorber::ShardedAbsorber;
 use crate::checkpoint::{Checkpoint, CheckpointError, SolverHistory};
 use crate::compression::{CompressCfg, CompressorBank};
-use crate::durable::DurableSession;
+use crate::durable::{CheckpointJob, CheckpointStore, DurableSession};
 use crate::objective::Objective;
 use crate::scratch::ScratchPool;
 use crate::serving::PublishedModel;
@@ -62,7 +62,7 @@ pub(crate) struct WaveEnv<'a> {
 
 /// What distinguishes one solver from another under [`ServerLoop::run`].
 pub(crate) trait UpdateRule {
-    /// Solver name: reports, checkpoints, error messages.
+    /// Solver name: reports, error messages, the checkpoint header.
     const NAME: &'static str;
     /// Whether an update can have a sparse change support, so that
     /// [`SolverCfg::bcast_ring`] and patch quantisation apply. Momentum
@@ -306,17 +306,20 @@ impl ServerLoop {
         }
         // Durability: open the store (and its background writer) when
         // configured. An explicit `resume_from` takes precedence over the
-        // store's newest valid generation; a durable auto-resume completes
-        // the crashed run's lineage budget instead of adding a fresh one.
-        let store = cfg
-            .durable_dir
-            .as_deref()
-            .map(DurableSession::open)
-            .transpose();
-        let mut durable = store.map_err(|source| SolverError::Store { solver, source })?;
+        // store's newest valid generation, which is then not even read; a
+        // durable auto-resume completes the crashed run's lineage budget
+        // instead of adding a fresh one.
         let explicit = self.resume.take();
         let from_store = explicit.is_none();
-        let resume = explicit.or_else(|| durable.as_mut().and_then(DurableSession::take_resume));
+        let opened = cfg
+            .durable_dir
+            .as_deref()
+            .map(|dir| DurableSession::with_store(CheckpointStore::open(dir)?, from_store))
+            .transpose();
+        let (durable, stored) = opened
+            .map_err(|source| SolverError::Store { solver, source })?
+            .unzip();
+        let resume = explicit.or(stored.flatten());
 
         let dim = dataset.cols();
         let mut w = vec![0.0; dim];
@@ -325,9 +328,6 @@ impl ServerLoop {
         if let Some(ckpt) = resume {
             ckpt.validate_for(solver, dim)
                 .map_err(|source| SolverError::Checkpoint { solver, source })?;
-            for warning in cfg.lint_resume(&ckpt) {
-                eprintln!("{solver} resume: {warning}");
-            }
             (w, base_updates, version) = (ckpt.w, ckpt.updates, ckpt.version);
             (history, residuals) = (Some(ckpt.history), ckpt.residuals);
         }
@@ -371,7 +371,7 @@ impl ServerLoop {
         let bank = self.bank.take().unwrap_or_default();
         // A resumed run reloads the crashed run's error-feedback residuals
         // so compression continues bit-identically instead of restarting
-        // cold (see `SolverCfg::lint_resume` for the legacy case).
+        // cold.
         if let Some(residuals) = &residuals {
             bank.restore_residuals(residuals);
         }
@@ -406,12 +406,19 @@ impl ServerLoop {
             pinned.pin_wave(&bcast, version, workers.len());
             !workers.is_empty()
         };
-        // Durable captures: the just-pushed snapshot rides to the
-        // background writer as a read pin — no hot-path model clone.
-        let save = |session: &mut DurableSession, rule: &R, lineage: u64, version: u64| {
-            if let Some(pin) = bcast.try_pin_read_at(version) {
-                let residuals = bank.export_residuals();
-                session.submit(solver, lineage, version, pin, rule.history(), residuals);
+        // The one capture: the just-pushed snapshot rides to the background
+        // writer as a read pin — no hot-path model clone — as generation
+        // `updates`, the lineage's update count.
+        let save = |session: &DurableSession, rule: &R, updates: u64, version: u64| {
+            if let Some(w) = bcast.try_pin_read_at(version) {
+                session.submit(CheckpointJob {
+                    solver,
+                    updates,
+                    version,
+                    w,
+                    history: rule.history(),
+                    residuals: bank.export_residuals(),
+                });
             }
         };
         submit(&rule, ctx, &mut pinned);
@@ -422,7 +429,6 @@ impl ServerLoop {
         let mut server = ShardedAbsorber::new(dim, cfg.server_threads);
         let absorb_batch = cfg.absorb_batch.max(1);
         let mut wave: Vec<Tagged<GradMsg>> = Vec::new();
-        let mut checkpoints = Vec::new();
 
         let mut updates = 0u64;
         let mut tasks_completed = 0u64;
@@ -488,18 +494,8 @@ impl ServerLoop {
                 trace.push(wall_clock, f - cfg.baseline);
             }
             if crossed_multiple(prev_updates, updates, cfg.checkpoint_every) {
-                let lineage = base_updates + updates;
-                let version = ctx.version();
-                checkpoints.push(Checkpoint {
-                    solver: solver.to_string(),
-                    updates: lineage,
-                    version,
-                    w: w.clone(),
-                    history: rule.history(),
-                    residuals: Some(bank.export_residuals()),
-                });
-                if let Some(session) = durable.as_mut() {
-                    save(session, &rule, lineage, version);
+                if let Some(session) = &durable {
+                    save(session, &rule, base_updates + updates, ctx.version());
                 }
             }
             submit(&rule, ctx, &mut pinned);
@@ -508,10 +504,11 @@ impl ServerLoop {
         let final_objective = objective.full_objective(EVAL, dataset, &w);
         trace.push(wall_clock, final_objective - cfg.baseline);
 
-        // Final durable save (deduplicated when the run ended exactly on a
-        // cadence boundary), then drain the writer before reporting.
-        let durable_stats = durable.map(|mut session| {
-            save(&mut session, &rule, base_updates + updates, ctx.version());
+        // Final durable save (skipped by the writer when the run ended on a
+        // cadence boundary whose save committed), then drain the writer
+        // before reporting.
+        let durable_stats = durable.map(|session| {
+            save(&session, &rule, base_updates + updates, ctx.version());
             session.finish()
         });
 
@@ -520,8 +517,12 @@ impl ServerLoop {
         // including those of lost tasks, which never surface. Queued
         // retries are abandoned up front so the drain doesn't re-issue work
         // nobody will consume, and again afterwards for tasks lost (and
-        // left unplaceable) during the drain itself.
+        // left unplaceable) during the drain itself. The run's losses are
+        // settled between the two: a retry the loop was still owed when it
+        // stopped is lost; a task that dies in the drain was going to be
+        // discarded, not applied.
         ctx.cancel_retries();
+        let lost_tasks = ctx.lost_tasks() - lost0;
         while let Some(t) = ctx.collect::<GradMsg>() {
             pinned.release(&bcast, t.attrs.issued_version);
             pool.recycle_ids(t.value.indices);
@@ -548,9 +549,8 @@ impl ServerLoop {
             worker_clocks: ctx.stat().workers.iter().map(|s| s.clock).collect(),
             final_w: w,
             final_objective,
-            checkpoints,
             serve: serve.unwrap_or_default(),
-            lost_tasks: ctx.lost_tasks() - lost0,
+            lost_tasks,
             retried_tasks: ctx.retried_tasks() - retried0,
             durable: durable_stats.unwrap_or_default(),
         })

@@ -12,7 +12,7 @@ use async_core::{AsyncContext, BarrierFilter, DegradePolicy};
 use async_data::{Block, Dataset};
 use sparklet::Rdd;
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::CheckpointError;
 use crate::compression::CompressCfg;
 use crate::durable::DurableStats;
 use crate::objective::Objective;
@@ -42,10 +42,9 @@ pub struct SolverCfg {
     pub partitions: usize,
     /// Sampling seed; runs are pure functions of `(cfg, cluster spec)`.
     pub seed: u64,
-    /// Capture a [`Checkpoint`] of the server state every this many
-    /// updates (0 = never); captured checkpoints land in
-    /// [`RunReport::checkpoints`], ready for `to_bytes` and a later
-    /// `resume_from`.
+    /// Cadence of the durable store: commit a [`crate::Checkpoint`] of the
+    /// server state to [`SolverCfg::durable_dir`] every this many updates
+    /// (0 = only at run end). Without a `durable_dir` nothing is captured.
     pub checkpoint_every: u64,
     /// Capacity of the incremental-broadcast ring (0 = disabled, the
     /// default): when > 0, the model broadcast keeps the change supports
@@ -141,12 +140,15 @@ pub struct SolverCfg {
     /// [`crate::durable::CheckpointStore`] there, **auto-resumes** from
     /// the newest valid generation it finds (model, solver history,
     /// error-feedback residuals, model version, and update budget — the
-    /// run completes the crashed run's `max_updates` total), and writes
-    /// each [`SolverCfg::checkpoint_every`]-cadence checkpoint to disk
-    /// through a background writer thread, off the training hot path. An
-    /// explicit `resume_from` on the solver takes precedence over the
-    /// store's contents. The run's durability outcome lands in
-    /// [`RunReport::durable`].
+    /// run completes the crashed run's `max_updates` total), and commits
+    /// a checkpoint every [`SolverCfg::checkpoint_every`] updates and at
+    /// run end through a background writer thread, off the training hot
+    /// path. An explicit `resume_from` on the solver takes precedence over
+    /// the store's contents. The store is also where a checkpoint is read
+    /// back from ([`crate::CheckpointStore::latest_valid`] or
+    /// [`crate::CheckpointStore::read`], then
+    /// [`crate::Checkpoint::from_bytes`]). The run's durability outcome
+    /// lands in [`RunReport::durable`].
     pub durable_dir: Option<std::path::PathBuf>,
 }
 
@@ -359,31 +361,6 @@ impl SolverCfg {
         }
         warnings
     }
-
-    /// Resume-time smells, checked against the checkpoint a run is about
-    /// to restore (auto-resume or explicit `resume_from`):
-    ///
-    /// * resuming a [`CompressCfg::TopK`] run from a checkpoint carrying
-    ///   **no error-feedback residuals** (a pre-durability format-1
-    ///   snapshot, or one captured with compression off): the compressors
-    ///   restart cold, silently dropping the deferred gradient signal the
-    ///   crashed run had accumulated — the run is *not* a continuation of
-    ///   the original trajectory.
-    pub fn lint_resume(&self, ckpt: &Checkpoint) -> Vec<String> {
-        let mut warnings = Vec::new();
-        if let CompressCfg::TopK { k, .. } = self.compress {
-            if !ckpt.has_residuals() {
-                warnings.push(format!(
-                    "resuming a top-{k} compressed run from a checkpoint without \
-                     error-feedback residuals (legacy format or captured with \
-                     compression off): the compressors restart cold and the \
-                     crashed run's deferred gradient signal is lost — the resumed \
-                     trajectory diverges from an uninterrupted one",
-                ));
-            }
-        }
-        warnings
-    }
 }
 
 /// Everything one solver run produces.
@@ -417,14 +394,13 @@ pub struct RunReport {
     pub final_w: Vec<f64>,
     /// Final objective value (not baseline-subtracted).
     pub final_objective: f64,
-    /// Server-state checkpoints captured every
-    /// [`SolverCfg::checkpoint_every`] updates (empty when disabled).
-    pub checkpoints: Vec<Checkpoint>,
     /// Serving counters accumulated by readers attached through
     /// [`SolverCfg::serve_feed`] over the run (all zeros without one).
     pub serve: ServeCounters,
-    /// Tasks abandoned to worker failures over this run (losses that were
-    /// not, or could no longer be, retried under [`SolverCfg::retry_lost`]).
+    /// Tasks abandoned to worker failures while the run's loop ran (losses
+    /// that were not, or could no longer be, retried under
+    /// [`SolverCfg::retry_lost`]). Tasks still in flight when the loop
+    /// stops are drained unapplied; one that dies there is not a loss.
     pub lost_tasks: u64,
     /// Lost tasks successfully re-submitted to surviving workers over this
     /// run (always 0 with retries off).

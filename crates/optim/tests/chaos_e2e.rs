@@ -8,12 +8,18 @@ use async_core::{AsyncContext, BarrierFilter, SubmitOpts};
 use async_data::{Dataset, SynthSpec};
 use async_linalg::ParallelismCfg;
 use async_optim::{
-    Asaga, Asgd, AsyncMsgd, AsyncSolver, Checkpoint, CheckpointError, Objective, RunReport,
-    SolverCfg, SolverHistory,
+    Asaga, Asgd, AsyncMsgd, AsyncSolver, Checkpoint, CheckpointError, CheckpointStore,
+    DurableStats, Objective, RunReport, SolverCfg, SolverHistory,
 };
 use sparklet::WorkerCtx;
 
 const WORKERS: usize = 4;
+
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("async-chaos-e2e-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 fn quiet_spec(delay: DelayModel) -> ClusterSpec {
     ClusterSpec::homogeneous(WORKERS, delay)
@@ -231,26 +237,41 @@ fn pcs_churn_preset_runs_all_barriers() {
 fn checkpoint_restores_bit_identical_server_state() {
     let d = dataset();
     let objective = Objective::LeastSquares { lambda: 1e-3 };
-    let run = || {
-        let mut ctx = sim_ctx();
+    // Each run leaves its checkpoints, as stored bytes, in its own store.
+    let run = |tag: &str| {
+        let dir = scratch_dir(tag);
         let mut c = cfg(BarrierFilter::Asp, 120, 31);
         c.checkpoint_every = 40;
-        Asgd::new(objective).run(&mut ctx, &d, &c)
+        c.durable_dir = Some(dir.clone());
+        Asgd::new(objective).run(&mut sim_ctx(), &d, &c);
+        let store = CheckpointStore::open(&dir).unwrap();
+        let gens = store.generations().unwrap();
+        let payloads: Vec<Vec<u8>> = gens.iter().map(|&g| store.read(g).unwrap()).collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        (gens, payloads)
     };
-    let a = run();
-    assert_eq!(a.checkpoints.len(), 3, "one checkpoint per 40 updates");
+    let (gens, a) = run("restore-a");
+    assert_eq!(gens, [40, 80, 120], "one checkpoint per 40 updates");
     // Serialization round-trips the mid-run server state bit-for-bit.
-    for ckpt in &a.checkpoints {
+    for (bytes, generation) in a.iter().zip(gens) {
+        let ckpt = Checkpoint::from_bytes(bytes).unwrap();
+        assert_eq!(ckpt.updates, generation);
         let restored = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        assert_eq!(&restored, ckpt);
+        assert_eq!(restored, ckpt);
         for (x, y) in ckpt.w.iter().zip(restored.w.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+        assert_eq!(&ckpt.to_bytes(), bytes);
     }
     // And the checkpointed state is itself deterministic.
-    let b = run();
-    assert_eq!(a.checkpoints, b.checkpoints);
-    assert_eq!(a.checkpoints[2].updates, 120);
+    assert_eq!(run("restore-b").1, a);
+
+    // The cadence is the store's: without a `durable_dir` nothing is
+    // captured and no store exists to report on.
+    let mut c = cfg(BarrierFilter::Asp, 120, 31);
+    c.checkpoint_every = 40;
+    let storeless = Asgd::new(objective).run(&mut sim_ctx(), &d, &c);
+    assert_eq!(storeless.durable, DurableStats::default());
 }
 
 #[test]
@@ -266,18 +287,25 @@ fn driver_crash_resumes_from_checkpoint_instead_of_restarting() {
         // Phase 1: the "crashing" driver checkpoints every 100 updates and
         // dies after 200 (simulated by just stopping there).
         let mut ctx = sim_ctx();
+        let dir = scratch_dir(solver_name);
         let mut c = cfg(BarrierFilter::Ssp { slack: 2 }, 200, 13);
         c.checkpoint_every = 100;
+        c.durable_dir = Some(dir.clone());
         let phase1 = match solver_name {
             "asgd" => Asgd::new(objective).run(&mut ctx, &d, &c),
             "asaga" => Asaga::new(objective).run(&mut ctx, &d, &c),
             _ => AsyncMsgd::new(objective).run(&mut ctx, &d, &c),
         };
-        let ckpt_bytes = phase1.checkpoints.last().unwrap().to_bytes();
+        let (generation, ckpt_bytes) = CheckpointStore::open(&dir)
+            .unwrap()
+            .latest_valid()
+            .expect("the crashed driver's last checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
 
-        // Phase 2: a brand-new driver + context restores from the wire
+        // Phase 2: a brand-new driver + context restores from the stored
         // bytes and continues to the total budget.
         let ckpt = Checkpoint::from_bytes(&ckpt_bytes).unwrap();
+        assert_eq!(generation, 200);
         assert_eq!(ckpt.updates, 200);
         assert_eq!(ckpt.solver, solver_name);
         let mut ctx2 = sim_ctx();
@@ -329,6 +357,29 @@ fn driver_crash_resumes_from_checkpoint_instead_of_restarting() {
             "{solver_name}: resumed gap {resumed_gap} should beat cold-start gap {cold_gap}"
         );
     }
+}
+
+#[test]
+fn a_task_that_dies_in_the_final_drain_is_discarded_not_lost() {
+    // The loop refills its workers after the last update and then drains
+    // them unapplied. Kill the whole cluster inside that drain: the
+    // context sees tasks die with nowhere to retry them, but the run had
+    // spent its budget and lost nothing it was going to apply.
+    let d = dataset();
+    let objective = Objective::LeastSquares { lambda: 1e-3 };
+    let mut c = cfg(BarrierFilter::Asp, 60, 11);
+    c.retry_lost = 3;
+    let clean = Asgd::new(objective).run(&mut sim_ctx(), &d, &c);
+    let in_the_drain = clean.wall_clock + VDur::from_micros(1);
+    let chaos = (0..WORKERS).fold(ChaosSchedule::new(), |s, w| s.kill(in_the_drain, w));
+    let mut ctx = sim_ctx();
+    ctx.driver_mut().install_chaos(&chaos);
+    let r = Asgd::new(objective).run(&mut ctx, &d, &c);
+    assert_eq!(r.updates, 60);
+    assert_eq!(r.final_w, clean.final_w, "the kills land after the run");
+    assert!(ctx.lost_tasks() >= 1, "the drain did see tasks die");
+    assert_eq!(ctx.retries_pending(), 0);
+    assert_eq!(r.lost_tasks, 0);
 }
 
 #[test]

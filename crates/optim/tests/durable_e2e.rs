@@ -403,35 +403,3 @@ fn resumed_run_republishes_through_a_reused_serve_feed() {
     assert_eq!(model.bcast.latest_version(), 32);
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn lint_resume_flags_residual_less_checkpoints_for_compressed_runs() {
-    let legacy = Checkpoint {
-        solver: "asgd".into(),
-        updates: 10,
-        version: 10,
-        w: vec![0.0; 4],
-        history: SolverHistory::None,
-        residuals: None,
-    };
-    let compressed = SolverCfg {
-        compress: CompressCfg::TopK {
-            k: 4,
-            quant: Quant::Exact,
-        },
-        ..SolverCfg::default()
-    };
-    let warnings = compressed.lint_resume(&legacy);
-    assert_eq!(warnings.len(), 1);
-    assert!(warnings[0].contains("top-4"));
-    assert!(warnings[0].contains("residuals"));
-
-    // A residual-carrying checkpoint (even an empty export) is fine…
-    let modern = Checkpoint {
-        residuals: Some(vec![]),
-        ..legacy.clone()
-    };
-    assert!(compressed.lint_resume(&modern).is_empty());
-    // …and so is resuming an uncompressed run from a legacy checkpoint.
-    assert!(SolverCfg::default().lint_resume(&legacy).is_empty());
-}

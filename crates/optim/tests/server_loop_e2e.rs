@@ -72,10 +72,21 @@ fn run(solver: &mut dyn AsyncSolver, d: &Dataset, c: &SolverCfg) -> RunReport {
     r
 }
 
-fn lineage(r: &RunReport) -> Vec<(u64, u64)> {
-    r.checkpoints
-        .iter()
-        .map(|c| (c.updates, c.version))
+fn stored(dir: &Path, generation: u64) -> Checkpoint {
+    let store = CheckpointStore::open(dir).unwrap();
+    let bytes = store.read(generation).expect("a valid generation");
+    let ckpt = Checkpoint::from_bytes(&bytes).unwrap();
+    assert_eq!(ckpt.updates, generation, "a generation is its update count");
+    ckpt
+}
+
+/// `(updates, version)` of every checkpoint a run that started at lineage
+/// count `from` left in `dir`.
+fn lineage(dir: &Path, from: u64) -> Vec<(u64, u64)> {
+    let gens = CheckpointStore::open(dir).unwrap().generations().unwrap();
+    gens.into_iter()
+        .filter(|&g| g > from)
+        .map(|g| (g, stored(dir, g).version))
         .collect()
 }
 
@@ -148,7 +159,7 @@ fn the_loop_owns_budget_lineage_durability_serving_and_residuals_for_every_rule(
         );
         assert_eq!(cold.updates, FULL, "{name} cold");
         assert_eq!(
-            lineage(&cold),
+            lineage(&cold_dir, 0),
             [(8, 8), (16, 16), (24, 24), (32, 32)],
             "{name} cold"
         );
@@ -165,8 +176,7 @@ fn the_loop_owns_budget_lineage_durability_serving_and_residuals_for_every_rule(
         // Explicit resume, beside a store holding another lineage: the
         // explicit checkpoint wins, `max_updates` is a fresh budget, and
         // checkpoints and generations continue the checkpoint's count.
-        let at_half = cold.checkpoints[1].clone();
-        assert_eq!(at_half.updates, HALF);
+        let at_half = stored(&cold_dir, HALF);
         let residuals = at_half.residuals.clone().expect("captured residuals");
         assert!(residuals.iter().any(|(_, r)| r.iter().any(|&x| x != 0.0)));
         let other_dir = scratch_dir(name);
@@ -181,7 +191,11 @@ fn the_loop_owns_budget_lineage_durability_serving_and_residuals_for_every_rule(
             &cfg(HALF, Some(&other_dir)),
         );
         assert_eq!(explicit.updates, HALF, "{name} explicit: fresh budget");
-        assert_eq!(lineage(&explicit), [(24, 24), (32, 32)], "{name} explicit");
+        assert_eq!(
+            lineage(&other_dir, HALF),
+            [(24, 24), (32, 32)],
+            "{name} explicit"
+        );
         assert_eq!(explicit.durable.resumed_from, None, "{name} explicit");
         assert_eq!(newest(&other_dir).0, HALF + explicit.updates, "{name}");
         let bank = CompressorBank::new();
@@ -209,7 +223,7 @@ fn the_loop_owns_budget_lineage_durability_serving_and_residuals_for_every_rule(
             &cfg(FULL, Some(&dir)),
         );
         assert_eq!(auto.updates, FULL - HALF, "{name} auto: remaining budget");
-        assert_eq!(lineage(&auto), [(24, 24), (32, 32)], "{name} auto");
+        assert_eq!(lineage(&dir, HALF), [(24, 24), (32, 32)], "{name} auto");
         assert_eq!(auto.durable.resumed_from, Some(HALF), "{name} auto");
         let (generation, last) = newest(&dir);
         assert_eq!(generation, HALF + auto.updates, "{name} auto");

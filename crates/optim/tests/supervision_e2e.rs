@@ -163,7 +163,14 @@ fn supervised_grid_survives_faults_and_agrees_with_clean_sim() {
             let mixes = fault_mixes(0xFA17 + (si * 3 + bi) as u64);
             let (mname, fault) = &mixes[(si + bi) % mixes.len()];
             let mut ctx = supervised_ctx(fault.clone());
-            let r = make().run(&mut ctx, &d, &cfg(barrier.clone(), budget, 3));
+            // Supervision converts losses into retries given a retry
+            // budget above the fault rate. `tear` tears or resets 4 % of
+            // frames each way, heartbeats included, so an attempt is lost
+            // with probability ≈ 0.1: `retry_lost = 3` abandons a task
+            // after four straight losses, ≈ 1e-4 per task × 360 tasks in
+            // the three tear cells — a failure every 10–25 runs; 8 puts
+            // nine straight losses at ≈ 1e-9 per task.
+            let r = make().run(&mut ctx, &d, &cfg(barrier.clone(), budget, 8));
             assert_eq!(
                 r.updates, budget,
                 "{sname}/{bname}/{mname}: a supervised run must spend its \
