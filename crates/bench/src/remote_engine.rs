@@ -129,15 +129,15 @@ fn cluster(cfg: &RemoteEngineCfg) -> ClusterSpec {
 }
 
 fn solver_cfg(cfg: &RemoteEngineCfg, updates: u64, eval_every: u64) -> SolverCfg {
-    SolverCfg::builder()
-        .step(cfg.step)
-        .batch_fraction(cfg.batch_fraction)
-        .barrier(BarrierFilter::Asp)
-        .max_updates(updates)
-        .eval_every(eval_every)
-        .seed(cfg.seed)
-        .build()
-        .expect("benchmark configuration is valid")
+    SolverCfg {
+        step: cfg.step,
+        batch_fraction: cfg.batch_fraction,
+        barrier: BarrierFilter::Asp,
+        max_updates: updates,
+        eval_every,
+        seed: cfg.seed,
+        ..SolverCfg::default()
+    }
 }
 
 fn objective(cfg: &RemoteEngineCfg) -> Objective {

@@ -11,7 +11,7 @@ use crate::time::VDur;
 
 /// Communication cost model: a fixed per-message latency plus a bandwidth
 /// term. Applied once per task dispatch and once per large payload shipped
-/// (classic broadcast values, history-broadcast cache misses).
+/// (task payloads, history-broadcast cache misses).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommModel {
     /// Fixed latency per message (task dispatch, result submission).

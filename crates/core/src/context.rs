@@ -35,10 +35,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use async_cluster::{ClusterSpec, VDur, VTime, WorkerId};
-use sparklet::rdd::{Data, RddOps};
-use sparklet::{
-    BcastCharge, Completion, DecodeError, Driver, Payload, Rdd, TaskFn, WireTask, WorkerCtx,
-};
+use sparklet::rdd::Data;
+use sparklet::{Completion, DecodeError, Driver, Payload, Rdd, TaskFn, WireTask, WorkerCtx};
 
 use crate::barrier::BarrierFilter;
 use crate::broadcast::AsyncBcast;
@@ -76,13 +74,13 @@ pub struct Tagged<R> {
 }
 
 /// Per-submission knobs for [`AsyncContext::async_reduce`] /
-/// [`AsyncContext::async_aggregate`].
+/// [`AsyncContext::async_aggregate`]: what the task weighs on the modeled
+/// wire and clock, and the mini-batch it declares. The model itself is not
+/// listed here — tasks capture an `AsyncBcast` handle and are billed for
+/// what they fetch.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SubmitOpts<'a> {
-    /// Classic broadcasts the task closure captures (first-use transfer is
-    /// billed per worker).
-    pub uses: &'a [BcastCharge],
-    /// Extra task payload bytes (e.g. history-broadcast version IDs).
+pub struct SubmitOpts {
+    /// Task payload bytes (e.g. history-broadcast version IDs).
     pub extra_bytes: u64,
     /// Multiplies the RDD cost hints; `0.0` is treated as `1.0` so
     /// `SubmitOpts::default()` does the expected thing.
@@ -91,7 +89,7 @@ pub struct SubmitOpts<'a> {
     pub minibatch: u64,
 }
 
-impl SubmitOpts<'_> {
+impl SubmitOpts {
     fn effective_cost_scale(&self) -> f64 {
         if self.cost_scale == 0.0 {
             1.0
@@ -168,16 +166,16 @@ impl RemoteRoutine {
     }
 }
 
-/// The run closure of one submission of `f` over partition `part` of the
-/// lineage `ops` — the first, and every retry of it.
-fn run_closure<T, R, F>(ops: Arc<dyn RddOps<T>>, f: F, part: usize) -> TaskFn
+/// The run closure of one submission of `f` over partition `part` of
+/// `rdd` — the first, and every retry of it.
+fn run_closure<T, R, F>(rdd: Rdd<T>, f: F, part: usize) -> TaskFn
 where
     T: Data,
     R: Send + 'static,
     F: Fn(&mut WorkerCtx, Vec<T>, usize) -> R + Send + 'static,
 {
     Box::new(move |ctx: &mut WorkerCtx| {
-        let data = ops.compute(part);
+        let data = rdd.compute(part);
         Box::new(f(ctx, data, part)) as Box<dyn Any + Send>
     })
 }
@@ -196,7 +194,6 @@ struct RetryTicket {
     tag: u64,
     cost: f64,
     extra_bytes: u64,
-    uses: Vec<BcastCharge>,
     minibatch: u64,
     /// The model version of the *original* submission: retries keep it so
     /// staleness stays honest and the pin taken at first submission is
@@ -465,7 +462,7 @@ impl AsyncContext {
             let issued_at = self.driver.now();
             if self
                 .driver
-                .submit_raw_wired(w, t.tag, t.cost, t.extra_bytes, &t.uses, (t.replay)(), wire)
+                .submit_raw(w, t.tag, t.cost, t.extra_bytes, (t.replay)(), wire)
                 .is_ok()
             {
                 self.stat
@@ -540,11 +537,6 @@ impl AsyncContext {
         AsyncBcast::new_at(id, initial, n_indices, base)
     }
 
-    /// Creates a classic Spark-style broadcast on the driver registry.
-    pub fn broadcast<T: Payload>(&mut self, value: T) -> sparklet::Broadcast<T> {
-        self.driver.broadcast(value)
-    }
-
     /// The paper's `ASYNCreduce(f, AC)`: submits `f` as one task per worker
     /// admitted by `filter` over the current `STAT` snapshot. Each admitted
     /// worker runs `f` over one partition it owns (cycling with its clock);
@@ -581,7 +573,7 @@ impl AsyncContext {
         &mut self,
         rdd: &Rdd<T>,
         filter: &BarrierFilter,
-        opts: SubmitOpts<'_>,
+        opts: SubmitOpts,
         f: F,
     ) -> Vec<WorkerId>
     where
@@ -603,7 +595,7 @@ impl AsyncContext {
         &mut self,
         rdd: &Rdd<T>,
         filter: &BarrierFilter,
-        opts: SubmitOpts<'_>,
+        opts: SubmitOpts,
         f: F,
         remote: Option<&RemoteRoutine>,
     ) -> Vec<WorkerId>
@@ -628,12 +620,12 @@ impl AsyncContext {
             // so every partition is visited at the worker's own pace.
             let part = parts[(self.stat.get(w).clock as usize) % parts.len()];
             let cost = rdd.cost_hint(part) * opts.effective_cost_scale();
-            let run = run_closure(rdd.ops(), f.clone(), part);
+            let run = run_closure(rdd.clone(), f.clone(), part);
             let wire = remote.map(|r| r.wire_task(part));
             let issued_at = self.driver.now();
             if self
                 .driver
-                .submit_raw_wired(w, part as u64, cost, opts.extra_bytes, opts.uses, run, wire)
+                .submit_raw(w, part as u64, cost, opts.extra_bytes, run, wire)
                 .is_ok()
             {
                 self.stat
@@ -642,15 +634,14 @@ impl AsyncContext {
                 // task if its worker dies. Off (the default), no state is
                 // captured and losses surface exactly as before.
                 if self.retry_max > 0 {
-                    let (ops, f) = (rdd.ops(), f.clone());
+                    let (rdd, f) = (rdd.clone(), f.clone());
                     let replay: ReplayFn =
-                        Arc::new(move || run_closure(Arc::clone(&ops), f.clone(), part));
+                        Arc::new(move || run_closure(rdd.clone(), f.clone(), part));
                     self.tickets.push(RetryTicket {
                         worker: w,
                         tag: part as u64,
                         cost,
                         extra_bytes: opts.extra_bytes,
-                        uses: opts.uses.to_vec(),
                         minibatch: opts.minibatch,
                         issued_version: self.version,
                         attempts: 0,
@@ -695,7 +686,7 @@ impl AsyncContext {
         &mut self,
         rdd: &Rdd<T>,
         filter: &BarrierFilter,
-        opts: SubmitOpts<'_>,
+        opts: SubmitOpts,
         zero: U,
         seq_op: F,
     ) -> Vec<WorkerId>

@@ -242,7 +242,6 @@ impl UpdateRule for AsagaRule {
             // Two gradient evaluations per sampled row.
             cost_scale: 4.0 * batch.fraction,
             minibatch: env.minibatch_hint,
-            ..SubmitOpts::default()
         };
         // The wire form for the remote backend: sampling and version
         // lookup run driver-side in `build` (the submission instant — the

@@ -82,6 +82,4 @@ pub use objective::Objective;
 pub use remote::{worker_registry, EF_NS, ROUTINE_ASAGA, ROUTINE_GRAD};
 pub use scratch::{ScratchPool, TaskScratch};
 pub use serving::{LoggedQuery, PublishedModel, ServeCounters, ServeFeed, ServeStats};
-pub use solver::{
-    block_rdd, AsyncSolver, RunReport, SolverCfg, SolverCfgBuilder, SolverCfgError, SolverError,
-};
+pub use solver::{block_rdd, AsyncSolver, RunReport, SolverCfg, SolverCfgError, SolverError};

@@ -575,15 +575,14 @@ fn decode_response_delta(
 /// closure's `value_incremental`, run against the mirror — and ships the
 /// batch draw; the worker re-derives the identical batch.
 pub(crate) fn grad_routine(env: &WaveEnv<'_>, objective: Objective, version: u64) -> RemoteRoutine {
-    let (rdd, bcast) = (env.rdd, env.bcast);
+    let (rdd, bcast) = (env.rdd.clone(), env.bcast);
     let (batch, compress) = (env.batch(version), env.cfg.compress);
-    let ops = rdd.ops();
     let handle = bcast.handle();
     let bcast_id = bcast.id();
     RemoteRoutine {
         routine: ROUTINE_GRAD,
         build: Arc::new(move |mirror: &mut WorkerCtx, part: usize| {
-            let data = ops.compute(part);
+            let data = rdd.compute(part);
             let block = &data[0];
             // Model first, exactly like the closure: the plan's charges
             // are the bytes `value_incremental` charges.
@@ -657,16 +656,15 @@ pub(crate) fn asaga_routine(
     objective: Objective,
     version: u64,
 ) -> RemoteRoutine {
-    let (rdd, bcast) = (env.rdd, env.bcast);
+    let (rdd, bcast) = (env.rdd.clone(), env.bcast);
     let (batch, compress) = (env.batch(version), env.cfg.compress);
-    let ops = rdd.ops();
     let handle = bcast.handle();
     let server_table = bcast.clone();
     let bcast_id = bcast.id();
     RemoteRoutine {
         routine: ROUTINE_ASAGA,
         build: Arc::new(move |mirror: &mut WorkerCtx, part: usize| {
-            let data = ops.compute(part);
+            let data = rdd.compute(part);
             let block = &data[0];
             // Same mirror sequence as the closure: current model, then one
             // `value_at` per sampled row (repeat versions resolve from the

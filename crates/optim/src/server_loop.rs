@@ -208,7 +208,6 @@ fn submit_grad_wave(ctx: &mut AsyncContext, env: &WaveEnv<'_>, objective: Object
         extra_bytes: AsyncBcast::<Vec<f64>>::id_ship_bytes(0),
         cost_scale: 2.0 * batch.fraction,
         minibatch: env.minibatch_hint,
-        ..SubmitOpts::default()
     };
     // The wire form for the remote backend: the request ships the model's
     // wire plan plus the batch draw, and the worker runs the same
@@ -300,6 +299,8 @@ impl ServerLoop {
         cfg: &SolverCfg,
     ) -> Result<RunReport, SolverError> {
         let solver = R::NAME;
+        cfg.validate()
+            .map_err(|source| SolverError::Cfg { solver, source })?;
         if ctx.pending() != 0 {
             let pending = ctx.pending();
             return Err(SolverError::BusyContext { solver, pending });
@@ -427,7 +428,6 @@ impl ServerLoop {
         // shard-parallel on its persistent pool; with absorb_batch > 1 a
         // wave of ready deltas is absorbed with one dispatch and one push.
         let mut server = ShardedAbsorber::new(dim, cfg.server_threads);
-        let absorb_batch = cfg.absorb_batch.max(1);
         let mut wave: Vec<Tagged<GradMsg>> = Vec::new();
 
         let mut updates = 0u64;
@@ -446,7 +446,7 @@ impl ServerLoop {
             // Block for one result, then drain up to the absorb batch
             // (capped at the remaining budget) of already-arrived ones.
             wave.clear();
-            let want = absorb_batch.min((budget - updates) as usize);
+            let want = cfg.absorb_batch.min((budget - updates) as usize);
             ctx.collect_up_to_into(want, &mut wave);
             if wave.is_empty() {
                 // Total stall: every in-flight task was lost to failures.

@@ -15,7 +15,6 @@ use sparklet::Rdd;
 use crate::checkpoint::CheckpointError;
 use crate::compression::CompressCfg;
 use crate::durable::DurableStats;
-use crate::objective::Objective;
 use crate::serving::{ServeCounters, ServeFeed};
 
 /// Configuration shared by all solvers.
@@ -78,7 +77,7 @@ pub struct SolverCfg {
     /// assert_eq!(cfg.server_threads, 4);
     /// ```
     pub server_threads: usize,
-    /// Deltas absorbed per server wave (clamped to at least 1): each wave
+    /// Deltas absorbed per server wave (at least 1): each wave
     /// blocks for one result, then opportunistically drains up to this
     /// many already-arrived results and folds them per shard before **one**
     /// fused apply pass and **one** snapshot push. Batching reorders the
@@ -177,15 +176,13 @@ impl Default for SolverCfg {
     }
 }
 
-/// Why a [`SolverCfgBuilder`] refused to produce a configuration.
+/// Why [`SolverCfg::validate`] refused a configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolverCfgError {
     /// `batch_fraction` outside `(0, 1]` — a task would sample nothing or
     /// more than its partition.
     BatchFraction(f64),
-    /// `absorb_batch == 0` — the server wave could never make progress
-    /// (runtime clamps exist for struct-literal configs, but the builder
-    /// refuses the contradiction outright).
+    /// `absorb_batch == 0` — the server wave could never make progress.
     ZeroAbsorbBatch,
     /// `server_threads == 0` — the sharded absorber needs at least one
     /// shard.
@@ -210,156 +207,26 @@ impl std::fmt::Display for SolverCfgError {
 
 impl std::error::Error for SolverCfgError {}
 
-/// Validating construction for [`SolverCfg`] — the preferred path over
-/// struct-literal construction (which stays supported for existing call
-/// sites and tests, but checks nothing until the contradictions surface
-/// mid-run).
-///
-/// ```
-/// use async_optim::{Objective, SolverCfg};
-///
-/// let cfg = SolverCfg::builder()
-///     .step(0.02)
-///     .batch_fraction(0.25)
-///     .max_updates(500)
-///     .build()
-///     .expect("valid configuration");
-/// assert_eq!(cfg.max_updates, 500);
-/// assert!(SolverCfg::builder().batch_fraction(0.0).build().is_err());
-///
-/// // The incremental ring only pays off for sparse change supports:
-/// // a ridge term makes every update dense, which `lint` flags.
-/// let ringed = SolverCfg::builder().bcast_ring(8).build().unwrap();
-/// let warnings = ringed.lint(&Objective::LeastSquares { lambda: 1e-3 });
-/// assert_eq!(warnings.len(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SolverCfgBuilder {
-    cfg: SolverCfg,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(mut self, $name: $ty) -> Self {
-                self.cfg.$name = $name;
-                self
-            }
-        )*
-    };
-}
-
-impl SolverCfgBuilder {
-    builder_setters! {
-        /// Step size γ ([`SolverCfg::step`]).
-        step: f64,
-        /// Staleness-damped steps ([`SolverCfg::staleness_damping`]).
-        staleness_damping: bool,
-        /// Mini-batch fraction in `(0, 1]` ([`SolverCfg::batch_fraction`]).
-        batch_fraction: f64,
-        /// Barrier strategy ([`SolverCfg::barrier`]).
-        barrier: BarrierFilter,
-        /// Update budget ([`SolverCfg::max_updates`]).
-        max_updates: u64,
-        /// Trace cadence ([`SolverCfg::eval_every`]).
-        eval_every: u64,
-        /// Baseline objective ([`SolverCfg::baseline`]).
-        baseline: f64,
-        /// Partition count ([`SolverCfg::partitions`]).
-        partitions: usize,
-        /// Sampling seed ([`SolverCfg::seed`]).
-        seed: u64,
-        /// Checkpoint cadence ([`SolverCfg::checkpoint_every`]).
-        checkpoint_every: u64,
-        /// Incremental-broadcast ring capacity ([`SolverCfg::bcast_ring`]).
-        bcast_ring: usize,
-        /// Server absorption shards ([`SolverCfg::server_threads`]).
-        server_threads: usize,
-        /// Deltas folded per server wave ([`SolverCfg::absorb_batch`]).
-        absorb_batch: usize,
-        /// Worker → server delta compression ([`SolverCfg::compress`]).
-        compress: CompressCfg,
-        /// Degradation policy under worker deaths ([`SolverCfg::degrade`]).
-        degrade: DegradePolicy,
-        /// Lost-task re-submission bound ([`SolverCfg::retry_lost`]).
-        retry_lost: u32,
-    }
-
-    /// Attaches a serving rendezvous ([`SolverCfg::serve_feed`]).
-    pub fn serve_feed(mut self, feed: ServeFeed) -> Self {
-        self.cfg.serve_feed = Some(feed);
-        self
-    }
-
-    /// Attaches a durable checkpoint store ([`SolverCfg::durable_dir`]).
-    pub fn durable_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.cfg.durable_dir = Some(dir.into());
-        self
-    }
-
-    /// Validates and produces the configuration.
-    pub fn build(self) -> Result<SolverCfg, SolverCfgError> {
-        let cfg = self.cfg;
-        if !(cfg.batch_fraction > 0.0 && cfg.batch_fraction <= 1.0) {
-            return Err(SolverCfgError::BatchFraction(cfg.batch_fraction));
+impl SolverCfg {
+    /// Refuses the contradictions that would otherwise surface mid-run (a
+    /// top-0 compressor panics inside the first gradient task). Every run
+    /// passes through here first: `ServerLoop::run` calls it before it
+    /// touches the context, and [`AsyncSolver::try_run`] returns the
+    /// refusal as [`SolverError::Cfg`].
+    pub fn validate(&self) -> Result<(), SolverCfgError> {
+        if !(self.batch_fraction > 0.0 && self.batch_fraction <= 1.0) {
+            return Err(SolverCfgError::BatchFraction(self.batch_fraction));
         }
-        if cfg.absorb_batch == 0 {
+        if self.absorb_batch == 0 {
             return Err(SolverCfgError::ZeroAbsorbBatch);
         }
-        if cfg.server_threads == 0 {
+        if self.server_threads == 0 {
             return Err(SolverCfgError::ZeroServerThreads);
         }
-        if matches!(cfg.compress, CompressCfg::TopK { k: 0, .. }) {
+        if matches!(self.compress, CompressCfg::TopK { k: 0, .. }) {
             return Err(SolverCfgError::ZeroTopK);
         }
-        Ok(cfg)
-    }
-}
-
-impl SolverCfg {
-    /// A [`SolverCfgBuilder`] seeded with the defaults.
-    pub fn builder() -> SolverCfgBuilder {
-        SolverCfgBuilder {
-            cfg: SolverCfg::default(),
-        }
-    }
-
-    /// Configuration smells that are legal but probably not what the
-    /// caller wants, given the objective the run will optimize:
-    ///
-    /// * a positive [`SolverCfg::bcast_ring`] with a ridge term (λ > 0),
-    ///   where every model update has a **dense** change support, so
-    ///   incremental resolution falls back to full snapshots and the ring
-    ///   buys nothing;
-    /// * [`CompressCfg::TopK`] with a ridge term (λ > 0), where the
-    ///   server's shrink touches every coordinate each update while the
-    ///   compressed delta restricts the gradient signal to `k` of them —
-    ///   the dense-support ridge dynamics dominate and the sparsified
-    ///   messages mostly buy residual lag.
-    pub fn lint(&self, objective: &Objective) -> Vec<String> {
-        let mut warnings = Vec::new();
-        if self.bcast_ring > 0 && objective.lambda() > 0.0 {
-            warnings.push(format!(
-                "bcast_ring = {} with λ = {}: ridge updates have dense change \
-                 supports, so every incremental resolution falls back to a full \
-                 snapshot — the ring adds bookkeeping without saving bytes",
-                self.bcast_ring,
-                objective.lambda()
-            ));
-        }
-        if let CompressCfg::TopK { k, .. } = self.compress {
-            if objective.lambda() > 0.0 {
-                warnings.push(format!(
-                    "compress = top-{k} with λ = {}: the ridge term gives every \
-                     update a dense support, so sparsifying the gradient messages \
-                     mostly defers signal into the error-feedback residual instead \
-                     of saving convergence-relevant bytes",
-                    objective.lambda()
-                ));
-            }
-        }
-        warnings
+        Ok(())
     }
 }
 
@@ -416,6 +283,13 @@ pub struct RunReport {
 /// task is submitted.
 #[derive(Debug)]
 pub enum SolverError {
+    /// The configuration contradicts itself ([`SolverCfg::validate`]).
+    Cfg {
+        /// Solver attempting the run.
+        solver: &'static str,
+        /// The contradiction.
+        source: SolverCfgError,
+    },
     /// The context still has tasks in flight from an earlier use.
     BusyContext {
         /// Solver attempting the run.
@@ -443,6 +317,9 @@ pub enum SolverError {
 impl std::fmt::Display for SolverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SolverError::Cfg { solver, source } => {
+                write!(f, "{solver}: invalid configuration: {source}")
+            }
             SolverError::BusyContext { solver, pending } => {
                 write!(f, "{solver}: context has {pending} in-flight tasks")
             }
@@ -514,101 +391,36 @@ mod tests {
     use async_data::SynthSpec;
 
     #[test]
-    fn builder_matches_defaults_and_applies_setters() {
-        let built = SolverCfg::builder().build().unwrap();
-        let defaults = SolverCfg::default();
-        assert_eq!(built.step, defaults.step);
-        assert_eq!(built.batch_fraction, defaults.batch_fraction);
-        assert_eq!(built.max_updates, defaults.max_updates);
-        assert_eq!(built.seed, defaults.seed);
-        assert_eq!(built.server_threads, defaults.server_threads);
-        assert_eq!(built.absorb_batch, defaults.absorb_batch);
-        let cfg = SolverCfg::builder()
-            .step(0.02)
-            .batch_fraction(0.5)
-            .max_updates(77)
-            .bcast_ring(4)
-            .absorb_batch(3)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.step, 0.02);
-        assert_eq!(cfg.batch_fraction, 0.5);
-        assert_eq!(cfg.max_updates, 77);
-        assert_eq!(cfg.bcast_ring, 4);
-        assert_eq!(cfg.absorb_batch, 3);
-    }
-
-    #[test]
-    fn builder_rejects_contradictions() {
+    fn validate_rejects_contradictions() {
+        assert_eq!(SolverCfg::default().validate(), Ok(()));
         for bad in [0.0, -0.1, 1.5, f64::NAN] {
+            let cfg = SolverCfg {
+                batch_fraction: bad,
+                ..SolverCfg::default()
+            };
             assert!(matches!(
-                SolverCfg::builder().batch_fraction(bad).build(),
+                cfg.validate(),
                 Err(SolverCfgError::BatchFraction(_))
             ));
         }
-        assert!(matches!(
-            SolverCfg::builder().absorb_batch(0).build(),
-            Err(SolverCfgError::ZeroAbsorbBatch)
-        ));
-        assert!(matches!(
-            SolverCfg::builder().server_threads(0).build(),
-            Err(SolverCfgError::ZeroServerThreads)
-        ));
-        assert!(matches!(
-            SolverCfg::builder()
-                .compress(CompressCfg::TopK {
-                    k: 0,
-                    quant: async_linalg::Quant::I8
-                })
-                .build(),
-            Err(SolverCfgError::ZeroTopK)
-        ));
-    }
-
-    #[test]
-    fn lint_flags_ring_with_dense_ridge_support() {
-        let ringed = SolverCfg::builder().bcast_ring(8).build().unwrap();
-        assert_eq!(
-            ringed.lint(&Objective::LeastSquares { lambda: 1e-3 }).len(),
-            1
-        );
-        assert!(ringed.lint(&Objective::Logistic { lambda: 0.0 }).is_empty());
-        let no_ring = SolverCfg::builder().build().unwrap();
-        assert!(no_ring
-            .lint(&Objective::LeastSquares { lambda: 1e-3 })
-            .is_empty());
-    }
-
-    #[test]
-    fn lint_flags_top_k_with_dense_ridge_support() {
-        let compressed = SolverCfg::builder()
-            .compress(CompressCfg::TopK {
-                k: 16,
-                quant: async_linalg::Quant::Exact,
-            })
-            .build()
-            .unwrap();
-        // λ > 0 makes every update dense-support: one warning, naming k.
-        let warnings = compressed.lint(&Objective::LeastSquares { lambda: 1e-3 });
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("top-16"));
-        // λ = 0 (sparse supports) is the intended regime: silent.
-        assert!(compressed
-            .lint(&Objective::Logistic { lambda: 0.0 })
-            .is_empty());
-        // Both smells at once stack: ring + compression against a ridge.
-        let both = SolverCfg::builder()
-            .bcast_ring(8)
-            .compress(CompressCfg::TopK {
-                k: 16,
-                quant: async_linalg::Quant::Exact,
-            })
-            .build()
-            .unwrap();
-        assert_eq!(
-            both.lint(&Objective::LeastSquares { lambda: 1e-3 }).len(),
-            2
-        );
+        let cfg = SolverCfg {
+            absorb_batch: 0,
+            ..SolverCfg::default()
+        };
+        assert_eq!(cfg.validate(), Err(SolverCfgError::ZeroAbsorbBatch));
+        let cfg = SolverCfg {
+            server_threads: 0,
+            ..SolverCfg::default()
+        };
+        assert_eq!(cfg.validate(), Err(SolverCfgError::ZeroServerThreads));
+        let cfg = SolverCfg {
+            compress: CompressCfg::TopK {
+                k: 0,
+                quant: async_linalg::Quant::I8,
+            },
+            ..SolverCfg::default()
+        };
+        assert_eq!(cfg.validate(), Err(SolverCfgError::ZeroTopK));
     }
 
     #[test]

@@ -30,15 +30,15 @@ fn dataset() -> Dataset {
 }
 
 fn cfg(barrier: BarrierFilter, compress: CompressCfg) -> SolverCfg {
-    SolverCfg::builder()
-        .step(0.04)
-        .batch_fraction(0.25)
-        .barrier(barrier)
-        .max_updates(150)
-        .seed(11)
-        .compress(compress)
-        .build()
-        .unwrap()
+    SolverCfg {
+        step: 0.04,
+        batch_fraction: 0.25,
+        barrier,
+        max_updates: 150,
+        seed: 11,
+        compress,
+        ..SolverCfg::default()
+    }
 }
 
 type SolverFactory = Box<dyn Fn() -> Box<dyn AsyncSolver>>;

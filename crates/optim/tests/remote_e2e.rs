@@ -33,14 +33,14 @@ fn dataset() -> Dataset {
 }
 
 fn cfg(max_updates: u64, seed: u64) -> SolverCfg {
-    SolverCfg::builder()
-        .step(0.04)
-        .batch_fraction(0.25)
-        .barrier(BarrierFilter::Asp)
-        .max_updates(max_updates)
-        .seed(seed)
-        .build()
-        .unwrap()
+    SolverCfg {
+        step: 0.04,
+        batch_fraction: 0.25,
+        barrier: BarrierFilter::Asp,
+        max_updates,
+        seed,
+        ..SolverCfg::default()
+    }
 }
 
 /// A remote context over real worker processes: the `async_worker` binary
@@ -201,15 +201,15 @@ fn sparse_ring_run_ships_identical_bytes_on_sim_and_loopback() {
     let spec = ClusterSpec::homogeneous(1, DelayModel::None)
         .with_comm(CommModel::free())
         .with_sched_overhead(VDur::ZERO);
-    let ring_cfg = SolverCfg::builder()
-        .step(0.5)
-        .batch_fraction(0.1)
-        .barrier(BarrierFilter::Asp)
-        .bcast_ring(8)
-        .max_updates(300)
-        .seed(23)
-        .build()
-        .unwrap();
+    let ring_cfg = SolverCfg {
+        step: 0.5,
+        batch_fraction: 0.1,
+        barrier: BarrierFilter::Asp,
+        bcast_ring: 8,
+        max_updates: 300,
+        seed: 23,
+        ..SolverCfg::default()
+    };
     let objective = Objective::Logistic { lambda: 0.0 };
     let mut sim_ctx = AsyncContext::sim(spec.clone());
     let sim = Asgd::new(objective).run(&mut sim_ctx, &d, &ring_cfg);
@@ -238,52 +238,46 @@ fn every_task_body_and_resolve_path_is_bit_identical_on_sim_and_loopback() {
     let asgd = |o| Box::new(Asgd::new(o)) as Box<dyn AsyncSolver>;
     let msgd = |o| Box::new(AsyncMsgd::new(o).with_momentum(0.5)) as Box<dyn AsyncSolver>;
     let asaga = |o| Box::new(Asaga::new(o)) as Box<dyn AsyncSolver>;
-    let base = || {
-        SolverCfg::builder()
-            .step(0.04)
-            .batch_fraction(0.25)
-            .barrier(BarrierFilter::Asp)
-            .max_updates(200)
-            .seed(23)
-    };
+    let base = || cfg(200, 23);
     let topk = |k, quant| CompressCfg::TopK { k, quant };
     type Make = dyn Fn(Objective) -> Box<dyn AsyncSolver>;
     let rows: [(&str, &Dataset, Objective, &Make, SolverCfg); 6] = [
-        ("asgd dense", &dense, ridge, &asgd, base().build().unwrap()),
-        ("msgd dense", &dense, ridge, &msgd, base().build().unwrap()),
-        (
-            "asaga dense",
-            &dense,
-            ridge,
-            &asaga,
-            base().build().unwrap(),
-        ),
+        ("asgd dense", &dense, ridge, &asgd, base()),
+        ("msgd dense", &dense, ridge, &msgd, base()),
+        ("asaga dense", &dense, ridge, &asaga, base()),
         (
             "asaga csr",
             &csr,
             logistic,
             &asaga,
-            base().step(0.5).batch_fraction(0.1).build().unwrap(),
+            SolverCfg {
+                step: 0.5,
+                batch_fraction: 0.1,
+                ..base()
+            },
         ),
         (
             "asgd dense + top-k i8",
             &dense,
             ridge,
             &asgd,
-            base().compress(topk(4, Quant::I8)).build().unwrap(),
+            SolverCfg {
+                compress: topk(4, Quant::I8),
+                ..base()
+            },
         ),
         (
             "asgd csr + ring + top-k f16 (quantized patches)",
             &csr,
             logistic,
             &asgd,
-            base()
-                .step(0.5)
-                .batch_fraction(0.1)
-                .bcast_ring(8)
-                .compress(topk(32, Quant::F16))
-                .build()
-                .unwrap(),
+            SolverCfg {
+                step: 0.5,
+                batch_fraction: 0.1,
+                bcast_ring: 8,
+                compress: topk(32, Quant::F16),
+                ..base()
+            },
         ),
     ];
     let spec = ClusterSpec::homogeneous(1, DelayModel::None)

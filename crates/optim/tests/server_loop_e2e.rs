@@ -12,7 +12,8 @@ use async_data::{Dataset, SynthSpec};
 use async_linalg::Quant;
 use async_optim::{
     Asaga, Asgd, AsyncMsgd, AsyncSolver, Checkpoint, CheckpointError, CheckpointStore, CompressCfg,
-    CompressorBank, Objective, RunReport, ServeFeed, SolverCfg, SolverError, SolverHistory,
+    CompressorBank, Objective, RunReport, ServeFeed, SolverCfg, SolverCfgError, SolverError,
+    SolverHistory,
 };
 use sparklet::{Rdd, WorkerCtx};
 
@@ -328,6 +329,51 @@ fn configuration_errors_come_back_from_try_run() {
         assert!(matches!(e, SolverError::Store { .. }), "{e}");
     }
     let _ = std::fs::remove_file(file);
+
+    // A configuration that contradicts itself is refused before the first
+    // task is built (a top-0 compressor used to panic inside it).
+    let top0 = CompressCfg::TopK {
+        k: 0,
+        quant: Quant::Exact,
+    };
+    let contradictions = [
+        (
+            SolverCfg {
+                compress: top0,
+                ..plain.clone()
+            },
+            SolverCfgError::ZeroTopK,
+        ),
+        (
+            SolverCfg {
+                batch_fraction: 0.0,
+                ..plain.clone()
+            },
+            SolverCfgError::BatchFraction(0.0),
+        ),
+        (
+            SolverCfg {
+                absorb_batch: 0,
+                ..plain.clone()
+            },
+            SolverCfgError::ZeroAbsorbBatch,
+        ),
+        (
+            SolverCfg {
+                server_threads: 0,
+                ..plain.clone()
+            },
+            SolverCfgError::ZeroServerThreads,
+        ),
+    ];
+    for (bad, why) in contradictions {
+        let e = refusal(Asgd::new(objective).try_run(&mut ctx, &d, &bad));
+        assert!(
+            matches!(&e, SolverError::Cfg { solver: "asgd", source } if *source == why),
+            "{e}"
+        );
+        assert!(e.to_string().contains("invalid configuration"));
+    }
 
     // A refused run left the context untouched, so it still runs...
     assert_eq!((ctx.version(), ctx.pending()), (0, 0));

@@ -36,15 +36,15 @@ fn dataset() -> Dataset {
 }
 
 fn cfg(barrier: BarrierFilter, budget: u64, retry: u32) -> SolverCfg {
-    SolverCfg::builder()
-        .step(0.04)
-        .batch_fraction(0.25)
-        .barrier(barrier)
-        .max_updates(budget)
-        .seed(11)
-        .retry_lost(retry)
-        .build()
-        .unwrap()
+    SolverCfg {
+        step: 0.04,
+        batch_fraction: 0.25,
+        barrier,
+        max_updates: budget,
+        seed: 11,
+        retry_lost: retry,
+        ..SolverCfg::default()
+    }
 }
 
 /// A loopback remote context with the full supervision stack on:
@@ -246,14 +246,14 @@ fn fail_fast_policy_halts_on_the_first_death() {
     };
     let budget = 400;
     let mut ctx = supervised_ctx(fault);
-    let cfg = SolverCfg::builder()
-        .step(0.04)
-        .batch_fraction(0.25)
-        .max_updates(budget)
-        .seed(11)
-        .degrade(DegradePolicy::FailFast)
-        .build()
-        .unwrap();
+    let cfg = SolverCfg {
+        step: 0.04,
+        batch_fraction: 0.25,
+        max_updates: budget,
+        seed: 11,
+        degrade: DegradePolicy::FailFast,
+        ..SolverCfg::default()
+    };
     let r = Asgd::new(objective).run(&mut ctx, &d, &cfg);
     assert!(
         r.updates < budget,

@@ -28,15 +28,15 @@ fn dataset() -> Dataset {
 }
 
 fn cfg(feed: &ServeFeed, max_updates: u64) -> SolverCfg {
-    SolverCfg::builder()
-        .step(0.04)
-        .batch_fraction(0.25)
-        .barrier(BarrierFilter::Asp)
-        .max_updates(max_updates)
-        .seed(11)
-        .serve_feed(feed.clone())
-        .build()
-        .unwrap()
+    SolverCfg {
+        step: 0.04,
+        batch_fraction: 0.25,
+        barrier: BarrierFilter::Asp,
+        max_updates,
+        seed: 11,
+        serve_feed: Some(feed.clone()),
+        ..SolverCfg::default()
+    }
 }
 
 /// Spawns a solver run on its own thread, serving through `feed`.

@@ -2,12 +2,13 @@
 //!
 //! An [`Engine`] is a cluster of workers that execute opaque [`Task`]s.
 //! The driver submits a task to a specific (available) worker and later
-//! receives a [`Completion`]. Two implementations exist:
+//! receives a [`Completion`]. Three implementations exist:
 //!
 //! * [`crate::sim::SimEngine`] — deterministic virtual-time simulation;
-//! * [`crate::threaded::ThreadedEngine`] — real OS threads and real delays.
+//! * [`crate::threaded::ThreadedEngine`] — real OS threads and real delays;
+//! * [`crate::remote::RemoteEngine`] — one OS process per worker over TCP.
 //!
-//! Both give the *same semantics*: a task conceptually begins executing
+//! All give the *same semantics*: a task conceptually begins executing
 //! against the state captured at submission (exactly like a Spark task
 //! shipping with its broadcast snapshot) and its result arrives after the
 //! modelled/real duration. Asynchronous algorithms built on top observe
@@ -34,7 +35,8 @@ pub struct Task {
     pub tag: u64,
     /// Abstract compute cost in work units (≈ matrix nonzeros touched).
     pub cost: f64,
-    /// Bytes shipped *with* the task (resolved classic-broadcast payloads).
+    /// Bytes shipped *with* the task (its payload, e.g. history-broadcast
+    /// version IDs); on-demand fetches are charged during execution.
     pub bytes_in: u64,
     /// The work itself.
     pub run: TaskFn,
@@ -65,8 +67,8 @@ pub enum Completion {
     /// Task finished normally.
     Done(TaskDone),
     /// The worker died while this task was in flight; the task is lost and
-    /// should be resubmitted elsewhere (Spark semantics: lineage makes the
-    /// recomputation safe).
+    /// should be resubmitted elsewhere (Spark semantics: its partition can
+    /// be materialized again on any survivor).
     Lost {
         /// The failed worker.
         worker: WorkerId,

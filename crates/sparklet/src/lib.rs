@@ -5,10 +5,9 @@
 //! paper's contribution only relies on a small, well-defined core, all of
 //! which is implemented (not mocked) here:
 //!
-//! * **Partitioned RDDs with lineage** ([`rdd`]): lazy `map` / `filter` /
-//!   `sample` transformations over immutable partitioned collections; any
-//!   partition can be recomputed from its lineage on any worker, which is
-//!   what makes fault tolerance work.
+//! * **Partitioned RDDs** ([`rdd`]): immutable partitioned collections
+//!   with per-partition cost hints; any partition can be materialized again
+//!   on any worker, which is what makes fault tolerance work.
 //! * **Execution engines** ([`engine`], [`sim`], [`threaded`], [`remote`]):
 //!   a cluster of workers that run opaque tasks. The *simulated* engine
 //!   executes task closures eagerly and schedules their completions on a
@@ -18,19 +17,16 @@
 //!   delays; the *remote* engine runs one OS *process* per worker over
 //!   TCP with length-prefixed [`frame`]s. [`builder::EngineBuilder`]
 //!   constructs any of them behind one API.
-//! * **Broadcast variables** ([`broadcast`]): Spark-style immutable
-//!   broadcasts, shipped to each worker at most once, with byte accounting —
-//!   the measurement that motivates the paper's `ASYNCbroadcaster`.
-//! * **A BSP driver** ([`driver`]): stages of one task per partition with a
-//!   full barrier, per-worker wait-time bookkeeping, straggler-aware
-//!   scheduling of queued partitions, and resubmission of tasks lost to
-//!   worker failures.
+//! * **A driver** ([`driver`]): cluster membership and chaos scripts,
+//!   partition ownership, per-worker wait-time bookkeeping, supervised
+//!   respawn, and one submission/completion API.
 //!
 //! The asynchronous layer of the paper (`ASYNCcontext` and friends) lives in
-//! the `async-core` crate and drives this engine through
-//! [`driver::Driver`]'s low-level submission API.
+//! the `async-core` crate and is the only scheduler: it decides which
+//! worker runs which partition, retries lost tasks and ships the model
+//! (`AsyncBcast`, the only broadcast) through [`driver::Driver`]. A
+//! synchronous job is the same loop under `BarrierFilter::Bsp`.
 
-pub mod broadcast;
 pub mod builder;
 pub mod driver;
 pub mod engine;
@@ -43,9 +39,8 @@ pub mod sim;
 pub mod threaded;
 pub mod worker;
 
-pub use broadcast::{BcastCharge, Broadcast};
 pub use builder::{EngineBuilder, EngineKind};
-pub use driver::{Driver, StageStats, SuperviseCfg};
+pub use driver::{Driver, SuperviseCfg};
 pub use engine::{Completion, Engine, EngineError, Task, TaskDone, TaskFn, WireTask};
 pub use fault::{FaultAction, FaultDir, FaultInjector, FaultPlan};
 pub use payload::{DecodeError, Payload};

@@ -1,54 +1,31 @@
-//! Resilient distributed datasets: lazy, partitioned, lineage-backed.
+//! Resilient distributed datasets: immutable partitioned collections.
 //!
-//! An [`Rdd<T>`] is an immutable description of a partitioned collection.
-//! Transformations (`map`, `filter`, `sample`) build new RDDs that remember
-//! their parent — the *lineage*. Nothing executes until the driver runs a
-//! stage; a task materializes its partition by recursively evaluating the
-//! lineage, which is why a lost partition can be recomputed on any surviving
+//! An [`Rdd<T>`] is a partitioned source with a per-partition cost hint. A
+//! task materializes its partition from the handle it captured, which is
+//! why a lost task's partition can be materialized again on any surviving
 //! worker (Spark's fault-tolerance story, preserved by ASYNC and therefore
-//! by this reproduction).
+//! by this reproduction). Per-task transformations — sampling above all —
+//! happen inside the task closure, not as lineage nodes.
 
-use std::sync::{Arc, OnceLock};
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Marker for element types storable in an RDD.
 pub trait Data: Clone + Send + Sync + 'static {}
 impl<T: Clone + Send + Sync + 'static> Data for T {}
 
-/// Internal evaluation interface of one lineage node.
-pub trait RddOps<T: Data>: Send + Sync {
-    /// Number of partitions (constant along a lineage chain).
-    fn num_partitions(&self) -> usize;
-
-    /// Materializes partition `part`.
-    fn compute(&self, part: usize) -> Vec<T>;
-
-    /// Abstract compute cost of one full pass over partition `part`
-    /// (defaults to element count; data sources override with nonzeros).
-    fn cost_hint(&self, part: usize) -> f64;
-}
-
-/// A handle to a lineage node. Cheap to clone.
+/// A handle to a partitioned collection. Cheap to clone: clones share the
+/// partitions.
+#[derive(Clone)]
 pub struct Rdd<T: Data> {
-    ops: Arc<dyn RddOps<T>>,
+    src: Arc<Source<T>>,
 }
 
-impl<T: Data> Clone for Rdd<T> {
-    fn clone(&self) -> Self {
-        Self {
-            ops: Arc::clone(&self.ops),
-        }
-    }
+struct Source<T> {
+    parts: Vec<Vec<T>>,
+    costs: Vec<f64>,
 }
 
 impl<T: Data> Rdd<T> {
-    /// Wraps a custom lineage node.
-    pub fn from_ops(ops: Arc<dyn RddOps<T>>) -> Self {
-        Self { ops }
-    }
-
     /// Source RDD from explicit partitions; cost hints default to element
     /// counts.
     pub fn parallelize(parts: Vec<Vec<T>>) -> Self {
@@ -68,252 +45,44 @@ impl<T: Data> Rdd<T> {
             "parallelize: parts/costs mismatch"
         );
         Self {
-            ops: Arc::new(SourceRdd {
-                parts: parts.into_iter().map(Arc::new).collect(),
-                costs,
-            }),
-        }
-    }
-
-    /// Element-wise transformation.
-    pub fn map<U: Data>(&self, f: impl Fn(&T) -> U + Send + Sync + 'static) -> Rdd<U> {
-        Rdd {
-            ops: Arc::new(MapRdd {
-                parent: Arc::clone(&self.ops),
-                f: Arc::new(f),
-            }),
-        }
-    }
-
-    /// Keeps elements satisfying `pred`.
-    pub fn filter(&self, pred: impl Fn(&T) -> bool + Send + Sync + 'static) -> Rdd<T> {
-        Rdd {
-            ops: Arc::new(FilterRdd {
-                parent: Arc::clone(&self.ops),
-                pred: Arc::new(pred),
-            }),
-        }
-    }
-
-    /// Bernoulli sampling: keeps each element with probability `fraction`
-    /// (Spark's `RDD.sample(withReplacement = false)`). Deterministic in
-    /// `(seed, partition)`.
-    pub fn sample(&self, fraction: f64, seed: u64) -> Rdd<T> {
-        Rdd {
-            ops: Arc::new(SampleRdd {
-                parent: Arc::clone(&self.ops),
-                fraction: fraction.clamp(0.0, 1.0),
-                seed,
-            }),
-        }
-    }
-
-    /// Caches materialized partitions in memory (Spark `persist`): the
-    /// first evaluation computes the lineage, later evaluations reuse it.
-    pub fn cached(&self) -> Rdd<T> {
-        let n = self.num_partitions();
-        Rdd {
-            ops: Arc::new(CachedRdd {
-                parent: Arc::clone(&self.ops),
-                slots: (0..n).map(|_| OnceLock::new()).collect(),
-            }),
+            src: Arc::new(Source { parts, costs }),
         }
     }
 
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.ops.num_partitions()
+        self.src.parts.len()
     }
 
-    /// Materializes partition `part` (driver-side evaluation; workers do
-    /// the same inside tasks).
+    /// Materializes partition `part` (what a task does with the handle it
+    /// captured; the driver may do the same).
     pub fn compute(&self, part: usize) -> Vec<T> {
-        self.ops.compute(part)
+        self.src.parts[part].clone()
     }
 
-    /// Cost hint for partition `part`.
+    /// Abstract compute cost of one full pass over partition `part`.
     pub fn cost_hint(&self, part: usize) -> f64 {
-        self.ops.cost_hint(part)
-    }
-
-    /// Shares the underlying lineage node for task closures — used by the
-    /// driver's stage machinery and by engine layers that build their own
-    /// tasks (the async layer's `ASYNCreduce` submits partition
-    /// computations directly through `Driver::submit_raw`).
-    pub fn ops(&self) -> Arc<dyn RddOps<T>> {
-        Arc::clone(&self.ops)
-    }
-}
-
-struct SourceRdd<T: Data> {
-    parts: Vec<Arc<Vec<T>>>,
-    costs: Vec<f64>,
-}
-
-impl<T: Data> RddOps<T> for SourceRdd<T> {
-    fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-    fn compute(&self, part: usize) -> Vec<T> {
-        self.parts[part].as_ref().clone()
-    }
-    fn cost_hint(&self, part: usize) -> f64 {
-        self.costs[part]
-    }
-}
-
-struct MapRdd<T: Data, U: Data> {
-    parent: Arc<dyn RddOps<T>>,
-    f: Arc<dyn Fn(&T) -> U + Send + Sync>,
-}
-
-impl<T: Data, U: Data> RddOps<U> for MapRdd<T, U> {
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn compute(&self, part: usize) -> Vec<U> {
-        self.parent
-            .compute(part)
-            .iter()
-            .map(|t| (self.f)(t))
-            .collect()
-    }
-    fn cost_hint(&self, part: usize) -> f64 {
-        self.parent.cost_hint(part)
-    }
-}
-
-struct FilterRdd<T: Data> {
-    parent: Arc<dyn RddOps<T>>,
-    pred: Arc<dyn Fn(&T) -> bool + Send + Sync>,
-}
-
-impl<T: Data> RddOps<T> for FilterRdd<T> {
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn compute(&self, part: usize) -> Vec<T> {
-        self.parent
-            .compute(part)
-            .into_iter()
-            .filter(|t| (self.pred)(t))
-            .collect()
-    }
-    fn cost_hint(&self, part: usize) -> f64 {
-        self.parent.cost_hint(part)
-    }
-}
-
-struct SampleRdd<T: Data> {
-    parent: Arc<dyn RddOps<T>>,
-    fraction: f64,
-    seed: u64,
-}
-
-impl<T: Data> RddOps<T> for SampleRdd<T> {
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn compute(&self, part: usize) -> Vec<T> {
-        let mut rng =
-            SmallRng::seed_from_u64(self.seed ^ (part as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        self.parent
-            .compute(part)
-            .into_iter()
-            .filter(|_| rng.gen::<f64>() < self.fraction)
-            .collect()
-    }
-    fn cost_hint(&self, part: usize) -> f64 {
-        self.parent.cost_hint(part) * self.fraction
-    }
-}
-
-struct CachedRdd<T: Data> {
-    parent: Arc<dyn RddOps<T>>,
-    slots: Vec<OnceLock<Vec<T>>>,
-}
-
-impl<T: Data> RddOps<T> for CachedRdd<T> {
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn compute(&self, part: usize) -> Vec<T> {
-        self.slots[part]
-            .get_or_init(|| self.parent.compute(part))
-            .clone()
-    }
-    fn cost_hint(&self, part: usize) -> f64 {
-        self.parent.cost_hint(part)
+        self.src.costs[part]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn src() -> Rdd<i64> {
-        Rdd::parallelize(vec![vec![1, 2, 3], vec![4, 5], vec![], vec![6]])
-    }
 
     #[test]
     fn parallelize_partitions_and_costs() {
-        let r = src();
+        let r: Rdd<i64> = Rdd::parallelize(vec![vec![1, 2, 3], vec![4, 5], vec![], vec![6]]);
         assert_eq!(r.num_partitions(), 4);
         assert_eq!(r.compute(0), vec![1, 2, 3]);
         assert_eq!(r.compute(2), Vec::<i64>::new());
         assert_eq!(r.cost_hint(0), 3.0);
         assert_eq!(r.cost_hint(3), 1.0);
-    }
-
-    #[test]
-    fn map_and_filter_compose_lazily() {
-        let r = src().map(|x| x * 10).filter(|x| *x >= 30);
-        assert_eq!(r.compute(0), vec![30]);
-        assert_eq!(r.compute(1), vec![40, 50]);
-        assert_eq!(r.num_partitions(), 4);
-    }
-
-    #[test]
-    fn sample_is_deterministic_and_fraction_scales_cost() {
-        let base = Rdd::parallelize(vec![(0..1000).collect::<Vec<i64>>()]);
-        let s1 = base.sample(0.3, 99);
-        let s2 = base.sample(0.3, 99);
-        assert_eq!(s1.compute(0), s2.compute(0));
-        let n = s1.compute(0).len();
-        assert!(n > 200 && n < 400, "sampled {n} of 1000 at 30%");
-        assert!((s1.cost_hint(0) - 300.0).abs() < 1e-9);
-        let s3 = base.sample(0.3, 100);
-        assert_ne!(s1.compute(0), s3.compute(0));
-    }
-
-    #[test]
-    fn cached_computes_parent_once() {
-        let calls = Arc::new(AtomicUsize::new(0));
-        let c2 = Arc::clone(&calls);
-        let r = Rdd::parallelize(vec![vec![1, 2], vec![3]])
-            .map(move |x| {
-                c2.fetch_add(1, Ordering::SeqCst);
-                x + 1
-            })
-            .cached();
-        assert_eq!(r.compute(0), vec![2, 3]);
-        assert_eq!(r.compute(0), vec![2, 3]);
-        assert_eq!(r.compute(1), vec![4]);
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            3,
-            "each element mapped exactly once"
-        );
-    }
-
-    #[test]
-    fn lineage_recompute_is_pure() {
-        // Recomputing any partition twice yields identical results — the
-        // property fault-tolerant resubmission relies on.
-        let r = src().map(|x| x * x).sample(0.8, 7);
+        // What retrying a lost task relies on: a clone materializes the
+        // same partition, every time.
+        let again = r.clone();
         for p in 0..r.num_partitions() {
-            assert_eq!(r.compute(p), r.compute(p));
+            assert_eq!(again.compute(p), r.compute(p));
         }
     }
 }

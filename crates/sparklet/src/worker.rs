@@ -15,23 +15,10 @@ use async_cluster::{VDur, WorkerId};
 /// A cached, type-erased, shareable value.
 pub type CachedValue = Arc<dyn Any + Send + Sync>;
 
-/// Counters describing a worker's cache behaviour — exposed so experiments
-/// can report history-broadcast hit rates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Cache hits (value already local — only an ID was shipped).
-    pub hits: u64,
-    /// Cache misses (value fetched from the server on demand).
-    pub misses: u64,
-    /// Total bytes fetched on misses.
-    pub bytes_fetched: u64,
-}
-
 /// Mutable per-worker state handed to every task closure.
 pub struct WorkerCtx {
     worker: WorkerId,
     cache: HashMap<(u64, u64), CachedValue>,
-    stats: CacheStats,
     pending_bytes: u64,
     pending_time: VDur,
 }
@@ -42,7 +29,6 @@ impl WorkerCtx {
         Self {
             worker,
             cache: HashMap::new(),
-            stats: CacheStats::default(),
             pending_bytes: 0,
             pending_time: VDur::ZERO,
         }
@@ -53,20 +39,14 @@ impl WorkerCtx {
         self.worker
     }
 
-    /// Looks up a cached value by `(broadcast id, version)`; counts a hit.
+    /// Looks up a cached value by `(broadcast id, version)`.
     pub fn cache_get(&mut self, key: (u64, u64)) -> Option<CachedValue> {
-        let v = self.cache.get(&key).cloned();
-        if v.is_some() {
-            self.stats.hits += 1;
-        }
-        v
+        self.cache.get(&key).cloned()
     }
 
     /// Inserts a value fetched from the server, charging `bytes` of
-    /// transfer to the currently running task; counts a miss.
+    /// transfer to the currently running task.
     pub fn cache_put_fetched(&mut self, key: (u64, u64), value: CachedValue, bytes: u64) {
-        self.stats.misses += 1;
-        self.stats.bytes_fetched += bytes;
         self.pending_bytes += bytes;
         self.cache.insert(key, value);
     }
@@ -123,11 +103,6 @@ impl WorkerCtx {
         self.pending_time += time;
     }
 
-    /// Cache behaviour counters so far.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.stats
-    }
-
     /// Drains the pending per-task charges; called by the engine after each
     /// task to fold them into the task's duration.
     pub fn take_charges(&mut self) -> (u64, VDur) {
@@ -150,8 +125,6 @@ mod tests {
         ctx.cache_put_fetched((1, 0), Arc::new(42u32), 100);
         let v = ctx.cache_get((1, 0)).expect("cached");
         assert_eq!(*v.downcast::<u32>().unwrap(), 42);
-        let s = ctx.cache_stats();
-        assert_eq!((s.hits, s.misses, s.bytes_fetched), (1, 1, 100));
     }
 
     #[test]
@@ -171,7 +144,6 @@ mod tests {
         let mut ctx = WorkerCtx::new(0);
         ctx.cache_put_local((2, 5), Arc::new(1.0f64));
         assert_eq!(ctx.take_charges(), (0, VDur::ZERO));
-        assert_eq!(ctx.cache_stats().misses, 0);
     }
 
     #[test]

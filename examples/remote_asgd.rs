@@ -50,15 +50,15 @@ fn main() {
     let mut ctx = AsyncContext::new(Driver::from_engine(engine));
 
     let objective = Objective::Logistic { lambda: 1e-3 };
-    let cfg = SolverCfg::builder()
-        .step(0.8)
-        .batch_fraction(0.3)
-        .barrier(BarrierFilter::Asp)
-        .max_updates(400)
-        .eval_every(100)
-        .seed(5)
-        .build()
-        .expect("valid solver configuration");
+    let cfg = SolverCfg {
+        step: 0.8,
+        batch_fraction: 0.3,
+        barrier: BarrierFilter::Asp,
+        max_updates: 400,
+        eval_every: 100,
+        seed: 5,
+        ..SolverCfg::default()
+    };
 
     let initial = objective.full_objective(ParallelismCfg::sequential(), &dataset, &[0.0; 12]);
     let report = Asgd::new(objective).run(&mut ctx, &dataset, &cfg);

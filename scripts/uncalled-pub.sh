@@ -1,0 +1,35 @@
+#!/bin/sh
+# Public functions nothing calls: for every `pub fn` declared in the
+# non-test, non-comment lines of `crates/*/src`, prints `file:line name`
+# when the name occurs nowhere else in the non-test, non-comment lines of
+# `crates/*/src`, `benchmark/src`, `examples/` and `src/`. "Non-test" is the
+# rule of `nontest-lines.sh` (above a file's first `#[cfg(test)]`), so a
+# function only tests and doc examples call is listed.
+#
+# This is a name match, not a resolution: a name shared with a called
+# function (`new`, `len`, ...) hides an uncalled one, never the reverse —
+# everything printed really has no caller by that name. It is the next diet
+# PR's worklist, not a rule: the paper's Table 1 API and planned bench arms
+# are on it and stay.
+# Usage: scripts/uncalled-pub.sh [repo-root]
+set -eu
+cd "${1:-$(dirname "$0")/..}"
+find crates/*/src benchmark/src examples src -name '*.rs' -exec awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests { next }
+    {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        if (FILENAME ~ /^crates\// && match(line, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(line, RSTART + 7, RLENGTH - 7)
+            decl[FILENAME ":" FNR " " name] = name
+        }
+        while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            seen[substr(line, RSTART, RLENGTH)]++
+            line = substr(line, RSTART + RLENGTH)
+        }
+    }
+    END {
+        for (d in decl) if (seen[decl[d]] == 1) print d
+    }' {} + | sort -t: -k1,1 -k2,2n

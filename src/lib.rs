@@ -19,7 +19,7 @@
 //! | §5 staleness-adaptive momentum SGD         | [`optim::msgd::AsyncMsgd`] |
 //! | sparse fast path (CSR gather, `GradDelta`) | [`linalg::csr`], [`linalg::delta`] |
 //! | §6 cluster + straggler models              | [`cluster`] |
-//! | Spark substrate (RDDs, engines, driver)    | [`sparklet`] |
+//! | Spark substrate (partitioned RDDs, engines, driver; no scheduler of its own) | [`sparklet`] |
 //! | datasets (Table 2 analogues)               | [`data`] |
 //! | BLAS slice + CGLS baselines                | [`linalg`] |
 //! | serving read path (pins, freshness, online learning) | [`serve`] |
@@ -54,7 +54,7 @@ pub mod prelude {
     pub use async_optim::{
         worker_registry, Asaga, Asgd, AsyncMsgd, AsyncSolver, Checkpoint, CheckpointError,
         CheckpointStore, DiskFault, DiskFaultPlan, DurableStats, Objective, RunReport, ServeFeed,
-        SolverCfg, SolverCfgBuilder, SolverCfgError, SolverHistory,
+        SolverCfg, SolverCfgError, SolverHistory,
     };
     pub use async_serve::{Predictor, ServeCfg, Server};
     pub use sparklet::{Driver, EngineBuilder, EngineKind, Rdd};
