@@ -88,11 +88,6 @@ impl WaitTimeRecorder {
         total.checked_div(n).map_or(VDur::ZERO, VDur::from_micros)
     }
 
-    /// Per-worker means, indexed by worker id (Figure 4/6 bars).
-    pub fn per_worker_means(&self) -> Vec<VDur> {
-        (0..self.sums.len()).map(|w| self.mean_for(w)).collect()
-    }
-
     /// Total number of recorded waits.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
@@ -137,29 +132,6 @@ impl ConvergenceTrace {
             .find(|&&(_, e)| e <= target)
             .map(|&(t, _)| t)
     }
-
-    /// CSV rendering with the given series name:
-    /// `series,time_ms,error` per line.
-    pub fn to_csv(&self, series: &str) -> String {
-        let mut out = String::with_capacity(self.points.len() * 32);
-        for &(t, e) in &self.points {
-            out.push_str(series);
-            out.push(',');
-            out.push_str(&format!("{:.3},{:.6e}\n", t.as_millis_f64(), e));
-        }
-        out
-    }
-}
-
-/// Speedup of `fast` over `slow` at target error `target`:
-/// `time_slow / time_fast`. `None` if either trace never reaches it.
-pub fn speedup_at(slow: &ConvergenceTrace, fast: &ConvergenceTrace, target: f64) -> Option<f64> {
-    let ts = slow.time_to_reach(target)?.as_micros() as f64;
-    let tf = fast.time_to_reach(target)?.as_micros() as f64;
-    if tf == 0.0 {
-        return None;
-    }
-    Some(ts / tf)
 }
 
 #[cfg(test)]
@@ -190,8 +162,8 @@ mod tests {
         r.record(0, VDur::from_micros(100));
         r.record(1, VDur::from_micros(400));
         assert_eq!(r.overall_mean().as_micros(), 200);
-        assert_eq!(r.per_worker_means()[0].as_micros(), 100);
-        assert_eq!(r.per_worker_means()[1].as_micros(), 400);
+        assert_eq!(r.mean_for(0).as_micros(), 100);
+        assert_eq!(r.mean_for(1).as_micros(), 400);
     }
 
     #[test]
@@ -203,23 +175,5 @@ mod tests {
         assert_eq!(t.time_to_reach(1.0), Some(VTime::from_micros(100)));
         assert_eq!(t.time_to_reach(0.05), None);
         assert_eq!(t.final_error(), Some(0.1));
-    }
-
-    #[test]
-    fn speedup_computation() {
-        let mut slow = ConvergenceTrace::new();
-        slow.push(VTime::from_micros(1000), 0.5);
-        let mut fast = ConvergenceTrace::new();
-        fast.push(VTime::from_micros(250), 0.5);
-        assert_eq!(speedup_at(&slow, &fast, 0.5), Some(4.0));
-        assert_eq!(speedup_at(&slow, &fast, 0.1), None);
-    }
-
-    #[test]
-    fn csv_format() {
-        let mut t = ConvergenceTrace::new();
-        t.push(VTime::from_micros(1500), 0.25);
-        let csv = t.to_csv("asgd");
-        assert_eq!(csv, "asgd,1.500,2.500000e-1\n");
     }
 }

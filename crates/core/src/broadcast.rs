@@ -671,16 +671,12 @@ impl AsyncBcast<Vec<f64>> {
     /// Like [`AsyncBcast::push_snapshot_diff`], but the change support
     /// arrives as a bare sorted index slice — the shape the sharded
     /// server's batched absorption produces (the concatenation of its
-    /// per-shard fold supports). `None` declares a dense (unknown) change.
-    pub fn push_snapshot_with_support(&self, w: &[f64], support: Option<&[u32]>) -> u64 {
-        self.push_snapshot_inner(w, support, None)
-    }
-
-    /// The shard-parallel variant of [`AsyncBcast::push_snapshot_with_support`]:
-    /// the snapshot memcpy is spread over `pool`'s persistent threads in
-    /// contiguous chunks. Byte accounting, recycling, ring bookkeeping and
-    /// the stored values are identical to the serial push — a copy is a
-    /// copy — so the two variants are interchangeable bit for bit.
+    /// per-shard fold supports); `None` declares a dense (unknown) change.
+    /// The snapshot memcpy is spread over `pool`'s persistent threads in
+    /// contiguous chunks (a one-thread pool copies on the caller). Byte
+    /// accounting, recycling, ring bookkeeping and the stored values do not
+    /// depend on the pool — a copy is a copy — so any two pools are
+    /// interchangeable bit for bit.
     pub fn push_snapshot_sharded(
         &self,
         w: &[f64],
@@ -1715,6 +1711,7 @@ mod tests {
     fn sharded_push_matches_serial_push_exactly() {
         let dim = 1000;
         let pool = async_linalg::ShardPool::new(4);
+        let one = async_linalg::ShardPool::new(1);
         let serial: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; dim], 0);
         let sharded: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; dim], 0);
         serial.enable_incremental(4);
@@ -1725,7 +1722,7 @@ mod tests {
         for k in 0..6u32 {
             w[(k * 31) as usize % dim] += 1.5 * k as f64;
             let support = [(k * 31) % dim as u32];
-            let va = serial.push_snapshot_with_support(&w, Some(&support));
+            let va = serial.push_snapshot_sharded(&w, Some(&support), &one);
             let vb = sharded.push_snapshot_sharded(&w, Some(&support), &pool);
             assert_eq!(va, vb);
             let a = serial.handle().value_incremental(&mut ctx_a);
@@ -1753,7 +1750,7 @@ mod tests {
         let mut w = vec![0.0; dim];
         delta.axpy_into(1.0, &mut w);
         a.push_snapshot_diff(&w, &delta);
-        b.push_snapshot_with_support(&w, Some(&[3, 17]));
+        b.push_snapshot_sharded(&w, Some(&[3, 17]), &async_linalg::ShardPool::new(1));
         let va = a.handle().value_incremental(&mut ctx_a);
         let vb = b.handle().value_incremental(&mut ctx_b);
         assert_eq!(va.as_slice(), vb.as_slice());

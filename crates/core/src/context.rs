@@ -243,11 +243,18 @@ impl AsyncContext {
     }
 
     /// A context over the deterministic simulated engine.
+    ///
+    /// # Panics
+    /// As [`Driver::sim`]: if the spec fails validation.
     pub fn sim(spec: ClusterSpec) -> Self {
         Self::new(Driver::sim(spec))
     }
 
     /// A context over the real-thread engine.
+    ///
+    /// # Panics
+    /// As [`Driver::threaded`]: if the spec fails validation or
+    /// `time_scale` is negative or NaN.
     pub fn threaded(spec: ClusterSpec, time_scale: f64) -> Self {
         Self::new(Driver::threaded(spec, time_scale))
     }
@@ -310,11 +317,6 @@ impl AsyncContext {
     /// behavior.
     pub fn set_degrade_policy(&mut self, policy: DegradePolicy) {
         self.degrade = policy;
-    }
-
-    /// The installed [`DegradePolicy`].
-    pub fn degrade_policy(&self) -> DegradePolicy {
-        self.degrade
     }
 
     /// Enables task retry: a task surfacing as [`Completion::Lost`] is
@@ -1239,7 +1241,7 @@ mod tests {
     #[test]
     fn defaults_leave_losses_unretried_but_counted() {
         let mut ctx = quiet_ctx(3, DelayModel::None);
-        assert_eq!(ctx.degrade_policy(), DegradePolicy::BestEffort);
+        assert_eq!(ctx.degrade, DegradePolicy::BestEffort);
         assert_eq!(ctx.retry_lost(), 0);
         let rdd = unit_rdd(3);
         ctx.driver_mut().schedule_failure(2, VTime::from_micros(10));

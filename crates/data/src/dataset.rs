@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use async_linalg::parallel::{par_residual_sq, ParallelismCfg};
 use async_linalg::Matrix;
 
 use crate::{Error, Result};
@@ -133,13 +132,6 @@ impl Dataset {
             features: Arc::new(self.features.sparsified()),
             labels: Arc::clone(&self.labels),
         }
-    }
-
-    /// The least-squares objective `‖A·w − y‖²` over the full dataset,
-    /// evaluated with driver-side parallelism. This is the paper's
-    /// evaluation metric before subtracting the baseline.
-    pub fn least_squares_objective(&self, cfg: ParallelismCfg, w: &[f64]) -> f64 {
-        par_residual_sq(cfg, &self.features, w, &self.labels)
     }
 }
 
@@ -331,18 +323,5 @@ mod tests {
         for i in 0..d.rows() {
             assert!((back.features().row_dot(i, &w) - d.features().row_dot(i, &w)).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn objective_zero_at_exact_fit() {
-        // y = first coordinate of each row when w = e0 scaled appropriately:
-        // build a dataset where labels equal A·w* exactly.
-        let d = tiny();
-        let w_star = [2.0, -1.0, 0.5];
-        let mut y = vec![0.0; d.rows()];
-        d.features().matvec(&w_star, &mut y);
-        let exact = Dataset::new("exact", (*d.features).clone(), y).unwrap();
-        let obj = exact.least_squares_objective(ParallelismCfg::sequential(), &w_star);
-        assert!(obj < 1e-18);
     }
 }

@@ -1,11 +1,11 @@
 //! LIBSVM text-format IO.
 //!
 //! The paper's datasets ship in LIBSVM format (`label idx:val idx:val ...`
-//! with 1-based indices). This module parses and writes that format so the
+//! with 1-based indices). This module parses that format so the
 //! real `rcv1_full.binary` / `mnist8m` / `epsilon` files can be used in
 //! place of the synthetic analogues.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::path::Path;
 
 use async_linalg::{CsrMatrix, Matrix, SparseVec};
@@ -97,34 +97,6 @@ pub fn read_file(path: impl AsRef<Path>, dim: Option<usize>) -> Result<Dataset> 
     parse_str(&name, &text, dim)
 }
 
-/// Writes a dataset in LIBSVM format (1-based indices, zeros omitted).
-pub fn write_file(dataset: &Dataset, path: impl AsRef<Path>) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut out = BufWriter::new(file);
-    let features = dataset.features();
-    for i in 0..dataset.rows() {
-        write!(out, "{}", dataset.labels()[i])?;
-        match features {
-            Matrix::Sparse(csr) => {
-                let (idx, val) = csr.row(i);
-                for (c, v) in idx.iter().zip(val.iter()) {
-                    write!(out, " {}:{}", c + 1, v)?;
-                }
-            }
-            Matrix::Dense(dm) => {
-                for (c, v) in dm.row(i).iter().enumerate() {
-                    if *v != 0.0 {
-                        write!(out, " {}:{}", c + 1, v)?;
-                    }
-                }
-            }
-        }
-        writeln!(out)?;
-    }
-    out.flush()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +146,7 @@ mod tests {
             std::env::temp_dir().join(format!("async_data_libsvm_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.svm");
-        write_file(&d, &path).unwrap();
+        std::fs::write(&path, SAMPLE).unwrap();
         let back = read_file(&path, Some(d.cols())).unwrap();
         assert_eq!(back.rows(), d.rows());
         assert_eq!(back.labels(), d.labels());

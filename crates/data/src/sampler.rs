@@ -123,17 +123,6 @@ pub fn sample_with_replacement(rng: &mut SmallRng, n: usize, k: usize) -> Vec<u3
     (0..k).map(|_| rng.gen_range(0..n) as u32).collect()
 }
 
-/// Bernoulli row sampling with probability `p` — Mllib's `RDD.sample`
-/// semantics (expected `p·n` rows, variable batch size).
-pub fn sample_bernoulli(rng: &mut SmallRng, n: usize, p: f64) -> MiniBatch {
-    let p = p.clamp(0.0, 1.0);
-    let rows = (0..n)
-        .filter(|_| rng.gen::<f64>() < p)
-        .map(|i| i as u32)
-        .collect();
-    MiniBatch { rows }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,17 +198,6 @@ mod tests {
         }
         sample_fraction_into(&mut derive_rng(0, 0, 0), 0, 0.5, &mut buf);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn bernoulli_sampling_is_near_expectation() {
-        let mut rng = derive_rng(11, 0, 0);
-        let mb = sample_bernoulli(&mut rng, 10_000, 0.2);
-        let got = mb.len() as f64;
-        assert!(
-            (got - 2000.0).abs() < 200.0,
-            "got {got} rows, expected ~2000"
-        );
     }
 
     #[test]

@@ -242,7 +242,12 @@ mod tests {
         let mut spec = SynthSpec::dense("d", 40, 6, 3);
         spec.noise_std = 0.0;
         let (d, w_star) = spec.generate().unwrap();
-        let obj = d.least_squares_objective(async_linalg::ParallelismCfg::sequential(), &w_star);
+        let obj = async_linalg::parallel::par_residual_sq(
+            async_linalg::ParallelismCfg::sequential(),
+            d.features(),
+            &w_star,
+            d.labels(),
+        );
         assert!(obj < 1e-16, "objective at planted model: {obj}");
     }
 

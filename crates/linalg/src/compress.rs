@@ -624,11 +624,6 @@ impl EfState {
         &self.sel_val
     }
 
-    /// Per-message quantization scale of the last call.
-    pub fn shipped_scale(&self) -> f64 {
-        self.scale
-    }
-
     /// Wire bytes of the last shipped message: the encoded size of
     /// [`EfState::to_compressed`], computed without materializing it.
     pub fn wire_bytes(&self) -> u64 {
@@ -701,10 +696,7 @@ mod tests {
             restored.compress(g, 2, Quant::F16);
             assert_eq!(orig.shipped_indices(), restored.shipped_indices());
             assert_eq!(orig.shipped_values(), restored.shipped_values());
-            assert_eq!(
-                orig.shipped_scale().to_bits(),
-                restored.shipped_scale().to_bits()
-            );
+            assert_eq!(orig.scale.to_bits(), restored.scale.to_bits());
             assert_eq!(orig.residual(), restored.residual());
         }
     }

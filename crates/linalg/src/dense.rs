@@ -187,12 +187,6 @@ pub fn lincomb(a: f64, x: &[f64], b: f64, y: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Maximum absolute entry (`‖x‖∞`); 0 for the empty slice.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 /// Arithmetic mean of the entries; 0 for the empty slice.
 #[inline]
 pub fn mean(x: &[f64]) -> f64 {
@@ -246,7 +240,6 @@ mod tests {
         let x = [3.0, 4.0];
         assert!((norm2(&x) - 5.0).abs() < 1e-15);
         assert!((norm2_sq(&x) - 25.0).abs() < 1e-15);
-        assert_eq!(norm_inf(&x), 4.0);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   [`CsrMatrix::gather_axpy`]) and the [`GradDelta`] dense-or-sparse
 //!   update type they produce ([`delta`]), so gradients over sparse
 //!   partitions never materialize a dense buffer;
-//! * chunked multi-threaded variants built on crossbeam scoped threads
-//!   ([`parallel`]);
+//! * the full-dataset evaluation kernels and the contiguous range
+//!   splitter ([`parallel`]);
 //! * a persistent shard-worker thread pool for the parameter-server apply
 //!   path ([`shard`]), with disjoint-range helpers and bit-identical
 //!   sharded kernels;

@@ -78,16 +78,6 @@ impl Matrix {
         }
     }
 
-    /// Full-matrix scoring: margins `⟨xᵢ, w⟩` for every row, written into
-    /// `out` after clearing and resizing it. The growable-buffer twin of
-    /// [`Matrix::matvec`] for callers that recycle one margin buffer
-    /// across batches of different sizes.
-    pub fn matvec_into(&self, w: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.nrows(), 0.0);
-        self.matvec(w, out);
-    }
-
     /// `out += a * xᵢ` for row `i`.
     #[inline]
     pub fn row_axpy(&self, i: usize, a: f64, out: &mut [f64]) {
@@ -254,17 +244,6 @@ mod tests {
         // The buffer is cleared, not appended to, across calls.
         s.rows_dot_into(&[0], &w, &mut out);
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn matvec_into_resizes_and_matches_matvec() {
-        let (s, _) = both();
-        let w = [1.0, 2.0, 3.0];
-        let mut grown = vec![7.0; 9]; // wrong size + stale content
-        s.matvec_into(&w, &mut grown);
-        let mut exact = vec![0.0; s.nrows()];
-        s.matvec(&w, &mut exact);
-        assert_eq!(grown, exact);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! handful of dense passes over the model vector (ridge shrink, gradient
 //! scatter, snapshot memcpy). Those passes are embarrassingly parallel
 //! over *contiguous coordinate shards* ([`crate::parallel::split_ranges`]),
-//! but spawning OS threads per pass — the `crossbeam::scope` pattern the
-//! driver-side evaluation kernels use — costs far more than the pass
-//! itself at server-update granularity. The [`ShardPool`] instead keeps
+//! but spawning OS threads per pass costs far more than the pass itself
+//! at server-update granularity. The [`ShardPool`] instead keeps
 //! its threads alive for its whole life: dispatching a wave of shard jobs
 //! is a condvar wake plus an atomic claim loop, and performs **zero heap
 //! allocations** once constructed (the property the batched-wave arm of

@@ -101,20 +101,6 @@ pub fn cgls(
     }
 }
 
-/// Convenience wrapper: the minimal value of `‖A·w − y‖² + λ‖w‖²` as found
-/// by [`cgls`] with tight tolerance. Used to anchor convergence traces.
-pub fn least_squares_optimum(cfg: ParallelismCfg, a: &Matrix, y: &[f64], lambda: f64) -> f64 {
-    let sol = cgls(cfg, a, y, lambda, 1e-12, 10 * a.ncols().max(100));
-    let mut pred = vec![0.0; a.nrows()];
-    par_matvec(cfg, a, &sol.w, &mut pred);
-    let mut resid = 0.0;
-    for i in 0..pred.len() {
-        let e = pred[i] - y[i];
-        resid += e * e;
-    }
-    resid + lambda * dense::norm2_sq(&sol.w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,20 +148,6 @@ mod tests {
         let ridge = cgls(ParallelismCfg::sequential(), &a, &y, 50.0, 1e-12, 100);
         assert!(ridge.w[0] < plain.w[0]);
         assert!(ridge.w[0] > 0.0);
-    }
-
-    #[test]
-    fn optimum_is_lower_bound() {
-        let rows: Vec<Vec<f64>> = (0..6)
-            .map(|x| vec![x as f64, 1.0, (x * x) as f64])
-            .collect();
-        let a = Matrix::Dense(DenseMatrix::from_rows(&rows).unwrap());
-        let y = vec![1.0, 2.0, 2.0, 3.0, 5.0, 8.0];
-        let best = least_squares_optimum(ParallelismCfg::sequential(), &a, &y, 0.0);
-        // Any other w must do no better.
-        let w_zero_obj: f64 = y.iter().map(|v| v * v).sum();
-        assert!(best <= w_zero_obj + 1e-9);
-        assert!(best >= -1e-9);
     }
 
     #[test]

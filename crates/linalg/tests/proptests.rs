@@ -165,30 +165,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_reduce_matches_serial(n in 0usize..500, threads in 1usize..9) {
-        let serial: u64 = (0..n as u64).map(|i| i * i).sum();
-        let par = parallel::par_map_reduce(
-            ParallelismCfg::with_threads(threads),
-            n,
-            0u64,
-            |r| r.map(|i| (i as u64) * (i as u64)).sum(),
-            |a, b| a + b,
-        );
-        prop_assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn parallel_matvec_matches_serial(trips in sparse_triplets(12, 5), threads in 1usize..5) {
-        let m = Matrix::Sparse(CsrMatrix::from_triplets(&trips, 12, 5).unwrap());
-        let w = vec![0.5; 5];
-        let mut serial = vec![0.0; 12];
-        m.matvec(&w, &mut serial);
-        let mut par = vec![0.0; 12];
-        parallel::par_matvec(ParallelismCfg::with_threads(threads), &m, &w, &mut par);
-        prop_assert_eq!(serial, par);
-    }
-
-    #[test]
     fn split_ranges_partition_property(len in 0usize..200, parts in 1usize..17) {
         let rs = parallel::split_ranges(len, parts);
         let covered: usize = rs.iter().map(|r| r.len()).sum();

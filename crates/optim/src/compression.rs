@@ -186,16 +186,6 @@ impl CompressorBank {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Drops `part`'s error-feedback state (its un-shipped residual is
-    /// discarded). Call when a partition is permanently retired.
-    pub fn remove_part(&self, part: usize) -> bool {
-        self.inner
-            .lock()
-            .expect("compressor bank poisoned")
-            .remove(&part)
-            .is_some()
-    }
-
     /// Snapshot of every partition's error-feedback residual, sorted by
     /// partition — the checkpointable face of the bank
     /// ([`crate::Checkpoint::residuals`]). Empty for an uncompressed run.
@@ -381,9 +371,7 @@ mod tests {
         // A rerun with a smaller partition universe drops the stragglers.
         bank.retain_parts_below(2);
         assert_eq!(bank.parts(), vec![0, 1]);
-        assert!(bank.remove_part(1));
-        assert!(!bank.remove_part(1), "already gone");
-        assert_eq!(bank.len(), 1);
+        assert_eq!(bank.len(), 2);
         bank.retain_parts_below(0);
         assert!(bank.is_empty());
     }

@@ -326,7 +326,7 @@ fn push_striped(b: &AsyncBcast<Vec<f64>>, w: &mut [f64], support: &mut Vec<u32>,
     for &i in support.iter() {
         w[i as usize] += 1.0 + round as f64;
     }
-    b.push_snapshot_with_support(w, Some(support));
+    b.push_snapshot_sharded(w, Some(support), &async_linalg::ShardPool::new(1));
 }
 
 #[test]

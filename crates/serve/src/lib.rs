@@ -262,26 +262,6 @@ impl Predictor {
         &self.margins
     }
 
-    /// Scores every row of `m` into `out` (overwritten, resized).
-    ///
-    /// # Panics
-    /// Panics when `m`'s column count differs from the model dimension.
-    pub fn predict_all_into(&mut self, m: &Matrix, out: &mut Vec<f64>) {
-        assert_eq!(
-            m.ncols(),
-            self.dim,
-            "predict: query matrix has {} columns, model has {}",
-            m.ncols(),
-            self.dim
-        );
-        let lag = self.enforce_freshness();
-        m.matvec_into(self.pin.value(), out);
-        for z in out.iter_mut() {
-            *z = self.objective.predict(*z);
-        }
-        self.feed.stats().record_read(m.nrows() as u64, lag);
-    }
-
     /// Scores a single sparse query: `predict(Σ vᵢ·w[iᵢ])` over strictly
     /// increasing `(coordinate, value)` pairs.
     ///

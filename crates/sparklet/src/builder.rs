@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use async_cluster::{ChaosAction, ChaosSchedule, ClusterSpec, DelayModel};
 
-use crate::engine::{Engine, EngineError};
+use crate::engine::{check_cluster, Engine, EngineError};
 use crate::fault::FaultPlan;
 use crate::remote::{
     default_worker_bin, RemoteConfig, RemoteEngine, RoutineRegistry, WorkerLauncher,
@@ -56,11 +56,9 @@ pub struct EngineBuilder {
     worker_bin: Option<PathBuf>,
     worker_args: Vec<String>,
     loopback: Option<Arc<dyn Fn() -> RoutineRegistry + Send + Sync>>,
-    handshake_timeout: Option<Duration>,
     heartbeat: Option<Duration>,
     liveness: Option<Duration>,
     task_deadline: Option<Duration>,
-    max_inflight: Option<usize>,
     fault: Option<FaultPlan>,
 }
 
@@ -77,11 +75,9 @@ impl EngineBuilder {
             worker_bin: None,
             worker_args: Vec::new(),
             loopback: None,
-            handshake_timeout: None,
             heartbeat: None,
             liveness: None,
             task_deadline: None,
-            max_inflight: None,
             fault: None,
         }
     }
@@ -155,13 +151,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Handshake deadline for freshly spawned remote workers (default
-    /// 10 s).
-    pub fn handshake_timeout(mut self, d: Duration) -> Self {
-        self.handshake_timeout = Some(d);
-        self
-    }
-
     /// Remote worker heartbeat period (default: no heartbeats).
     pub fn heartbeat(mut self, period: Duration) -> Self {
         self.heartbeat = Some(period);
@@ -182,12 +171,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Bound on in-flight tasks per remote worker (default 1).
-    pub fn max_inflight(mut self, bound: usize) -> Self {
-        self.max_inflight = Some(bound);
-        self
-    }
-
     /// Wire-level fault injection plan for the remote backend (default:
     /// zero faults).
     pub fn fault(mut self, plan: FaultPlan) -> Self {
@@ -195,11 +178,16 @@ impl EngineBuilder {
         self
     }
 
-    /// Constructs the engine. Sim and threaded construction cannot fail
-    /// (spec validation panics, as their constructors always have);
-    /// remote construction returns [`EngineError::Io`] on bind, spawn, or
-    /// handshake failure — including a missing worker binary.
+    /// Constructs the engine.
+    ///
+    /// # Errors
+    /// On every backend, a spec that fails [`ClusterSpec::validate`] or a
+    /// negative or NaN `time_scale` is `Io(InvalidInput)`; sim and threaded
+    /// construction cannot fail otherwise. Remote construction also returns
+    /// [`EngineError::Io`] on bind, spawn, or handshake failure — including
+    /// a missing worker binary.
     pub fn build(self) -> Result<Box<dyn Engine>, EngineError> {
+        check_cluster(&self.spec, self.time_scale)?;
         let mut engine: Box<dyn Engine> = match self.kind {
             EngineKind::Sim => Box::new(SimEngine::new(self.spec)),
             EngineKind::Threaded => Box::new(ThreadedEngine::new(self.spec, self.time_scale)),
@@ -217,16 +205,13 @@ impl EngineBuilder {
                         }
                     }
                 };
-                let defaults = RemoteConfig::process(PathBuf::new());
                 let cfg = RemoteConfig {
                     addr: self.addr,
-                    launcher,
-                    handshake_timeout: self.handshake_timeout.unwrap_or(defaults.handshake_timeout),
                     heartbeat: self.heartbeat,
                     liveness: self.liveness,
                     task_deadline: self.task_deadline,
-                    max_inflight: self.max_inflight.unwrap_or(defaults.max_inflight),
                     fault: self.fault.unwrap_or_default(),
+                    ..RemoteConfig::with_launcher(launcher)
                 };
                 Box::new(RemoteEngine::new(self.spec, self.time_scale, cfg)?)
             }
@@ -247,7 +232,126 @@ impl EngineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Completion, Task, TaskOutput, WireTask};
     use async_cluster::VTime;
+
+    const KINDS: [EngineKind; 3] = [EngineKind::Sim, EngineKind::Threaded, EngineKind::Remote];
+
+    /// Routine 1 answers after `HOLD`, so a worker handed one is busy.
+    const HOLD: Duration = Duration::from_millis(60);
+
+    fn holding_registry() -> RoutineRegistry {
+        let mut reg = RoutineRegistry::new();
+        reg.register(1, |_ctx, req| {
+            std::thread::sleep(HOLD);
+            Ok(req.to_vec())
+        });
+        reg
+    }
+
+    fn two_workers(kind: EngineKind) -> Box<dyn Engine> {
+        EngineBuilder::new(kind)
+            .spec(ClusterSpec::homogeneous(2, DelayModel::None))
+            .time_scale(0.0)
+            .loopback_workers(Arc::new(holding_registry))
+            .build()
+            .expect("engine starts")
+    }
+
+    /// A task that holds its worker for `HOLD` on every backend: the
+    /// closure for the in-process engines, routine 1 for the remote one.
+    fn holding(tag: u64) -> (Task, WireTask) {
+        let task = Task {
+            tag,
+            cost: 1.0,
+            bytes_in: 0,
+            run: Box::new(|_| {
+                std::thread::sleep(HOLD);
+                Box::new(())
+            }),
+        };
+        let wire = WireTask {
+            routine: 1,
+            build: Box::new(|_| Vec::new()),
+            decode: Box::new(|_| Ok(Box::new(()) as TaskOutput)),
+        };
+        (task, wire)
+    }
+
+    #[test]
+    fn one_slot_per_worker_on_every_backend() {
+        for kind in KINDS {
+            let mut e = two_workers(kind);
+            let (task, wire) = holding(7);
+            e.submit_wired(0, task, wire).unwrap();
+            assert!(!e.available(0) && e.available(1), "{kind:?}");
+            // (i) A busy worker takes no second task.
+            let (task, wire) = holding(8);
+            assert_eq!(
+                e.submit_wired(0, task, wire).unwrap_err(),
+                EngineError::WorkerBusy(0),
+                "{kind:?}"
+            );
+            assert_eq!(e.pending(), 1, "{kind:?}");
+            // (ii) Killing it loses exactly the one task it held.
+            e.kill_worker(0);
+            assert!(
+                matches!(e.next(), Some(Completion::Lost { worker: 0, tag: 7 })),
+                "{kind:?}"
+            );
+            assert_eq!(e.pending(), 0, "{kind:?}");
+            // (iii) Killing an idle worker reports the worker, not a task.
+            e.kill_worker(1);
+            assert!(
+                matches!(e.next(), Some(Completion::WorkerDown { worker: 1 })),
+                "{kind:?}"
+            );
+            let (task, wire) = holding(9);
+            assert_eq!(
+                e.submit_wired(1, task, wire).unwrap_err(),
+                EngineError::WorkerDead(1),
+                "{kind:?}"
+            );
+            // Nothing else surfaces, the dying incarnation's late answer
+            // included.
+            std::thread::sleep(2 * HOLD);
+            assert!(e.try_next().is_none() && e.next().is_none(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn invalid_spec_is_refused_on_every_backend() {
+        for kind in KINDS {
+            let mut spec = ClusterSpec::homogeneous(2, DelayModel::None);
+            spec.profiles.pop();
+            let built = EngineBuilder::new(kind)
+                .spec(spec)
+                .loopback_workers(Arc::new(holding_registry))
+                .build();
+            assert_eq!(
+                built.err(),
+                Some(EngineError::Io(std::io::ErrorKind::InvalidInput)),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_or_nan_time_scale_is_refused_on_every_backend() {
+        for kind in KINDS {
+            for time_scale in [-0.5, f64::NAN] {
+                let built = EngineBuilder::new(kind)
+                    .time_scale(time_scale)
+                    .loopback_workers(Arc::new(holding_registry))
+                    .build();
+                assert_eq!(
+                    built.err(),
+                    Some(EngineError::Io(std::io::ErrorKind::InvalidInput)),
+                    "{kind:?} at {time_scale}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn builds_each_in_process_backend() {

@@ -145,24 +145,32 @@ pub struct Driver {
 
 impl Driver {
     /// A driver over the deterministic simulated engine.
+    ///
+    /// # Panics
+    /// Panics if the spec fails validation ([`EngineBuilder::build`]
+    /// returns the error instead).
     pub fn sim(spec: ClusterSpec) -> Self {
         Self::from_engine(
             EngineBuilder::sim()
                 .spec(spec)
                 .build()
-                .expect("sim construction is infallible"),
+                .expect("invalid cluster spec"),
         )
     }
 
     /// A driver over the real-thread engine (see
     /// [`crate::threaded::ThreadedEngine::new`] for `time_scale`).
+    ///
+    /// # Panics
+    /// Panics if the spec fails validation or `time_scale` is negative or
+    /// NaN ([`EngineBuilder::build`] returns the error instead).
     pub fn threaded(spec: ClusterSpec, time_scale: f64) -> Self {
         Self::from_engine(
             EngineBuilder::threaded()
                 .spec(spec)
                 .time_scale(time_scale)
                 .build()
-                .expect("threaded construction is infallible"),
+                .expect("invalid cluster spec or time_scale"),
         )
     }
 
@@ -272,12 +280,6 @@ impl Driver {
         &self.wait
     }
 
-    /// Replaces the wait recorder, returning the old one (experiments reset
-    /// between warm-up and measurement).
-    pub fn reset_wait_recorder(&mut self) -> WaitTimeRecorder {
-        std::mem::replace(&mut self.wait, WaitTimeRecorder::new(self.engine.workers()))
-    }
-
     /// Immediately fails a worker.
     pub fn kill_worker(&mut self, w: WorkerId) {
         self.engine.kill_worker(w);
@@ -371,9 +373,9 @@ impl Driver {
     }
 
     /// The supervisor's half of membership bookkeeping: deaths schedule
-    /// backed-off revivals, ups reset the crash window. One death can
-    /// surface as several `Lost` completions (multiple tasks in flight);
-    /// the `scheduled` latch collapses them into one respawn.
+    /// backed-off revivals, ups reset the crash window. The `scheduled`
+    /// latch keeps it to one respawn per death however the death was
+    /// reported.
     fn supervise_membership(&mut self, c: &Completion) {
         let now = self.engine.now();
         let workers = self.engine.workers();

@@ -17,7 +17,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use async_cluster::{VDur, VTime, WorkerId};
+use async_cluster::{ClusterSpec, VDur, VTime, WorkerId};
 
 use crate::payload::DecodeError;
 use crate::worker::WorkerCtx;
@@ -126,6 +126,16 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+/// Refuses a cluster no engine can run — a spec that fails
+/// [`ClusterSpec::validate`], or a negative or NaN `time_scale` — as
+/// `Io(InvalidInput)`, the error every other misconfiguration gets.
+pub(crate) fn check_cluster(spec: &ClusterSpec, time_scale: f64) -> Result<(), EngineError> {
+    if spec.validate().is_err() || time_scale.is_nan() || time_scale < 0.0 {
+        return Err(EngineError::Io(std::io::ErrorKind::InvalidInput));
+    }
+    Ok(())
+}
 
 /// The wire form of a task, for engines whose workers live in other OS
 /// processes and therefore cannot run [`Task::run`] (a closure does not

@@ -28,9 +28,9 @@
 //! The epoch-guard + chaos machinery maps onto real connection drops:
 //!
 //! * [`Engine::kill_worker`] kills the worker *process* (socket shutdown +
-//!   SIGKILL) and surfaces each in-flight task as [`Completion::Lost`];
+//!   SIGKILL) and surfaces its in-flight task as [`Completion::Lost`];
 //! * a spontaneously dropped socket is detected by the per-connection
-//!   reader thread and handled identically — lost tasks, dead worker;
+//!   reader thread and handled identically — lost task, dead worker;
 //! * [`Engine::revive_worker`] / [`Engine::add_worker`] spawn a fresh
 //!   process at a bumped epoch; any result a dying incarnation managed to
 //!   flush is dropped by the same epoch check the threaded engine uses;
@@ -60,6 +60,15 @@
 //! All supervision knobs default *off*; a default-configured engine is
 //! byte-for-byte the pre-supervision engine.
 //!
+//! ## One slot per worker
+//!
+//! A worker holds one task at a time, as on the simulator and the threaded
+//! engine: [`Engine::available`] is "alive and idle", a submission to a
+//! busy worker is [`EngineError::WorkerBusy`], and a death loses at most
+//! one task. The coordinator above schedules by that rule (`AC.STAT` keeps
+//! one in-flight row per worker), so there is no pipeline depth to
+//! configure here.
+//!
 //! Straggler delays are computed driver-side from the cluster spec
 //! (modelled cost + communication time, scaled by `time_scale` and the
 //! worker's delay factor) and shipped in the submission; the worker sleeps
@@ -74,18 +83,18 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use async_cluster::straggler::DelayAssignment;
 use async_cluster::{ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
 
 use crate::engine::{
-    ChaosQueue, Completion, Engine, EngineError, PendingChaos, Task, TaskDone, TaskOutput, WireTask,
+    check_cluster, ChaosQueue, Completion, Engine, EngineError, PendingChaos, Task, TaskDone,
+    TaskOutput, WireTask,
 };
 use crate::fault::{FaultAction, FaultDir, FaultInjector, FaultPlan};
 use crate::frame::{encode_frame, read_frame, write_frame, Msg};
@@ -124,8 +133,9 @@ pub enum WorkerLauncher {
 
 /// Configuration for [`RemoteEngine::new`]. Everything beyond `addr` and
 /// `launcher` defaults to the unsupervised engine: generous handshake
-/// timeout, no heartbeats, no deadlines, one task in flight per worker,
-/// zero-fault transport.
+/// timeout, no heartbeats, no deadlines, zero-fault transport. There is no
+/// pipeline depth: a worker holds one task at a time (module docs, "One
+/// slot per worker").
 pub struct RemoteConfig {
     /// Address the driver listens on; workers connect back to it.
     /// `127.0.0.1:0` (any free loopback port) by default.
@@ -145,16 +155,12 @@ pub struct RemoteConfig {
     /// the worker incarnation and surfaces the task as lost. `None`
     /// (default) disables the check.
     pub task_deadline: Option<Duration>,
-    /// Bound on tasks in flight per worker (default 1). Submissions past
-    /// the bound return [`EngineError::WorkerBusy`]; see
-    /// [`RemoteEngine::submit_wired_blocking`] for the blocking variant.
-    pub max_inflight: usize,
     /// Wire-level fault injection plan (default zero — no faults).
     pub fault: FaultPlan,
 }
 
 impl RemoteConfig {
-    fn with_launcher(launcher: WorkerLauncher) -> Self {
+    pub(crate) fn with_launcher(launcher: WorkerLauncher) -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
             launcher,
@@ -162,7 +168,6 @@ impl RemoteConfig {
             heartbeat: None,
             liveness: None,
             task_deadline: None,
-            max_inflight: 1,
             fault: FaultPlan::none(),
         }
     }
@@ -227,8 +232,8 @@ enum WireEvent {
     Gone { worker: WorkerId, epoch: u64 },
 }
 
-/// One in-flight wired task: response decoding + accounting plus the
-/// issue instants the deadline check and the completion report need.
+/// A worker's in-flight wired task: response decoding + accounting plus
+/// the issue instants the deadline check and the completion report need.
 struct InflightEntry {
     tag: u64,
     #[allow(clippy::type_complexity)]
@@ -252,7 +257,6 @@ pub struct RemoteEngine {
     heartbeat: Option<Duration>,
     liveness: Option<Duration>,
     task_deadline: Option<Duration>,
-    max_inflight: usize,
     fault: FaultPlan,
     conns: Vec<Option<WorkerConn>>,
     readers: Vec<Option<std::thread::JoinHandle<()>>>,
@@ -266,9 +270,8 @@ pub struct RemoteEngine {
     /// Worker incarnation counters; bumped on kill so orphaned completions
     /// and a revived executor can never be confused.
     epoch: Vec<u64>,
-    /// Per-worker FIFO of in-flight submissions (bounded by
-    /// `max_inflight`).
-    inflight: Vec<VecDeque<InflightEntry>>,
+    /// The task each worker is running, if any: one slot per worker.
+    inflight: Vec<Option<InflightEntry>>,
     /// Last instant each worker proved it was alive (handshake, beat, or
     /// completion).
     last_beat: Vec<Instant>,
@@ -286,16 +289,14 @@ impl RemoteEngine {
     /// loopback thread) per cluster worker, waiting for each to connect
     /// and greet.
     ///
-    /// # Panics
-    /// Panics if the spec fails validation or `time_scale` is negative.
+    /// # Errors
     /// Transport failures (bind, spawn, handshake) return
-    /// [`EngineError::Io`]; a liveness deadline without a heartbeat period
-    /// is rejected as `Io(InvalidInput)` (silent workers would all be
-    /// declared dead).
+    /// [`EngineError::Io`] with the OS error kind. A misconfiguration is
+    /// `Io(InvalidInput)`: a spec that fails validation, a negative or NaN
+    /// `time_scale`, or a liveness deadline without a heartbeat period
+    /// (silent workers would all be declared dead).
     pub fn new(spec: ClusterSpec, time_scale: f64, cfg: RemoteConfig) -> Result<Self, EngineError> {
-        spec.validate().expect("invalid cluster spec");
-        assert!(time_scale >= 0.0, "time_scale must be nonnegative");
-        assert!(cfg.max_inflight >= 1, "max_inflight must be at least 1");
+        check_cluster(&spec, time_scale)?;
         if cfg.liveness.is_some() && cfg.heartbeat.is_none() {
             return Err(EngineError::Io(io::ErrorKind::InvalidInput));
         }
@@ -307,7 +308,7 @@ impl RemoteEngine {
             .local_addr()
             .map_err(|e| EngineError::Io(e.kind()))?
             .to_string();
-        let (res_tx, res_rx) = unbounded::<WireEvent>();
+        let (res_tx, res_rx) = channel::<WireEvent>();
         let now = Instant::now();
         let mut engine = Self {
             spec,
@@ -322,7 +323,6 @@ impl RemoteEngine {
             heartbeat: cfg.heartbeat,
             liveness: cfg.liveness,
             task_deadline: cfg.task_deadline,
-            max_inflight: cfg.max_inflight,
             fault: cfg.fault,
             conns: Vec::with_capacity(n),
             readers: Vec::with_capacity(n),
@@ -331,7 +331,7 @@ impl RemoteEngine {
             mirrors: (0..n).map(WorkerCtx::new).collect(),
             dead: vec![false; n],
             epoch: vec![0; n],
-            inflight: (0..n).map(|_| VecDeque::new()).collect(),
+            inflight: (0..n).map(|_| None).collect(),
             last_beat: vec![now; n],
             injectors: (0..n).map(|_| None).collect(),
             task_seq: vec![0; n],
@@ -492,23 +492,24 @@ impl RemoteEngine {
         }
     }
 
-    /// Marks `w` dead at a bumped epoch and queues the loss
-    /// notifications — shared by explicit kills, detected disconnects,
-    /// and missed liveness/task deadlines. Every queued in-flight task
-    /// surfaces as its own [`Completion::Lost`] (FIFO order); an idle
-    /// death queues [`Completion::WorkerDown`].
+    /// Marks `w` dead at a bumped epoch and queues the loss notification —
+    /// shared by explicit kills, detected disconnects, and missed
+    /// liveness/task deadlines. A busy worker's task surfaces as
+    /// [`Completion::Lost`]; an idle death queues
+    /// [`Completion::WorkerDown`].
     fn mark_dead(&mut self, w: WorkerId) {
         self.dead[w] = true;
         self.epoch[w] += 1;
         self.injectors[w] = None;
-        let lost: Vec<u64> = self.inflight[w].drain(..).map(|e| e.tag).collect();
-        if lost.is_empty() {
-            self.queued.push_back(Completion::WorkerDown { worker: w });
-        } else {
-            self.pending -= lost.len();
-            for tag in lost {
-                self.queued.push_back(Completion::Lost { worker: w, tag });
+        match self.inflight[w].take() {
+            Some(entry) => {
+                self.pending -= 1;
+                self.queued.push_back(Completion::Lost {
+                    worker: w,
+                    tag: entry.tag,
+                });
             }
+            None => self.queued.push_back(Completion::WorkerDown { worker: w }),
         }
     }
 
@@ -537,7 +538,7 @@ impl RemoteEngine {
                 .is_some_and(|liv| now.duration_since(self.last_beat[w]) > liv);
             let overdue = self.task_deadline.is_some_and(|dl| {
                 self.inflight[w]
-                    .front()
+                    .as_ref()
                     .is_some_and(|e| now.duration_since(e.issued_real) > dl)
             });
             if silent || overdue {
@@ -578,7 +579,7 @@ impl RemoteEngine {
                 if self.dead[w] {
                     continue;
                 }
-                if let Some(e) = self.inflight[w].front() {
+                if let Some(e) = &self.inflight[w] {
                     fold((e.issued_real + dl).saturating_duration_since(now));
                 }
             }
@@ -616,34 +617,31 @@ impl RemoteEngine {
                 // Any frame proves liveness.
                 self.last_beat[worker] = Instant::now();
                 let finished_at = self.elapsed();
-                let pos = self.inflight[worker].iter().position(|e| e.tag == tag);
-                let Some(pos) = pos else {
+                let Some(entry) = self.inflight[worker].as_ref().filter(|e| e.tag == tag) else {
                     // An unsolicited completion — a duplicated frame or a
                     // protocol violation. Nothing is owed for it; drop it.
                     return None;
                 };
-                let entry = self.inflight[worker].remove(pos).expect("position exists");
+                let (issued_at, bytes_in) = (entry.issued_at, entry.bytes_in);
                 match (entry.decode)(&response) {
                     Ok(output) => {
+                        self.inflight[worker] = None;
                         self.pending -= 1;
                         Some(Completion::Done(TaskDone {
                             worker,
                             tag,
                             output,
-                            issued_at: entry.issued_at,
+                            issued_at,
                             finished_at,
-                            service_time: finished_at.saturating_since(entry.issued_at),
-                            bytes_in: entry.bytes_in,
+                            service_time: finished_at.saturating_since(issued_at),
+                            bytes_in,
                         }))
                     }
                     Err(_) => {
                         // A response this driver cannot decode means the
                         // incarnation is not speaking the protocol — treat
-                        // it like a crashed worker: tear down, report every
-                        // queued task lost. The entry was already removed;
-                        // account its loss here, the rest via `mark_dead`.
-                        self.pending -= 1;
-                        self.queued.push_back(Completion::Lost { worker, tag });
+                        // it like a crashed worker: tear down, and
+                        // `mark_dead` reports the still-seated task lost.
                         self.teardown_conn(worker);
                         self.mark_dead(worker);
                         None
@@ -678,39 +676,6 @@ impl RemoteEngine {
         while let Ok(ev) = self.results_rx.try_recv() {
             if let Some(c) = self.accept(ev) {
                 self.queued.push_back(c);
-            }
-        }
-    }
-
-    /// Like [`Engine::submit_wired`], but when worker `w` is at its
-    /// in-flight bound this blocks — pumping arriving results into the
-    /// completion queue — until a slot frees, the worker dies, or the
-    /// event channel closes. The backpressure face of
-    /// [`RemoteConfig::max_inflight`].
-    pub fn submit_wired_blocking(
-        &mut self,
-        w: WorkerId,
-        task: Task,
-        wire: WireTask,
-    ) -> Result<(), EngineError> {
-        loop {
-            self.drain_ready_events();
-            self.apply_due_chaos();
-            self.enforce_deadlines();
-            if self.dead[w] {
-                return Err(EngineError::WorkerDead(w));
-            }
-            if self.inflight[w].len() < self.max_inflight {
-                return self.submit_wired(w, task, wire);
-            }
-            match self.wait_event() {
-                Ok(ev) => {
-                    if let Some(c) = self.accept(ev) {
-                        self.queued.push_back(c);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Err(EngineError::Disconnected(w)),
             }
         }
     }
@@ -810,7 +775,7 @@ impl Engine for RemoteEngine {
     }
 
     fn available(&self, w: WorkerId) -> bool {
-        !self.dead[w] && self.inflight[w].len() < self.max_inflight
+        !self.dead[w] && self.inflight[w].is_none()
     }
 
     fn alive(&self, w: WorkerId) -> bool {
@@ -827,7 +792,7 @@ impl Engine for RemoteEngine {
         if self.dead[w] {
             return Err(EngineError::WorkerDead(w));
         }
-        if self.inflight[w].len() >= self.max_inflight {
+        if self.inflight[w].is_some() {
             return Err(EngineError::WorkerBusy(w));
         }
         let seq = self.task_seq[w];
@@ -862,14 +827,13 @@ impl Engine for RemoteEngine {
         if written.is_err() {
             // The process died under us between completions (or fault
             // injection reset the connection): surface the death now. The
-            // task was never accepted, so it is not among the losses
-            // `mark_dead` queues for previously accepted submissions.
+            // task was never accepted, so `mark_dead` queues no loss for it.
             self.teardown_conn(w);
             self.mark_dead(w);
             return Err(EngineError::Disconnected(w));
         }
         let issued_at = self.elapsed();
-        self.inflight[w].push_back(InflightEntry {
+        self.inflight[w] = Some(InflightEntry {
             tag: task.tag,
             decode: wire.decode,
             bytes_in: total_bytes,
@@ -936,7 +900,6 @@ impl Engine for RemoteEngine {
         self.spawn_worker(w)
             .map_err(|e| EngineError::Io(e.kind()))?;
         self.dead[w] = false;
-        self.inflight[w].clear();
         self.queued.push_back(Completion::WorkerUp { worker: w });
         Ok(())
     }
@@ -948,7 +911,7 @@ impl Engine for RemoteEngine {
         self.mirrors.push(WorkerCtx::new(w));
         self.dead.push(false);
         self.epoch.push(0);
-        self.inflight.push(VecDeque::new());
+        self.inflight.push(None);
         self.last_beat.push(Instant::now());
         self.injectors.push(None);
         self.task_seq.push(0);
@@ -1444,6 +1407,26 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_response_is_one_death_and_one_lost_task() {
+        let mut e = loopback_engine(1);
+        let (task, mut wire) = wired(5, 1);
+        wire.decode = Box::new(|_| {
+            Err(DecodeError::Invalid {
+                at: 0,
+                what: "not what this driver asked for",
+            })
+        });
+        e.submit_wired(0, task, wire).unwrap();
+        assert!(matches!(
+            e.next(),
+            Some(Completion::Lost { worker: 0, tag: 5 })
+        ));
+        assert!(!e.alive(0));
+        assert_eq!(e.pending(), 0);
+        assert!(e.next().is_none(), "the death was already reported");
+    }
+
+    #[test]
     fn add_worker_joins_over_the_wire() {
         let mut e = loopback_engine(1);
         let w = e.add_worker();
@@ -1526,7 +1509,7 @@ mod tests {
     }
 
     // ---------------------------------------------------------------
-    // Supervision: heartbeats, deadlines, backpressure, fault paths
+    // Supervision: heartbeats, deadlines, fault paths
     // ---------------------------------------------------------------
 
     fn supervised_cfg(cfg: RemoteConfig) -> RemoteConfig {
@@ -1546,6 +1529,19 @@ mod tests {
         match RemoteEngine::new(spec(1), 0.0, cfg).map(|_| ()) {
             Err(EngineError::Io(io::ErrorKind::InvalidInput)) => {}
             other => panic!("expected InvalidInput, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_spec_and_time_scale_are_rejected_not_panics() {
+        let mut short = spec(2);
+        short.profiles.pop();
+        for (spec, time_scale) in [(short, 0.0), (spec(1), -1.0), (spec(1), f64::NAN)] {
+            let cfg = RemoteConfig::loopback(Arc::new(doubling_registry));
+            match RemoteEngine::new(spec, time_scale, cfg).map(|_| ()) {
+                Err(EngineError::Io(io::ErrorKind::InvalidInput)) => {}
+                other => panic!("time_scale {time_scale}: expected InvalidInput, got {other:?}"),
+            }
         }
     }
 
@@ -1681,79 +1677,6 @@ mod tests {
                 other.as_ref().map(completion_kind)
             ),
         }
-    }
-
-    #[test]
-    fn bounded_inflight_backpressure_and_blocking_submit() {
-        let cfg = RemoteConfig {
-            max_inflight: 2,
-            ..RemoteConfig::loopback(Arc::new(doubling_registry))
-        };
-        let mut e = RemoteEngine::new(spec(1), 0.0, cfg).expect("engine starts");
-        let (t1, w1) = wired(1, 10);
-        let (t2, w2) = wired(2, 20);
-        let (t3, w3) = wired(3, 30);
-        e.submit_wired(0, t1, w1).unwrap();
-        assert!(e.available(0), "one slot of two used");
-        e.submit_wired(0, t2, w2).unwrap();
-        assert!(!e.available(0), "at the in-flight bound");
-        assert_eq!(
-            e.submit_wired(0, t3, w3).unwrap_err(),
-            EngineError::WorkerBusy(0)
-        );
-        // The blocking variant waits for a slot instead of failing.
-        let (t3, w3) = wired(3, 30);
-        e.submit_wired_blocking(0, t3, w3).unwrap();
-        let mut seen = std::collections::HashMap::new();
-        while let Some(c) = e.next() {
-            if let Completion::Done(d) = c {
-                seen.insert(d.tag, *d.output.downcast::<u64>().unwrap());
-            }
-        }
-        assert_eq!(seen.len(), 3, "all three tasks completed: {seen:?}");
-        assert_eq!((seen[&1], seen[&2], seen[&3]), (20, 40, 60));
-        assert_eq!(e.pending(), 0);
-    }
-
-    #[test]
-    fn killing_a_worker_loses_every_queued_inflight_task() {
-        let cfg = RemoteConfig {
-            max_inflight: 3,
-            ..RemoteConfig::loopback(Arc::new(|| {
-                let mut reg = RoutineRegistry::new();
-                reg.register(9, |_ctx, req| {
-                    std::thread::sleep(Duration::from_millis(100));
-                    Ok(req.to_vec())
-                });
-                reg
-            }))
-        };
-        let mut e = RemoteEngine::new(spec(1), 0.0, cfg).expect("engine starts");
-        for tag in [11, 12, 13] {
-            let task = Task {
-                tag,
-                cost: 0.0,
-                bytes_in: 0,
-                run: Box::new(|_| Box::new(())),
-            };
-            let wire = WireTask {
-                routine: 9,
-                build: Box::new(|_| Vec::new()),
-                decode: Box::new(|_| Ok(Box::new(()) as TaskOutput)),
-            };
-            e.submit_wired(0, task, wire).unwrap();
-        }
-        assert_eq!(e.pending(), 3);
-        e.kill_worker(0);
-        let mut lost = Vec::new();
-        while let Some(c) = e.next() {
-            match c {
-                Completion::Lost { worker: 0, tag } => lost.push(tag),
-                other => panic!("unexpected: {:?}", completion_kind(&other)),
-            }
-        }
-        assert_eq!(lost, vec![11, 12, 13], "FIFO loss order");
-        assert_eq!(e.pending(), 0);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl SimEngine {
     pub fn worker_ctx(&self, w: WorkerId) -> &WorkerCtx {
         &self.ctxs[w]
     }
-
-    /// The realized straggler assignment (who straggles, with what class).
-    pub fn delay_assignment(&self) -> &DelayAssignment {
-        &self.assignment
-    }
 }
 
 impl Engine for SimEngine {
@@ -358,25 +353,6 @@ mod tests {
         assert_eq!(done[0].2, VTime::from_micros(1_000_000));
         assert_eq!(done[1].0, 1);
         assert_eq!(done[1].2, VTime::from_micros(2_000_000)); // 2x slower
-    }
-
-    #[test]
-    fn busy_and_dead_submissions_rejected() {
-        let mut e = SimEngine::new(quiet_spec(1, DelayModel::None));
-        e.submit(0, task(0, 1.0, 1)).unwrap();
-        assert_eq!(
-            e.submit(0, task(1, 1.0, 1)).unwrap_err(),
-            EngineError::WorkerBusy(0)
-        );
-        assert!(!e.available(0));
-        let _ = e.next();
-        e.kill_worker(0);
-        let c = e.next();
-        assert!(matches!(c, Some(Completion::WorkerDown { worker: 0 })));
-        assert_eq!(
-            e.submit(0, task(2, 1.0, 1)).unwrap_err(),
-            EngineError::WorkerDead(0)
-        );
     }
 
     #[test]

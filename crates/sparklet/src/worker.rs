@@ -91,12 +91,6 @@ impl WorkerCtx {
         self.cache.len()
     }
 
-    /// Charges additional transfer `bytes` to the running task without
-    /// touching the cache (e.g. side data pulled from the server).
-    pub fn charge_bytes(&mut self, bytes: u64) {
-        self.pending_bytes += bytes;
-    }
-
     /// Charges additional virtual `time` to the running task (e.g. modelled
     /// disk reads).
     pub fn charge_time(&mut self, time: VDur) {
@@ -131,7 +125,7 @@ mod tests {
     fn fetch_charges_accumulate_and_drain() {
         let mut ctx = WorkerCtx::new(0);
         ctx.cache_put_fetched((1, 0), Arc::new(()), 64);
-        ctx.charge_bytes(36);
+        ctx.cache_put_fetched((1, 1), Arc::new(()), 36);
         ctx.charge_time(VDur::from_micros(500));
         let (b, t) = ctx.take_charges();
         assert_eq!(b, 100);

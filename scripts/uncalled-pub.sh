@@ -11,6 +11,13 @@
 # everything printed really has no caller by that name. It is the next diet
 # PR's worklist, not a rule: the paper's Table 1 API and planned bench arms
 # are on it and stay.
+#
+# A second listing follows for the offline shims: every `pub fn` in the
+# non-test lines of `shims/*/src` that no line, tests included (`proptest`
+# has no other caller), of `crates/`, `benchmark/src`, `examples/` or `src/`
+# names; one a shim's own non-test code names again (a macro body, say) is
+# marked `(named inside shims/)`. Its lines start with `shims/`, the first
+# listing's with `crates/`.
 # Usage: scripts/uncalled-pub.sh [repo-root]
 set -eu
 cd "${1:-$(dirname "$0")/..}"
@@ -32,4 +39,26 @@ find crates/*/src benchmark/src examples src -name '*.rs' -exec awk '
     }
     END {
         for (d in decl) if (seen[decl[d]] == 1) print d
+    }' {} + | sort -t: -k1,1 -k2,2n
+find shims/*/src crates benchmark/src examples src -name '*.rs' -exec awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    {
+        in_shim = FILENAME ~ /^shims\//
+        if (in_shim && in_tests) next
+        line = $0
+        sub(/\/\/.*/, "", line)
+        if (in_shim && match(line, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(line, RSTART + 7, RLENGTH - 7)
+            decl[FILENAME ":" FNR " " name] = name
+        }
+        while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            word = substr(line, RSTART, RLENGTH)
+            if (in_shim) inside[word]++; else seen[word]++
+            line = substr(line, RSTART + RLENGTH)
+        }
+    }
+    END {
+        for (d in decl) if (!(decl[d] in seen))
+            print d (inside[decl[d]] > 1 ? " (named inside shims/)" : "")
     }' {} + | sort -t: -k1,1 -k2,2n
