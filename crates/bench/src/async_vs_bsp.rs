@@ -211,9 +211,8 @@ mod tests {
 
     #[test]
     fn ablation_is_deterministic() {
-        let a = run_async_vs_bsp(small_cfg());
-        let b = run_async_vs_bsp(small_cfg());
-        oracle::gated_lines_agree(&a.doc(), &b.doc());
+        let run = || run_async_vs_bsp(small_cfg()).doc();
+        oracle::check(run, "async_vs_bsp", &[]);
     }
 
     #[test]

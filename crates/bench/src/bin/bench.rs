@@ -3,9 +3,8 @@
 //! Usage: `cargo run --release -p async-bench --bin bench -- <name> [out.json]`
 //! (default `BENCH_<name>.json` in the current directory), or
 //! `... --bin bench -- all [dir]` for every bench into `dir` (default the
-//! current directory). Each bench prints its headline to stderr; keys
-//! prefixed `wc_` vary run to run, everything else is deterministic — CI
-//! gates each file with `grep -v '"wc_'` on both sides of the diff.
+//! current directory). Each bench prints its headline to stderr; every
+//! byte written is deterministic — CI gates each file with a plain `diff`.
 
 use std::path::{Path, PathBuf};
 

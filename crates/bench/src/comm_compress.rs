@@ -3,34 +3,27 @@
 //! workload, with quantized version-diff patches riding the incremental
 //! broadcast in the quantized arm.
 //!
-//! Two kinds of numbers come out of it:
-//!
-//! 1. **Modeled, deterministic** (byte-gated in CI): three arms on the
-//!    simulated engine — worker → server result bytes (what compression
-//!    shrinks), driver → worker broadcast bytes, updates, final
-//!    objective, trace — plus the headline ratios and a deterministic
-//!    `within_loss_tolerance` verdict per compressed arm: the byte
-//!    reduction only counts if the arm lands within 10% of the
-//!    uncompressed arm's closed optimality gap.
-//! 2. **Wall-clock, host-dependent** (reported, *not* gated; keys carry
-//!    the `wc_` prefix so CI can filter them): the uncompressed and
-//!    quantized arms on the threaded engine, where modeled transfer time
-//!    becomes real sleep — shipping ~10x fewer result bytes turns into
-//!    steps/sec.
+//! Every number is modeled and deterministic (byte-gated in CI): three
+//! arms on the simulated engine — worker → server result bytes (what
+//! compression shrinks), driver → worker broadcast bytes, updates, final
+//! objective, trace — plus the headline ratios and a
+//! `within_loss_tolerance` verdict per compressed arm: the byte reduction
+//! only counts if the arm lands within 10% of the uncompressed arm's
+//! closed optimality gap.
 //!
 //! The workload is the ridge-free sparse logistic of the hot-path bench:
 //! λ = 0 keeps gradients (and therefore top-k selections and broadcast
 //! diffs) sparse, which is exactly the configuration `SolverCfg::lint`
 //! steers compression users to.
 
-use async_cluster::DelayModel;
-use async_core::BarrierFilter;
-use async_data::SynthSpec;
+use async_cluster::{ClusterSpec, DelayModel};
+use async_core::{AsyncContext, BarrierFilter};
+use async_data::{Dataset, SynthSpec};
 use async_linalg::Quant;
-use async_optim::{CompressCfg, Objective, SolverCfg};
+use async_optim::{Asgd, AsyncSolver, CompressCfg, Objective, SolverCfg};
 
-use crate::doc::{bench_doc, BenchDoc, ReportField};
-use crate::workload::{modeled_cluster, LabeledRun, TwoEngineAsgd, WallClockArm, SIM_ARM_FIELDS};
+use crate::doc::{bench_doc, BenchDoc};
+use crate::workload::{modeled_cluster, LabeledRun, SIM_ARM_FIELDS};
 
 /// Configuration of the compressed-communication benchmark.
 #[derive(Debug, Clone)]
@@ -45,10 +38,8 @@ pub struct CommCompressCfg {
     pub nnz_per_row: usize,
     /// Coordinates shipped per compressed delta.
     pub k: usize,
-    /// Server update budget for the simulated (gated) runs.
+    /// Server update budget per run.
     pub updates: u64,
-    /// Server update budget for the threaded (wall-clock) runs.
-    pub wc_updates: u64,
     /// Mini-batch fraction per task.
     pub batch_fraction: f64,
     /// Step size (ridge-free logistic).
@@ -60,8 +51,6 @@ pub struct CommCompressCfg {
     pub per_msg_us: u64,
     /// Modeled wire cost in ns/byte (what compression saves).
     pub ns_per_byte: f64,
-    /// Threaded-engine scale from modeled time to real sleep.
-    pub time_scale: f64,
     /// Sampling/generation seed.
     pub seed: u64,
 }
@@ -75,20 +64,17 @@ impl Default for CommCompressCfg {
             nnz_per_row: 20,
             k: 256,
             updates: 300,
-            wc_updates: 400,
             batch_fraction: 0.1,
             step: 0.5,
             ring: 16,
             per_msg_us: 50,
             ns_per_byte: 50.0,
-            time_scale: 2.0,
             seed: 2026,
         }
     }
 }
 
-/// The benchmark outcome: three simulated arms, ratios and verdicts, two
-/// wall-clock arms.
+/// The benchmark outcome: three simulated arms, ratios and verdicts.
 #[derive(Debug, Clone)]
 pub struct CommCompress {
     /// The configuration measured.
@@ -110,18 +96,12 @@ pub struct CommCompress {
     pub topk_within_loss_tolerance: bool,
     /// True when the int8 arm's final gap is within 10% of uncompressed.
     pub topk_i8_within_loss_tolerance: bool,
-    /// Threaded uncompressed arm (wall clock, not gated).
-    pub wc_off: WallClockArm,
-    /// Threaded quantized arm (wall clock, not gated).
-    pub wc_topk_i8: WallClockArm,
-    /// `wc_topk_i8.steps_per_sec / wc_off.steps_per_sec`.
-    pub wc_speedup: f64,
 }
 
 /// The ridge-free sparse logistic problem: λ = 0 keeps the gradient
 /// support — and so the top-k candidate set and the broadcast diffs —
 /// sparse.
-fn workload(cfg: &CommCompressCfg) -> TwoEngineAsgd {
+fn workload(cfg: &CommCompressCfg) -> (Dataset, ClusterSpec) {
     let data = SynthSpec::sparse(
         "comm-compress",
         cfg.rows,
@@ -138,21 +118,16 @@ fn workload(cfg: &CommCompressCfg) -> TwoEngineAsgd {
         cfg.per_msg_us,
         cfg.ns_per_byte,
     );
-    let objective = Objective::Logistic { lambda: 0.0 };
-    TwoEngineAsgd {
-        data,
-        cluster,
-        objective,
-    }
+    (data, cluster)
 }
 
-fn solver_cfg(cfg: &CommCompressCfg, updates: u64, compress: CompressCfg) -> SolverCfg {
+fn solver_cfg(cfg: &CommCompressCfg, compress: CompressCfg) -> SolverCfg {
     SolverCfg {
         step: cfg.step,
         batch_fraction: cfg.batch_fraction,
         barrier: BarrierFilter::Asp,
-        max_updates: updates,
-        eval_every: (updates / 6).max(1),
+        max_updates: cfg.updates,
+        eval_every: (cfg.updates / 6).max(1),
         seed: cfg.seed,
         bcast_ring: cfg.ring,
         compress,
@@ -188,16 +163,18 @@ fn within_tolerance(off_final: f64, comp_final: f64) -> bool {
     comp_final - off_final <= 0.10 * (f0 - off_final)
 }
 
-/// Runs the five measurements (three simulated and gated, two threaded
-/// and wall-clock).
+/// Runs the three arms on the simulator.
 pub fn run_comm_compress(cfg: CommCompressCfg) -> CommCompress {
-    let w = workload(&cfg);
+    let (data, cluster) = workload(&cfg);
     let run_sim = |(label, compress)| {
-        let report = w.sim(&solver_cfg(&cfg, cfg.updates, compress));
+        let mut ctx = AsyncContext::sim(cluster.clone());
+        let report = Asgd::new(Objective::Logistic { lambda: 0.0 }).run(
+            &mut ctx,
+            &data,
+            &solver_cfg(&cfg, compress),
+        );
         LabeledRun { label, report }
     };
-    let run_threaded =
-        |(_, compress)| w.threaded(cfg.time_scale, &solver_cfg(&cfg, cfg.wc_updates, compress));
     let [off, topk, topk_i8] = arms(&cfg);
     let sim_off = run_sim(off);
     let sim_topk = run_sim(topk);
@@ -215,16 +192,8 @@ pub fn run_comm_compress(cfg: CommCompressCfg) -> CommCompress {
         sim_off.report.final_objective,
         sim_topk_i8.report.final_objective,
     );
-    let wc_off = run_threaded(off);
-    let wc_topk_i8 = run_threaded(topk_i8);
-    let wc_speedup = wc_topk_i8.steps_per_sec / wc_off.steps_per_sec.max(1e-9);
     eprintln!(
-        "comm_compress: modeled result bytes {:.1}x (topk) / {:.1}x (topk+i8) smaller; wall-clock {:.0} vs {:.0} steps/s ({:.2}x) [profile: lto=thin, codegen-units=1, panic=abort bins]",
-        result_bytes_ratio_topk,
-        result_bytes_ratio_topk_i8,
-        wc_topk_i8.steps_per_sec,
-        wc_off.steps_per_sec,
-        wc_speedup,
+        "comm_compress: modeled result bytes {result_bytes_ratio_topk:.1}x (topk) / {result_bytes_ratio_topk_i8:.1}x (topk+i8) smaller",
     );
     CommCompress {
         cfg,
@@ -236,29 +205,16 @@ pub fn run_comm_compress(cfg: CommCompressCfg) -> CommCompress {
         bcast_bytes_ratio_topk_i8,
         topk_within_loss_tolerance,
         topk_i8_within_loss_tolerance,
-        wc_off,
-        wc_topk_i8,
-        wc_speedup,
     }
 }
 
-const DESCRIPTION: &str = "uncompressed vs top-k vs top-k+int8 gradient shipping (error feedback; quantized incremental-broadcast patches in the int8 arm) for ASGD on a high-dim sparse logistic workload; modeled bytes and loss verdicts on the simulator (gated), real steps/sec on the threaded engine (wc_, not gated); built with the tuned release profile (lto=thin, codegen-units=1, panic=abort bins)";
-
-const WC_FIELDS: [ReportField; 3] = [
-    ReportField::ResultBytes,
-    ReportField::Updates,
-    ReportField::FinalObjective,
-];
+const DESCRIPTION: &str = "uncompressed vs top-k vs top-k+int8 gradient shipping (error feedback; quantized incremental-broadcast patches in the int8 arm) for ASGD on a high-dim sparse logistic workload; modeled bytes and loss verdicts on the simulator";
 
 impl CommCompress {
-    /// The `BENCH_comm_compress.json` document; lines under `wc_` keys are
-    /// host observations outside the byte gate (the contract:
-    /// [`crate::doc`]), the loss-tolerance verdicts are gated.
+    /// The `BENCH_comm_compress.json` document.
     pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
         let sim = |a: &LabeledRun| a.doc("arm", &SIM_ARM_FIELDS);
-        let wc =
-            |a: &LabeledRun, t: &WallClockArm| t.doc(bench_doc! { "arm": a.label }, &WC_FIELDS);
         let dataset = format!(
             "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda 0",
             c.rows, c.cols, c.nnz_per_row
@@ -271,13 +227,11 @@ impl CommCompress {
                 "dataset": dataset,
                 "k": c.k,
                 "updates": c.updates,
-                "wc_updates": c.wc_updates,
                 "batch_fraction": c.batch_fraction,
                 "step": c.step,
                 "ring": c.ring,
                 "per_msg_us": c.per_msg_us,
                 "ns_per_byte": c.ns_per_byte,
-                "time_scale": c.time_scale,
                 "seed": c.seed,
             },
             "sim_off": sim(&self.sim_off),
@@ -288,9 +242,6 @@ impl CommCompress {
             "bcast_bytes_ratio_off_over_topk_i8": self.bcast_bytes_ratio_topk_i8,
             "topk_within_loss_tolerance": self.topk_within_loss_tolerance,
             "topk_i8_within_loss_tolerance": self.topk_i8_within_loss_tolerance,
-            "wc_threaded_off": wc(&self.sim_off, &self.wc_off),
-            "wc_threaded_topk_i8": wc(&self.sim_topk_i8, &self.wc_topk_i8),
-            "wc_steps_per_sec_speedup_topk_i8_over_off": self.wc_speedup,
         }
     }
 }
@@ -305,8 +256,6 @@ mod tests {
             cols: 4_096,
             k: 32,
             updates: 200,
-            wc_updates: 60,
-            time_scale: 0.2,
             ..CommCompressCfg::default()
         }
     }
@@ -354,7 +303,6 @@ mod tests {
         let probes = [
             "result_bytes_ratio_off_over_topk_i8",
             "topk_i8_within_loss_tolerance",
-            "wc_threaded_off.wc_steps_per_sec",
             "sim_off.result_bytes",
         ];
         crate::doc::oracle::check(run, "comm_compress", &probes);

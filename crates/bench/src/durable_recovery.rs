@@ -18,21 +18,15 @@
 //!    torn half-write lands above it ([`DiskFault`] injection). Recovery
 //!    falls back to the newest *valid* generation: the cut moves one
 //!    cadence earlier, more updates re-run, and the bits still match.
-//!
-//! A `wc_` arm (host-dependent, ungated) times cold recovery on this
-//! machine: open the store, scan to the newest valid generation, verify
-//! its checksum, and parse the checkpoint.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
 use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
 use async_optim::{
-    Asgd, AsyncSolver, Checkpoint, CheckpointStore, DiskFault, DiskFaultPlan, Objective, RunReport,
-    SolverCfg,
+    Asgd, AsyncSolver, CheckpointStore, DiskFault, DiskFaultPlan, Objective, RunReport, SolverCfg,
 };
 
 use crate::doc::{bench_doc, BenchDoc, ReportField};
@@ -103,16 +97,6 @@ pub struct RecoveryArm {
     pub final_objective: f64,
 }
 
-/// The host-dependent cold-recovery timing (`wc_` keys only).
-#[derive(Debug, Clone)]
-pub struct WcRecovery {
-    /// Host seconds to open the store, find the newest valid generation,
-    /// checksum it, and parse the checkpoint.
-    pub recover_secs: f64,
-    /// Recovery throughput over the verified payload, in MB/s.
-    pub mb_per_sec: f64,
-}
-
 /// The benchmark outcome.
 #[derive(Debug, Clone)]
 pub struct DurableRecovery {
@@ -124,8 +108,6 @@ pub struct DurableRecovery {
     pub checkpoint_payload_bytes: u64,
     /// `[resumed, faulted]`.
     pub arms: Vec<RecoveryArm>,
-    /// Cold-recovery host timing (not gated).
-    pub wc_recovery: WcRecovery,
 }
 
 fn spec(cfg: &DurableRecoveryCfg) -> ClusterSpec {
@@ -176,8 +158,7 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// Runs the benchmark: the uninterrupted reference, the clean
-/// crash-and-resume lineage, the faulted-store lineage, and the
-/// cold-recovery timing arm.
+/// crash-and-resume lineage and the faulted-store lineage.
 pub fn run_durable_recovery(cfg: DurableRecoveryCfg) -> DurableRecovery {
     let (dataset, _) = SynthSpec::dense("durable-recovery", cfg.rows, cfg.cols, cfg.seed)
         .generate()
@@ -193,10 +174,6 @@ pub fn run_durable_recovery(cfg: DurableRecoveryCfg) -> DurableRecovery {
         .latest_valid()
         .map(|(_, bytes)| bytes.len() as u64)
         .expect("crash left a valid generation");
-
-    // The wc_ arm measures this store's cold recovery before the resumed
-    // run extends it.
-    let wc_recovery = time_recovery(&clean_dir, checkpoint_payload_bytes);
 
     let resumed = run(&cfg, &dataset, cfg.updates, Some(clean_dir.clone()));
     let resumed_arm = recovery_arm(
@@ -240,20 +217,18 @@ pub fn run_durable_recovery(cfg: DurableRecoveryCfg) -> DurableRecovery {
 
     eprintln!(
         "durable_recovery: resumed from gen {} (bit_identical {}), faulted fell back to gen {} \
-         (bit_identical {}), write amplification {:.2}x, cold recovery {:.1} MB/s",
+         (bit_identical {}), write amplification {:.2}x",
         resumed_arm.resumed_from,
         resumed_arm.bit_identical,
         faulted_arm.resumed_from,
         faulted_arm.bit_identical,
         resumed_arm.write_amplification,
-        wc_recovery.mb_per_sec,
     );
     DurableRecovery {
         cfg,
         uninterrupted,
         checkpoint_payload_bytes,
         arms: vec![resumed_arm, faulted_arm],
-        wc_recovery,
     }
 }
 
@@ -280,19 +255,7 @@ fn recovery_arm(
     }
 }
 
-fn time_recovery(dir: &PathBuf, payload_bytes: u64) -> WcRecovery {
-    let t0 = Instant::now();
-    let store = CheckpointStore::open(dir).expect("store");
-    let (_, bytes) = store.latest_valid().expect("valid generation");
-    let _ckpt = Checkpoint::from_bytes(&bytes).expect("checkpoint parses");
-    let recover_secs = t0.elapsed().as_secs_f64();
-    WcRecovery {
-        recover_secs,
-        mb_per_sec: payload_bytes as f64 / 1e6 / recover_secs.max(1e-9),
-    }
-}
-
-const DESCRIPTION: &str = "One ASGD lineage three ways: uninterrupted; crashed at a cadence boundary and auto-resumed from the crash-consistent store (must finish bit-identically); and resumed through disk havoc — a torn half-write above the newest generation plus bit rot inside it — falling back to the newest valid generation. The wc_ keys time cold recovery on this host (ungated)";
+const DESCRIPTION: &str = "One ASGD lineage three ways: uninterrupted; crashed at a cadence boundary and auto-resumed from the crash-consistent store (must finish bit-identically); and resumed through disk havoc — a torn half-write above the newest generation plus bit rot inside it — falling back to the newest valid generation";
 
 const UNINTERRUPTED_FIELDS: [ReportField; 3] = [
     ReportField::Updates,
@@ -301,9 +264,7 @@ const UNINTERRUPTED_FIELDS: [ReportField; 3] = [
 ];
 
 impl DurableRecovery {
-    /// The `BENCH_durable_recovery.json` document; lines under `wc_` keys
-    /// are host observations outside the byte gate (the contract:
-    /// [`crate::doc`]).
+    /// The `BENCH_durable_recovery.json` document.
     pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
         let mut doc = bench_doc! {
@@ -336,11 +297,7 @@ impl DurableRecovery {
             };
             doc = doc.put(a.name, arm);
         }
-        let wc = &self.wc_recovery;
-        doc.put(
-            "wc_recovery",
-            bench_doc! { "wc_recover_secs": wc.recover_secs, "wc_recover_mb_per_sec": wc.mb_per_sec },
-        )
+        doc
     }
 }
 
@@ -396,9 +353,8 @@ mod tests {
 
     #[test]
     fn gated_portion_is_deterministic() {
-        let a = run_durable_recovery(small_cfg());
-        let b = run_durable_recovery(small_cfg());
-        oracle::gated_lines_agree(&a.doc(), &b.doc());
+        let run = || run_durable_recovery(small_cfg()).doc();
+        oracle::check(run, "durable_recovery", &[]);
     }
 
     #[test]
@@ -407,7 +363,6 @@ mod tests {
             "resumed.write_amplification",
             "faulted.bit_identical_to_uninterrupted",
             "checkpoint_payload_bytes",
-            "wc_recovery.wc_recover_secs",
         ];
         let doc = run_durable_recovery(small_cfg()).doc();
         oracle::well_formed(&doc, "durable_recovery", &probes);

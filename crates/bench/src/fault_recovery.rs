@@ -18,23 +18,18 @@
 //!    retry on: every casualty is respawned after a backed-off delay,
 //!    every stranded task is re-placed, and the run ends with zero losses.
 //!
-//! A fourth arm (`wc_` keys, host-dependent, not gated) runs the
-//! supervised stack against real loopback-TCP workers with a seeded
-//! [`FaultPlan`] dropping frames on the live connections — end-to-end
-//! steps/s through heartbeats, task deadlines, retry, and respawn.
+//! The same stack over real loopback-TCP workers with frames dropped on
+//! the live connections is `supervision_e2e`'s subject, not this file's.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use async_cluster::{ClusterSpec, DelayModel, VDur, VTime};
+use async_cluster::{ClusterSpec, DelayModel, VTime};
 use async_core::{AsyncContext, BarrierFilter};
-use async_data::{Dataset, SynthSpec};
+use async_data::SynthSpec;
 use async_linalg::ParallelismCfg;
 use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
-use sparklet::{Driver, EngineBuilder, FaultPlan, SuperviseCfg};
+use sparklet::SuperviseCfg;
 
 use crate::doc::{bench_doc, BenchDoc, ReportField, Value};
-use crate::workload::{modeled_cluster, WallClockArm};
+use crate::workload::modeled_cluster;
 
 /// Configuration of the fault-recovery benchmark.
 #[derive(Debug, Clone)]
@@ -47,7 +42,7 @@ pub struct FaultRecoveryCfg {
     pub rows: usize,
     /// Dataset feature dimension.
     pub cols: usize,
-    /// Server update budget per simulated run.
+    /// Server update budget per run.
     pub updates: u64,
     /// Mini-batch fraction per task.
     pub batch_fraction: f64,
@@ -61,13 +56,9 @@ pub struct FaultRecoveryCfg {
     /// Supervisor backoff base as a fraction of the baseline wall clock
     /// (scales the respawn delay to the workload's own pace).
     pub backoff_fraction: f64,
-    /// Retry budget per lost task in the supervised arms.
+    /// Retry budget per lost task in the supervised arm.
     pub retry_lost: u32,
-    /// Server update budget for the loopback wall-clock arm.
-    pub wc_updates: u64,
-    /// Frame-drop probability on the loopback arm's wire.
-    pub wc_drop: f64,
-    /// Seed for data, sampling, supervisor jitter, and wire faults.
+    /// Seed for data, sampling and supervisor jitter.
     pub seed: u64,
 }
 
@@ -85,8 +76,6 @@ impl Default for FaultRecoveryCfg {
             kill_at_fraction: 0.25,
             backoff_fraction: 0.05,
             retry_lost: 3,
-            wc_updates: 400,
-            wc_drop: 0.02,
             seed: 2029,
         }
     }
@@ -103,21 +92,7 @@ pub struct SimArm {
     pub respawns: u64,
 }
 
-/// The loopback wall-clock arm (host-dependent, `wc_` keys only).
-#[derive(Debug, Clone)]
-pub struct WcArm {
-    /// The timed run; its report carries the updates applied, the tasks
-    /// permanently lost (must be zero for a recovered run) and the tasks
-    /// re-placed by the retry layer.
-    pub run: WallClockArm,
-    /// Workers the supervisor respawned.
-    pub respawns: u64,
-    /// The acceptance verdict: full budget spent and nothing lost.
-    pub recovered: bool,
-}
-
-/// The benchmark outcome: three gated simulated arms plus the wall-clock
-/// loopback arm.
+/// The benchmark outcome: three simulated arms and the headline ratios.
 #[derive(Debug, Clone)]
 pub struct FaultRecovery {
     /// The configuration measured.
@@ -130,21 +105,19 @@ pub struct FaultRecovery {
     pub recovery_slowdown: f64,
     /// `supervised.final_error / baseline.final_error`.
     pub error_ratio: f64,
-    /// Loopback wall-clock arm (not gated).
-    pub wc_loopback: WcArm,
 }
 
 fn spec(cfg: &FaultRecoveryCfg) -> ClusterSpec {
     modeled_cluster(cfg.workers, DelayModel::None, cfg.per_msg_us, 1.0)
 }
 
-fn solver_cfg(cfg: &FaultRecoveryCfg, updates: u64, retry: u32, baseline: f64) -> SolverCfg {
+fn solver_cfg(cfg: &FaultRecoveryCfg, retry: u32, baseline: f64) -> SolverCfg {
     SolverCfg {
         step: cfg.step,
         batch_fraction: cfg.batch_fraction,
         barrier: BarrierFilter::Asp,
-        max_updates: updates,
-        eval_every: (updates / 8).max(1),
+        max_updates: cfg.updates,
+        eval_every: (cfg.updates / 8).max(1),
         baseline,
         seed: cfg.seed,
         retry_lost: retry,
@@ -165,8 +138,7 @@ fn kill_schedule(cfg: &FaultRecoveryCfg, horizon: VTime) -> Vec<(usize, VTime)> 
         .collect()
 }
 
-/// Runs the benchmark: baseline, unsupervised kills, supervised kills,
-/// then the loopback wall-clock arm.
+/// Runs the benchmark: baseline, unsupervised kills, supervised kills.
 pub fn run_fault_recovery(cfg: FaultRecoveryCfg) -> FaultRecovery {
     let (dataset, _) = SynthSpec::dense("fault-recovery", cfg.rows, cfg.cols, cfg.seed)
         .generate()
@@ -178,11 +150,7 @@ pub fn run_fault_recovery(cfg: FaultRecoveryCfg) -> FaultRecovery {
 
     let clean = {
         let mut ctx = AsyncContext::sim(spec(&cfg));
-        let report = Asgd::new(objective).run(
-            &mut ctx,
-            &dataset,
-            &solver_cfg(&cfg, cfg.updates, 0, baseline),
-        );
+        let report = Asgd::new(objective).run(&mut ctx, &dataset, &solver_cfg(&cfg, 0, baseline));
         SimArm {
             name: "baseline",
             report,
@@ -196,11 +164,7 @@ pub fn run_fault_recovery(cfg: FaultRecoveryCfg) -> FaultRecovery {
         for &(w, at) in &schedule {
             ctx.driver_mut().schedule_failure(w, at);
         }
-        let report = Asgd::new(objective).run(
-            &mut ctx,
-            &dataset,
-            &solver_cfg(&cfg, cfg.updates, 0, baseline),
-        );
+        let report = Asgd::new(objective).run(&mut ctx, &dataset, &solver_cfg(&cfg, 0, baseline));
         SimArm {
             name: "unsupervised",
             report,
@@ -227,7 +191,7 @@ pub fn run_fault_recovery(cfg: FaultRecoveryCfg) -> FaultRecovery {
         let report = Asgd::new(objective).run(
             &mut ctx,
             &dataset,
-            &solver_cfg(&cfg, cfg.updates, cfg.retry_lost, baseline),
+            &solver_cfg(&cfg, cfg.retry_lost, baseline),
         );
         SimArm {
             name: "supervised",
@@ -240,7 +204,6 @@ pub fn run_fault_recovery(cfg: FaultRecoveryCfg) -> FaultRecovery {
         / clean.report.wall_clock.as_micros().max(1) as f64;
     let error_ratio = supervised.report.trace.final_error().unwrap_or(f64::NAN)
         / clean.report.trace.final_error().unwrap_or(f64::NAN);
-    let wc_loopback = run_wc_loopback(&cfg, &dataset, baseline);
     eprintln!(
         "fault_recovery: supervised run lost {} / retried {} / respawned {} \
          (unsupervised lost {}), slowdown {recovery_slowdown:.3}x",
@@ -255,52 +218,10 @@ pub fn run_fault_recovery(cfg: FaultRecoveryCfg) -> FaultRecovery {
         arms: vec![clean, unsupervised, supervised],
         recovery_slowdown,
         error_ratio,
-        wc_loopback,
     }
 }
 
-/// The wall-clock arm: the full supervision stack over loopback-TCP
-/// workers with frames randomly dropped on the live connections.
-fn run_wc_loopback(cfg: &FaultRecoveryCfg, dataset: &Dataset, baseline: f64) -> WcArm {
-    let engine = EngineBuilder::remote()
-        .spec(spec(cfg))
-        .time_scale(0.0)
-        .loopback_workers(Arc::new(async_optim::worker_registry))
-        .heartbeat(Duration::from_millis(3))
-        .liveness(Duration::from_millis(150))
-        .task_deadline(Duration::from_millis(80))
-        .fault(FaultPlan {
-            seed: cfg.seed,
-            drop: cfg.wc_drop,
-            ..FaultPlan::none()
-        })
-        .build()
-        .expect("loopback workers need no binary");
-    let mut ctx = AsyncContext::new(Driver::from_engine(engine));
-    ctx.driver_mut().supervise(SuperviseCfg {
-        backoff_base: VDur::from_millis(4),
-        backoff_max: VDur::from_millis(40),
-        max_crashes: 50,
-        crash_window: VDur::from_millis(50),
-        seed: cfg.seed,
-        ..SuperviseCfg::default()
-    });
-    let objective = Objective::LeastSquares { lambda: 1e-3 };
-    let run = WallClockArm::time(|| {
-        Asgd::new(objective).run(
-            &mut ctx,
-            dataset,
-            &solver_cfg(cfg, cfg.wc_updates, cfg.retry_lost, baseline),
-        )
-    });
-    WcArm {
-        respawns: ctx.driver().supervised_respawns(),
-        recovered: run.report.updates == cfg.wc_updates && run.report.lost_tasks == 0,
-        run,
-    }
-}
-
-const DESCRIPTION: &str = "ASGD through a one-way kill burst (no scripted revivals): unsupervised, the casualties' in-flight tasks are lost for good; supervised, backed-off respawn plus bounded retry restores the fleet and the run ends with zero losses. The wc_ arm replays the supervised stack over loopback TCP with dropped frames (host-dependent, ungated)";
+const DESCRIPTION: &str = "ASGD through a one-way kill burst (no scripted revivals): unsupervised, the casualties' in-flight tasks are lost for good; supervised, backed-off respawn plus bounded retry restores the fleet and the run ends with zero losses";
 
 /// What a simulated arm prints; `supervised_respawns` (the driver's count,
 /// not the report's) goes between the first five and the rest.
@@ -317,19 +238,10 @@ const RUN_FIELDS: [ReportField; 10] = [
     ReportField::TraceMsError,
 ];
 
-const WC_FIELDS: [ReportField; 3] = [
-    ReportField::Updates,
-    ReportField::LostTasks,
-    ReportField::RetriedTasks,
-];
-
 impl FaultRecovery {
-    /// The `BENCH_fault_recovery.json` document; lines under `wc_` keys
-    /// are host observations outside the byte gate (the contract:
-    /// [`crate::doc`]).
+    /// The `BENCH_fault_recovery.json` document.
     pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
-        let wc = &self.wc_loopback;
         let kill = |&(worker, at): &(usize, VTime)| {
             bench_doc! { "worker": worker, "at_ms": at.as_millis_f64() }
         };
@@ -347,8 +259,6 @@ impl FaultRecovery {
                 "kill_at_fraction": c.kill_at_fraction,
                 "backoff_fraction": c.backoff_fraction,
                 "retry_lost": c.retry_lost,
-                "wc_updates": c.wc_updates,
-                "wc_drop": c.wc_drop,
                 "seed": c.seed,
             },
             "kill_schedule": Value::inline(self.kill_schedule.iter().map(kill)),
@@ -368,13 +278,6 @@ impl FaultRecovery {
             "final_error_ratio_supervised_over_baseline",
             self.error_ratio,
         )
-        .put(
-            "wc_loopback",
-            wc.run
-                .doc(BenchDoc::new(), &WC_FIELDS)
-                .put("wc_supervised_respawns", wc.respawns)
-                .put("wc_recovered", wc.recovered),
-        )
     }
 }
 
@@ -391,7 +294,6 @@ mod tests {
             cols: 24,
             updates: 80,
             per_msg_us: 0,
-            wc_updates: 80,
             ..FaultRecoveryCfg::default()
         }
     }
@@ -429,20 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn the_loopback_arm_recovers() {
-        let b = run_fault_recovery(small_cfg());
-        assert!(
-            b.wc_loopback.recovered,
-            "loopback arm lost {} of {} updates",
-            b.wc_loopback.run.report.lost_tasks, b.wc_loopback.run.report.updates
-        );
-    }
-
-    #[test]
     fn gated_portion_is_deterministic() {
-        let a = run_fault_recovery(small_cfg());
-        let b = run_fault_recovery(small_cfg());
-        oracle::gated_lines_agree(&a.doc(), &b.doc());
+        let run = || run_fault_recovery(small_cfg()).doc();
+        oracle::check(run, "fault_recovery", &[]);
     }
 
     #[test]
@@ -452,7 +343,6 @@ mod tests {
             "unsupervised",
             "supervised.supervised_respawns",
             "kill_schedule",
-            "wc_loopback.wc_recovered",
         ];
         let doc = run_fault_recovery(small_cfg()).doc();
         oracle::well_formed(&doc, "fault_recovery", &probes);

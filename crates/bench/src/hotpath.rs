@@ -1,32 +1,25 @@
 //! The hot-path benchmark: dense-full vs incremental (version-diffed)
 //! broadcast on one high-dimensional sparse ASGD workload.
 //!
-//! Two kinds of numbers come out of it:
-//!
-//! 1. **Modeled, deterministic** (byte-gated in CI): the two arms on the
-//!    simulated engine — bytes shipped to workers (the broadcast wire),
-//!    result bytes, updates, final objective, trace. The incremental arm
-//!    must cut the broadcast bytes-on-wire by a large factor: it ships
-//!    sparse version-diff patches (final values on the union of the gap's
-//!    change supports) instead of the dense model.
-//! 2. **Wall-clock, host-dependent** (reported, *not* gated; every JSON
-//!    key carries a `wc_` prefix so CI can filter them): the same two arms
-//!    on the threaded engine, where modeled transfer time becomes real
-//!    sleep (`time_scale`), measuring genuine steps/sec. Shipping ~10x
-//!    fewer bytes turns directly into wall-clock throughput.
+//! Every number is modeled and deterministic (byte-gated in CI): the two
+//! arms on the simulated engine — bytes shipped to workers (the broadcast
+//! wire), result bytes, updates, final objective, trace. The incremental
+//! arm must cut the broadcast bytes-on-wire by a large factor: it ships
+//! sparse version-diff patches (final values on the union of the gap's
+//! change supports) instead of the dense model.
 //!
 //! The workload uses a ridge-free logistic objective: without the λ·w
 //! shrink the ASGD update's change support is exactly the sparse
 //! gradient's support, which is what makes version diffs exact (the e2e
 //! suite proves bit-identity against the dense arm under free comms).
 
-use async_cluster::DelayModel;
-use async_core::BarrierFilter;
-use async_data::SynthSpec;
-use async_optim::{Objective, SolverCfg};
+use async_cluster::{ClusterSpec, DelayModel};
+use async_core::{AsyncContext, BarrierFilter};
+use async_data::{Dataset, SynthSpec};
+use async_optim::{Asgd, AsyncSolver, Objective, SolverCfg};
 
-use crate::doc::{bench_doc, BenchDoc, ReportField};
-use crate::workload::{modeled_cluster, LabeledRun, TwoEngineAsgd, WallClockArm, SIM_ARM_FIELDS};
+use crate::doc::{bench_doc, BenchDoc};
+use crate::workload::{modeled_cluster, LabeledRun, SIM_ARM_FIELDS};
 
 /// Configuration of the hot-path benchmark.
 #[derive(Debug, Clone)]
@@ -39,10 +32,8 @@ pub struct HotpathCfg {
     pub cols: usize,
     /// Mean stored nonzeros per row (low).
     pub nnz_per_row: usize,
-    /// Server update budget for the simulated (gated) runs.
+    /// Server update budget per run.
     pub updates: u64,
-    /// Server update budget for the threaded (wall-clock) runs.
-    pub wc_updates: u64,
     /// Mini-batch fraction per task.
     pub batch_fraction: f64,
     /// Step size (ridge-free logistic).
@@ -53,8 +44,6 @@ pub struct HotpathCfg {
     pub per_msg_us: u64,
     /// Modeled wire cost in ns/byte (this is what the diff arm saves).
     pub ns_per_byte: f64,
-    /// Threaded-engine scale from modeled time to real sleep.
-    pub time_scale: f64,
     /// Sampling/generation seed.
     pub seed: u64,
 }
@@ -67,19 +56,17 @@ impl Default for HotpathCfg {
             cols: 65_536,
             nnz_per_row: 20,
             updates: 300,
-            wc_updates: 400,
             batch_fraction: 0.1,
             step: 0.5,
             ring: 16,
             per_msg_us: 50,
             ns_per_byte: 1.0,
-            time_scale: 2.0,
             seed: 2026,
         }
     }
 }
 
-/// The benchmark outcome: both engines, both arms, headline ratios.
+/// The benchmark outcome: both arms and the headline ratio.
 #[derive(Debug, Clone)]
 pub struct Hotpath {
     /// The configuration measured.
@@ -89,20 +76,13 @@ pub struct Hotpath {
     /// Simulated incremental arm, "incremental" (deterministic).
     pub sim_incremental: LabeledRun,
     /// `sim_dense.bytes_shipped / sim_incremental.bytes_shipped` — the
-    /// broadcast bytes-on-wire reduction (deterministic, gated).
+    /// broadcast bytes-on-wire reduction.
     pub bytes_ratio: f64,
-    /// Threaded dense-full arm (wall clock, not gated; completion order
-    /// makes even its byte counts host-dependent).
-    pub wc_dense: WallClockArm,
-    /// Threaded incremental arm (wall clock, not gated).
-    pub wc_incremental: WallClockArm,
-    /// `wc_incremental.steps_per_sec / wc_dense.steps_per_sec`.
-    pub wc_speedup: f64,
 }
 
 /// The ridge-free sparse logistic problem: λ = 0 keeps the ASGD change
 /// support sparse, which is the workload the incremental broadcast targets.
-fn workload(cfg: &HotpathCfg) -> TwoEngineAsgd {
+fn workload(cfg: &HotpathCfg) -> (Dataset, ClusterSpec) {
     let data = SynthSpec::sparse("hotpath", cfg.rows, cfg.cols, cfg.nnz_per_row, cfg.seed)
         .generate_classification()
         .expect("synthetic generation")
@@ -113,74 +93,54 @@ fn workload(cfg: &HotpathCfg) -> TwoEngineAsgd {
         cfg.per_msg_us,
         cfg.ns_per_byte,
     );
-    let objective = Objective::Logistic { lambda: 0.0 };
-    TwoEngineAsgd {
-        data,
-        cluster,
-        objective,
-    }
+    (data, cluster)
 }
 
-fn solver_cfg(cfg: &HotpathCfg, updates: u64, ring: usize) -> SolverCfg {
+fn solver_cfg(cfg: &HotpathCfg, ring: usize) -> SolverCfg {
     SolverCfg {
         step: cfg.step,
         batch_fraction: cfg.batch_fraction,
         barrier: BarrierFilter::Asp,
-        max_updates: updates,
-        eval_every: (updates / 6).max(1),
+        max_updates: cfg.updates,
+        eval_every: (cfg.updates / 6).max(1),
         seed: cfg.seed,
         bcast_ring: ring,
         ..SolverCfg::default()
     }
 }
 
-/// Runs the four measurements (two simulated and gated, two threaded and
-/// wall-clock).
+/// Runs both arms on the simulator.
 pub fn run_hotpath(cfg: HotpathCfg) -> Hotpath {
-    let w = workload(&cfg);
+    let (data, cluster) = workload(&cfg);
     let run_sim = |label, ring| {
-        let report = w.sim(&solver_cfg(&cfg, cfg.updates, ring));
+        let mut ctx = AsyncContext::sim(cluster.clone());
+        let report = Asgd::new(Objective::Logistic { lambda: 0.0 }).run(
+            &mut ctx,
+            &data,
+            &solver_cfg(&cfg, ring),
+        );
         LabeledRun { label, report }
     };
-    let run_threaded = |ring| w.threaded(cfg.time_scale, &solver_cfg(&cfg, cfg.wc_updates, ring));
     let sim_dense = run_sim("dense_full", 0);
     let sim_incremental = run_sim("incremental", cfg.ring);
     let bytes_ratio =
         sim_dense.report.bytes_shipped as f64 / sim_incremental.report.bytes_shipped.max(1) as f64;
-    let wc_dense = run_threaded(0);
-    let wc_incremental = run_threaded(cfg.ring);
-    let wc_speedup = wc_incremental.steps_per_sec / wc_dense.steps_per_sec.max(1e-9);
-    eprintln!(
-        "hotpath: modeled broadcast bytes {:.1}x smaller; wall-clock {:.0} vs {:.0} steps/s ({:.2}x) [profile: lto=thin, codegen-units=1, panic=abort bins]",
-        bytes_ratio, wc_incremental.steps_per_sec, wc_dense.steps_per_sec, wc_speedup,
-    );
+    eprintln!("hotpath: modeled broadcast bytes {bytes_ratio:.1}x smaller");
     Hotpath {
         cfg,
         sim_dense,
         sim_incremental,
         bytes_ratio,
-        wc_dense,
-        wc_incremental,
-        wc_speedup,
     }
 }
 
-const DESCRIPTION: &str = "dense-full vs incremental (version-diffed) broadcast for ASGD on a high-dim sparse logistic workload; modeled bytes on the simulator (gated), real steps/sec on the threaded engine (wc_, not gated); built with the tuned release profile (lto=thin, codegen-units=1, panic=abort for bins)";
-
-const WC_FIELDS: [ReportField; 3] = [
-    ReportField::BytesShipped,
-    ReportField::Updates,
-    ReportField::FinalObjective,
-];
+const DESCRIPTION: &str = "dense-full vs incremental (version-diffed) broadcast for ASGD on a high-dim sparse logistic workload; modeled bytes on the simulator";
 
 impl Hotpath {
-    /// The `BENCH_hotpath.json` document; lines under `wc_` keys are host
-    /// observations outside the byte gate (the contract: [`crate::doc`]).
+    /// The `BENCH_hotpath.json` document.
     pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
         let sim = |a: &LabeledRun| a.doc("arm", &SIM_ARM_FIELDS);
-        let wc =
-            |a: &LabeledRun, t: &WallClockArm| t.doc(bench_doc! { "arm": a.label }, &WC_FIELDS);
         let dataset = format!(
             "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda 0",
             c.rows, c.cols, c.nnz_per_row
@@ -192,21 +152,16 @@ impl Hotpath {
                 "workers": c.workers,
                 "dataset": dataset,
                 "updates": c.updates,
-                "wc_updates": c.wc_updates,
                 "batch_fraction": c.batch_fraction,
                 "step": c.step,
                 "ring": c.ring,
                 "per_msg_us": c.per_msg_us,
                 "ns_per_byte": c.ns_per_byte,
-                "time_scale": c.time_scale,
                 "seed": c.seed,
             },
             "sim_dense_full": sim(&self.sim_dense),
             "sim_incremental": sim(&self.sim_incremental),
             "broadcast_bytes_ratio_dense_over_incremental": self.bytes_ratio,
-            "wc_threaded_dense_full": wc(&self.sim_dense, &self.wc_dense),
-            "wc_threaded_incremental": wc(&self.sim_incremental, &self.wc_incremental),
-            "wc_steps_per_sec_speedup_incremental_over_dense": self.wc_speedup,
         }
     }
 }
@@ -220,8 +175,6 @@ mod tests {
             rows: 256,
             cols: 4_096,
             updates: 60,
-            wc_updates: 60,
-            time_scale: 0.2,
             ..HotpathCfg::default()
         }
     }
@@ -245,16 +198,7 @@ mod tests {
     #[test]
     fn modeled_numbers_are_deterministic() {
         let run = || run_hotpath(small_cfg()).doc();
-        let probes = ["sim_incremental", "wc_threaded_dense_full.wc_steps_per_sec"];
+        let probes = ["sim_incremental", "sim_dense_full.bytes_shipped"];
         crate::doc::oracle::check(run, "hotpath", &probes);
-    }
-
-    #[test]
-    fn threaded_arms_complete_their_budget() {
-        let h = run_hotpath(small_cfg());
-        assert_eq!(h.wc_dense.report.updates, 60);
-        assert_eq!(h.wc_incremental.report.updates, 60);
-        assert!(h.wc_dense.steps_per_sec > 0.0);
-        assert!(h.wc_incremental.steps_per_sec > 0.0);
     }
 }

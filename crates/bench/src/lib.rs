@@ -1,12 +1,13 @@
 //! # async-bench
 //!
 //! Experiment harnesses reproducing the paper's measurements on the
-//! simulated cluster (plus host wall-clock arms on the threaded and remote
-//! engines). Each bench is one module: its `Cfg`, its run function, and a
-//! `doc()` that lays the outcome out as a [`BenchDoc`]. The one printer in
-//! [`doc`] turns that into the bytes of a committed `BENCH_<name>.json`;
-//! for a fixed configuration every line whose key does not start `wc_` is
-//! deterministic, which is what makes the files diffable across PRs.
+//! simulated cluster. Each bench is one module: its `Cfg`, its run
+//! function, and a `doc()` that lays the outcome out as a [`BenchDoc`].
+//! The one printer in [`doc`] turns that into the bytes of a committed
+//! `BENCH_<name>.json`; every number is on the modeled clock, so for a
+//! fixed configuration every byte is deterministic, which is what makes
+//! the files diffable across PRs. Host wall clock is measured in one
+//! place, the `benchmark/` harness at the repository root.
 //!
 //! Adding a bench: a module with a `doc()`, one row in [`BENCHES`], one
 //! committed `BENCH_<name>.json` — CI regenerates and diffs every row.
@@ -18,7 +19,6 @@ pub mod durable_recovery;
 pub mod elastic_chaos;
 pub mod fault_recovery;
 pub mod hotpath;
-pub mod remote_engine;
 pub mod serve_qps;
 pub mod server_scaling;
 pub mod sparse_fastpath;
@@ -30,7 +30,7 @@ pub use doc::BenchDoc;
 pub type Bench = (&'static str, fn() -> BenchDoc);
 
 /// Every bench, sorted by name: the `bench` binary's subcommand table.
-pub const BENCHES: [Bench; 10] = [
+pub const BENCHES: [Bench; 9] = [
     ("async_vs_bsp", || {
         async_vs_bsp::run_async_vs_bsp(Default::default()).doc()
     }),
@@ -47,9 +47,6 @@ pub const BENCHES: [Bench; 10] = [
         fault_recovery::run_fault_recovery(Default::default()).doc()
     }),
     ("hotpath", || hotpath::run_hotpath(Default::default()).doc()),
-    ("remote_engine", || {
-        remote_engine::run_remote_engine(Default::default()).doc()
-    }),
     ("serve_qps", || {
         serve_qps::run_serve_qps(Default::default()).doc()
     }),

@@ -5,30 +5,24 @@
 //! ridge-shrink pass, one gradient scatter, and one snapshot memcpy over a
 //! high-dimensional dense model per collected delta — is the throughput
 //! wall. The sharded server attacks it on two axes, and this benchmark
-//! sweeps both:
-//!
-//! 1. **Modeled, deterministic** (byte-gated in CI): the simulated engine
-//!    across `(server_threads, absorb_batch)` arms. The headline here is
-//!    the **bit-identity contract**: the `(4, 1)` arm must reproduce the
-//!    `(1, 1)` arm *bit-exactly* (the JSON carries the verdict), while the
-//!    batched arms are deterministic but value-level different (their
-//!    fold-then-apply pass reorders f64 arithmetic and advances one model
-//!    version per wave).
-//! 2. **Wall-clock, host-dependent** (reported, *not* gated; every key
-//!    carries a `wc_` prefix): the same arms on the threaded engine with
-//!    real compute, measuring genuine absorbed deltas per second. The
-//!    thread axis needs physical cores to pay off — on a single-core
-//!    builder the shard dispatch is pure overhead and the *batching* axis
-//!    (one fused pass and one snapshot push per wave instead of per
-//!    delta) carries the speedup; on multi-core hosts the two compound.
+//! sweeps both on the simulated engine, across `(server_threads,
+//! absorb_batch)` arms (modeled, deterministic, byte-gated in CI). The
+//! headline is the **bit-identity contract**: the `(4, 1)` arm must
+//! reproduce the `(1, 1)` arm *bit-exactly* (the JSON carries the
+//! verdict), while the batched arms are deterministic but value-level
+//! different (their fold-then-apply pass reorders f64 arithmetic and
+//! advances one model version per wave). What the two axes buy in host
+//! time is the `benchmark/` harness's question
+//! (`linalg.shard_pool_wave_us`, `optim.absorb_us_per_step`), not this
+//! file's.
 
 use async_cluster::DelayModel;
-use async_core::BarrierFilter;
-use async_data::SynthSpec;
-use async_optim::{Objective, RunReport, SolverCfg};
+use async_core::{AsyncContext, BarrierFilter};
+use async_data::{Dataset, SynthSpec};
+use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
 
-use crate::doc::{bench_doc, BenchDoc, ReportField, Value};
-use crate::workload::{modeled_cluster, TwoEngineAsgd, WallClockArm, SIM_ARM_FIELDS};
+use crate::doc::{bench_doc, BenchDoc, Value};
+use crate::workload::{modeled_cluster, SIM_ARM_FIELDS};
 
 /// Configuration of the server-scaling benchmark.
 #[derive(Debug, Clone)]
@@ -43,17 +37,15 @@ pub struct ServerScalingCfg {
     pub nnz_per_row: usize,
     /// Ridge coefficient (> 0 forces the dense shrink pass per update).
     pub lambda: f64,
-    /// Server update budget for the simulated (gated) runs.
+    /// Server update budget per arm.
     pub updates: u64,
-    /// Server update budget for the threaded (wall-clock) runs.
-    pub wc_updates: u64,
     /// Mini-batch fraction per task.
     pub batch_fraction: f64,
     /// Step size.
     pub step: f64,
-    /// Per-message latency in µs (modeled arms).
+    /// Per-message latency in µs.
     pub per_msg_us: u64,
-    /// `(server_threads, absorb_batch)` arms swept on both engines.
+    /// `(server_threads, absorb_batch)` arms swept.
     pub arms: Vec<(usize, usize)>,
     /// Sampling/generation seed.
     pub seed: u64,
@@ -68,7 +60,6 @@ impl Default for ServerScalingCfg {
             nnz_per_row: 16,
             lambda: 1e-3,
             updates: 240,
-            wc_updates: 600,
             batch_fraction: 0.1,
             step: 0.5,
             per_msg_us: 20,
@@ -89,25 +80,20 @@ pub struct SimArm {
     pub report: RunReport,
 }
 
-/// The benchmark outcome: both engines, every arm, headline verdicts.
+/// The benchmark outcome: every arm and the headline verdict.
 #[derive(Debug, Clone)]
 pub struct ServerScaling {
     /// The configuration measured.
     pub cfg: ServerScalingCfg,
-    /// Simulated arms, in `cfg.arms` order (deterministic, gated).
+    /// Simulated arms, in `cfg.arms` order.
     pub sim: Vec<SimArm>,
     /// Bit-identity verdict: every simulated `absorb_batch = 1` arm
     /// reproduced the `(1, 1)` arm's final model bit-exactly.
     pub sharding_bit_identical: bool,
-    /// Threaded arms, in `cfg.arms` order (wall clock, not gated).
-    pub wc: Vec<WallClockArm>,
-    /// `steps/s` of the last wall-clock arm over the first — the headline
-    /// `server_threads × absorb_batch` scaling number.
-    pub wc_speedup_max_over_serial: f64,
 }
 
-fn workload(cfg: &ServerScalingCfg) -> TwoEngineAsgd {
-    let data = SynthSpec::sparse(
+fn dataset(cfg: &ServerScalingCfg) -> Dataset {
+    SynthSpec::sparse(
         "server-scaling",
         cfg.rows,
         cfg.cols,
@@ -116,21 +102,16 @@ fn workload(cfg: &ServerScalingCfg) -> TwoEngineAsgd {
     )
     .generate_classification()
     .expect("synthetic generation")
-    .0;
-    TwoEngineAsgd {
-        data,
-        cluster: modeled_cluster(cfg.workers, DelayModel::None, cfg.per_msg_us, 0.05),
-        objective: Objective::Logistic { lambda: cfg.lambda },
-    }
+    .0
 }
 
-fn solver_cfg(cfg: &ServerScalingCfg, updates: u64, arm: (usize, usize)) -> SolverCfg {
+fn solver_cfg(cfg: &ServerScalingCfg, arm: (usize, usize)) -> SolverCfg {
     SolverCfg {
         step: cfg.step,
         batch_fraction: cfg.batch_fraction,
         barrier: BarrierFilter::Asp,
-        max_updates: updates,
-        eval_every: (updates / 6).max(1),
+        max_updates: cfg.updates,
+        eval_every: (cfg.updates / 6).max(1),
         seed: cfg.seed,
         server_threads: arm.0,
         absorb_batch: arm.1,
@@ -138,18 +119,23 @@ fn solver_cfg(cfg: &ServerScalingCfg, updates: u64, arm: (usize, usize)) -> Solv
     }
 }
 
-/// Runs every arm on both engines and checks the bit-identity contract.
+/// Runs every arm on the simulator and checks the bit-identity contract.
 pub fn run_server_scaling(cfg: ServerScalingCfg) -> ServerScaling {
-    let w = workload(&cfg);
-    let run_sim = |&arm: &(usize, usize)| SimArm {
-        server_threads: arm.0,
-        absorb_batch: arm.1,
-        report: w.sim(&solver_cfg(&cfg, cfg.updates, arm)),
+    let data = dataset(&cfg);
+    let cluster = modeled_cluster(cfg.workers, DelayModel::None, cfg.per_msg_us, 0.05);
+    let run_sim = |&arm: &(usize, usize)| {
+        let mut ctx = AsyncContext::sim(cluster.clone());
+        let report = Asgd::new(Objective::Logistic { lambda: cfg.lambda }).run(
+            &mut ctx,
+            &data,
+            &solver_cfg(&cfg, arm),
+        );
+        SimArm {
+            server_threads: arm.0,
+            absorb_batch: arm.1,
+            report,
+        }
     };
-    // time_scale 0: no modeled-time sleeps — the threaded run measures the
-    // real compute pipeline, which this workload makes server-bound.
-    let run_threaded =
-        |&arm: &(usize, usize)| w.threaded(0.0, &solver_cfg(&cfg, cfg.wc_updates, arm));
     let sim: Vec<SimArm> = cfg.arms.iter().map(run_sim).collect();
     // Every absorb_batch = 1 arm must reproduce the serial server
     // bit-exactly, whatever its thread count.
@@ -166,24 +152,11 @@ pub fn run_server_scaling(cfg: ServerScalingCfg) -> ServerScaling {
             && a.report.bytes_shipped == serial.report.bytes_shipped
             && a.report.updates == serial.report.updates
     });
-    let wc: Vec<WallClockArm> = cfg.arms.iter().map(run_threaded).collect();
-    let wc_speedup_max_over_serial = wc.last().map_or(1.0, |last| {
-        last.steps_per_sec / wc[0].steps_per_sec.max(1e-9)
-    });
-    eprintln!(
-        "server_scaling: sharding bit-identical: {}; wall-clock {:.0} steps/s at {} vs {:.0} serial ({:.2}x)",
-        sharding_bit_identical,
-        wc.last().map_or(0.0, |a| a.steps_per_sec),
-        cfg.arms.last().map_or_else(String::new, arm_label),
-        wc[0].steps_per_sec,
-        wc_speedup_max_over_serial,
-    );
+    eprintln!("server_scaling: sharding bit-identical: {sharding_bit_identical}");
     ServerScaling {
         cfg,
         sim,
         sharding_bit_identical,
-        wc,
-        wc_speedup_max_over_serial,
     }
 }
 
@@ -192,22 +165,15 @@ fn arm_label(arm: &(usize, usize)) -> String {
     format!("{}x{}", arm.0, arm.1)
 }
 
-const DESCRIPTION: &str = "sharded-server absorption throughput vs server_threads x absorb_batch for ASGD on a server-bound high-dim sparse logistic workload; simulated arms are deterministic and byte-gated (the 4x1 arm must equal 1x1 bit-exactly), wc_ arms are real threaded-engine steps/sec (host-dependent, ungated; the thread axis needs physical cores — single-core builders see the batching axis carry the speedup)";
-
-const WC_FIELDS: [ReportField; 2] = [ReportField::Updates, ReportField::FinalObjective];
+const DESCRIPTION: &str = "sharded-server absorption across server_threads x absorb_batch for ASGD on a server-bound high-dim sparse logistic workload, on the simulator: the 4x1 arm must equal 1x1 bit-exactly, the batched arms are deterministic but value-level different";
 
 impl ServerScaling {
-    /// The `BENCH_server_scaling.json` document; lines under `wc_` keys
-    /// are host observations outside the byte gate (the contract:
-    /// [`crate::doc`]).
+    /// The `BENCH_server_scaling.json` document.
     pub fn doc(&self) -> BenchDoc {
         let c = &self.cfg;
         let sim = |a: &SimArm| {
             bench_doc! { "server_threads": a.server_threads, "absorb_batch": a.absorb_batch }
                 .report(&a.report, &SIM_ARM_FIELDS)
-        };
-        let wc = |(arm, t): (&(usize, usize), &WallClockArm)| {
-            t.doc(bench_doc! { "arm": arm_label(arm) }, &WC_FIELDS)
         };
         let dataset = format!(
             "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda {:.6}",
@@ -220,7 +186,6 @@ impl ServerScaling {
                 "workers": c.workers,
                 "dataset": dataset,
                 "updates": c.updates,
-                "wc_updates": c.wc_updates,
                 "batch_fraction": c.batch_fraction,
                 "step": c.step,
                 "per_msg_us": c.per_msg_us,
@@ -229,8 +194,6 @@ impl ServerScaling {
             },
             "sim_arms": Value::block(self.sim.iter().map(sim)),
             "sharding_bit_identical_to_serial": self.sharding_bit_identical,
-            "wc_threaded_arms": Value::block(c.arms.iter().zip(&self.wc).map(wc)),
-            "wc_steps_per_sec_speedup_max_arm_over_serial": self.wc_speedup_max_over_serial,
         }
     }
 }
@@ -244,7 +207,6 @@ mod tests {
             rows: 256,
             cols: 8_192,
             updates: 48,
-            wc_updates: 48,
             ..ServerScalingCfg::default()
         }
     }
@@ -266,16 +228,10 @@ mod tests {
     #[test]
     fn modeled_numbers_are_deterministic() {
         let run = || run_server_scaling(small_cfg()).doc();
-        let probes = ["sim_arms.3.absorb_batch", "wc_threaded_arms.3.wc_updates"];
+        let probes = [
+            "sim_arms.3.absorb_batch",
+            "sharding_bit_identical_to_serial",
+        ];
         crate::doc::oracle::check(run, "server_scaling", &probes);
-    }
-
-    #[test]
-    fn threaded_arms_complete_their_budget() {
-        let s = run_server_scaling(small_cfg());
-        for (arm, a) in s.cfg.arms.iter().zip(&s.wc) {
-            assert_eq!(a.report.updates, 48, "{}", arm_label(arm));
-            assert!(a.steps_per_sec > 0.0);
-        }
     }
 }

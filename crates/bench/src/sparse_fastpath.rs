@@ -17,14 +17,11 @@
 //!    barrier — not the modeled wire — set the pace; the sparse fast path
 //!    makes tasks so cheap that any per-message cost would otherwise
 //!    drown the asynchrony effect being measured.
-//!
-//! Real (host) kernel timings are printed to stderr for the curious but
-//! deliberately kept out of the JSON, which must be diffable in CI.
 
 use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
 use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
-use async_optim::{Asgd, AsyncMsgd, AsyncSolver, Objective, RunReport, SolverCfg};
+use async_optim::{Asgd, AsyncMsgd, AsyncSolver, Objective, SolverCfg};
 
 use crate::doc::{bench_doc, BenchDoc, ReportField};
 use crate::workload::{modeled_cluster, LabeledRun};
@@ -123,61 +120,40 @@ fn solver_cfg(cfg: &SparseFastpathCfg, barrier: BarrierFilter) -> SolverCfg {
     }
 }
 
-/// Runs the four measurements. Host-time observations go to stderr; every
-/// value in the returned structure is deterministic.
+/// Runs the four measurements.
 pub fn run_sparse_fastpath(cfg: SparseFastpathCfg) -> SparseFastpath {
     let objective = Objective::Logistic { lambda: 1e-3 };
     let (sparse_d, dense_d) = paired_datasets(&cfg);
 
-    let timed = |label: &'static str, report_fn: &mut dyn FnMut() -> RunReport| {
-        let t0 = std::time::Instant::now();
-        let report = report_fn();
-        eprintln!(
-            "sparse_fastpath: {label} ran in {:?} host time ({} entries touched)",
-            t0.elapsed(),
-            report.grad_entries
-        );
+    let asgd = |label, d: &Dataset| {
+        let mut c = ctx(&cfg, DelayModel::None);
+        let report = Asgd::new(objective).run(&mut c, d, &solver_cfg(&cfg, BarrierFilter::Asp));
         LabeledRun { label, report }
     };
-
-    let dense = timed("dense", &mut || {
-        let mut c = ctx(&cfg, DelayModel::None);
-        Asgd::new(objective).run(&mut c, &dense_d, &solver_cfg(&cfg, BarrierFilter::Asp))
-    });
-    let sparse = timed("sparse", &mut || {
-        let mut c = ctx(&cfg, DelayModel::None);
-        Asgd::new(objective).run(&mut c, &sparse_d, &solver_cfg(&cfg, BarrierFilter::Asp))
-    });
-    let straggler = DelayModel::ControlledDelay {
-        worker: cfg.workers - 1,
-        intensity: cfg.intensity,
-    };
+    let dense = asgd("dense", &dense_d);
+    let sparse = asgd("sparse", &sparse_d);
     // Free comms for the momentum comparison: the straggler stretches
     // compute, and compute must set the pace for the barrier choice to
     // matter on fast sparse tasks.
-    let msgd_ctx = |delay: DelayModel| {
-        AsyncContext::sim(
-            ClusterSpec::homogeneous(cfg.workers, delay)
+    let msgd = |label, barrier| {
+        let straggler = DelayModel::ControlledDelay {
+            worker: cfg.workers - 1,
+            intensity: cfg.intensity,
+        };
+        let mut c = AsyncContext::sim(
+            ClusterSpec::homogeneous(cfg.workers, straggler)
                 .with_comm(CommModel::free())
                 .with_sched_overhead(VDur::ZERO),
-        )
+        );
+        let report = AsyncMsgd::new(objective).with_momentum(cfg.momentum).run(
+            &mut c,
+            &sparse_d,
+            &solver_cfg(&cfg, barrier),
+        );
+        LabeledRun { label, report }
     };
-    let msgd_asp = timed("msgd_asp", &mut || {
-        let mut c = msgd_ctx(straggler.clone());
-        AsyncMsgd::new(objective).with_momentum(cfg.momentum).run(
-            &mut c,
-            &sparse_d,
-            &solver_cfg(&cfg, BarrierFilter::Asp),
-        )
-    });
-    let msgd_ssp = timed("msgd_ssp", &mut || {
-        let mut c = msgd_ctx(straggler.clone());
-        AsyncMsgd::new(objective).with_momentum(cfg.momentum).run(
-            &mut c,
-            &sparse_d,
-            &solver_cfg(&cfg, BarrierFilter::Ssp { slack: 2 }),
-        )
-    });
+    let msgd_asp = msgd("msgd_asp", BarrierFilter::Asp);
+    let msgd_ssp = msgd("msgd_ssp", BarrierFilter::Ssp { slack: 2 });
 
     let entries_ratio = dense.report.grad_entries as f64 / sparse.report.grad_entries.max(1) as f64;
     let result_bytes_ratio =

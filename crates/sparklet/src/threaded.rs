@@ -50,6 +50,36 @@ struct WireDone {
     bytes_in: u64,
 }
 
+/// What a worker thread sends the engine.
+enum FromWorker {
+    Done(WireDone),
+    /// Incarnation `epoch` of `worker` left while unwinding — its task
+    /// panicked: the thread's analogue of a remote worker's dropped socket.
+    Gone {
+        worker: WorkerId,
+        epoch: u64,
+    },
+}
+
+/// Held by a worker thread for its whole life: owns the result channel and
+/// reports the thread's own exit when a panic is what ends it.
+struct ExitNotice {
+    worker: WorkerId,
+    epoch: u64,
+    res_tx: Sender<FromWorker>,
+}
+
+impl Drop for ExitNotice {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.res_tx.send(FromWorker::Gone {
+                worker: self.worker,
+                epoch: self.epoch,
+            });
+        }
+    }
+}
+
 /// The threaded engine. See the module docs.
 pub struct ThreadedEngine {
     spec: ClusterSpec,
@@ -62,8 +92,8 @@ pub struct ThreadedEngine {
     start: Instant,
     txs: Vec<Sender<Msg>>,
     handles: Vec<Option<std::thread::JoinHandle<()>>>,
-    results_tx: Sender<WireDone>,
-    results_rx: Receiver<WireDone>,
+    results_tx: Sender<FromWorker>,
+    results_rx: Receiver<FromWorker>,
     busy: Vec<bool>,
     dead: Vec<bool>,
     /// Worker incarnation counters; bumped on kill so orphaned results and
@@ -93,7 +123,7 @@ impl ThreadedEngine {
         let n = spec.workers;
         let assignment = Arc::new(spec.delay.assign(n));
         let comm = Arc::new(spec.comm.clone());
-        let (res_tx, res_rx) = channel::<WireDone>();
+        let (res_tx, res_rx) = channel::<FromWorker>();
         let mut engine = Self {
             spec,
             assignment,
@@ -125,7 +155,11 @@ impl ThreadedEngine {
     /// and returns its task channel. Callers store the sender in `txs`.
     fn spawn_worker(&mut self, w: WorkerId) -> Sender<Msg> {
         let (tx, rx) = channel::<Msg>();
-        let res_tx = self.results_tx.clone();
+        let exit = ExitNotice {
+            worker: w,
+            epoch: self.epoch[w],
+            res_tx: self.results_tx.clone(),
+        };
         // The comm/assignment tables were allocated once at engine
         // construction and are pointer-cloned here; the (tiny) profile is
         // wrapped in an `Arc` once per worker incarnation, reading
@@ -135,10 +169,9 @@ impl ThreadedEngine {
         let comm = Arc::clone(&self.comm);
         let assignment = Arc::clone(&self.assignment);
         let time_scale = self.time_scale;
-        let epoch = self.epoch[w];
         let handle = std::thread::Builder::new()
-            .name(format!("sparklet-worker-{w}-e{epoch}"))
-            .spawn(move || worker_loop(w, epoch, rx, res_tx, profile, comm, assignment, time_scale))
+            .name(format!("sparklet-worker-{w}-e{}", exit.epoch))
+            .spawn(move || worker_loop(exit, rx, profile, comm, assignment, time_scale))
             .expect("failed to spawn worker thread");
         if w < self.handles.len() {
             // Replacing a stopped incarnation: join the old thread first so
@@ -164,7 +197,19 @@ impl ThreadedEngine {
         VTime::from_micros(self.start.elapsed().as_micros() as u64)
     }
 
-    fn accept(&mut self, d: WireDone) -> Option<Completion> {
+    fn accept(&mut self, msg: FromWorker) -> Option<Completion> {
+        let d = match msg {
+            FromWorker::Done(d) => d,
+            FromWorker::Gone { worker, epoch } => {
+                // A current incarnation's thread is gone: one death, whose
+                // `Lost` the caller finds queued. A stale notice (the
+                // engine killed that incarnation first) changes nothing.
+                if !self.dead[worker] && epoch == self.epoch[worker] {
+                    self.kill_worker(worker);
+                }
+                return None;
+            }
+        };
         if self.dead[d.worker] || d.epoch != self.epoch[d.worker] {
             // Orphaned result from a killed (possibly since-revived)
             // incarnation: its loss was already reported.
@@ -187,17 +232,15 @@ impl ThreadedEngine {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    w: WorkerId,
-    epoch: u64,
+    exit: ExitNotice,
     rx: Receiver<Msg>,
-    res_tx: Sender<WireDone>,
     profile: Arc<WorkerProfile>,
     comm: Arc<CommModel>,
     assignment: Arc<DelayAssignment>,
     time_scale: f64,
 ) {
+    let (w, epoch) = (exit.worker, exit.epoch);
     let mut ctx = WorkerCtx::new(w);
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -225,16 +268,14 @@ fn worker_loop(
                 if sleep_us >= 1.0 {
                     std::thread::sleep(Duration::from_micros(sleep_us as u64));
                 }
-                if res_tx
-                    .send(WireDone {
-                        worker: w,
-                        epoch,
-                        tag,
-                        output,
-                        bytes_in: total_bytes,
-                    })
-                    .is_err()
-                {
+                let done = WireDone {
+                    worker: w,
+                    epoch,
+                    tag,
+                    output,
+                    bytes_in: total_bytes,
+                };
+                if exit.res_tx.send(FromWorker::Done(done)).is_err() {
                     break; // engine dropped
                 }
             }
@@ -266,21 +307,25 @@ impl Engine for ThreadedEngine {
         if self.busy[w] {
             return Err(EngineError::WorkerBusy(w));
         }
-        let seq = self.task_seq[w];
+        let msg = Msg::Run {
+            tag: task.tag,
+            cost: task.cost,
+            bytes_in: task.bytes_in,
+            run: task.run,
+            seq: self.task_seq[w],
+        };
+        if self.txs[w].send(msg).is_err() {
+            // The thread is gone and its notice not yet read: surface the
+            // death now. The task was never accepted, so no loss is queued
+            // for it.
+            self.kill_worker(w);
+            return Err(EngineError::Disconnected(w));
+        }
         self.task_seq[w] += 1;
         self.busy[w] = true;
         self.inflight_tag[w] = Some(task.tag);
         self.issued_at[w] = self.elapsed();
         self.pending += 1;
-        self.txs[w]
-            .send(Msg::Run {
-                tag: task.tag,
-                cost: task.cost,
-                bytes_in: task.bytes_in,
-                run: task.run,
-                seq,
-            })
-            .expect("worker thread is alive while not marked dead");
         Ok(())
     }
 
@@ -553,6 +598,50 @@ mod tests {
         // The orphaned real result must not surface.
         std::thread::sleep(Duration::from_millis(40));
         assert!(e.try_next().is_none());
+        assert!(e.next().is_none());
+    }
+
+    #[test]
+    fn a_task_that_panics_is_one_lost_task_and_a_revivable_worker() {
+        let mut e = ThreadedEngine::new(spec(2, DelayModel::None), 0.0);
+        let panics = Task {
+            tag: 7,
+            cost: 0.0,
+            bytes_in: 0,
+            run: Box::new(|_| panic!("a task body that panics")),
+        };
+        e.submit(0, panics).unwrap();
+        // Polled, not `next()`: without the exit notice the engine waits on
+        // a result that never comes, and this test must fail, not hang.
+        let t0 = Instant::now();
+        let first = loop {
+            if let Some(c) = e.try_next() {
+                break c;
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "a panicked worker thread never reported its exit"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(matches!(first, Completion::Lost { worker: 0, tag: 7 }));
+        assert_eq!(e.pending(), 0);
+        assert!(!e.alive(0) && e.alive(1));
+        assert!(e.next().is_none(), "one death is one notification");
+        assert_eq!(
+            e.submit(0, task(8, 0)).unwrap_err(),
+            EngineError::WorkerDead(0)
+        );
+        e.revive_worker(0).unwrap();
+        assert!(matches!(e.next(), Some(Completion::WorkerUp { worker: 0 })));
+        e.submit(0, task(9, 90)).unwrap();
+        match e.next() {
+            Some(Completion::Done(d)) => {
+                assert_eq!((d.worker, d.tag), (0, 9));
+                assert_eq!(*d.output.downcast::<i64>().unwrap(), 90);
+            }
+            _ => panic!("expected the post-revival task"),
+        }
         assert!(e.next().is_none());
     }
 

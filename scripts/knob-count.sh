@@ -1,8 +1,9 @@
 #!/bin/sh
 # The option surface in numbers: public fields of each configuration and
-# report struct, `EngineBuilder`'s setters (methods taking `mut self`),
-# `ParallelismCfg`'s constructors (`pub fn .. -> Self`), and the workspace's
-# package count (`members` plus the root package). The figures ROADMAP
+# report struct (the bench crate's `Cfg` structs as one sum),
+# `EngineBuilder`'s setters (methods taking `mut self`), `ParallelismCfg`'s
+# constructors (`pub fn .. -> Self`), and the workspace's package count
+# (`members` plus the root package). The figures ROADMAP
 # re-derives at every re-anchor and simplicity PRs quote before -> after in
 # CHANGES.md; run it on a `git clone` of the parent for the "before".
 # Reported, not gated.
@@ -22,6 +23,13 @@ count_in() {
 for s in SolverCfg RunReport RemoteConfig SuperviseCfg FaultPlan ServeCfg SubmitOpts; do
     printf '%-28s %3d\n' "$s fields" "$(count_in "pub struct $s {" '^    pub [a-z_0-9]+:')"
 done
+# Every `pub struct ..Cfg {` of the bench crate, summed: one independently
+# settable value per field.
+printf '%-28s %3d\n' 'bench Cfg fields' "$(find crates/bench/src -name '*.rs' -exec awk '
+    /^pub struct [A-Za-z]+Cfg \{/ { inside = 1; next }
+    inside && /^}/ { inside = 0 }
+    inside && /^    pub [a-z_0-9]+:/ { n++ }
+    END { print n + 0 }' {} +)"
 printf '%-28s %3d\n' 'EngineBuilder setters' \
     "$(count_in 'impl EngineBuilder {' '^ +(pub fn [a-z_0-9]+\()?mut self[,)]')"
 printf '%-28s %3d\n' 'ParallelismCfg constructors' \
