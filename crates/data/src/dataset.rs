@@ -91,8 +91,8 @@ impl Dataset {
     }
 
     /// Splits the dataset into `parts` contiguous row blocks (the paper uses
-    /// 32 partitions for every dataset). Blocks share the underlying storage
-    /// through `Arc`, so this is cheap.
+    /// 32 partitions for every dataset). Each block is a row window over this
+    /// dataset's feature and label storage: `O(parts)` pointer work, no copy.
     ///
     /// # Panics
     /// Panics if `parts == 0`.
@@ -104,7 +104,8 @@ impl Dataset {
             .enumerate()
             .map(|(part_id, r)| Block {
                 features: Arc::new(self.features.slice_rows(r.start, r.end)),
-                labels: Arc::new(self.labels[r.clone()].to_vec()),
+                labels: Arc::clone(&self.labels),
+                first_label: r.start,
                 row_offset: r.start,
                 total_rows: self.rows(),
                 part_id,
@@ -112,8 +113,8 @@ impl Dataset {
             .collect()
     }
 
-    /// The same logical dataset with features rebuilt as dense row-major
-    /// storage. Labels are shared; only the feature storage is copied.
+    /// The same logical dataset with features as dense row-major storage
+    /// (rebuilt if sparse, shared if already dense). Labels are shared.
     pub fn densified(&self) -> Dataset {
         Dataset {
             name: self.name.clone(),
@@ -143,6 +144,8 @@ impl Dataset {
 pub struct Block {
     features: Arc<Matrix>,
     labels: Arc<Vec<f64>>,
+    /// Index in `labels` of local row 0's label.
+    first_label: usize,
     row_offset: usize,
     total_rows: usize,
     part_id: usize,
@@ -151,7 +154,7 @@ pub struct Block {
 impl Block {
     /// Assembles a block from its parts — the wire-transfer constructor:
     /// networked workers receive a block's rows once per worker incarnation
-    /// and rebuild it locally with the same geometry
+    /// and rebuild it locally with the same geometry over storage it owns
     /// ([`Dataset::partition`] remains the in-process path).
     ///
     /// # Panics
@@ -176,6 +179,7 @@ impl Block {
         Self {
             features: Arc::new(features),
             labels: Arc::new(labels),
+            first_label: 0,
             row_offset,
             total_rows,
             part_id,
@@ -189,7 +193,7 @@ impl Block {
 
     /// Labels local to this block (parallel to the feature rows).
     pub fn labels(&self) -> &[f64] {
-        &self.labels
+        &self.labels[self.first_label..self.first_label + self.features.nrows()]
     }
 
     /// Number of rows in this block.
@@ -297,6 +301,30 @@ mod tests {
                 assert_eq!(b.labels()[i], d.labels()[g]);
                 let w = vec![1.0; 3];
                 assert_eq!(b.features().row_dot(i, &w), d.features().row_dot(g, &w));
+            }
+        }
+    }
+
+    #[test]
+    fn partition_hands_out_windows_of_the_datasets_own_storage() {
+        // `parts > rows` included: one single-row window per row.
+        for d in [tiny(), tiny().densified()] {
+            for parts in [1, 4, 32] {
+                let blocks = d.partition(parts);
+                assert_eq!(blocks.len(), parts.min(d.rows()));
+                for b in &blocks {
+                    let g = b.row_offset();
+                    assert_eq!(b.labels().as_ptr(), d.labels()[g..].as_ptr());
+                    let (block_row, dataset_row) = match (b.features(), d.features()) {
+                        (Matrix::Dense(b), Matrix::Dense(d)) => (b.row(0), d.row(g)),
+                        (Matrix::Sparse(b), Matrix::Sparse(d)) => (b.row(0).1, d.row(g).1),
+                        _ => panic!("a block keeps its dataset's storage kind"),
+                    };
+                    assert_eq!(block_row.as_ptr(), dataset_row.as_ptr());
+                    assert_eq!(b.global_row(b.rows() - 1) as usize, g + b.rows() - 1);
+                    let nnz: usize = (g..g + b.rows()).map(|i| d.features().row_nnz(i)).sum();
+                    assert_eq!(b.nnz(), nnz);
+                }
             }
         }
     }

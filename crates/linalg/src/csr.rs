@@ -4,6 +4,8 @@
 //! whole partition's rows live in three contiguous arrays, which keeps
 //! per-mini-batch gradient evaluation cache-friendly.
 
+use std::sync::Arc;
+
 use crate::dense;
 use crate::sparse::SparseVec;
 use crate::{Error, Result};
@@ -11,13 +13,26 @@ use crate::{Error, Result};
 /// A CSR matrix: row `i` occupies `indices[indptr[i]..indptr[i+1]]` /
 /// `data[indptr[i]..indptr[i+1]]`, with column indices strictly increasing
 /// within each row.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The matrix is a window of `nrows` rows from storage row `first_row` over
+/// three reference-counted buffers; `indptr` stays absolute, so
+/// [`CsrMatrix::slice_rows`] and `clone` copy nothing. Equality compares the
+/// visible window.
+#[derive(Debug, Clone)]
 pub struct CsrMatrix {
-    indptr: Vec<usize>,
-    indices: Vec<u32>,
-    data: Vec<f64>,
+    indptr: Arc<Vec<usize>>,
+    indices: Arc<Vec<u32>>,
+    data: Arc<Vec<f64>>,
+    first_row: usize,
     nrows: usize,
     ncols: usize,
+}
+
+impl PartialEq for CsrMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            && (0..self.nrows).all(|i| self.row(i) == other.row(i))
+    }
 }
 
 impl CsrMatrix {
@@ -73,9 +88,10 @@ impl CsrMatrix {
             }
         }
         Ok(Self {
-            indptr,
-            indices,
-            data,
+            indptr: Arc::new(indptr),
+            indices: Arc::new(indices),
+            data: Arc::new(data),
+            first_row: 0,
             nrows,
             ncols,
         })
@@ -141,7 +157,17 @@ impl CsrMatrix {
     /// Number of stored nonzeros.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.indices.len()
+        let (indptr, ..) = self.parts();
+        indptr[self.nrows] - indptr[0]
+    }
+
+    /// The window as plain slices (its `nrows + 1` row pointers, the two
+    /// entry buffers they index): a kernel's row loop reads the three `Arc`s
+    /// once, not per row. Indexing past the pointers is the row-range panic.
+    #[inline]
+    fn parts(&self) -> (&[usize], &[u32], &[f64]) {
+        let rows = self.first_row..=self.first_row + self.nrows;
+        (&self.indptr[rows], &self.indices, &self.data)
     }
 
     /// Column indices and values of row `i`.
@@ -150,16 +176,14 @@ impl CsrMatrix {
     /// Panics if `i >= nrows`.
     #[inline]
     pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
-        assert!(i < self.nrows, "row {i} out of range ({} rows)", self.nrows);
-        let lo = self.indptr[i];
-        let hi = self.indptr[i + 1];
-        (&self.indices[lo..hi], &self.data[lo..hi])
+        row_of(self.parts(), i)
     }
 
     /// Number of nonzeros in row `i`.
     #[inline]
     pub fn row_nnz(&self, i: usize) -> usize {
-        self.indptr[i + 1] - self.indptr[i]
+        let (indptr, ..) = self.parts();
+        indptr[i + 1] - indptr[i]
     }
 
     /// Dot product of row `i` with a dense vector `w` (`xᵢᵀw`).
@@ -169,12 +193,7 @@ impl CsrMatrix {
     #[inline]
     pub fn row_dot(&self, i: usize, w: &[f64]) -> f64 {
         assert_eq!(w.len(), self.ncols, "row_dot: dim mismatch");
-        let (idx, val) = self.row(i);
-        let mut acc = 0.0;
-        for (c, v) in idx.iter().zip(val.iter()) {
-            acc += *v * w[*c as usize];
-        }
-        acc
+        entries_dot(self.row(i), w)
     }
 
     /// `out += a * rowᵢ`, scattered into a dense buffer.
@@ -252,7 +271,9 @@ impl CsrMatrix {
     pub fn rows_dot_into(&self, rows: &[u32], w: &[f64], out: &mut Vec<f64>) {
         assert_eq!(w.len(), self.ncols, "rows_dot_into: dim mismatch");
         out.clear();
-        out.extend(rows.iter().map(|&r| self.row_dot(r as usize, w)));
+        let parts = self.parts();
+        let dot = |&r: &u32| entries_dot(row_of(parts, r as usize), w);
+        out.extend(rows.iter().map(dot));
     }
 
     /// [`CsrMatrix::gather_axpy`] into caller-owned buffers: `pairs` is the
@@ -282,7 +303,7 @@ impl CsrMatrix {
             coefs.len(),
             "gather_axpy_into: rows/coefs length mismatch"
         );
-        let nnz: usize = rows.iter().map(|&r| self.row_nnz(r as usize)).sum();
+        let nnz = self.rows_nnz(rows) as usize;
         assert!(
             u32::try_from(nnz).is_ok(),
             "gather_axpy_into: batch of {nnz} nonzeros overflows the u32 digit counts"
@@ -298,9 +319,10 @@ impl CsrMatrix {
         let max_col = u32::try_from(self.ncols.saturating_sub(1)).unwrap_or(u32::MAX);
         let passes = (32 - max_col.leading_zeros()).div_ceil(8) as usize;
         let mut counts = [[0u32; 256]; 4];
+        let parts = self.parts();
         let mut n = 0;
         for (&r, &a) in rows.iter().zip(coefs.iter()) {
-            let (idx, val) = self.row(r as usize);
+            let (idx, val) = row_of(parts, r as usize);
             for ((slot, &c), &v) in src[n..n + idx.len()].iter_mut().zip(idx).zip(val) {
                 *slot = (c, a * v);
                 for (p, digit_counts) in counts[..passes].iter_mut().enumerate() {
@@ -342,7 +364,7 @@ impl CsrMatrix {
         rows.iter().map(|&r| self.row_nnz(r as usize) as u64).sum()
     }
 
-    /// Extracts rows `[start, end)` into a new owned CSR block.
+    /// Rows `[start, end)` as a window over the same three buffers: no copy.
     ///
     /// # Panics
     /// Panics if the range is out of bounds or reversed.
@@ -351,13 +373,11 @@ impl CsrMatrix {
             start <= end && end <= self.nrows,
             "slice_rows: bad range {start}..{end}"
         );
-        let lo = self.indptr[start];
-        let hi = self.indptr[end];
-        let indptr = self.indptr[start..=end].iter().map(|p| p - lo).collect();
         CsrMatrix {
-            indptr,
-            indices: self.indices[lo..hi].to_vec(),
-            data: self.data[lo..hi].to_vec(),
+            indptr: Arc::clone(&self.indptr),
+            indices: Arc::clone(&self.indices),
+            data: Arc::clone(&self.data),
+            first_row: self.first_row + start,
             nrows: end - start,
             ncols: self.ncols,
         }
@@ -383,13 +403,30 @@ impl CsrMatrix {
         dense::norm2_sq(val)
     }
 
-    /// Approximate in-memory footprint in bytes (all three arrays).
+    /// Bytes of the visible window in all three arrays, not of the buffers.
     #[inline]
     pub fn bytes(&self) -> u64 {
-        (self.indptr.len() * std::mem::size_of::<usize>()
-            + self.indices.len() * std::mem::size_of::<u32>()
-            + self.data.len() * std::mem::size_of::<f64>()) as u64
+        ((self.nrows + 1) * std::mem::size_of::<usize>()
+            + self.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())) as u64
     }
+}
+
+/// Row `i` of the slices [`CsrMatrix::parts`] returned.
+#[inline]
+fn row_of<'a>(parts: (&[usize], &'a [u32], &'a [f64]), i: usize) -> (&'a [u32], &'a [f64]) {
+    let (indptr, indices, data) = parts;
+    let (lo, hi) = (indptr[i], indptr[i + 1]);
+    (&indices[lo..hi], &data[lo..hi])
+}
+
+/// `Σ val[k] · w[idx[k]]`, summed in stored order.
+#[inline]
+fn entries_dot((idx, val): (&[u32], &[f64]), w: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (c, v) in idx.iter().zip(val.iter()) {
+        acc += *v * w[*c as usize];
+    }
+    acc
 }
 
 #[cfg(test)]

@@ -1,15 +1,29 @@
 //! Row-major dense matrices.
 
+use std::sync::Arc;
+
 use crate::dense;
 use crate::{Error, Result};
 
 /// A row-major dense matrix. Rows are training examples in this codebase,
 /// so row access is the hot path.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The matrix is a window of `nrows` rows over reference-counted storage:
+/// [`DenseMatrix::slice_rows`] and `clone` share the buffer, and equality
+/// compares the visible window.
+#[derive(Debug, Clone)]
 pub struct DenseMatrix {
-    data: Vec<f64>,
+    data: Arc<Vec<f64>>,
+    /// Index in `data` of the window's first element.
+    first: usize,
     nrows: usize,
     ncols: usize,
+}
+
+impl PartialEq for DenseMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.nrows == other.nrows && self.ncols == other.ncols && self.as_flat() == other.as_flat()
+    }
 }
 
 impl DenseMatrix {
@@ -21,7 +35,12 @@ impl DenseMatrix {
                 data.len()
             )));
         }
-        Ok(Self { data, nrows, ncols })
+        Ok(Self {
+            data: Arc::new(data),
+            first: 0,
+            nrows,
+            ncols,
+        })
     }
 
     /// Builds from row slices; all rows must share a length.
@@ -37,17 +56,14 @@ impl DenseMatrix {
             }
             data.extend_from_slice(r);
         }
-        Ok(Self {
-            data,
-            nrows: rows.len(),
-            ncols,
-        })
+        Self::from_flat(data, rows.len(), ncols)
     }
 
     /// An `nrows × ncols` matrix of zeros.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
         Self {
-            data: vec![0.0; nrows * ncols],
+            data: Arc::new(vec![0.0; nrows * ncols]),
+            first: 0,
             nrows,
             ncols,
         }
@@ -72,13 +88,14 @@ impl DenseMatrix {
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.nrows, "row {i} out of range ({} rows)", self.nrows);
-        &self.data[i * self.ncols..(i + 1) * self.ncols]
+        let lo = self.first + i * self.ncols;
+        &self.data[lo..lo + self.ncols]
     }
 
-    /// The flat row-major buffer.
+    /// The window's rows as one flat row-major slice.
     #[inline]
     pub fn as_flat(&self) -> &[f64] {
-        &self.data
+        &self.data[self.first..self.first + self.nrows * self.ncols]
     }
 
     /// `out = A·x`.
@@ -105,7 +122,7 @@ impl DenseMatrix {
         }
     }
 
-    /// Extracts rows `[start, end)` into a new owned matrix.
+    /// Rows `[start, end)` as a window over the same storage: no copy.
     ///
     /// # Panics
     /// Panics if the range is out of bounds or reversed.
@@ -115,16 +132,17 @@ impl DenseMatrix {
             "slice_rows: bad range {start}..{end}"
         );
         DenseMatrix {
-            data: self.data[start * self.ncols..end * self.ncols].to_vec(),
+            data: Arc::clone(&self.data),
+            first: self.first + start * self.ncols,
             nrows: end - start,
             ncols: self.ncols,
         }
     }
 
-    /// Approximate in-memory footprint in bytes (data buffer only).
+    /// Bytes of the visible window's rows, not of the buffer behind it.
     #[inline]
     pub fn bytes(&self) -> u64 {
-        (self.data.len() * std::mem::size_of::<f64>()) as u64
+        (self.nrows * self.ncols * std::mem::size_of::<f64>()) as u64
     }
 }
 

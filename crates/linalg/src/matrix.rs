@@ -112,7 +112,7 @@ impl Matrix {
         }
     }
 
-    /// Extracts rows `[start, end)` as an owned matrix of the same storage.
+    /// Rows `[start, end)` as a window over the same buffers; no row is copied.
     pub fn slice_rows(&self, start: usize, end: usize) -> Matrix {
         match self {
             Matrix::Dense(m) => Matrix::Dense(m.slice_rows(start, end)),
@@ -129,7 +129,8 @@ impl Matrix {
         }
     }
 
-    /// Rebuilds as dense row-major storage (copies even if already dense).
+    /// The matrix as dense row-major storage: a CSR matrix is rebuilt, a
+    /// dense one is returned as another handle on the same buffer.
     pub fn densified(&self) -> Matrix {
         match self {
             Matrix::Dense(m) => Matrix::Dense(m.clone()),
@@ -137,9 +138,10 @@ impl Matrix {
         }
     }
 
-    /// Rebuilds as CSR storage, dropping exact zeros (copies even if
-    /// already sparse). With [`Matrix::densified`] this lets one logical
-    /// dataset run through both gradient paths for comparison.
+    /// The matrix as CSR storage: a dense matrix is rebuilt, dropping exact
+    /// zeros; a sparse one is returned as another handle on the same
+    /// buffers. With [`Matrix::densified`] this lets one logical dataset run
+    /// through both gradient paths for comparison.
     pub fn sparsified(&self) -> Matrix {
         match self {
             Matrix::Sparse(m) => Matrix::Sparse(m.clone()),
@@ -160,7 +162,7 @@ impl Matrix {
         }
     }
 
-    /// Approximate in-memory footprint in bytes.
+    /// Bytes of the visible rows, not of the buffers a window shares.
     #[inline]
     pub fn bytes(&self) -> u64 {
         match self {

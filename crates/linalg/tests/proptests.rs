@@ -2,7 +2,7 @@
 
 use async_linalg::dense;
 use async_linalg::parallel::{self, ParallelismCfg};
-use async_linalg::{CsrMatrix, Matrix, SparseVec};
+use async_linalg::{CsrMatrix, DenseMatrix, Matrix, SparseVec};
 use proptest::prelude::*;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -189,7 +189,7 @@ proptest! {
         let ncols = 6;
         let rows: Vec<Vec<f64>> =
             (0..nrows).map(|_| (0..ncols).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
-        let a = Matrix::Dense(async_linalg::DenseMatrix::from_rows(&rows).unwrap());
+        let a = Matrix::Dense(DenseMatrix::from_rows(&rows).unwrap());
         let w_star: Vec<f64> = (0..ncols).map(|_| rng.gen_range(-2.0..2.0)).collect();
         let mut y = vec![0.0; nrows];
         a.matvec(&w_star, &mut y);
@@ -302,7 +302,6 @@ fn gather_axpy_into_sums_duplicates_in_batch_row_order_bitwise() {
         }
 
         csr.gather_axpy_into(&rows, &coefs, &mut pairs, &mut idx, &mut val);
-        let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
         prop_assert_eq!(&idx, &oracle.keys().copied().collect::<Vec<u32>>());
         prop_assert_eq!(bits(&val), bits(&oracle.values().copied().collect::<Vec<f64>>()));
         // The allocating form is the same kernel.
@@ -371,4 +370,128 @@ fn bitmap_union_index_len_equals_the_built_unions_size() {
         bitmap.union_into(lists.iter().map(Vec::as_slice), &mut out);
         prop_assert_eq!(&out, &union);
     });
+}
+
+/// Rows `[start, end)` of `m` rebuilt from copies of its rows — what
+/// `slice_rows` used to return, and the oracle for the window it returns
+/// now.
+fn copied_rows(m: &Matrix, start: usize, end: usize) -> Matrix {
+    match m {
+        Matrix::Dense(d) => {
+            let flat = (start..end).flat_map(|i| d.row(i).to_vec()).collect();
+            Matrix::Dense(DenseMatrix::from_flat(flat, end - start, d.ncols()).unwrap())
+        }
+        Matrix::Sparse(c) => {
+            let rows: Vec<SparseVec> = (start..end)
+                .map(|i| {
+                    let (idx, val) = c.row(i);
+                    SparseVec::new(idx.to_vec(), val.to_vec(), c.ncols()).unwrap()
+                })
+                .collect();
+            Matrix::Sparse(CsrMatrix::from_rows(&rows, c.ncols()).unwrap())
+        }
+    }
+}
+
+fn bits(vals: &[f64]) -> Vec<u64> {
+    vals.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Everything a reader can ask of `view` answers as `copy` does, bit for
+/// bit. `batch` is (row pick, coefficient) pairs, repeated rows included.
+fn assert_view_is_copy(
+    view: &Matrix,
+    copy: &Matrix,
+    batch: &[(usize, f64)],
+    w: &[f64],
+    y: &[f64],
+) -> Result<(), String> {
+    prop_assert_eq!(view, copy);
+    let n = view.nrows();
+    prop_assert_eq!((n, view.ncols()), (copy.nrows(), copy.ncols()));
+    prop_assert_eq!(view.nnz(), copy.nnz());
+    prop_assert_eq!(view.bytes(), copy.bytes());
+    for i in 0..n {
+        prop_assert_eq!(view.row_nnz(i), copy.row_nnz(i));
+        prop_assert_eq!(view.row_dot(i, w).to_bits(), copy.row_dot(i, w).to_bits());
+        prop_assert_eq!(
+            view.row_norm2_sq(i).to_bits(),
+            copy.row_norm2_sq(i).to_bits()
+        );
+        let (mut a, mut b) = (w.to_vec(), w.to_vec());
+        view.row_axpy(i, -1.5, &mut a);
+        copy.row_axpy(i, -1.5, &mut b);
+        prop_assert_eq!(bits(&a), bits(&b));
+        match (view, copy) {
+            (Matrix::Dense(v), Matrix::Dense(c)) => prop_assert_eq!(bits(v.row(i)), bits(c.row(i))),
+            (Matrix::Sparse(v), Matrix::Sparse(c)) => {
+                prop_assert_eq!(v.row(i).0, c.row(i).0);
+                prop_assert_eq!(bits(v.row(i).1), bits(c.row(i).1));
+            }
+            _ => prop_assert!(false, "storage kinds differ"),
+        }
+    }
+    let (mut a, mut b) = (vec![0.0; n], vec![0.0; n]);
+    view.matvec(w, &mut a);
+    copy.matvec(w, &mut b);
+    prop_assert_eq!(bits(&a), bits(&b));
+    let (mut a, mut b) = (w.to_vec(), w.to_vec());
+    view.matvec_t_acc(&y[..n], &mut a);
+    copy.matvec_t_acc(&y[..n], &mut b);
+    prop_assert_eq!(bits(&a), bits(&b));
+
+    // An empty window takes the empty batch.
+    let rows: Vec<u32> = batch
+        .iter()
+        .filter(|_| n > 0)
+        .map(|&(r, _)| (r % n.max(1)) as u32)
+        .collect();
+    let coefs: Vec<f64> = batch.iter().take(rows.len()).map(|&(_, a)| a).collect();
+    prop_assert_eq!(view.rows_nnz(&rows), copy.rows_nnz(&rows));
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    view.rows_dot_into(&rows, w, &mut a);
+    copy.rows_dot_into(&rows, w, &mut b);
+    prop_assert_eq!(bits(&a), bits(&b));
+    if let (Matrix::Sparse(v), Matrix::Sparse(c)) = (view, copy) {
+        let (mut pairs, mut vi, mut vv, mut ci, mut cv) = Default::default();
+        v.gather_axpy_into(&rows, &coefs, &mut pairs, &mut vi, &mut vv);
+        c.gather_axpy_into(&rows, &coefs, &mut pairs, &mut ci, &mut cv);
+        prop_assert_eq!(vi, ci);
+        prop_assert_eq!(bits(&vv), bits(&cv));
+        prop_assert_eq!(v.to_dense(), c.to_dense());
+    }
+    Ok(())
+}
+
+proptest! {
+    /// `slice_rows` is a window over shared storage; it must be
+    /// indistinguishable from the copy it replaced — on both storages, for
+    /// every `start <= end` (empty windows and `start == nrows` included),
+    /// and a window of a window is the window of the composed range.
+    #[test]
+    fn a_row_window_is_the_copy_of_its_rows_bit_for_bit(
+        trips in sparse_triplets(9, 7),
+        cuts in (0usize..100, 0usize..100, 0usize..100, 0usize..100),
+        batch in proptest::collection::vec((0usize..64, -5.0..5.0f64), 0..12),
+        w in finite_vec(7),
+        y in finite_vec(9),
+    ) {
+        let csr = CsrMatrix::from_triplets(&trips, 9, 7).unwrap();
+        for m in [Matrix::Dense(csr.to_dense()), Matrix::Sparse(csr)] {
+            let start = cuts.0 % 10;
+            let end = start + cuts.1 % (10 - start);
+            let view = m.slice_rows(start, end);
+            assert_view_is_copy(&view, &copied_rows(&m, start, end), &batch, &w, &y)?;
+            let len = end - start;
+            let inner_start = cuts.2 % (len + 1);
+            let inner_end = inner_start + cuts.3 % (len + 1 - inner_start);
+            let inner = view.slice_rows(inner_start, inner_end);
+            let composed = copied_rows(&m, start + inner_start, start + inner_end);
+            assert_view_is_copy(&inner, &composed, &batch, &w, &y)?;
+            let at_end = m.slice_rows(9, 9);
+            assert_view_is_copy(&at_end, &copied_rows(&m, 9, 9), &batch, &w, &y)?;
+            // Windows of different rows are different matrices.
+            prop_assert_eq!(m.slice_rows(0, 9), m.clone());
+        }
+    }
 }

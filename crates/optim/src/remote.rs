@@ -305,13 +305,31 @@ fn decode_block(r: &mut Reader) -> Result<Block, DecodeError> {
             // Every encoded row carries at least its 16-byte header.
             let nrows = r.checked_count(nrows64, 16)?;
             let at = r.at;
-            let mut rows = Vec::with_capacity(nrows);
+            // Rows go into the three CSR buffers as they are read: the only
+            // transient is the row in hand. An entry takes at least 9 bytes
+            // (index varint + value), so the input bounds the long buffers.
+            let mut indptr = Vec::with_capacity(nrows + 1);
+            let mut indices = Vec::with_capacity((r.rest().len() - 16 * nrows) / 9);
+            let mut data = Vec::with_capacity(indices.capacity());
+            indptr.push(0);
             for _ in 0..nrows {
-                rows.push(r.payload::<SparseVec>()?);
+                let at_row = r.at;
+                let row: SparseVec = r.payload()?;
+                if row.dim() != ncols {
+                    return Err(DecodeError::Invalid {
+                        at: at_row,
+                        what: "sparse block row of another dimension",
+                    });
+                }
+                indices.extend_from_slice(row.indices());
+                data.extend_from_slice(row.values());
+                indptr.push(indices.len());
             }
-            let csr = CsrMatrix::from_rows(&rows, ncols).map_err(|_| DecodeError::Invalid {
-                at,
-                what: "sparse block rows rejected",
+            let csr = CsrMatrix::new(indptr, indices, data, nrows, ncols).map_err(|_| {
+                DecodeError::Invalid {
+                    at,
+                    what: "sparse block rows rejected",
+                }
             })?;
             Matrix::Sparse(csr)
         }
@@ -810,8 +828,14 @@ mod tests {
 
     #[test]
     fn blocks_roundtrip_bit_exactly() {
-        for dense in [true, false] {
-            for b in blocks(dense) {
+        // `blocks` are row windows over one dataset's storage. A window
+        // ships its own rows and none of its neighbours': each encoded
+        // length is what the copied block of the same rows used to take.
+        for (dense, lens) in [(true, [505, 505, 505]), (false, [493, 484, 538])] {
+            for (b, len) in blocks(dense).into_iter().zip(lens) {
+                let mut buf = BytesMut::new();
+                encode_block(&b, &mut buf);
+                assert_eq!(buf.into_vec().len(), len, "part {}", b.part_id());
                 let back = roundtrip_block(&b);
                 assert_eq!(back.rows(), b.rows());
                 assert_eq!(back.cols(), b.cols());
@@ -826,6 +850,9 @@ mod tests {
                         b.features().row_dot(i, &w).to_bits()
                     );
                 }
+                // The decoded block owns its storage and is the same block.
+                assert_eq!(back.features(), b.features());
+                assert_eq!(roundtrip_block(&back).features(), b.features());
             }
         }
     }
@@ -836,7 +863,9 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_block(b, &mut buf);
         let bytes = buf.into_vec();
-        for cut in [0, 5, 24, bytes.len() - 1] {
+        // Every prefix: inside the header, a row's index block, its value
+        // slab, the labels.
+        for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
             let err = decode_block(&mut r).expect_err("truncation must fail");
             assert!(err.at() <= cut, "error at {} past cut {cut}", err.at());
@@ -1217,6 +1246,38 @@ mod tests {
         assert!(matches!(
             decode_block(&mut Reader::new(&bytes)),
             Err(DecodeError::Invalid { .. })
+        ));
+
+        // A sparse block is checked row by row on its way into CSR storage:
+        // a row of another dimension and a row cut short are both refused.
+        let sparse_block = |row_dim: usize, cut: usize| {
+            let mut buf = BytesMut::new();
+            for geometry in [0, 2, 0] {
+                buf.put_u64_le(geometry); // row_offset, total_rows, part_id
+            }
+            buf.put_u8(1);
+            buf.put_u64_le(2); // nrows
+            buf.put_u64_le(8); // ncols
+            encode_sparse(&mut buf, &[1, 5], &[1.0, 2.0], 8);
+            encode_sparse(&mut buf, &[0, 7], &[3.0, 4.0], row_dim);
+            [0.0, 1.0][..].encode(&mut buf);
+            let mut bytes = buf.into_vec();
+            bytes.truncate(bytes.len() - cut);
+            bytes
+        };
+        let decode = |bytes: Vec<u8>| decode_block(&mut Reader::new(&bytes));
+        assert_eq!(decode(sparse_block(8, 0)).expect("honest").rows(), 2);
+        assert!(matches!(
+            decode(sparse_block(9, 0)),
+            Err(DecodeError::Invalid {
+                what: "sparse block row of another dimension",
+                ..
+            })
+        ));
+        // The 24 bytes of labels and half the second row's value slab gone.
+        assert!(matches!(
+            decode(sparse_block(8, 24 + 8)),
+            Err(DecodeError::Truncated { .. })
         ));
     }
 

@@ -389,6 +389,7 @@ mod tests {
     use super::*;
     use async_cluster::{ClusterSpec, CommModel, DelayModel};
     use async_data::SynthSpec;
+    use async_linalg::Matrix;
 
     #[test]
     fn validate_rejects_contradictions() {
@@ -436,5 +437,17 @@ mod tests {
         assert_eq!(total, 40);
         // Cost hints reflect block nonzeros (dense: rows × cols).
         assert_eq!(rdd.cost_hint(0), (blocks[0].rows() * 4) as f64);
+        // What a task computes on is a window of `d`: local row `i` of
+        // partition `p` is global row `row_offset + i`, in place.
+        for p in 0..4 {
+            let b = &rdd.compute(p)[0];
+            let g = b.row_offset();
+            assert_eq!(b.global_row(3), (g + 3) as u64);
+            assert_eq!(b.labels().as_ptr(), d.labels()[g..].as_ptr());
+            let (Matrix::Dense(rows), Matrix::Dense(all)) = (b.features(), d.features()) else {
+                panic!("a dense dataset partitions into dense blocks");
+            };
+            assert_eq!(rows.row(3).as_ptr(), all.row(g + 3).as_ptr());
+        }
     }
 }

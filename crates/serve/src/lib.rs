@@ -339,6 +339,15 @@ mod tests {
         assert_eq!(c.reads, 1);
         assert_eq!(c.rows_scored, 1);
         assert_eq!(c.max_version_lag, 0);
+        // Row ids are local to the matrix in hand: over a row window, row 0
+        // is the window's first row.
+        let eye = [
+            vec![1.0, 0.0, 0.0],
+            vec![0.0, 1.0, 0.0],
+            vec![0.0, 0.0, 1.0],
+        ];
+        let m = Matrix::Dense(async_linalg::DenseMatrix::from_rows(&eye).unwrap());
+        assert_eq!(p.predict_rows(&m.slice_rows(1, 3), &[1, 0]), &[0.5, -2.0]);
     }
 
     #[test]

@@ -19,6 +19,8 @@ pub type CachedValue = Arc<dyn Any + Send + Sync>;
 pub struct WorkerCtx {
     worker: WorkerId,
     cache: HashMap<(u64, u64), CachedValue>,
+    /// Per broadcast id, the highest watermark already evicted below.
+    evicted_below: HashMap<u64, u64>,
     pending_bytes: u64,
     pending_time: VDur,
 }
@@ -29,6 +31,7 @@ impl WorkerCtx {
         Self {
             worker,
             cache: HashMap::new(),
+            evicted_below: HashMap::new(),
             pending_bytes: 0,
             pending_time: VDur::ZERO,
         }
@@ -80,10 +83,16 @@ impl WorkerCtx {
 
     /// Evicts all versions of `bcast_id` strictly below `min_version` —
     /// called when the server's reference counts show old history can no
-    /// longer be requested.
+    /// longer be requested. The cache is scanned only when the watermark
+    /// rose since `bcast_id`'s last eviction: callers repeat one watermark per
+    /// sampled row, and a version below it is never asked for again.
     pub fn cache_evict_below(&mut self, bcast_id: u64, min_version: u64) {
-        self.cache
-            .retain(|&(b, v), _| b != bcast_id || v >= min_version);
+        let evicted = self.evicted_below.entry(bcast_id).or_insert(0);
+        if min_version > *evicted {
+            *evicted = min_version;
+            self.cache
+                .retain(|&(b, v), _| b != bcast_id || v >= min_version);
+        }
     }
 
     /// Number of cached entries (all broadcasts).
@@ -167,5 +176,25 @@ mod tests {
         assert!(ctx.cache_get((1, 2)).is_none());
         assert!(ctx.cache_get((1, 3)).is_some());
         assert!(ctx.cache_get((2, 0)).is_some());
+    }
+
+    #[test]
+    fn eviction_scans_only_when_the_watermark_rises() {
+        let mut ctx = WorkerCtx::new(0);
+        ctx.cache_put_local((1, 1), Arc::new(()));
+        ctx.cache_evict_below(1, 3);
+        assert!(ctx.cache_get((1, 1)).is_none());
+        // Repeats at (or below) the watermark visit no entry: one put below
+        // it afterwards is still there.
+        ctx.cache_put_local((1, 2), Arc::new(()));
+        for m in [3, 3, 2, 0, 3] {
+            ctx.cache_evict_below(1, m);
+            assert!(ctx.cache_get((1, 2)).is_some());
+        }
+        // Another broadcast's watermark is its own.
+        ctx.cache_evict_below(2, 9);
+        assert!(ctx.cache_get((1, 2)).is_some());
+        ctx.cache_evict_below(1, 4);
+        assert!(ctx.cache_get((1, 2)).is_none());
     }
 }
