@@ -10,9 +10,10 @@
 //! * ships only version **IDs** with each task (8 bytes per sample);
 //! * lets workers resolve IDs against their local cache, fetching a missed
 //!   version from the server once and caching it;
-//! * reference-counts versions by the per-sample version map and prunes
-//!   history that no sample can reference any more, bounding memory on the
-//!   server and (via eviction watermarks) on the workers.
+//! * reference-counts versions through a flat per-sample version table
+//!   (read a batch at a time) and prunes history that no sample can
+//!   reference any more, bounding memory on the server and (via eviction
+//!   watermarks) on the workers.
 //!
 //! [`AsyncBcast::push`] is the paper's `AC.ASYNCbroadcast(w)`;
 //! [`HistoryHandle::value`] is `w_br.value` and
@@ -58,7 +59,7 @@
 //! what the simulator charges and what the remote engine ships cannot
 //! drift apart.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -116,12 +117,17 @@ enum ChangeSupport {
     Dense,
 }
 
+/// An `index_version` slot never recorded: it reads as the base version.
+const UNRECORDED: u64 = u64::MAX;
+
 struct VersionTable<T> {
     versions: Vec<Option<Entry<T>>>,
-    index_version: HashMap<u64, u64>,
-    /// Sample universe size: once every index has an explicit entry, the
-    /// base version can no longer be implicitly referenced.
-    n_indices: u64,
+    /// The version each sample last saw, indexed by sample id over the
+    /// whole universe (`n` in SAGA); [`UNRECORDED`] reads as `base`.
+    index_version: Vec<u64>,
+    /// Samples with an explicit entry: once it reaches the universe size,
+    /// the base version can no longer be implicitly referenced.
+    recorded: u64,
     /// Version number of `versions[0]`. Zero for a fresh broadcast; a
     /// resumed run re-seats the table at the checkpoint's model version
     /// ([`AsyncBcast::new_at`]) so version IDs keep counting from where
@@ -156,7 +162,15 @@ impl<T> VersionTable<T> {
     }
 
     fn base_pinned(&self) -> bool {
-        (self.index_version.len() as u64) < self.n_indices
+        self.recorded < self.index_version.len() as u64
+    }
+
+    /// The version sample `idx` last saw (the base if never recorded).
+    fn version_of(&self, idx: u64) -> u64 {
+        match self.index_version.get(idx as usize) {
+            Some(&v) if v != UNRECORDED => v,
+            _ => self.base,
+        }
     }
 
     fn prunable(&self, v: u64) -> bool {
@@ -309,8 +323,8 @@ impl<T: Payload + Send + Sync + 'static> Clone for AsyncBcast<T> {
 
 impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
     /// Creates the broadcast with its base value (version 0). `n_indices`
-    /// is the sample universe size (`n` in SAGA): it controls when version
-    /// 0 stops being implicitly referenced by never-sampled rows.
+    /// is the sample universe size (`n` in SAGA; one 8-byte table slot
+    /// each): it controls when version 0 stops being implicitly referenced.
     pub fn new(id: u64, initial: T, n_indices: u64) -> Self {
         Self::new_at(id, initial, n_indices, 0)
     }
@@ -330,8 +344,8 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
                 rc: 0,
                 pins: 0,
             })],
-            index_version: HashMap::new(),
-            n_indices,
+            index_version: vec![UNRECORDED; n_indices as usize],
+            recorded: 0,
             base,
             min_live: base,
             live_count: 1,
@@ -420,8 +434,15 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
     /// a fresh run — if never recorded) — the paper's "ID of the
     /// previously broadcast variable for the specified index".
     pub fn version_for_index(&self, idx: u64) -> u64 {
+        self.table.read().version_of(idx)
+    }
+
+    /// [`AsyncBcast::version_for_index`] of every sample in `indices`, in
+    /// order, into the cleared `out` — one table lock for the whole batch.
+    pub fn versions_for_indices(&self, indices: impl IntoIterator<Item = u64>, out: &mut Vec<u64>) {
         let t = self.table.read();
-        t.index_version.get(&idx).copied().unwrap_or(t.base)
+        out.clear();
+        out.extend(indices.into_iter().map(|idx| t.version_of(idx)));
     }
 
     /// Records that samples `indices` have now been processed at `version`
@@ -433,30 +454,30 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
             version >= t.base && t.idx(version) < t.versions.len(),
             "recording unknown version"
         );
+        let i = t.idx(version);
         for &idx in indices {
-            debug_assert!(idx < t.n_indices, "index {idx} out of declared universe");
-            let old = t.index_version.insert(idx, version);
-            let i = t.idx(version);
+            // invariant: `idx` is inside the universe the table was sized to
+            // (the remote decode refuses any other id), so an outside id is
+            // a bug that panics here; it never grows the table.
+            let old = std::mem::replace(&mut t.index_version[idx as usize], version);
             if let Some(e) = t.versions[i].as_mut() {
                 e.rc += 1;
             }
-            match old {
-                Some(o) => {
-                    let oi = t.idx(o);
-                    if let Some(e) = t.versions[oi].as_mut() {
-                        e.rc -= 1;
-                    }
-                    t.try_prune(o);
+            if old == UNRECORDED {
+                // The index previously referenced the base version
+                // implicitly; once the whole universe is explicit, the
+                // base may go.
+                t.recorded += 1;
+                if !t.base_pinned() {
+                    let b = t.base;
+                    t.try_prune(b);
                 }
-                None => {
-                    // The index previously referenced the base version
-                    // implicitly; once the whole universe is explicit,
-                    // the base may go.
-                    if !t.base_pinned() {
-                        let b = t.base;
-                        t.try_prune(b);
-                    }
+            } else {
+                let oi = t.idx(old);
+                if let Some(e) = t.versions[oi].as_mut() {
+                    e.rc -= 1;
                 }
+                t.try_prune(old);
             }
         }
     }

@@ -87,25 +87,38 @@ pub fn sample_fraction_into(rng: &mut SmallRng, n: usize, fraction: f64, rows: &
     sample_k_into(rng, n, k, rows);
 }
 
-/// [`sample_k`] into a caller-owned buffer. Floyd's algorithm with the
-/// sorted output vector itself as the membership set (binary search +
-/// ordered insert): the RNG draws, the chosen set, and the sorted output
-/// are identical to `sample_k`, but a warm buffer never allocates.
-///
-/// The ordered insert shifts `O(k)` elements per draw, so very large
-/// batches delegate to the hash-set [`sample_k`] instead — its one
-/// allocation is noise next to the gradient work a batch that size costs,
-/// and the output is identical either way.
+/// [`sample_k`] into a caller-owned buffer, identical in draws, set and
+/// order but allocation-free once warm. Floyd's membership set is a 512-byte
+/// stack bitmap for `n ≤ 4096` (read back sorted word by word), else the
+/// sorted output itself (an `O(k)` ordered insert per draw); batches past
+/// 1024 rows delegate to [`sample_k`], whose one allocation is noise then.
 pub fn sample_k_into(rng: &mut SmallRng, n: usize, k: usize, rows: &mut Vec<u32>) {
     assert!(k <= n, "sample_k_into: k={k} > n={n}");
+    const BITMAP_MAX: usize = 64 * 64;
     const INSERT_SORT_MAX: usize = 1024;
-    if k > INSERT_SORT_MAX {
-        let mb = sample_k(rng, n, k);
-        rows.clear();
-        rows.extend_from_slice(&mb.rows);
+    rows.clear();
+    if n <= BITMAP_MAX {
+        let mut chosen = [0u64; BITMAP_MAX / 64];
+        for j in n - k..n {
+            // `t` already chosen: Floyd's replacement picks `j`.
+            let t = rng.gen_range(0..=j);
+            let taken = chosen[t / 64] >> (t % 64) & 1 == 1;
+            let pick = if taken { j } else { t };
+            chosen[pick / 64] |= 1 << (pick % 64);
+        }
+        for (w, &word) in chosen[..n.div_ceil(64)].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                rows.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
         return;
     }
-    rows.clear();
+    if k > INSERT_SORT_MAX {
+        rows.extend_from_slice(&sample_k(rng, n, k).rows);
+        return;
+    }
     for j in n - k..n {
         let t = rng.gen_range(0..=j) as u32;
         match rows.binary_search(&t) {
@@ -173,20 +186,19 @@ mod tests {
     #[test]
     fn into_variants_match_allocating_samplers_exactly() {
         let mut buf = Vec::new();
-        // Spans both regimes of sample_k_into (ordered insert and the
-        // large-batch hash-set delegation past 1024).
-        for (n, k) in [
-            (1usize, 1usize),
-            (10, 3),
-            (50, 50),
-            (200, 1),
-            (97, 41),
-            (5_000, 2_000),
-        ] {
-            for seed in 0..20u64 {
-                let a = sample_k(&mut derive_rng(seed, 0, 0), n, k);
-                sample_k_into(&mut derive_rng(seed, 0, 0), n, k, &mut buf);
-                assert_eq!(a.rows, buf, "n={n} k={k} seed={seed}");
+        // Spans every regime of sample_k_into: the stack bitmap up to
+        // n = 4096 (word boundaries at 63/64/65), the ordered insert past
+        // it, and the large-batch hash-set delegation past k = 1024.
+        for n in [1usize, 10, 63, 64, 65, 97, 200, 1024, 4096, 4097, 5_000] {
+            for k in [0, 1, 3, n / 3, n / 2, n - 1, n] {
+                if k > n {
+                    continue;
+                }
+                for seed in 0..8u64 {
+                    let a = sample_k(&mut derive_rng(seed, 0, 0), n, k);
+                    sample_k_into(&mut derive_rng(seed, 0, 0), n, k, &mut buf);
+                    assert_eq!(a.rows, buf, "n={n} k={k} seed={seed}");
+                }
             }
         }
         for frac in [0.0, 0.05, 0.3, 1.0] {

@@ -35,6 +35,39 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     (acc0 + acc1) + (acc2 + acc3) + rest
 }
 
+/// `(xᵀa, xᵀb)` in one pass over `x`, each bit-identical to [`dot`] (its
+/// accumulators, tail and summation order): a row read from memory once
+/// serves both margins and, still in L1, the caller's [`axpy`].
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn dot2(x: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
+    assert_eq!(x.len(), a.len(), "dot2: length mismatch");
+    assert_eq!(x.len(), b.len(), "dot2: length mismatch");
+    let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
+    let (mut b0, mut b1, mut b2, mut b3) = (0.0, 0.0, 0.0, 0.0);
+    let chunks = x.len() / 4;
+    for i in 0..chunks {
+        let k = i * 4;
+        a0 += x[k] * a[k];
+        a1 += x[k + 1] * a[k + 1];
+        a2 += x[k + 2] * a[k + 2];
+        a3 += x[k + 3] * a[k + 3];
+        b0 += x[k] * b[k];
+        b1 += x[k + 1] * b[k + 1];
+        b2 += x[k + 2] * b[k + 2];
+        b3 += x[k + 3] * b[k + 3];
+    }
+    let (mut rest_a, mut rest_b) = (0.0, 0.0);
+    for k in chunks * 4..x.len() {
+        rest_a += x[k] * a[k];
+        rest_b += x[k] * b[k];
+    }
+    let (ma, mb) = ((a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3));
+    (ma + rest_a, mb + rest_b)
+}
+
 /// `y += a * x` (BLAS `axpy`).
 ///
 /// Processed in width-4 `chunks_exact` blocks so release builds see

@@ -202,6 +202,41 @@ proptest! {
     }
 }
 
+/// The fused two-margin kernel is two [`dense::dot`]s, bit for bit: on every
+/// length across the four-wide blocking and its tail (0..=67), with values
+/// drawn to include signed zeros, subnormals and magnitudes whose products
+/// overflow.
+#[test]
+fn dot2_is_two_dots_bit_for_bit() {
+    let value = || {
+        prop_oneof![
+            4 => -100.0..100.0f64,
+            1 => Just(-0.0),
+            1 => Just(0.0),
+            1 => -1e-310..1e-310f64,
+            1 => Just(-5e-324),
+            1 => 1e290..1e300f64,
+            1 => -1e300..-1e290f64,
+        ]
+    };
+    for n in 0..=67usize {
+        let strat = (
+            proptest::collection::vec(value(), n),
+            proptest::collection::vec(value(), n),
+            proptest::collection::vec(value(), n),
+        );
+        proptest!(|((x, a, b) in strat)| {
+            let (got_a, got_b) = dense::dot2(&x, &a, &b);
+            let (want_a, want_b) = (dense::dot(&x, &a), dense::dot(&x, &b));
+            prop_assert!(
+                (got_a.to_bits(), got_b.to_bits()) == (want_a.to_bits(), want_b.to_bits()),
+                "n={}: dot2 gave ({:e}, {:e}), dot gives ({:e}, {:e})",
+                n, got_a, got_b, want_a, want_b
+            );
+        });
+    }
+}
+
 /// The broadcast ring's support-union kernel against a `BTreeSet` oracle,
 /// with **one** scratch reused across every case: a probe spanning the
 /// whole index range shows the bitmap all-zero on entry each time —

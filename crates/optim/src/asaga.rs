@@ -8,8 +8,10 @@
 //!
 //! * the server keeps the model history in an [`async_core::AsyncBcast`]
 //!   and ships only **version IDs** (8 bytes per sample) with each task;
-//! * the task resolves `w_current` and each `w_{φⱼ}` through its worker's
-//!   local cache, fetching misses once;
+//! * the task reads its batch's version IDs under one table lock, then
+//!   resolves `w_current` and each *distinct* `w_{φⱼ}` once, in first-need
+//!   order, through its worker's local cache (fetching misses once);
+//! * a dense row is read once: both margins, then its axpy into the delta;
 //! * on consumption the server records the batch at the task's version
 //!   (`record_use` — SAGA's "update table" step), which also drives
 //!   reference-count pruning of history no sample can need again;
@@ -26,11 +28,12 @@
 //! implicit initial version 0), and updated incrementally from each task's
 //! telescoping delta.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use async_core::{AsyncBcast, AsyncContext, SubmitOpts, Tagged};
 use async_data::{Block, Dataset};
-use async_linalg::{GradDelta, Matrix};
+use async_linalg::{dense, GradDelta, Matrix};
 use sparklet::WorkerCtx;
 
 use crate::absorber::ShardedAbsorber;
@@ -38,7 +41,7 @@ use crate::checkpoint::{Checkpoint, SolverHistory};
 use crate::compression::CompressorBank;
 use crate::objective::Objective;
 use crate::scratch::{ScratchPool, TaskScratch};
-use crate::server_loop::{step_damp, GradMsg, ServerLoop, UpdateRule, WaveEnv, EVAL};
+use crate::server_loop::{step_damp, BatchSpec, GradMsg, ServerLoop, UpdateRule, WaveEnv, EVAL};
 use crate::solver::{AsyncSolver, RunReport, SolverCfg, SolverError};
 
 /// Asynchronous SAGA with server-side history.
@@ -103,61 +106,81 @@ impl AsyncSolver for Asaga {
     }
 }
 
+/// The submission-instant half of an ASAGA task, shared by the in-process
+/// closure and the remote `build`: samples `part`'s batch into
+/// `scratch.rows` and reads, under one table lock, the version each row
+/// last saw into `scratch.versions`.
+pub(crate) fn sample_batch(
+    batch: BatchSpec,
+    block: &Block,
+    part: usize,
+    table: &AsyncBcast<Vec<f64>>,
+    scratch: &mut TaskScratch,
+) {
+    batch.sample_into(block, part, &mut scratch.rows);
+    let ids = scratch.rows.iter().map(|&r| block.global_row(r as usize));
+    table.versions_for_indices(ids, &mut scratch.versions);
+}
+
 /// The body of one ASAGA task, run by the in-process closure and by the
 /// remote worker's handler alike: the telescoping difference
-/// `(1/b) Σⱼ (f'ⱼ(w_cur) − f'ⱼ(w_{φⱼ}))·xⱼ` over the batch in
-/// `scratch.rows` (gathered sparsely on CSR partitions, scattered densely
-/// otherwise) and the stored entries it touched. `old_model(k, j)` resolves
-/// `w_{φⱼ}` for batch position `k`, global row `j` — once per row, in batch
-/// order. The batch's global row ids (SAGA's table-update message) are left
-/// in `scratch.ids`; every buffer comes from `pool`.
-pub(crate) fn saga_difference(
+/// `(1/b) Σⱼ (f'ⱼ(w_cur) − f'ⱼ(w_{φⱼ}))·xⱼ` over `scratch.rows` (last seen
+/// at `scratch.versions`), the entries it touched, and the global row ids
+/// in `scratch.ids`. `resolve(v)` yields `w_v`, once per *distinct* version
+/// in first-need order. A dense row is one pass ([`dense::dot2`], then its
+/// axpy in L1), CSR rows are gathered; batch order either way, so the delta
+/// is bit-identical to a per-row resolve. Buffers come from `pool`.
+pub(crate) fn saga_difference<E>(
     objective: Objective,
     block: &Block,
     w_cur: &[f64],
     scratch: &mut TaskScratch,
     pool: &ScratchPool,
-    mut old_model: impl FnMut(usize, u64) -> Arc<Vec<f64>>,
-) -> (GradDelta, u64) {
+    mut resolve: impl FnMut(u64) -> Result<Arc<Vec<f64>>, E>,
+) -> Result<(GradDelta, u64), E> {
+    scratch.group_versions();
+    scratch.history.clear();
+    for &v in &scratch.distinct {
+        scratch.history.push(resolve(v)?);
+    }
+    let ids = scratch.rows.iter().map(|&r| block.global_row(r as usize));
+    scratch.ids.clear();
+    scratch.ids.extend(ids);
     let scale = 1.0 / scratch.rows.len().max(1) as f64;
     let labels = block.labels();
+    let coef = |i: usize, m_new: f64, m_old: f64| {
+        scale * (objective.dloss(m_new, labels[i]) - objective.dloss(m_old, labels[i]))
+    };
+    let (rows, slots, history) = (&scratch.rows, &scratch.slots, &scratch.history);
     let features = block.features();
-    scratch.ids.clear();
-    scratch.coefs.clear();
-    for (k, &r) in scratch.rows.iter().enumerate() {
-        let i = r as usize;
-        let j = block.global_row(i);
-        let w_old = old_model(k, j);
-        let d_new = objective.dloss(features.row_dot(i, w_cur), labels[i]);
-        let d_old = objective.dloss(features.row_dot(i, &w_old), labels[i]);
-        scratch.coefs.push(scale * (d_new - d_old));
-        scratch.ids.push(j);
-    }
     let delta = match features {
         Matrix::Sparse(csr) => {
+            scratch.coefs.clear();
+            for (&r, &slot) in rows.iter().zip(slots) {
+                let (i, w_old) = (r as usize, &history[slot as usize]);
+                let c = coef(i, csr.row_dot(i, w_cur), csr.row_dot(i, w_old));
+                scratch.coefs.push(c);
+            }
             let (mut idx, mut val) = pool.checkout_sparse();
-            csr.gather_axpy_into(
-                &scratch.rows,
-                &scratch.coefs,
-                &mut scratch.pairs,
-                &mut idx,
-                &mut val,
-            );
+            let pairs = &mut scratch.pairs;
+            csr.gather_axpy_into(rows, &scratch.coefs, pairs, &mut idx, &mut val);
             GradDelta::Sparse(
                 async_linalg::SparseVec::new(idx, val, block.cols())
                     .expect("gather kernel produces valid sparse output"),
             )
         }
-        Matrix::Dense(_) => {
+        Matrix::Dense(m) => {
             let mut d = pool.checkout_dense(block.cols());
-            for (&r, &a) in scratch.rows.iter().zip(scratch.coefs.iter()) {
-                features.row_axpy(r as usize, a, &mut d);
+            for (&r, &slot) in rows.iter().zip(slots) {
+                let (i, x) = (r as usize, m.row(r as usize));
+                let (m_new, m_old) = dense::dot2(x, w_cur, &history[slot as usize]);
+                dense::axpy(coef(i, m_new, m_old), x, &mut d);
             }
             GradDelta::Dense(d)
         }
     };
     // Two gradient evaluations per sampled row.
-    (delta, 2 * features.rows_nnz(&scratch.rows))
+    Ok((delta, 2 * features.rows_nnz(rows)))
 }
 
 /// The SAGA estimator step `w ← w − γ·d·(δ + ᾱ + λ·w)` followed by the
@@ -216,12 +239,13 @@ impl UpdateRule for AsagaRule {
             let block = &data[0];
             let w_cur = handle.value(wctx);
             let mut scratch = pool.checkout();
-            batch.sample_into(block, part, &mut scratch.rows);
-            // The ID of the model version row j last saw — attached by the
-            // server at submission (the simulated engine runs this closure
-            // at exactly that instant).
-            let old = |_, j| handle.value_at(wctx, server_table.version_for_index(j));
-            let (delta, entries) = saga_difference(obj, block, &w_cur, &mut scratch, &pool, old);
+            // The IDs of the model versions the rows last saw — attached by
+            // the server at submission (the simulated engine runs this
+            // closure at exactly that instant).
+            sample_batch(batch, block, part, &server_table, &mut scratch);
+            let resolve = |v| Ok::<_, Infallible>(handle.value_at(wctx, v));
+            let Ok((delta, entries)) =
+                saga_difference(obj, block, &w_cur, &mut scratch, &pool, resolve);
             // `ids` travels with the result and is recycled server-side
             // after the table update.
             let indices = std::mem::take(&mut scratch.ids);
@@ -248,7 +272,7 @@ impl UpdateRule for AsagaRule {
         // same moment the simulator runs the closure above), and the
         // worker runs the same `saga_difference` on what they produced.
         // In-process engines ignore it.
-        let routine = crate::remote::asaga_routine(env, obj, version);
+        let routine = crate::remote::asaga_routine(env, obj, version, self.rows);
         ctx.async_reduce_wired(rdd, &cfg.barrier, opts, task, Some(&routine))
     }
 
@@ -297,6 +321,97 @@ impl UpdateRule for AsagaRule {
     fn history(&self) -> SolverHistory {
         SolverHistory::Saga {
             alpha_bar: self.alpha_bar.clone(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use async_data::SynthSpec;
+
+    #[test]
+    fn saga_difference_resolves_each_distinct_version_once_in_first_need_order() {
+        // Partition 1 of a 40-row dataset holds global rows 20..40. Rows
+        // `j % 5 == v` last saw version `v` (v = 1..=3), the others the
+        // base, so the batch below needs versions [2, 3, 0, 0, 3, 1, 2, 1, 0]
+        // row by row: first-need order 2, 3, 0, 1.
+        let rows: Vec<u32> = vec![2, 3, 4, 5, 8, 11, 12, 16, 19];
+        let obj = Objective::LeastSquares { lambda: 0.0 };
+        for dense_storage in [true, false] {
+            let spec = if dense_storage {
+                SynthSpec::dense("saga-resolve", 40, 6, 3)
+            } else {
+                SynthSpec::sparse("saga-resolve", 40, 12, 3, 3)
+            };
+            let (d, _) = spec.generate().unwrap();
+            let (cols, block) = (d.cols(), &d.partition(2)[1]);
+            let bcast = AsyncBcast::new(9, vec![0.0; cols], 40);
+            for v in 1..=3u64 {
+                bcast.push(
+                    (0..cols)
+                        .map(|c| 0.1 * v as f64 - 0.01 * c as f64)
+                        .collect(),
+                );
+                let ids: Vec<u64> = (0..40).filter(|j| j % 5 == v).collect();
+                bcast.record_use(&ids, v);
+            }
+            bcast.push(vec![0.3; cols]);
+            let handle = bcast.handle();
+            let pool = ScratchPool::new();
+            let (mut fused, mut per_row) = (WorkerCtx::new(0), WorkerCtx::new(0));
+
+            let w_cur = handle.value(&mut fused);
+            let mut scratch = pool.checkout();
+            scratch.rows = rows.clone();
+            let ids = rows.iter().map(|&r| block.global_row(r as usize));
+            bcast.versions_for_indices(ids, &mut scratch.versions);
+            let mut calls = Vec::new();
+            let resolve = |v| {
+                calls.push(v);
+                Ok::<_, Infallible>(handle.value_at(&mut fused, v))
+            };
+            let Ok((delta, entries)) =
+                saga_difference(obj, block, &w_cur, &mut scratch, &pool, resolve);
+            assert_eq!(calls, [2, 3, 0, 1], "dense storage: {dense_storage}");
+
+            // The per-row path it replaced: one `value_at` per sampled row,
+            // both margins, then the batch's axpys in batch order.
+            handle.value(&mut per_row);
+            let (f, labels) = (block.features(), block.labels());
+            let scale = 1.0 / rows.len() as f64;
+            let mut want = vec![0.0; cols];
+            for &r in &rows {
+                let i = r as usize;
+                let j = block.global_row(i);
+                let w_old = handle.value_at(&mut per_row, bcast.version_for_index(j));
+                let d_new = obj.dloss(f.row_dot(i, &w_cur), labels[i]);
+                let d_old = obj.dloss(f.row_dot(i, &w_old), labels[i]);
+                f.row_axpy(i, scale * (d_new - d_old), &mut want);
+            }
+            assert_eq!(fused.take_charges(), per_row.take_charges());
+            assert_eq!(fused.cache_len(), per_row.cache_len());
+            for v in 0..=4 {
+                let key = (9, v);
+                assert_eq!(
+                    fused.cache_get(key).is_some(),
+                    per_row.cache_get(key).is_some()
+                );
+            }
+            assert_eq!(entries, 2 * f.rows_nnz(&rows));
+            let got = delta.to_dense();
+            if dense_storage {
+                // One fused pass per row is the two-pass arithmetic.
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want));
+            } else {
+                assert!(got.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-12));
+            }
+
+            // The resolved models go with the scratch's return to the pool.
+            assert_eq!(scratch.history.len(), 4);
+            pool.give_back(scratch);
+            assert!(pool.checkout().history.is_empty());
         }
     }
 }

@@ -37,7 +37,6 @@
 //! [`worker_registry`] assembles the handler table; the `async_worker`
 //! binary is `worker_main(worker_registry())`.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use async_core::{RemoteRoutine, WirePlan};
@@ -50,7 +49,7 @@ use bytes::{BufMut, BytesMut};
 use sparklet::payload::encode_sparse;
 use sparklet::{DecodeError, Payload, RoutineRegistry, WorkerCtx};
 
-use crate::asaga::saga_difference;
+use crate::asaga::{saga_difference, sample_batch};
 use crate::compression::CompressCfg;
 use crate::objective::Objective;
 use crate::scratch::ScratchPool;
@@ -668,41 +667,32 @@ fn grad_handler(
 /// read at the submission instant (the sim's semantics; the whole reason
 /// ASAGA is specified against `SimEngine`) — and the request ships the
 /// rows, their versions, and one [`WirePlan`] per distinct version in
-/// first-need order.
+/// first-need order. `rows` is the dataset's row count: a response naming
+/// a row id outside it is refused.
 pub(crate) fn asaga_routine(
     env: &WaveEnv<'_>,
     objective: Objective,
     version: u64,
+    rows: usize,
 ) -> RemoteRoutine {
     let (rdd, bcast) = (env.rdd.clone(), env.bcast);
     let (batch, compress) = (env.batch(version), env.cfg.compress);
     let handle = bcast.handle();
     let server_table = bcast.clone();
     let bcast_id = bcast.id();
+    let pool = env.pool.clone();
     RemoteRoutine {
         routine: ROUTINE_ASAGA,
         build: Arc::new(move |mirror: &mut WorkerCtx, part: usize| {
             let data = rdd.compute(part);
             let block = &data[0];
             // Same mirror sequence as the closure: current model, then one
-            // `value_at` per sampled row (repeat versions resolve from the
-            // mirror cache and ship nothing).
+            // plan per distinct row version in first-need order — the
+            // resolves `saga_difference` asks for.
             let w_plan = handle.wire_plan_at(mirror, handle.version());
-            let mut rows = Vec::new();
-            batch.sample_into(block, part, &mut rows);
-            let mut row_versions = Vec::with_capacity(rows.len());
-            let mut plans: Vec<WirePlan> = Vec::new();
-            let mut seen: Vec<u64> = Vec::new();
-            for &rr in &rows {
-                let j = block.global_row(rr as usize);
-                let vj = server_table.version_for_index(j);
-                let plan = handle.wire_plan_at(mirror, vj);
-                row_versions.push(vj);
-                if !seen.contains(&vj) {
-                    seen.push(vj);
-                    plans.push(plan);
-                }
-            }
+            let mut scratch = pool.checkout();
+            sample_batch(batch, block, part, &server_table, &mut scratch);
+            scratch.group_versions();
             let mut buf = BytesMut::new();
             encode_objective(&objective, &mut buf);
             buf.put_u64_le(bcast_id);
@@ -710,18 +700,26 @@ pub(crate) fn asaga_routine(
             buf.put_u64_le(part as u64);
             ship_block_if_new(mirror, part, block, &mut buf);
             encode_plan(&w_plan, &mut buf);
-            put_rows(&mut buf, &rows);
-            put_u64s(&mut buf, &row_versions);
-            buf.put_u64_le(plans.len() as u64);
-            for p in &plans {
-                encode_plan(p, &mut buf);
+            put_rows(&mut buf, &scratch.rows);
+            put_u64s(&mut buf, &scratch.versions);
+            buf.put_u64_le(scratch.distinct.len() as u64);
+            for &v in &scratch.distinct {
+                encode_plan(&handle.wire_plan_at(mirror, v), &mut buf);
             }
+            pool.give_back(scratch);
             buf.into_vec()
         }),
         decode: Arc::new(move |bytes: &[u8]| {
             let mut r = Reader::new(bytes);
             let (g, wire_bytes) = decode_response_delta(&mut r, compress)?;
+            let at = r.at;
             let indices = get_u64s(&mut r)?;
+            // The ids index the driver's version table: one outside the
+            // dataset is refused, never recorded.
+            if indices.iter().any(|&j| j >= rows as u64) {
+                let what = "row id outside the dataset";
+                return Err(DecodeError::Invalid { at, what });
+            }
             let entries = r.u64()?;
             Ok(Box::new(GradMsg {
                 g,
@@ -755,24 +753,30 @@ fn asaga_handler(
     }
     let nplans64 = r.u64()?;
     // A plan encoding is at least a tag byte and two u64s.
-    let nplans = r.checked_count(nplans64, 17)?;
-    let mut resolved: HashMap<u64, Arc<Vec<f64>>> = HashMap::with_capacity(nplans);
-    for _ in 0..nplans {
-        let (version, w) = resolve_model(ctx, &mut r, bcast_id, &block)?;
-        resolved.insert(version, w);
-    }
-    let no_plan = DecodeError::Invalid {
-        at: r.at,
-        what: "row version has no shipped plan",
-    };
-    let olds: Vec<&Arc<Vec<f64>>> = row_versions
-        .iter()
-        .map(|v| resolved.get(v).ok_or(no_plan))
-        .collect::<Result<_, _>>()?;
+    let mut plans_left = r.checked_count(nplans64, 17)?;
     let mut scratch = pool.checkout();
     scratch.rows = rows;
-    let old = |k: usize, _| Arc::clone(olds[k]);
-    let (delta, entries) = saga_difference(objective, &block, &w_cur, &mut scratch, pool, old);
+    scratch.versions = row_versions;
+    // The plans follow in the order `saga_difference` resolves versions:
+    // one per distinct row version, first need first.
+    let resolve = |version: u64| {
+        let at = r.at;
+        let invalid = |what| DecodeError::Invalid { at, what };
+        if plans_left == 0 {
+            return Err(invalid("row version has no shipped plan"));
+        }
+        plans_left -= 1;
+        let (shipped, w) = resolve_model(ctx, &mut r, bcast_id, &block)?;
+        if shipped != version {
+            return Err(invalid("history plan out of first-need order"));
+        }
+        Ok(w)
+    };
+    let (delta, entries) = saga_difference(objective, &block, &w_cur, &mut scratch, pool, resolve)?;
+    if plans_left != 0 {
+        let what = "more history plans than distinct row versions";
+        return Err(DecodeError::Invalid { at: r.at, what });
+    }
     let mut buf = BytesMut::new();
     encode_response_delta(ctx, part, &delta, compress, &mut buf);
     pool.recycle_delta(delta);
@@ -1228,6 +1232,11 @@ mod tests {
                 fresh(),
                 asaga(&snapshot(1, cols), &[snapshot(5, cols)]),
             ),
+            (
+                "asaga: a plan beyond the distinct row versions",
+                fresh(),
+                asaga(&snapshot(1, cols), &[snapshot(0, cols), snapshot(5, cols)]),
+            ),
         ];
         for (name, mut ctx, (handler, request)) in hostile {
             let got = handler(&pool, &mut ctx, &request);
@@ -1279,6 +1288,97 @@ mod tests {
             decode(sparse_block(8, 24 + 8)),
             Err(DecodeError::Truncated { .. })
         ));
+    }
+
+    /// The routine of an ASAGA submission at version 3 over a dense 40×6
+    /// dataset in two partitions whose rows last saw the base and three
+    /// later versions (row `j` at version `j % 4`), and its buffer pool.
+    fn asaga_fixture() -> (RemoteRoutine, ScratchPool) {
+        use crate::solver::{block_rdd, SolverCfg};
+        use crate::CompressorBank;
+        use async_cluster::{ClusterSpec, CommModel, DelayModel};
+        use async_core::{AsyncBcast, AsyncContext};
+
+        let ctx = AsyncContext::sim(
+            ClusterSpec::homogeneous(2, DelayModel::None).with_comm(CommModel::free()),
+        );
+        let (d, _) = SynthSpec::dense("wire-asaga", 40, 6, 5).generate().unwrap();
+        let cfg = SolverCfg {
+            batch_fraction: 0.5,
+            seed: 11,
+            ..SolverCfg::default()
+        };
+        let (_, rdd) = block_rdd(&ctx, &d, &cfg);
+        let bcast = AsyncBcast::new(0, vec![0.0; 6], 40);
+        for v in 1..=3u64 {
+            bcast.push(vec![0.1 * v as f64; 6]);
+            let ids: Vec<u64> = (0..40).filter(|j| j % 4 == v).collect();
+            bcast.record_use(&ids, v);
+        }
+        let (pool, bank) = (ScratchPool::new(), CompressorBank::new());
+        let env = WaveEnv {
+            rdd: &rdd,
+            bcast: &bcast,
+            cfg: &cfg,
+            minibatch_hint: 10,
+            pool: &pool,
+            bank: &bank,
+        };
+        let routine = asaga_routine(&env, Objective::LeastSquares { lambda: 1e-3 }, 3, 40);
+        (routine, pool)
+    }
+
+    /// The row ids an ASAGA response carries, decoded by `routine`.
+    fn decoded_ids(routine: &RemoteRoutine, response: &[u8]) -> Result<Vec<u64>, DecodeError> {
+        let msg = (routine.decode)(response)?.downcast::<GradMsg>();
+        Ok(msg.expect("an ASAGA response decodes to a GradMsg").indices)
+    }
+
+    #[test]
+    fn asaga_request_bytes_are_unchanged_by_the_distinct_version_resolve() {
+        // Request lengths, mirror charges and batch ids as they were when
+        // the build resolved one history plan per sampled row (repeats
+        // shipping nothing): one plan per distinct version in first-need
+        // order ships the same bytes. The second request (to partition 1
+        // again) finds the block and every model cached.
+        let (routine, pool) = asaga_fixture();
+        let mut mirror = WorkerCtx::new(0);
+        let first = (routine.build)(&mut mirror, 1);
+        let second = (routine.build)(&mut mirror, 1);
+        let charged = mirror.take_charges().0;
+        assert_eq!((first.len(), second.len(), charged), (1627, 226, 224));
+        let response = asaga_handler(&pool, &mut WorkerCtx::new(0), &first);
+        let ids = decoded_ids(&routine, &response.expect("an honest request"));
+        assert_eq!(
+            ids.expect("decodes"),
+            [22, 23, 26, 27, 28, 29, 34, 35, 37, 38]
+        );
+    }
+
+    #[test]
+    fn asaga_response_row_ids_outside_the_dataset_are_refused() {
+        // The ids index the driver's flat version table: a hostile one must
+        // end as a decode error (the incarnation's teardown), never as an
+        // index into — or a resize of — the table.
+        let (routine, _) = asaga_fixture();
+        let response = |ids: &[u64]| {
+            let mut buf = BytesMut::new();
+            GradDelta::Dense(vec![0.5; 3]).encode(&mut buf);
+            put_u64s(&mut buf, ids);
+            buf.put_u64_le(6);
+            buf.into_vec()
+        };
+        let ok = decoded_ids(&routine, &response(&[0, 39]));
+        assert_eq!(ok.expect("ids inside the dataset"), [0, 39]);
+        for hostile in [40, u64::MAX] {
+            assert!(matches!(
+                decoded_ids(&routine, &response(&[3, hostile])),
+                Err(DecodeError::Invalid {
+                    what: "row id outside the dataset",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

@@ -41,6 +41,29 @@ pub struct TaskScratch {
     pub pairs: Vec<(u32, f64)>,
     /// Global row ids (SAGA's table-update message), parallel to `rows`.
     pub ids: Vec<u64>,
+    /// ASAGA: each row's history version; each distinct one, in first-need
+    /// order; each row's position in that list; the models of `distinct`
+    /// (emptied by [`ScratchPool::give_back`]: a parked scratch pins none).
+    pub(crate) versions: Vec<u64>,
+    pub(crate) distinct: Vec<u64>,
+    pub(crate) slots: Vec<u32>,
+    pub(crate) history: Vec<Arc<Vec<f64>>>,
+}
+
+impl TaskScratch {
+    /// Fills `distinct` and `slots` from `versions`.
+    pub(crate) fn group_versions(&mut self) {
+        self.distinct.clear();
+        self.slots.clear();
+        for &v in &self.versions {
+            let fresh = self.distinct.len();
+            let slot = self.distinct.iter().position(|&d| d == v).unwrap_or(fresh);
+            if slot == fresh {
+                self.distinct.push(v);
+            }
+            self.slots.push(slot as u32);
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -92,7 +115,8 @@ impl ScratchPool {
     }
 
     /// Returns a per-task scratch to the pool.
-    pub fn give_back(&self, s: TaskScratch) {
+    pub fn give_back(&self, mut s: TaskScratch) {
+        s.history.clear();
         park(&mut self.lock().scratch, s);
     }
 
