@@ -274,6 +274,23 @@ mod tests {
     }
 
     #[test]
+    fn sizes_count_four_bytes_per_stored_value() {
+        // CSR: `indptr` (8 B per row + 1) and 4 B index + 4 B value per
+        // nonzero; labels are `f64`.
+        let sparse = tiny();
+        assert_eq!(sparse.features().bytes(), 8 * 11 + 8 * 10);
+        let mib = 1024.0 * 1024.0;
+        assert_eq!(
+            sparse.stats().size_mb,
+            (8 * 11 + 8 * 10 + 8 * 10) as f64 / mib
+        );
+        // Dense: 4 B per entry.
+        let dense = sparse.densified();
+        assert_eq!(dense.features().bytes(), 4 * 10 * 3);
+        assert_eq!(dense.stats().size_mb, (4 * 10 * 3 + 8 * 10) as f64 / mib);
+    }
+
+    #[test]
     fn partition_covers_all_rows_without_overlap() {
         let d = tiny();
         let blocks = d.partition(4);

@@ -14,7 +14,9 @@ use crate::dataset::Dataset;
 use crate::{Error, Result};
 
 /// Parses LIBSVM text. `dim` forces the feature dimension; pass `None` to
-/// infer it from the largest index seen.
+/// infer it from the largest index seen. Values are stored rounded to the
+/// nearest `f32`, as [`CsrMatrix::from_rows`] stores them; a value that is
+/// not finite, or would overflow `f32`, is an [`Error::Parse`] at its line.
 pub fn parse_str(name: &str, text: &str, dim: Option<usize>) -> Result<Dataset> {
     let mut labels = Vec::new();
     let mut rows: Vec<Vec<(u32, f64)>> = Vec::new();
@@ -54,6 +56,12 @@ pub fn parse_str(name: &str, text: &str, dim: Option<usize>) -> Result<Dataset> 
                 line: lineno + 1,
                 msg: format!("bad value {val_s:?}"),
             })?;
+            if !(val as f32).is_finite() {
+                return Err(Error::Parse {
+                    line: lineno + 1,
+                    msg: format!("value {val_s:?} is not a finite f32"),
+                });
+            }
             max_idx = max_idx.max(idx);
             pairs.push(((idx - 1) as u32, val));
         }
@@ -131,6 +139,30 @@ mod tests {
         assert!(parse_str("x", "abc 1:1.0", None).is_err());
         assert!(parse_str("x", "1 1-2", None).is_err());
         assert!(parse_str("x", "1 1:xyz", None).is_err());
+    }
+
+    #[test]
+    fn values_are_stored_as_the_nearest_f32() {
+        let d = parse_str("x", "1 1:0.1 3:-2.5e-3", None).unwrap();
+        let Matrix::Sparse(m) = d.features() else {
+            panic!("LIBSVM parses to CSR");
+        };
+        assert_eq!(m.row(0).1, &[0.1f32, -2.5e-3]);
+        assert_eq!(d.features().row_dot(0, &[1.0, 0.0, 0.0]), f64::from(0.1f32));
+    }
+
+    #[test]
+    fn non_finite_and_overflowing_values_are_refused_at_their_line() {
+        // Each hostile token on line 3, behind a comment and a good row.
+        for tok in ["1e300", "-3.5e38", "inf", "-inf", "nan", "NaN", "infinity"] {
+            let text = format!("# header\n1 1:0.5\n-1 2:1.0 3:{tok}\n1 1:2.0\n");
+            match parse_str("x", &text, None) {
+                Err(Error::Parse { line, .. }) => assert_eq!(line, 3, "{tok}"),
+                other => panic!("{tok}: {other:?}"),
+            }
+        }
+        // The largest f32 and a subnormal are representable.
+        assert!(parse_str("x", "1 1:3.4028234e38 2:1e-40", None).is_ok());
     }
 
     #[test]

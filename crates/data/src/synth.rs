@@ -7,7 +7,7 @@
 //! faithful choice). Row counts are scaled down by a configurable factor;
 //! DESIGN.md §2 records the substitution argument.
 
-use async_linalg::{CsrMatrix, DenseMatrix, Matrix, SparseVec};
+use async_linalg::{CsrMatrix, DenseMatrix, Matrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,32 +108,43 @@ impl SynthSpec {
     /// Features: dense entries are `N(0,1)`-ish (via the sum-of-uniforms
     /// approximation, adequate for benchmarks and cheap); sparse rows draw a
     /// Poisson-ish nonzero count around `nnz_per_row` with distinct sorted
-    /// column indices. Labels: `y = x·w* + ε`.
+    /// column indices. Each is stored rounded to `f32`. Labels:
+    /// `y = x·w* + ε` over the stored rows.
     pub fn generate(&self) -> Result<(Dataset, Vec<f64>)> {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let w_star: Vec<f64> = (0..self.cols)
             .map(|_| normal_ish(&mut rng) / (self.cols as f64).sqrt())
             .collect();
 
+        // Each feature is rounded to `f32` as it enters storage; no
+        // whole-dataset buffer of another type exists on the way.
         let features = match self.nnz_per_row {
             None => {
                 let mut flat = Vec::with_capacity(self.rows * self.cols);
                 for _ in 0..self.rows * self.cols {
-                    flat.push(normal_ish(&mut rng));
+                    flat.push(normal_ish(&mut rng) as f32);
                 }
                 Matrix::Dense(DenseMatrix::from_flat(flat, self.rows, self.cols)?)
             }
             Some(k) => {
-                let mut rows = Vec::with_capacity(self.rows);
+                let mut indptr = Vec::with_capacity(self.rows + 1);
+                let mut indices = Vec::with_capacity(self.rows * k);
+                let mut data = Vec::with_capacity(self.rows * k);
+                let mut pairs: Vec<(u32, f32)> = Vec::new();
+                indptr.push(0);
                 for _ in 0..self.rows {
                     let nnz = sample_row_nnz(&mut rng, k, self.cols);
-                    let pairs: Vec<(u32, f64)> = sample_distinct(&mut rng, nnz, self.cols)
-                        .into_iter()
-                        .map(|c| (c as u32, normal_ish(&mut rng)))
-                        .collect();
-                    rows.push(SparseVec::from_pairs(pairs, self.cols)?);
+                    pairs.clear();
+                    for c in sample_distinct(&mut rng, nnz, self.cols) {
+                        pairs.push((c as u32, normal_ish(&mut rng) as f32));
+                    }
+                    pairs.sort_unstable_by_key(|p| p.0);
+                    indices.extend(pairs.iter().map(|p| p.0));
+                    data.extend(pairs.iter().map(|p| p.1));
+                    indptr.push(indices.len());
                 }
-                Matrix::Sparse(CsrMatrix::from_rows(&rows, self.cols)?)
+                let m = CsrMatrix::new(indptr, indices, data, self.rows, self.cols)?;
+                Matrix::Sparse(m)
             }
         };
 

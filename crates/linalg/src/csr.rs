@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use crate::dense;
+use crate::dense::{self, Element};
 use crate::sparse::SparseVec;
 use crate::{Error, Result};
 
@@ -17,12 +17,13 @@ use crate::{Error, Result};
 /// The matrix is a window of `nrows` rows from storage row `first_row` over
 /// three reference-counted buffers; `indptr` stays absolute, so
 /// [`CsrMatrix::slice_rows`] and `clone` copy nothing. Equality compares the
-/// visible window.
+/// visible window. Values are stored as `f32` and widened to `f64` by every
+/// kernel that reads them (see [`dense::Element`]).
 #[derive(Debug, Clone)]
 pub struct CsrMatrix {
     indptr: Arc<Vec<usize>>,
     indices: Arc<Vec<u32>>,
-    data: Arc<Vec<f64>>,
+    data: Arc<Vec<f32>>,
     first_row: usize,
     nrows: usize,
     ncols: usize,
@@ -36,11 +37,12 @@ impl PartialEq for CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from raw parts, validating all invariants.
+    /// Builds a CSR matrix from raw parts (values in the stored type),
+    /// validating all invariants.
     pub fn new(
         indptr: Vec<usize>,
         indices: Vec<u32>,
-        data: Vec<f64>,
+        data: Vec<f32>,
         nrows: usize,
         ncols: usize,
     ) -> Result<Self> {
@@ -97,14 +99,16 @@ impl CsrMatrix {
         })
     }
 
-    /// Builds from a list of sparse rows, all with dimension `ncols`.
+    /// Builds from a list of sparse rows, all with dimension `ncols`. Each
+    /// value is rounded to the nearest `f32`; a finite value beyond `f32`'s
+    /// range would become infinite and is refused with `Err`.
     pub fn from_rows(rows: &[SparseVec], ncols: usize) -> Result<Self> {
         let nnz: usize = rows.iter().map(SparseVec::nnz).sum();
         let mut indptr = Vec::with_capacity(rows.len() + 1);
         let mut indices = Vec::with_capacity(nnz);
         let mut data = Vec::with_capacity(nnz);
         indptr.push(0);
-        for (i, r) in rows.iter().enumerate() {
+        for r in rows {
             if r.dim() != ncols {
                 return Err(Error::DimensionMismatch {
                     op: "CsrMatrix::from_rows",
@@ -112,15 +116,15 @@ impl CsrMatrix {
                     got: r.dim(),
                 });
             }
-            let _ = i;
             indices.extend_from_slice(r.indices());
-            data.extend_from_slice(r.values());
+            crate::extend_narrowed(&mut data, r.values())?;
             indptr.push(indices.len());
         }
         Self::new(indptr, indices, data, rows.len(), ncols)
     }
 
-    /// Builds from `(row, col, value)` triplets; duplicates are summed.
+    /// Builds from `(row, col, value)` triplets; duplicates are summed in
+    /// `f64`, then stored as [`CsrMatrix::from_rows`] stores them.
     pub fn from_triplets(
         triplets: &[(usize, u32, f64)],
         nrows: usize,
@@ -165,7 +169,7 @@ impl CsrMatrix {
     /// entry buffers they index): a kernel's row loop reads the three `Arc`s
     /// once, not per row. Indexing past the pointers is the row-range panic.
     #[inline]
-    fn parts(&self) -> (&[usize], &[u32], &[f64]) {
+    fn parts(&self) -> (&[usize], &[u32], &[f32]) {
         let rows = self.first_row..=self.first_row + self.nrows;
         (&self.indptr[rows], &self.indices, &self.data)
     }
@@ -175,7 +179,7 @@ impl CsrMatrix {
     /// # Panics
     /// Panics if `i >= nrows`.
     #[inline]
-    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
+    pub fn row(&self, i: usize) -> (&[u32], &[f32]) {
         row_of(self.parts(), i)
     }
 
@@ -203,10 +207,7 @@ impl CsrMatrix {
     #[inline]
     pub fn row_axpy(&self, i: usize, a: f64, out: &mut [f64]) {
         assert_eq!(out.len(), self.ncols, "row_axpy: dim mismatch");
-        let (idx, val) = self.row(i);
-        for (c, v) in idx.iter().zip(val.iter()) {
-            out[*c as usize] += a * *v;
-        }
+        entries_axpy(self.row(i), a, out);
     }
 
     /// `out = A·x`.
@@ -298,64 +299,9 @@ impl CsrMatrix {
         out_idx: &mut Vec<u32>,
         out_val: &mut Vec<f64>,
     ) {
-        assert_eq!(
-            rows.len(),
-            coefs.len(),
-            "gather_axpy_into: rows/coefs length mismatch"
-        );
-        let nnz = self.rows_nnz(rows) as usize;
-        assert!(
-            u32::try_from(nnz).is_ok(),
-            "gather_axpy_into: batch of {nnz} nonzeros overflows the u32 digit counts"
-        );
-        if pairs.len() < 2 * nnz {
-            pairs.resize(2 * nnz, (0, 0.0));
-        }
-        // The lower half receives the gathered pairs, the upper half is the
-        // sort's ping-pong buffer.
-        let (mut src, mut dst) = pairs[..2 * nnz].split_at_mut(nnz);
-        // Digit `p` of a column is its byte `p`; bytes above the top byte of
-        // `ncols − 1` are zero in every column and need no pass.
-        let max_col = u32::try_from(self.ncols.saturating_sub(1)).unwrap_or(u32::MAX);
-        let passes = (32 - max_col.leading_zeros()).div_ceil(8) as usize;
-        let mut counts = [[0u32; 256]; 4];
         let parts = self.parts();
-        let mut n = 0;
-        for (&r, &a) in rows.iter().zip(coefs.iter()) {
-            let (idx, val) = row_of(parts, r as usize);
-            for ((slot, &c), &v) in src[n..n + idx.len()].iter_mut().zip(idx).zip(val) {
-                *slot = (c, a * v);
-                for (p, digit_counts) in counts[..passes].iter_mut().enumerate() {
-                    digit_counts[(c >> (8 * p)) as usize & 0xff] += 1;
-                }
-            }
-            n += idx.len();
-        }
-        for (p, digit_counts) in counts[..passes].iter_mut().enumerate() {
-            // Counts become each digit value's first output slot.
-            let mut next = 0u32;
-            for count in digit_counts.iter_mut() {
-                let first_slot = next;
-                next += *count;
-                *count = first_slot;
-            }
-            for &(c, v) in src.iter() {
-                let slot = &mut digit_counts[(c >> (8 * p)) as usize & 0xff];
-                dst[*slot as usize] = (c, v);
-                *slot += 1;
-            }
-            std::mem::swap(&mut src, &mut dst);
-        }
-        out_idx.clear();
-        out_val.clear();
-        for &(i, v) in src.iter() {
-            if out_idx.last() == Some(&i) {
-                *out_val.last_mut().expect("parallel to out_idx") += v;
-            } else {
-                out_idx.push(i);
-                out_val.push(v);
-            }
-        }
+        let row = |r: usize| row_of(parts, r);
+        gather_into(row, self.ncols, rows, coefs, pairs, out_idx, out_val);
     }
 
     /// Total stored nonzeros across the given rows — the work-unit count of
@@ -407,26 +353,109 @@ impl CsrMatrix {
     #[inline]
     pub fn bytes(&self) -> u64 {
         ((self.nrows + 1) * std::mem::size_of::<usize>()
-            + self.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())) as u64
+            + self.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f32>())) as u64
     }
 }
 
 /// Row `i` of the slices [`CsrMatrix::parts`] returned.
 #[inline]
-fn row_of<'a>(parts: (&[usize], &'a [u32], &'a [f64]), i: usize) -> (&'a [u32], &'a [f64]) {
+fn row_of<'a>(parts: (&[usize], &'a [u32], &'a [f32]), i: usize) -> (&'a [u32], &'a [f32]) {
     let (indptr, indices, data) = parts;
     let (lo, hi) = (indptr[i], indptr[i + 1]);
     (&indices[lo..hi], &data[lo..hi])
 }
 
-/// `Σ val[k] · w[idx[k]]`, summed in stored order.
+/// `Σ val[k] · w[idx[k]]`, summed in stored order: the row kernel of
+/// [`CsrMatrix::row_dot`], [`CsrMatrix::rows_dot_into`],
+/// [`CsrMatrix::matvec`] and [`SparseVec::dot_dense`].
 #[inline]
-fn entries_dot((idx, val): (&[u32], &[f64]), w: &[f64]) -> f64 {
+pub fn entries_dot<T: Element>((idx, val): (&[u32], &[T]), w: &[f64]) -> f64 {
     let mut acc = 0.0;
     for (c, v) in idx.iter().zip(val.iter()) {
-        acc += *v * w[*c as usize];
+        acc += v.widen() * w[*c as usize];
     }
     acc
+}
+
+/// `out[idx[k]] += a · val[k]` in stored order: the row kernel of
+/// [`CsrMatrix::row_axpy`], [`CsrMatrix::matvec_t_acc`] and
+/// [`SparseVec::axpy_into_dense`].
+#[inline]
+pub fn entries_axpy<T: Element>((idx, val): (&[u32], &[T]), a: f64, out: &mut [f64]) {
+    for (c, v) in idx.iter().zip(val.iter()) {
+        out[*c as usize] += a * v.widen();
+    }
+}
+
+/// The kernel of [`CsrMatrix::gather_axpy_into`] over any row source:
+/// `row(r)` is row `r`'s strictly increasing columns (below `ncols`) and
+/// values. Same buffers, order and panics as the method.
+pub fn gather_into<'a, T: Element + 'a>(
+    row: impl Fn(usize) -> (&'a [u32], &'a [T]),
+    ncols: usize,
+    rows: &[u32],
+    coefs: &[f64],
+    pairs: &mut Vec<(u32, f64)>,
+    out_idx: &mut Vec<u32>,
+    out_val: &mut Vec<f64>,
+) {
+    assert_eq!(
+        rows.len(),
+        coefs.len(),
+        "gather_into: rows/coefs length mismatch"
+    );
+    let nnz: usize = rows.iter().map(|&r| row(r as usize).0.len()).sum();
+    assert!(
+        u32::try_from(nnz).is_ok(),
+        "gather_into: batch of {nnz} nonzeros overflows the u32 digit counts"
+    );
+    if pairs.len() < 2 * nnz {
+        pairs.resize(2 * nnz, (0, 0.0));
+    }
+    // The lower half receives the gathered pairs, the upper half is the
+    // sort's ping-pong buffer.
+    let (mut src, mut dst) = pairs[..2 * nnz].split_at_mut(nnz);
+    // Digit `p` of a column is its byte `p`; bytes above the top byte of
+    // `ncols − 1` are zero in every column and need no pass.
+    let max_col = u32::try_from(ncols.saturating_sub(1)).unwrap_or(u32::MAX);
+    let passes = (32 - max_col.leading_zeros()).div_ceil(8) as usize;
+    let mut counts = [[0u32; 256]; 4];
+    let mut n = 0;
+    for (&r, &a) in rows.iter().zip(coefs.iter()) {
+        let (idx, val) = row(r as usize);
+        for ((slot, &c), &v) in src[n..n + idx.len()].iter_mut().zip(idx).zip(val) {
+            *slot = (c, a * v.widen());
+            for (p, digit_counts) in counts[..passes].iter_mut().enumerate() {
+                digit_counts[(c >> (8 * p)) as usize & 0xff] += 1;
+            }
+        }
+        n += idx.len();
+    }
+    for (p, digit_counts) in counts[..passes].iter_mut().enumerate() {
+        // Counts become each digit value's first output slot.
+        let mut next = 0u32;
+        for count in digit_counts.iter_mut() {
+            let first_slot = next;
+            next += *count;
+            *count = first_slot;
+        }
+        for &(c, v) in src.iter() {
+            let slot = &mut digit_counts[(c >> (8 * p)) as usize & 0xff];
+            dst[*slot as usize] = (c, v);
+            *slot += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    out_idx.clear();
+    out_val.clear();
+    for &(i, v) in src.iter() {
+        if out_idx.last() == Some(&i) {
+            *out_val.last_mut().expect("parallel to out_idx") += v;
+        } else {
+            out_idx.push(i);
+            out_val.push(v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -447,6 +476,19 @@ mod tests {
         assert!(CsrMatrix::new(vec![0, 2], vec![1, 0], vec![1.0, 1.0], 1, 3).is_err()); // unsorted
         assert!(CsrMatrix::new(vec![0, 1], vec![5], vec![1.0], 1, 3).is_err()); // col range
         assert!(CsrMatrix::new(vec![0, 1], vec![0], vec![1.0], 1, 3).is_ok());
+    }
+
+    #[test]
+    fn f64_constructors_round_and_refuse_what_would_overflow() {
+        let rows = [SparseVec::new(vec![0, 2], vec![0.1, -1e-50], 3).unwrap()];
+        let a = CsrMatrix::from_rows(&rows, 3).unwrap();
+        assert_eq!(a.row(0), (&[0u32, 2][..], &[0.1f32, -0.0][..]));
+        // Duplicates are summed in f64, then rounded once.
+        let t = CsrMatrix::from_triplets(&[(0, 1, 0.1), (0, 1, 0.2)], 1, 3).unwrap();
+        assert_eq!(t.row(0).1, &[(0.1f64 + 0.2) as f32]);
+        let big = [SparseVec::new(vec![1], vec![1e39], 3).unwrap()];
+        assert!(CsrMatrix::from_rows(&big, 3).is_err());
+        assert!(CsrMatrix::from_triplets(&[(0, 0, 3e38), (0, 0, 3e38)], 1, 3).is_err());
     }
 
     #[test]

@@ -1,38 +1,80 @@
 //! Level-1 dense kernels over `&[f64]` slices.
 //!
-//! These are the hot inner loops of every optimization step. They are written
-//! as plain indexed loops over equal-length slices so LLVM can vectorize them;
-//! debug builds keep the bounds checks, release builds elide them after the
-//! explicit length asserts.
+//! These are the hot inner loops of every optimization step. They iterate
+//! equal-length slices in `chunks_exact` blocks or zipped, after an explicit
+//! length assert, so LLVM vectorizes them without bounds checks.
+//!
+//! The row kernels ([`dot`], [`dot2`], [`axpy`], [`norm2_sq`]) read their row
+//! operand as any [`Element`]: `f32` feature rows and `f64` model vectors go
+//! through one body. Widening `f32` to `f64` is exact, so on `f32` data a
+//! kernel performs the `f64` operations, in the order, of its `f64`
+//! instantiation on the widened copy — bit for bit, the contract
+//! `f32_storage_is_the_f64_kernel_on_widened_values` proptests.
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
+}
+
+/// A value a kernel reads: `f32` in feature matrices, `f64` in models,
+/// deltas and every other vector. Arithmetic is always `f64`.
+pub trait Element: sealed::Sealed + Copy {
+    /// The value as `f64` — exact for both implementations.
+    fn widen(self) -> f64;
+}
+
+impl Element for f32 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        f64::from(self)
+    }
+}
+
+impl Element for f64 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self
+    }
+}
+
+/// `(s₀ + s₁) + (s₂ + s₃)`, the lane reduction of [`dot`] and [`dot2`].
+///
+/// Out of line on purpose. To pass them, a caller stores its four
+/// accumulators as one consecutive group, and a store group is where LLVM's
+/// SLP vectorizer seeds its lanes: pairs (0, 1) and (2, 3), which match
+/// the contiguous loads, so a block is two widening loads, two multiplies
+/// and two adds. Inlined, the reduction tree seeds pairs (0, 2) and (1, 3)
+/// instead and every load is shuffled into place, which on `f32` rows cost
+/// more than the halved row bytes saved. The sum itself is unchanged.
+#[inline(never)]
+fn sum4(acc: &[f64; 4]) -> f64 {
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
 
 /// Dot product `xᵀy`.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+pub fn dot<X: Element, Y: Element>(x: &[X], y: &[Y]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     // Four-way unrolled accumulation: breaks the sequential FP dependency
     // chain, which matters for long vectors (d up to ~47k in rcv1-like data).
-    let mut acc0 = 0.0;
-    let mut acc1 = 0.0;
-    let mut acc2 = 0.0;
-    let mut acc3 = 0.0;
-    let chunks = x.len() / 4;
-    for i in 0..chunks {
-        let b = i * 4;
-        acc0 += x[b] * y[b];
-        acc1 += x[b + 1] * y[b + 1];
-        acc2 += x[b + 2] * y[b + 2];
-        acc3 += x[b + 3] * y[b + 3];
+    let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0, 0.0, 0.0, 0.0);
+    let (xc, yc) = (x.chunks_exact(4), y.chunks_exact(4));
+    let (x_tail, y_tail) = (xc.remainder(), yc.remainder());
+    for (xb, yb) in xc.zip(yc) {
+        acc0 += xb[0].widen() * yb[0].widen();
+        acc1 += xb[1].widen() * yb[1].widen();
+        acc2 += xb[2].widen() * yb[2].widen();
+        acc3 += xb[3].widen() * yb[3].widen();
     }
-    let mut tail = chunks * 4;
     let mut rest = 0.0;
-    while tail < x.len() {
-        rest += x[tail] * y[tail];
-        tail += 1;
+    for (xi, yi) in x_tail.iter().zip(y_tail) {
+        rest += xi.widen() * yi.widen();
     }
-    (acc0 + acc1) + (acc2 + acc3) + rest
+    sum4(&[acc0, acc1, acc2, acc3]) + rest
 }
 
 /// `(xᵀa, xᵀb)` in one pass over `x`, each bit-identical to [`dot`] (its
@@ -42,58 +84,53 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn dot2(x: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
+pub fn dot2<T: Element>(x: &[T], a: &[f64], b: &[f64]) -> (f64, f64) {
     assert_eq!(x.len(), a.len(), "dot2: length mismatch");
     assert_eq!(x.len(), b.len(), "dot2: length mismatch");
     let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
     let (mut b0, mut b1, mut b2, mut b3) = (0.0, 0.0, 0.0, 0.0);
-    let chunks = x.len() / 4;
-    for i in 0..chunks {
-        let k = i * 4;
-        a0 += x[k] * a[k];
-        a1 += x[k + 1] * a[k + 1];
-        a2 += x[k + 2] * a[k + 2];
-        a3 += x[k + 3] * a[k + 3];
-        b0 += x[k] * b[k];
-        b1 += x[k + 1] * b[k + 1];
-        b2 += x[k + 2] * b[k + 2];
-        b3 += x[k + 3] * b[k + 3];
+    let (xc, ac, bc) = (x.chunks_exact(4), a.chunks_exact(4), b.chunks_exact(4));
+    let tail = (xc.remainder(), ac.remainder(), bc.remainder());
+    for ((xk, ak), bk) in xc.zip(ac).zip(bc) {
+        let (x0, x1, x2, x3) = (xk[0].widen(), xk[1].widen(), xk[2].widen(), xk[3].widen());
+        a0 += x0 * ak[0];
+        a1 += x1 * ak[1];
+        a2 += x2 * ak[2];
+        a3 += x3 * ak[3];
+        b0 += x0 * bk[0];
+        b1 += x1 * bk[1];
+        b2 += x2 * bk[2];
+        b3 += x3 * bk[3];
     }
     let (mut rest_a, mut rest_b) = (0.0, 0.0);
-    for k in chunks * 4..x.len() {
-        rest_a += x[k] * a[k];
-        rest_b += x[k] * b[k];
+    for ((xi, ai), bi) in tail.0.iter().zip(tail.1).zip(tail.2) {
+        rest_a += xi.widen() * ai;
+        rest_b += xi.widen() * bi;
     }
-    let (ma, mb) = ((a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3));
+    let (ma, mb) = (sum4(&[a0, a1, a2, a3]), sum4(&[b0, b1, b2, b3]));
     (ma + rest_a, mb + rest_b)
 }
 
 /// `y += a * x` (BLAS `axpy`).
 ///
-/// Processed in width-4 `chunks_exact` blocks so release builds see
-/// constant-trip inner loops with no tail bounds checks; the scalar
-/// remainder handles the last `len % 4` entries. Elementwise order is
-/// unchanged, so results are bit-identical to the naive loop.
+/// A plain zipped loop: no bounds checks, and on `f32` rows it vectorizes
+/// to one widening load per pair of lanes, where width-4 blocking made LLVM
+/// shuffle the widened lanes back into place. Each entry is one independent
+/// `y + a·x`, so any blocking gives the same bits.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
-pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
+pub fn axpy<T: Element>(a: f64, x: &[T], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    let mut yc = y.chunks_exact_mut(4);
-    let mut xc = x.chunks_exact(4);
-    for (yb, xb) in (&mut yc).zip(&mut xc) {
-        yb[0] += a * xb[0];
-        yb[1] += a * xb[1];
-        yb[2] += a * xb[2];
-        yb[3] += a * xb[3];
-    }
-    for (yi, xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *yi += a * *xi;
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += a * xi.widen();
     }
 }
 
-/// `x *= a` (BLAS `scal`), blocked like [`axpy`].
+/// `x *= a` (BLAS `scal`), processed in width-4 `chunks_exact` blocks so
+/// release builds see constant-trip inner loops with no tail bounds checks;
+/// elementwise, so bit-identical to the naive loop.
 #[inline]
 pub fn scal(a: f64, x: &mut [f64]) {
     let mut xc = x.chunks_exact_mut(4);
@@ -118,7 +155,7 @@ pub fn copy(x: &[f64], y: &mut [f64]) {
     y.copy_from_slice(x);
 }
 
-/// `y += x`, blocked like [`axpy`].
+/// `y += x`, blocked like [`scal`].
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -138,7 +175,7 @@ pub fn add_assign(y: &mut [f64], x: &[f64]) {
     }
 }
 
-/// `y -= x`, blocked like [`axpy`].
+/// `y -= x`, blocked like [`scal`].
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -160,7 +197,7 @@ pub fn sub_assign(y: &mut [f64], x: &[f64]) {
 
 /// Squared Euclidean norm `‖x‖²`.
 #[inline]
-pub fn norm2_sq(x: &[f64]) -> f64 {
+pub fn norm2_sq<T: Element>(x: &[T]) -> f64 {
     dot(x, x)
 }
 
@@ -193,7 +230,7 @@ pub fn zero(x: &mut [f64]) {
     }
 }
 
-/// `out = a*x + b*y`, overwriting `out`; blocked like [`axpy`].
+/// `out = a*x + b*y`, overwriting `out`; blocked like [`scal`].
 ///
 /// # Panics
 /// Panics if any slice length differs.
@@ -244,13 +281,13 @@ mod tests {
 
     #[test]
     fn dot_empty_is_zero() {
-        assert_eq!(dot(&[], &[]), 0.0);
+        assert_eq!(dot::<f64, f64>(&[], &[]), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn dot_length_mismatch_panics() {
-        dot(&[1.0], &[1.0, 2.0]);
+        dot::<f64, f64>(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

@@ -10,10 +10,11 @@ use crate::{Error, Result};
 ///
 /// The matrix is a window of `nrows` rows over reference-counted storage:
 /// [`DenseMatrix::slice_rows`] and `clone` share the buffer, and equality
-/// compares the visible window.
+/// compares the visible window. Values are stored as `f32` and widened to
+/// `f64` by every kernel that reads them (see [`dense::Element`]).
 #[derive(Debug, Clone)]
 pub struct DenseMatrix {
-    data: Arc<Vec<f64>>,
+    data: Arc<Vec<f32>>,
     /// Index in `data` of the window's first element.
     first: usize,
     nrows: usize,
@@ -27,8 +28,8 @@ impl PartialEq for DenseMatrix {
 }
 
 impl DenseMatrix {
-    /// Builds from a flat row-major buffer.
-    pub fn from_flat(data: Vec<f64>, nrows: usize, ncols: usize) -> Result<Self> {
+    /// Builds from a flat row-major buffer of stored values.
+    pub fn from_flat(data: Vec<f32>, nrows: usize, ncols: usize) -> Result<Self> {
         if data.len() != nrows * ncols {
             return Err(Error::InvalidStructure(format!(
                 "flat buffer length {} != {nrows}x{ncols}",
@@ -43,7 +44,9 @@ impl DenseMatrix {
         })
     }
 
-    /// Builds from row slices; all rows must share a length.
+    /// Builds from row slices; all rows must share a length. Each value is
+    /// rounded to the nearest `f32`; a finite value beyond `f32`'s range
+    /// would become infinite and is refused with `Err`.
     pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
         let ncols = rows.first().map_or(0, |r| r.len());
         let mut data = Vec::with_capacity(rows.len() * ncols);
@@ -54,7 +57,7 @@ impl DenseMatrix {
                     r.len()
                 )));
             }
-            data.extend_from_slice(r);
+            crate::extend_narrowed(&mut data, r)?;
         }
         Self::from_flat(data, rows.len(), ncols)
     }
@@ -86,7 +89,7 @@ impl DenseMatrix {
     /// # Panics
     /// Panics if `i >= nrows`.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub fn row(&self, i: usize) -> &[f32] {
         assert!(i < self.nrows, "row {i} out of range ({} rows)", self.nrows);
         let lo = self.first + i * self.ncols;
         &self.data[lo..lo + self.ncols]
@@ -94,7 +97,7 @@ impl DenseMatrix {
 
     /// The window's rows as one flat row-major slice.
     #[inline]
-    pub fn as_flat(&self) -> &[f64] {
+    pub fn as_flat(&self) -> &[f32] {
         &self.data[self.first..self.first + self.nrows * self.ncols]
     }
 
@@ -142,7 +145,7 @@ impl DenseMatrix {
     /// Bytes of the visible window's rows, not of the buffer behind it.
     #[inline]
     pub fn bytes(&self) -> u64 {
-        (self.nrows * self.ncols * std::mem::size_of::<f64>()) as u64
+        (self.nrows * self.ncols * std::mem::size_of::<f32>()) as u64
     }
 }
 
@@ -157,6 +160,20 @@ mod tests {
     #[test]
     fn from_rows_rejects_ragged() {
         assert!(DenseMatrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]).is_err());
+    }
+
+    #[test]
+    fn from_rows_rounds_and_refuses_what_would_overflow() {
+        let a = DenseMatrix::from_rows(&[vec![0.1, 1e-50, -3.0, 3.4e38]]).unwrap();
+        assert_eq!(a.row(0), &[0.1f32, 0.0, -3.0, 3.4e38]);
+        assert_eq!(a.bytes(), 4 * 4);
+        for v in [3.5e38, -1e300, f64::MAX] {
+            assert!(DenseMatrix::from_rows(&[vec![1.0, v]]).is_err(), "{v:e}");
+        }
+        // Non-finite values are not an overflow: they are stored as given.
+        let odd = DenseMatrix::from_rows(&[vec![f64::NEG_INFINITY, f64::NAN]]).unwrap();
+        assert_eq!(odd.row(0)[0], f32::NEG_INFINITY);
+        assert!(odd.row(0)[1].is_nan());
     }
 
     #[test]

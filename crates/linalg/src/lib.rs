@@ -7,9 +7,11 @@
 //! algorithms need:
 //!
 //! * level-1 kernels over `&[f64]` slices ([`dense`]): dot, axpy, scal,
-//!   norms, elementwise combinators;
+//!   norms, elementwise combinators — the row kernels generic over the
+//!   stored [`dense::Element`];
 //! * a row-major [`DenseMatrix`] and a compressed-sparse-row [`CsrMatrix`]
-//!   with row access, `A·x`, and `Aᵀ·x` ([`dense_mat`], [`csr`]);
+//!   with row access, `A·x`, and `Aᵀ·x` ([`dense_mat`], [`csr`]), storing
+//!   `f32` values that every kernel widens to `f64`;
 //! * a unified [`Matrix`] enum so downstream code is storage-agnostic;
 //! * mini-batch gradient kernels over CSR ([`CsrMatrix::rows_dot`],
 //!   [`CsrMatrix::gather_axpy`]) and the [`GradDelta`] dense-or-sparse
@@ -91,3 +93,18 @@ impl std::fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+/// Appends `values` to `out` as stored feature values, each rounded to the
+/// nearest `f32` — the rule of every `f64` matrix constructor, which refuses
+/// a finite value that would round to infinity (non-finite values pass).
+fn extend_narrowed(out: &mut Vec<f32>, values: &[f64]) -> Result<()> {
+    for &v in values {
+        let x = v as f32;
+        if x.is_infinite() && v.is_finite() {
+            let msg = format!("value {v:e} overflows f32 feature storage");
+            return Err(Error::InvalidStructure(msg));
+        }
+        out.push(x);
+    }
+    Ok(())
+}

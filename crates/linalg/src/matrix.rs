@@ -146,17 +146,19 @@ impl Matrix {
         match self {
             Matrix::Sparse(m) => Matrix::Sparse(m.clone()),
             Matrix::Dense(m) => {
-                let mut triplets = Vec::new();
+                let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
                 for i in 0..m.nrows() {
                     for (j, &v) in m.row(i).iter().enumerate() {
                         if v != 0.0 {
-                            triplets.push((i, j as u32, v));
+                            indices.push(j as u32);
+                            data.push(v);
                         }
                     }
+                    indptr.push(indices.len());
                 }
                 Matrix::Sparse(
-                    CsrMatrix::from_triplets(&triplets, m.nrows(), m.ncols())
-                        .expect("dense matrix yields valid triplets"),
+                    CsrMatrix::new(indptr, indices, data, m.nrows(), m.ncols())
+                        .expect("dense rows yield valid CSR parts"),
                 )
             }
         }

@@ -83,7 +83,7 @@ mod tests {
             .collect();
         let mut dense = vec![0.0; 40 * 7];
         for &(r, c, v) in &triplets {
-            dense[r * 7 + c as usize] = v;
+            dense[r * 7 + c as usize] = v as f32;
         }
         [
             Matrix::Sparse(CsrMatrix::from_triplets(&triplets, 40, 7).unwrap()),

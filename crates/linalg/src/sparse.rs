@@ -100,11 +100,7 @@ impl SparseVec {
     #[inline]
     pub fn dot_dense(&self, w: &[f64]) -> f64 {
         assert_eq!(w.len(), self.dim, "dot_dense: dim mismatch");
-        let mut acc = 0.0;
-        for (i, v) in self.indices.iter().zip(self.values.iter()) {
-            acc += *v * w[*i as usize];
-        }
-        acc
+        crate::csr::entries_dot((&self.indices, &self.values), w)
     }
 
     /// `out += a * self` scattered into a dense buffer.
@@ -114,9 +110,7 @@ impl SparseVec {
     #[inline]
     pub fn axpy_into_dense(&self, a: f64, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim, "axpy_into_dense: dim mismatch");
-        for (i, v) in self.indices.iter().zip(self.values.iter()) {
-            out[*i as usize] += a * *v;
-        }
+        crate::csr::entries_axpy((&self.indices, &self.values), a, out);
     }
 
     /// Squared Euclidean norm of the sparse vector.

@@ -1,8 +1,8 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use async_linalg::dense;
+use async_linalg::dense::{self, Element};
 use async_linalg::parallel::{self, ParallelismCfg};
-use async_linalg::{CsrMatrix, DenseMatrix, Matrix, SparseVec};
+use async_linalg::{csr, CsrMatrix, DenseMatrix, Matrix, SparseVec};
 use proptest::prelude::*;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -237,6 +237,152 @@ fn dot2_is_two_dots_bit_for_bit() {
     }
 }
 
+/// The widening contract: each kernel that reads `f32` storage returns, bit
+/// for bit, what its `f64` instantiation returns on the widened copy — dense
+/// and CSR rows, batches with repeated rows, `A·x`, `Aᵀ·y` and `to_dense`.
+/// Lengths cover the four-wide blocking and its tail (0..=67); stored values
+/// include signed zeros, subnormals, `±f32::MAX` and mixed magnitudes, and
+/// both storages are built from those `f32`s directly, so nothing rounds.
+#[test]
+fn f32_storage_is_the_f64_kernel_on_widened_values() {
+    fn parts(sv: &SparseVec) -> (&[u32], &[f64]) {
+        (sv.indices(), sv.values())
+    }
+    // Drawn as `f64` and narrowed once below, so the `f32` subnormal range
+    // (below 1.2e-38) is covered densely.
+    let stored = || {
+        prop_oneof![
+            4 => -100.0..100.0f64,
+            1 => Just(-0.0),
+            1 => Just(0.0),
+            1 => -1.2e-38..1.2e-38f64,
+            1 => Just(-f64::from(f32::from_bits(1))),
+            1 => Just(f64::from(f32::MAX)),
+            1 => Just(f64::from(-f32::MAX)),
+            1 => 1e30..3e38f64,
+            1 => -1e-20..-1e-30f64,
+        ]
+    };
+    let model = || {
+        prop_oneof![
+            4 => -100.0..100.0f64,
+            1 => Just(-0.0),
+            1 => 1e-310..1e-300f64,
+            1 => -1e6..1e6f64,
+        ]
+    };
+    for n in 0..=67usize {
+        // Up to four rows of (value, kept in the CSR copy) entries.
+        let rows =
+            proptest::collection::vec(proptest::collection::vec((stored(), 0u8..2), n), 0usize..5);
+        let vecs = (
+            proptest::collection::vec(model(), n),
+            proptest::collection::vec(model(), n),
+            proptest::collection::vec(model(), n),
+            proptest::collection::vec(model(), 4),
+        );
+        let batch = proptest::collection::vec((0usize..64, -5.0..5.0f64), 0usize..12);
+        proptest!(|((rows, (w, a, b, ys), batch) in (rows, vecs, batch))| {
+            let rows: Vec<Vec<(f32, bool)>> = rows
+                .iter()
+                .map(|r| r.iter().map(|&(v, keep)| (v as f32, keep == 1)).collect())
+                .collect();
+            let nrows = rows.len();
+            let wide: Vec<Vec<f64>> = rows
+                .iter()
+                .map(|r| r.iter().map(|&(v, _)| f64::from(v)).collect())
+                .collect();
+            let flat: Vec<f32> = rows.iter().flatten().map(|&(v, _)| v).collect();
+            let dense_m = DenseMatrix::from_flat(flat, nrows, n).unwrap();
+            let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+            let mut sparse_rows = Vec::new();
+            for r in &rows {
+                let kept: Vec<(u32, f32)> = (0..n as u32)
+                    .zip(r)
+                    .filter(|(_, &(_, keep))| keep)
+                    .map(|(j, &(v, _))| (j, v))
+                    .collect();
+                indices.extend(kept.iter().map(|&(j, _)| j));
+                data.extend(kept.iter().map(|&(_, v)| v));
+                indptr.push(indices.len());
+                let (idx, val) = kept.iter().map(|&(j, v)| (j, f64::from(v))).unzip();
+                sparse_rows.push(SparseVec::new(idx, val, n).unwrap());
+            }
+            let csr_m = CsrMatrix::new(indptr, indices, data, nrows, n).unwrap();
+
+            for (i, (x64, sv)) in wide.iter().zip(&sparse_rows).enumerate() {
+                let x = dense_m.row(i);
+                prop_assert_eq!(dense::dot(x, &w).to_bits(), dense::dot(x64, &w).to_bits());
+                let (ga, gb) = dense::dot2(x, &a, &b);
+                let (wa, wb) = dense::dot2(x64, &a, &b);
+                prop_assert_eq!((ga.to_bits(), gb.to_bits()), (wa.to_bits(), wb.to_bits()));
+                prop_assert_eq!(dense::norm2_sq(x).to_bits(), dense::norm2_sq(x64).to_bits());
+                let (mut got, mut want) = (a.clone(), a.clone());
+                dense::axpy(-1.5, x, &mut got);
+                dense::axpy(-1.5, x64, &mut want);
+                prop_assert_eq!(bits(&got), bits(&want));
+
+                let want_dot = csr::entries_dot(parts(sv), &w);
+                prop_assert_eq!(csr_m.row_dot(i, &w).to_bits(), want_dot.to_bits());
+                let want_norm = dense::norm2_sq(sv.values());
+                prop_assert_eq!(csr_m.row_norm2_sq(i).to_bits(), want_norm.to_bits());
+                let (mut got, mut want) = (b.clone(), b.clone());
+                csr_m.row_axpy(i, 0.75, &mut got);
+                csr::entries_axpy(parts(sv), 0.75, &mut want);
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+
+            // A·x and Aᵀ·y on both storages.
+            let mut got = vec![0.0; nrows];
+            dense_m.matvec(&w, &mut got);
+            let want: Vec<f64> = wide.iter().map(|x| dense::dot(x, &w)).collect();
+            prop_assert_eq!(bits(&got), bits(&want));
+            csr_m.matvec(&w, &mut got);
+            let want: Vec<f64> = sparse_rows.iter().map(|sv| csr::entries_dot(parts(sv), &w)).collect();
+            prop_assert_eq!(bits(&got), bits(&want));
+            let (mut got, mut want) = (a.clone(), a.clone());
+            dense_m.matvec_t_acc(&ys[..nrows], &mut got);
+            for (x, &y) in wide.iter().zip(&ys) {
+                dense::axpy(y, x, &mut want);
+            }
+            prop_assert_eq!(bits(&got), bits(&want));
+            let (mut got, mut want) = (a.clone(), a.clone());
+            csr_m.matvec_t_acc(&ys[..nrows], &mut got);
+            for (sv, &y) in sparse_rows.iter().zip(&ys) {
+                csr::entries_axpy(parts(sv), y, &mut want);
+            }
+            prop_assert_eq!(bits(&got), bits(&want));
+
+            // Batches with repeated rows; an empty matrix takes the empty batch.
+            let picks: Vec<u32> = batch
+                .iter()
+                .filter(|_| nrows > 0)
+                .map(|&(r, _)| (r % nrows.max(1)) as u32)
+                .collect();
+            let coefs: Vec<f64> = batch.iter().take(picks.len()).map(|&(_, c)| c).collect();
+            let mut got = Vec::new();
+            Matrix::Dense(dense_m.clone()).rows_dot_into(&picks, &w, &mut got);
+            let want: Vec<f64> = picks.iter().map(|&r| dense::dot(&wide[r as usize], &w)).collect();
+            prop_assert_eq!(bits(&got), bits(&want));
+            csr_m.rows_dot_into(&picks, &w, &mut got);
+            let want: Vec<f64> = picks
+                .iter()
+                .map(|&r| csr::entries_dot(parts(&sparse_rows[r as usize]), &w))
+                .collect();
+            prop_assert_eq!(bits(&got), bits(&want));
+            let (mut pairs, mut gi, mut gv, mut wi, mut wv) = Default::default();
+            csr_m.gather_axpy_into(&picks, &coefs, &mut pairs, &mut gi, &mut gv);
+            let row = |r: usize| parts(&sparse_rows[r]);
+            csr::gather_into(row, n, &picks, &coefs, &mut pairs, &mut wi, &mut wv);
+            prop_assert_eq!(gi, wi);
+            prop_assert_eq!(bits(&gv), bits(&wv));
+
+            let want: Vec<f64> = sparse_rows.iter().flat_map(SparseVec::to_dense).collect();
+            prop_assert_eq!(bits(csr_m.to_dense().as_flat()), bits(&want));
+        });
+    }
+}
+
 /// The broadcast ring's support-union kernel against a `BTreeSet` oracle,
 /// with **one** scratch reused across every case: a probe spanning the
 /// whole index range shows the bitmap all-zero on entry each time —
@@ -319,7 +465,7 @@ fn gather_axpy_into_sums_duplicates_in_batch_row_order_bitwise() {
                 .map(|&(r, v)| (windows[r as usize % 3] + (r / 3) % width, v))
                 .collect();
             indices.extend(row.keys());
-            data.extend(row.values());
+            data.extend(row.values().map(|&v| v as f32));
             indptr.push(indices.len());
         }
         let csr = CsrMatrix::new(indptr, indices, data, raw_rows.len(), ncols).unwrap();
@@ -331,7 +477,7 @@ fn gather_axpy_into_sums_duplicates_in_batch_row_order_bitwise() {
         let mut oracle: BTreeMap<u32, f64> = BTreeMap::new();
         for (&r, &a) in rows.iter().zip(&coefs) {
             let (cols, vals) = csr.row(r as usize);
-            for (&c, &v) in cols.iter().zip(vals) {
+            for (&c, v) in cols.iter().zip(vals.iter().map(|&v| f64::from(v))) {
                 oracle.entry(c).and_modify(|sum| *sum += a * v).or_insert(a * v);
             }
         }
@@ -417,19 +563,21 @@ fn copied_rows(m: &Matrix, start: usize, end: usize) -> Matrix {
             Matrix::Dense(DenseMatrix::from_flat(flat, end - start, d.ncols()).unwrap())
         }
         Matrix::Sparse(c) => {
-            let rows: Vec<SparseVec> = (start..end)
-                .map(|i| {
-                    let (idx, val) = c.row(i);
-                    SparseVec::new(idx.to_vec(), val.to_vec(), c.ncols()).unwrap()
-                })
-                .collect();
-            Matrix::Sparse(CsrMatrix::from_rows(&rows, c.ncols()).unwrap())
+            let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+            for i in start..end {
+                let (idx, val) = c.row(i);
+                indices.extend_from_slice(idx);
+                data.extend_from_slice(val);
+                indptr.push(indices.len());
+            }
+            Matrix::Sparse(CsrMatrix::new(indptr, indices, data, end - start, c.ncols()).unwrap())
         }
     }
 }
 
-fn bits(vals: &[f64]) -> Vec<u64> {
-    vals.iter().map(|v| v.to_bits()).collect()
+/// The bits of each value as `f64`: for stored `f32`s, the widened bits.
+fn bits<T: Element>(vals: &[T]) -> Vec<u64> {
+    vals.iter().map(|v| v.widen().to_bits()).collect()
 }
 
 /// Everything a reader can ask of `view` answers as `copy` does, bit for

@@ -117,6 +117,16 @@ impl<'a> Reader<'a> {
         self.payload::<f64>()
     }
 
+    /// `n` little-endian `f32`s, the count checked against the bytes
+    /// remaining before anything is allocated.
+    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, DecodeError> {
+        let n = self.checked_count(n as u64, 4)?;
+        let slab = &self.rest()[..4 * n];
+        self.at += 4 * n;
+        let value = |b: &[u8]| f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        Ok(slab.chunks_exact(4).map(value).collect())
+    }
+
     /// Validates an untrusted element count against the bytes actually
     /// remaining (each element consumes at least `min_bytes`), so a
     /// hostile prefix can never size an allocation.
@@ -244,7 +254,8 @@ fn decode_compress(r: &mut Reader) -> Result<CompressCfg, DecodeError> {
 }
 
 /// Encodes a block for its once-per-incarnation shipment: geometry header,
-/// feature storage (dense flat or CSR row-wise), labels.
+/// feature storage (dense: a counted slab of the stored `f32`s; CSR: one
+/// `SparseVec` wire shape per row, values widened to `f64`), labels.
 fn encode_block(b: &Block, buf: &mut BytesMut) {
     buf.put_u64_le(b.row_offset() as u64);
     buf.put_u64_le(b.total_rows() as u64);
@@ -254,17 +265,23 @@ fn encode_block(b: &Block, buf: &mut BytesMut) {
             buf.put_u8(0);
             buf.put_u64_le(d.nrows() as u64);
             buf.put_u64_le(d.ncols() as u64);
-            d.as_flat().encode(buf);
+            buf.put_u64_le(d.as_flat().len() as u64);
+            for &v in d.as_flat() {
+                buf.put_u32_le(v.to_bits());
+            }
         }
         Matrix::Sparse(csr) => {
             buf.put_u8(1);
             buf.put_u64_le(csr.nrows() as u64);
             buf.put_u64_le(csr.ncols() as u64);
+            let mut wide = Vec::new();
             for i in 0..csr.nrows() {
-                // The `SparseVec` wire shape, written straight from the
-                // CSR row without materializing a vector.
+                // The `SparseVec` wire shape, written from the CSR row
+                // without materializing a vector.
                 let (idx, val) = csr.row(i);
-                encode_sparse(buf, idx, val, csr.ncols());
+                wide.clear();
+                wide.extend(val.iter().map(|&v| f64::from(v)));
+                encode_sparse(buf, idx, &wide, csr.ncols());
             }
         }
     }
@@ -282,16 +299,16 @@ fn decode_block(r: &mut Reader) -> Result<Block, DecodeError> {
     let features = match kind {
         0 => {
             let at = r.at;
-            let flat: Vec<f64> = r.payload()?;
             let expect = (nrows64 as usize)
                 .checked_mul(ncols)
                 .ok_or(DecodeError::LengthOverflow { at, len: nrows64 })?;
-            if flat.len() != expect {
+            if r.u64()? != expect as u64 {
                 return Err(DecodeError::Invalid {
                     at,
                     what: "dense block storage does not match its shape",
                 });
             }
+            let flat = r.f32s(expect)?;
             let d = DenseMatrix::from_flat(flat, nrows64 as usize, ncols).map_err(|_| {
                 DecodeError::Invalid {
                     at,
@@ -307,6 +324,8 @@ fn decode_block(r: &mut Reader) -> Result<Block, DecodeError> {
             // Rows go into the three CSR buffers as they are read: the only
             // transient is the row in hand. An entry takes at least 9 bytes
             // (index varint + value), so the input bounds the long buffers.
+            // A value must narrow to the stored `f32` exactly: the encoder
+            // widened it from one.
             let mut indptr = Vec::with_capacity(nrows + 1);
             let mut indices = Vec::with_capacity((r.rest().len() - 16 * nrows) / 9);
             let mut data = Vec::with_capacity(indices.capacity());
@@ -320,8 +339,17 @@ fn decode_block(r: &mut Reader) -> Result<Block, DecodeError> {
                         what: "sparse block row of another dimension",
                     });
                 }
+                for &v in row.values() {
+                    let x = v as f32;
+                    if f64::from(x).to_bits() != v.to_bits() {
+                        return Err(DecodeError::Invalid {
+                            at: at_row,
+                            what: "sparse block value that is not an f32",
+                        });
+                    }
+                    data.push(x);
+                }
                 indices.extend_from_slice(row.indices());
-                data.extend_from_slice(row.values());
                 indptr.push(indices.len());
             }
             let csr = CsrMatrix::new(indptr, indices, data, nrows, ncols).map_err(|_| {
@@ -835,7 +863,9 @@ mod tests {
         // `blocks` are row windows over one dataset's storage. A window
         // ships its own rows and none of its neighbours': each encoded
         // length is what the copied block of the same rows used to take.
-        for (dense, lens) in [(true, [505, 505, 505]), (false, [493, 484, 538])] {
+        // A dense block's 8×6 values ship as 4-byte `f32`s (505 bytes as
+        // `f64`, less 4·48); a CSR row keeps the `SparseVec` wire shape.
+        for (dense, lens) in [(true, [313, 313, 313]), (false, [493, 484, 538])] {
             for (b, len) in blocks(dense).into_iter().zip(lens) {
                 let mut buf = BytesMut::new();
                 encode_block(&b, &mut buf);
@@ -863,16 +893,18 @@ mod tests {
 
     #[test]
     fn truncated_blocks_report_positions() {
-        let b = &blocks(false)[0];
-        let mut buf = BytesMut::new();
-        encode_block(b, &mut buf);
-        let bytes = buf.into_vec();
-        // Every prefix: inside the header, a row's index block, its value
-        // slab, the labels.
-        for cut in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..cut]);
-            let err = decode_block(&mut r).expect_err("truncation must fail");
-            assert!(err.at() <= cut, "error at {} past cut {cut}", err.at());
+        for dense in [false, true] {
+            let b = &blocks(dense)[0];
+            let mut buf = BytesMut::new();
+            encode_block(b, &mut buf);
+            let bytes = buf.into_vec();
+            // Every prefix: inside the header, a row's index block, a value
+            // slab, the labels.
+            for cut in 0..bytes.len() {
+                let mut r = Reader::new(&bytes[..cut]);
+                let err = decode_block(&mut r).expect_err("truncation must fail");
+                assert!(err.at() <= cut, "error at {} past cut {cut}", err.at());
+            }
         }
     }
 
@@ -1288,6 +1320,50 @@ mod tests {
             decode(sparse_block(8, 24 + 8)),
             Err(DecodeError::Truncated { .. })
         ));
+        // A value no stored `f32` widens to: refused
+        // at its row (the header is 41 bytes, the first row 16 + 2 + 16).
+        let mut bytes = sparse_block(8, 0);
+        let second_row = 41 + 34;
+        let value_at = second_row + 16 + 2 + 8;
+        bytes[value_at..value_at + 8].copy_from_slice(&0.1f64.to_le_bytes());
+        assert!(matches!(
+            decode(bytes),
+            Err(DecodeError::Invalid {
+                at,
+                what: "sparse block value that is not an f32",
+            }) if at == second_row
+        ));
+
+        // A dense block: `nrows | ncols | count`, then 4 bytes per value.
+        let dense_block = |nrows: u64, ncols: u64, values: u64| {
+            let mut buf = BytesMut::new();
+            for geometry in [0, 2, 0] {
+                buf.put_u64_le(geometry);
+            }
+            buf.put_u8(0);
+            buf.put_u64_le(nrows);
+            buf.put_u64_le(ncols);
+            buf.put_u64_le(values);
+            for v in 0..values {
+                buf.put_u32_le((v as f32).to_bits());
+            }
+            [0.0, 1.0][..].encode(&mut buf);
+            buf.into_vec()
+        };
+        assert_eq!(decode(dense_block(2, 3, 6)).expect("honest").rows(), 2);
+        // A slab one value short of `nrows × ncols`.
+        assert!(matches!(
+            decode(dense_block(2, 3, 5)),
+            Err(DecodeError::Invalid {
+                at: 41,
+                what: "dense block storage does not match its shape",
+            })
+        ));
+        // A shape whose product overflows; nothing is sized from it.
+        assert!(matches!(
+            decode(dense_block(u64::MAX / 2, 3, 0)),
+            Err(DecodeError::LengthOverflow { at: 41, .. })
+        ));
     }
 
     /// The routine of an ASAGA submission at version 3 over a dense 40×6
@@ -1346,7 +1422,9 @@ mod tests {
         let first = (routine.build)(&mut mirror, 1);
         let second = (routine.build)(&mut mirror, 1);
         let charged = mirror.take_charges().0;
-        assert_eq!((first.len(), second.len(), charged), (1627, 226, 224));
+        // The first request ships partition 1's 20×6 dense block: 1627
+        // bytes when its values went as `f64`, 4·120 fewer as `f32`.
+        assert_eq!((first.len(), second.len(), charged), (1627 - 480, 226, 224));
         let response = asaga_handler(&pool, &mut WorkerCtx::new(0), &first);
         let ids = decoded_ids(&routine, &response.expect("an honest request"));
         assert_eq!(

@@ -232,7 +232,7 @@ fn served_queries_feed_back_into_a_retraining_run() {
             .row(i)
             .iter()
             .enumerate()
-            .map(|(j, &v)| (j as u32, v))
+            .map(|(j, &v)| (j as u32, f64::from(v)))
             .collect();
         let _ = p.predict_query(&features);
         p.observe(features, d.labels()[i]);
