@@ -1,4 +1,4 @@
-//! Level-1 dense kernels over `&[f64]` slices.
+//! Level-1 dense kernels: `f64` arithmetic over `f32` or `f64` slices.
 //!
 //! These are the hot inner loops of every optimization step. They iterate
 //! equal-length slices in `chunks_exact` blocks or zipped, after an explicit
@@ -10,6 +10,17 @@
 //! kernel performs the `f64` operations, in the order, of its `f64`
 //! instantiation on the widened copy — bit for bit, the contract
 //! `f32_storage_is_the_f64_kernel_on_widened_values` proptests.
+//!
+//! **Vector width.** On x86-64 each row kernel's body is compiled twice —
+//! for the baseline (SSE2, two `f64` lanes) and as `dot_avx2`, `dot2_avx2`
+//! and `axpy_avx2` with AVX2 (four lanes) — and the public kernel runs the
+//! wide one when `is_x86_feature_detected!("avx2")`; other targets compile
+//! the body only. The lane contract makes the two bit-identical
+//! (`avx2_instantiation_is_the_baseline_bit_for_bit`): the four
+//! accumulators of [`dot`] and [`dot2`] are the four lanes, [`axpy`] is
+//! elementwise, and Rust neither contracts `a * b + c` nor reassociates.
+//! Hence `avx2` only: FMA rounds once where the body rounds twice, and
+//! AVX-512's eight lanes would be eight accumulators — a different sum.
 
 mod sealed {
     pub trait Sealed {}
@@ -46,7 +57,10 @@ impl Element for f64 {
 /// the contiguous loads, so a block is two widening loads, two multiplies
 /// and two adds. Inlined, the reduction tree seeds pairs (0, 2) and (1, 3)
 /// instead and every load is shuffled into place, which on `f32` rows cost
-/// more than the halved row bytes saved. The sum itself is unchanged.
+/// more than the halved row bytes saved. In the AVX2 instantiations the
+/// group is one four-lane register — a block is one load (widening on
+/// `f32` rows), one multiply and one add per accumulator set — and this
+/// baseline function reduces it after the call. The sum itself is unchanged.
 #[inline(never)]
 fn sum4(acc: &[f64; 4]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
@@ -59,6 +73,23 @@ fn sum4(acc: &[f64; 4]) -> f64 {
 #[inline]
 pub fn dot<X: Element, Y: Element>(x: &[X], y: &[Y]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `dot_avx2` needs AVX2, which the line above detected.
+        return unsafe { dot_avx2(x, y) };
+    }
+    dot_body(x, y)
+}
+
+/// [`dot`]'s body compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot_avx2<X: Element, Y: Element>(x: &[X], y: &[Y]) -> f64 {
+    dot_body(x, y)
+}
+
+#[inline(always)]
+fn dot_body<X: Element, Y: Element>(x: &[X], y: &[Y]) -> f64 {
     // Four-way unrolled accumulation: breaks the sequential FP dependency
     // chain, which matters for long vectors (d up to ~47k in rcv1-like data).
     let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0, 0.0, 0.0, 0.0);
@@ -87,6 +118,23 @@ pub fn dot<X: Element, Y: Element>(x: &[X], y: &[Y]) -> f64 {
 pub fn dot2<T: Element>(x: &[T], a: &[f64], b: &[f64]) -> (f64, f64) {
     assert_eq!(x.len(), a.len(), "dot2: length mismatch");
     assert_eq!(x.len(), b.len(), "dot2: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `dot2_avx2` needs AVX2, which the line above detected.
+        return unsafe { dot2_avx2(x, a, b) };
+    }
+    dot2_body(x, a, b)
+}
+
+/// [`dot2`]'s body compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot2_avx2<T: Element>(x: &[T], a: &[f64], b: &[f64]) -> (f64, f64) {
+    dot2_body(x, a, b)
+}
+
+#[inline(always)]
+fn dot2_body<T: Element>(x: &[T], a: &[f64], b: &[f64]) -> (f64, f64) {
     let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
     let (mut b0, mut b1, mut b2, mut b3) = (0.0, 0.0, 0.0, 0.0);
     let (xc, ac, bc) = (x.chunks_exact(4), a.chunks_exact(4), b.chunks_exact(4));
@@ -123,6 +171,23 @@ pub fn dot2<T: Element>(x: &[T], a: &[f64], b: &[f64]) -> (f64, f64) {
 #[inline]
 pub fn axpy<T: Element>(a: f64, x: &[T], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `axpy_avx2` needs AVX2, which the line above detected.
+        return unsafe { axpy_avx2(a, x, y) };
+    }
+    axpy_body(a, x, y)
+}
+
+/// [`axpy`]'s body compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn axpy_avx2<T: Element>(a: f64, x: &[T], y: &mut [f64]) {
+    axpy_body(a, x, y)
+}
+
+#[inline(always)]
+fn axpy_body<T: Element>(a: f64, x: &[T], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += a * xi.widen();
     }
@@ -373,6 +438,71 @@ mod tests {
                 .map(|(xi, yi)| a * xi + 0.5 * yi)
                 .collect();
             assert_eq!(got, want, "lincomb n={n}");
+        }
+    }
+
+    /// The row kernels on row `x` through each instantiation, as bits —
+    /// `[AVX2, baseline]`: `dot` against `a`, `dot2` against `a` and `b`,
+    /// `norm2_sq`, and `a + c·x`.
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_and_baseline<T: Element>(x: &[T], a: &[f64], b: &[f64], c: f64) -> [Vec<u64>; 2] {
+        let (mut y_wide, mut y_base) = (a.to_vec(), a.to_vec());
+        assert!(is_x86_feature_detected!("avx2"));
+        // SAFETY: the line above asserted AVX2, which all three need.
+        let wide = unsafe {
+            axpy_avx2(c, x, &mut y_wide);
+            (dot_avx2(x, a), dot2_avx2(x, a, b), dot_avx2(x, x))
+        };
+        axpy_body(c, x, &mut y_base);
+        let base = (dot_body(x, a), dot2_body(x, a, b), dot_body(x, x));
+        let bits = |(d, (m, n), sq): (f64, (f64, f64), f64), y: &[f64]| -> Vec<u64> {
+            [d, m, n, sq].iter().chain(y).map(|v| v.to_bits()).collect()
+        };
+        [bits(wide, &y_wide), bits(base, &y_base)]
+    }
+
+    /// The lane contract (module docs): each row kernel's AVX2 instantiation
+    /// returns its baseline's bits. `f64` rows and their `f32` narrowing,
+    /// lengths 0..=67 (the four-wide blocks and every tail), with signed
+    /// zeros, both types' subnormals, `±f32::MAX` and mixed magnitudes. On a
+    /// CPU without AVX2 there is nothing to compare, and the test says so.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_instantiation_is_the_baseline_bit_for_bit() {
+        use proptest::prelude::*;
+        if !is_x86_feature_detected!("avx2") {
+            eprintln!(
+                "avx2_instantiation_is_the_baseline_bit_for_bit: SKIPPED, no AVX2 on this CPU"
+            );
+            return;
+        }
+        let value = || {
+            prop_oneof![
+                4 => -100.0..100.0f64,
+                1 => Just(-0.0),
+                1 => Just(0.0),
+                1 => -1.2e-38..1.2e-38f64,
+                1 => -1e-310..1e-310f64,
+                1 => Just(f64::from(f32::MAX)),
+                1 => Just(f64::from(-f32::MAX)),
+                1 => 1e290..1e300f64,
+                1 => -1e6..1e6f64,
+            ]
+        };
+        for n in 0..=67usize {
+            let strat = (
+                proptest::collection::vec(value(), n),
+                proptest::collection::vec(value(), n),
+                proptest::collection::vec(value(), n),
+                -5.0..5.0f64,
+            );
+            proptest!(|((x, a, b, c) in strat)| {
+                let narrow: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+                let [wide, base] = avx2_and_baseline(&x, &a, &b, c);
+                prop_assert!(wide == base, "f64 row, n={}: {:?} != {:?}", n, wide, base);
+                let [wide, base] = avx2_and_baseline(&narrow, &a, &b, c);
+                prop_assert!(wide == base, "f32 row, n={}: {:?} != {:?}", n, wide, base);
+            });
         }
     }
 

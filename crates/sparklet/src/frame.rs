@@ -9,9 +9,10 @@
 //! ```
 //!
 //! The length covers the tag byte plus the payload, so a reader needs
-//! exactly two reads per frame: 4 bytes of length, then `len` bytes of
-//! body. Payload fields are little-endian, matching [`crate::payload`] —
-//! a `GradDelta` or model patch encoded by the [`Payload`] trait travels
+//! two reads per frame: 4 bytes of length, then `len` bytes of body (past
+//! 64 KiB, in chunks that grow with what arrived — [`read_frame`]).
+//! Payload fields are little-endian, matching [`crate::payload`] — a
+//! `GradDelta` or model patch encoded by the [`Payload`] trait travels
 //! inside a frame byte-for-byte as the in-process engines account it.
 //!
 //! Decoding is fully fallible: torn frames report *where* they tore
@@ -228,8 +229,8 @@ fn decode_body(body: &[u8]) -> Result<Msg, DecodeError> {
     }
 }
 
-/// Writes one frame to `w` (two syscall-level writes at most; the frame is
-/// assembled in one buffer first).
+/// Writes one frame to `w` with one `write_all`: the frame is assembled in
+/// one buffer first.
 pub fn write_frame(w: &mut impl Write, msg: &Msg) -> std::io::Result<()> {
     let mut buf = BytesMut::new();
     encode_frame(msg, &mut buf);
@@ -237,9 +238,15 @@ pub fn write_frame(w: &mut impl Write, msg: &Msg) -> std::io::Result<()> {
     w.flush()
 }
 
+/// The most [`read_frame`] allocates on a length prefix's word alone; past
+/// it, a body grows to at most eight times the bytes already received.
+const FIRST_READ_MAX: usize = 64 * 1024;
+
 /// Reads one complete frame from `r`. A malformed frame surfaces as
 /// [`std::io::ErrorKind::InvalidData`] wrapping the positioned
-/// [`DecodeError`]; a cleanly closed connection as `UnexpectedEof`.
+/// [`DecodeError`]; a cleanly closed connection, or a body shorter than its
+/// prefix claims, as `UnexpectedEof`. A body up to 64 KiB is one
+/// `read_exact`; a longer one takes one more per eightfold growth.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Msg> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
@@ -253,8 +260,14 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Msg> {
             },
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
+    let len = len as usize;
+    let mut body = Vec::new();
+    while body.len() < len {
+        let have = body.len();
+        // Eightfold: a growth may copy, briefly holding the bytes so far twice.
+        body.resize(len.min((have * 8).max(FIRST_READ_MAX)), 0);
+        r.read_exact(&mut body[have..])?;
+    }
     decode_body(&body)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.shifted(4)))
 }

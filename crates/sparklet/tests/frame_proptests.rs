@@ -183,3 +183,61 @@ proptest! {
         ));
     }
 }
+
+/// A `Read` over fixed bytes that records the largest buffer it is asked
+/// to fill.
+struct Recording<'a> {
+    bytes: &'a [u8],
+    largest: usize,
+}
+
+impl std::io::Read for Recording<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.largest = self.largest.max(buf.len());
+        self.bytes.read(buf)
+    }
+}
+
+/// A peer that claims a `MAX_FRAME_LEN` body and then sends 10 bytes costs
+/// the reader what it sent, not what it claimed: the read fails with
+/// `UnexpectedEof`, and no buffer handed to the source is over 64 KiB.
+#[test]
+fn a_claimed_length_costs_what_arrived_not_what_was_claimed() {
+    let mut wire = MAX_FRAME_LEN.to_le_bytes().to_vec();
+    wire.extend_from_slice(&[2; 10]);
+    let mut peer = Recording {
+        bytes: &wire,
+        largest: 0,
+    };
+    let err = read_frame(&mut peer).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert!(
+        peer.largest <= 64 * 1024,
+        "asked to fill {} bytes",
+        peer.largest
+    );
+}
+
+/// Bodies on both sides of the 64 KiB first read, and well past it, read
+/// back whole; one byte short, each is `UnexpectedEof`.
+#[test]
+fn bodies_past_the_first_read_roundtrip_and_tear_as_eof() {
+    // A Completion body is 17 bytes of header plus the response.
+    for response_len in [65_518, 65_519, 65_520, 200_000, 600_000] {
+        let msg = Msg::Completion {
+            tag: 7,
+            epoch: 1,
+            response: (0..response_len).map(|i| i as u8).collect(),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &msg).expect("in-memory write");
+        assert_eq!(read_frame(&mut wire.as_slice()).expect("whole frame"), msg);
+        let torn = &wire[..wire.len() - 1];
+        let err = read_frame(&mut &torn[..]).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::UnexpectedEof,
+            "{response_len}"
+        );
+    }
+}
