@@ -669,7 +669,7 @@ impl AsyncBcast<Vec<f64>> {
     /// version/pruning semantics (and identical values) to
     /// `push(w.to_vec())`.
     pub fn push_snapshot(&self, w: &[f64]) -> u64 {
-        self.push_snapshot_inner(w, None, None)
+        self.push_snapshot_inner(w, None)
     }
 
     /// Like [`AsyncBcast::push_snapshot`], additionally declaring which
@@ -686,51 +686,36 @@ impl AsyncBcast<Vec<f64>> {
             GradDelta::Sparse(s) => Some(s.indices()),
             GradDelta::Dense(_) => None,
         };
-        self.push_snapshot_inner(w, sparse_support, None)
+        self.push_snapshot_inner(w, sparse_support)
     }
 
     /// Like [`AsyncBcast::push_snapshot_diff`], but the change support
-    /// arrives as a bare sorted index slice — the shape the sharded
-    /// server's batched absorption produces (the concatenation of its
-    /// per-shard fold supports); `None` declares a dense (unknown) change.
-    /// The snapshot memcpy is spread over `pool`'s persistent threads in
-    /// contiguous chunks (a one-thread pool copies on the caller). Byte
-    /// accounting, recycling, ring bookkeeping and the stored values do not
-    /// depend on the pool — a copy is a copy — so any two pools are
-    /// interchangeable bit for bit.
+    /// arrives as a bare sorted index slice — the shape the server's
+    /// batched absorption produces (its fold support); `None` declares a
+    /// dense (unknown) change. `pool` is ignored: the copy runs on the
+    /// caller. The parameter is kept for the frozen `benchmark/` harness
+    /// and goes with ROADMAP item 9(b).
     pub fn push_snapshot_sharded(
         &self,
         w: &[f64],
         support: Option<&[u32]>,
-        pool: &async_linalg::ShardPool,
+        _pool: &async_linalg::ShardPool,
     ) -> u64 {
-        if pool.threads() <= 1 {
-            return self.push_snapshot_inner(w, support, None);
-        }
-        self.push_snapshot_inner(w, support, Some(pool))
+        self.push_snapshot_inner(w, support)
     }
 
-    fn push_snapshot_inner(
-        &self,
-        w: &[f64],
-        sparse_support: Option<&[u32]>,
-        pool: Option<&async_linalg::ShardPool>,
-    ) -> u64 {
+    fn push_snapshot_inner(&self, w: &[f64], sparse_support: Option<&[u32]>) -> u64 {
         let bytes = w.encoded_len();
         let mut t = self.table.write();
         let prev_latest = t.latest();
         let value = match t.free_snapshots.pop() {
             Some(mut buf) => {
                 buf.clear();
-                copy_into(w, &mut buf, pool);
+                buf.extend_from_slice(w);
                 t.recycled += 1;
                 buf
             }
-            None => {
-                let mut buf = Vec::new();
-                copy_into(w, &mut buf, pool);
-                buf
-            }
+            None => w.to_vec(),
         };
         t.versions.push(Some(Entry {
             value: Arc::new(value),
@@ -760,48 +745,6 @@ impl AsyncBcast<Vec<f64>> {
         self.counters.pushed.fetch_add(1, Ordering::Relaxed);
         v
     }
-}
-
-/// Fills the cleared `buf` with a copy of `w` — serially, or chunked over
-/// a shard pool's threads when one is supplied (the uninitialized spare
-/// capacity is written through `MaybeUninit`, so the parallel arm performs
-/// one pass, not a zero-fill plus a copy).
-fn copy_into(w: &[f64], buf: &mut Vec<f64>, pool: Option<&async_linalg::ShardPool>) {
-    debug_assert!(buf.is_empty(), "copy_into expects a cleared buffer");
-    let Some(pool) = pool else {
-        buf.extend_from_slice(w);
-        return;
-    };
-    buf.reserve(w.len());
-    let spare = &mut buf.spare_capacity_mut()[..w.len()];
-    // Carve (destination, source) chunk pairs, one per pool thread. One
-    // small O(threads) chunk-descriptor Vec is allocated per sharded
-    // push (the descriptors borrow `buf`, so they cannot persist across
-    // pushes); the split_ranges arithmetic is inlined only to avoid
-    // allocating a second range Vec on top of it.
-    let parts = pool.threads();
-    let (base, extra) = (w.len() / parts, w.len() % parts);
-    let mut chunks: Vec<(&mut [std::mem::MaybeUninit<f64>], &[f64])> = Vec::with_capacity(parts);
-    let (mut rest_dst, mut rest_src) = (spare, w);
-    for i in 0..parts {
-        let sz = base + usize::from(i < extra);
-        if sz == 0 {
-            continue;
-        }
-        let (dst, dtail) = rest_dst.split_at_mut(sz);
-        let (src, stail) = rest_src.split_at(sz);
-        rest_dst = dtail;
-        rest_src = stail;
-        chunks.push((dst, src));
-    }
-    pool.for_each(&mut chunks, |_, (dst, src)| {
-        for (d, s) in dst.iter_mut().zip(*src) {
-            d.write(*s);
-        }
-    });
-    // SAFETY: every element of the first `w.len()` spare slots was just
-    // initialized by exactly one chunk job.
-    unsafe { buf.set_len(w.len()) };
 }
 
 /// A worker-side view of an [`AsyncBcast`] at a fixed version, captured in
@@ -1726,34 +1669,6 @@ mod tests {
         let got = b.handle().value_incremental(&mut ctx);
         assert_eq!(got.as_slice(), w.as_slice());
         assert_eq!(b.stats().incremental_fetches, 0);
-    }
-
-    #[test]
-    fn sharded_push_matches_serial_push_exactly() {
-        let dim = 1000;
-        let pool = async_linalg::ShardPool::new(4);
-        let one = async_linalg::ShardPool::new(1);
-        let serial: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; dim], 0);
-        let sharded: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; dim], 0);
-        serial.enable_incremental(4);
-        sharded.enable_incremental(4);
-        let mut ctx_a = WorkerCtx::new(0);
-        let mut ctx_b = WorkerCtx::new(0);
-        let mut w: Vec<f64> = vec![0.0; dim];
-        for k in 0..6u32 {
-            w[(k * 31) as usize % dim] += 1.5 * k as f64;
-            let support = [(k * 31) % dim as u32];
-            let va = serial.push_snapshot_sharded(&w, Some(&support), &one);
-            let vb = sharded.push_snapshot_sharded(&w, Some(&support), &pool);
-            assert_eq!(va, vb);
-            let a = serial.handle().value_incremental(&mut ctx_a);
-            let b = sharded.handle().value_incremental(&mut ctx_b);
-            assert_eq!(a.as_slice(), b.as_slice(), "push {k}");
-        }
-        let (sa, sb) = (serial.stats(), sharded.stats());
-        assert_eq!(sa.fetched_bytes, sb.fetched_bytes);
-        assert_eq!(sa.incremental_fetches, sb.incremental_fetches);
-        assert_eq!(sa.live_bytes, sb.live_bytes);
     }
 
     #[test]

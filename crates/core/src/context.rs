@@ -781,7 +781,7 @@ impl AsyncContext {
         self.ready.drain(..).map(downcast_tagged).collect()
     }
 
-    /// Batched collection for the sharded server's absorption waves:
+    /// Batched collection for the server's absorption waves:
     /// blocks for the first result exactly like [`AsyncContext::collect`],
     /// then drains — **without blocking or advancing time further** —
     /// whatever additional results have already arrived, up to `max`

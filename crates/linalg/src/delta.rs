@@ -63,33 +63,6 @@ impl GradDelta {
         }
     }
 
-    /// Range-restricted [`GradDelta::axpy_into`]: `out` is the shard slice
-    /// covering coordinates `start .. start + out.len()` of the embedding,
-    /// and only the delta's entries inside that window are applied. The
-    /// per-coordinate operations (and their order) are exactly those of
-    /// the full-width apply, so sharding a delta across disjoint windows
-    /// is bit-identical to applying it whole.
-    ///
-    /// # Panics
-    /// Panics if the window extends past `self.dim()`.
-    pub fn axpy_into_range(&self, a: f64, out: &mut [f64], start: usize) {
-        assert!(
-            start + out.len() <= self.dim(),
-            "axpy_into_range: window out of bounds"
-        );
-        match self {
-            GradDelta::Dense(v) => crate::dense::axpy(a, &v[start..start + out.len()], out),
-            GradDelta::Sparse(s) => {
-                let (idx, val) = (s.indices(), s.values());
-                let lo = idx.partition_point(|&i| (i as usize) < start);
-                let hi = idx.partition_point(|&i| (i as usize) < start + out.len());
-                for (i, v) in idx[lo..hi].iter().zip(&val[lo..hi]) {
-                    out[*i as usize - start] += a * *v;
-                }
-            }
-        }
-    }
-
     /// Scales the delta in place.
     pub fn scale(&mut self, a: f64) {
         match self {
@@ -104,18 +77,6 @@ impl GradDelta {
             GradDelta::Dense(v) => v.clone(),
             GradDelta::Sparse(s) => s.to_dense(),
         }
-    }
-
-    /// Folds `a * self` into a reusable accumulator: the allocation-free
-    /// way to sum a stream of deltas (e.g. aggregating several collected
-    /// gradients before one model application). Sparse deltas merge
-    /// supports in-place inside the accumulator's ping-pong buffers; a
-    /// dense delta (or an accumulator that already went dense) takes the
-    /// dense path. Checked out of `async-optim`'s `ScratchPool` via
-    /// `checkout_fold`; the broadcast ring unions bare index supports with
-    /// [`crate::sparse::BitmapUnion`] instead.
-    pub fn fold_into(&self, a: f64, acc: &mut DeltaFold) {
-        acc.fold_scaled(a, self);
     }
 }
 
@@ -162,8 +123,8 @@ impl DeltaFold {
     }
 
     /// Resets to the empty sum, keeping every buffer's capacity. Also
-    /// re-dimensions the accumulator (a pool can serve models of different
-    /// sizes across runs).
+    /// re-dimensions the accumulator (one accumulator can serve models of
+    /// different sizes across runs).
     pub fn clear(&mut self, dim: usize) {
         self.dim = dim;
         self.idx.clear();
@@ -214,46 +175,11 @@ impl DeltaFold {
         assert_eq!(d.dim(), self.dim, "DeltaFold: dim mismatch");
         match d {
             GradDelta::Sparse(s) if !self.is_dense => {
-                self.merge_entries(a, s.indices(), s.values(), 0)
+                self.merge_entries(a, s.indices(), s.values())
             }
             _ => {
                 self.ensure_dense();
                 d.axpy_into(a, &mut self.dense);
-            }
-        }
-    }
-
-    /// Shard-local fold: `self += a * d[range]`, with the accumulator
-    /// living in the shard's **local** coordinates (`self.dim()` must be
-    /// `range.len()`; folded index `i` is stored as `i − range.start`).
-    /// This is how the sharded server folds one wave of deltas into
-    /// per-shard accumulators: each shard folds only its window, and the
-    /// concatenation of the shards' supports (offset back by their range
-    /// starts) is the wave's global change support.
-    ///
-    /// # Panics
-    /// Panics if `self.dim() != range.len()` or the range extends past
-    /// `d.dim()`.
-    pub fn fold_scaled_range(&mut self, a: f64, d: &GradDelta, range: std::ops::Range<usize>) {
-        assert_eq!(
-            self.dim,
-            range.len(),
-            "fold_scaled_range: accumulator must have the shard's dimension"
-        );
-        assert!(
-            range.end <= d.dim(),
-            "fold_scaled_range: window out of bounds"
-        );
-        match d {
-            GradDelta::Sparse(s) if !self.is_dense => {
-                let (idx, val) = (s.indices(), s.values());
-                let lo = idx.partition_point(|&i| (i as usize) < range.start);
-                let hi = idx.partition_point(|&i| (i as usize) < range.end);
-                self.merge_entries(a, &idx[lo..hi], &val[lo..hi], range.start as u32);
-            }
-            _ => {
-                self.ensure_dense();
-                d.axpy_into_range(a, &mut self.dense, range.start);
             }
         }
     }
@@ -302,16 +228,14 @@ impl DeltaFold {
 
     /// Union-merge of the sorted accumulation with sorted incoming entries
     /// into the ping-pong scratch, then swap — no allocation once the
-    /// scratch capacities cover the union. Incoming index `oi[j]` is
-    /// stored as `oi[j] − offset` (0 for whole-vector folds, the shard's
-    /// range start for [`DeltaFold::fold_scaled_range`]).
-    fn merge_entries(&mut self, a: f64, oi: &[u32], ov: &[f64], offset: u32) {
+    /// scratch capacities cover the union.
+    fn merge_entries(&mut self, a: f64, oi: &[u32], ov: &[f64]) {
         if oi.is_empty() {
             return;
         }
         if self.idx.is_empty() {
             self.idx.clear();
-            self.idx.extend(oi.iter().map(|i| i - offset));
+            self.idx.extend_from_slice(oi);
             self.val.clear();
             self.val.extend(ov.iter().map(|v| a * v));
             return;
@@ -320,7 +244,7 @@ impl DeltaFold {
         self.merge_val.clear();
         let (mut i, mut j) = (0usize, 0usize);
         while i < self.idx.len() && j < oi.len() {
-            let (si, sj) = (self.idx[i], oi[j] - offset);
+            let (si, sj) = (self.idx[i], oi[j]);
             if si == sj {
                 self.merge_idx.push(si);
                 self.merge_val.push(self.val[i] + a * ov[j]);
@@ -338,7 +262,7 @@ impl DeltaFold {
         }
         self.merge_idx.extend_from_slice(&self.idx[i..]);
         self.merge_val.extend_from_slice(&self.val[i..]);
-        self.merge_idx.extend(oi[j..].iter().map(|i| i - offset));
+        self.merge_idx.extend_from_slice(&oi[j..]);
         self.merge_val.extend(ov[j..].iter().map(|v| a * v));
         std::mem::swap(&mut self.idx, &mut self.merge_idx);
         std::mem::swap(&mut self.val, &mut self.merge_val);
@@ -389,7 +313,7 @@ mod tests {
         let mut reference = vec![0.0; 6];
         for (k, d) in deltas.iter().enumerate() {
             let a = 1.0 + k as f64;
-            d.fold_into(a, &mut acc);
+            acc.fold_scaled(a, d);
             d.axpy_into(a, &mut reference);
         }
         assert!(!acc.is_dense());
@@ -404,23 +328,23 @@ mod tests {
     #[test]
     fn fold_into_goes_dense_on_dense_delta_and_stays() {
         let mut acc = DeltaFold::new(4);
-        GradDelta::Sparse(sv(&[(1, 1.0)], 4)).fold_into(1.0, &mut acc);
-        GradDelta::Dense(vec![1.0, 0.0, 2.0, 0.0]).fold_into(0.5, &mut acc);
+        acc.fold_scaled(1.0, &GradDelta::Sparse(sv(&[(1, 1.0)], 4)));
+        acc.fold_scaled(0.5, &GradDelta::Dense(vec![1.0, 0.0, 2.0, 0.0]));
         assert!(acc.is_dense());
         assert_eq!(acc.nnz(), 4);
-        GradDelta::Sparse(sv(&[(3, 2.0)], 4)).fold_into(1.0, &mut acc);
+        acc.fold_scaled(1.0, &GradDelta::Sparse(sv(&[(3, 2.0)], 4)));
         assert_eq!(acc.to_delta().to_dense(), vec![0.5, 1.0, 1.0, 2.0]);
     }
 
     #[test]
     fn fold_clear_resets_and_redimensions() {
         let mut acc = DeltaFold::new(3);
-        GradDelta::Dense(vec![1.0; 3]).fold_into(1.0, &mut acc);
+        acc.fold_scaled(1.0, &GradDelta::Dense(vec![1.0; 3]));
         acc.clear(5);
         assert_eq!(acc.dim(), 5);
         assert!(!acc.is_dense());
         assert_eq!(acc.nnz(), 0);
-        GradDelta::Sparse(sv(&[(4, 7.0)], 5)).fold_into(1.0, &mut acc);
+        acc.fold_scaled(1.0, &GradDelta::Sparse(sv(&[(4, 7.0)], 5)));
         assert_eq!(acc.indices(), &[4]);
         assert_eq!(acc.values(), &[7.0]);
     }
@@ -432,73 +356,15 @@ mod tests {
         let mut acc = DeltaFold::new(100);
         let a = GradDelta::Sparse(sv(&[(1, 1.0), (50, 2.0)], 100));
         let b = GradDelta::Sparse(sv(&[(2, 1.0), (50, -1.0), (99, 3.0)], 100));
-        a.fold_into(1.0, &mut acc);
-        b.fold_into(1.0, &mut acc);
+        acc.fold_scaled(1.0, &a);
+        acc.fold_scaled(1.0, &b);
         let caps = (acc.idx.capacity(), acc.merge_idx.capacity());
         for _ in 0..10 {
             acc.clear(100);
-            a.fold_into(1.0, &mut acc);
-            b.fold_into(1.0, &mut acc);
+            acc.fold_scaled(1.0, &a);
+            acc.fold_scaled(1.0, &b);
         }
         assert_eq!(caps, (acc.idx.capacity(), acc.merge_idx.capacity()));
-    }
-
-    #[test]
-    fn range_apply_shards_bit_identically() {
-        let dim = 23;
-        let deltas = [
-            GradDelta::Sparse(sv(&[(0, 1.0), (7, -2.0), (11, 0.5), (22, 3.0)], dim)),
-            GradDelta::Dense((0..dim).map(|i| (i as f64).sin()).collect()),
-        ];
-        for d in &deltas {
-            let mut whole = vec![0.25; dim];
-            d.axpy_into(-1.5, &mut whole);
-            for parts in [1usize, 2, 3, 5] {
-                let mut sharded = vec![0.25; dim];
-                for r in crate::parallel::split_ranges(dim, parts) {
-                    d.axpy_into_range(-1.5, &mut sharded[r.clone()], r.start);
-                }
-                assert_eq!(sharded, whole, "parts={parts}");
-            }
-        }
-    }
-
-    #[test]
-    fn range_fold_concatenates_to_the_whole_fold() {
-        let dim = 17;
-        let deltas = [
-            GradDelta::Sparse(sv(&[(1, 2.0), (8, -1.0), (16, 4.0)], dim)),
-            GradDelta::Sparse(sv(&[(0, 0.5), (8, 1.0), (9, -3.0)], dim)),
-        ];
-        let mut whole = DeltaFold::new(dim);
-        for (k, d) in deltas.iter().enumerate() {
-            d.fold_into(1.0 + k as f64, &mut whole);
-        }
-        for parts in [2usize, 4] {
-            let mut out = vec![0.0; dim];
-            let mut support = Vec::new();
-            for r in crate::parallel::split_ranges(dim, parts) {
-                let mut f = DeltaFold::new(r.len());
-                for (k, d) in deltas.iter().enumerate() {
-                    f.fold_scaled_range(1.0 + k as f64, d, r.clone());
-                }
-                f.axpy_into(1.0, &mut out[r.clone()]);
-                support.extend(f.indices().iter().map(|i| i + r.start as u32));
-            }
-            assert_eq!(out, whole.to_delta().to_dense(), "parts={parts}");
-            assert_eq!(support, whole.indices(), "parts={parts}");
-        }
-    }
-
-    #[test]
-    fn range_fold_takes_the_dense_arm_for_dense_deltas() {
-        let d = GradDelta::Dense(vec![1.0, 2.0, 3.0, 4.0]);
-        let mut f = DeltaFold::new(2);
-        f.fold_scaled_range(0.5, &d, 2..4);
-        assert!(f.is_dense());
-        let mut out = vec![0.0; 2];
-        f.axpy_into(1.0, &mut out);
-        assert_eq!(out, vec![1.5, 2.0]);
     }
 
     #[test]

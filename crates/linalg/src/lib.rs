@@ -19,9 +19,9 @@
 //!   partitions never materialize a dense buffer;
 //! * the full-dataset evaluation kernels and the contiguous range
 //!   splitter ([`parallel`]);
-//! * a persistent shard-worker thread pool for the parameter-server apply
-//!   path ([`shard`]), with disjoint-range helpers and bit-identical
-//!   sharded kernels;
+//! * a persistent thread pool ([`shard`]), kept only for the frozen
+//!   `benchmark/` harness's dispatch microbenchmark — the server absorbs
+//!   on one thread;
 //! * a conjugate-gradient least-squares solver ([`solve`]) used to compute
 //!   high-precision baseline optima for the paper's error metric;
 //! * gradient compression kernels ([`compress`]): deterministic top-k
@@ -54,7 +54,7 @@ pub use delta::{DeltaFold, GradDelta};
 pub use dense_mat::DenseMatrix;
 pub use matrix::Matrix;
 pub use parallel::ParallelismCfg;
-pub use shard::{DisjointSlices, ShardPool};
+pub use shard::ShardPool;
 pub use sparse::SparseVec;
 pub use wire::{index_codec, sparse_wire_len, DecodeError};
 

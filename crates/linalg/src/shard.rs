@@ -1,33 +1,25 @@
 //! The [`ShardPool`]: a persistent thread pool for coordinate-sharded
-//! server work.
+//! work, kept only for the frozen `benchmark/` harness.
 //!
-//! The parameter-server side of the engine applies every model update as a
-//! handful of dense passes over the model vector (ridge shrink, gradient
-//! scatter, snapshot memcpy). Those passes are embarrassingly parallel
-//! over *contiguous coordinate shards* ([`crate::parallel::split_ranges`]),
-//! but spawning OS threads per pass costs far more than the pass itself
-//! at server-update granularity. The [`ShardPool`] instead keeps
-//! its threads alive for its whole life: dispatching a wave of shard jobs
-//! is a condvar wake plus an atomic claim loop, and performs **zero heap
-//! allocations** once constructed (the property the batched-wave arm of
-//! `async-optim`'s `alloc_zero` suite verifies).
+//! The server absorbs every update on one thread
+//! (`async_optim::ShardedAbsorber`): a pool wave dispatch costs several
+//! times the whole absorb it would split. Nothing in the engine runs on
+//! this pool. It stays because `benchmark/`'s microbenchmark
+//! `linalg.shard_pool_wave_us` times one wave at two threads, and goes
+//! when that harness is re-frozen (ROADMAP item 9(b)).
 //!
-//! Determinism contract: [`ShardPool::for_each`] runs `f(i, &mut items[i])`
-//! exactly once per item, and shard kernels over *disjoint* coordinate
-//! ranges perform the same per-coordinate f64 operations the serial loop
-//! would — so a sharded apply is **bit-identical** to the serial apply
-//! regardless of thread count or claim order.
+//! Dispatching a wave is a condvar wake plus an atomic claim loop over
+//! threads kept alive for the pool's whole life, and performs **zero heap
+//! allocations** once constructed. [`ShardPool::for_each`] runs
+//! `f(i, &mut items[i])` exactly once per item, whatever the thread count
+//! or claim order.
 //!
 //! Ownership rules:
 //!
 //! * the pool owns its threads; dropping it shuts them down (joining);
 //! * a wave borrows `items` and `f` only until `for_each` returns — the
-//!   completion wait is what makes the lifetime erasure inside sound;
-//! * disjoint mutable shard views of one vector are carved through
-//!   [`DisjointSlices`], whose safety contract is that concurrently used
-//!   ranges never overlap.
+//!   completion wait is what makes the lifetime erasure inside sound.
 
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -45,8 +37,9 @@ struct Cell {
     job: Option<*const (dyn Fn(usize) + Sync)>,
     /// Items in the current wave.
     len: usize,
-    /// Wave sequence number; workers run each wave at most... (they may
-    /// re-enter the claim loop, but every claim is unique).
+    /// Wave sequence number: a worker joins each wave at most once (it
+    /// records the last generation it saw), and within a wave every index
+    /// is claimed exactly once.
     generation: u64,
     /// Pool threads currently inside the claim loop. A new wave is only
     /// installed once this returns to zero, so a slow thread can never
@@ -291,62 +284,9 @@ impl Drop for ShardPool {
     }
 }
 
-/// A lifetime-carrying base pointer for handing *disjoint* ranges of one
-/// `&mut [f64]` to concurrent shard jobs.
-///
-/// The borrow checker cannot see that coordinate shards are disjoint when
-/// the shard index arrives through a shared closure; this wrapper moves
-/// that proof obligation into one documented `unsafe` method instead of
-/// scattering raw-pointer arithmetic through the solvers.
-pub struct DisjointSlices<'a> {
-    ptr: *mut f64,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [f64]>,
-}
-
-// SAFETY: the wrapper only hands out ranges under `range`'s disjointness
-// contract; the underlying buffer is plain `f64` data.
-unsafe impl Send for DisjointSlices<'_> {}
-unsafe impl Sync for DisjointSlices<'_> {}
-
-impl<'a> DisjointSlices<'a> {
-    /// Wraps `v` for disjoint shard access. The wrapper holds the unique
-    /// borrow for its lifetime.
-    pub fn new(v: &'a mut [f64]) -> Self {
-        Self {
-            ptr: v.as_mut_ptr(),
-            len: v.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Total length of the wrapped slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the wrapped slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The mutable sub-slice covering `range`.
-    ///
-    /// # Safety
-    /// Callers must guarantee that ranges used concurrently (or while any
-    /// earlier returned slice is still live) never overlap, and that
-    /// `range` is in bounds.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn range(&self, range: Range<usize>) -> &mut [f64] {
-        debug_assert!(range.end <= self.len, "DisjointSlices: range out of bounds");
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::split_ranges;
 
     #[test]
     fn for_each_visits_every_item_once() {
@@ -365,7 +305,7 @@ mod tests {
 
     #[test]
     fn sharded_axpy_is_bit_identical_to_serial() {
-        let n = 1003;
+        let n: usize = 1003;
         let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let mut serial: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let sharded = serial.clone();
@@ -373,15 +313,13 @@ mod tests {
         for threads in [2usize, 3, 8] {
             let pool = ShardPool::new(threads);
             let mut got = sharded.clone();
-            let mut ranges = split_ranges(n, threads);
-            {
-                let view = DisjointSlices::new(&mut got);
-                pool.for_each(&mut ranges, |_, r| {
-                    // SAFETY: split_ranges yields disjoint ranges.
-                    let chunk = unsafe { view.range(r.clone()) };
-                    crate::dense::axpy(0.37, &x[r.clone()], chunk);
-                });
-            }
+            // Disjoint (destination, source) chunk pairs, one per thread.
+            let chunk = n.div_ceil(threads);
+            let mut parts: Vec<(&mut [f64], &[f64])> =
+                got.chunks_mut(chunk).zip(x.chunks(chunk)).collect();
+            pool.for_each(&mut parts, |_, (dst, src)| {
+                crate::dense::axpy(0.37, &src[..], &mut dst[..])
+            });
             assert_eq!(got, serial, "threads={threads}");
         }
     }

@@ -1,152 +1,112 @@
-//! The [`ShardedAbsorber`]: shard-parallel, optionally batched server-side
-//! absorption of gradient deltas.
+//! The [`ShardedAbsorber`]: server-side absorption of gradient deltas on
+//! the calling thread, optionally batched.
 //!
 //! The coordinator is the engine's serialization point: every collected
-//! delta is folded into the model by the driver thread, one dense pass at
-//! a time, so once the workers are fast the *server* becomes the
-//! throughput wall. The absorber cures that along two independent axes:
+//! delta is folded into the model by the coordinator's thread, as the
+//! paper's server is Spark's single driver thread. There is one code
+//! path, the whole-vector loop, and one optional axis:
 //!
-//! * **Sharding** (`server_threads`): the model is partitioned into
-//!   contiguous coordinate shards ([`async_linalg::parallel::split_ranges`])
-//!   and every apply pass runs shard-parallel on a persistent
-//!   [`ShardPool`] — no per-call thread spawns. Because the shards are
-//!   disjoint and each coordinate sees exactly the serial sequence of f64
-//!   operations, a sharded apply is **bit-identical** to the serial apply
-//!   for any thread count.
 //! * **Batching** (`absorb_batch`): a wave of collected deltas is folded
-//!   first — per shard, through the existing [`DeltaFold`] accumulators —
-//!   and applied with **one** fused axpy+ridge-shrink pass per shard,
-//!   instead of one full pass per delta. Folding reorders the f64
-//!   arithmetic (the fused coefficients are exact in ℝ, not in f64), so
-//!   batched waves are *value-equivalent, not bit-identical*, to applying
-//!   the same deltas one at a time; the byte-gated benches therefore pin
-//!   `absorb_batch = 1`.
+//!   first — through one reusable [`DeltaFold`] accumulator — and applied
+//!   with **one** fused axpy+ridge-shrink pass, instead of one full pass
+//!   per delta. Folding reorders the f64 arithmetic (the fused
+//!   coefficients are exact in ℝ, not in f64), so batched waves are
+//!   *value-equivalent, not bit-identical*, to applying the same deltas one
+//!   at a time; every byte-gated bench but `server_scaling`'s batched arm
+//!   runs `absorb_batch = 1`.
 //!
-//! Ownership rules: the absorber owns the shard pool, one fold
-//! accumulator per shard, and the wave-coefficient/support buffers for its
-//! whole life — a steady-state wave performs **zero heap allocations**
-//! (proven by the batched arm of `tests/alloc_zero.rs`). Model vectors are
-//! borrowed per call and carved into disjoint shard views via
-//! [`DisjointSlices`]; the wave closures never touch coordinates outside
-//! their shard.
+//! There are no server threads: a [`ShardPool`] wave dispatch costs several
+//! times the whole absorb it would split (ARCHITECTURE.md, "Server
+//! absorption"). The name, [`ShardedAbsorber::new`]'s thread count and
+//! [`ShardedAbsorber::pool`] remain because the frozen `benchmark/` harness
+//! calls them; they go when it is re-frozen (ROADMAP item 9(b)).
+//!
+//! Ownership rules: the absorber owns the fold accumulator and the
+//! wave-coefficient buffer for its whole life — a steady-state wave
+//! performs **zero heap allocations** (proven by the batched arm of
+//! `tests/alloc_zero.rs`). Model vectors are borrowed per call.
 
-use std::ops::Range;
+use async_linalg::{dense, DeltaFold, GradDelta, ShardPool};
 
-use async_linalg::parallel::split_ranges;
-use async_linalg::{dense, DeltaFold, DisjointSlices, GradDelta, ShardPool};
-
-/// One shard's state: its coordinate range and its reusable fold
-/// accumulator (dimensioned to the range, with shard-local indices).
-struct Shard {
-    range: Range<usize>,
-    fold: DeltaFold,
-}
-
-/// Shard-parallel server absorption. See the module docs.
+/// Single-threaded server absorption. See the module docs.
 pub struct ShardedAbsorber {
+    /// A one-thread pool: no threads, kept for [`ShardedAbsorber::pool`].
     pool: ShardPool,
-    shards: Vec<Shard>,
+    /// The wave accumulator; its support is the last sparse wave's.
+    fold: DeltaFold,
     /// Fused per-delta coefficients of the current wave.
     coefs: Vec<f64>,
-    /// Global change support of the last sparse wave (concatenated shard
-    /// supports, ascending).
-    support: Vec<u32>,
     dim: usize,
 }
 
 impl ShardedAbsorber {
-    /// An absorber over models of dimension `dim`, applying with
-    /// `server_threads` pool participants (clamped to at least 1; one
-    /// shard per participant). With one thread every pass runs inline on
-    /// the caller — the serial code path.
-    pub fn new(dim: usize, server_threads: usize) -> Self {
-        let threads = server_threads.max(1);
-        let shards = split_ranges(dim, threads)
-            .into_iter()
-            .map(|range| Shard {
-                fold: DeltaFold::new(range.len()),
-                range,
-            })
-            .collect();
+    /// An absorber over models of dimension `dim`. The thread count is
+    /// ignored — absorption runs on the caller; the parameter is kept for
+    /// the frozen `benchmark/` harness and goes with ROADMAP item 9(b).
+    pub fn new(dim: usize, _threads: usize) -> Self {
         Self {
-            pool: ShardPool::new(threads),
-            shards,
+            pool: ShardPool::new(1),
+            fold: DeltaFold::new(dim),
             coefs: Vec::new(),
-            support: Vec::new(),
             dim,
         }
     }
 
-    /// Model dimension the absorber shards.
+    /// Model dimension the absorber serves.
     pub fn dim(&self) -> usize {
         self.dim
     }
 
-    /// Number of coordinate shards (≤ the requested thread count; empty
-    /// ranges are dropped for tiny models).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The persistent shard pool (also used for shard-parallel broadcast
-    /// snapshot pushes).
+    /// A one-thread [`ShardPool`], for
+    /// `async_core::AsyncBcast::push_snapshot_sharded`, which ignores it.
+    /// Kept for the frozen `benchmark/` harness; goes with ROADMAP item
+    /// 9(b).
     pub fn pool(&self) -> &ShardPool {
         &self.pool
     }
 
-    /// Global change support of the last [`ShardedAbsorber::asgd_wave`]
-    /// that returned `true` (ascending coordinate indices).
+    /// Change support of the last [`ShardedAbsorber::asgd_wave`] that
+    /// returned `true` (ascending coordinate indices).
     pub fn wave_support(&self) -> &[u32] {
-        &self.support
+        self.fold.indices()
     }
 
-    /// One exact ASGD update, shard-parallel: `w ← w − a·(g + λ·w)` with
-    /// `a = γ·damp`. The per-coordinate expressions are exactly the serial
-    /// solver's (dense arm: the fused three-term update; sparse arm: ridge
-    /// shrink — skipped when it is an exact no-op — then a support-only
-    /// scatter), so the result is bit-identical to the serial apply for
-    /// any thread count. Returns `true` when the update's change support
-    /// is exactly `g`'s sparse support (λ = 0 sparse arm), the
-    /// precondition for an incremental-broadcast diff push.
+    /// One exact ASGD update: `w ← w − a·(g + λ·w)` with `a = γ·damp`.
+    /// The per-coordinate expressions are the serial solver's (dense arm:
+    /// the fused three-term update; sparse arm: ridge shrink — skipped
+    /// when it is an exact no-op — then a support-only scatter). Returns
+    /// `true` when the update's change support is exactly `g`'s sparse
+    /// support (λ = 0 sparse arm), the precondition for an
+    /// incremental-broadcast diff push.
     ///
     /// # Panics
     /// Panics if `w.len()` or `g.dim()` differ from the absorber's
     /// dimension.
     pub fn asgd_step(&mut self, w: &mut [f64], g: &GradDelta, a: f64, lambda: f64) -> bool {
         self.check_dims(w.len(), g.dim());
-        let view = DisjointSlices::new(w);
         match g {
             GradDelta::Dense(gv) => {
-                self.pool.for_each(&mut self.shards, |_, sh| {
-                    // SAFETY: shard ranges are disjoint by construction.
-                    let chunk = unsafe { view.range(sh.range.clone()) };
-                    for (wi, gi) in chunk.iter_mut().zip(&gv[sh.range.clone()]) {
-                        *wi -= a * (*gi + lambda * *wi);
-                    }
-                });
+                for (wi, gi) in w.iter_mut().zip(gv) {
+                    *wi -= a * (*gi + lambda * *wi);
+                }
                 false
             }
             GradDelta::Sparse(_) => {
                 let shrink = a * lambda;
-                self.pool.for_each(&mut self.shards, |_, sh| {
-                    // SAFETY: shard ranges are disjoint by construction.
-                    let chunk = unsafe { view.range(sh.range.clone()) };
-                    if shrink != 0.0 {
-                        for wi in chunk.iter_mut() {
-                            *wi -= shrink * *wi;
-                        }
+                if shrink != 0.0 {
+                    for wi in w.iter_mut() {
+                        *wi -= shrink * *wi;
                     }
-                    g.axpy_into_range(-a, chunk, sh.range.start);
-                });
+                }
+                g.axpy_into(-a, w);
                 shrink == 0.0
             }
         }
     }
 
     /// One fused ASGD wave: folds deltas `0..n` (looked up through
-    /// `delta`) per shard with the exact fused coefficients of the serial
-    /// recurrence `w ← (1 − γ·dₖ·λ)·w − γ·dₖ·gₖ`, then applies one
-    /// shrink+axpy pass per shard:
+    /// `delta`) with the exact fused coefficients of the serial recurrence
+    /// `w ← (1 − γ·dₖ·λ)·w − γ·dₖ·gₖ`, then applies one shrink+axpy pass:
     ///
     /// ```text
     /// w ← S·w − Σₖ cₖ·gₖ,   S = Πₖ sₖ,  sₖ = 1 − γ·dₖ·λ,  cₖ = γ·dₖ·Πⱼ₍ⱼ₎₌ₖ₊₁ sⱼ
@@ -154,12 +114,11 @@ impl ShardedAbsorber {
     ///
     /// which equals the delta-at-a-time application in exact arithmetic —
     /// the f64 reordering is why batched waves are value-equivalent, not
-    /// bit-identical. All-sparse waves fold through the per-shard
-    /// [`DeltaFold`] accumulators (one scatter per shard); a wave with any
-    /// dense delta applies the fused coefficients delta-sequentially per
-    /// shard. Returns `true` when the wave's change support is exactly the
-    /// folded sparse support (λ = 0, all deltas sparse), available from
-    /// [`ShardedAbsorber::wave_support`].
+    /// bit-identical. All-sparse waves fold through the [`DeltaFold`]
+    /// accumulator (one scatter); a wave with any dense delta applies the
+    /// fused coefficients delta-sequentially. Returns `true` when the
+    /// wave's change support is exactly the folded sparse support (λ = 0,
+    /// all deltas sparse), available from [`ShardedAbsorber::wave_support`].
     ///
     /// # Panics
     /// Panics on a dimension mismatch or when `damps.len() != n`.
@@ -167,7 +126,7 @@ impl ShardedAbsorber {
         &mut self,
         w: &mut [f64],
         n: usize,
-        delta: impl Fn(usize) -> &'d GradDelta + Sync,
+        delta: impl Fn(usize) -> &'d GradDelta,
         damps: &[f64],
         step: f64,
         lambda: f64,
@@ -184,70 +143,34 @@ impl ShardedAbsorber {
             total_shrink *= 1.0 - step * damps[k] * lambda;
         }
         let all_sparse = (0..n).all(|k| delta(k).is_sparse());
-        let view = DisjointSlices::new(w);
-        let coefs = &self.coefs;
         if all_sparse {
-            self.pool.for_each(&mut self.shards, |_, sh| {
-                // SAFETY: shard ranges are disjoint by construction.
-                let chunk = unsafe { view.range(sh.range.clone()) };
-                sh.fold.clear(sh.range.len());
-                for (k, c) in coefs.iter().enumerate() {
-                    sh.fold.fold_scaled_range(*c, delta(k), sh.range.clone());
-                }
-                if total_shrink != 1.0 {
-                    dense::scal(total_shrink, chunk);
-                }
-                sh.fold.axpy_into(-1.0, chunk);
-            });
+            self.fold.clear(self.dim);
+            for (k, c) in self.coefs.iter().enumerate() {
+                self.fold.fold_scaled(*c, delta(k));
+            }
+            if total_shrink != 1.0 {
+                dense::scal(total_shrink, w);
+            }
+            self.fold.axpy_into(-1.0, w);
         } else {
-            self.pool.for_each(&mut self.shards, |_, sh| {
-                // SAFETY: shard ranges are disjoint by construction.
-                let chunk = unsafe { view.range(sh.range.clone()) };
-                if total_shrink != 1.0 {
-                    dense::scal(total_shrink, chunk);
-                }
-                for (k, c) in coefs.iter().enumerate() {
-                    delta(k).axpy_into_range(-c, chunk, sh.range.start);
-                }
-            });
-        }
-        let sparse_support = all_sparse && lambda == 0.0;
-        if sparse_support {
-            self.support.clear();
-            for sh in &self.shards {
-                self.support
-                    .extend(sh.fold.indices().iter().map(|i| i + sh.range.start as u32));
+            if total_shrink != 1.0 {
+                dense::scal(total_shrink, w);
+            }
+            for (k, c) in self.coefs.iter().enumerate() {
+                delta(k).axpy_into(-c, w);
             }
         }
-        sparse_support
-    }
-
-    /// One exact staleness-damped momentum update, shard-parallel:
-    /// `u ← β·u + g + λ·w; w ← w − γ·u` with the serial solver's exact
-    /// per-coordinate expressions (dense arm fused, sparse arm as decay +
-    /// support scatter + step) — the `n = 1` [`ShardedAbsorber::msgd_wave`].
-    ///
-    /// # Panics
-    /// Panics on a dimension mismatch.
-    pub fn msgd_step(
-        &mut self,
-        w: &mut [f64],
-        u: &mut [f64],
-        g: &GradDelta,
-        beta: f64,
-        gamma: f64,
-        lambda: f64,
-    ) {
-        self.msgd_wave(w, u, 1, |_| g, &[beta], &[gamma], lambda);
+        all_sparse && lambda == 0.0
     }
 
     /// One momentum wave: the batch's updates applied delta-sequentially
-    /// *within* each shard (momentum's velocity recurrence couples every
-    /// coordinate to every delta, so there is no fold form — the wave's
-    /// win is one shard dispatch and one snapshot push per batch). The
-    /// per-coordinate recurrence is exactly the serial one, so a wave is
-    /// bit-identical to applying its deltas one at a time with the same
-    /// `(βₖ, γₖ)` sequence.
+    /// (momentum's velocity recurrence couples every coordinate to every
+    /// delta, so there is no fold form — the wave's win is one snapshot
+    /// push per batch): `u ← β·u + g + λ·w; w ← w − γ·u` with the serial
+    /// solver's exact per-coordinate expressions (dense arm fused, sparse
+    /// arm as decay + support scatter + step). A wave is bit-identical to
+    /// applying its deltas one at a time with the same `(βₖ, γₖ)` sequence;
+    /// `n = 1` is the single step.
     ///
     /// # Panics
     /// Panics on a dimension mismatch or when `betas`/`gammas` don't have
@@ -258,7 +181,7 @@ impl ShardedAbsorber {
         w: &mut [f64],
         u: &mut [f64],
         n: usize,
-        delta: impl Fn(usize) -> &'d GradDelta + Sync,
+        delta: impl Fn(usize) -> &'d GradDelta,
         betas: &[f64],
         gammas: &[f64],
         lambda: f64,
@@ -267,26 +190,12 @@ impl ShardedAbsorber {
         assert_eq!(gammas.len(), n, "msgd_wave: gammas/delta count mismatch");
         self.check_wave_dims(w.len(), n, &delta);
         assert_eq!(u.len(), self.dim, "msgd_wave: velocity dim mismatch");
-        let wv = DisjointSlices::new(w);
-        let uv = DisjointSlices::new(u);
-        self.pool.for_each(&mut self.shards, |_, sh| {
-            // SAFETY: shard ranges are disjoint by construction.
-            let (wc, uc) = unsafe { (wv.range(sh.range.clone()), uv.range(sh.range.clone())) };
-            for k in 0..n {
-                msgd_apply_range(
-                    wc,
-                    uc,
-                    delta(k),
-                    betas[k],
-                    gammas[k],
-                    lambda,
-                    sh.range.start,
-                );
-            }
-        });
+        for k in 0..n {
+            msgd_apply(w, u, delta(k), betas[k], gammas[k], lambda);
+        }
     }
 
-    /// One exact ASAGA update, shard-parallel: the SAGA estimator step
+    /// One exact ASAGA update: the SAGA estimator step
     /// `w ← w − a·(δ + ᾱ + λ·w)` (with `δ` scattered on its support in the
     /// sparse arm) followed by the table-mean absorption
     /// `ᾱ ← ᾱ + scale·δ`, in the serial solver's exact per-coordinate
@@ -308,11 +217,11 @@ impl ShardedAbsorber {
     }
 
     /// One ASAGA wave: the batch's updates applied delta-sequentially
-    /// within each shard (each estimator step must read the ᾱ produced by
-    /// the previous table update — that ordering is what keeps SAGA
-    /// unbiased, so it is preserved inside the wave). Bit-identical to
-    /// applying the deltas one at a time with the same coefficient
-    /// sequences; the wave's win is one dispatch and one snapshot push.
+    /// (each estimator step must read the ᾱ produced by the previous table
+    /// update — that ordering is what keeps SAGA unbiased, so it is
+    /// preserved inside the wave). Bit-identical to applying the deltas one
+    /// at a time with the same coefficient sequences; the wave's win is
+    /// one snapshot push.
     ///
     /// # Panics
     /// Panics on a dimension mismatch or when `damps`/`scales` don't have
@@ -323,7 +232,7 @@ impl ShardedAbsorber {
         w: &mut [f64],
         alpha_bar: &mut [f64],
         n: usize,
-        delta: impl Fn(usize) -> &'d GradDelta + Sync,
+        delta: impl Fn(usize) -> &'d GradDelta,
         damps: &[f64],
         step: f64,
         lambda: f64,
@@ -333,23 +242,9 @@ impl ShardedAbsorber {
         assert_eq!(scales.len(), n, "asaga_wave: scales/delta count mismatch");
         self.check_wave_dims(w.len(), n, &delta);
         assert_eq!(alpha_bar.len(), self.dim, "asaga_wave: ᾱ dim mismatch");
-        let wv = DisjointSlices::new(w);
-        let av = DisjointSlices::new(alpha_bar);
-        self.pool.for_each(&mut self.shards, |_, sh| {
-            // SAFETY: shard ranges are disjoint by construction.
-            let (wc, ac) = unsafe { (wv.range(sh.range.clone()), av.range(sh.range.clone())) };
-            for k in 0..n {
-                asaga_apply_range(
-                    wc,
-                    ac,
-                    delta(k),
-                    step * damps[k],
-                    lambda,
-                    scales[k],
-                    sh.range.start,
-                );
-            }
-        });
+        for k in 0..n {
+            asaga_apply(w, alpha_bar, delta(k), step * damps[k], lambda, scales[k]);
+        }
     }
 
     /// Validates every delta of a wave (not just the first), upholding
@@ -371,68 +266,50 @@ impl std::fmt::Debug for ShardedAbsorber {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedAbsorber")
             .field("dim", &self.dim)
-            .field("shards", &self.shards.len())
             .finish()
     }
 }
 
-/// The serial momentum recurrence on one shard's coordinate window.
-fn msgd_apply_range(
-    wc: &mut [f64],
-    uc: &mut [f64],
-    g: &GradDelta,
-    beta: f64,
-    gamma: f64,
-    lambda: f64,
-    start: usize,
-) {
+/// The serial momentum recurrence.
+fn msgd_apply(w: &mut [f64], u: &mut [f64], g: &GradDelta, beta: f64, gamma: f64, lambda: f64) {
     match g {
         GradDelta::Dense(gv) => {
-            let gw = &gv[start..start + wc.len()];
-            for i in 0..wc.len() {
-                uc[i] = beta * uc[i] + gw[i] + lambda * wc[i];
-                wc[i] -= gamma * uc[i];
+            let gv = &gv[..w.len()];
+            for i in 0..w.len() {
+                u[i] = beta * u[i] + gv[i] + lambda * w[i];
+                w[i] -= gamma * u[i];
             }
         }
         GradDelta::Sparse(_) => {
-            for i in 0..wc.len() {
-                uc[i] = beta * uc[i] + lambda * wc[i];
+            for i in 0..w.len() {
+                u[i] = beta * u[i] + lambda * w[i];
             }
-            g.axpy_into_range(1.0, uc, start);
-            for i in 0..wc.len() {
-                wc[i] -= gamma * uc[i];
+            g.axpy_into(1.0, u);
+            for i in 0..w.len() {
+                w[i] -= gamma * u[i];
             }
         }
     }
 }
 
-/// The serial SAGA estimator step + table absorption on one shard's
-/// coordinate window.
-fn asaga_apply_range(
-    wc: &mut [f64],
-    ac: &mut [f64],
-    delta: &GradDelta,
-    a: f64,
-    lambda: f64,
-    scale: f64,
-    start: usize,
-) {
+/// The serial SAGA estimator step + table absorption.
+fn asaga_apply(w: &mut [f64], ac: &mut [f64], delta: &GradDelta, a: f64, lambda: f64, scale: f64) {
     match delta {
         GradDelta::Dense(dv) => {
-            let dw = &dv[start..start + wc.len()];
-            for i in 0..wc.len() {
-                let g = dw[i] + ac[i] + lambda * wc[i];
-                wc[i] -= a * g;
+            let dv = &dv[..w.len()];
+            for i in 0..w.len() {
+                let g = dv[i] + ac[i] + lambda * w[i];
+                w[i] -= a * g;
             }
         }
         GradDelta::Sparse(_) => {
-            for i in 0..wc.len() {
-                wc[i] -= a * (ac[i] + lambda * wc[i]);
+            for i in 0..w.len() {
+                w[i] -= a * (ac[i] + lambda * w[i]);
             }
-            delta.axpy_into_range(-a, wc, start);
+            delta.axpy_into(-a, w);
         }
     }
-    delta.axpy_into_range(scale, ac, start);
+    delta.axpy_into(scale, ac);
 }
 
 #[cfg(test)]
@@ -477,26 +354,24 @@ mod tests {
     }
 
     #[test]
-    fn asgd_step_is_bit_identical_across_thread_counts() {
+    fn asgd_step_is_bit_identical_to_the_serial_expressions() {
         let dim = 97;
-        for threads in [1usize, 2, 3, 8] {
-            let mut ab = ShardedAbsorber::new(dim, threads);
-            let mut w: Vec<f64> = (0..dim).map(|i| (i as f64).sin()).collect();
-            let mut reference = w.clone();
-            for (k, g) in deltas(dim).iter().enumerate() {
-                let a = 0.1 + 0.05 * k as f64;
-                let sparse = ab.asgd_step(&mut w, g, a, 1e-3);
-                asgd_serial(&mut reference, g, a, 1e-3);
-                assert!(!sparse, "λ>0 never declares a sparse support");
-            }
-            assert_eq!(w, reference, "threads={threads}");
+        let mut ab = ShardedAbsorber::new(dim, 1);
+        let mut w: Vec<f64> = (0..dim).map(|i| (i as f64).sin()).collect();
+        let mut reference = w.clone();
+        for (k, g) in deltas(dim).iter().enumerate() {
+            let a = 0.1 + 0.05 * k as f64;
+            let sparse = ab.asgd_step(&mut w, g, a, 1e-3);
+            asgd_serial(&mut reference, g, a, 1e-3);
+            assert!(!sparse, "λ>0 never declares a sparse support");
         }
+        assert_eq!(w, reference);
     }
 
     #[test]
     fn asgd_step_declares_sparse_support_only_without_ridge() {
         let dim = 32;
-        let mut ab = ShardedAbsorber::new(dim, 2);
+        let mut ab = ShardedAbsorber::new(dim, 1);
         let mut w = vec![0.5; dim];
         assert!(ab.asgd_step(&mut w, &sv(&[(3, 1.0)], dim), 0.1, 0.0));
         assert!(!ab.asgd_step(&mut w, &sv(&[(3, 1.0)], dim), 0.1, 0.01));
@@ -506,23 +381,21 @@ mod tests {
     #[test]
     fn asgd_wave_matches_sequential_within_1e9() {
         let dim = 64;
-        for threads in [1usize, 4] {
-            let mut ab = ShardedAbsorber::new(dim, threads);
-            let ds = deltas(dim);
-            let damps = [1.0, 0.5, 0.25];
-            for lambda in [0.0, 1e-2] {
-                let mut batched: Vec<f64> = (0..dim).map(|i| 0.01 * i as f64).collect();
-                let mut sequential = batched.clone();
-                ab.asgd_wave(&mut batched, ds.len(), |k| &ds[k], &damps, 0.2, lambda);
-                for (k, g) in ds.iter().enumerate() {
-                    asgd_serial(&mut sequential, g, 0.2 * damps[k], lambda);
-                }
-                for (b, s) in batched.iter().zip(&sequential) {
-                    assert!(
-                        (b - s).abs() <= 1e-9 * s.abs().max(1.0),
-                        "λ={lambda}: {b} vs {s}"
-                    );
-                }
+        let mut ab = ShardedAbsorber::new(dim, 1);
+        let ds = deltas(dim);
+        let damps = [1.0, 0.5, 0.25];
+        for lambda in [0.0, 1e-2] {
+            let mut batched: Vec<f64> = (0..dim).map(|i| 0.01 * i as f64).collect();
+            let mut sequential = batched.clone();
+            ab.asgd_wave(&mut batched, ds.len(), |k| &ds[k], &damps, 0.2, lambda);
+            for (k, g) in ds.iter().enumerate() {
+                asgd_serial(&mut sequential, g, 0.2 * damps[k], lambda);
+            }
+            for (b, s) in batched.iter().zip(&sequential) {
+                assert!(
+                    (b - s).abs() <= 1e-9 * s.abs().max(1.0),
+                    "λ={lambda}: {b} vs {s}"
+                );
             }
         }
     }
@@ -530,7 +403,7 @@ mod tests {
     #[test]
     fn all_sparse_wave_reports_the_folded_support() {
         let dim = 40;
-        let mut ab = ShardedAbsorber::new(dim, 3);
+        let mut ab = ShardedAbsorber::new(dim, 1);
         let ds = [
             sv(&[(1, 1.0), (20, 2.0)], dim),
             sv(&[(5, -1.0), (20, 1.0)], dim),
@@ -550,31 +423,27 @@ mod tests {
         let ds = deltas(dim);
         let betas = [0.9, 0.45, 0.3];
         let gammas = [0.1, 0.1, 0.05];
-        // Serial reference via a 1-thread absorber (the serial expressions
-        // themselves), stepped one delta at a time.
-        let mut serial = ShardedAbsorber::new(dim, 1);
+        let mut ab = ShardedAbsorber::new(dim, 1);
+        // Stepped: one n = 1 wave per delta, the per-delta server path.
         let mut w_ref: Vec<f64> = (0..dim).map(|i| (i as f64) * 0.01).collect();
         let mut u_ref = vec![0.0; dim];
         for (k, g) in ds.iter().enumerate() {
-            serial.msgd_step(&mut w_ref, &mut u_ref, g, betas[k], gammas[k], 1e-3);
+            ab.msgd_wave(
+                &mut w_ref,
+                &mut u_ref,
+                1,
+                |_| g,
+                &betas[k..=k],
+                &gammas[k..=k],
+                1e-3,
+            );
         }
-        for threads in [2usize, 5] {
-            // Stepped, sharded.
-            let mut ab = ShardedAbsorber::new(dim, threads);
-            let mut w: Vec<f64> = (0..dim).map(|i| (i as f64) * 0.01).collect();
-            let mut u = vec![0.0; dim];
-            for (k, g) in ds.iter().enumerate() {
-                ab.msgd_step(&mut w, &mut u, g, betas[k], gammas[k], 1e-3);
-            }
-            assert_eq!(w, w_ref, "stepped threads={threads}");
-            assert_eq!(u, u_ref, "stepped threads={threads}");
-            // One wave.
-            let mut w = (0..dim).map(|i| (i as f64) * 0.01).collect::<Vec<_>>();
-            let mut u = vec![0.0; dim];
-            ab.msgd_wave(&mut w, &mut u, ds.len(), |k| &ds[k], &betas, &gammas, 1e-3);
-            assert_eq!(w, w_ref, "wave threads={threads}");
-            assert_eq!(u, u_ref, "wave threads={threads}");
-        }
+        // One wave.
+        let mut w: Vec<f64> = (0..dim).map(|i| (i as f64) * 0.01).collect();
+        let mut u = vec![0.0; dim];
+        ab.msgd_wave(&mut w, &mut u, ds.len(), |k| &ds[k], &betas, &gammas, 1e-3);
+        assert_eq!(w, w_ref, "wave");
+        assert_eq!(u, u_ref, "wave");
     }
 
     #[test]
@@ -583,42 +452,25 @@ mod tests {
         let ds = deltas(dim);
         let damps = [1.0, 0.5, 1.0];
         let scales = [0.05, 0.1, 0.05];
-        let mut serial = ShardedAbsorber::new(dim, 1);
+        let mut ab = ShardedAbsorber::new(dim, 1);
         let mut w_ref: Vec<f64> = (0..dim).map(|i| (i as f64).cos()).collect();
         let mut a_ref: Vec<f64> = (0..dim).map(|i| (i as f64) * 0.02 - 0.3).collect();
         for (k, d) in ds.iter().enumerate() {
-            serial.asaga_step(&mut w_ref, &mut a_ref, d, 0.3 * damps[k], 1e-3, scales[k]);
+            ab.asaga_step(&mut w_ref, &mut a_ref, d, 0.3 * damps[k], 1e-3, scales[k]);
         }
-        for threads in [2usize, 7] {
-            let mut ab = ShardedAbsorber::new(dim, threads);
-            let mut w: Vec<f64> = (0..dim).map(|i| (i as f64).cos()).collect();
-            let mut a: Vec<f64> = (0..dim).map(|i| (i as f64) * 0.02 - 0.3).collect();
-            for (k, d) in ds.iter().enumerate() {
-                ab.asaga_step(&mut w, &mut a, d, 0.3 * damps[k], 1e-3, scales[k]);
-            }
-            assert_eq!(w, w_ref, "stepped threads={threads}");
-            assert_eq!(a, a_ref, "stepped threads={threads}");
-            let mut w: Vec<f64> = (0..dim).map(|i| (i as f64).cos()).collect();
-            let mut a: Vec<f64> = (0..dim).map(|i| (i as f64) * 0.02 - 0.3).collect();
-            ab.asaga_wave(
-                &mut w,
-                &mut a,
-                ds.len(),
-                |k| &ds[k],
-                &damps,
-                0.3,
-                1e-3,
-                &scales,
-            );
-            assert_eq!(w, w_ref, "wave threads={threads}");
-            assert_eq!(a, a_ref, "wave threads={threads}");
-        }
-    }
-
-    #[test]
-    fn tiny_models_drop_empty_shards() {
-        let ab = ShardedAbsorber::new(3, 8);
-        assert_eq!(ab.shards(), 3);
-        assert_eq!(ab.dim(), 3);
+        let mut w: Vec<f64> = (0..dim).map(|i| (i as f64).cos()).collect();
+        let mut a: Vec<f64> = (0..dim).map(|i| (i as f64) * 0.02 - 0.3).collect();
+        ab.asaga_wave(
+            &mut w,
+            &mut a,
+            ds.len(),
+            |k| &ds[k],
+            &damps,
+            0.3,
+            1e-3,
+            &scales,
+        );
+        assert_eq!(w, w_ref, "wave");
+        assert_eq!(a, a_ref, "wave");
     }
 }

@@ -300,8 +300,8 @@ impl UpdateRule for AsagaRule {
         // SAGA's estimator uses ᾱ *before* each delta's own table
         // absorption: E[f'ⱼ(φⱼ)] over the pre-update table equals ᾱ_old,
         // which is what keeps g unbiased — the absorber preserves that
-        // step/absorb interleaving per delta within each shard,
-        // bit-identical to stepping the batch one delta at a time.
+        // step/absorb interleaving per delta, bit-identical to stepping
+        // the batch one delta at a time.
         let delta = |k: usize| &wave[k].value.g;
         let (lambda, n) = (self.objective.lambda(), wave.len());
         let (damps, scales) = (&self.damps, &self.scales);

@@ -27,13 +27,12 @@
 //! `SimEngine` — see the note in [`asaga`]. `tests/barrier_e2e.rs`,
 //! `tests/msgd_e2e.rs` and `tests/sparse_e2e.rs` have end-to-end runs.
 //!
-//! All three solvers absorb server-side through the sharded absorption
-//! pipeline ([`absorber::ShardedAbsorber`]): apply passes run
-//! shard-parallel on a persistent thread pool
-//! ([`SolverCfg::server_threads`] — bit-identical to the serial server
-//! for any thread count), and waves of ready deltas can be folded and
-//! applied fused ([`SolverCfg::absorb_batch`] — value-equivalent, one
-//! snapshot push per wave).
+//! All three solvers absorb server-side on the coordinator's thread, as
+//! the paper's server runs on Spark's driver ([`absorber::ShardedAbsorber`],
+//! whose name the frozen `benchmark/` harness still imports): one
+//! whole-vector apply pass per delta, or — with
+//! [`SolverCfg::absorb_batch`] > 1 — a wave of ready deltas folded and
+//! applied fused (value-equivalent, one snapshot push per wave).
 //!
 //! The solvers are *elastic*: they keep running through worker kills,
 //! revivals, and mid-run joins (see `async_cluster::chaos` for churn

@@ -161,8 +161,8 @@ impl UpdateRule for MsgdRule {
             self.gammas.push(cfg.step * step_damp(cfg, observed));
         }
         // Momentum's recurrence has no fold form: the wave applies
-        // delta-sequentially within each shard, bit-identical to stepping
-        // the batch one delta at a time with the same (βₖ, γₖ) sequence.
+        // delta-sequentially, bit-identical to stepping the batch one
+        // delta at a time with the same (βₖ, γₖ) sequence.
         let delta = |k: usize| &wave[k].value.g;
         let lambda = self.objective.lambda();
         let (betas, gammas) = (&self.betas, &self.gammas);

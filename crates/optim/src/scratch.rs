@@ -25,7 +25,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use async_linalg::{DeltaFold, GradDelta};
+use async_linalg::GradDelta;
 
 /// Per-task transient buffers. See the module docs for ownership rules.
 #[derive(Debug, Default)]
@@ -71,7 +71,6 @@ struct Inner {
     scratch: Vec<TaskScratch>,
     sparse: Vec<(Vec<u32>, Vec<f64>)>,
     dense: Vec<Vec<f64>>,
-    folds: Vec<DeltaFold>,
 }
 
 /// Most buffers of one kind the pool parks. Far above what a wave keeps in
@@ -139,22 +138,6 @@ impl ScratchPool {
         park(&mut self.lock().dense, buf);
     }
 
-    /// Checks out a [`DeltaFold`] accumulator cleared to dimension `dim`.
-    pub fn checkout_fold(&self, dim: usize) -> DeltaFold {
-        let mut f = self
-            .lock()
-            .folds
-            .pop()
-            .unwrap_or_else(|| DeltaFold::new(dim));
-        f.clear(dim);
-        f
-    }
-
-    /// Returns a fold accumulator to the pool.
-    pub fn give_back_fold(&self, f: DeltaFold) {
-        park(&mut self.lock().folds, f);
-    }
-
     /// Tears a consumed delta apart and returns its backing buffers to the
     /// pool — the server-side half of the zero-allocation cycle.
     pub fn recycle_delta(&self, delta: GradDelta) {
@@ -189,15 +172,10 @@ impl ScratchPool {
     }
 
     /// Buffers currently parked in the pool, by kind:
-    /// `(scratch, sparse pairs, dense, folds)`. Test instrumentation.
-    pub fn depth(&self) -> (usize, usize, usize, usize) {
+    /// `(scratch, sparse pairs, dense)`. Test instrumentation.
+    pub fn depth(&self) -> (usize, usize, usize) {
         let i = self.lock();
-        (
-            i.scratch.len(),
-            i.sparse.len(),
-            i.dense.len(),
-            i.folds.len(),
-        )
+        (i.scratch.len(), i.sparse.len(), i.dense.len())
     }
 }
 
@@ -249,18 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_checkout_clears_state() {
-        let pool = ScratchPool::new();
-        let mut f = pool.checkout_fold(4);
-        GradDelta::Dense(vec![1.0; 4]).fold_into(1.0, &mut f);
-        pool.give_back_fold(f);
-        let f2 = pool.checkout_fold(6);
-        assert_eq!(f2.dim(), 6);
-        assert_eq!(f2.nnz(), 0);
-        assert!(!f2.is_dense());
-    }
-
-    #[test]
     fn unmatched_recycling_cannot_grow_the_pool() {
         // The remote engine's shape: deltas arrive decoded (never checked
         // out of this pool) and are recycled every step.
@@ -271,12 +237,8 @@ mod tests {
                 SparseVec::new(vec![1], vec![1.0], 8).unwrap(),
             ));
             pool.recycle_ids(vec![step as u64]);
-            pool.give_back_fold(DeltaFold::new(8));
         }
-        assert_eq!(
-            pool.depth(),
-            (MAX_PARKED, MAX_PARKED, MAX_PARKED, MAX_PARKED)
-        );
+        assert_eq!(pool.depth(), (MAX_PARKED, MAX_PARKED, MAX_PARKED));
     }
 
     #[test]

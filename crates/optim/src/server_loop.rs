@@ -424,10 +424,9 @@ impl ServerLoop {
         };
         submit(&rule, ctx, &mut pinned);
 
-        // The sharded server: apply passes (and snapshot memcpys) run
-        // shard-parallel on its persistent pool; with absorb_batch > 1 a
-        // wave of ready deltas is absorbed with one dispatch and one push.
-        let mut server = ShardedAbsorber::new(dim, cfg.server_threads);
+        // The server absorbs on this thread; with absorb_batch > 1 a wave
+        // of ready deltas is absorbed with one fused pass and one push.
+        let mut server = ShardedAbsorber::new(dim, 1);
         let mut wave: Vec<Tagged<GradMsg>> = Vec::new();
 
         let mut updates = 0u64;

@@ -54,46 +54,23 @@ pub struct SolverCfg {
     /// no ridge term (λ = 0); with λ > 0 every version declares a dense
     /// change and resolution falls back to full snapshots.
     pub bcast_ring: usize,
-    /// Server-side absorption threads: the model is partitioned into this
-    /// many contiguous coordinate shards and every apply pass (ridge
-    /// shrink, gradient scatter, snapshot memcpy, SAGA ᾱ absorption) runs
-    /// shard-parallel on a persistent pool
-    /// ([`crate::absorber::ShardedAbsorber`]). **Bit-identity contract:**
-    /// for any `server_threads`, a run with `absorb_batch = 1` reproduces
-    /// the single-threaded server bit-exactly — shards are disjoint and
-    /// each coordinate sees the serial f64 operation sequence.
-    ///
-    /// # Example
-    /// ```
-    /// use async_optim::SolverCfg;
-    ///
-    /// // A 4-shard server applying one delta at a time: bit-identical to
-    /// // the serial server, so byte-gated benches may enable it freely.
-    /// let cfg = SolverCfg {
-    ///     server_threads: 4,
-    ///     absorb_batch: 1,
-    ///     ..SolverCfg::default()
-    /// };
-    /// assert_eq!(cfg.server_threads, 4);
-    /// ```
-    pub server_threads: usize,
     /// Deltas absorbed per server wave (at least 1): each wave
     /// blocks for one result, then opportunistically drains up to this
-    /// many already-arrived results and folds them per shard before **one**
-    /// fused apply pass and **one** snapshot push. Batching reorders the
+    /// many already-arrived results and folds them before **one** fused
+    /// apply pass and **one** snapshot push, on the coordinator's thread
+    /// ([`crate::absorber::ShardedAbsorber`]). Batching reorders the
     /// f64 arithmetic (fold-then-apply ≠ delta-at-a-time in f64, and the
     /// model version now advances once per wave), so `absorb_batch > 1` is
-    /// **value-equivalent, not bit-identical**, to the serial server and
-    /// is kept out of the byte-gated benches.
+    /// **value-equivalent, not bit-identical**, to the per-delta server;
+    /// every byte-gated bench but `server_scaling`'s batched arm runs 1.
     ///
     /// # Example
     /// ```
     /// use async_optim::SolverCfg;
     ///
-    /// // Fold up to 4 ready deltas per wave on a 4-shard server — the
-    /// // high-throughput configuration of the server-scaling bench.
+    /// // Fold up to 4 ready deltas per wave — the batched arm of the
+    /// // server-scaling bench.
     /// let cfg = SolverCfg {
-    ///     server_threads: 4,
     ///     absorb_batch: 4,
     ///     ..SolverCfg::default()
     /// };
@@ -165,7 +142,6 @@ impl Default for SolverCfg {
             seed: 42,
             checkpoint_every: 0,
             bcast_ring: 0,
-            server_threads: 1,
             absorb_batch: 1,
             compress: CompressCfg::Off,
             serve_feed: None,
@@ -184,9 +160,6 @@ pub enum SolverCfgError {
     BatchFraction(f64),
     /// `absorb_batch == 0` — the server wave could never make progress.
     ZeroAbsorbBatch,
-    /// `server_threads == 0` — the sharded absorber needs at least one
-    /// shard.
-    ZeroServerThreads,
     /// `compress` is [`CompressCfg::TopK`] with `k == 0` — every shipped
     /// delta would be empty and the residual would grow forever.
     ZeroTopK,
@@ -199,7 +172,6 @@ impl std::fmt::Display for SolverCfgError {
                 write!(f, "batch_fraction must lie in (0, 1], got {b}")
             }
             SolverCfgError::ZeroAbsorbBatch => write!(f, "absorb_batch must be at least 1"),
-            SolverCfgError::ZeroServerThreads => write!(f, "server_threads must be at least 1"),
             SolverCfgError::ZeroTopK => write!(f, "top-k compression must keep at least 1 entry"),
         }
     }
@@ -219,9 +191,6 @@ impl SolverCfg {
         }
         if self.absorb_batch == 0 {
             return Err(SolverCfgError::ZeroAbsorbBatch);
-        }
-        if self.server_threads == 0 {
-            return Err(SolverCfgError::ZeroServerThreads);
         }
         if matches!(self.compress, CompressCfg::TopK { k: 0, .. }) {
             return Err(SolverCfgError::ZeroTopK);
@@ -409,11 +378,6 @@ mod tests {
             ..SolverCfg::default()
         };
         assert_eq!(cfg.validate(), Err(SolverCfgError::ZeroAbsorbBatch));
-        let cfg = SolverCfg {
-            server_threads: 0,
-            ..SolverCfg::default()
-        };
-        assert_eq!(cfg.validate(), Err(SolverCfgError::ZeroServerThreads));
         let cfg = SolverCfg {
             compress: CompressCfg::TopK {
                 k: 0,

@@ -358,13 +358,6 @@ fn configuration_errors_come_back_from_try_run() {
             },
             SolverCfgError::ZeroAbsorbBatch,
         ),
-        (
-            SolverCfg {
-                server_threads: 0,
-                ..plain.clone()
-            },
-            SolverCfgError::ZeroServerThreads,
-        ),
     ];
     for (bad, why) in contradictions {
         let e = refusal(Asgd::new(objective).try_run(&mut ctx, &d, &bad));
@@ -391,9 +384,9 @@ fn configuration_errors_come_back_from_try_run() {
 }
 
 /// The hot-path options under genuinely concurrent workers: the
-/// incremental ring, the shared `CompressorBank` and the sharded/batched
-/// server each take a lock or a pool that the simulator (one thread) never
-/// contends. Completion order is the host's, so the contract is the
+/// incremental ring and the shared `CompressorBank` each take a lock the
+/// simulator (one thread) never contends, and a batched server wave drains
+/// however many results the host's threads delivered. Completion order is the host's, so the contract is the
 /// budget, no loss, a drained context, and final-loss agreement with the
 /// same cell on the simulator — not bit-equality. SSP, not ASP: on a busy
 /// host ASP lets one scheduled thread take most of the budget, and a model
@@ -421,9 +414,8 @@ fn hot_path_options_complete_on_real_threads() {
     };
     for bcast_ring in [0, 16] {
         for compress in [CompressCfg::Off, topk_i8] {
-            for (server_threads, absorb_batch) in [(1, 1), (4, 4)] {
-                let cell =
-                    format!("ring {bcast_ring}, {compress:?}, {server_threads}x{absorb_batch}");
+            for absorb_batch in [1, 4] {
+                let cell = format!("ring {bcast_ring}, {compress:?}, batch {absorb_batch}");
                 let c = SolverCfg {
                     step: 0.5,
                     batch_fraction: 0.1,
@@ -433,7 +425,6 @@ fn hot_path_options_complete_on_real_threads() {
                     seed: 2026,
                     bcast_ring,
                     compress,
-                    server_threads,
                     absorb_batch,
                     ..SolverCfg::default()
                 };

@@ -1,18 +1,13 @@
-//! Property tests for the sharded server.
+//! Property tests for the server's batched absorption.
 //!
-//! Two contracts, straight from the absorber's documentation:
-//!
-//! 1. **Bit-identity** — with `absorb_batch = 1`, a run absorbing on `N`
-//!    server threads reproduces the single-threaded server **bit-exactly**
-//!    for every solver, dataset storage (sparse and dense), barrier, shard
-//!    count, and churn schedule: shards are disjoint and every coordinate
-//!    sees the serial f64 operation sequence.
-//! 2. **Value-equivalence of fused waves** — folding a batch of deltas and
-//!    applying it with one fused shrink+axpy pass per shard equals the
-//!    delta-at-a-time application in exact arithmetic; in f64 the two
-//!    differ only by rounding reorder, bounded here at 1e-9 relative.
-//!    End-to-end, `absorb_batch > 1` runs (including under churn) must
-//!    complete their budget and descend the objective.
+//! The contract, straight from the absorber's documentation:
+//! **value-equivalence of fused waves** — folding a batch of deltas and
+//! applying it with one fused shrink+axpy pass equals the delta-at-a-time
+//! application in exact arithmetic; in f64 the two differ only by rounding
+//! reorder, bounded here at 1e-9 relative. End-to-end, `absorb_batch > 1`
+//! runs (including under churn) must complete their budget and descend the
+//! objective, and a batch that can never hold more than one result stays
+//! bit-identical to the per-delta server.
 
 use async_cluster::{ChaosCfg, ChaosSchedule, ClusterSpec, CommModel, DelayModel, VDur, VTime};
 use async_core::{AsyncContext, BarrierFilter};
@@ -38,21 +33,13 @@ fn sparse_dataset() -> Dataset {
         .0
 }
 
-fn dense_dataset() -> Dataset {
-    SynthSpec::dense("shard-prop-d", 120, 24, 5)
-        .generate()
-        .unwrap()
-        .0
-}
-
-fn base_cfg(barrier: BarrierFilter, server_threads: usize, absorb_batch: usize) -> SolverCfg {
+fn base_cfg(barrier: BarrierFilter, absorb_batch: usize) -> SolverCfg {
     SolverCfg {
         step: 0.05,
         batch_fraction: 0.25,
         barrier,
         max_updates: 60,
         seed: 11,
-        server_threads,
         absorb_batch,
         ..SolverCfg::default()
     }
@@ -79,53 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn sharded_absorption_is_bit_identical_to_serial(
-        threads in 2usize..9,
-        solver in 0u8..3,
-        slack in 0u64..3,
-        sparse in 0u8..2,
-    ) {
-        // Random shard counts × solver × barrier × storage: the N-thread
-        // server with absorb_batch = 1 must reproduce the serial model to
-        // the last bit, along with every report statistic.
-        let d = if sparse == 1 { sparse_dataset() } else { dense_dataset() };
-        let barrier = BarrierFilter::Ssp { slack };
-        let serial = run_solver(solver, &d, &base_cfg(barrier.clone(), 1, 1), None);
-        let sharded = run_solver(solver, &d, &base_cfg(barrier, threads, 1), None);
-        prop_assert_eq!(bits(&serial.final_w), bits(&sharded.final_w));
-        prop_assert_eq!(serial.final_objective.to_bits(), sharded.final_objective.to_bits());
-        prop_assert_eq!(serial.updates, sharded.updates);
-        prop_assert_eq!(serial.tasks_completed, sharded.tasks_completed);
-        prop_assert_eq!(serial.bytes_shipped, sharded.bytes_shipped);
-        prop_assert_eq!(serial.worker_clocks, sharded.worker_clocks);
-    }
-
-    #[test]
-    fn sharded_absorption_is_bit_identical_under_churn(
-        threads in 2usize..7,
-        solver in 0u8..3,
-        chaos_seed in 0u64..100_000,
-    ) {
-        // Kills, revivals, and joins change the delta mix mid-run; the
-        // bit-identity contract must hold regardless.
-        let d = sparse_dataset();
-        let chaos = ChaosSchedule::random(
-            chaos_seed,
-            WORKERS,
-            VTime::from_micros(100),
-            &ChaosCfg { events: 6, ..ChaosCfg::default() },
-        );
-        let serial = run_solver(solver, &d, &base_cfg(BarrierFilter::Asp, 1, 1), Some(&chaos));
-        let sharded =
-            run_solver(solver, &d, &base_cfg(BarrierFilter::Asp, threads, 1), Some(&chaos));
-        prop_assert_eq!(bits(&serial.final_w), bits(&sharded.final_w));
-        prop_assert_eq!(serial.updates, sharded.updates);
-        prop_assert_eq!(serial.worker_clocks, sharded.worker_clocks);
-    }
-
-    #[test]
     fn fused_waves_match_sequential_application_within_1e9(
-        threads in 1usize..6,
         wave_len in 2usize..6,
         lambda_idx in 0usize..3,
         seed in 0u64..10_000,
@@ -155,11 +96,10 @@ proptest! {
         let damps: Vec<f64> = (0..wave_len).map(|k| 1.0 / (1.0 + k as f64)).collect();
         let mut batched: Vec<f64> = (0..dim).map(|_| next()).collect();
         let mut sequential = batched.clone();
-        let mut ab = ShardedAbsorber::new(dim, threads);
+        let mut ab = ShardedAbsorber::new(dim, 1);
         ab.asgd_wave(&mut batched, wave_len, |k| &deltas[k], &damps, 0.1, lambda);
-        let mut serial = ShardedAbsorber::new(dim, 1);
         for (k, g) in deltas.iter().enumerate() {
-            serial.asgd_step(&mut sequential, g, 0.1 * damps[k], lambda);
+            ab.asgd_step(&mut sequential, g, 0.1 * damps[k], lambda);
         }
         for (b, s) in batched.iter().zip(&sequential) {
             prop_assert!(
@@ -172,7 +112,6 @@ proptest! {
     #[test]
     fn batched_runs_complete_and_descend_under_churn(
         batch in 2usize..5,
-        threads in 1usize..5,
         solver in 0u8..3,
         chaos_seed in 0u64..100_000,
     ) {
@@ -189,7 +128,7 @@ proptest! {
         let r = run_solver(
             solver,
             &d,
-            &base_cfg(BarrierFilter::Asp, threads, batch),
+            &base_cfg(BarrierFilter::Asp, batch),
             Some(&chaos),
         );
         prop_assert!(r.updates <= 60);
@@ -214,19 +153,16 @@ fn degenerate_batches_stay_bit_identical() {
         .with_comm(CommModel::free())
         .with_sched_overhead(VDur::ZERO);
     let objective = Objective::Logistic { lambda: 0.0 };
-    let run = |batch: usize, threads: usize| {
+    let run = |batch: usize| {
         let mut ctx = AsyncContext::sim(spec.clone());
         let cfg = SolverCfg {
             max_updates: 40,
-            barrier: BarrierFilter::Bsp,
-            server_threads: threads,
-            absorb_batch: batch,
-            ..base_cfg(BarrierFilter::Bsp, threads, batch)
+            ..base_cfg(BarrierFilter::Bsp, batch)
         };
         Asgd::new(objective).run(&mut ctx, &d, &cfg)
     };
-    let serial = run(1, 1);
-    let batched = run(4, 3);
+    let serial = run(1);
+    let batched = run(4);
     assert_eq!(bits(&serial.final_w), bits(&batched.final_w));
     assert_eq!(serial.updates, batched.updates);
 }
