@@ -124,6 +124,7 @@ impl BarrierFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stat::tests::running;
     use crate::stat::StatTable;
     use async_cluster::{VDur, VTime};
 
@@ -134,7 +135,7 @@ mod tests {
     #[test]
     fn asp_selects_all_available() {
         let mut t = table(4);
-        t.task_issued(2, 0, VTime::ZERO, 1);
+        t.task_issued(2, running(0, VTime::ZERO, 1));
         let snap = t.snapshot(VTime::ZERO, 0);
         assert_eq!(BarrierFilter::Asp.select(&snap), vec![0, 1, 3]);
     }
@@ -142,7 +143,7 @@ mod tests {
     #[test]
     fn bsp_requires_everyone_idle() {
         let mut t = table(3);
-        t.task_issued(0, 0, VTime::ZERO, 1);
+        t.task_issued(0, running(0, VTime::ZERO, 1));
         let snap = t.snapshot(VTime::ZERO, 0);
         assert!(BarrierFilter::Bsp.select(&snap).is_empty());
         t.task_completed(0, VTime::from_micros(1), VDur::from_micros(1));
@@ -163,7 +164,7 @@ mod tests {
         let mut t = table(2);
         // Worker 0 completes 3 tasks; worker 1 none.
         for v in 0..3 {
-            t.task_issued(0, v, VTime::ZERO, 1);
+            t.task_issued(0, running(v, VTime::ZERO, 1));
             t.task_completed(0, VTime::from_micros(v + 1), VDur::from_micros(1));
         }
         let snap = t.snapshot(VTime::from_micros(10), 3);
@@ -175,8 +176,8 @@ mod tests {
     #[test]
     fn min_available_fraction_gates_release() {
         let mut t = table(4);
-        t.task_issued(0, 0, VTime::ZERO, 1);
-        t.task_issued(1, 0, VTime::ZERO, 1);
+        t.task_issued(0, running(0, VTime::ZERO, 1));
+        t.task_issued(1, running(0, VTime::ZERO, 1));
         let snap = t.snapshot(VTime::ZERO, 0);
         // 2 of 4 available; β = 0.75 needs 3.
         assert!(BarrierFilter::MinAvailableFraction { beta: 0.75 }
@@ -193,7 +194,7 @@ mod tests {
         let mut t = table(3);
         // Worker speeds: 0 fast (10µs), 1 medium (20µs), 2 slow (200µs).
         for (w, svc) in [(0u64, 10u64), (1, 20), (2, 200)] {
-            t.task_issued(w as usize, 0, VTime::ZERO, 1);
+            t.task_issued(w as usize, running(0, VTime::ZERO, 1));
             t.task_completed(w as usize, VTime::from_micros(svc), VDur::from_micros(svc));
         }
         let snap = t.snapshot(VTime::from_micros(300), 3);
@@ -204,7 +205,7 @@ mod tests {
         );
         // A worker with no history always passes.
         let mut t2 = table(2);
-        t2.task_issued(0, 0, VTime::ZERO, 1);
+        t2.task_issued(0, running(0, VTime::ZERO, 1));
         t2.task_completed(0, VTime::from_micros(100), VDur::from_micros(100));
         let snap2 = t2.snapshot(VTime::from_micros(100), 1);
         assert_eq!(
@@ -218,7 +219,7 @@ mod tests {
         let mut t = table(2);
         // Worker 0 races ahead to clock 4; worker 1 stays at 0.
         for v in 0..4 {
-            t.task_issued(0, v, VTime::ZERO, 1);
+            t.task_issued(0, running(v, VTime::ZERO, 1));
             t.task_completed(0, VTime::from_micros(v + 1), VDur::from_micros(1));
         }
         let snap = t.snapshot(VTime::from_micros(10), 4);
@@ -238,7 +239,7 @@ mod tests {
     fn ssp_admits_a_rejoiner_without_stalling_incumbents() {
         let mut t = table(2);
         for v in 0..6 {
-            t.task_issued(0, v, VTime::ZERO, 1);
+            t.task_issued(0, running(v, VTime::ZERO, 1));
             t.task_completed(0, VTime::from_micros(v + 1), VDur::from_micros(1));
         }
         t.worker_died(1);
@@ -259,7 +260,7 @@ mod tests {
         assert_eq!(BarrierFilter::Bsp.select(&snap), vec![0, 1]);
         // Revival makes the barrier require the rejoiner again…
         t.worker_revived(2);
-        t.task_issued(2, 0, VTime::ZERO, 1);
+        t.task_issued(2, running(0, VTime::ZERO, 1));
         let snap = t.snapshot(VTime::ZERO, 0);
         assert!(
             BarrierFilter::Bsp.select(&snap).is_empty(),
@@ -275,7 +276,7 @@ mod tests {
     #[test]
     fn beta_fraction_reevaluates_over_the_current_alive_set() {
         let mut t = table(4);
-        t.task_issued(0, 0, VTime::ZERO, 1);
+        t.task_issued(0, running(0, VTime::ZERO, 1));
         // 3 of 4 available; β = 0.8 needs ⌊0.8·4⌋ = 3: releases.
         let snap = t.snapshot(VTime::ZERO, 0);
         assert_eq!(
@@ -303,7 +304,7 @@ mod tests {
     fn completion_time_filter_admits_history_free_rejoiners() {
         let mut t = table(3);
         for (w, svc) in [(0usize, 10u64), (1, 20), (2, 21)] {
-            t.task_issued(w, 0, VTime::ZERO, 1);
+            t.task_issued(w, running(0, VTime::ZERO, 1));
             t.task_completed(w, VTime::from_micros(svc), VDur::from_micros(svc));
         }
         // Worker 2 dies and revives: its completion history is wiped, so
@@ -342,7 +343,7 @@ mod tests {
     fn selection_is_subset_of_available() {
         // Property: whatever the filter, selected ⊆ available.
         let mut t = table(5);
-        t.task_issued(1, 0, VTime::ZERO, 1);
+        t.task_issued(1, running(0, VTime::ZERO, 1));
         t.worker_died(4);
         let snap = t.snapshot(VTime::ZERO, 0);
         for f in [

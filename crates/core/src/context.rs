@@ -15,6 +15,9 @@
 //!   (availability, task clock, average completion time) is updated before
 //!   the result is exposed. Failures are folded into `STAT` as dead
 //!   workers, exactly like the coordinator's bookkeeping.
+//! * **The task ledger**: a running task's row is its worker's `STAT`
+//!   in-flight slot, and every task ends in exactly one counted fate —
+//!   delivered, lost or drained ([`TaskCounts`]).
 //! * **Consumption** ([`AsyncContext::collect`],
 //!   [`AsyncContext::collect_all`], [`AsyncContext::has_next`]): the
 //!   paper's `ASYNCcollect` / `ASYNCcollectAll` / `AC.hasNext()`.
@@ -40,7 +43,7 @@ use sparklet::{Completion, DecodeError, Driver, Payload, Rdd, TaskFn, WireTask, 
 
 use crate::barrier::BarrierFilter;
 use crate::broadcast::AsyncBcast;
-use crate::stat::{StatSnapshot, StatTable};
+use crate::stat::{InFlight, StatSnapshot, StatTable};
 
 /// The worker attributes the coordinator attaches to every result (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,29 +183,37 @@ where
     })
 }
 
-/// Rebuilds a lost task's run closure for re-submission. Stored `Arc`'d so
-/// one ticket can be replayed on every retry attempt.
-type ReplayFn = Arc<dyn Fn() -> TaskFn + Send + Sync>;
-
-/// Everything needed to re-submit one in-flight task if its worker dies:
-/// captured at submission (only when retries are enabled), discarded on
-/// normal completion, moved to the retry queue on [`Completion::Lost`].
-struct RetryTicket {
-    /// Worker currently running (or last assigned) this task.
-    worker: WorkerId,
-    /// Engine tag — the partition index, echoed back in completions.
-    tag: u64,
+/// What re-submitting a task takes beyond its `STAT` row: captured at
+/// issue only when retries are on, kept beside the row while it runs.
+struct Replay {
     cost: f64,
     extra_bytes: u64,
-    minibatch: u64,
-    /// The model version of the *original* submission: retries keep it so
-    /// staleness stays honest and the pin taken at first submission is
-    /// consumed exactly once, by whichever incarnation finally lands.
-    issued_version: u64,
-    /// Re-submissions so far (bounded by the context's `retry_max`).
-    attempts: u32,
-    replay: ReplayFn,
+    run: Arc<dyn Fn() -> TaskFn + Send + Sync>,
     wire: Option<RemoteRoutine>,
+}
+
+/// The task ledger's counts. A task is issued once and ends in exactly one
+/// of `delivered`, `lost` or `drained`; once a run's
+/// [`AsyncContext::discard_in_flight`] returns,
+/// `issued == delivered + lost + drained`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TaskCounts {
+    /// Tasks submitted by a reduce (re-submissions excluded).
+    pub issued: u64,
+    /// Re-submissions of lost tasks to a surviving worker.
+    pub retried: u64,
+    /// Results handed out by a collect.
+    pub delivered: u64,
+    /// Tasks whose worker died with no attempt left, or whose retry was
+    /// still queued when the run stopped.
+    pub lost: u64,
+    /// Tasks in flight or unconsumed when the run stopped, whether they then
+    /// finished or died: discarded, never re-issued.
+    pub drained: u64,
+    /// Notifications that match no running task — a `Done` or `Lost` from a
+    /// worker with none, a `Lost` with another task's tag, a death of a dead
+    /// worker. Counted and otherwise ignored; 0 on a correct engine.
+    pub violations: u64,
 }
 
 /// The ASYNC coordinator. See the module docs.
@@ -214,12 +225,11 @@ pub struct AsyncContext {
     next_bcast_id: u64,
     degrade: DegradePolicy,
     retry_max: u32,
-    /// Replay tickets for in-flight tasks (empty unless retries are on).
-    tickets: Vec<RetryTicket>,
+    /// Per worker, the replay of its running task (retries on only).
+    replays: Vec<Option<Replay>>,
     /// Lost tasks awaiting re-submission to a surviving worker.
-    retry_queue: VecDeque<RetryTicket>,
-    lost_tasks: u64,
-    retried_tasks: u64,
+    retry_queue: VecDeque<(InFlight, Replay)>,
+    counts: TaskCounts,
 }
 
 impl AsyncContext {
@@ -235,10 +245,9 @@ impl AsyncContext {
             next_bcast_id: 0,
             degrade: DegradePolicy::default(),
             retry_max: 0,
-            tickets: Vec::new(),
+            replays: Vec::new(),
             retry_queue: VecDeque::new(),
-            lost_tasks: 0,
-            retried_tasks: 0,
+            counts: TaskCounts::default(),
         }
     }
 
@@ -303,6 +312,7 @@ impl AsyncContext {
     /// # Panics
     /// Panics if any task is in flight.
     pub fn reseat_version(&mut self, version: u64) {
+        // invariant: documented above; a caller re-seats between runs.
         assert_eq!(
             self.pending(),
             0,
@@ -321,10 +331,9 @@ impl AsyncContext {
 
     /// Enables task retry: a task surfacing as [`Completion::Lost`] is
     /// re-submitted to a surviving worker (at its *original* model version)
-    /// up to `max_attempts` times before it is abandoned and counted in
-    /// [`AsyncContext::lost_tasks`]. `0` (the default) disables retries —
-    /// no replay state is captured at submission and losses surface
-    /// exactly as before.
+    /// up to `max_attempts` times before it is counted lost in
+    /// [`AsyncContext::task_counts`]. `0` (the default) disables retries —
+    /// no replay state is captured at submission.
     pub fn set_retry_lost(&mut self, max_attempts: u32) {
         self.retry_max = max_attempts;
     }
@@ -334,32 +343,23 @@ impl AsyncContext {
         self.retry_max
     }
 
-    /// Tasks abandoned to worker failures: every [`Completion::Lost`] that
-    /// was not (or could no longer be) retried.
-    pub fn lost_tasks(&self) -> u64 {
-        self.lost_tasks
+    /// The task ledger's counts so far.
+    pub fn task_counts(&self) -> TaskCounts {
+        self.counts
     }
 
-    /// Successful re-submissions of lost tasks.
-    pub fn retried_tasks(&self) -> u64 {
-        self.retried_tasks
-    }
-
-    /// Lost tasks currently queued for re-submission (no surviving worker
-    /// has had capacity yet).
-    pub fn retries_pending(&self) -> usize {
-        self.retry_queue.len()
-    }
-
-    /// Abandons every queued retry (counting each in
-    /// [`AsyncContext::lost_tasks`]) and returns how many were dropped.
-    /// Called when a run winds down so end-of-run drains don't re-issue
-    /// work nobody will consume.
-    pub fn cancel_retries(&mut self) -> usize {
-        let n = self.retry_queue.len();
-        self.lost_tasks += n as u64;
+    /// Ends a run: every queued retry is lost, and every task in flight or
+    /// unconsumed is drained — pumped to its finish or death, then
+    /// discarded. Nothing is re-issued, so nothing is left pending, queued
+    /// or ready.
+    pub fn discard_in_flight(&mut self) {
+        self.counts.lost += self.retry_queue.len() as u64;
         self.retry_queue.clear();
-        n
+        while let Some(c) = self.driver.next_completion() {
+            self.absorb(c, true);
+        }
+        self.counts.drained += self.ready.len() as u64;
+        self.ready.clear();
     }
 
     /// What the installed [`DegradePolicy`] says about the current alive
@@ -421,7 +421,7 @@ impl AsyncContext {
             .alive_count();
         loop {
             if let Some(c) = self.driver.next_completion() {
-                self.absorb(c);
+                self.absorb(c, false);
                 self.flush_retries();
                 let alive = self
                     .stat
@@ -443,41 +443,47 @@ impl AsyncContext {
     }
 
     /// Re-submits queued retries to idle alive workers (first-fit over the
-    /// `STAT` table, engine-gated). Tickets that cannot be placed stay
+    /// `STAT` table, engine-gated). Retries that cannot be placed stay
     /// queued for the next flush. No-op (and allocation-free) when the
     /// queue is empty — i.e. always, unless retries are enabled and a task
     /// was lost.
     fn flush_retries(&mut self) {
-        while !self.retry_queue.is_empty() {
-            let target = {
-                let snap = self.stat.snapshot(self.driver.now(), self.version);
-                snap.workers.iter().enumerate().find_map(|(w, row)| {
-                    (row.alive && row.available && self.driver.available(w)).then_some(w)
-                })
-            };
-            let Some(w) = target else { break };
-            let mut t = self
-                .retry_queue
-                .pop_front()
-                .expect("queue checked non-empty");
-            let wire = t.wire.as_ref().map(|r| r.wire_task(t.tag as usize));
+        while let Some((task, replay)) = self.retry_queue.pop_front() {
+            let target = (0..self.stat.len()).find(|&w| {
+                let row = self.stat.get(w);
+                row.alive && row.available && self.driver.available(w)
+            });
             let issued_at = self.driver.now();
-            if self
-                .driver
-                .submit_raw(w, t.tag, t.cost, t.extra_bytes, (t.replay)(), wire)
-                .is_ok()
-            {
-                self.stat
-                    .task_issued(w, t.issued_version, issued_at, t.minibatch);
-                t.worker = w;
-                t.attempts += 1;
-                self.retried_tasks += 1;
-                self.tickets.push(t);
-            } else {
-                self.retry_queue.push_front(t);
+            // Placed when there is a target and the engine accepts the task.
+            let placed = target.filter(|&w| {
+                let wire = replay.wire.as_ref().map(|r| r.wire_task(task.tag as usize));
+                let (cost, bytes, run) = (replay.cost, replay.extra_bytes, (replay.run)());
+                self.driver
+                    .submit_raw(w, task.tag, cost, bytes, run, wire)
+                    .is_ok()
+            });
+            let Some(w) = placed else {
+                self.retry_queue.push_front((task, replay));
                 break;
-            }
+            };
+            self.counts.retried += 1;
+            let attempts = task.attempts + 1;
+            let task = InFlight {
+                issued_at,
+                attempts,
+                ..task
+            };
+            self.seat(w, task, Some(replay));
         }
+    }
+
+    /// Seats a submitted task in `w`'s `STAT` row, its replay beside it.
+    fn seat(&mut self, w: WorkerId, task: InFlight, replay: Option<Replay>) {
+        self.stat.task_issued(w, task);
+        if self.replays.len() <= w {
+            self.replays.resize_with(w + 1, || None);
+        }
+        self.replays[w] = replay;
     }
 
     /// The paper's `AC.STAT`: a read-only snapshot of the worker table at
@@ -630,27 +636,26 @@ impl AsyncContext {
                 .submit_raw(w, part as u64, cost, opts.extra_bytes, run, wire)
                 .is_ok()
             {
-                self.stat
-                    .task_issued(w, self.version, issued_at, opts.minibatch);
-                // With retries on, capture everything needed to replay this
-                // task if its worker dies. Off (the default), no state is
-                // captured and losses surface exactly as before.
-                if self.retry_max > 0 {
+                self.counts.issued += 1;
+                // With retries on, keep what replaying this task takes if
+                // its worker dies. Off (the default), nothing is captured.
+                let replay = (self.retry_max > 0).then(|| {
                     let (rdd, f) = (rdd.clone(), f.clone());
-                    let replay: ReplayFn =
-                        Arc::new(move || run_closure(rdd.clone(), f.clone(), part));
-                    self.tickets.push(RetryTicket {
-                        worker: w,
-                        tag: part as u64,
+                    Replay {
                         cost,
                         extra_bytes: opts.extra_bytes,
-                        minibatch: opts.minibatch,
-                        issued_version: self.version,
-                        attempts: 0,
-                        replay,
+                        run: Arc::new(move || run_closure(rdd.clone(), f.clone(), part)),
                         wire: remote.cloned(),
-                    });
-                }
+                    }
+                });
+                let task = InFlight {
+                    tag: part as u64,
+                    issued_version: self.version,
+                    issued_at,
+                    minibatch: opts.minibatch,
+                    attempts: 0,
+                };
+                self.seat(w, task, replay);
                 submitted.push(w);
             }
         }
@@ -702,8 +707,9 @@ impl AsyncContext {
         })
     }
 
-    /// True while unconsumed results exist or tasks are in flight — the
-    /// paper's `AC.hasNext()`.
+    /// True while unconsumed results exist, tasks are in flight, or a queued
+    /// retry waits on a scheduled membership event that could place it —
+    /// the paper's `AC.hasNext()`.
     ///
     /// # Example
     /// ```
@@ -723,7 +729,9 @@ impl AsyncContext {
     /// assert!(!ctx.has_next());
     /// ```
     pub fn has_next(&self) -> bool {
-        !self.ready.is_empty() || self.driver.pending() > 0 || !self.retry_queue.is_empty()
+        !self.ready.is_empty()
+            || self.driver.pending() > 0
+            || (!self.retry_queue.is_empty() && self.driver.next_event_at().is_some())
     }
 
     /// Tasks currently in flight.
@@ -760,25 +768,25 @@ impl AsyncContext {
         self.flush_retries();
         while self.ready.is_empty() {
             let c = self.driver.next_completion()?;
-            self.absorb(c);
+            self.absorb(c, false);
             // A loss absorbed just now may have queued a retry: re-issue
             // immediately so the pump keeps blocking on the replacement.
             self.flush_retries();
         }
-        self.ready.pop_front().map(downcast_tagged)
+        self.deliver()
     }
 
     /// The paper's `ASYNCcollectAll()`: every result the server has
     /// received *as of now*, without blocking or advancing time.
     ///
     /// # Panics
-    /// Panics if any drained result's type is not `R`.
+    /// Panics if any collected result's type is not `R`.
     pub fn collect_all<R: Send + 'static>(&mut self) -> Vec<Tagged<R>> {
         while let Some(c) = self.driver.try_next_completion() {
-            self.absorb(c);
+            self.absorb(c, false);
         }
         self.flush_retries();
-        self.ready.drain(..).map(downcast_tagged).collect()
+        std::iter::from_fn(|| self.deliver()).collect()
     }
 
     /// Batched collection for the server's absorption waves:
@@ -799,7 +807,7 @@ impl AsyncContext {
     /// flight.
     ///
     /// # Panics
-    /// Panics if a drained result's type is not `R`.
+    /// Panics if a collected result's type is not `R`.
     pub fn collect_up_to_into<R: Send + 'static>(&mut self, max: usize, out: &mut Vec<Tagged<R>>) {
         if max == 0 {
             return;
@@ -809,35 +817,48 @@ impl AsyncContext {
         };
         out.push(first);
         while out.len() < max {
-            if let Some(t) = self.ready.pop_front() {
-                out.push(downcast_tagged(t));
+            if let Some(t) = self.deliver() {
+                out.push(t);
                 continue;
             }
             match self.driver.try_next_completion() {
-                Some(c) => self.absorb(c),
+                Some(c) => self.absorb(c, false),
                 None => break,
             }
         }
     }
 
-    /// The §4.2 result pump: folds one engine completion into `STAT` and,
-    /// for successful tasks, tags the result with [`TaskAttrs`].
-    fn absorb(&mut self, c: Completion) {
+    /// Hands out the earliest ready result: the *delivered* transition.
+    fn deliver<R: Send + 'static>(&mut self) -> Option<Tagged<R>> {
+        let Tagged { value, attrs } = self.ready.pop_front()?;
+        self.counts.delivered += 1;
+        let value = *value.downcast::<R>().unwrap_or_else(|_| {
+            // invariant: a pipeline collects the type it submitted (every
+            // collect documents the panic).
+            panic!(
+                "collect::<{}>: result type mismatch",
+                std::any::type_name::<R>()
+            )
+        });
+        Some(Tagged { value, attrs })
+    }
+
+    /// The §4.2 result pump: folds one engine notification into `STAT` and
+    /// the ledger. A finished task's result is tagged with [`TaskAttrs`]
+    /// and made ready; a dead worker's task is retried, lost, or — when
+    /// `stopping` — drained. A notification that matches no running task
+    /// is a counted violation and changes nothing else.
+    fn absorb(&mut self, c: Completion, stopping: bool) {
         match c {
             Completion::Done(d) => {
-                let inflight = self
+                let completed = self
                     .stat
-                    .task_completed(d.worker, d.finished_at, d.service_time)
-                    .expect("coordinator: completion from a worker with no in-flight task");
-                if !self.tickets.is_empty() {
-                    if let Some(i) = self
-                        .tickets
-                        .iter()
-                        .position(|t| t.worker == d.worker && t.tag == d.tag)
-                    {
-                        self.tickets.swap_remove(i);
-                    }
-                }
+                    .task_completed(d.worker, d.finished_at, d.service_time);
+                let Some(inflight) = completed else {
+                    self.counts.violations += 1;
+                    return;
+                };
+                self.replays[d.worker] = None;
                 let attrs = TaskAttrs {
                     worker: d.worker,
                     partition: d.tag as usize,
@@ -853,27 +874,8 @@ impl AsyncContext {
                     attrs,
                 });
             }
-            Completion::Lost { worker, tag } => {
-                self.stat.worker_died(worker);
-                match self
-                    .tickets
-                    .iter()
-                    .position(|t| t.worker == worker && t.tag == tag)
-                {
-                    Some(i) => {
-                        let t = self.tickets.swap_remove(i);
-                        if t.attempts < self.retry_max {
-                            self.retry_queue.push_back(t);
-                        } else {
-                            self.lost_tasks += 1;
-                        }
-                    }
-                    None => self.lost_tasks += 1,
-                }
-            }
-            Completion::WorkerDown { worker } => {
-                self.stat.worker_died(worker);
-            }
+            Completion::Lost { worker, tag } => self.worker_died(worker, Some(tag), stopping),
+            Completion::WorkerDown { worker } => self.worker_died(worker, None, stopping),
             Completion::WorkerUp { worker } => {
                 // A revival or a mid-run join: the worker returns as a
                 // fresh executor. Its `STAT` row is reset (revival) or
@@ -884,17 +886,28 @@ impl AsyncContext {
             }
         }
     }
-}
 
-fn downcast_tagged<R: Send + 'static>(t: Tagged<Box<dyn Any + Send>>) -> Tagged<R> {
-    let Tagged { value, attrs } = t;
-    let value = *value.downcast::<R>().unwrap_or_else(|_| {
-        panic!(
-            "collect::<{}>: result type mismatch",
-            std::any::type_name::<R>()
-        )
-    });
-    Tagged { value, attrs }
+    /// A death of `worker`, running the task tagged `tag` (`None`: idle).
+    fn worker_died(&mut self, worker: WorkerId, tag: Option<u64>, stopping: bool) {
+        let row = (worker < self.stat.len()).then(|| *self.stat.get(worker));
+        let placed = match (row, tag) {
+            (Some(row), Some(tag)) => row.inflight.is_some_and(|t| t.tag == tag),
+            (Some(row), None) => row.alive,
+            (None, _) => false,
+        };
+        if !placed {
+            self.counts.violations += 1;
+            return;
+        }
+        let Some(task) = self.stat.worker_died(worker) else {
+            return;
+        };
+        match self.replays[worker].take() {
+            _ if stopping => self.counts.drained += 1,
+            Some(r) if task.attempts < self.retry_max => self.retry_queue.push_back((task, r)),
+            _ => self.counts.lost += 1,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -920,6 +933,13 @@ mod tests {
 
     fn sum_task(_ctx: &mut WorkerCtx, data: Vec<i64>, _part: usize) -> i64 {
         data.into_iter().sum()
+    }
+
+    /// Lost tasks waiting for a retry, read off the ledger: issued tasks
+    /// with no fate yet that are not in flight (valid with nothing ready).
+    fn queued(ctx: &AsyncContext) -> u64 {
+        let c = ctx.task_counts();
+        c.issued - c.delivered - c.lost - c.drained - ctx.pending() as u64
     }
 
     #[test]
@@ -1251,9 +1271,9 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 2, "the lost task is not replayed by default");
-        assert_eq!(ctx.lost_tasks(), 1);
-        assert_eq!(ctx.retried_tasks(), 0);
-        assert_eq!(ctx.retries_pending(), 0);
+        let c = ctx.task_counts();
+        assert_eq!((c.issued, c.delivered, c.lost, c.retried), (3, 2, 1, 0));
+        assert_eq!(queued(&ctx), 0);
     }
 
     #[test]
@@ -1273,13 +1293,13 @@ mod tests {
         got.sort_unstable();
         // Both partitions complete, both on worker 0.
         assert_eq!(got, vec![(0, 0, 0), (0, 1, 1)]);
-        assert_eq!(ctx.retried_tasks(), 1);
-        assert_eq!(ctx.lost_tasks(), 0);
+        let c = ctx.task_counts();
+        assert_eq!((c.issued, c.retried, c.delivered, c.lost), (2, 1, 2, 0));
         assert!(!ctx.has_next());
     }
 
     #[test]
-    fn retried_tasks_keep_their_original_issued_version() {
+    fn a_retried_task_keeps_its_original_issued_version() {
         let mut ctx = quiet_ctx(2, DelayModel::None);
         ctx.set_retry_lost(1);
         let rdd = unit_rdd(2);
@@ -1316,9 +1336,10 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 1, "only worker 0's own task completes");
-        assert_eq!(ctx.retried_tasks(), 1);
-        assert_eq!(ctx.lost_tasks(), 1, "the exhausted retry is abandoned");
-        assert_eq!(ctx.retries_pending(), 0);
+        let c = ctx.task_counts();
+        assert_eq!(c.retried, 1);
+        assert_eq!(c.lost, 1, "the exhausted retry is abandoned");
+        assert_eq!(queued(&ctx), 0);
     }
 
     #[test]
@@ -1329,11 +1350,59 @@ mod tests {
         ctx.driver_mut().schedule_failure(0, VTime::from_micros(10));
         ctx.async_reduce(&rdd, &BarrierFilter::Asp, SubmitOpts::default(), sum_task);
         assert!(ctx.collect::<i64>().is_none());
-        // The sole worker is dead: the retry cannot be placed anywhere.
-        assert_eq!(ctx.retries_pending(), 1);
-        assert!(ctx.has_next(), "a queued retry keeps the pipeline open");
-        assert_eq!(ctx.cancel_retries(), 1);
-        assert_eq!(ctx.lost_tasks(), 1);
+        // The sole worker is dead: the retry cannot be placed anywhere, and
+        // with nothing scheduled it never will be.
+        assert_eq!(queued(&ctx), 1);
+        assert!(!ctx.has_next(), "nothing can place the queued retry");
+        // A scheduled revival could: the pipeline is open again.
+        ctx.driver_mut()
+            .schedule_revival(0, VTime::from_micros(2_000_000));
+        assert!(ctx.has_next(), "a revival is scheduled for the retry");
+        // Stopping here loses the queued retry; the revival is not waited on.
+        ctx.discard_in_flight();
+        let c = ctx.task_counts();
+        assert_eq!((c.issued, c.lost, c.drained, c.retried), (1, 1, 0, 0));
+        assert_eq!(queued(&ctx), 0);
+    }
+
+    #[test]
+    fn the_canonical_has_next_loop_ends_when_a_retry_cannot_be_placed() {
+        let mut ctx = quiet_ctx(1, DelayModel::None);
+        ctx.set_retry_lost(3);
+        let rdd = unit_rdd(1);
+        ctx.driver_mut().schedule_failure(0, VTime::from_micros(10));
+        ctx.async_reduce(&rdd, &BarrierFilter::Asp, SubmitOpts::default(), sum_task);
+        let mut iterations = 0;
+        while ctx.has_next() {
+            ctx.collect::<i64>();
+            iterations += 1;
+            assert!(
+                iterations < 1_000,
+                "has_next() spins on an unplaceable retry"
+            );
+        }
+        assert_eq!(queued(&ctx), 1);
+    }
+
+    #[test]
+    fn discarding_drains_running_tasks_without_reissuing_them() {
+        // Three tasks in flight when the run stops: one finishes, one's
+        // worker dies (with retries on and a survivor idle), one finishes
+        // and waits unconsumed. All three are drained; none is re-issued.
+        let mut ctx = quiet_ctx(3, DelayModel::None);
+        ctx.set_retry_lost(2);
+        ctx.driver_mut().schedule_failure(1, VTime::from_micros(10));
+        ctx.async_reduce(
+            &unit_rdd(3),
+            &BarrierFilter::Asp,
+            SubmitOpts::default(),
+            sum_task,
+        );
+        ctx.discard_in_flight();
+        let c = ctx.task_counts();
+        assert_eq!((c.issued, c.drained, c.lost, c.retried), (3, 3, 0, 0));
+        assert_eq!((c.delivered, c.violations), (0, 0));
+        assert_eq!(ctx.pending(), 0);
         assert!(!ctx.has_next());
     }
 
@@ -1379,15 +1448,115 @@ mod tests {
         ctx.driver_mut().schedule_failure(0, VTime::from_micros(10));
         ctx.async_reduce(&rdd, &BarrierFilter::Asp, SubmitOpts::default(), sum_task);
         assert!(ctx.collect::<i64>().is_none());
-        assert_eq!(ctx.retries_pending(), 1);
+        assert_eq!(queued(&ctx), 1);
         let at = ctx.now() + VDur::from_millis(2);
         ctx.driver_mut().schedule_revival(0, at);
         assert!(ctx.await_recovery());
         // The queued retry was re-issued onto the revived worker.
-        assert_eq!(ctx.retries_pending(), 0);
+        assert_eq!(ctx.pending(), 1);
         let t = ctx.collect::<i64>().expect("retried result");
         assert_eq!(t.value, 0);
-        assert_eq!(ctx.retried_tasks(), 1);
-        assert_eq!(ctx.lost_tasks(), 0);
+        let c = ctx.task_counts();
+        assert_eq!((c.retried, c.delivered, c.lost), (1, 1, 0));
+    }
+
+    /// An engine that accepts every submission and replays a fixed script
+    /// of notifications, including ones a correct engine never sends.
+    struct Scripted(VecDeque<Completion>);
+
+    impl sparklet::Engine for Scripted {
+        fn workers(&self) -> usize {
+            2
+        }
+        fn now(&self) -> VTime {
+            VTime::ZERO
+        }
+        fn available(&self, _w: WorkerId) -> bool {
+            true
+        }
+        fn alive(&self, _w: WorkerId) -> bool {
+            true
+        }
+        fn submit(
+            &mut self,
+            _w: WorkerId,
+            _task: sparklet::Task,
+        ) -> Result<(), sparklet::EngineError> {
+            Ok(())
+        }
+        fn next(&mut self) -> Option<Completion> {
+            self.0.pop_front()
+        }
+        fn try_next(&mut self) -> Option<Completion> {
+            self.0.pop_front()
+        }
+        fn pending(&self) -> usize {
+            self.0.len()
+        }
+        fn kill_worker(&mut self, _w: WorkerId) {}
+        fn revive_worker(&mut self, w: WorkerId) -> Result<(), sparklet::EngineError> {
+            Err(sparklet::EngineError::WorkerAlive(w))
+        }
+        fn add_worker(&mut self) -> WorkerId {
+            2
+        }
+    }
+
+    /// Runs `script` against a context that first issued one task to each
+    /// of `busy`'s workers (partition = worker), with retries on; returns
+    /// the ledger after everything is collected.
+    fn scripted(busy: &[WorkerId], script: Vec<Completion>) -> TaskCounts {
+        let engine = Scripted(script.into());
+        let mut ctx = AsyncContext::new(Driver::from_engine(Box::new(engine)));
+        ctx.set_retry_lost(1);
+        for &w in busy {
+            let only_w = BarrierFilter::custom(move |_snap, x| x == w);
+            ctx.async_reduce(&unit_rdd(2), &only_w, SubmitOpts::default(), sum_task);
+        }
+        while ctx.collect::<i64>().is_some() {}
+        ctx.task_counts()
+    }
+
+    fn done(worker: WorkerId) -> Completion {
+        Completion::Done(sparklet::TaskDone {
+            worker,
+            tag: worker as u64,
+            output: Box::new(7i64),
+            issued_at: VTime::ZERO,
+            finished_at: VTime::ZERO,
+            service_time: VDur::ZERO,
+            bytes_in: 0,
+        })
+    }
+
+    #[test]
+    fn a_result_from_an_idle_worker_is_a_violation_not_a_panic() {
+        let c = scripted(&[0], vec![done(1), done(0)]);
+        assert_eq!(c.violations, 1);
+        assert_eq!((c.issued, c.delivered, c.lost), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_loss_with_no_running_task_is_a_violation_not_a_loss() {
+        let c = scripted(&[0], vec![Completion::Lost { worker: 1, tag: 1 }, done(0)]);
+        assert_eq!(c.violations, 1);
+        assert_eq!((c.issued, c.delivered, c.lost), (1, 1, 0));
+        // A loss carrying another task's tag cannot be placed either.
+        let c = scripted(&[0], vec![Completion::Lost { worker: 0, tag: 9 }, done(0)]);
+        assert_eq!(c.violations, 1);
+        assert_eq!((c.issued, c.delivered, c.lost), (1, 1, 0));
+    }
+
+    #[test]
+    fn one_death_reported_twice_is_one_loss_and_one_violation() {
+        // Worker 1 dies once but is reported as a lost task and then as an
+        // idle death. Worker 0 stays busy, so the retry cannot be placed.
+        let script = vec![
+            Completion::Lost { worker: 1, tag: 1 },
+            Completion::WorkerDown { worker: 1 },
+        ];
+        let c = scripted(&[0, 1], script);
+        assert_eq!(c.violations, 1);
+        assert_eq!((c.issued, c.delivered, c.lost, c.retried), (2, 0, 0, 0));
     }
 }

@@ -42,6 +42,7 @@ pub mod stat;
 pub use barrier::BarrierFilter;
 pub use broadcast::{AsyncBcast, HistoryHandle, HistoryStats, ReadPin, WirePlan};
 pub use context::{
-    AsyncContext, DegradePolicy, RemoteRoutine, SubmitOpts, Tagged, TaskAttrs, WaveDirective,
+    AsyncContext, DegradePolicy, RemoteRoutine, SubmitOpts, Tagged, TaskAttrs, TaskCounts,
+    WaveDirective,
 };
 pub use stat::{StatSnapshot, WorkerStat};

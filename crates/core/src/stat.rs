@@ -8,15 +8,21 @@
 
 use async_cluster::{VDur, VTime, WorkerId};
 
-/// Information about a task currently executing on a worker.
+/// A task currently executing on a worker: its row in the coordinator's
+/// task ledger while it runs (one task per worker).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InFlight {
-    /// Model version (server update count) the task was issued at.
+    /// Engine tag (the partition index), echoed back by its completion.
+    pub tag: u64,
+    /// Model version (server update count) the task was *first* issued at;
+    /// a retry keeps it.
     pub issued_version: u64,
     /// Submission instant.
     pub issued_at: VTime,
     /// Mini-batch size declared at submission.
     pub minibatch: u64,
+    /// Re-submissions after losses so far (0 on first issue).
+    pub attempts: u32,
 }
 
 /// One worker's row of the `STAT` table.
@@ -69,7 +75,6 @@ impl WorkerStat {
 #[derive(Debug, Clone)]
 pub struct StatTable {
     workers: Vec<WorkerStat>,
-    completed_total: u64,
 }
 
 impl StatTable {
@@ -77,7 +82,6 @@ impl StatTable {
     pub fn new(n: usize) -> Self {
         Self {
             workers: vec![WorkerStat::new(); n],
-            completed_total: 0,
         }
     }
 
@@ -96,24 +100,22 @@ impl StatTable {
         &self.workers[w]
     }
 
-    /// Marks `w` busy with a task issued now.
-    pub fn task_issued(&mut self, w: WorkerId, version: u64, at: VTime, minibatch: u64) {
+    /// Marks `w` busy running `task`.
+    pub fn task_issued(&mut self, w: WorkerId, task: InFlight) {
         let s = &mut self.workers[w];
+        // invariant: the coordinator issues only to rows it read as alive
+        // and available.
         debug_assert!(s.alive && s.available, "issuing to unavailable worker {w}");
         s.available = false;
-        s.inflight = Some(InFlight {
-            issued_version: version,
-            issued_at: at,
-            minibatch,
-        });
+        s.inflight = Some(task);
     }
 
     /// Marks `w` idle after a completion, folding `service` into its
-    /// average completion time. Returns the in-flight info for attribute
-    /// tagging.
+    /// average completion time, and returns the task it ran. `None`, with
+    /// the table untouched, when `w` has no running task.
     pub fn task_completed(&mut self, w: WorkerId, at: VTime, service: VDur) -> Option<InFlight> {
-        let s = &mut self.workers[w];
-        let inflight = s.inflight.take();
+        let s = self.workers.get_mut(w)?;
+        let inflight = s.inflight.take()?;
         s.available = true;
         s.last_result_at = Some(at);
         // Running mean: avg += (x − avg) / n, over this life's completions
@@ -124,16 +126,15 @@ impl StatTable {
         let delta = service.as_micros() as i64 - s.avg_completion.as_micros() as i64;
         let new_avg = s.avg_completion.as_micros() as i64 + delta / n as i64;
         s.avg_completion = VDur::from_micros(new_avg.max(0) as u64);
-        self.completed_total += 1;
-        inflight
+        Some(inflight)
     }
 
-    /// Marks `w` dead (its in-flight task, if any, is forgotten).
-    pub fn worker_died(&mut self, w: WorkerId) {
+    /// Marks `w` dead and returns the task it was running, if any.
+    pub fn worker_died(&mut self, w: WorkerId) -> Option<InFlight> {
         let s = &mut self.workers[w];
         s.alive = false;
         s.available = false;
-        s.inflight = None;
+        s.inflight.take()
     }
 
     /// The minimum SSP clock over alive rows, excluding `except` — the
@@ -187,11 +188,6 @@ impl StatTable {
                 self.add_worker();
             }
         }
-    }
-
-    /// Total tasks completed across all workers.
-    pub fn completed_total(&self) -> u64 {
-        self.completed_total
     }
 
     /// An immutable snapshot for barrier filters (the paper's `AC.STAT`).
@@ -270,14 +266,25 @@ impl StatSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A first-issue running row at `version`, tagged with partition 0.
+    pub(crate) fn running(version: u64, at: VTime, minibatch: u64) -> InFlight {
+        InFlight {
+            tag: 0,
+            issued_version: version,
+            issued_at: at,
+            minibatch,
+            attempts: 0,
+        }
+    }
 
     #[test]
     fn issue_and_complete_cycle() {
         let mut t = StatTable::new(2);
         assert!(t.get(0).available);
-        t.task_issued(0, 5, VTime::from_micros(10), 32);
+        t.task_issued(0, running(5, VTime::from_micros(10), 32));
         assert!(!t.get(0).available);
         let snap = t.snapshot(VTime::from_micros(10), 7);
         assert_eq!(snap.workers[0].inflight_staleness(7), Some(2));
@@ -298,17 +305,17 @@ mod tests {
     fn avg_completion_is_running_mean() {
         let mut t = StatTable::new(1);
         for (i, svc) in [100u64, 200, 300].iter().enumerate() {
-            t.task_issued(0, i as u64, VTime::ZERO, 1);
+            t.task_issued(0, running(i as u64, VTime::ZERO, 1));
             t.task_completed(0, VTime::from_micros(*svc), VDur::from_micros(*svc));
         }
         assert_eq!(t.get(0).avg_completion, VDur::from_micros(200));
-        assert_eq!(t.completed_total(), 3);
+        assert_eq!(t.get(0).completed, 3);
     }
 
     #[test]
     fn death_clears_state() {
         let mut t = StatTable::new(2);
-        t.task_issued(1, 0, VTime::ZERO, 1);
+        t.task_issued(1, running(0, VTime::ZERO, 1));
         t.worker_died(1);
         let s = t.snapshot(VTime::ZERO, 0);
         assert!(!s.workers[1].alive);
@@ -320,9 +327,9 @@ mod tests {
     #[test]
     fn snapshot_aggregates() {
         let mut t = StatTable::new(3);
-        t.task_issued(0, 0, VTime::ZERO, 1);
+        t.task_issued(0, running(0, VTime::ZERO, 1));
         t.task_completed(0, VTime::from_micros(10), VDur::from_micros(10));
-        t.task_issued(1, 1, VTime::ZERO, 1);
+        t.task_issued(1, running(1, VTime::ZERO, 1));
         t.task_completed(1, VTime::from_micros(30), VDur::from_micros(30));
         let s = t.snapshot(VTime::from_micros(30), 2);
         assert_eq!(s.min_clock(), Some(0)); // worker 2 has done nothing
@@ -335,10 +342,10 @@ mod tests {
         let mut t = StatTable::new(2);
         // Worker 1 builds history, then dies mid-task.
         for v in 0..4 {
-            t.task_issued(1, v, VTime::ZERO, 8);
+            t.task_issued(1, running(v, VTime::ZERO, 8));
             t.task_completed(1, VTime::from_micros(v + 1), VDur::from_micros(100));
         }
-        t.task_issued(1, 4, VTime::from_micros(10), 8);
+        t.task_issued(1, running(4, VTime::from_micros(10), 8));
         t.worker_died(1);
         t.worker_revived(1);
         let s = t.get(1);
@@ -356,7 +363,7 @@ mod tests {
         let mut t = StatTable::new(3);
         for w in 0..2 {
             for v in 0..5 {
-                t.task_issued(w, v, VTime::ZERO, 1);
+                t.task_issued(w, running(v, VTime::ZERO, 1));
                 t.task_completed(w, VTime::from_micros(v + 1), VDur::from_micros(1));
             }
         }
@@ -395,7 +402,7 @@ mod tests {
     fn alive_set_transitions_update_aggregates() {
         let mut t = StatTable::new(3);
         for v in 0..3 {
-            t.task_issued(0, v, VTime::ZERO, 1);
+            t.task_issued(0, running(v, VTime::ZERO, 1));
             t.task_completed(0, VTime::from_micros(v + 1), VDur::from_micros(10));
         }
         // The only zero-clock workers die: min_clock must follow the
@@ -419,11 +426,7 @@ mod tests {
             clock: 0,
             completed: 0,
             avg_completion: VDur::ZERO,
-            inflight: Some(InFlight {
-                issued_version: 9,
-                issued_at: VTime::ZERO,
-                minibatch: 1,
-            }),
+            inflight: Some(running(9, VTime::ZERO, 1)),
             last_result_at: None,
         };
         assert_eq!(

@@ -7,7 +7,7 @@
 //! durable store and resume precedence, the lineage budget, version
 //! re-seating, the history broadcast, compressor residuals, serving,
 //! supervision (degrade policy, retries, stall restarts), pin bookkeeping,
-//! evaluation and checkpoint cadences, the end-of-run drain and the
+//! evaluation and checkpoint cadences, the end-of-run discard and the
 //! [`RunReport`]. A rule supplies its auxiliary state, its task, and its
 //! per-wave coefficients and absorber call; dispatch is static and every
 //! per-wave buffer is reused, so the loop allocates nothing per step.
@@ -240,8 +240,8 @@ fn stalled_should_wait(ctx: &mut AsyncContext) -> bool {
 /// submission version per task, so a queued task can never see its model
 /// version pruned (and `record_use` at consumption finds it alive). Which
 /// worker a result comes back from is irrelevant — a retried task completes
-/// on another than it was submitted to. Tasks lost to worker failures never
-/// surface; their entries are what [`Pins::release_rest`] unpins at run end.
+/// on another than it was submitted to. Lost and drained tasks are never
+/// consumed; their entries are what [`Pins::release_rest`] unpins at run end.
 #[derive(Default)]
 struct Pins(Vec<u64>);
 
@@ -350,7 +350,7 @@ impl ServerLoop {
         ctx.reseat_version(version);
         ctx.set_degrade_policy(cfg.degrade);
         ctx.set_retry_lost(cfg.retry_lost);
-        let (lost0, retried0) = (ctx.lost_tasks(), ctx.retried_tasks());
+        let counts0 = ctx.task_counts();
         let (blocks, rdd) = block_rdd(ctx, dataset, cfg);
         let nparts = blocks.len().max(1);
         let mean_rows = dataset.rows() / nparts;
@@ -430,7 +430,6 @@ impl ServerLoop {
         let mut wave: Vec<Tagged<GradMsg>> = Vec::new();
 
         let mut updates = 0u64;
-        let mut tasks_completed = 0u64;
         let mut max_staleness = 0u64;
         let mut grad_entries = 0u64;
         let mut result_bytes = 0u64;
@@ -459,7 +458,6 @@ impl ServerLoop {
                 break;
             }
             for t in &wave {
-                tasks_completed += 1;
                 max_staleness = max_staleness.max(t.attrs.staleness);
                 grad_entries += t.value.entries;
                 result_bytes += t.value.wire_bytes;
@@ -511,24 +509,12 @@ impl ServerLoop {
             session.finish()
         });
 
-        // Leave the context and the broadcast clean for the next run: drain
-        // in-flight tasks without applying them and release every pin,
-        // including those of lost tasks, which never surface. Queued
-        // retries are abandoned up front so the drain doesn't re-issue work
-        // nobody will consume, and again afterwards for tasks lost (and
-        // left unplaceable) during the drain itself. The run's losses are
-        // settled between the two: a retry the loop was still owed when it
-        // stopped is lost; a task that dies in the drain was going to be
-        // discarded, not applied.
-        ctx.cancel_retries();
-        let lost_tasks = ctx.lost_tasks() - lost0;
-        while let Some(t) = ctx.collect::<GradMsg>() {
-            pinned.release(&bcast, t.attrs.issued_version);
-            pool.recycle_ids(t.value.indices);
-            pool.recycle_delta(t.value.g);
-        }
-        ctx.cancel_retries();
+        // Leave the context and the broadcast clean for the next run: queued
+        // retries are lost, tasks still in flight are drained unapplied, and
+        // every pin is released. The run's task counters are ledger deltas.
+        ctx.discard_in_flight();
         pinned.release_rest(&bcast);
+        let counts = ctx.task_counts();
 
         let serve = cfg.serve_feed.as_ref().map(|feed| {
             feed.mark_done();
@@ -538,7 +524,7 @@ impl ServerLoop {
         Ok(RunReport {
             trace,
             updates,
-            tasks_completed,
+            tasks_completed: counts.delivered - counts0.delivered,
             max_staleness,
             wall_clock,
             mean_wait: ctx.driver().wait_recorder().overall_mean(),
@@ -549,8 +535,8 @@ impl ServerLoop {
             final_w: w,
             final_objective,
             serve: serve.unwrap_or_default(),
-            lost_tasks,
-            retried_tasks: ctx.retried_tasks() - retried0,
+            lost_tasks: counts.lost - counts0.lost,
+            retried_tasks: counts.retried - counts0.retried,
             durable: durable_stats.unwrap_or_default(),
         })
     }

@@ -104,11 +104,12 @@ pub struct SolverCfg {
     /// scripted revivals instead of ending the run early.
     pub degrade: DegradePolicy,
     /// Re-submission bound for tasks lost to worker failures (0, the
-    /// default, disables retries bit-identically to older builds). A lost
-    /// gradient task is re-issued to a surviving worker at its *original*
-    /// model version — staleness accounting and broadcast pins stay honest
-    /// — up to this many times before it is abandoned and counted in
-    /// [`RunReport::lost_tasks`].
+    /// default, disables retries). A lost gradient task is re-issued to a
+    /// surviving worker at its *original* model version — staleness
+    /// accounting and broadcast pins stay honest — up to this many times
+    /// before it counts in [`RunReport::lost_tasks`]. Only while the loop
+    /// runs: a task that dies after the last update is drained, never
+    /// re-issued.
     pub retry_lost: u32,
     /// Directory of the run's durable checkpoint store (`None`, the
     /// default, is bit-identical to builds predating the durability
@@ -206,7 +207,8 @@ pub struct RunReport {
     pub trace: ConvergenceTrace,
     /// Server model updates applied.
     pub updates: u64,
-    /// Gradient tasks whose results were consumed.
+    /// Gradient tasks whose results were consumed (the ledger's
+    /// `delivered` over the run).
     pub tasks_completed: u64,
     /// Maximum staleness observed across consumed results.
     pub max_staleness: u64,
@@ -233,13 +235,13 @@ pub struct RunReport {
     /// Serving counters accumulated by readers attached through
     /// [`SolverCfg::serve_feed`] over the run (all zeros without one).
     pub serve: ServeCounters,
-    /// Tasks abandoned to worker failures while the run's loop ran (losses
-    /// that were not, or could no longer be, retried under
-    /// [`SolverCfg::retry_lost`]). Tasks still in flight when the loop
-    /// stops are drained unapplied; one that dies there is not a loss.
+    /// Tasks lost over the run (the ledger's `lost`): their worker died
+    /// with no attempt left under [`SolverCfg::retry_lost`], or their retry
+    /// was still queued when the loop stopped. A task in flight when the
+    /// loop stops is drained unapplied, not lost, even if it then dies.
     pub lost_tasks: u64,
-    /// Lost tasks successfully re-submitted to surviving workers over this
-    /// run (always 0 with retries off).
+    /// Re-submissions of lost tasks to surviving workers over the run (the
+    /// ledger's `retried`; always 0 with retries off).
     pub retried_tasks: u64,
     /// Durability outcome under [`SolverCfg::durable_dir`]: the generation
     /// the run auto-resumed from (if any) and the store's write counters

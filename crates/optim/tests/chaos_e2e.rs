@@ -86,7 +86,14 @@ fn run_solver(
         ctx.driver_mut().install_chaos(s);
     }
     let r = solver.run(&mut ctx, d, &cfg(barrier, max_updates, 11));
+    assert_eq!(ctx.task_counts().violations, 0, "every notification placed");
     (r, ctx)
+}
+
+/// Tasks with no fate yet — in flight, unconsumed or queued for a retry.
+fn live_tasks(ctx: &AsyncContext) -> u64 {
+    let c = ctx.task_counts();
+    c.issued - c.delivered - c.lost - c.drained
 }
 
 #[test]
@@ -377,8 +384,12 @@ fn a_task_that_dies_in_the_final_drain_is_discarded_not_lost() {
     let r = Asgd::new(objective).run(&mut ctx, &d, &c);
     assert_eq!(r.updates, 60);
     assert_eq!(r.final_w, clean.final_w, "the kills land after the run");
-    assert!(ctx.lost_tasks() >= 1, "the drain did see tasks die");
-    assert_eq!(ctx.retries_pending(), 0);
+    let c = ctx.task_counts();
+    assert!(
+        c.drained >= 1,
+        "the tasks in flight at the stop were drained"
+    );
+    assert_eq!((c.lost, c.violations, live_tasks(&ctx)), (0, 0, 0));
     assert_eq!(r.lost_tasks, 0);
 }
 
@@ -505,7 +516,7 @@ fn a_run_leaves_the_context_clean_for_a_different_solver() {
         let first = make().run(&mut ctx, &d, &cfg);
         assert!(first.updates < budget, "{name}: the blackout ends the run");
         assert_eq!(
-            (ctx.pending(), ctx.retries_pending()),
+            (ctx.pending(), live_tasks(&ctx)),
             (0, 0),
             "{name}: drained context"
         );
@@ -519,7 +530,7 @@ fn a_run_leaves_the_context_clean_for_a_different_solver() {
             "{name} then {next_name}"
         );
         assert_eq!(
-            (ctx.pending(), ctx.retries_pending()),
+            (ctx.pending(), live_tasks(&ctx)),
             (0, 0),
             "{name} then {next_name}: drained context"
         );

@@ -25,7 +25,15 @@ fn dataset() -> Dataset {
 }
 
 fn run_sim_chaos(d: &Dataset, chaos: &ChaosSchedule, barrier: BarrierFilter) -> RunReport {
-    let mut ctx = AsyncContext::sim(quiet_spec());
+    run_sim_chaos_on(&mut AsyncContext::sim(quiet_spec()), d, chaos, barrier)
+}
+
+fn run_sim_chaos_on(
+    ctx: &mut AsyncContext,
+    d: &Dataset,
+    chaos: &ChaosSchedule,
+    barrier: BarrierFilter,
+) -> RunReport {
     ctx.driver_mut().install_chaos(chaos);
     let cfg = SolverCfg {
         step: 0.05,
@@ -35,7 +43,7 @@ fn run_sim_chaos(d: &Dataset, chaos: &ChaosSchedule, barrier: BarrierFilter) -> 
         seed: 9,
         ..SolverCfg::default()
     };
-    Asgd::new(Objective::LeastSquares { lambda: 1e-3 }).run(&mut ctx, d, &cfg)
+    Asgd::new(Objective::LeastSquares { lambda: 1e-3 }).run(ctx, d, &cfg)
 }
 
 proptest! {
@@ -83,9 +91,17 @@ proptest! {
             VTime::from_micros(80),
             &ChaosCfg { events: 10, ..ChaosCfg::default() },
         );
-        let r = run_sim_chaos(&d, &chaos, BarrierFilter::Asp);
+        let mut ctx = AsyncContext::sim(quiet_spec());
+        let r = run_sim_chaos_on(&mut ctx, &d, &chaos, BarrierFilter::Asp);
         prop_assert_eq!(r.updates, 80);
         prop_assert!(r.final_objective.is_finite());
+        // The ledger balances: every issued task met exactly one fate,
+        // nothing is in flight or queued, and every notification was placed.
+        let c = ctx.task_counts();
+        prop_assert_eq!(c.issued, c.delivered + c.lost + c.drained);
+        prop_assert_eq!(ctx.pending(), 0);
+        prop_assert!(!ctx.has_next());
+        prop_assert_eq!(c.violations, 0);
     }
 }
 

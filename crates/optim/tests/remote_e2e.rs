@@ -13,7 +13,7 @@ use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
 use async_linalg::{ParallelismCfg, Quant};
 use async_optim::{
-    Asaga, Asgd, AsyncMsgd, AsyncSolver, CompressCfg, Objective, ScratchPool, SolverCfg,
+    Asaga, Asgd, AsyncMsgd, AsyncSolver, CompressCfg, Objective, RunReport, ScratchPool, SolverCfg,
 };
 use sparklet::{Driver, EngineBuilder};
 
@@ -30,6 +30,19 @@ fn dataset() -> Dataset {
         .generate()
         .unwrap()
         .0
+}
+
+/// Runs `solver` on `ctx`: every engine notification must match a task the
+/// coordinator knows.
+fn run(
+    solver: &mut dyn AsyncSolver,
+    ctx: &mut AsyncContext,
+    d: &Dataset,
+    cfg: &SolverCfg,
+) -> RunReport {
+    let r = solver.run(ctx, d, cfg);
+    assert_eq!(ctx.task_counts().violations, 0, "every notification placed");
+    r
 }
 
 fn cfg(max_updates: u64, seed: u64) -> SolverCfg {
@@ -76,9 +89,9 @@ fn sim_and_remote_agree_on_final_loss_for_every_solver() {
     let budget = 150;
     for (name, make) in &solvers {
         let mut sim_ctx = AsyncContext::sim(quiet_spec());
-        let sim = make().run(&mut sim_ctx, &d, &cfg(budget, 11));
+        let sim = run(make().as_mut(), &mut sim_ctx, &d, &cfg(budget, 11));
         let mut rem_ctx = remote_ctx(0.0, None);
-        let rem = make().run(&mut rem_ctx, &d, &cfg(budget, 11));
+        let rem = run(make().as_mut(), &mut rem_ctx, &d, &cfg(budget, 11));
         assert_eq!(sim.updates, budget, "{name}: sim must spend the budget");
         assert_eq!(rem.updates, budget, "{name}: remote must spend the budget");
         let sim_gap = sim.final_objective - baseline;
@@ -113,7 +126,7 @@ fn remote_chaos_kills_real_processes_and_recovers() {
         .revive(VTime::from_micros(600), 1)
         .join(VTime::from_micros(900));
     let mut ctx = remote_ctx(1.0, Some(chaos));
-    let r = Asgd::new(objective).run(&mut ctx, &d, &cfg(200, 17));
+    let r = run(&mut Asgd::new(objective), &mut ctx, &d, &cfg(200, 17));
     assert_eq!(r.updates, 200, "run survives the kill/revive/join schedule");
     let gap = r.final_objective - baseline;
     assert!(
@@ -138,7 +151,7 @@ fn loopback_workers_run_the_full_solver_stack_without_processes() {
     let baseline = objective.optimum(ParallelismCfg::sequential(), &d).unwrap();
     let f0 = objective.full_objective(ParallelismCfg::sequential(), &d, &vec![0.0; d.cols()]);
     let mut ctx = loopback_ctx(quiet_spec());
-    let r = Asaga::new(objective).run(&mut ctx, &d, &cfg(150, 7));
+    let r = run(&mut Asaga::new(objective), &mut ctx, &d, &cfg(150, 7));
     assert_eq!(r.updates, 150);
     let gap = r.final_objective - baseline;
     assert!(

@@ -17,7 +17,7 @@ use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
 use async_core::{AsyncContext, BarrierFilter, DegradePolicy};
 use async_data::{Dataset, SynthSpec};
 use async_linalg::ParallelismCfg;
-use async_optim::{Asaga, Asgd, AsyncMsgd, AsyncSolver, Objective, SolverCfg};
+use async_optim::{Asaga, Asgd, AsyncMsgd, AsyncSolver, Objective, RunReport, SolverCfg};
 use sparklet::{Driver, EngineBuilder, FaultPlan, SuperviseCfg};
 
 const WORKERS: usize = 4;
@@ -88,6 +88,19 @@ fn unsupervised_ctx(fault: FaultPlan) -> AsyncContext {
     AsyncContext::new(Driver::from_engine(engine))
 }
 
+/// Runs `solver` on `ctx`; however the faults land, the engine's every
+/// notification must match a task the coordinator knows.
+fn run(
+    solver: &mut dyn AsyncSolver,
+    ctx: &mut AsyncContext,
+    d: &Dataset,
+    cfg: &SolverCfg,
+) -> RunReport {
+    let r = solver.run(ctx, d, cfg);
+    assert_eq!(ctx.task_counts().violations, 0, "every notification placed");
+    r
+}
+
 type SolverFactory = Box<dyn Fn() -> Box<dyn AsyncSolver>>;
 
 fn solvers(objective: Objective) -> Vec<(&'static str, SolverFactory)> {
@@ -154,7 +167,12 @@ fn supervised_grid_survives_faults_and_agrees_with_clean_sim() {
         for (bi, (bname, barrier)) in barriers.iter().enumerate() {
             // Clean oracle: the deterministic simulator, same cfg.
             let mut sim_ctx = AsyncContext::sim(quiet_spec());
-            let sim = make().run(&mut sim_ctx, &d, &cfg(barrier.clone(), budget, 0));
+            let sim = run(
+                make().as_mut(),
+                &mut sim_ctx,
+                &d,
+                &cfg(barrier.clone(), budget, 0),
+            );
             assert_eq!(sim.updates, budget, "{sname}/{bname}: sim spends budget");
             let sim_gap = sim.final_objective - baseline;
 
@@ -170,7 +188,12 @@ fn supervised_grid_survives_faults_and_agrees_with_clean_sim() {
             // after four straight losses, ≈ 1e-4 per task × 360 tasks in
             // the three tear cells — a failure every 10–25 runs; 8 puts
             // nine straight losses at ≈ 1e-9 per task.
-            let r = make().run(&mut ctx, &d, &cfg(barrier.clone(), budget, 8));
+            let r = run(
+                make().as_mut(),
+                &mut ctx,
+                &d,
+                &cfg(barrier.clone(), budget, 8),
+            );
             assert_eq!(
                 r.updates, budget,
                 "{sname}/{bname}/{mname}: a supervised run must spend its \
@@ -201,9 +224,10 @@ fn supervised_grid_survives_faults_and_agrees_with_clean_sim() {
 fn unscripted_hang_is_detected_and_the_task_reassigned() {
     // Worker 1 hangs without warning after its 5th response: its beat
     // thread goes silent and its in-flight task never answers. Only the
-    // liveness deadline notices; the supervisor respawns it and the retry
-    // layer re-places the stranded task. No fault probabilities — the hang
-    // is the single unscripted event.
+    // deadlines notice; the supervisor respawns it and the retry layer
+    // re-places the stranded task. No fault probabilities — the hang is the
+    // single unscripted event. BSP makes the loop wait on worker 1 until it
+    // is condemned, so the retry lands inside the run and is applied.
     let d = dataset();
     let objective = Objective::LeastSquares { lambda: 1e-3 };
     let baseline = objective.optimum(ParallelismCfg::sequential(), &d).unwrap();
@@ -215,7 +239,12 @@ fn unscripted_hang_is_detected_and_the_task_reassigned() {
     };
     let budget = 120;
     let mut ctx = supervised_ctx(fault);
-    let r = Asgd::new(objective).run(&mut ctx, &d, &cfg(BarrierFilter::Asp, budget, 3));
+    let r = run(
+        &mut Asgd::new(objective),
+        &mut ctx,
+        &d,
+        &cfg(BarrierFilter::Bsp, budget, 3),
+    );
     assert_eq!(r.updates, budget, "the run survives the silent hang");
     assert_eq!(r.lost_tasks, 0, "the stranded task was re-placed");
     assert!(
@@ -254,7 +283,7 @@ fn fail_fast_policy_halts_on_the_first_death() {
         degrade: DegradePolicy::FailFast,
         ..SolverCfg::default()
     };
-    let r = Asgd::new(objective).run(&mut ctx, &d, &cfg);
+    let r = run(&mut Asgd::new(objective), &mut ctx, &d, &cfg);
     assert!(
         r.updates < budget,
         "FailFast must halt early under tears (got {} updates)",
@@ -278,7 +307,12 @@ fn without_supervision_the_same_faults_lose_tasks() {
     };
     let budget = 600;
     let mut ctx = unsupervised_ctx(fault);
-    let r = Asgd::new(objective).run(&mut ctx, &d, &cfg(BarrierFilter::Asp, budget, 0));
+    let r = run(
+        &mut Asgd::new(objective),
+        &mut ctx,
+        &d,
+        &cfg(BarrierFilter::Asp, budget, 0),
+    );
     assert!(
         r.lost_tasks >= 1,
         "unsupervised tears must visibly lose tasks"

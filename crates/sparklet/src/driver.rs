@@ -139,7 +139,6 @@ pub struct Driver {
     engine: Box<dyn Engine>,
     wait: WaitTimeRecorder,
     total_bytes: u64,
-    total_tasks: u64,
     supervisor: Option<Supervisor>,
 }
 
@@ -181,7 +180,6 @@ impl Driver {
             engine,
             wait: WaitTimeRecorder::new(n),
             total_bytes: 0,
-            total_tasks: 0,
             supervisor: None,
         }
     }
@@ -268,11 +266,6 @@ impl Driver {
     /// Cumulative bytes shipped to workers.
     pub fn total_bytes_shipped(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Cumulative tasks submitted.
-    pub fn total_tasks(&self) -> u64 {
-        self.total_tasks
     }
 
     /// The cluster-wide wait-time recorder.
@@ -420,7 +413,6 @@ impl Driver {
         wire: Option<WireTask>,
     ) -> Result<(), EngineError> {
         self.wait.task_received(w, self.engine.now());
-        self.total_tasks += 1;
         let task = Task {
             tag,
             cost,
