@@ -80,12 +80,20 @@ impl WaitTimeRecorder {
             .map_or(VDur::ZERO, VDur::from_micros)
     }
 
-    /// Mean wait across all recorded intervals of all workers — the paper's
-    /// "average wait time per iteration".
-    pub fn overall_mean(&self) -> VDur {
-        let total: u64 = self.sums.iter().map(|d| d.as_micros()).sum();
-        let n: u64 = self.counts.iter().sum();
-        total.checked_div(n).map_or(VDur::ZERO, VDur::from_micros)
+    /// The running totals: recorded wait in µs and the number of waits.
+    pub fn totals(&self) -> (u64, u64) {
+        (self.sums.iter().map(|d| d.as_micros()).sum(), self.count())
+    }
+
+    /// Mean wait across the intervals of all workers recorded since
+    /// `earlier` [`totals`](Self::totals) were read — the paper's "average
+    /// wait time per iteration" of one run; `(0, 0)` means all of them.
+    pub fn mean_since(&self, earlier: (u64, u64)) -> VDur {
+        let (total, n) = self.totals();
+        let waited = total - earlier.0;
+        waited
+            .checked_div(n - earlier.1)
+            .map_or(VDur::ZERO, VDur::from_micros)
     }
 
     /// Total number of recorded waits.
@@ -161,7 +169,7 @@ mod tests {
         r.record(0, VDur::from_micros(100));
         r.record(0, VDur::from_micros(100));
         r.record(1, VDur::from_micros(400));
-        assert_eq!(r.overall_mean().as_micros(), 200);
+        assert_eq!(r.mean_since((0, 0)).as_micros(), 200);
         assert_eq!(r.mean_for(0).as_micros(), 100);
         assert_eq!(r.mean_for(1).as_micros(), 400);
     }

@@ -1502,6 +1502,51 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_kill_and_revival_not_yet_read_seat_no_task_on_the_worker() {
+        // The threaded and remote engines apply a kill and a revival at
+        // once but report both through their queues; until they are read,
+        // `STAT` shows worker 1 alive and idle. A task seated there would
+        // absorb the old death as its own loss, and its result would then
+        // be unplaceable.
+        fn echo() -> sparklet::RoutineRegistry {
+            let mut reg = sparklet::RoutineRegistry::new();
+            reg.register(1, |_ctx, req| Ok(req.to_vec()));
+            reg
+        }
+        let spec = || ClusterSpec::homogeneous(2, DelayModel::None);
+        let remote = sparklet::EngineBuilder::remote()
+            .spec(spec())
+            .time_scale(0.0)
+            .loopback_workers(Arc::new(echo))
+            .build()
+            .expect("loopback workers start");
+        let routine = RemoteRoutine {
+            routine: 1,
+            build: Arc::new(|_, part| vec![part as u8]),
+            decode: Arc::new(|b| Ok(Box::new(i64::from(b[0])) as Box<dyn Any + Send>)),
+        };
+        let threaded = AsyncContext::threaded(spec(), 0.0);
+        for mut ctx in [threaded, AsyncContext::new(Driver::from_engine(remote))] {
+            ctx.driver_mut().kill_worker(1);
+            ctx.driver_mut()
+                .revive_worker(1)
+                .expect("a dead worker revives");
+            let asp = BarrierFilter::Asp;
+            ctx.async_reduce_wired(
+                &unit_rdd(2),
+                &asp,
+                SubmitOpts::default(),
+                sum_task,
+                Some(&routine),
+            );
+            while ctx.collect::<i64>().is_some() {}
+            let c = ctx.task_counts();
+            assert_eq!(c.violations, 0, "{c:?}");
+            assert_eq!(c.issued, c.delivered + c.lost + c.drained, "{c:?}");
+        }
+    }
+
     /// Runs `script` against a context that first issued one task to each
     /// of `busy`'s workers (partition = worker), with retries on; returns
     /// the ledger after everything is collected.

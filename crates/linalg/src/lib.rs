@@ -56,7 +56,7 @@ pub use matrix::Matrix;
 pub use parallel::ParallelismCfg;
 pub use shard::ShardPool;
 pub use sparse::SparseVec;
-pub use wire::{index_codec, sparse_wire_len, DecodeError};
+pub use wire::{index_codec, sparse_wire_len, DecodeError, Reader};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;

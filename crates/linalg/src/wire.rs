@@ -17,6 +17,13 @@
 //! many bytes and the simulator charges exactly that many, so modeled and
 //! real socket bytes cannot drift apart.
 //!
+//! Every decoder of outside bytes — frames, payloads, remote requests and
+//! responses, checkpoints, checkpoint manifests — reads through one
+//! positioned [`Reader`]. Its positions are absolute from the start of the
+//! buffer the outermost call received, so a nested decoder's error points
+//! into that buffer without any re-basing, and every claimed count is
+//! checked against the bytes remaining before it sizes anything.
+//!
 //! [`SparseVec`]: crate::SparseVec
 //! [`CompressedDelta`]: crate::CompressedDelta
 
@@ -24,11 +31,11 @@ use crate::compress::Quant;
 
 /// Why a wire decode failed, with the byte offset where it did.
 ///
-/// Every variant carries `at`, the offset (from the start of the buffer
-/// handed to the outermost decode call) at which the decoder gave up.
-/// Nested decoders re-base child errors with [`DecodeError::shifted`] so
-/// positions stay end-to-end meaningful — the error from a keyed table
-/// points into the table's bytes, not into one entry's.
+/// Every variant carries `at`, the offset at which the decoder gave up.
+/// Offsets are absolute: they count from the start of the buffer handed to
+/// the outermost decode call, because every decoder reads through one
+/// [`Reader`] over that buffer — the error from a keyed table points into
+/// the table's bytes, not into one entry's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// The input ended before a fixed-size field or counted body: `needed`
@@ -75,26 +82,6 @@ impl DecodeError {
             | DecodeError::Invalid { at, .. } => at,
         }
     }
-
-    /// The same error re-based `base` bytes later — how composite decoders
-    /// keep child error positions meaningful in the parent's frame.
-    #[must_use]
-    pub fn shifted(self, base: usize) -> Self {
-        match self {
-            DecodeError::Truncated { at, needed } => DecodeError::Truncated {
-                at: at + base,
-                needed,
-            },
-            DecodeError::BadTag { at, tag } => DecodeError::BadTag { at: at + base, tag },
-            DecodeError::LengthOverflow { at, len } => {
-                DecodeError::LengthOverflow { at: at + base, len }
-            }
-            DecodeError::Invalid { at, what } => DecodeError::Invalid {
-                at: at + base,
-                what,
-            },
-        }
-    }
 }
 
 impl std::fmt::Display for DecodeError {
@@ -117,6 +104,178 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// A positioned cursor over outside bytes — the one reader every decoder
+/// uses. Each read advances past what it consumed; each failure reports
+/// the absolute offset where it happened. Fixed-width values come off the
+/// front with `first_chunk`, so no read can index out of bounds, and a
+/// short input is [`DecodeError::Truncated`] at its end, short by exactly
+/// the bytes missing.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0 }
+    }
+
+    /// The offset of the next byte to be read.
+    pub fn at(&self) -> usize {
+        self.pos
+    }
+
+    /// The bytes not yet read.
+    pub fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
+    fn truncated(&self, n: usize) -> DecodeError {
+        DecodeError::Truncated {
+            at: self.bytes.len(),
+            needed: n - self.rest().len(),
+        }
+    }
+
+    /// The next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let out = self.rest().get(..n).ok_or_else(|| self.truncated(n))?;
+        self.pos += n;
+        Ok(out)
+    }
+
+    /// The next `n` bytes as a reader of their own, at the same positions
+    /// — a counted body whose last field runs to the body's end.
+    pub fn within(&mut self, n: usize) -> Result<Reader<'a>, DecodeError> {
+        let start = self.pos;
+        self.bytes(n)?;
+        Ok(Reader {
+            bytes: &self.bytes[..self.pos],
+            pos: start,
+        })
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let out = *self
+            .rest()
+            .first_chunk::<N>()
+            .ok_or_else(|| self.truncated(N))?;
+        self.pos += N;
+        Ok(out)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// One little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// One little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// One little-endian `f64`.
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// Validates an untrusted element count against the bytes remaining:
+    /// every element takes at least `min_bytes`, so a `claimed` count the
+    /// input cannot hold is [`DecodeError::LengthOverflow`] before it sizes
+    /// any allocation.
+    pub fn count(&self, claimed: u64, min_bytes: usize) -> Result<usize, DecodeError> {
+        let n = usize::try_from(claimed).unwrap_or(usize::MAX);
+        match n.checked_mul(min_bytes) {
+            Some(need) if need <= self.rest().len() => Ok(n),
+            _ => Err(DecodeError::LengthOverflow {
+                at: self.pos,
+                len: claimed,
+            }),
+        }
+    }
+
+    /// The next `n` values of `width` bytes; a count whose size overflows
+    /// is [`DecodeError::LengthOverflow`].
+    fn slab(&mut self, n: usize, width: usize) -> Result<&'a [u8], DecodeError> {
+        let at = self.pos;
+        let len = n.checked_mul(width);
+        self.bytes(len.ok_or(DecodeError::LengthOverflow { at, len: n as u64 })?)
+    }
+
+    /// `n` little-endian `f64`s — one byte copy on little-endian targets.
+    /// The count is untrusted: its size is checked arithmetic and the
+    /// input is bounds-checked before anything is allocated.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, DecodeError> {
+        let slab = self.slab(n, 8)?;
+        #[cfg(target_endian = "little")]
+        {
+            let mut out = vec![0.0f64; n];
+            // SAFETY: `out` owns `n` initialized `f64`s, i.e. `slab.len() =
+            // 8 n` writable bytes; every bit pattern is a valid `f64`, and on
+            // a little-endian target the wire order is the in-memory order.
+            let dst = unsafe {
+                std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), slab.len())
+            };
+            dst.copy_from_slice(slab);
+            Ok(out)
+        }
+        #[cfg(not(target_endian = "little"))]
+        {
+            let mut slab = Reader::new(slab);
+            (0..n).map(|_| slab.f64()).collect()
+        }
+    }
+
+    /// `n` little-endian `f32`s, checked like [`Reader::f64s`].
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, DecodeError> {
+        let value = |b: &[u8]| f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        Ok(self.slab(n, 4)?.chunks_exact(4).map(value).collect())
+    }
+
+    /// An index block of `nnz` strictly increasing indices below `dim`
+    /// ([`index_codec`]). Every index takes at least one byte, so `nnz` is
+    /// checked against the input **before** it sizes the output.
+    pub fn indices(&mut self, nnz: usize, dim: usize) -> Result<Vec<u32>, DecodeError> {
+        if nnz > self.rest().len() {
+            return Err(self.truncated(nnz));
+        }
+        let mut out = Vec::with_capacity(nnz);
+        // One past the largest index the list may hold.
+        let limit = (dim as u64).min(1 << 32);
+        // The smallest value the next index may take; reaches `limit` at
+        // the latest once `u32::MAX` itself was decoded.
+        let mut floor = 0u64;
+        for _ in 0..nnz {
+            let at = self.pos;
+            // One-byte varints (gaps under 128) are nearly all of a real
+            // support; everything else, truncation included, goes the long
+            // way.
+            let (v, next) = match self.bytes.get(at) {
+                Some(&b) if b < 0x80 => (u32::from(b), at + 1),
+                _ => index_codec::read_varint(self.bytes, at)?,
+            };
+            let index = floor + u64::from(v);
+            if index >= limit {
+                return Err(DecodeError::Invalid {
+                    at,
+                    what: "sparse index out of dimension",
+                });
+            }
+            out.push(index as u32);
+            floor = index + 1;
+            self.pos = next;
+        }
+        Ok(out)
+    }
+}
+
 /// Bytes of one sparse wire section over the support `indices` with values
 /// in the `quant` format: the `nnz | dim` header (plus the `f64` scale of a
 /// quantized section), the index block, and the value slab.
@@ -132,7 +291,7 @@ pub fn sparse_wire_len(quant: Quant, indices: &[u32]) -> u64 {
 /// later one from its predecessor plus one (`gap − 1`). The count and the
 /// dimension travel in the enclosing header, not in the block.
 pub mod index_codec {
-    use super::DecodeError;
+    use super::{DecodeError, Reader};
 
     /// Bytes the LEB128 varint of `v` needs beyond its first, as a sum of
     /// comparisons: no branch and a `u32` result, so the sizing pass over a
@@ -190,7 +349,7 @@ pub mod index_codec {
     /// the offset past it: the last byte of a multi-byte varint must be
     /// nonzero, and a fifth byte holds only the top four bits and must end
     /// the varint.
-    fn read_varint(bytes: &[u8], start: usize) -> Result<(u32, usize), DecodeError> {
+    pub(super) fn read_varint(bytes: &[u8], start: usize) -> Result<(u32, usize), DecodeError> {
         let invalid = |what| Err(DecodeError::Invalid { at: start, what });
         let rest = bytes.get(start..).unwrap_or(&[]);
         let mut v = 0u32;
@@ -223,39 +382,8 @@ pub mod index_codec {
     /// index takes at least one byte, so `nnz` is checked against the input
     /// length **before** it sizes the output.
     pub fn decode(bytes: &[u8], nnz: usize, dim: usize) -> Result<(Vec<u32>, usize), DecodeError> {
-        if nnz > bytes.len() {
-            return Err(DecodeError::Truncated {
-                at: bytes.len(),
-                needed: nnz - bytes.len(),
-            });
-        }
-        let mut out = Vec::with_capacity(nnz);
-        // One past the largest index the list may hold.
-        let limit = (dim as u64).min(1 << 32);
-        // The smallest value the next index may take; reaches `limit` at
-        // the latest once `u32::MAX` itself was decoded.
-        let mut floor = 0u64;
-        let mut at = 0usize;
-        for _ in 0..nnz {
-            // One-byte varints (gaps under 128) are nearly all of a real
-            // support; everything else, truncation included, goes the long
-            // way.
-            let (v, next) = match bytes.get(at) {
-                Some(&b) if b < 0x80 => (u32::from(b), at + 1),
-                _ => read_varint(bytes, at)?,
-            };
-            let index = floor + u64::from(v);
-            if index >= limit {
-                return Err(DecodeError::Invalid {
-                    at,
-                    what: "sparse index out of dimension",
-                });
-            }
-            out.push(index as u32);
-            floor = index + 1;
-            at = next;
-        }
-        Ok((out, at))
+        let mut r = Reader::new(bytes);
+        Ok((r.indices(nnz, dim)?, r.at()))
     }
 }
 

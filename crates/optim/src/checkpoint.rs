@@ -31,6 +31,7 @@
 //!   the *old* per-sample table, which died with the driver, so reusing it
 //!   against the re-based table would bias the estimator.
 
+use async_linalg::Reader;
 use bytes::{BufMut, BytesMut};
 use sparklet::{DecodeError, Payload};
 
@@ -175,43 +176,13 @@ pub(crate) fn encode(
     out.into_vec()
 }
 
-/// A cursor over outside bytes: every read is bounds-checked.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let s = self.buf[self.pos..]
-            .get(..n)
-            .ok_or(CheckpointError::Malformed("truncated"))?;
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// One `Payload` section. Its decoder bounds every declared length by
-    /// the bytes present before allocating; a length that cannot be honest
-    /// is reported as `overflow`, anything else ran off the end.
-    fn payload<T: Payload>(&mut self, overflow: &'static str) -> Result<T, CheckpointError> {
-        let (value, used) = T::decode(&self.buf[self.pos..]).map_err(|e| match e {
-            DecodeError::LengthOverflow { .. } => CheckpointError::Malformed(overflow),
-            _ => CheckpointError::Malformed("truncated"),
-        })?;
-        self.pos += used;
-        Ok(value)
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, CheckpointError> {
-        self.payload("vector length overflows")
+/// The one map from a positioned [`DecodeError`] to the checkpoint's own:
+/// a declared length that cannot be honest is `overflow`; anything else ran
+/// off the end.
+fn malformed(overflow: &'static str) -> impl Fn(DecodeError) -> CheckpointError {
+    move |e| match e {
+        DecodeError::LengthOverflow { .. } => CheckpointError::Malformed(overflow),
+        _ => CheckpointError::Malformed("truncated"),
     }
 }
 
@@ -233,33 +204,36 @@ impl Checkpoint {
     /// Parses the wire format produced by [`Checkpoint::to_bytes`]; any
     /// other format version is [`CheckpointError::UnsupportedFormat`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(8)? != MAGIC {
+        let mut r = Reader::new(bytes);
+        // Only a vector section can declare an impossible length.
+        let cut = malformed("vector length overflows");
+        if r.bytes(8).map_err(&cut)? != MAGIC {
             return Err(CheckpointError::Malformed("bad magic"));
         }
-        let format = r.u32()?;
+        let format = r.u32().map_err(&cut)?;
         if format != FORMAT {
             return Err(CheckpointError::UnsupportedFormat(format));
         }
-        let name_len = r.u32()? as usize;
-        let solver = std::str::from_utf8(r.take(name_len)?)
+        let name_len = r.u32().map_err(&cut)? as usize;
+        let solver = std::str::from_utf8(r.bytes(name_len).map_err(&cut)?)
             .map_err(|_| CheckpointError::Malformed("solver name not utf-8"))?
             .to_string();
-        let updates = r.u64()?;
-        let version = r.u64()?;
-        let w = r.f64s()?;
-        let history = match r.take(1)?[0] {
+        let updates = r.u64().map_err(&cut)?;
+        let version = r.u64().map_err(&cut)?;
+        let w = Vec::read(&mut r).map_err(&cut)?;
+        let history = match r.u8().map_err(&cut)? {
             0 => SolverHistory::None,
-            1 => SolverHistory::Momentum(r.f64s()?),
+            1 => SolverHistory::Momentum(Vec::read(&mut r).map_err(&cut)?),
             2 => SolverHistory::Saga {
-                alpha_bar: r.f64s()?,
+                alpha_bar: Vec::read(&mut r).map_err(&cut)?,
             },
             _ => return Err(CheckpointError::Malformed("unknown history tag")),
         };
-        let residuals = match r.take(1)?[0] {
+        let residuals = match r.u8().map_err(&cut)? {
             0 => None,
             1 => {
-                let parts: Vec<(u64, Vec<f64>)> = r.payload("residual count overruns buffer")?;
+                let parts: Vec<(u64, Vec<f64>)> =
+                    Payload::read(&mut r).map_err(malformed("residual count overruns buffer"))?;
                 if parts.windows(2).any(|p| p[0].0 >= p[1].0) {
                     return Err(CheckpointError::Malformed(
                         "residual partitions not strictly increasing",
@@ -269,7 +243,7 @@ impl Checkpoint {
             }
             _ => return Err(CheckpointError::Malformed("unknown residual flag")),
         };
-        if r.pos != bytes.len() {
+        if !r.rest().is_empty() {
             return Err(CheckpointError::Malformed("trailing bytes"));
         }
         Ok(Self {

@@ -53,6 +53,7 @@ use std::sync::mpsc;
 use std::thread;
 
 use async_core::ReadPin;
+use async_linalg::Reader;
 
 use crate::checkpoint::{self, Checkpoint, SolverHistory};
 
@@ -379,12 +380,7 @@ impl CheckpointStore {
     /// length and checksum.
     pub fn read(&self, generation: u64) -> Option<Vec<u8>> {
         let manifest = fs::read(self.manifest_path(generation)).ok()?;
-        if manifest.len() != MANIFEST_LEN || &manifest[..8] != MANIFEST_MAGIC {
-            return None;
-        }
-        let gen = u64::from_le_bytes(manifest[8..16].try_into().unwrap());
-        let len = u64::from_le_bytes(manifest[16..24].try_into().unwrap());
-        let sum = u64::from_le_bytes(manifest[24..32].try_into().unwrap());
+        let (gen, len, sum) = parse_manifest(&manifest)?;
         if gen != generation {
             return None;
         }
@@ -421,6 +417,16 @@ impl CheckpointStore {
             let _ = fs::remove_file(self.manifest_path(g));
         }
     }
+}
+
+/// A manifest's `(generation, payload length, checksum)`, or `None` for
+/// bytes that are not exactly one manifest.
+fn parse_manifest(bytes: &[u8]) -> Option<(u64, u64, u64)> {
+    let mut r = Reader::new(bytes);
+    if bytes.len() != MANIFEST_LEN || r.bytes(8).ok()? != MANIFEST_MAGIC {
+        return None;
+    }
+    Some((r.u64().ok()?, r.u64().ok()?, r.u64().ok()?))
 }
 
 /// Durability outcome of one solver run, reported in
@@ -737,5 +743,26 @@ mod tests {
         assert!(!store.is_valid(2));
         assert_eq!(store.latest_valid().map(|(g, _)| g), Some(1));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoints_and_manifests_survive_every_cut_and_bit_flip() {
+        let ckpt = Checkpoint {
+            solver: "asaga".into(),
+            updates: 3,
+            version: 2,
+            w: vec![1.0, -0.5],
+            history: SolverHistory::Saga {
+                alpha_bar: vec![0.25, 0.0],
+            },
+            residuals: Some(vec![(0, vec![-0.0]), (3, vec![])]),
+        };
+        crate::remote::tests::every_cut_and_flip(&ckpt.to_bytes(), Checkpoint::from_bytes);
+        let mut manifest = MANIFEST_MAGIC.to_vec();
+        for field in [42u64, 100, 0xfeed] {
+            manifest.extend_from_slice(&field.to_le_bytes());
+        }
+        assert_eq!(parse_manifest(&manifest), Some((42, 100, 0xfeed)));
+        crate::remote::tests::every_cut_and_flip(&manifest, |b| parse_manifest(b).ok_or(()));
     }
 }

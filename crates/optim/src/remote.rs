@@ -43,7 +43,7 @@ use async_core::{RemoteRoutine, WirePlan};
 use async_data::Block;
 use async_linalg::{
     index_codec, CompressedDelta, CsrMatrix, DenseMatrix, EfState, GradDelta, Matrix, Quant,
-    SparseVec,
+    Reader, SparseVec,
 };
 use bytes::{BufMut, BytesMut};
 use sparklet::payload::encode_sparse;
@@ -72,79 +72,6 @@ pub const BLOCKS_NS: u64 = u64::MAX - 1;
 /// worker incarnation, exactly like its shipped blocks.
 pub const EF_NS: u64 = u64::MAX - 2;
 
-// ---------------------------------------------------------------------------
-// Positioned decoding
-// ---------------------------------------------------------------------------
-
-/// A positioned reader over untrusted request/response bytes: every
-/// primitive advances the offset and failures report it, so torn frames
-/// diagnose like any other [`DecodeError`].
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn rest(&self) -> &'a [u8] {
-        self.bytes.get(self.at..).unwrap_or(&[])
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self.rest().first().ok_or(DecodeError::Truncated {
-            at: self.at,
-            needed: 1,
-        })?;
-        self.at += 1;
-        Ok(b)
-    }
-
-    fn payload<T: Payload>(&mut self) -> Result<T, DecodeError> {
-        let at = self.at;
-        let (v, n) = T::decode(self.rest()).map_err(|e| e.shifted(at))?;
-        self.at += n;
-        Ok(v)
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        self.payload::<u64>()
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        self.payload::<f64>()
-    }
-
-    /// `n` little-endian `f32`s, the count checked against the bytes
-    /// remaining before anything is allocated.
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, DecodeError> {
-        let n = self.checked_count(n as u64, 4)?;
-        let slab = &self.rest()[..4 * n];
-        self.at += 4 * n;
-        let value = |b: &[u8]| f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        Ok(slab.chunks_exact(4).map(value).collect())
-    }
-
-    /// Validates an untrusted element count against the bytes actually
-    /// remaining (each element consumes at least `min_bytes`), so a
-    /// hostile prefix can never size an allocation.
-    fn checked_count(&self, n: u64, min_bytes: usize) -> Result<usize, DecodeError> {
-        let n_us = n as usize;
-        if n_us
-            .checked_mul(min_bytes)
-            .is_none_or(|need| need > self.rest().len())
-        {
-            return Err(DecodeError::LengthOverflow {
-                at: self.at,
-                len: n,
-            });
-        }
-        Ok(n_us)
-    }
-}
-
 /// Sampled block-local rows: a count, then the index block of the (sorted,
 /// distinct) row list.
 fn put_rows(buf: &mut BytesMut, rows: &[u32]) {
@@ -155,9 +82,7 @@ fn put_rows(buf: &mut BytesMut, rows: &[u32]) {
 /// Reads the rows [`put_rows`] wrote; every row is below `block_rows`.
 fn get_rows(r: &mut Reader, block_rows: usize) -> Result<Vec<u32>, DecodeError> {
     let n = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
-    let (rows, used) = index_codec::decode(r.rest(), n, block_rows).map_err(|e| e.shifted(r.at))?;
-    r.at += used;
-    Ok(rows)
+    r.indices(n, block_rows)
 }
 
 fn put_u64s(buf: &mut BytesMut, vals: &[u64]) {
@@ -169,7 +94,7 @@ fn put_u64s(buf: &mut BytesMut, vals: &[u64]) {
 
 fn get_u64s(r: &mut Reader) -> Result<Vec<u64>, DecodeError> {
     let n64 = r.u64()?;
-    let n = r.checked_count(n64, 8)?;
+    let n = r.count(n64, 8)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(r.u64()?);
@@ -195,7 +120,7 @@ fn encode_objective(o: &Objective, buf: &mut BytesMut) {
 }
 
 fn decode_objective(r: &mut Reader) -> Result<Objective, DecodeError> {
-    let at = r.at;
+    let at = r.at();
     let kind = r.u8()?;
     let lambda = r.f64()?;
     match kind {
@@ -214,7 +139,7 @@ fn quant_byte(q: Quant) -> u8 {
 }
 
 fn decode_quant(r: &mut Reader) -> Result<Quant, DecodeError> {
-    let at = r.at;
+    let at = r.at();
     match r.u8()? {
         0 => Ok(Quant::Exact),
         1 => Ok(Quant::I8),
@@ -235,7 +160,7 @@ fn encode_compress(c: &CompressCfg, buf: &mut BytesMut) {
 }
 
 fn decode_compress(r: &mut Reader) -> Result<CompressCfg, DecodeError> {
-    let at = r.at;
+    let at = r.at();
     match r.u8()? {
         0 => Ok(CompressCfg::Off),
         1 => {
@@ -292,13 +217,13 @@ fn decode_block(r: &mut Reader) -> Result<Block, DecodeError> {
     let row_offset = r.u64()? as usize;
     let total_rows = r.u64()? as usize;
     let part_id = r.u64()? as usize;
-    let at_kind = r.at;
+    let at_kind = r.at();
     let kind = r.u8()?;
     let nrows64 = r.u64()?;
     let ncols = r.u64()? as usize;
     let features = match kind {
         0 => {
-            let at = r.at;
+            let at = r.at();
             let expect = (nrows64 as usize)
                 .checked_mul(ncols)
                 .ok_or(DecodeError::LengthOverflow { at, len: nrows64 })?;
@@ -319,8 +244,8 @@ fn decode_block(r: &mut Reader) -> Result<Block, DecodeError> {
         }
         1 => {
             // Every encoded row carries at least its 16-byte header.
-            let nrows = r.checked_count(nrows64, 16)?;
-            let at = r.at;
+            let nrows = r.count(nrows64, 16)?;
+            let at = r.at();
             // Rows go into the three CSR buffers as they are read: the only
             // transient is the row in hand. An entry takes at least 9 bytes
             // (index varint + value), so the input bounds the long buffers.
@@ -331,8 +256,8 @@ fn decode_block(r: &mut Reader) -> Result<Block, DecodeError> {
             let mut data = Vec::with_capacity(indices.capacity());
             indptr.push(0);
             for _ in 0..nrows {
-                let at_row = r.at;
-                let row: SparseVec = r.payload()?;
+                let at_row = r.at();
+                let row = SparseVec::read(r)?;
                 if row.dim() != ncols {
                     return Err(DecodeError::Invalid {
                         at: at_row,
@@ -362,8 +287,8 @@ fn decode_block(r: &mut Reader) -> Result<Block, DecodeError> {
         }
         tag => return Err(DecodeError::BadTag { at: at_kind, tag }),
     };
-    let at = r.at;
-    let labels: Vec<f64> = r.payload()?;
+    let at = r.at();
+    let labels = Vec::<f64>::read(r)?;
     let row_end = row_offset.checked_add(features.nrows());
     if labels.len() != features.nrows() || row_end.is_none_or(|end| end > total_rows) {
         return Err(DecodeError::Invalid {
@@ -424,7 +349,7 @@ fn encode_plan(p: &WirePlan, buf: &mut BytesMut) {
 }
 
 fn decode_plan(r: &mut Reader) -> Result<WirePlan, DecodeError> {
-    let at = r.at;
+    let at = r.at();
     let kind = r.u8()?;
     match kind {
         0 => Ok(WirePlan::Cached {
@@ -434,7 +359,7 @@ fn decode_plan(r: &mut Reader) -> Result<WirePlan, DecodeError> {
         1 => {
             let version = r.u64()?;
             let evict_below = r.u64()?;
-            let values: Vec<f64> = r.payload()?;
+            let values = Vec::<f64>::read(r)?;
             Ok(WirePlan::Snapshot {
                 version,
                 values: Arc::new(values),
@@ -445,14 +370,14 @@ fn decode_plan(r: &mut Reader) -> Result<WirePlan, DecodeError> {
             base: r.u64()?,
             version: r.u64()?,
             evict_below: r.u64()?,
-            patch: r.payload()?,
+            patch: SparseVec::read(r)?,
         }),
         3 => {
             let base = r.u64()?;
             let version = r.u64()?;
             let evict_below = r.u64()?;
-            let at_delta = r.at;
-            let delta: CompressedDelta = r.payload()?;
+            let at_delta = r.at();
+            let delta = CompressedDelta::read(r)?;
             if matches!(delta, CompressedDelta::Exact(_)) {
                 return Err(DecodeError::Invalid {
                     at: at_delta,
@@ -481,7 +406,7 @@ fn resolve_model(
     bcast_id: u64,
     block: &Block,
 ) -> Result<(u64, Arc<Vec<f64>>), DecodeError> {
-    let at = r.at;
+    let at = r.at();
     let plan = decode_plan(r)?;
     let version = plan.version();
     let w = plan
@@ -523,7 +448,7 @@ fn resolve_block(
     r: &mut Reader,
 ) -> Result<Arc<Block>, DecodeError> {
     let key = (BLOCKS_NS, part as u64);
-    let at = r.at;
+    let at = r.at();
     if r.u8()? == 1 {
         let block = Arc::new(decode_block(r)?);
         ctx.cache_put_local(key, block.clone());
@@ -601,11 +526,11 @@ fn decode_response_delta(
     compress: CompressCfg,
 ) -> Result<(GradDelta, u64), DecodeError> {
     if compress.is_off() {
-        let g: GradDelta = r.payload()?;
+        let g = GradDelta::read(r)?;
         let wire = g.encoded_len();
         Ok((g, wire))
     } else {
-        let cd: CompressedDelta = r.payload()?;
+        let cd = CompressedDelta::read(r)?;
         let wire = cd.encoded_len();
         Ok((cd.into_delta_buffers(Vec::new(), Vec::new()), wire))
     }
@@ -740,7 +665,7 @@ pub(crate) fn asaga_routine(
         decode: Arc::new(move |bytes: &[u8]| {
             let mut r = Reader::new(bytes);
             let (g, wire_bytes) = decode_response_delta(&mut r, compress)?;
-            let at = r.at;
+            let at = r.at();
             let indices = get_u64s(&mut r)?;
             // The ids index the driver's version table: one outside the
             // dataset is refused, never recorded.
@@ -775,20 +700,20 @@ fn asaga_handler(
     let row_versions = get_u64s(&mut r)?;
     if row_versions.len() != rows.len() {
         return Err(DecodeError::Invalid {
-            at: r.at,
+            at: r.at(),
             what: "row versions not parallel to sampled rows",
         });
     }
     let nplans64 = r.u64()?;
     // A plan encoding is at least a tag byte and two u64s.
-    let mut plans_left = r.checked_count(nplans64, 17)?;
+    let mut plans_left = r.count(nplans64, 17)?;
     let mut scratch = pool.checkout();
     scratch.rows = rows;
     scratch.versions = row_versions;
     // The plans follow in the order `saga_difference` resolves versions:
     // one per distinct row version, first need first.
     let resolve = |version: u64| {
-        let at = r.at;
+        let at = r.at();
         let invalid = |what| DecodeError::Invalid { at, what };
         if plans_left == 0 {
             return Err(invalid("row version has no shipped plan"));
@@ -803,7 +728,7 @@ fn asaga_handler(
     let (delta, entries) = saga_difference(objective, &block, &w_cur, &mut scratch, pool, resolve)?;
     if plans_left != 0 {
         let what = "more history plans than distinct row versions";
-        return Err(DecodeError::Invalid { at: r.at, what });
+        return Err(DecodeError::Invalid { at: r.at(), what });
     }
     let mut buf = BytesMut::new();
     encode_response_delta(ctx, part, &delta, compress, &mut buf);
@@ -833,7 +758,7 @@ pub fn worker_registry() -> RoutineRegistry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use async_data::SynthSpec;
 
@@ -854,7 +779,7 @@ mod tests {
         let bytes = buf.into_vec();
         let mut r = Reader::new(&bytes);
         let back = decode_block(&mut r).expect("decodes");
-        assert_eq!(r.at, bytes.len(), "block decode consumed everything");
+        assert_eq!(r.at(), bytes.len(), "block decode consumed everything");
         back
     }
 
@@ -933,7 +858,7 @@ mod tests {
             let bytes = buf.into_vec();
             let mut r = Reader::new(&bytes);
             assert_eq!(&decode_plan(&mut r).expect("decodes"), p);
-            assert_eq!(r.at, bytes.len());
+            assert_eq!(r.at(), bytes.len());
         }
     }
 
@@ -1040,7 +965,7 @@ mod tests {
             let bytes = buf.into_vec();
             let mut r = Reader::new(&bytes);
             assert_eq!(&decode_plan(&mut r).expect("decodes"), p);
-            assert_eq!(r.at, bytes.len(), "plan decode consumed everything");
+            assert_eq!(r.at(), bytes.len(), "plan decode consumed everything");
         }
     }
 
@@ -1481,7 +1406,7 @@ mod tests {
             let bytes = buf.into_vec();
             let mut r = Reader::new(&bytes);
             assert_eq!(decode_compress(&mut r).expect("decodes"), c);
-            assert_eq!(r.at, bytes.len());
+            assert_eq!(r.at(), bytes.len());
         }
 
         // k = 0 would ship empty deltas forever; the decoder refuses it
@@ -1516,5 +1441,69 @@ mod tests {
         // A different partition gets its own accumulator.
         let other = worker_ef(&mut ctx, 3, 4);
         assert_eq!(other.lock().unwrap().residual()[1], 0.0);
+    }
+
+    /// Feeds `decode` every strict prefix of `bytes`, each of which must be
+    /// refused, and every single-bit flip of it, which may decode or be
+    /// refused — what none of them may do is panic.
+    pub(crate) fn every_cut_and_flip<T, E>(bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, E>) {
+        for cut in 0..bytes.len() {
+            assert!(
+                decode(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
+        }
+        let mut flipped = bytes.to_vec();
+        for bit in 0..8 * bytes.len() {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn every_request_and_response_decoder_survives_every_cut_and_bit_flip() {
+        let encoded = |encode: &dyn Fn(&mut BytesMut)| {
+            let mut buf = BytesMut::new();
+            encode(&mut buf);
+            buf.into_vec()
+        };
+        let snapshot = WirePlan::Snapshot {
+            version: 9,
+            values: Arc::new(vec![1.0, -2.5]),
+            evict_below: 9,
+        };
+        let patch = WirePlan::Patch {
+            base: 4,
+            version: 6,
+            patch: SparseVec::new(vec![0, 17], vec![0.5, 8.0], 20).unwrap(),
+            evict_below: 4,
+        };
+        let cached = WirePlan::Cached {
+            version: 7,
+            evict_below: 3,
+        };
+        for plan in qpatches().iter().chain([&snapshot, &patch, &cached]) {
+            let bytes = encoded(&|buf| encode_plan(plan, buf));
+            every_cut_and_flip(&bytes, |b| decode_plan(&mut Reader::new(b)));
+        }
+        for dense in [true, false] {
+            let bytes = encoded(&|buf| encode_block(&blocks(dense)[0], buf));
+            every_cut_and_flip(&bytes, |b| decode_block(&mut Reader::new(b)));
+        }
+        let g = GradDelta::Sparse(SparseVec::new(vec![1, 5], vec![0.5, -1.0], 8).unwrap());
+        let top2 = CompressCfg::TopK {
+            k: 2,
+            quant: Quant::I8,
+        };
+        for compress in [CompressCfg::Off, top2] {
+            let bytes =
+                encoded(&|buf| encode_response_delta(&mut WorkerCtx::new(0), 0, &g, compress, buf));
+            every_cut_and_flip(&bytes, |b| {
+                decode_response_delta(&mut Reader::new(b), compress)
+            });
+            let bytes = encoded(&|buf| encode_compress(&compress, buf));
+            every_cut_and_flip(&bytes, |b| decode_compress(&mut Reader::new(b)));
+        }
     }
 }

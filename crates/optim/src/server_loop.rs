@@ -351,6 +351,8 @@ impl ServerLoop {
         ctx.set_degrade_policy(cfg.degrade);
         ctx.set_retry_lost(cfg.retry_lost);
         let counts0 = ctx.task_counts();
+        let bytes0 = ctx.driver().total_bytes_shipped();
+        let waits0 = ctx.driver().wait_recorder().totals();
         let (blocks, rdd) = block_rdd(ctx, dataset, cfg);
         let nparts = blocks.len().max(1);
         let mean_rows = dataset.rows() / nparts;
@@ -511,7 +513,8 @@ impl ServerLoop {
 
         // Leave the context and the broadcast clean for the next run: queued
         // retries are lost, tasks still in flight are drained unapplied, and
-        // every pin is released. The run's task counters are ledger deltas.
+        // every pin is released. The run's task counters are ledger deltas;
+        // its bytes and waits are deltas of the driver's totals.
         ctx.discard_in_flight();
         pinned.release_rest(&bcast);
         let counts = ctx.task_counts();
@@ -527,8 +530,8 @@ impl ServerLoop {
             tasks_completed: counts.delivered - counts0.delivered,
             max_staleness,
             wall_clock,
-            mean_wait: ctx.driver().wait_recorder().overall_mean(),
-            bytes_shipped: ctx.driver().total_bytes_shipped(),
+            mean_wait: ctx.driver().wait_recorder().mean_since(waits0),
+            bytes_shipped: ctx.driver().total_bytes_shipped() - bytes0,
             grad_entries,
             result_bytes,
             worker_clocks: ctx.stat().workers.iter().map(|s| s.clock).collect(),

@@ -214,9 +214,12 @@ pub struct RunReport {
     pub max_staleness: u64,
     /// Virtual instant of the last applied update (the run's wall clock).
     pub wall_clock: VTime,
-    /// Mean worker wait time over the run (§6.3's metric).
+    /// Mean worker wait time over the run (§6.3's metric): the waits the
+    /// context's recorder closed during this run, not over its lifetime.
     pub mean_wait: VDur,
-    /// Bytes shipped to workers over the run.
+    /// Bytes shipped to workers over the run: the driver's total after the
+    /// run less its total before, so a context hosting successive runs
+    /// reports each run's own bytes.
     pub bytes_shipped: u64,
     /// Stored feature entries touched by consumed gradient tasks — the
     /// deterministic work measure of the gradient hot path (dense blocks

@@ -534,5 +534,10 @@ fn a_run_leaves_the_context_clean_for_a_different_solver() {
             (0, 0),
             "{name} then {next_name}: drained context"
         );
+        assert_eq!(
+            first.bytes_shipped + second.bytes_shipped,
+            ctx.driver().total_bytes_shipped(),
+            "{name} then {next_name}: each run reports its own bytes"
+        );
     }
 }

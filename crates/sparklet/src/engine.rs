@@ -90,6 +90,19 @@ pub enum Completion {
     },
 }
 
+/// Whether `queued` holds a membership notification for `w`. A wall-clock
+/// engine applies a kill or revival to its own state at once but reports
+/// it through its queue, so until the caller has read it, the caller's
+/// view of `w` is stale: `w` takes no task (it is busy) in the meantime.
+pub(crate) fn membership_queued(queued: &VecDeque<Completion>, w: WorkerId) -> bool {
+    queued.iter().any(|c| match c {
+        Completion::Done(_) => false,
+        Completion::Lost { worker, .. }
+        | Completion::WorkerDown { worker }
+        | Completion::WorkerUp { worker } => *worker == w,
+    })
+}
+
 /// Submission errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineError {

@@ -26,7 +26,7 @@ use std::io::{Read, Write};
 
 use bytes::{BufMut, BytesMut};
 
-use crate::payload::DecodeError;
+use crate::payload::{DecodeError, Reader};
 
 /// Upper bound on one frame's body (tag + payload). Generous for model
 /// snapshots, small enough that a corrupt length prefix cannot drive a
@@ -96,28 +96,6 @@ const TAG_COMPLETION: u8 = 2;
 const TAG_SHUTDOWN: u8 = 3;
 const TAG_HEARTBEAT: u8 = 4;
 
-fn need(bytes: &[u8], at: usize, n: usize) -> Result<(), DecodeError> {
-    let have = bytes.len().saturating_sub(at);
-    if have < n {
-        Err(DecodeError::Truncated {
-            at: bytes.len(),
-            needed: n - have,
-        })
-    } else {
-        Ok(())
-    }
-}
-
-fn u32_at(bytes: &[u8], at: usize) -> Result<u32, DecodeError> {
-    need(bytes, at, 4)?;
-    Ok(u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4")))
-}
-
-fn u64_at(bytes: &[u8], at: usize) -> Result<u64, DecodeError> {
-    need(bytes, at, 8)?;
-    Ok(u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8")))
-}
-
 /// Appends the frame encoding of `msg` to `buf`.
 pub fn encode_frame(msg: &Msg, buf: &mut BytesMut) {
     let start = buf.len();
@@ -170,63 +148,55 @@ pub fn encode_frame(msg: &Msg, buf: &mut BytesMut) {
 /// Decodes one frame from the front of `bytes`, returning the message and
 /// the total bytes consumed (length prefix included).
 pub fn decode_frame(bytes: &[u8]) -> Result<(Msg, usize), DecodeError> {
-    let len = u32_at(bytes, 0)?;
+    let r = &mut Reader::new(bytes);
+    let len = r.u32()?;
     if len == 0 || len > MAX_FRAME_LEN {
         return Err(DecodeError::LengthOverflow {
             at: 0,
             len: len as u64,
         });
     }
-    let total = 4 + len as usize;
-    need(bytes, 4, len as usize)?;
-    let body = &bytes[4..total];
-    let msg = decode_body(body).map_err(|e| e.shifted(4))?;
-    Ok((msg, total))
-}
-
-/// Decodes a frame body (tag + payload, length prefix already stripped).
-fn decode_body(body: &[u8]) -> Result<Msg, DecodeError> {
-    let tag = body[0];
-    match tag {
-        TAG_WORKER_UP => {
-            let worker = u32_at(body, 1)?;
-            let epoch = u64_at(body, 5)?;
-            Ok(Msg::WorkerUp { worker, epoch })
-        }
+    // The body's last field runs to the end of the frame, not of `bytes`.
+    let r = &mut r.within(len as usize)?;
+    let msg = match r.u8()? {
+        TAG_WORKER_UP => Msg::WorkerUp {
+            worker: r.u32()?,
+            epoch: r.u64()?,
+        },
         TAG_SUBMIT => {
-            let tag = u64_at(body, 1)?;
-            let epoch = u64_at(body, 9)?;
-            let routine = u32_at(body, 17)?;
-            let sleep_us = u64_at(body, 21)?;
-            let slow_factor = f64::from_bits(u64_at(body, 29)?);
-            let request = body[37..].to_vec();
-            Ok(Msg::Submit {
+            let (tag, epoch, routine, sleep_us) = (r.u64()?, r.u64()?, r.u32()?, r.u64()?);
+            let at = r.at();
+            // The worker sleeps this multiple of its measured compute: a
+            // negative or non-finite one would sleep for ever.
+            let slow_factor = r.f64()?;
+            if !slow_factor.is_finite() || slow_factor < 0.0 {
+                return Err(DecodeError::Invalid {
+                    at,
+                    what: "straggler slow factor not finite and non-negative",
+                });
+            }
+            Msg::Submit {
                 tag,
                 epoch,
                 routine,
                 sleep_us,
                 slow_factor,
-                request,
-            })
+                request: r.rest().to_vec(),
+            }
         }
-        TAG_COMPLETION => {
-            let tag = u64_at(body, 1)?;
-            let epoch = u64_at(body, 9)?;
-            let response = body[17..].to_vec();
-            Ok(Msg::Completion {
-                tag,
-                epoch,
-                response,
-            })
-        }
-        TAG_SHUTDOWN => Ok(Msg::Shutdown),
-        TAG_HEARTBEAT => {
-            let worker = u32_at(body, 1)?;
-            let epoch = u64_at(body, 5)?;
-            Ok(Msg::Heartbeat { worker, epoch })
-        }
-        tag => Err(DecodeError::BadTag { at: 0, tag }),
-    }
+        TAG_COMPLETION => Msg::Completion {
+            tag: r.u64()?,
+            epoch: r.u64()?,
+            response: r.rest().to_vec(),
+        },
+        TAG_SHUTDOWN => Msg::Shutdown,
+        TAG_HEARTBEAT => Msg::Heartbeat {
+            worker: r.u32()?,
+            epoch: r.u64()?,
+        },
+        tag => return Err(DecodeError::BadTag { at: 4, tag }),
+    };
+    Ok((msg, 4 + len as usize))
 }
 
 /// Writes one frame to `w` with one `write_all`: the frame is assembled in
@@ -245,31 +215,29 @@ const FIRST_READ_MAX: usize = 64 * 1024;
 /// Reads one complete frame from `r`. A malformed frame surfaces as
 /// [`std::io::ErrorKind::InvalidData`] wrapping the positioned
 /// [`DecodeError`]; a cleanly closed connection, or a body shorter than its
-/// prefix claims, as `UnexpectedEof`. A body up to 64 KiB is one
-/// `read_exact`; a longer one takes one more per eightfold growth.
+/// prefix claims, as `UnexpectedEof`. A frame up to 64 KiB is one
+/// `read_exact` after the prefix; a longer one takes one more per
+/// eightfold growth. The frame is decoded whole, prefix included, so its
+/// errors carry the positions [`decode_frame`] reports.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Msg> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
+    let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+    let mut frame = vec![0u8; 4];
+    r.read_exact(&mut frame)?;
+    let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
     if len == 0 || len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            DecodeError::LengthOverflow {
-                at: 0,
-                len: len as u64,
-            },
-        ));
+        return Err(invalid(DecodeError::LengthOverflow {
+            at: 0,
+            len: len as u64,
+        }));
     }
-    let len = len as usize;
-    let mut body = Vec::new();
-    while body.len() < len {
-        let have = body.len();
+    let total = 4 + len as usize;
+    while frame.len() < total {
+        let have = frame.len();
         // Eightfold: a growth may copy, briefly holding the bytes so far twice.
-        body.resize(len.min((have * 8).max(FIRST_READ_MAX)), 0);
-        r.read_exact(&mut body[have..])?;
+        frame.resize(total.min((have * 8).max(FIRST_READ_MAX)), 0);
+        r.read_exact(&mut frame[have..])?;
     }
-    decode_body(&body)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.shifted(4)))
+    decode_frame(&frame).map(|(msg, _)| msg).map_err(invalid)
 }
 
 #[cfg(test)]
@@ -461,6 +429,66 @@ mod tests {
                 std::io::ErrorKind::UnexpectedEof,
                 "cut {cut}"
             );
+        }
+    }
+
+    #[test]
+    fn every_frame_kind_survives_every_cut_and_bit_flip() {
+        let msgs = [
+            Msg::WorkerUp {
+                worker: 3,
+                epoch: 17,
+            },
+            Msg::Submit {
+                tag: 9,
+                epoch: 2,
+                routine: 1,
+                sleep_us: 1500,
+                slow_factor: 2.5,
+                request: vec![1, 2, 3],
+            },
+            Msg::Completion {
+                tag: 9,
+                epoch: 2,
+                response: vec![4, 5],
+            },
+            Msg::Shutdown,
+            Msg::Heartbeat {
+                worker: 7,
+                epoch: 23,
+            },
+        ];
+        for msg in &msgs {
+            let mut buf = BytesMut::new();
+            encode_frame(msg, &mut buf);
+            crate::payload::tests::every_cut_and_flip(buf.as_slice(), decode_frame);
+            crate::payload::tests::every_cut_and_flip(buf.as_slice(), |b| read_frame(&mut &b[..]));
+        }
+    }
+
+    #[test]
+    fn a_slow_factor_that_is_negative_or_not_finite_is_refused_at_its_field() {
+        // The worker sleeps `slow_factor` times its measured compute: an
+        // infinite factor would sleep for ever.
+        for slow_factor in [f64::INFINITY, f64::NAN, -1.0] {
+            let submit = Msg::Submit {
+                tag: 1,
+                epoch: 1,
+                routine: 0,
+                sleep_us: 0,
+                slow_factor,
+                request: vec![7; 4],
+            };
+            let mut buf = BytesMut::new();
+            encode_frame(&submit, &mut buf);
+            // Past the prefix, the tag, `tag`, `epoch`, `routine` and `sleep_us`.
+            let at = 4 + 1 + 8 + 8 + 4 + 8;
+            assert!(matches!(
+                decode_frame(buf.as_slice()),
+                Err(DecodeError::Invalid { at: a, .. }) if a == at
+            ));
+            let err = read_frame(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         }
     }
 }

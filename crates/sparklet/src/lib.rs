@@ -43,7 +43,7 @@ pub use builder::{EngineBuilder, EngineKind};
 pub use driver::{Driver, SuperviseCfg};
 pub use engine::{Completion, Engine, EngineError, Task, TaskDone, TaskFn, WireTask};
 pub use fault::{FaultAction, FaultDir, FaultInjector, FaultPlan};
-pub use payload::{DecodeError, Payload};
+pub use payload::{DecodeError, Payload, Reader};
 pub use rdd::Rdd;
 pub use remote::{RemoteConfig, RemoteEngine, RoutineRegistry, WorkerOpts};
 pub use worker::WorkerCtx;

@@ -6,7 +6,9 @@
 //! back; the engines only need [`Payload::encoded_len`], but the remote
 //! backend ships these encodings over real sockets, so decoding is fallible
 //! with *positioned* errors ([`DecodeError`]) — a torn frame reports where
-//! it tore, not just that it tore.
+//! it tore, not just that it tore. Every implementor reads through the one
+//! [`Reader`] ([`Payload::read`]), so a nested value's error is positioned
+//! in the outermost buffer.
 //!
 //! Dense `f64` slabs are encoded with **one** byte-slice extend (on
 //! little-endian targets the in-memory representation *is* the wire
@@ -15,8 +17,8 @@
 
 use std::sync::Arc;
 
-pub use async_linalg::DecodeError;
 use async_linalg::{index_codec, sparse_wire_len, CompressedDelta, GradDelta, Quant, SparseVec};
+pub use async_linalg::{DecodeError, Reader};
 use bytes::{BufMut, BytesMut};
 
 /// Decode result: the value plus the bytes consumed.
@@ -38,49 +40,6 @@ fn put_f64s_le(buf: &mut BytesMut, xs: &[f64]) {
     }
 }
 
-/// Reads `n` little-endian `f64`s starting at offset `at` of `bytes` — the
-/// mirror of [`put_f64s_le`]: one byte copy on little-endian targets. The
-/// count is untrusted wire data: the length check uses checked arithmetic
-/// so a hostile prefix can neither wrap the bound nor drive an allocation.
-fn get_f64s_le(bytes: &[u8], at: usize, n: usize) -> Result<Vec<f64>, DecodeError> {
-    let need = n
-        .checked_mul(8)
-        .ok_or(DecodeError::LengthOverflow { at, len: n as u64 })?;
-    let body = bytes.get(at..).unwrap_or(&[]);
-    if body.len() < need {
-        return Err(DecodeError::Truncated {
-            at: at + body.len(),
-            needed: need - body.len(),
-        });
-    }
-    #[cfg(target_endian = "little")]
-    {
-        let mut out = vec![0.0f64; n];
-        // SAFETY: `out` owns `n` initialized `f64`s, i.e. `need = 8 n`
-        // writable bytes; every bit pattern is a valid `f64`, and on a
-        // little-endian target the wire order is the in-memory order.
-        let dst = unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), need) };
-        dst.copy_from_slice(&body[..need]);
-        Ok(out)
-    }
-    #[cfg(not(target_endian = "little"))]
-    Ok(body[..need]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-        .collect())
-}
-
-fn get_u64_le(bytes: &[u8], at: usize) -> Result<u64, DecodeError> {
-    let body = bytes.get(at..).unwrap_or(&[]);
-    match body.get(..8) {
-        Some(b) => Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice"))),
-        None => Err(DecodeError::Truncated {
-            at: at + body.len(),
-            needed: 8 - body.len(),
-        }),
-    }
-}
-
 /// A value that can be broadcast: knows its wire size and representation.
 pub trait Payload {
     /// Exact encoded size in bytes.
@@ -89,19 +48,21 @@ pub trait Payload {
     /// Appends the wire encoding to `buf`.
     fn encode(&self, buf: &mut BytesMut);
 
+    /// Reads one value at `r`'s position, advancing past it. Errors carry
+    /// the offset where decoding failed.
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError>
+    where
+        Self: Sized;
+
     /// Decodes one value from the front of `bytes`, returning it and the
-    /// number of bytes consumed. Errors carry the offset where decoding
-    /// failed. The default implementation refuses (for payloads that are
-    /// size-accounted but never rematerialized driver-side).
+    /// number of bytes consumed.
     fn decode(bytes: &[u8]) -> DecodeResult<Self>
     where
         Self: Sized,
     {
-        let _ = bytes;
-        Err(DecodeError::Invalid {
-            at: 0,
-            what: "payload type does not support decoding",
-        })
+        let mut r = Reader::new(bytes);
+        let value = Self::read(&mut r)?;
+        Ok((value, r.at()))
     }
 }
 
@@ -112,14 +73,8 @@ impl Payload for f64 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_f64_le(*self);
     }
-    fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        match bytes.get(..8) {
-            Some(b) => Ok((f64::from_le_bytes(b.try_into().expect("8-byte slice")), 8)),
-            None => Err(DecodeError::Truncated {
-                at: bytes.len(),
-                needed: 8 - bytes.len(),
-            }),
-        }
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.f64()
     }
 }
 
@@ -130,8 +85,8 @@ impl Payload for u64 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64_le(*self);
     }
-    fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        Ok((get_u64_le(bytes, 0)?, 8))
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.u64()
     }
 }
 
@@ -144,10 +99,9 @@ impl Payload for Vec<f64> {
         buf.put_u64_le(self.len() as u64);
         put_f64s_le(buf, self);
     }
-    fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        let n = get_u64_le(bytes, 0)? as usize;
-        let vals = get_f64s_le(bytes, 8, n)?;
-        Ok((vals, 8 + 8 * n))
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.u64()? as usize;
+        r.f64s(n)
     }
 }
 
@@ -174,9 +128,8 @@ impl<T: Payload> Payload for Arc<T> {
     fn encode(&self, buf: &mut BytesMut) {
         (**self).encode(buf);
     }
-    fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        let (v, n) = T::decode(bytes)?;
-        Ok((Arc::new(v), n))
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        T::read(r).map(Arc::new)
     }
 }
 
@@ -189,9 +142,8 @@ impl Payload for Arc<[f64]> {
     fn encode(&self, buf: &mut BytesMut) {
         (**self).encode(buf);
     }
-    fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        let (v, n) = Vec::<f64>::decode(bytes)?;
-        Ok((v.into(), n))
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Vec::<f64>::read(r).map(Into::into)
     }
 }
 
@@ -208,42 +160,27 @@ fn put_sparse_head(buf: &mut BytesMut, indices: &[u32], dim: usize, scale: Optio
 }
 
 /// Reads the head [`put_sparse_head`] wrote for a section of `quant`
-/// values from the front of `bytes`, and bounds the value slab against the
-/// input so callers may slice it unchecked. Returns `(indices, dim, scale,
-/// slab offset)`; `scale` is 0 for an `Exact` section. The untrusted count
-/// sizes nothing until the index decoder has checked it against the input.
-fn get_sparse_head(
-    bytes: &[u8],
+/// values, returning `(indices, dim, scale)`; `scale` is 0 for an `Exact`
+/// section. The untrusted count sizes nothing until the index block has
+/// been checked against the input.
+fn read_sparse_head(
+    r: &mut Reader<'_>,
     quant: Quant,
-) -> Result<(Vec<u32>, usize, f64, usize), DecodeError> {
-    let nnz64 = get_u64_le(bytes, 0)?;
-    let dim = usize::try_from(get_u64_le(bytes, 8)?).unwrap_or(usize::MAX);
-    let (scale, head) = if quant != Quant::Exact {
-        let scale = f64::from_bits(get_u64_le(bytes, 16)?);
+) -> Result<(Vec<u32>, usize, f64), DecodeError> {
+    let nnz = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+    let dim = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+    let mut scale = 0.0;
+    if quant != Quant::Exact {
+        let at = r.at();
+        scale = r.f64()?;
         if !scale.is_finite() || scale < 0.0 {
             return Err(DecodeError::Invalid {
-                at: 16,
+                at,
                 what: "quantization scale not finite and non-negative",
             });
         }
-        (scale, 24)
-    } else {
-        (0.0, 16)
-    };
-    let nnz =
-        usize::try_from(nnz64).map_err(|_| DecodeError::LengthOverflow { at: 0, len: nnz64 })?;
-    let (indices, used) =
-        index_codec::decode(&bytes[head..], nnz, dim).map_err(|e| e.shifted(head))?;
-    let slab = head + used;
-    // `nnz <= bytes.len()` was established by the index decoder.
-    let need = nnz.saturating_mul(quant.value_bytes());
-    if bytes.len() - slab < need {
-        return Err(DecodeError::Truncated {
-            at: bytes.len(),
-            needed: need - (bytes.len() - slab),
-        });
     }
-    Ok((indices, dim, scale, slab))
+    Ok((r.indices(nnz, dim)?, dim, scale))
 }
 
 /// Appends the [`SparseVec`] wire shape for borrowed parts — how a CSR row
@@ -263,15 +200,14 @@ impl Payload for SparseVec {
     fn encode(&self, buf: &mut BytesMut) {
         encode_sparse(buf, self.indices(), self.values(), self.dim());
     }
-    fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        let (indices, dim, _, slab) = get_sparse_head(bytes, Quant::Exact)?;
-        let values = get_f64s_le(bytes, slab, indices.len())?;
-        let total = slab + 8 * values.len();
-        let sv = SparseVec::new(indices, values, dim).map_err(|_| DecodeError::Invalid {
-            at: 16,
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let at = r.at();
+        let (indices, dim, _) = read_sparse_head(r, Quant::Exact)?;
+        let values = r.f64s(indices.len())?;
+        SparseVec::new(indices, values, dim).map_err(|_| DecodeError::Invalid {
+            at,
             what: "sparse indices rejected",
-        })?;
-        Ok((sv, total))
+        })
     }
 }
 
@@ -298,20 +234,12 @@ impl Payload for GradDelta {
             }
         }
     }
-    fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        let tag = *bytes
-            .first()
-            .ok_or(DecodeError::Truncated { at: 0, needed: 1 })?;
-        match tag {
-            0 => {
-                let (v, n) = Vec::<f64>::decode(&bytes[1..]).map_err(|e| e.shifted(1))?;
-                Ok((GradDelta::Dense(v), 1 + n))
-            }
-            1 => {
-                let (s, n) = SparseVec::decode(&bytes[1..]).map_err(|e| e.shifted(1))?;
-                Ok((GradDelta::Sparse(s), 1 + n))
-            }
-            tag => Err(DecodeError::BadTag { at: 0, tag }),
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let at = r.at();
+        match r.u8()? {
+            0 => Vec::<f64>::read(r).map(GradDelta::Dense),
+            1 => SparseVec::read(r).map(GradDelta::Sparse),
+            tag => Err(DecodeError::BadTag { at, tag }),
         }
     }
 }
@@ -363,50 +291,35 @@ impl Payload for CompressedDelta {
             }
         }
     }
-    fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        let tag = *bytes
-            .first()
-            .ok_or(DecodeError::Truncated { at: 0, needed: 1 })?;
-        let body = &bytes[1..];
-        match tag {
-            0 => {
-                let (g, n) = GradDelta::decode(body).map_err(|e| e.shifted(1))?;
-                Ok((CompressedDelta::Exact(g), 1 + n))
-            }
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let at = r.at();
+        match r.u8()? {
+            0 => GradDelta::read(r).map(CompressedDelta::Exact),
             1 => {
-                let (indices, dim, scale, slab) =
-                    get_sparse_head(body, Quant::I8).map_err(|e| e.shifted(1))?;
-                let end = slab + indices.len();
-                let codes = body[slab..end].iter().map(|&b| b as i8).collect();
-                Ok((
-                    CompressedDelta::I8 {
-                        dim,
-                        scale,
-                        indices,
-                        codes,
-                    },
-                    1 + end,
-                ))
+                let (indices, dim, scale) = read_sparse_head(r, Quant::I8)?;
+                let codes = r.bytes(indices.len())?.iter().map(|&b| b as i8).collect();
+                Ok(CompressedDelta::I8 {
+                    dim,
+                    scale,
+                    indices,
+                    codes,
+                })
             }
             2 => {
-                let (indices, dim, scale, slab) =
-                    get_sparse_head(body, Quant::F16).map_err(|e| e.shifted(1))?;
-                let end = slab + 2 * indices.len();
-                let codes = body[slab..end]
+                let (indices, dim, scale) = read_sparse_head(r, Quant::F16)?;
+                let codes = r
+                    .bytes(2 * indices.len())?
                     .chunks_exact(2)
                     .map(|c| u16::from_le_bytes([c[0], c[1]]))
                     .collect();
-                Ok((
-                    CompressedDelta::F16 {
-                        dim,
-                        scale,
-                        indices,
-                        codes,
-                    },
-                    1 + end,
-                ))
+                Ok(CompressedDelta::F16 {
+                    dim,
+                    scale,
+                    indices,
+                    codes,
+                })
             }
-            tag => Err(DecodeError::BadTag { at: 0, tag }),
+            tag => Err(DecodeError::BadTag { at, tag }),
         }
     }
 }
@@ -419,10 +332,8 @@ impl<A: Payload, B: Payload> Payload for (A, B) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
-    fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        let (a, na) = A::decode(bytes)?;
-        let (b, nb) = B::decode(&bytes[na..]).map_err(|e| e.shifted(na))?;
-        Ok(((a, b), na + nb))
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::read(r)?, B::read(r)?))
     }
 }
 
@@ -440,30 +351,21 @@ impl<T: Payload> Payload for Vec<(u64, T)> {
             v.encode(buf);
         }
     }
-    fn decode(bytes: &[u8]) -> DecodeResult<Self> {
-        let n64 = get_u64_le(bytes, 0)?;
-        let n = n64 as usize;
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let at = r.at();
+        let n64 = r.u64()?;
         // Every entry needs at least its 8-byte key, so the remaining
-        // input bounds the plausible count — a corrupt prefix must not
-        // size an allocation.
-        if n > bytes.len() {
-            return Err(DecodeError::LengthOverflow { at: 0, len: n64 });
-        }
-        let mut out = Vec::with_capacity(n.min(bytes.len() / 8));
-        let mut at = 8usize;
-        for _ in 0..n {
-            let k = get_u64_le(bytes, at)?;
-            let body = bytes.get(at + 8..).unwrap_or(&[]);
-            let (v, nv) = T::decode(body).map_err(|e| e.shifted(at + 8))?;
-            out.push((k, v));
-            at += 8 + nv;
-        }
-        Ok((out, at))
+        // input bounds the plausible count — a corrupt prefix, reported at
+        // the prefix, must not size an allocation.
+        let n = r
+            .count(n64, 8)
+            .map_err(|_| DecodeError::LengthOverflow { at, len: n64 });
+        (0..n?).map(|_| Ok((r.u64()?, T::read(r)?))).collect()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn encoded_bytes<P: Payload + ?Sized>(p: &P) -> usize {
@@ -723,5 +625,55 @@ mod tests {
             sv.put_u64_le(10);
             assert!(SparseVec::decode(sv.as_slice()).is_err(), "n={n}");
         }
+    }
+
+    /// Feeds `decode` every strict prefix of `bytes`, each of which must be
+    /// refused, and every single-bit flip of it, which may decode or be
+    /// refused — what none of them may do is panic.
+    pub(crate) fn every_cut_and_flip<T, E>(bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, E>) {
+        for cut in 0..bytes.len() {
+            assert!(
+                decode(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
+        }
+        let mut flipped = bytes.to_vec();
+        for bit in 0..8 * bytes.len() {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    fn cut_and_flip<P: Payload>(p: &P) {
+        let mut buf = BytesMut::new();
+        p.encode(&mut buf);
+        every_cut_and_flip(buf.as_slice(), P::decode);
+    }
+
+    #[test]
+    fn every_payload_survives_every_cut_and_bit_flip() {
+        let sparse = SparseVec::from_pairs(vec![(3, 1.5), (9, -2.0), (400, 0.25)], 500).unwrap();
+        cut_and_flip(&-1.25f64);
+        cut_and_flip(&7u64);
+        cut_and_flip(&vec![1.0f64, -2.5, 3.25]);
+        cut_and_flip(&sparse);
+        cut_and_flip(&GradDelta::Dense(vec![0.5, -0.5]));
+        cut_and_flip(&GradDelta::Sparse(sparse.clone()));
+        cut_and_flip(&CompressedDelta::Exact(GradDelta::Sparse(sparse)));
+        cut_and_flip(&CompressedDelta::I8 {
+            dim: 300,
+            scale: 2.0,
+            indices: vec![1, 5, 200],
+            codes: vec![-127, 64, 3],
+        });
+        cut_and_flip(&CompressedDelta::F16 {
+            dim: 32,
+            scale: 0.5,
+            indices: vec![0, 31],
+            codes: vec![0x3c00, 0xbc00],
+        });
+        cut_and_flip(&(2.0f64, vec![1.0f64, 2.0]));
+        cut_and_flip(&vec![(7u64, vec![1.0f64]), (9, vec![])]);
     }
 }

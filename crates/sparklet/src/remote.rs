@@ -93,8 +93,8 @@ use async_cluster::straggler::DelayAssignment;
 use async_cluster::{ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
 
 use crate::engine::{
-    check_cluster, ChaosQueue, Completion, Engine, EngineError, PendingChaos, Task, TaskDone,
-    TaskOutput, WireTask,
+    check_cluster, membership_queued, ChaosQueue, Completion, Engine, EngineError, PendingChaos,
+    Task, TaskDone, TaskOutput, WireTask,
 };
 use crate::fault::{FaultAction, FaultDir, FaultInjector, FaultPlan};
 use crate::frame::{encode_frame, read_frame, write_frame, Msg};
@@ -775,7 +775,7 @@ impl Engine for RemoteEngine {
     }
 
     fn available(&self, w: WorkerId) -> bool {
-        !self.dead[w] && self.inflight[w].is_none()
+        !self.dead[w] && self.inflight[w].is_none() && !membership_queued(&self.queued, w)
     }
 
     fn alive(&self, w: WorkerId) -> bool {
@@ -792,7 +792,7 @@ impl Engine for RemoteEngine {
         if self.dead[w] {
             return Err(EngineError::WorkerDead(w));
         }
-        if self.inflight[w].is_some() {
+        if !self.available(w) {
             return Err(EngineError::WorkerBusy(w));
         }
         let seq = self.task_seq[w];

@@ -24,7 +24,8 @@ use async_cluster::straggler::DelayAssignment;
 use async_cluster::{ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
 
 use crate::engine::{
-    ChaosQueue, Completion, Engine, EngineError, PendingChaos, Task, TaskDone, TaskFn, TaskOutput,
+    membership_queued, ChaosQueue, Completion, Engine, EngineError, PendingChaos, Task, TaskDone,
+    TaskFn, TaskOutput,
 };
 use crate::worker::WorkerCtx;
 
@@ -293,7 +294,7 @@ impl Engine for ThreadedEngine {
     }
 
     fn available(&self, w: WorkerId) -> bool {
-        !self.dead[w] && !self.busy[w]
+        !self.dead[w] && !self.busy[w] && !membership_queued(&self.queued, w)
     }
 
     fn alive(&self, w: WorkerId) -> bool {
@@ -304,7 +305,7 @@ impl Engine for ThreadedEngine {
         if self.dead[w] {
             return Err(EngineError::WorkerDead(w));
         }
-        if self.busy[w] {
+        if !self.available(w) {
             return Err(EngineError::WorkerBusy(w));
         }
         let msg = Msg::Run {
