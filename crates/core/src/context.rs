@@ -1547,6 +1547,52 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_join_whose_spawn_fails_is_reported_not_panicked() {
+        // Loopback workers whose third start panics before connecting: the
+        // two founders start, and the joiner's handshake times out. The
+        // joiner is an incarnation that died at birth — announced, then
+        // down — so neither the driver nor `STAT` meets an id it never saw.
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let registry = Arc::new(move || {
+            let call = calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            assert_ne!(call, 2, "the third worker start fails");
+            let mut reg = sparklet::RoutineRegistry::new();
+            reg.register(1, |_ctx, req| Ok(req.to_vec()));
+            reg
+        });
+        let cfg = sparklet::RemoteConfig {
+            handshake_timeout: std::time::Duration::from_millis(200),
+            ..sparklet::RemoteConfig::loopback(registry)
+        };
+        let spec = ClusterSpec::homogeneous(2, DelayModel::None);
+        let engine = sparklet::RemoteEngine::new(spec, 0.0, cfg).expect("the founders start");
+        let mut ctx = AsyncContext::new(Driver::from_engine(Box::new(engine)));
+        ctx.driver_mut().schedule_join(VTime::ZERO);
+        while ctx.collect::<i64>().is_some() {}
+        assert_eq!(ctx.driver().workers(), 3);
+        assert_eq!(ctx.driver().alive_workers(), vec![0, 1]);
+        // The survivors still take a wave; the dead joiner takes nothing.
+        let routine = RemoteRoutine {
+            routine: 1,
+            build: Arc::new(|_, part| vec![part as u8]),
+            decode: Arc::new(|b| Ok(Box::new(i64::from(b[0])) as Box<dyn Any + Send>)),
+        };
+        let asp = BarrierFilter::Asp;
+        let subs = ctx.async_reduce_wired(
+            &unit_rdd(3),
+            &asp,
+            SubmitOpts::default(),
+            sum_task,
+            Some(&routine),
+        );
+        assert_eq!(subs.len(), 2);
+        while ctx.collect::<i64>().is_some() {}
+        let c = ctx.task_counts();
+        assert_eq!(c.violations, 0, "{c:?}");
+        assert_eq!((c.issued, c.delivered), (2, 2), "{c:?}");
+    }
+
     /// Runs `script` against a context that first issued one task to each
     /// of `busy`'s workers (partition = worker), with retries on; returns
     /// the ledger after everything is collected.

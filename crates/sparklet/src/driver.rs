@@ -297,7 +297,7 @@ impl Driver {
     }
 
     /// Schedules a failure at a virtual instant (real elapsed time on the
-    /// threaded backend).
+    /// threaded and remote backends).
     pub fn schedule_failure(&mut self, w: WorkerId, at: VTime) {
         self.engine.schedule_failure(w, at);
     }
@@ -313,8 +313,10 @@ impl Driver {
     /// Id-allocation timing differs by backend: the simulator assigns the
     /// joiner's id at *scheduling* time (so `workers()` grows immediately,
     /// though the worker stays dead until its instant), while the threaded
-    /// backend assigns it when the event *fires*. Either way the worker
-    /// only becomes schedulable once its [`Completion::WorkerUp`] pops.
+    /// and remote backends assign it when the event *fires*. Either way the
+    /// worker only becomes schedulable once its [`Completion::WorkerUp`]
+    /// pops; a joiner that fails to start is followed by its
+    /// [`Completion::WorkerDown`].
     pub fn schedule_join(&mut self, at: VTime) {
         self.engine.schedule_join(at);
         self.grow_bookkeeping();
@@ -323,7 +325,8 @@ impl Driver {
     /// Installs a whole membership-churn script: every event is mapped to
     /// the engine's scheduling primitives (the simulator fires them at
     /// exact virtual instants inside its deterministic event queue; the
-    /// threaded backend applies them when real elapsed time passes them).
+    /// threaded and remote backends apply them when real elapsed time
+    /// passes them).
     pub fn install_chaos(&mut self, schedule: &ChaosSchedule) {
         for ev in schedule.events() {
             match ev.action {
@@ -342,25 +345,18 @@ impl Driver {
         }
     }
 
-    /// Folds a membership notification into driver bookkeeping: joined
-    /// workers get fresh rows, and no wait spans a worker's downtime.
+    /// Folds a membership notification into driver bookkeeping: a joined
+    /// worker's row exists by its `WorkerUp` (the first notice naming it),
+    /// and no wait spans a worker's downtime.
     fn note_membership(&mut self, c: &Completion) {
-        match *c {
-            Completion::WorkerUp { worker } => {
-                if worker < self.wait.workers() {
-                    // Defensive: a wait left open by a pre-failure life
-                    // must not span the downtime.
-                    self.wait.cancel_open(worker);
-                } else {
-                    self.grow_bookkeeping();
-                }
-            }
-            Completion::Lost { worker, .. } | Completion::WorkerDown { worker } => {
-                // A dead worker is not waiting at a barrier: discard its
-                // open wait so downtime never inflates mean wait times.
-                self.wait.cancel_open(worker);
-            }
-            Completion::Done(_) => {}
+        if let Completion::Lost { worker, .. }
+        | Completion::WorkerDown { worker }
+        | Completion::WorkerUp { worker } = *c
+        {
+            self.grow_bookkeeping();
+            // A dead worker is not waiting at a barrier, and a wait left
+            // open by a revived worker's previous life is not a wait.
+            self.wait.cancel_open(worker);
         }
         self.supervise_membership(c);
     }
@@ -668,5 +664,48 @@ mod tests {
         }
         assert!(!d.circuit_open(0));
         assert_eq!(d.supervised_respawns(), 5);
+    }
+
+    #[test]
+    fn a_supervised_revival_whose_spawn_fails_is_retried() {
+        use crate::remote::{RemoteConfig, RemoteEngine, RoutineRegistry};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+
+        // Loopback workers whose third start panics before connecting: the
+        // two founders start, worker 1's first respawn times out in its
+        // handshake, and its second respawn starts.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let registry = Arc::new(move || {
+            let call = calls.fetch_add(1, Ordering::SeqCst);
+            assert_ne!(call, 2, "the third worker start fails");
+            RoutineRegistry::new()
+        });
+        let cfg = RemoteConfig {
+            handshake_timeout: Duration::from_millis(200),
+            ..RemoteConfig::loopback(registry)
+        };
+        let engine = RemoteEngine::new(ClusterSpec::homogeneous(2, DelayModel::None), 0.0, cfg)
+            .expect("the founders start");
+        let mut d = Driver::from_engine(Box::new(engine));
+        d.supervise(SuperviseCfg {
+            backoff_base: VDur::from_millis(1),
+            backoff_max: VDur::from_millis(5),
+            ..SuperviseCfg::default()
+        });
+        d.kill_worker(1);
+        let t0 = Instant::now();
+        while d.alive_workers() != [0, 1] && t0.elapsed() < Duration::from_secs(3) {
+            while d.next_completion().is_some() {}
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            d.alive_workers(),
+            vec![0, 1],
+            "the failed respawn is retried"
+        );
+        assert_eq!(d.supervised_respawns(), 2);
+        assert!(!d.circuit_open(1));
     }
 }

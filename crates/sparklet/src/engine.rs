@@ -8,6 +8,9 @@
 //! * [`crate::threaded::ThreadedEngine`] — real OS threads and real delays;
 //! * [`crate::remote::RemoteEngine`] — one OS process per worker over TCP.
 //!
+//! All keep their workers' membership and one-slot state in one
+//! crate-private roster, whose transitions are the only way to change it.
+//!
 //! All give the *same semantics*: a task conceptually begins executing
 //! against the state captured at submission (exactly like a Spark task
 //! shipping with its broadcast snapshot) and its result arrives after the
@@ -15,12 +18,15 @@
 //! stale results precisely as they would on a real cluster.
 
 use std::any::Any;
-use std::collections::VecDeque;
 
 use async_cluster::{ClusterSpec, VDur, VTime, WorkerId};
 
 use crate::payload::DecodeError;
 use crate::worker::WorkerCtx;
+
+mod roster;
+
+pub(crate) use roster::{PendingChaos, Roster};
 
 /// Type-erased task result.
 pub type TaskOutput = Box<dyn Any + Send>;
@@ -88,19 +94,6 @@ pub enum Completion {
         /// The revived or newly joined worker.
         worker: WorkerId,
     },
-}
-
-/// Whether `queued` holds a membership notification for `w`. A wall-clock
-/// engine applies a kill or revival to its own state at once but reports
-/// it through its queue, so until the caller has read it, the caller's
-/// view of `w` is stale: `w` takes no task (it is busy) in the meantime.
-pub(crate) fn membership_queued(queued: &VecDeque<Completion>, w: WorkerId) -> bool {
-    queued.iter().any(|c| match c {
-        Completion::Done(_) => false,
-        Completion::Lost { worker, .. }
-        | Completion::WorkerDown { worker }
-        | Completion::WorkerUp { worker } => *worker == w,
-    })
 }
 
 /// Submission errors.
@@ -172,55 +165,6 @@ pub struct WireTask {
     pub decode: Box<dyn Fn(&[u8]) -> Result<TaskOutput, DecodeError> + Send>,
 }
 
-/// A membership change scheduled against elapsed engine time.
-pub(crate) enum PendingChaos {
-    Fail(WorkerId),
-    Revive(WorkerId),
-    Join,
-}
-
-impl PendingChaos {
-    /// Applies the change to `engine`; reviving a worker that is alive by
-    /// then is a no-op.
-    pub fn apply(self, engine: &mut impl Engine) {
-        match self {
-            PendingChaos::Fail(w) => engine.kill_worker(w),
-            PendingChaos::Revive(w) => {
-                let _ = engine.revive_worker(w);
-            }
-            PendingChaos::Join => {
-                engine.add_worker();
-            }
-        }
-    }
-}
-
-/// The wall-clock engines' schedule of membership changes (the simulator
-/// keeps its own in its event queue): time-sorted, applied by the owning
-/// engine once elapsed real time passes an event's instant.
-#[derive(Default)]
-pub(crate) struct ChaosQueue(VecDeque<(VTime, PendingChaos)>);
-
-impl ChaosQueue {
-    /// Schedules `ev` at `at`, after everything already scheduled at or
-    /// before that instant (a stable insert).
-    pub fn push(&mut self, at: VTime, ev: PendingChaos) {
-        let pos = self.0.partition_point(|&(t, _)| t <= at);
-        self.0.insert(pos, (at, ev));
-    }
-
-    /// Takes the earliest event if its instant is not after `now`.
-    pub fn pop_due(&mut self, now: VTime) -> Option<PendingChaos> {
-        let &(at, _) = self.0.front()?;
-        (at <= now).then(|| self.0.pop_front().expect("checked front").1)
-    }
-
-    /// The instant of the earliest scheduled event.
-    pub fn front_at(&self) -> Option<VTime> {
-        self.0.front().map(|&(at, _)| at)
-    }
-}
-
 /// A cluster of workers executing tasks. One task per worker at a time
 /// (one executor slot, as in the paper's per-worker executors).
 pub trait Engine: Send {
@@ -228,10 +172,11 @@ pub trait Engine: Send {
     fn workers(&self) -> usize;
 
     /// Current engine time (virtual for the simulator, real-elapsed for
-    /// the threaded backend).
+    /// the threaded and remote backends).
     fn now(&self) -> VTime;
 
-    /// True when `w` is alive and idle.
+    /// True when `w` is alive, idle, and named by no completion still
+    /// queued undelivered.
     fn available(&self, w: WorkerId) -> bool;
 
     /// True when `w` has not failed.
@@ -271,19 +216,24 @@ pub trait Engine: Send {
     /// through the normal completion stream so driver-side bookkeeping
     /// stays ordered with task results.
     ///
-    /// Returns [`EngineError::WorkerAlive`] if `w` has not failed.
+    /// Returns [`EngineError::WorkerAlive`] if `w` has not failed. A fresh
+    /// incarnation that fails to start (a thread or process that cannot be
+    /// spawned, a handshake that times out) died at birth: it surfaces as
+    /// [`Completion::WorkerUp`] then [`Completion::WorkerDown`], and the
+    /// failure is returned as [`EngineError::Io`].
     fn revive_worker(&mut self, w: WorkerId) -> Result<(), EngineError>;
 
     /// Adds a brand-new worker with the next dense id and returns that id.
-    /// Also surfaces as [`Completion::WorkerUp`]. The join is effective for
-    /// submissions immediately; completion-stream consumers learn about it
-    /// when the notification pops.
+    /// Also surfaces as [`Completion::WorkerUp`] (followed by
+    /// [`Completion::WorkerDown`] when it fails to start, as for a
+    /// revival); the worker takes tasks once that notification is read.
     fn add_worker(&mut self) -> WorkerId;
 
-    /// Schedules a failure at a future instant (deterministic engines only;
-    /// the default is a no-op so threaded tests call
-    /// [`Engine::kill_worker`] — the threaded backend overrides it with
-    /// elapsed-time checks).
+    /// Schedules a failure at a future instant of engine time. The
+    /// simulator fires it at that exact virtual instant in its event queue;
+    /// the threaded and remote engines apply it once elapsed real time
+    /// passes it, checked whenever they are polled. The default, for an
+    /// engine with no schedule, is a no-op.
     fn schedule_failure(&mut self, _w: WorkerId, _at: VTime) {}
 
     /// Schedules a revival of `w` at a future instant (see
@@ -295,7 +245,7 @@ pub trait Engine: Send {
     /// id surfaces via [`Completion::WorkerUp`]. Backends may allocate the
     /// id eagerly (the simulator grows `workers()` at scheduling time,
     /// keeping the worker dead until its instant) or lazily at fire time
-    /// (the threaded backend).
+    /// (the threaded and remote backends).
     fn schedule_join(&mut self, _at: VTime) {}
 
     /// The instant of the earliest still-scheduled membership event

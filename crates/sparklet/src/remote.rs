@@ -77,7 +77,7 @@
 //!
 //! [`Payload`]: crate::payload::Payload
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -93,8 +93,8 @@ use async_cluster::straggler::DelayAssignment;
 use async_cluster::{ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
 
 use crate::engine::{
-    check_cluster, membership_queued, ChaosQueue, Completion, Engine, EngineError, PendingChaos,
-    Task, TaskDone, TaskOutput, WireTask,
+    check_cluster, Completion, Engine, EngineError, PendingChaos, Roster, Task, TaskDone,
+    TaskOutput, WireTask,
 };
 use crate::fault::{FaultAction, FaultDir, FaultInjector, FaultPlan};
 use crate::frame::{encode_frame, read_frame, write_frame, Msg};
@@ -232,14 +232,13 @@ enum WireEvent {
     Gone { worker: WorkerId, epoch: u64 },
 }
 
-/// A worker's in-flight wired task: response decoding + accounting plus
-/// the issue instants the deadline check and the completion report need.
-struct InflightEntry {
-    tag: u64,
+/// What a worker's seat holds beside the task's tag: response decoding,
+/// the bytes the task shipped, and the real instant its deadline counts
+/// from.
+struct Wired {
     #[allow(clippy::type_complexity)]
     decode: Box<dyn Fn(&[u8]) -> Result<TaskOutput, DecodeError> + Send>,
     bytes_in: u64,
-    issued_at: VTime,
     issued_real: Instant,
 }
 
@@ -266,22 +265,15 @@ pub struct RemoteEngine {
     /// `(broadcast, version)` keys (and shipped partitions) it holds.
     /// Reset to empty on revive/join, exactly like the real cache.
     mirrors: Vec<WorkerCtx>,
-    dead: Vec<bool>,
-    /// Worker incarnation counters; bumped on kill so orphaned completions
-    /// and a revived executor can never be confused.
-    epoch: Vec<u64>,
-    /// The task each worker is running, if any: one slot per worker.
-    inflight: Vec<Option<InflightEntry>>,
+    /// Membership, one slot per worker, queued completions, and scheduled
+    /// membership events.
+    roster: Roster<Wired>,
     /// Last instant each worker proved it was alive (handshake, beat, or
     /// completion).
     last_beat: Vec<Instant>,
     /// Driver→worker fault injectors, one per live incarnation when the
     /// plan is non-zero.
     injectors: Vec<Option<FaultInjector>>,
-    task_seq: Vec<u64>,
-    pending: usize,
-    queued: VecDeque<Completion>,
-    chaos: ChaosQueue,
 }
 
 impl RemoteEngine {
@@ -324,24 +316,16 @@ impl RemoteEngine {
             liveness: cfg.liveness,
             task_deadline: cfg.task_deadline,
             fault: cfg.fault,
-            conns: Vec::with_capacity(n),
-            readers: Vec::with_capacity(n),
+            conns: (0..n).map(|_| None).collect(),
+            readers: (0..n).map(|_| None).collect(),
             results_tx: res_tx,
             results_rx: res_rx,
             mirrors: (0..n).map(WorkerCtx::new).collect(),
-            dead: vec![false; n],
-            epoch: vec![0; n],
-            inflight: (0..n).map(|_| None).collect(),
+            roster: Roster::new(n),
             last_beat: vec![now; n],
             injectors: (0..n).map(|_| None).collect(),
-            task_seq: vec![0; n],
-            pending: 0,
-            queued: VecDeque::new(),
-            chaos: ChaosQueue::default(),
         };
         for w in 0..n {
-            engine.conns.push(None);
-            engine.readers.push(None);
             engine
                 .spawn_worker(w)
                 .map_err(|e| EngineError::Io(e.kind()))?;
@@ -354,10 +338,10 @@ impl RemoteEngine {
         &self.local_addr
     }
 
-    /// Launches incarnation `self.epoch[w]` of worker `w` and completes
-    /// the connection handshake.
+    /// Launches worker `w`'s current incarnation and completes the
+    /// connection handshake.
     fn spawn_worker(&mut self, w: WorkerId) -> io::Result<()> {
-        let epoch = self.epoch[w];
+        let epoch = self.roster.epoch(w);
         let opts = WorkerOpts {
             heartbeat: self.heartbeat,
             fault: self.fault.clone(),
@@ -479,9 +463,10 @@ impl RemoteEngine {
     }
 
     /// Tears down worker `w`'s current incarnation: socket shutdown, child
-    /// kill + reap. The reader thread exits on the dropped connection and
-    /// its `Gone` event is epoch-filtered.
+    /// kill + reap, injector dropped. The reader thread exits on the
+    /// dropped connection and its `Gone` event is epoch-filtered.
     fn teardown_conn(&mut self, w: WorkerId) {
+        self.injectors[w] = None;
         if let Some(mut conn) = self.conns[w].take() {
             let _ = write_frame(&mut conn.stream, &Msg::Shutdown);
             let _ = conn.stream.shutdown(Shutdown::Both);
@@ -492,62 +477,33 @@ impl RemoteEngine {
         }
     }
 
-    /// Marks `w` dead at a bumped epoch and queues the loss notification —
-    /// shared by explicit kills, detected disconnects, and missed
-    /// liveness/task deadlines. A busy worker's task surfaces as
-    /// [`Completion::Lost`]; an idle death queues
-    /// [`Completion::WorkerDown`].
-    fn mark_dead(&mut self, w: WorkerId) {
-        self.dead[w] = true;
-        self.epoch[w] += 1;
-        self.injectors[w] = None;
-        match self.inflight[w].take() {
-            Some(entry) => {
-                self.pending -= 1;
-                self.queued.push_back(Completion::Lost {
-                    worker: w,
-                    tag: entry.tag,
-                });
-            }
-            None => self.queued.push_back(Completion::WorkerDown { worker: w }),
+    /// The instant `w` is declared dead unless a frame (or its task's
+    /// result) arrives first: the earlier of its liveness and task
+    /// deadlines, where configured. `None` for a dead worker.
+    fn deadline(&self, w: WorkerId) -> Option<Instant> {
+        if !self.roster.alive(w) {
+            return None;
         }
-    }
-
-    /// Applies scheduled membership events whose instant has passed.
-    fn apply_due_chaos(&mut self) {
-        while let Some(ev) = self.chaos.pop_due(self.elapsed()) {
-            ev.apply(self);
-        }
+        let silent = self.liveness.map(|liv| self.last_beat[w] + liv);
+        let overdue = self
+            .task_deadline
+            .zip(self.roster.seat_of(w))
+            .map(|(dl, s)| s.payload.issued_real + dl);
+        silent.into_iter().chain(overdue).min()
     }
 
     /// Declares workers dead for missed liveness or task deadlines. Runs
-    /// alongside `apply_due_chaos` in every pump iteration; both checks
-    /// are no-ops unless configured.
+    /// in every pump iteration; both checks are no-ops unless configured.
     fn enforce_deadlines(&mut self) {
         if self.liveness.is_none() && self.task_deadline.is_none() {
             return;
         }
         let now = Instant::now();
-        let mut victims: Vec<WorkerId> = Vec::new();
-        for w in 0..self.spec.workers {
-            if self.dead[w] {
-                continue;
-            }
-            let silent = self
-                .liveness
-                .is_some_and(|liv| now.duration_since(self.last_beat[w]) > liv);
-            let overdue = self.task_deadline.is_some_and(|dl| {
-                self.inflight[w]
-                    .as_ref()
-                    .is_some_and(|e| now.duration_since(e.issued_real) > dl)
-            });
-            if silent || overdue {
-                victims.push(w);
-            }
-        }
+        let victims: Vec<WorkerId> = (0..self.roster.workers())
+            .filter(|&w| self.deadline(w).is_some_and(|d| d < now))
+            .collect();
         for w in victims {
-            self.teardown_conn(w);
-            self.mark_dead(w);
+            self.kill_worker(w);
         }
     }
 
@@ -555,36 +511,16 @@ impl RemoteEngine {
     /// deadline, task deadline), or `None` when no timer is armed and the
     /// pump can park indefinitely.
     fn wait_horizon(&self) -> Option<Duration> {
-        let mut horizon: Option<Duration> = None;
-        let mut fold = |d: Duration| {
-            horizon = Some(match horizon {
-                Some(h) => h.min(d),
-                None => d,
-            });
-        };
-        if let Some(at) = self.chaos.front_at() {
-            let left = at.saturating_since(self.elapsed());
-            fold(Duration::from_micros(left.as_micros()));
-        }
         let now = Instant::now();
-        if let Some(liv) = self.liveness {
-            for w in 0..self.spec.workers {
-                if !self.dead[w] {
-                    fold((self.last_beat[w] + liv).saturating_duration_since(now));
-                }
-            }
-        }
-        if let Some(dl) = self.task_deadline {
-            for w in 0..self.spec.workers {
-                if self.dead[w] {
-                    continue;
-                }
-                if let Some(e) = &self.inflight[w] {
-                    fold((e.issued_real + dl).saturating_duration_since(now));
-                }
-            }
-        }
-        horizon
+        let chaos = self
+            .roster
+            .next_event_at()
+            .map(|at| Duration::from_micros(at.saturating_since(self.elapsed()).as_micros()));
+        (0..self.roster.workers())
+            .filter_map(|w| self.deadline(w))
+            .map(|d| d.saturating_duration_since(now))
+            .chain(chaos)
+            .min()
     }
 
     /// One deadline-aware wait on the result channel: parks indefinitely
@@ -608,7 +544,7 @@ impl RemoteEngine {
                 tag,
                 response,
             } => {
-                if self.dead[worker] || epoch != self.epoch[worker] {
+                if !self.roster.current(worker, epoch) {
                     // Orphaned result flushed by a killed incarnation
                     // before its socket died: its loss was already
                     // reported.
@@ -617,67 +553,65 @@ impl RemoteEngine {
                 // Any frame proves liveness.
                 self.last_beat[worker] = Instant::now();
                 let finished_at = self.elapsed();
-                let Some(entry) = self.inflight[worker].as_ref().filter(|e| e.tag == tag) else {
-                    // An unsolicited completion — a duplicated frame or a
-                    // protocol violation. Nothing is owed for it; drop it.
-                    return None;
-                };
-                let (issued_at, bytes_in) = (entry.issued_at, entry.bytes_in);
-                match (entry.decode)(&response) {
+                // An unsolicited completion — a duplicated frame or a
+                // protocol violation — answers no seat: nothing is owed
+                // for it.
+                let seat = self.roster.seat_of(worker).filter(|s| s.tag == tag)?;
+                match (seat.payload.decode)(&response) {
                     Ok(output) => {
-                        self.inflight[worker] = None;
-                        self.pending -= 1;
+                        let seat = self.roster.finish(worker, epoch, tag)?;
                         Some(Completion::Done(TaskDone {
                             worker,
                             tag,
                             output,
-                            issued_at,
+                            issued_at: seat.issued_at,
                             finished_at,
-                            service_time: finished_at.saturating_since(issued_at),
-                            bytes_in,
+                            service_time: finished_at.saturating_since(seat.issued_at),
+                            bytes_in: seat.payload.bytes_in,
                         }))
                     }
                     Err(_) => {
                         // A response this driver cannot decode means the
                         // incarnation is not speaking the protocol — treat
-                        // it like a crashed worker: tear down, and
-                        // `mark_dead` reports the still-seated task lost.
-                        self.teardown_conn(worker);
-                        self.mark_dead(worker);
+                        // it like a crashed worker, whose still-seated
+                        // task is lost.
+                        self.kill_worker(worker);
                         None
                     }
                 }
             }
             WireEvent::Beat { worker, epoch } => {
-                if !self.dead[worker] && epoch == self.epoch[worker] {
+                if self.roster.current(worker, epoch) {
                     self.last_beat[worker] = Instant::now();
                 }
                 None
             }
             WireEvent::Gone { worker, epoch } => {
-                if self.dead[worker] || epoch != self.epoch[worker] {
-                    return None; // expected: we tore this connection down
-                }
                 // A real, uncommanded connection drop: dropped socket →
                 // lost tasks, dead worker (revivable like any other death).
-                self.teardown_conn(worker);
-                self.mark_dead(worker);
+                // A stale one is expected: we tore that connection down.
+                if self.roster.current(worker, epoch) {
+                    self.kill_worker(worker);
+                }
                 None
             }
         }
     }
 
-    /// Drains every event already sitting in the result channel into the
-    /// completion queue. Run before enforcing deadlines so liveness
-    /// verdicts see the freshest beats — a driver that slept between pump
-    /// calls must not declare a dutifully beating worker dead on stale
-    /// bookkeeping.
-    fn drain_ready_events(&mut self) {
+    /// One pump step without waiting: drains every event already sitting
+    /// in the result channel into the roster's queue, applies the due
+    /// membership events, then enforces deadlines — after the drain, so
+    /// liveness verdicts see the freshest beats (a driver that slept
+    /// between pump calls must not declare a dutifully beating worker dead
+    /// on stale bookkeeping).
+    fn poll(&mut self) {
         while let Ok(ev) = self.results_rx.try_recv() {
             if let Some(c) = self.accept(ev) {
-                self.queued.push_back(c);
+                self.roster.notify(c);
             }
         }
+        PendingChaos::apply_due(self, |e| &mut e.roster);
+        self.enforce_deadlines();
     }
 }
 
@@ -767,7 +701,7 @@ fn reader_loop(w: WorkerId, epoch: u64, mut stream: TcpStream, tx: Sender<WireEv
 
 impl Engine for RemoteEngine {
     fn workers(&self) -> usize {
-        self.spec.workers
+        self.roster.workers()
     }
 
     fn now(&self) -> VTime {
@@ -775,11 +709,11 @@ impl Engine for RemoteEngine {
     }
 
     fn available(&self, w: WorkerId) -> bool {
-        !self.dead[w] && self.inflight[w].is_none() && !membership_queued(&self.queued, w)
+        self.roster.available(w)
     }
 
     fn alive(&self, w: WorkerId) -> bool {
-        !self.dead[w]
+        self.roster.alive(w)
     }
 
     /// Closure-only submissions cannot cross a process boundary; the
@@ -789,14 +723,8 @@ impl Engine for RemoteEngine {
     }
 
     fn submit_wired(&mut self, w: WorkerId, task: Task, wire: WireTask) -> Result<(), EngineError> {
-        if self.dead[w] {
-            return Err(EngineError::WorkerDead(w));
-        }
-        if !self.available(w) {
-            return Err(EngineError::WorkerBusy(w));
-        }
-        let seq = self.task_seq[w];
-        self.task_seq[w] += 1;
+        self.roster.check(w)?;
+        let seq = self.roster.next_seq(w);
         // Build the request against the worker's mirrored cache — the
         // remote analogue of the simulator running the closure at
         // submission. Fetch charges (snapshots, patches, shipped blocks)
@@ -811,7 +739,7 @@ impl Engine for RemoteEngine {
         let sleep_us = (modelled.as_micros() as f64 * self.time_scale * factor) as u64;
         let msg = Msg::Submit {
             tag: task.tag,
-            epoch: self.epoch[w],
+            epoch: self.roster.epoch(w),
             routine: wire.routine,
             sleep_us,
             slow_factor: (factor - 1.0).max(0.0),
@@ -827,32 +755,27 @@ impl Engine for RemoteEngine {
         if written.is_err() {
             // The process died under us between completions (or fault
             // injection reset the connection): surface the death now. The
-            // task was never accepted, so `mark_dead` queues no loss for it.
-            self.teardown_conn(w);
-            self.mark_dead(w);
+            // task was never seated, so no loss is queued for it.
+            self.kill_worker(w);
             return Err(EngineError::Disconnected(w));
         }
-        let issued_at = self.elapsed();
-        self.inflight[w] = Some(InflightEntry {
-            tag: task.tag,
+        let wired = Wired {
             decode: wire.decode,
             bytes_in: total_bytes,
-            issued_at,
             issued_real: Instant::now(),
-        });
-        self.pending += 1;
+        };
+        let now = self.elapsed();
+        self.roster.seat(w, task.tag, now, wired);
         Ok(())
     }
 
     fn next(&mut self) -> Option<Completion> {
         loop {
-            self.drain_ready_events();
-            self.apply_due_chaos();
-            self.enforce_deadlines();
-            if let Some(c) = self.queued.pop_front() {
+            self.poll();
+            if let Some(c) = self.roster.pop() {
                 return Some(c);
             }
-            if self.pending == 0 {
+            if self.roster.pending() == 0 {
                 // Nothing in flight: return rather than block real time
                 // until a *future* scheduled membership event (same
                 // divergence from the simulator as the threaded backend —
@@ -872,78 +795,60 @@ impl Engine for RemoteEngine {
     }
 
     fn try_next(&mut self) -> Option<Completion> {
-        self.drain_ready_events();
-        self.apply_due_chaos();
-        self.enforce_deadlines();
-        self.queued.pop_front()
+        self.poll();
+        self.roster.pop()
     }
 
     fn pending(&self) -> usize {
-        self.pending
+        self.roster.pending()
     }
 
     fn kill_worker(&mut self, w: WorkerId) {
-        if self.dead[w] {
-            return;
+        if self.roster.kill(w) {
+            self.teardown_conn(w);
         }
-        self.teardown_conn(w);
-        self.mark_dead(w);
     }
 
     fn revive_worker(&mut self, w: WorkerId) -> Result<(), EngineError> {
-        if !self.dead[w] {
+        if self.roster.alive(w) {
             return Err(EngineError::WorkerAlive(w));
         }
         // A fresh incarnation: new process, new connection, and an empty
         // mirror — the next wired submission re-ships whatever it needs.
         self.mirrors[w] = WorkerCtx::new(w);
-        self.spawn_worker(w)
-            .map_err(|e| EngineError::Io(e.kind()))?;
-        self.dead[w] = false;
-        self.queued.push_back(Completion::WorkerUp { worker: w });
-        Ok(())
+        let started = self.spawn_worker(w);
+        self.roster.revive(w, started)
     }
 
     fn add_worker(&mut self) -> WorkerId {
-        let w = self.spec.workers;
-        self.spec.workers += 1;
+        let w = self.roster.join();
         self.spec.profiles.push(WorkerProfile::default_speed());
         self.mirrors.push(WorkerCtx::new(w));
-        self.dead.push(false);
-        self.epoch.push(0);
-        self.inflight.push(None);
         self.last_beat.push(Instant::now());
         self.injectors.push(None);
-        self.task_seq.push(0);
         self.conns.push(None);
         self.readers.push(None);
-        if let Err(e) = self.spawn_worker(w) {
-            // The join happened (ids are dense and allocated), but the
-            // worker is unusable: record it dead so the engine stays
-            // consistent. Chaos-driven joins tolerate this.
-            eprintln!("remote engine: failed to spawn joined worker {w}: {e}");
-            self.dead[w] = true;
-            self.queued.push_back(Completion::WorkerDown { worker: w });
-            return w;
-        }
-        self.queued.push_back(Completion::WorkerUp { worker: w });
+        // A joiner that fails to start died at birth: the roster reports
+        // it up, then down.
+        let started = self.spawn_worker(w);
+        let _ = self.roster.revive(w, started);
         w
     }
 
     fn schedule_failure(&mut self, w: WorkerId, at: VTime) {
-        self.chaos.push(at, PendingChaos::Fail(w));
+        self.roster.schedule(at, PendingChaos::Fail(w));
     }
 
     fn schedule_revival(&mut self, w: WorkerId, at: VTime) {
-        self.chaos.push(at, PendingChaos::Revive(w));
+        self.roster.schedule(at, PendingChaos::Revive(w));
     }
 
     fn schedule_join(&mut self, at: VTime) {
-        self.chaos.push(at, PendingChaos::Join);
+        self.roster.schedule(at, PendingChaos::Join);
     }
 
     fn next_event_at(&self) -> Option<VTime> {
-        self.chaos.front_at()
+        self.roster.next_event_at()
     }
 }
 
@@ -1805,6 +1710,51 @@ mod tests {
         assert_eq!(done, 2);
         stop.store(true, Ordering::SeqCst);
         rogue.join().unwrap();
+    }
+
+    #[test]
+    fn an_explicit_revival_whose_spawn_fails_is_reported_up_then_down() {
+        // The loopback factory's second start panics before connecting, so
+        // the revival's handshake times out: the caller gets the error and
+        // the stream gets the incarnation that died at birth.
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let registry = Arc::new(move || {
+            let call = calls.fetch_add(1, Ordering::SeqCst);
+            assert_ne!(call, 1, "the second worker start fails");
+            doubling_registry()
+        });
+        let cfg = RemoteConfig {
+            handshake_timeout: Duration::from_millis(100),
+            ..RemoteConfig::loopback(registry)
+        };
+        let mut e = RemoteEngine::new(spec(1), 0.0, cfg).expect("engine starts");
+        e.kill_worker(0);
+        assert!(matches!(
+            e.next(),
+            Some(Completion::WorkerDown { worker: 0 })
+        ));
+        assert_eq!(
+            e.revive_worker(0).unwrap_err(),
+            EngineError::Io(io::ErrorKind::TimedOut)
+        );
+        assert!(!e.alive(0) && !e.available(0));
+        assert!(matches!(e.next(), Some(Completion::WorkerUp { worker: 0 })));
+        assert!(matches!(
+            e.next(),
+            Some(Completion::WorkerDown { worker: 0 })
+        ));
+        assert!(e.next().is_none());
+        e.revive_worker(0).unwrap();
+        assert!(matches!(e.next(), Some(Completion::WorkerUp { worker: 0 })));
+        let (task, wire) = wired(1, 4);
+        e.submit_wired(0, task, wire).unwrap();
+        match e.next() {
+            Some(Completion::Done(d)) => assert_eq!(*d.output.downcast::<u64>().unwrap(), 8),
+            other => panic!(
+                "expected Done, got {:?}",
+                other.as_ref().map(completion_kind)
+            ),
+        }
     }
 
     #[test]

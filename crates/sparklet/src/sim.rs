@@ -16,7 +16,7 @@
 use async_cluster::straggler::DelayAssignment;
 use async_cluster::{ClusterSpec, EventQueue, VDur, VTime, WorkerId};
 
-use crate::engine::{Completion, Engine, EngineError, Task, TaskDone, TaskOutput};
+use crate::engine::{Completion, Engine, EngineError, Roster, Task, TaskDone, TaskOutput};
 use crate::worker::WorkerCtx;
 
 enum SimEvent {
@@ -25,7 +25,6 @@ enum SimEvent {
         epoch: u64,
         tag: u64,
         output: TaskOutput,
-        issued_at: VTime,
         service_time: VDur,
         bytes_in: u64,
     },
@@ -46,14 +45,9 @@ pub struct SimEngine {
     clock: VTime,
     queue: EventQueue<SimEvent>,
     ctxs: Vec<WorkerCtx>,
-    busy: Vec<bool>,
-    dead: Vec<bool>,
-    /// Incremented when a worker's in-flight task is cancelled by failure;
-    /// stale Finish events are dropped by epoch mismatch.
-    epoch: Vec<u64>,
-    inflight_tag: Vec<Option<u64>>,
-    task_seq: Vec<u64>,
-    pending: usize,
+    /// Membership and slots; a `Finish` event of a failed incarnation
+    /// finishes nothing.
+    roster: Roster,
 }
 
 impl SimEngine {
@@ -70,12 +64,7 @@ impl SimEngine {
             clock: VTime::ZERO,
             queue: EventQueue::new(),
             ctxs: (0..n).map(WorkerCtx::new).collect(),
-            busy: vec![false; n],
-            dead: vec![false; n],
-            epoch: vec![0; n],
-            inflight_tag: vec![None; n],
-            task_seq: vec![0; n],
-            pending: 0,
+            roster: Roster::new(n),
             spec,
         }
     }
@@ -88,7 +77,7 @@ impl SimEngine {
 
 impl Engine for SimEngine {
     fn workers(&self) -> usize {
-        self.spec.workers
+        self.roster.workers()
     }
 
     fn now(&self) -> VTime {
@@ -96,20 +85,15 @@ impl Engine for SimEngine {
     }
 
     fn available(&self, w: WorkerId) -> bool {
-        !self.dead[w] && !self.busy[w]
+        self.roster.available(w)
     }
 
     fn alive(&self, w: WorkerId) -> bool {
-        !self.dead[w]
+        self.roster.alive(w)
     }
 
     fn submit(&mut self, w: WorkerId, task: Task) -> Result<(), EngineError> {
-        if self.dead[w] {
-            return Err(EngineError::WorkerDead(w));
-        }
-        if self.busy[w] {
-            return Err(EngineError::WorkerBusy(w));
-        }
+        self.roster.check(w)?;
         let issued_at = self.clock;
         // Execute now: the closure sees exactly the state captured at
         // submission, like a task shipped to a real worker.
@@ -117,9 +101,7 @@ impl Engine for SimEngine {
         let (extra_bytes, extra_time) = self.ctxs[w].take_charges();
         let bytes_in = task.bytes_in + extra_bytes;
 
-        let seq = self.task_seq[w];
-        self.task_seq[w] += 1;
-        let factor = self.assignment.factor(w, seq);
+        let factor = self.assignment.factor(w, self.roster.next_seq(w));
         let exec = self.spec.profiles[w].exec_time(task.cost).mul_f64(factor);
         let service_time = self.spec.sched_overhead
             + self.spec.comm.transfer_time(bytes_in)
@@ -128,21 +110,18 @@ impl Engine for SimEngine {
             // Result submission message back to the server.
             + self.spec.comm.per_msg;
 
-        self.busy[w] = true;
-        self.inflight_tag[w] = Some(task.tag);
-        self.pending += 1;
         self.queue.push(
             issued_at + service_time,
             SimEvent::Finish {
                 worker: w,
-                epoch: self.epoch[w],
+                epoch: self.roster.epoch(w),
                 tag: task.tag,
                 output,
-                issued_at,
                 service_time,
                 bytes_in,
             },
         );
+        self.roster.seat(w, task.tag, issued_at, ());
         Ok(())
     }
 
@@ -154,43 +133,43 @@ impl Engine for SimEngine {
                     epoch,
                     tag,
                     output,
-                    issued_at,
                     service_time,
                     bytes_in,
                 } => {
-                    if epoch != self.epoch[worker] {
+                    let Some(seat) = self.roster.finish(worker, epoch, tag) else {
                         continue; // cancelled by a failure
-                    }
+                    };
                     self.clock = self.clock.max(t);
-                    self.busy[worker] = false;
-                    self.inflight_tag[worker] = None;
-                    self.pending -= 1;
                     return Some(Completion::Done(TaskDone {
                         worker,
                         tag,
                         output,
-                        issued_at,
+                        issued_at: seat.issued_at,
                         finished_at: t,
                         service_time,
                         bytes_in,
                     }));
                 }
                 SimEvent::Fail { worker } => {
-                    if self.dead[worker] {
+                    if !self.roster.kill(worker) {
                         continue;
                     }
                     self.clock = self.clock.max(t);
-                    return Some(self.fail_now(worker));
                 }
                 SimEvent::Up { worker } => {
-                    if worker >= self.dead.len() || !self.dead[worker] {
+                    if worker >= self.roster.workers() || self.roster.alive(worker) {
                         continue; // stale revival (already alive)
                     }
                     self.clock = self.clock.max(t);
-                    self.up_now(worker);
-                    return Some(Completion::WorkerUp { worker });
+                    // A fresh executor: empty cache. The incarnation the
+                    // failure bumped already cancelled any queued result
+                    // of the previous life.
+                    self.ctxs[worker] = WorkerCtx::new(worker);
+                    let _ = self.roster.revive(worker, Ok(()));
                 }
             }
+            // A failure or revival queued exactly one notice.
+            return self.roster.pop();
         }
         None
     }
@@ -203,11 +182,11 @@ impl Engine for SimEngine {
     }
 
     fn pending(&self) -> usize {
-        self.pending
+        self.roster.pending()
     }
 
     fn kill_worker(&mut self, w: WorkerId) {
-        if !self.dead[w] {
+        if self.roster.alive(w) {
             // Killing is immediate; surface the Lost/WorkerDown completion
             // through the normal queue so ordering stays deterministic.
             self.queue.push(self.clock, SimEvent::Fail { worker: w });
@@ -215,7 +194,7 @@ impl Engine for SimEngine {
     }
 
     fn revive_worker(&mut self, w: WorkerId) -> Result<(), EngineError> {
-        if !self.dead[w] {
+        if self.roster.alive(w) {
             return Err(EngineError::WorkerAlive(w));
         }
         // The revival flows through the event queue like failures do, so
@@ -226,9 +205,8 @@ impl Engine for SimEngine {
     }
 
     fn add_worker(&mut self) -> WorkerId {
-        let w = self.grow_one_dead();
-        self.queue.push(self.clock, SimEvent::Up { worker: w });
-        w
+        self.schedule_join(self.clock);
+        self.roster.workers() - 1
     }
 
     fn schedule_failure(&mut self, w: WorkerId, at: VTime) {
@@ -242,7 +220,11 @@ impl Engine for SimEngine {
     fn schedule_join(&mut self, at: VTime) {
         // The id is assigned at scheduling time (dense, in schedule order);
         // the worker stays dead until its Up event fires.
-        let w = self.grow_one_dead();
+        let w = self.roster.join();
+        self.spec
+            .profiles
+            .push(async_cluster::WorkerProfile::default_speed());
+        self.ctxs.push(WorkerCtx::new(w));
         self.queue.push(at, SimEvent::Up { worker: w });
     }
 
@@ -251,48 +233,6 @@ impl Engine for SimEngine {
         // either way this is the instant `next()` would advance to, which
         // is what recovery-aware callers want to know.
         self.queue.peek_time()
-    }
-}
-
-impl SimEngine {
-    /// Appends a structurally present but not-yet-activated worker row.
-    fn grow_one_dead(&mut self) -> WorkerId {
-        let w = self.spec.workers;
-        self.spec.workers += 1;
-        self.spec
-            .profiles
-            .push(async_cluster::WorkerProfile::default_speed());
-        self.ctxs.push(WorkerCtx::new(w));
-        self.busy.push(false);
-        self.dead.push(true);
-        self.epoch.push(0);
-        self.inflight_tag.push(None);
-        self.task_seq.push(0);
-        w
-    }
-
-    /// Activates `w` as a fresh executor: empty cache, bumped epoch (any
-    /// still-queued result from a previous life is cancelled — the same
-    /// guard that cancels in-flight tasks on failure).
-    fn up_now(&mut self, w: WorkerId) {
-        self.dead[w] = false;
-        self.busy[w] = false;
-        self.inflight_tag[w] = None;
-        self.epoch[w] += 1;
-        self.ctxs[w] = WorkerCtx::new(w);
-    }
-
-    fn fail_now(&mut self, w: WorkerId) -> Completion {
-        self.dead[w] = true;
-        if self.busy[w] {
-            self.busy[w] = false;
-            self.epoch[w] += 1; // cancels the in-flight Finish event
-            self.pending -= 1;
-            let tag = self.inflight_tag[w].take().expect("busy worker has a tag");
-            Completion::Lost { worker: w, tag }
-        } else {
-            Completion::WorkerDown { worker: w }
-        }
     }
 }
 

@@ -15,7 +15,7 @@
 //! delay means the worker executes jobs at half speed" holds for real work
 //! too.
 
-use std::collections::VecDeque;
+use std::io;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,8 +24,7 @@ use async_cluster::straggler::DelayAssignment;
 use async_cluster::{ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
 
 use crate::engine::{
-    membership_queued, ChaosQueue, Completion, Engine, EngineError, PendingChaos, Task, TaskDone,
-    TaskFn, TaskOutput,
+    Completion, Engine, EngineError, PendingChaos, Roster, Task, TaskDone, TaskFn, TaskOutput,
 };
 use crate::worker::WorkerCtx;
 
@@ -42,9 +41,9 @@ enum Msg {
 
 struct WireDone {
     worker: WorkerId,
-    /// The worker incarnation that produced this result; results from a
-    /// pre-failure life are dropped (the epoch guard that makes revival
-    /// safe — a revived executor can never surface a stale-epoch result).
+    /// The worker incarnation that produced this result; a result from a
+    /// pre-failure life finishes nothing (the epoch guard that makes
+    /// revival safe — a revived executor never surfaces a stale result).
     epoch: u64,
     tag: u64,
     output: TaskOutput,
@@ -91,24 +90,16 @@ pub struct ThreadedEngine {
     comm: Arc<CommModel>,
     time_scale: f64,
     start: Instant,
+    /// Each worker's task channel and thread; a worker that never started
+    /// keeps a closed placeholder channel and no thread.
     txs: Vec<Sender<Msg>>,
     handles: Vec<Option<std::thread::JoinHandle<()>>>,
     results_tx: Sender<FromWorker>,
     results_rx: Receiver<FromWorker>,
-    busy: Vec<bool>,
-    dead: Vec<bool>,
-    /// Worker incarnation counters; bumped on kill so orphaned results and
-    /// a revived executor can never be confused.
-    epoch: Vec<u64>,
-    inflight_tag: Vec<Option<u64>>,
-    issued_at: Vec<VTime>,
-    task_seq: Vec<u64>,
-    pending: usize,
-    /// Failure/revival notifications waiting to be handed out by `next`.
-    queued: VecDeque<Completion>,
-    /// Scheduled membership events; applied when elapsed real time passes
-    /// them (checked at submit/next/try_next boundaries).
-    chaos: ChaosQueue,
+    /// Membership, slots, queued notices, and the scheduled membership
+    /// events applied when elapsed real time passes them (checked at every
+    /// `next`/`try_next`).
+    roster: Roster,
 }
 
 impl ThreadedEngine {
@@ -131,34 +122,28 @@ impl ThreadedEngine {
             comm,
             time_scale,
             start: Instant::now(),
-            txs: Vec::with_capacity(n),
-            handles: Vec::with_capacity(n),
+            txs: (0..n).map(|_| channel().0).collect(),
+            handles: (0..n).map(|_| None).collect(),
             results_tx: res_tx,
             results_rx: res_rx,
-            busy: vec![false; n],
-            dead: vec![false; n],
-            epoch: vec![0; n],
-            inflight_tag: vec![None; n],
-            issued_at: vec![VTime::ZERO; n],
-            task_seq: vec![0; n],
-            pending: 0,
-            queued: VecDeque::new(),
-            chaos: ChaosQueue::default(),
+            roster: Roster::new(n),
         };
         for w in 0..n {
-            let tx = engine.spawn_worker(w);
-            engine.txs.push(tx);
+            engine
+                .spawn_worker(w)
+                .expect("failed to spawn worker thread");
         }
         engine
     }
 
-    /// Spawns (or respawns) the thread for worker `w` at its current epoch
-    /// and returns its task channel. Callers store the sender in `txs`.
-    fn spawn_worker(&mut self, w: WorkerId) -> Sender<Msg> {
+    /// Spawns (or respawns) the thread for worker `w`'s current
+    /// incarnation, replacing its task channel and joining the thread of
+    /// the incarnation it replaces.
+    fn spawn_worker(&mut self, w: WorkerId) -> io::Result<()> {
         let (tx, rx) = channel::<Msg>();
         let exit = ExitNotice {
             worker: w,
-            epoch: self.epoch[w],
+            epoch: self.roster.epoch(w),
             res_tx: self.results_tx.clone(),
         };
         // The comm/assignment tables were allocated once at engine
@@ -172,26 +157,12 @@ impl ThreadedEngine {
         let time_scale = self.time_scale;
         let handle = std::thread::Builder::new()
             .name(format!("sparklet-worker-{w}-e{}", exit.epoch))
-            .spawn(move || worker_loop(exit, rx, profile, comm, assignment, time_scale))
-            .expect("failed to spawn worker thread");
-        if w < self.handles.len() {
-            // Replacing a stopped incarnation: join the old thread first so
-            // handles never leak.
-            if let Some(old) = self.handles[w].replace(handle) {
-                let _ = old.join();
-            }
-        } else {
-            self.handles.push(Some(handle));
+            .spawn(move || worker_loop(exit, rx, profile, comm, assignment, time_scale))?;
+        self.txs[w] = tx;
+        if let Some(old) = self.handles[w].replace(handle) {
+            let _ = old.join();
         }
-        tx
-    }
-
-    /// Applies scheduled membership events whose instant has passed,
-    /// pushing their notifications onto the queued completions.
-    fn apply_due_chaos(&mut self) {
-        while let Some(ev) = self.chaos.pop_due(self.elapsed()) {
-            ev.apply(self);
-        }
+        Ok(())
     }
 
     fn elapsed(&self) -> VTime {
@@ -205,29 +176,23 @@ impl ThreadedEngine {
                 // A current incarnation's thread is gone: one death, whose
                 // `Lost` the caller finds queued. A stale notice (the
                 // engine killed that incarnation first) changes nothing.
-                if !self.dead[worker] && epoch == self.epoch[worker] {
+                if self.roster.current(worker, epoch) {
                     self.kill_worker(worker);
                 }
                 return None;
             }
         };
-        if self.dead[d.worker] || d.epoch != self.epoch[d.worker] {
-            // Orphaned result from a killed (possibly since-revived)
-            // incarnation: its loss was already reported.
-            return None;
-        }
+        // An orphaned result from a killed (possibly since-revived)
+        // incarnation finishes nothing: its loss was already reported.
+        let seat = self.roster.finish(d.worker, d.epoch, d.tag)?;
         let finished_at = self.elapsed();
-        self.busy[d.worker] = false;
-        self.inflight_tag[d.worker] = None;
-        self.pending -= 1;
-        let issued_at = self.issued_at[d.worker];
         Some(Completion::Done(TaskDone {
             worker: d.worker,
             tag: d.tag,
             output: d.output,
-            issued_at,
+            issued_at: seat.issued_at,
             finished_at,
-            service_time: finished_at.saturating_since(issued_at),
+            service_time: finished_at.saturating_since(seat.issued_at),
             bytes_in: d.bytes_in,
         }))
     }
@@ -286,7 +251,7 @@ fn worker_loop(
 
 impl Engine for ThreadedEngine {
     fn workers(&self) -> usize {
-        self.spec.workers
+        self.roster.workers()
     }
 
     fn now(&self) -> VTime {
@@ -294,26 +259,21 @@ impl Engine for ThreadedEngine {
     }
 
     fn available(&self, w: WorkerId) -> bool {
-        !self.dead[w] && !self.busy[w] && !membership_queued(&self.queued, w)
+        self.roster.available(w)
     }
 
     fn alive(&self, w: WorkerId) -> bool {
-        !self.dead[w]
+        self.roster.alive(w)
     }
 
     fn submit(&mut self, w: WorkerId, task: Task) -> Result<(), EngineError> {
-        if self.dead[w] {
-            return Err(EngineError::WorkerDead(w));
-        }
-        if !self.available(w) {
-            return Err(EngineError::WorkerBusy(w));
-        }
+        self.roster.check(w)?;
         let msg = Msg::Run {
             tag: task.tag,
             cost: task.cost,
             bytes_in: task.bytes_in,
             run: task.run,
-            seq: self.task_seq[w],
+            seq: self.roster.next_seq(w),
         };
         if self.txs[w].send(msg).is_err() {
             // The thread is gone and its notice not yet read: surface the
@@ -322,26 +282,23 @@ impl Engine for ThreadedEngine {
             self.kill_worker(w);
             return Err(EngineError::Disconnected(w));
         }
-        self.task_seq[w] += 1;
-        self.busy[w] = true;
-        self.inflight_tag[w] = Some(task.tag);
-        self.issued_at[w] = self.elapsed();
-        self.pending += 1;
+        let now = self.elapsed();
+        self.roster.seat(w, task.tag, now, ());
         Ok(())
     }
 
     fn next(&mut self) -> Option<Completion> {
         loop {
-            self.apply_due_chaos();
-            if let Some(c) = self.queued.pop_front() {
+            PendingChaos::apply_due(self, |e| &mut e.roster);
+            if let Some(c) = self.roster.pop() {
                 return Some(c);
             }
-            if self.pending == 0 {
+            if self.roster.pending() == 0 {
                 // Nothing in flight: return rather than block real time
                 // until a *future* scheduled membership event (a drain at
                 // run end must not stall through the chaos horizon). Due
                 // events were already applied above; remaining ones apply
-                // at later submit/next/try_next calls once their instant
+                // at later next/try_next calls once their instant
                 // passes. This is the one place the threaded backend
                 // diverges from the simulator, which jumps its virtual
                 // clock to such events for free.
@@ -363,8 +320,8 @@ impl Engine for ThreadedEngine {
 
     fn try_next(&mut self) -> Option<Completion> {
         loop {
-            self.apply_due_chaos();
-            if let Some(c) = self.queued.pop_front() {
+            PendingChaos::apply_due(self, |e| &mut e.roster);
+            if let Some(c) = self.roster.pop() {
                 return Some(c);
             }
             match self.results_rx.try_recv() {
@@ -379,79 +336,57 @@ impl Engine for ThreadedEngine {
     }
 
     fn pending(&self) -> usize {
-        self.pending
+        self.roster.pending()
     }
 
     fn kill_worker(&mut self, w: WorkerId) {
-        if self.dead[w] {
-            return;
-        }
-        self.dead[w] = true;
-        // Bump the incarnation: any result the dying thread still delivers
-        // fails the epoch check in `accept`, even after a later revival.
-        self.epoch[w] += 1;
-        let _ = self.txs[w].send(Msg::Stop);
-        if self.busy[w] {
-            self.busy[w] = false;
-            self.pending -= 1;
-            let tag = self.inflight_tag[w].take().expect("busy worker has a tag");
-            self.queued.push_back(Completion::Lost { worker: w, tag });
-        } else {
-            self.queued.push_back(Completion::WorkerDown { worker: w });
+        // The roster bumps the incarnation: any result the dying thread
+        // still delivers finishes nothing, even after a later revival.
+        if self.roster.kill(w) {
+            let _ = self.txs[w].send(Msg::Stop);
         }
     }
 
     fn revive_worker(&mut self, w: WorkerId) -> Result<(), EngineError> {
-        if !self.dead[w] {
+        if self.roster.alive(w) {
             return Err(EngineError::WorkerAlive(w));
         }
-        self.dead[w] = false;
-        self.busy[w] = false;
-        self.inflight_tag[w] = None;
         // A fresh incarnation: new thread, empty worker cache.
-        let tx = self.spawn_worker(w);
-        self.txs[w] = tx;
-        self.queued.push_back(Completion::WorkerUp { worker: w });
-        Ok(())
+        let started = self.spawn_worker(w);
+        self.roster.revive(w, started)
     }
 
     fn add_worker(&mut self) -> WorkerId {
-        let w = self.spec.workers;
-        self.spec.workers += 1;
+        let w = self.roster.join();
         self.spec.profiles.push(WorkerProfile::default_speed());
-        self.busy.push(false);
-        self.dead.push(false);
-        self.epoch.push(0);
-        self.inflight_tag.push(None);
-        self.issued_at.push(VTime::ZERO);
-        self.task_seq.push(0);
-        let tx = self.spawn_worker(w);
-        self.txs.push(tx);
-        self.queued.push_back(Completion::WorkerUp { worker: w });
+        self.txs.push(channel().0);
+        self.handles.push(None);
+        let started = self.spawn_worker(w);
+        let _ = self.roster.revive(w, started);
         w
     }
 
     fn schedule_failure(&mut self, w: WorkerId, at: VTime) {
-        self.chaos.push(at, PendingChaos::Fail(w));
+        self.roster.schedule(at, PendingChaos::Fail(w));
     }
 
     fn schedule_revival(&mut self, w: WorkerId, at: VTime) {
-        self.chaos.push(at, PendingChaos::Revive(w));
+        self.roster.schedule(at, PendingChaos::Revive(w));
     }
 
     fn schedule_join(&mut self, at: VTime) {
-        self.chaos.push(at, PendingChaos::Join);
+        self.roster.schedule(at, PendingChaos::Join);
     }
 
     fn next_event_at(&self) -> Option<VTime> {
-        self.chaos.front_at()
+        self.roster.next_event_at()
     }
 }
 
 impl Drop for ThreadedEngine {
     fn drop(&mut self) {
         for (w, tx) in self.txs.iter().enumerate() {
-            if !self.dead[w] {
+            if self.roster.alive(w) {
                 let _ = tx.send(Msg::Stop);
             }
         }
