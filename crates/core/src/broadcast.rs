@@ -90,7 +90,7 @@ pub struct HistoryStats {
     /// [`AsyncBcast::push_snapshot`] (a steady-state push performs a copy,
     /// not an allocation).
     pub recycled_buffers: u64,
-    /// Patches shipped with quantized (int8/f16) values instead of full
+    /// Patches shipped with quantized (int8) values instead of full
     /// `f64`s (a subset of `incremental_fetches`).
     pub quantized_patches: u64,
     /// Bytes shipped for those quantized patches (included in both
@@ -380,10 +380,10 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
         self.table.write().ring_capacity = ring_capacity;
     }
 
-    /// Quantizes shipped patch values to `quant` codes (int8 or IEEE half)
-    /// against a per-patch scale. The codes carry the **difference**
-    /// between the target version and the worker's cached base at each
-    /// changed coordinate, so the scale is update-sized and the
+    /// Quantizes shipped patch values to `quant` codes (int8) against a
+    /// per-patch scale. The codes carry the **difference** between the
+    /// target version and the worker's cached base at each changed
+    /// coordinate, so the scale is update-sized and the
     /// per-coordinate error is bounded by one quantization step of that
     /// difference — never a fraction of the model's largest weight — and
     /// re-quantizing against the fresh base on the next patch keeps it
@@ -1084,44 +1084,21 @@ impl HistoryHandle<Vec<f64>> {
             let scale = scratch.union.iter().fold(0.0f64, |m, &i| {
                 m.max((target[i as usize] - w[i as usize]).abs())
             });
-            // Only a plan keeps the codes, in the one list of its format.
-            let (mut codes_i8, mut codes_f16) = (Vec::new(), Vec::new());
+            // Only a plan keeps the codes.
+            let mut codes = Vec::new();
             for &i in &scratch.union {
                 let wi = &mut w[i as usize];
-                let diff = target[i as usize] - *wi;
-                *wi += match quant {
-                    Quant::I8 => {
-                        let code = compress::quantize_i8(diff, scale);
-                        if wire {
-                            codes_i8.push(code);
-                        }
-                        compress::dequantize_i8(code, scale)
-                    }
-                    Quant::F16 => {
-                        let code = compress::quantize_f16(diff, scale);
-                        if wire {
-                            codes_f16.push(code);
-                        }
-                        compress::dequantize_f16(code, scale)
-                    }
-                    Quant::Exact => unreachable!("exact patches share the target above"),
-                };
+                let code = compress::quantize_i8(target[i as usize] - *wi, scale);
+                if wire {
+                    codes.push(code);
+                }
+                *wi += compress::dequantize_i8(code, scale);
             }
-            let dim = w.len();
-            let delta = if quant == Quant::I8 {
-                CompressedDelta::I8 {
-                    dim,
-                    scale,
-                    indices,
-                    codes: codes_i8,
-                }
-            } else {
-                CompressedDelta::F16 {
-                    dim,
-                    scale,
-                    indices,
-                    codes: codes_f16,
-                }
+            let delta = CompressedDelta::I8 {
+                dim: w.len(),
+                scale,
+                indices,
+                codes,
             };
             let plan = WirePlan::QPatch {
                 base,
@@ -1194,8 +1171,7 @@ pub enum WirePlan {
         /// Version the patched vector becomes.
         version: u64,
         /// Quantized `target − base` differences over the changed
-        /// coordinates (an `I8` or `F16` frame, scale = the largest
-        /// difference).
+        /// coordinates (an `I8` frame, scale = the largest difference).
         delta: CompressedDelta,
         /// Evict cached versions below this before patching.
         evict_below: u64,
@@ -1829,72 +1805,63 @@ mod tests {
         // trajectory), the quantized counters must advance, and the
         // reconstruction must stay within the per-patch error bound of the
         // exact model.
-        for quant in [Quant::I8, Quant::F16] {
-            let dim = 120;
-            let local: AsyncBcast<Vec<f64>> = AsyncBcast::new(7, vec![0.0; dim], 0);
-            let wired: AsyncBcast<Vec<f64>> = AsyncBcast::new(7, vec![0.0; dim], 0);
-            local.enable_incremental(4);
-            wired.enable_incremental(4);
-            local.set_patch_quant(quant);
-            wired.set_patch_quant(quant);
-            let mut ctx = WorkerCtx::new(0);
-            let mut mirror = WorkerCtx::new(0);
-            let mut remote = WorkerCtx::new(0);
-            let mut w = vec![0.0; dim];
-            let mut saw_qpatch = false;
-            for k in 0..10u32 {
-                let u = sparse_delta(
-                    &[
-                        (k % dim as u32, 1.0 + f64::from(k)),
-                        (k * 7 % dim as u32, -0.5),
-                    ],
-                    dim,
-                );
-                u.axpy_into(1.0, &mut w);
-                local.push_snapshot_diff(&w, &u);
-                wired.push_snapshot_diff(&w, &u);
-                let expect = local.handle().value_incremental(&mut ctx);
-                let plan = wired.handle().wire_plan(&mut mirror);
-                let charged = mirror.take_charges().0;
-                if let WirePlan::QPatch { ref delta, .. } = plan {
-                    saw_qpatch = true;
-                    match (delta, quant) {
-                        (CompressedDelta::I8 { scale, .. }, Quant::I8)
-                        | (CompressedDelta::F16 { scale, .. }, Quant::F16) => {
-                            assert!(scale.is_finite() && *scale >= 0.0);
-                        }
-                        other => panic!("wrong frame for the configured quant: {other:?}"),
-                    }
-                    assert_eq!(delta.dim(), dim);
-                    assert_eq!(charged, delta.encoded_len(), "{quant:?} push {k}");
-                }
-                let got = plan.apply(&mut remote, wired.id()).unwrap();
-                assert_eq!(got.as_slice(), expect.as_slice(), "{quant:?} push {k}");
-                // Per-coordinate error of the quantized trajectory vs the
-                // exact model: bounded by the format's relative error times
-                // each patch's scale; with these O(10) magnitudes a loose
-                // absolute bound suffices and catches scale/code mixups.
-                let tol = match quant {
-                    Quant::I8 => 0.5,
-                    _ => 0.05,
-                };
-                for (gi, wi) in got.iter().zip(w.iter()) {
-                    assert!((gi - wi).abs() <= tol, "{quant:?} push {k}: {gi} vs {wi}");
-                }
-            }
-            assert!(saw_qpatch, "{quant:?}: quantized patches exercised");
-            let (a, b) = (local.stats(), wired.stats());
-            assert_eq!(a.quantized_patches, b.quantized_patches);
-            assert_eq!(a.quantized_patch_bytes, b.quantized_patch_bytes);
-            assert!(a.quantized_patches > 0);
-            // Quantized patches are cheaper on the wire than exact ones
-            // would have been (every patch here spans two coordinates).
-            assert!(
-                a.quantized_patch_bytes
-                    < a.quantized_patches * patch_wire_len(Quant::Exact, &[0, 1])
+        let quant = Quant::I8;
+        let dim = 120;
+        let local: AsyncBcast<Vec<f64>> = AsyncBcast::new(7, vec![0.0; dim], 0);
+        let wired: AsyncBcast<Vec<f64>> = AsyncBcast::new(7, vec![0.0; dim], 0);
+        local.enable_incremental(4);
+        wired.enable_incremental(4);
+        local.set_patch_quant(quant);
+        wired.set_patch_quant(quant);
+        let mut ctx = WorkerCtx::new(0);
+        let mut mirror = WorkerCtx::new(0);
+        let mut remote = WorkerCtx::new(0);
+        let mut w = vec![0.0; dim];
+        let mut saw_qpatch = false;
+        for k in 0..10u32 {
+            let u = sparse_delta(
+                &[
+                    (k % dim as u32, 1.0 + f64::from(k)),
+                    (k * 7 % dim as u32, -0.5),
+                ],
+                dim,
             );
-            assert_eq!(a.fetched_bytes, b.fetched_bytes);
+            u.axpy_into(1.0, &mut w);
+            local.push_snapshot_diff(&w, &u);
+            wired.push_snapshot_diff(&w, &u);
+            let expect = local.handle().value_incremental(&mut ctx);
+            let plan = wired.handle().wire_plan(&mut mirror);
+            let charged = mirror.take_charges().0;
+            if let WirePlan::QPatch { ref delta, .. } = plan {
+                saw_qpatch = true;
+                let CompressedDelta::I8 { scale, .. } = delta else {
+                    panic!("wrong frame for the configured quant: {delta:?}");
+                };
+                assert!(scale.is_finite() && *scale >= 0.0);
+                assert_eq!(delta.dim(), dim);
+                assert_eq!(charged, delta.encoded_len(), "{quant:?} push {k}");
+            }
+            let got = plan.apply(&mut remote, wired.id()).unwrap();
+            assert_eq!(got.as_slice(), expect.as_slice(), "{quant:?} push {k}");
+            // Per-coordinate error of the quantized trajectory vs the
+            // exact model: bounded by the format's relative error times
+            // each patch's scale; with these O(10) magnitudes a loose
+            // absolute bound suffices and catches scale/code mixups.
+            for (gi, wi) in got.iter().zip(w.iter()) {
+                assert!((gi - wi).abs() <= 0.5, "{quant:?} push {k}: {gi} vs {wi}");
+            }
         }
+        assert!(saw_qpatch, "{quant:?}: quantized patches exercised");
+        let (a, b) = (local.stats(), wired.stats());
+        assert_eq!(a.quantized_patches, b.quantized_patches);
+        assert_eq!(a.quantized_patch_bytes, b.quantized_patch_bytes);
+        assert!(a.quantized_patches > 0);
+        // Quantized patches are cheaper on the wire than exact ones
+        // would have been (every patch here spans two coordinates).
+        assert!(
+            a.quantized_patch_bytes < a.quantized_patches * patch_wire_len(Quant::Exact, &[0, 1])
+        );
+        assert_eq!(a.fetched_bytes, b.fetched_bytes);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Gradient compression: top-k sparsification with error feedback, plus
-//! scale-normalized int8 / IEEE-half value quantization.
+//! scale-normalized int8 value quantization.
 //!
 //! The compressor keeps the k largest-magnitude coordinates of each delta
 //! and folds everything it drops into a per-partition residual
 //! ([`EfState`]) that is added back into the *next* delta before
 //! selection — the error-feedback scheme ASAP-style approximate
 //! communication relies on. Shipped values can additionally be quantized
-//! to 8-bit codes or half-precision against a per-message scale, and the
-//! residual absorbs the quantization error too: the telescoping identity
+//! to 8-bit codes against a per-message scale, and the residual absorbs
+//! the quantization error too: the telescoping identity
 //!
 //! ```text
 //! Σₜ shippedₜ + residual_T = Σₜ rawₜ        (per coordinate, residual₀ = 0)
@@ -33,9 +33,6 @@ pub enum Quant {
     /// Ship full `f64` values (sparsification only).
     #[default]
     Exact,
-    /// Scale-normalized IEEE 754 half precision: `v ≈ f16(v/s)·s` with
-    /// per-message scale `s = max|v|`; error ≤ `s · 2⁻¹⁰` per value.
-    F16,
     /// Scale-normalized 8-bit codes: `v ≈ round(v·127/s)·s/127`; error ≤
     /// `s / 254` per value.
     I8,
@@ -46,109 +43,17 @@ impl Quant {
     pub fn value_bytes(self) -> usize {
         match self {
             Quant::Exact => 8,
-            Quant::F16 => 2,
             Quant::I8 => 1,
         }
     }
 }
 
-/// Converts an `f32` to IEEE 754 half-precision bits, rounding to nearest
-/// even. Overflow saturates to ±∞; subnormal halves are produced below
-/// 2⁻¹⁴ and magnitudes under 2⁻²⁵ flush to (signed) zero.
-pub fn f32_to_f16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 255 {
-        // Infinity or NaN (keep a quiet-NaN mantissa bit set).
-        return sign | 0x7c00 | if man != 0 { 0x0200 } else { 0 };
-    }
-    let e = exp - 127;
-    if e >= 16 {
-        return sign | 0x7c00;
-    }
-    if e >= -14 {
-        // Normal half: drop 13 mantissa bits with round-to-nearest-even.
-        let half = 1u32 << 12;
-        let mut m = man >> 13;
-        let rem = man & 0x1fff;
-        let mut he = (e + 15) as u32;
-        if rem > half || (rem == half && (m & 1) == 1) {
-            m += 1;
-            if m == 0x400 {
-                m = 0;
-                he += 1;
-                if he >= 31 {
-                    return sign | 0x7c00;
-                }
-            }
-        }
-        return sign | ((he as u16) << 10) | m as u16;
-    }
-    if e >= -25 {
-        // Subnormal half: shift the full (implicit-bit) mantissa into the
-        // 10-bit field; a round-up to 0x400 lands exactly on the smallest
-        // normal encoding.
-        let shift = 13 + (-14 - e) as u32;
-        let man_full = man | 0x0080_0000;
-        let m = man_full >> shift;
-        let rem = man_full & ((1u32 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        let mut m16 = m as u16;
-        if rem > half || (rem == half && (m16 & 1) == 1) {
-            m16 += 1;
-        }
-        return sign | m16;
-    }
-    sign
-}
-
-/// Expands IEEE 754 half-precision bits to `f64` (exactly — every half is
-/// representable in double precision).
-pub fn f16_bits_to_f64(bits: u16) -> f64 {
-    let sign = if bits & 0x8000 != 0 { -1.0 } else { 1.0 };
-    let exp = ((bits >> 10) & 0x1f) as i32;
-    let man = (bits & 0x3ff) as f64;
-    match exp {
-        0 => sign * man * (2.0f64).powi(-24),
-        31 => {
-            if man == 0.0 {
-                sign * f64::INFINITY
-            } else {
-                f64::NAN
-            }
-        }
-        e => sign * (1.0 + man / 1024.0) * (2.0f64).powi(e - 15),
-    }
-}
-
-/// Quantizes `v` against `scale` to a half-precision code of `v/scale`.
-/// Callers guarantee `|v| ≤ scale` (the compressor uses `scale = max|v|`),
-/// so the normalized value is in `[-1, 1]` and never overflows. A
-/// non-finite scale (the signature of a NaN/inf coordinate upstream)
-/// quantizes everything to the zero code rather than emitting a frame
-/// whose every decoded coordinate is NaN.
-#[inline]
-pub fn quantize_f16(v: f64, scale: f64) -> u16 {
-    if scale == 0.0 || !scale.is_finite() {
-        0
-    } else {
-        f32_to_f16_bits((v / scale) as f32)
-    }
-}
-
-/// Dequantizes a half-precision code produced by [`quantize_f16`].
-#[inline]
-pub fn dequantize_f16(code: u16, scale: f64) -> f64 {
-    f16_bits_to_f64(code) * scale
-}
-
 /// Quantizes `v` against `scale` to a signed 8-bit code in `[-127, 127]`.
-/// As with [`quantize_f16`], a non-finite scale maps every value to the
-/// zero code instead of poisoning the whole frame (`NaN as i8` is 0, but
-/// `v / inf` silently flushing all magnitudes to zero *codes* while the
-/// header still advertised an infinite scale would decode to NaN/inf).
+/// A non-finite scale (the signature of a NaN/inf coordinate upstream)
+/// maps every value to the zero code instead of poisoning the whole frame
+/// (`NaN as i8` is 0, but `v / inf` silently flushing all magnitudes to
+/// zero *codes* while the header still advertised an infinite scale would
+/// decode to NaN/inf).
 #[inline]
 pub fn quantize_i8(v: f64, scale: f64) -> i8 {
     if scale == 0.0 || !scale.is_finite() {
@@ -226,17 +131,6 @@ pub enum CompressedDelta {
         /// Codes parallel to `indices`.
         codes: Vec<i8>,
     },
-    /// Half-precision codes against a per-message scale.
-    F16 {
-        /// Embedding dimension.
-        dim: usize,
-        /// Per-message scale (`max|v|` over shipped values).
-        scale: f64,
-        /// Shipped support, strictly increasing.
-        indices: Vec<u32>,
-        /// Codes parallel to `indices`.
-        codes: Vec<u16>,
-    },
 }
 
 impl CompressedDelta {
@@ -244,7 +138,7 @@ impl CompressedDelta {
     pub fn dim(&self) -> usize {
         match self {
             CompressedDelta::Exact(g) => g.dim(),
-            CompressedDelta::I8 { dim, .. } | CompressedDelta::F16 { dim, .. } => *dim,
+            CompressedDelta::I8 { dim, .. } => *dim,
         }
     }
 
@@ -252,9 +146,7 @@ impl CompressedDelta {
     pub fn nnz(&self) -> usize {
         match self {
             CompressedDelta::Exact(g) => g.nnz(),
-            CompressedDelta::I8 { indices, .. } | CompressedDelta::F16 { indices, .. } => {
-                indices.len()
-            }
+            CompressedDelta::I8 { indices, .. } => indices.len(),
         }
     }
 
@@ -268,34 +160,6 @@ impl CompressedDelta {
         tags + sparse_wire_len(quant, indices)
     }
 
-    /// Calls `f(index, dequantized value)` for every entry of a quantized
-    /// frame, in index order; nothing for an `Exact` one.
-    fn for_each_dequantized(&self, mut f: impl FnMut(u32, f64)) {
-        match self {
-            CompressedDelta::Exact(_) => {}
-            CompressedDelta::I8 {
-                scale,
-                indices,
-                codes,
-                ..
-            } => {
-                for (&i, &c) in indices.iter().zip(codes) {
-                    f(i, dequantize_i8(c, *scale));
-                }
-            }
-            CompressedDelta::F16 {
-                scale,
-                indices,
-                codes,
-                ..
-            } => {
-                for (&i, &c) in indices.iter().zip(codes) {
-                    f(i, dequantize_f16(c, *scale));
-                }
-            }
-        }
-    }
-
     /// `out[i] += value` for every shipped entry, dequantizing on the fly
     /// — how a quantized version-diff patch moves a cached model forward.
     ///
@@ -305,7 +169,16 @@ impl CompressedDelta {
         assert_eq!(out.len(), self.dim(), "add_into: dimension mismatch");
         match self {
             CompressedDelta::Exact(g) => g.axpy_into(1.0, out),
-            quantized => quantized.for_each_dequantized(|i, v| out[i as usize] += v),
+            CompressedDelta::I8 {
+                scale,
+                indices,
+                codes,
+                ..
+            } => {
+                for (&i, &c) in indices.iter().zip(codes) {
+                    out[i as usize] += dequantize_i8(c, *scale);
+                }
+            }
         }
     }
 
@@ -321,14 +194,16 @@ impl CompressedDelta {
         val.clear();
         match self {
             CompressedDelta::Exact(g) => g,
-            quantized => {
-                quantized.for_each_dequantized(|i, v| {
-                    idx.push(i);
-                    val.push(v);
-                });
+            CompressedDelta::I8 {
+                dim,
+                scale,
+                indices,
+                codes,
+            } => {
+                idx.extend_from_slice(&indices);
+                val.extend(codes.iter().map(|&c| dequantize_i8(c, scale)));
                 GradDelta::Sparse(
-                    SparseVec::new(idx, val, quantized.dim())
-                        .expect("compressed support is sorted"),
+                    SparseVec::new(idx, val, dim).expect("compressed support is sorted"),
                 )
             }
         }
@@ -426,7 +301,6 @@ pub struct EfState {
     sel_idx: Vec<u32>,
     sel_val: Vec<f64>,
     codes_i8: Vec<i8>,
-    codes_f16: Vec<u16>,
     scale: f64,
     quant: Quant,
     track: Option<Box<TrackSums>>,
@@ -447,7 +321,6 @@ impl EfState {
             sel_idx: Vec::new(),
             sel_val: Vec::new(),
             codes_i8: Vec::new(),
-            codes_f16: Vec::new(),
             scale: 0.0,
             quant: Quant::Exact,
             track: None,
@@ -582,7 +455,6 @@ impl EfState {
         self.quant = quant;
         self.scale = self.sel_val.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         self.codes_i8.clear();
-        self.codes_f16.clear();
         match quant {
             Quant::Exact => {}
             Quant::I8 => {
@@ -590,13 +462,6 @@ impl EfState {
                     let c = quantize_i8(*v, self.scale);
                     self.codes_i8.push(c);
                     *v = dequantize_i8(c, self.scale);
-                }
-            }
-            Quant::F16 => {
-                for v in self.sel_val.iter_mut() {
-                    let c = quantize_f16(*v, self.scale);
-                    self.codes_f16.push(c);
-                    *v = dequantize_f16(c, self.scale);
                 }
             }
         }
@@ -644,12 +509,6 @@ impl EfState {
                 indices: self.sel_idx.clone(),
                 codes: self.codes_i8.clone(),
             },
-            Quant::F16 => CompressedDelta::F16 {
-                dim: self.dim,
-                scale: self.scale,
-                indices: self.sel_idx.clone(),
-                codes: self.codes_f16.clone(),
-            },
         }
     }
 
@@ -688,12 +547,12 @@ mod tests {
             .map(|k| sparse(&[(k % 7, 1.5 + f64::from(k)), (11 + k, -0.25)], dim))
             .collect();
         for g in &stream[..2] {
-            orig.compress(g, 2, Quant::F16);
+            orig.compress(g, 2, Quant::I8);
         }
         let mut restored = EfState::from_residual(orig.residual().to_vec());
         for g in &stream[2..] {
-            orig.compress(g, 2, Quant::F16);
-            restored.compress(g, 2, Quant::F16);
+            orig.compress(g, 2, Quant::I8);
+            restored.compress(g, 2, Quant::I8);
             assert_eq!(orig.shipped_indices(), restored.shipped_indices());
             assert_eq!(orig.shipped_values(), restored.shipped_values());
             assert_eq!(orig.scale.to_bits(), restored.scale.to_bits());
@@ -709,31 +568,6 @@ mod tests {
         let s = EfState::from_residual(r.clone());
         assert_eq!(s.dim(), 10);
         assert_eq!(s.residual(), r.as_slice());
-    }
-
-    #[test]
-    fn f16_roundtrips_representable_values() {
-        for v in [0.0, 1.0, -1.0, 0.5, -0.25, 0.75, 1.0 / 1024.0] {
-            let bits = f32_to_f16_bits(v as f32);
-            assert_eq!(f16_bits_to_f64(bits), v, "v={v}");
-        }
-        // Signed zero and saturation.
-        assert_eq!(f32_to_f16_bits(-0.0), 0x8000);
-        assert_eq!(f16_bits_to_f64(f32_to_f16_bits(1e9)), f64::INFINITY);
-        assert!(f16_bits_to_f64(f32_to_f16_bits(f32::NAN)).is_nan());
-    }
-
-    #[test]
-    fn f16_error_stays_within_half_ulp_bound() {
-        let mut x = -1.0f64;
-        while x <= 1.0 {
-            let dq = f16_bits_to_f64(f32_to_f16_bits(x as f32));
-            assert!(
-                (dq - x).abs() <= (2.0f64).powi(-10) * x.abs().max(2.0f64.powi(-14)) + 1e-12,
-                "x={x} dq={dq}"
-            );
-            x += 0.000_137;
-        }
     }
 
     #[test]
@@ -791,7 +625,7 @@ mod tests {
                 continue;
             }
             let g = sparse(&pairs, dim);
-            let quant = [Quant::Exact, Quant::I8, Quant::F16][step % 3];
+            let quant = [Quant::Exact, Quant::I8][step % 2];
             ef.compress(&g, 3, quant);
         }
         let (raw, shipped) = ef.tracking().unwrap();
@@ -870,7 +704,7 @@ mod tests {
     fn compressed_delta_dequantizes_to_shipped_values_bitwise() {
         let dim = 64;
         let pairs: Vec<(u32, f64)> = (0..40).map(|i| (i, (i as f64 - 20.0) / 7.0)).collect();
-        for quant in [Quant::Exact, Quant::I8, Quant::F16] {
+        for quant in [Quant::Exact, Quant::I8] {
             let mut ef = EfState::new(dim);
             ef.compress(&sparse(&pairs, dim), 10, quant);
             let g = ef
@@ -936,8 +770,6 @@ mod tests {
         for scale in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0] {
             assert_eq!(quantize_i8(1.0, scale), 0, "scale={scale}");
             assert_eq!(quantize_i8(f64::NAN, scale), 0, "scale={scale}");
-            assert_eq!(quantize_f16(1.0, scale), 0, "scale={scale}");
-            assert_eq!(quantize_f16(f64::NAN, scale), 0, "scale={scale}");
         }
     }
 
@@ -962,7 +794,7 @@ mod tests {
         let mut d = vec![0.0; 8];
         d[5] = f64::INFINITY;
         let err = ef
-            .try_compress(&GradDelta::Dense(d), 1, Quant::F16)
+            .try_compress(&GradDelta::Dense(d), 1, Quant::Exact)
             .unwrap_err();
         assert_eq!((err.coordinate, err.value), (5, f64::INFINITY));
         // Nothing moved: residual, last shipped message, tracking sums.

@@ -26,7 +26,7 @@
 //!   high-precision baseline optima for the paper's error metric;
 //! * gradient compression kernels ([`compress`]): deterministic top-k
 //!   selection, a per-partition error-feedback residual ([`EfState`]), and
-//!   scale-normalized int8 / half-precision value quantization;
+//!   scale-normalized int8 value quantization;
 //! * the delta-varint sorted-index wire codec every sparse payload shares
 //!   ([`wire`]), with the positioned [`DecodeError`] its decoder reports.
 //!
@@ -46,8 +46,7 @@ pub mod sparse;
 pub mod wire;
 
 pub use compress::{
-    dequantize_f16, dequantize_i8, f16_bits_to_f64, f32_to_f16_bits, quantize_f16, quantize_i8,
-    select_top_k, CompressedDelta, EfState, NonFiniteDelta, Quant,
+    dequantize_i8, quantize_i8, select_top_k, CompressedDelta, EfState, NonFiniteDelta, Quant,
 };
 pub use csr::CsrMatrix;
 pub use delta::{DeltaFold, GradDelta};

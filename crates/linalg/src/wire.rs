@@ -446,7 +446,6 @@ mod tests {
         let idx = [3u32, 9, 40];
         assert_eq!(sparse_wire_len(Quant::Exact, &idx), 16 + 3 + 8 * 3);
         assert_eq!(sparse_wire_len(Quant::I8, &idx), 24 + 3 + 3);
-        assert_eq!(sparse_wire_len(Quant::F16, &idx), 24 + 3 + 2 * 3);
         assert_eq!(sparse_wire_len(Quant::Exact, &[]), 16);
     }
 }

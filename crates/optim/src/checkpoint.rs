@@ -102,9 +102,10 @@ pub enum CheckpointError {
         /// Solver attempting the resume.
         expected: &'static str,
     },
-    /// The model dimension does not match the dataset.
+    /// The model dimension, or an error-feedback residual's length, does
+    /// not match the dataset.
     DimensionMismatch {
-        /// Checkpointed model length.
+        /// Checkpointed model (or residual) length.
         found: usize,
         /// Dataset feature dimension.
         expected: usize,
@@ -114,6 +115,14 @@ pub enum CheckpointError {
     HistoryMismatch {
         /// The history the solver needs.
         expected: &'static str,
+    },
+    /// An error-feedback residual holds a NaN or infinity, which no later
+    /// compression step could ever subtract back out.
+    NonFiniteResidual {
+        /// Partition whose residual is poisoned.
+        partition: u64,
+        /// First non-finite coordinate.
+        coordinate: usize,
     },
 }
 
@@ -136,6 +145,13 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::HistoryMismatch { expected } => {
                 write!(f, "checkpoint history is not {expected}")
             }
+            CheckpointError::NonFiniteResidual {
+                partition,
+                coordinate,
+            } => write!(
+                f,
+                "checkpoint residual of partition {partition} is not finite at coordinate {coordinate}"
+            ),
         }
     }
 }
@@ -257,7 +273,8 @@ impl Checkpoint {
     }
 
     /// Validates that this checkpoint can seed `expected` over a dataset of
-    /// `dim` features.
+    /// `dim` features: the solver's name, the model's width, and every
+    /// error-feedback residual's width and finiteness.
     pub fn validate_for(&self, expected: &'static str, dim: usize) -> Result<(), CheckpointError> {
         if self.solver != expected {
             return Err(CheckpointError::SolverMismatch {
@@ -270,6 +287,20 @@ impl Checkpoint {
                 found: self.w.len(),
                 expected: dim,
             });
+        }
+        for (partition, residual) in self.residuals.iter().flatten() {
+            if residual.len() != dim {
+                return Err(CheckpointError::DimensionMismatch {
+                    found: residual.len(),
+                    expected: dim,
+                });
+            }
+            if let Some(coordinate) = residual.iter().position(|r| !r.is_finite()) {
+                return Err(CheckpointError::NonFiniteResidual {
+                    partition: *partition,
+                    coordinate,
+                });
+            }
         }
         Ok(())
     }

@@ -333,7 +333,7 @@ mod tests {
         };
         for k in 0..3 {
             for part in [0usize, 2] {
-                bank.compress(part, stream(k, part), 2, Quant::F16, &pool);
+                bank.compress(part, stream(k, part), 2, Quant::I8, &pool);
             }
         }
         let exported = bank.export_residuals();
@@ -344,8 +344,8 @@ mod tests {
         assert_eq!(restored.parts(), vec![0, 2]);
         for k in 3..6 {
             for part in [0usize, 2] {
-                let (a, wa) = bank.compress(part, stream(k, part), 2, Quant::F16, &pool);
-                let (b, wb) = restored.compress(part, stream(k, part), 2, Quant::F16, &pool);
+                let (a, wa) = bank.compress(part, stream(k, part), 2, Quant::I8, &pool);
+                let (b, wb) = restored.compress(part, stream(k, part), 2, Quant::I8, &pool);
                 assert_eq!(a, b, "k={k} part={part}");
                 assert_eq!(wa, wb);
             }

@@ -134,7 +134,6 @@ fn quant_byte(q: Quant) -> u8 {
     match q {
         Quant::Exact => 0,
         Quant::I8 => 1,
-        Quant::F16 => 2,
     }
 }
 
@@ -143,7 +142,6 @@ fn decode_quant(r: &mut Reader) -> Result<Quant, DecodeError> {
     match r.u8()? {
         0 => Ok(Quant::Exact),
         1 => Ok(Quant::I8),
-        2 => Ok(Quant::F16),
         tag => Err(DecodeError::BadTag { at, tag }),
     }
 }
@@ -946,11 +944,11 @@ pub(crate) mod tests {
             WirePlan::QPatch {
                 base: 5,
                 version: 6,
-                delta: CompressedDelta::F16 {
+                delta: CompressedDelta::I8 {
                     dim: 2,
                     scale: 0.0,
                     indices: vec![0, 1],
-                    codes: vec![0x3c00, 0xbc00],
+                    codes: vec![127, -127],
                 },
                 evict_below: 2,
             },
@@ -1398,7 +1396,7 @@ pub(crate) mod tests {
             },
             CompressCfg::TopK {
                 k: 1 << 20,
-                quant: Quant::F16,
+                quant: Quant::I8,
             },
         ] {
             let mut buf = BytesMut::new();
@@ -1426,6 +1424,18 @@ pub(crate) mod tests {
             decode_compress(&mut Reader::new(&[9])),
             Err(DecodeError::BadTag { .. })
         ));
+
+        // So is quant byte 2, the retired half-precision format, at its
+        // own offset past the cfg tag and k.
+        let mut buf = BytesMut::new();
+        buf.put_u8(1);
+        buf.put_u64_le(16);
+        buf.put_u8(2);
+        let bytes = buf.into_vec();
+        assert_eq!(
+            decode_compress(&mut Reader::new(&bytes)),
+            Err(DecodeError::BadTag { at: 9, tag: 2 })
+        );
     }
 
     #[test]

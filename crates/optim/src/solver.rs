@@ -279,7 +279,8 @@ pub enum SolverError {
         source: std::io::Error,
     },
     /// The resume checkpoint does not fit this solver: another solver's,
-    /// another model dimension, or a foreign [`crate::SolverHistory`].
+    /// another model dimension, a foreign [`crate::SolverHistory`], or an
+    /// error-feedback residual of another width or with a non-finite value.
     Checkpoint {
         /// Solver attempting the resume.
         solver: &'static str,

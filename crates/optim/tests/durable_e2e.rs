@@ -19,8 +19,9 @@ use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
 use async_linalg::{ParallelismCfg, Quant};
 use async_optim::{
-    Asaga, Asgd, AsyncMsgd, AsyncSolver, Checkpoint, CheckpointStore, CompressCfg, DiskFault,
-    DiskFaultPlan, Objective, RunReport, ServeFeed, SolverCfg, SolverHistory,
+    Asaga, Asgd, AsyncMsgd, AsyncSolver, Checkpoint, CheckpointError, CheckpointStore, CompressCfg,
+    DiskFault, DiskFaultPlan, Objective, RunReport, ServeFeed, SolverCfg, SolverError,
+    SolverHistory,
 };
 
 const WORKERS: usize = 4;
@@ -286,6 +287,95 @@ fn explicit_resume_from_takes_precedence_over_the_store() {
         Some(108)
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An ASGD resume checkpoint over model `w` with one hand-made
+/// error-feedback residual for partition 0.
+fn with_residual(w: &[f64], residual: Vec<f64>) -> Checkpoint {
+    Checkpoint {
+        solver: "asgd".into(),
+        updates: 16,
+        version: 16,
+        w: w.to_vec(),
+        history: SolverHistory::None,
+        residuals: Some(vec![(0, residual)]),
+    }
+}
+
+#[test]
+fn a_resume_residual_of_another_width_is_refused_not_panicked() {
+    let d = dataset();
+    let objective = Objective::LeastSquares { lambda: 1e-3 };
+    let w = vec![0.0; d.cols()];
+    let mut ctx = sim_ctx();
+    let refused = Asgd::new(objective)
+        .resume_from(with_residual(&w, vec![0.0; 3]))
+        .try_run(
+            &mut ctx,
+            &d,
+            &SolverCfg {
+                compress: CompressCfg::TopK {
+                    k: 4,
+                    quant: Quant::I8,
+                },
+                ..cfg(8)
+            },
+        );
+    assert!(
+        matches!(
+            refused,
+            Err(SolverError::Checkpoint {
+                source: CheckpointError::DimensionMismatch {
+                    found: 3,
+                    expected: 12
+                },
+                ..
+            })
+        ),
+        "{refused:?}"
+    );
+    assert_eq!(
+        ctx.pending(),
+        0,
+        "a refused run leaves the context untouched"
+    );
+}
+
+#[test]
+fn a_non_finite_resume_residual_is_refused() {
+    let d = dataset();
+    let objective = Objective::LeastSquares { lambda: 1e-3 };
+    let w = vec![0.0; d.cols()];
+    let mut residual = vec![0.0; d.cols()];
+    residual[5] = f64::NAN;
+    let refused = Asgd::new(objective)
+        .resume_from(with_residual(&w, residual))
+        .try_run(
+            &mut sim_ctx(),
+            &d,
+            &SolverCfg {
+                compress: CompressCfg::TopK {
+                    k: 4,
+                    quant: Quant::Exact,
+                },
+                ..cfg(8)
+            },
+        );
+    let err = refused.expect_err("a NaN residual must refuse the resume");
+    assert!(
+        matches!(
+            err,
+            SolverError::Checkpoint {
+                source: CheckpointError::NonFiniteResidual {
+                    partition: 0,
+                    coordinate: 5
+                },
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("partition 0"), "{err}");
 }
 
 #[test]

@@ -280,7 +280,7 @@ fn every_task_body_and_resolve_path_is_bit_identical_on_sim_and_loopback() {
             },
         ),
         (
-            "asgd csr + ring + top-k f16 (quantized patches)",
+            "asgd csr + ring + top-k i8 (quantized patches)",
             &csr,
             logistic,
             &asgd,
@@ -288,7 +288,7 @@ fn every_task_body_and_resolve_path_is_bit_identical_on_sim_and_loopback() {
                 step: 0.5,
                 batch_fraction: 0.1,
                 bcast_ring: 8,
-                compress: topk(32, Quant::F16),
+                compress: topk(32, Quant::I8),
                 ..base()
             },
         ),

@@ -106,8 +106,8 @@ impl Payload for Vec<f64> {
 }
 
 impl Payload for [f64] {
-    /// Identical wire shape to `Vec<f64>` — a borrowed or `Arc`-shared
-    /// dense slab costs the same bytes as an owned one.
+    /// Identical wire shape to `Vec<f64>` — a borrowed dense slab costs
+    /// the same bytes as an owned one.
     fn encoded_len(&self) -> u64 {
         8 + 8 * self.len() as u64
     }
@@ -130,20 +130,6 @@ impl<T: Payload> Payload for Arc<T> {
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         T::read(r).map(Arc::new)
-    }
-}
-
-/// An `Arc<[f64]>` model snapshot: same wire shape as `Vec<f64>`, zero-copy
-/// to clone driver-side.
-impl Payload for Arc<[f64]> {
-    fn encoded_len(&self) -> u64 {
-        (**self).encoded_len()
-    }
-    fn encode(&self, buf: &mut BytesMut) {
-        (**self).encode(buf);
-    }
-    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Vec::<f64>::read(r).map(Into::into)
     }
 }
 
@@ -247,15 +233,12 @@ impl Payload for GradDelta {
 impl Payload for CompressedDelta {
     /// One tag byte plus either the exact `GradDelta` payload or a
     /// quantized sparse section (`nnz | dim | scale` header, index block,
-    /// then a 1- or 2-byte code per entry).
+    /// then one code byte per entry).
     fn encoded_len(&self) -> u64 {
         match self {
             CompressedDelta::Exact(g) => 1 + g.encoded_len(),
             CompressedDelta::I8 { indices, .. } => {
                 CompressedDelta::sparse_frame_len(Quant::I8, indices)
-            }
-            CompressedDelta::F16 { indices, .. } => {
-                CompressedDelta::sparse_frame_len(Quant::F16, indices)
             }
         }
     }
@@ -277,18 +260,6 @@ impl Payload for CompressedDelta {
                     buf.put_i8(*c);
                 }
             }
-            CompressedDelta::F16 {
-                dim,
-                scale,
-                indices,
-                codes,
-            } => {
-                buf.put_u8(2);
-                put_sparse_head(buf, indices, *dim, Some(*scale));
-                for c in codes {
-                    buf.put_u16_le(*c);
-                }
-            }
         }
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -299,20 +270,6 @@ impl Payload for CompressedDelta {
                 let (indices, dim, scale) = read_sparse_head(r, Quant::I8)?;
                 let codes = r.bytes(indices.len())?.iter().map(|&b| b as i8).collect();
                 Ok(CompressedDelta::I8 {
-                    dim,
-                    scale,
-                    indices,
-                    codes,
-                })
-            }
-            2 => {
-                let (indices, dim, scale) = read_sparse_head(r, Quant::F16)?;
-                let codes = r
-                    .bytes(2 * indices.len())?
-                    .chunks_exact(2)
-                    .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                    .collect();
-                Ok(CompressedDelta::F16 {
                     dim,
                     scale,
                     indices,
@@ -403,18 +360,11 @@ pub(crate) mod tests {
     #[test]
     fn arc_and_slice_payloads_match_owned_encoding() {
         let v: Vec<f64> = vec![1.0, -2.5, 3.25];
-        let slab: Arc<[f64]> = v.clone().into();
-        assert_eq!(slab.encoded_len(), v.encoded_len());
-        assert_eq!(encoded_bytes(slab.as_ref()), encoded_bytes(&v));
+        assert_eq!(v.as_slice().encoded_len(), v.encoded_len());
+        assert_eq!(encoded_bytes(v.as_slice()), encoded_bytes(&v));
         let shared = Arc::new(v.clone());
         assert_eq!(shared.encoded_len(), v.encoded_len());
         assert_eq!(encoded_bytes(&shared), encoded_bytes(&v));
-        let mut a = BytesMut::new();
-        slab.encode(&mut a);
-        let mut b = BytesMut::new();
-        v.encode(&mut b);
-        assert_eq!(a.as_slice(), b.as_slice());
-        roundtrip(&slab);
         roundtrip(&shared);
     }
 
@@ -462,17 +412,10 @@ pub(crate) mod tests {
             indices: vec![1, 5, 30],
             codes: vec![-127, 64, 3],
         };
-        let f16d = CompressedDelta::F16 {
-            dim: 32,
-            scale: 0.5,
-            indices: vec![0, 31],
-            codes: vec![0x3c00, 0xbc00],
-        };
-        // Tag + nnz/dim/scale header, then 1 index byte + 1 or 2 code bytes
-        // per entry.
+        // Tag + nnz/dim/scale header, then 1 index byte + 1 code byte per
+        // entry.
         assert_eq!(i8d.encoded_len(), 25 + 2 * 3);
-        assert_eq!(f16d.encoded_len(), 25 + 3 * 2);
-        for cd in [&exact, &i8d, &f16d] {
+        for cd in [&exact, &i8d] {
             assert_eq!(encoded_bytes(cd) as u64, cd.encoded_len());
             roundtrip(cd);
         }
@@ -485,11 +428,13 @@ pub(crate) mod tests {
 
     #[test]
     fn compressed_delta_decode_rejects_hostile_frames() {
-        // Unknown tag.
-        assert_eq!(
-            CompressedDelta::decode(&[7u8]),
-            Err(DecodeError::BadTag { at: 0, tag: 7 })
-        );
+        // Unknown tags, the retired half-precision tag 2 among them.
+        for tag in [2u8, 7] {
+            assert_eq!(
+                CompressedDelta::decode(&[tag, 0, 0]),
+                Err(DecodeError::BadTag { at: 0, tag })
+            );
+        }
         // Hostile count prefixes must not size an allocation.
         for n in [u64::MAX, 1u64 << 61, 1u64 << 40] {
             let mut buf = BytesMut::new();
@@ -501,7 +446,7 @@ pub(crate) mod tests {
         }
         // Non-finite scale is structurally valid bytes, semantically not.
         let mut buf = BytesMut::new();
-        buf.put_u8(2);
+        buf.put_u8(1);
         buf.put_u64_le(0);
         buf.put_u64_le(4);
         buf.put_f64_le(f64::NAN);
@@ -666,12 +611,6 @@ pub(crate) mod tests {
             scale: 2.0,
             indices: vec![1, 5, 200],
             codes: vec![-127, 64, 3],
-        });
-        cut_and_flip(&CompressedDelta::F16 {
-            dim: 32,
-            scale: 0.5,
-            indices: vec![0, 31],
-            codes: vec![0x3c00, 0xbc00],
         });
         cut_and_flip(&(2.0f64, vec![1.0f64, 2.0]));
         cut_and_flip(&vec![(7u64, vec![1.0f64]), (9, vec![])]);

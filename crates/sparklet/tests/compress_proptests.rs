@@ -6,8 +6,7 @@
 //! every compressed gradient that crosses a socket.
 
 use async_linalg::{
-    dequantize_f16, dequantize_i8, quantize_f16, quantize_i8, select_top_k, CompressedDelta,
-    GradDelta, SparseVec,
+    dequantize_i8, quantize_i8, select_top_k, CompressedDelta, GradDelta, SparseVec,
 };
 use bytes::BytesMut;
 use proptest::prelude::*;
@@ -28,31 +27,20 @@ fn scale_of(vals: &[f64]) -> f64 {
     vals.iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
-/// Builds one of the three wire variants from generated primitives.
-fn delta_from(kind: u8, idx: Vec<u32>, vals: Vec<f64>, dim: usize) -> CompressedDelta {
-    let scale = scale_of(&vals);
-    match kind % 3 {
-        0 => CompressedDelta::Exact(GradDelta::Sparse(
+/// Builds either wire variant from generated primitives.
+fn delta_from(quantized: bool, idx: Vec<u32>, vals: Vec<f64>, dim: usize) -> CompressedDelta {
+    if !quantized {
+        return CompressedDelta::Exact(GradDelta::Sparse(
             SparseVec::new(idx, vals, dim).expect("sorted support"),
-        )),
-        1 => {
-            let codes = vals.iter().map(|&v| quantize_i8(v, scale)).collect();
-            CompressedDelta::I8 {
-                dim,
-                scale,
-                indices: idx,
-                codes,
-            }
-        }
-        _ => {
-            let codes = vals.iter().map(|&v| quantize_f16(v, scale)).collect();
-            CompressedDelta::F16 {
-                dim,
-                scale,
-                indices: idx,
-                codes,
-            }
-        }
+        ));
+    }
+    let scale = scale_of(&vals);
+    let codes = vals.iter().map(|&v| quantize_i8(v, scale)).collect();
+    CompressedDelta::I8 {
+        dim,
+        scale,
+        indices: idx,
+        codes,
     }
 }
 
@@ -70,25 +58,6 @@ proptest! {
             prop_assert!(
                 (back - v).abs() <= bound,
                 "i8 roundtrip of {v} against {scale} came back {back}"
-            );
-        }
-    }
-
-    #[test]
-    fn f16_roundtrip_stays_within_the_half_precision_bound(
-        vals in proptest::collection::vec(-1000.0..1000.0f64, 1..64usize),
-    ) {
-        // The normalized value v/scale lies in [-1, 1], where half
-        // precision resolves at worst one part in 2¹⁰ absolutely (ulp at
-        // magnitude 1 is 2⁻¹⁰; round-to-nearest halves it, and the f64 →
-        // f32 pre-rounding is orders of magnitude finer).
-        let scale = scale_of(&vals);
-        let bound = scale * (2.0f64).powi(-10);
-        for &v in &vals {
-            let back = dequantize_f16(quantize_f16(v, scale), scale);
-            prop_assert!(
-                (back - v).abs() <= bound,
-                "f16 roundtrip of {v} against {scale} came back {back}"
             );
         }
     }
@@ -168,12 +137,12 @@ proptest! {
 
     #[test]
     fn compressed_frames_roundtrip_and_charge_their_own_length(
-        kind in 0u8..3,
+        quantized in 0u8..2,
         raw_idx in proptest::collection::vec(0u32..50_000, 0..64usize),
         raw_vals in proptest::collection::vec(-100.0..100.0f64, 0..64usize),
     ) {
         let (idx, vals) = support(raw_idx, raw_vals);
-        let cd = delta_from(kind, idx, vals, 50_000);
+        let cd = delta_from(quantized == 1, idx, vals, 50_000);
 
         let mut buf = BytesMut::new();
         cd.encode(&mut buf);
@@ -192,7 +161,7 @@ proptest! {
 
     #[test]
     fn torn_compressed_frames_report_positioned_truncation(
-        kind in 0u8..3,
+        quantized in 0u8..2,
         raw_idx in proptest::collection::vec(0u32..50_000, 1..64usize),
         raw_vals in proptest::collection::vec(-100.0..100.0f64, 1..64usize),
         frac in 0.0..1.0f64,
@@ -202,7 +171,7 @@ proptest! {
             idx = vec![3];
             vals = vec![1.5];
         }
-        let cd = delta_from(kind, idx, vals, 50_000);
+        let cd = delta_from(quantized == 1, idx, vals, 50_000);
         let mut buf = BytesMut::new();
         cd.encode(&mut buf);
         let cut = ((buf.len() as f64) * frac) as usize; // in [0, len)
@@ -222,21 +191,19 @@ proptest! {
 /// hold must be rejected before any allocation is sized from the claim.
 #[test]
 fn hostile_counts_cannot_size_allocations() {
-    for tag in [1u8, 2u8] {
-        let mut buf = BytesMut::new();
-        bytes::BufMut::put_u8(&mut buf, tag);
-        bytes::BufMut::put_u64_le(&mut buf, u64::MAX); // claimed nnz
-        bytes::BufMut::put_u64_le(&mut buf, 8); // dim
-        bytes::BufMut::put_f64_le(&mut buf, 1.0); // scale
-        bytes::BufMut::put_u8(&mut buf, 0); // one lonely index
-        let bytes = buf.into_vec();
-        let err = CompressedDelta::decode(&bytes).expect_err("hostile count must fail");
-        // Every index needs a byte: the input is short by the rest of them.
-        assert!(
-            matches!(err, DecodeError::Truncated { at: 26, .. }),
-            "want Truncated at the end of input, got {err:?}"
-        );
-    }
+    let mut buf = BytesMut::new();
+    bytes::BufMut::put_u8(&mut buf, 1);
+    bytes::BufMut::put_u64_le(&mut buf, u64::MAX); // claimed nnz
+    bytes::BufMut::put_u64_le(&mut buf, 8); // dim
+    bytes::BufMut::put_f64_le(&mut buf, 1.0); // scale
+    bytes::BufMut::put_u8(&mut buf, 0); // one lonely index
+    let bytes = buf.into_vec();
+    let err = CompressedDelta::decode(&bytes).expect_err("hostile count must fail");
+    // Every index needs a byte: the input is short by the rest of them.
+    assert!(
+        matches!(err, DecodeError::Truncated { at: 26, .. }),
+        "want Truncated at the end of input, got {err:?}"
+    );
 }
 
 /// A shipped frame's size is what the compressor said it would be before
@@ -250,7 +217,7 @@ fn ef_state_wire_bytes_is_the_shipped_frames_encoded_len() {
         .map(|i| (i * 233, f64::from(i % 17) - 8.0))
         .collect();
     let g = GradDelta::Sparse(SparseVec::from_pairs(pairs, dim).unwrap());
-    for quant in [Quant::Exact, Quant::I8, Quant::F16] {
+    for quant in [Quant::Exact, Quant::I8] {
         for k in [1, 7, 64, usize::MAX] {
             let mut ef = EfState::new(dim);
             ef.compress(&g, k, quant);
@@ -263,9 +230,12 @@ fn ef_state_wire_bytes_is_the_shipped_frames_encoded_len() {
     }
 }
 
-/// Unknown variant tags are rejected with the position of the tag byte.
+/// Unknown variant tags — the retired half-precision tag 2 among them —
+/// are rejected with the position of the tag byte.
 #[test]
 fn unknown_tags_are_rejected_at_position_zero() {
-    let err = CompressedDelta::decode(&[7u8, 0, 0]).expect_err("bad tag must fail");
-    assert!(matches!(err, DecodeError::BadTag { at: 0, tag: 7 }));
+    for tag in [2u8, 7] {
+        let err = CompressedDelta::decode(&[tag, 0, 0]).expect_err("bad tag must fail");
+        assert_eq!(err, DecodeError::BadTag { at: 0, tag });
+    }
 }
