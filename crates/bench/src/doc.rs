@@ -440,7 +440,7 @@ pub(crate) mod oracle {
     }
 
     /// The value at a dotted path of keys; the segment after a block
-    /// array's key is an element index (`sim_arms.3.absorb_batch`).
+    /// array's key is an element index (`sim_arms.0.final_objective`).
     pub(crate) fn lookup<'a>(doc: &'a BenchDoc, path: &str) -> Option<&'a Value> {
         let (key, rest) = path
             .split_once('.')

@@ -25,7 +25,7 @@ pub fn modeled_cluster(
 }
 
 /// What a simulated arm of `hotpath`, `comm_compress` and
-/// `server_scaling` prints, after its own label.
+/// `server_scaling` prints, after the arm's label where it has one.
 pub const SIM_ARM_FIELDS: [ReportField; 9] = [
     ReportField::Updates,
     ReportField::TasksCompleted,

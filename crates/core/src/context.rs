@@ -789,45 +789,6 @@ impl AsyncContext {
         std::iter::from_fn(|| self.deliver()).collect()
     }
 
-    /// Batched collection for the server's absorption waves:
-    /// blocks for the first result exactly like [`AsyncContext::collect`],
-    /// then drains — **without blocking or advancing time further** —
-    /// whatever additional results have already arrived, up to `max`
-    /// total, appending them to `out` in arrival order.
-    ///
-    /// Absorption ordering and `STAT` coherence: completions are pumped
-    /// through the same §4.2 result path as `collect`, so per-worker rows
-    /// (availability, clocks, completion times) update in completion order
-    /// *before* any result of the wave is exposed, and every result's
-    /// staleness is measured against the model version at wave start —
-    /// the optimizer advances the version only between waves.
-    ///
-    /// With `max == 1` this is exactly one `collect` call; `out` is left
-    /// untouched (and the wave is empty) only when nothing is ready or in
-    /// flight.
-    ///
-    /// # Panics
-    /// Panics if a collected result's type is not `R`.
-    pub fn collect_up_to_into<R: Send + 'static>(&mut self, max: usize, out: &mut Vec<Tagged<R>>) {
-        if max == 0 {
-            return;
-        }
-        let Some(first) = self.collect::<R>() else {
-            return;
-        };
-        out.push(first);
-        while out.len() < max {
-            if let Some(t) = self.deliver() {
-                out.push(t);
-                continue;
-            }
-            match self.driver.try_next_completion() {
-                Some(c) => self.absorb(c, false),
-                None => break,
-            }
-        }
-    }
-
     /// Hands out the earliest ready result: the *delivered* transition.
     fn deliver<R: Send + 'static>(&mut self) -> Option<Tagged<R>> {
         let Tagged { value, attrs } = self.ready.pop_front()?;
@@ -1072,31 +1033,6 @@ mod tests {
             assert!(lead <= slack + 1, "clock gap {lead} exceeds slack bound");
         }
         while ctx.collect::<i64>().is_some() {}
-    }
-
-    #[test]
-    fn collect_up_to_batches_ready_results_in_arrival_order() {
-        let mut ctx = quiet_ctx(4, DelayModel::None);
-        let rdd = unit_rdd(4);
-        ctx.async_reduce(&rdd, &BarrierFilter::Asp, SubmitOpts::default(), sum_task);
-        // All four land at the same virtual instant; a wave capped at 3
-        // takes three and leaves the fourth ready for the next wave.
-        let mut wave = Vec::new();
-        ctx.collect_up_to_into::<i64>(3, &mut wave);
-        assert_eq!(wave.len(), 3);
-        let mut second = Vec::new();
-        ctx.collect_up_to_into::<i64>(3, &mut second);
-        assert_eq!(second.len(), 1);
-        assert!(!ctx.has_next());
-        // STAT absorbed every completion of the wave.
-        let snap = ctx.stat();
-        assert!(snap.workers.iter().all(|w| w.clock == 1));
-        // Empty cluster state: the wave comes back empty.
-        let mut empty = Vec::new();
-        ctx.collect_up_to_into::<i64>(4, &mut empty);
-        assert!(empty.is_empty());
-        ctx.collect_up_to_into::<i64>(0, &mut empty);
-        assert!(empty.is_empty());
     }
 
     #[test]

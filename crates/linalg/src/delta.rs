@@ -89,6 +89,11 @@ impl GradDelta {
 /// folds). Ownership rule: the accumulator owns its buffers for its whole
 /// life — callers [`DeltaFold::clear`] it between logical sums instead of
 /// recreating it.
+///
+/// No solver folds deltas: the server applies one result per update. The
+/// only non-test caller is the frozen `benchmark/` harness's
+/// `linalg.delta_fold_ns_per_entry` microbenchmark, and the type goes when
+/// that harness is re-frozen (ROADMAP item 10).
 #[derive(Debug, Clone)]
 pub struct DeltaFold {
     dim: usize,

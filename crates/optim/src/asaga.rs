@@ -99,8 +99,6 @@ impl AsyncSolver for Asaga {
             objective: self.objective,
             rows: dataset.rows(),
             alpha_bar: Vec::new(),
-            damps: Vec::new(),
-            scales: Vec::new(),
         };
         self.server.run(rule, ctx, dataset, cfg)
     }
@@ -191,8 +189,6 @@ struct AsagaRule {
     rows: usize,
     /// ᾱ, the mean table gradient.
     alpha_bar: Vec<f64>,
-    damps: Vec<f64>,
-    scales: Vec<f64>,
 }
 
 impl UpdateRule for AsagaRule {
@@ -286,35 +282,18 @@ impl UpdateRule for AsagaRule {
         &mut self,
         server: &mut ShardedAbsorber,
         w: &mut [f64],
-        wave: &[Tagged<GradMsg>],
+        t: &Tagged<GradMsg>,
         _ctx: &AsyncContext,
         cfg: &SolverCfg,
     ) -> bool {
-        self.damps.clear();
-        self.scales.clear();
-        for t in wave {
-            self.damps.push(step_damp(cfg, t.attrs.staleness));
-            self.scales
-                .push(t.value.indices.len() as f64 / self.rows.max(1) as f64);
-        }
-        // SAGA's estimator uses ᾱ *before* each delta's own table
+        // SAGA's estimator uses ᾱ *before* the delta's own table
         // absorption: E[f'ⱼ(φⱼ)] over the pre-update table equals ᾱ_old,
-        // which is what keeps g unbiased — the absorber preserves that
-        // step/absorb interleaving per delta, bit-identical to stepping
-        // the batch one delta at a time.
-        let delta = |k: usize| &wave[k].value.g;
-        let (lambda, n) = (self.objective.lambda(), wave.len());
-        let (damps, scales) = (&self.damps, &self.scales);
-        server.asaga_wave(
-            w,
-            &mut self.alpha_bar,
-            n,
-            delta,
-            damps,
-            cfg.step,
-            lambda,
-            scales,
-        );
+        // which is what keeps g unbiased — the absorber steps, then
+        // absorbs.
+        let a = cfg.step * step_damp(cfg, t.attrs.staleness);
+        let scale = t.value.indices.len() as f64 / self.rows.max(1) as f64;
+        let lambda = self.objective.lambda();
+        server.asaga_step(w, &mut self.alpha_bar, &t.value.g, a, lambda, scale);
         false
     }
 

@@ -85,7 +85,6 @@ impl AsyncSolver for Asgd {
     ) -> Result<RunReport, SolverError> {
         let rule = AsgdRule {
             objective: self.objective,
-            damps: Vec::new(),
         };
         self.server.run(rule, ctx, dataset, cfg)
     }
@@ -94,7 +93,6 @@ impl AsyncSolver for Asgd {
 /// `w ← w − γ·d·(g + λ·w)` with `d` the optional staleness damping.
 struct AsgdRule {
     objective: Objective,
-    damps: Vec<f64>,
 }
 
 impl UpdateRule for AsgdRule {
@@ -121,24 +119,12 @@ impl UpdateRule for AsgdRule {
         &mut self,
         server: &mut ShardedAbsorber,
         w: &mut [f64],
-        wave: &[Tagged<GradMsg>],
+        t: &Tagged<GradMsg>,
         _ctx: &AsyncContext,
         cfg: &SolverCfg,
     ) -> bool {
-        let lambda = self.objective.lambda();
-        self.damps.clear();
-        self.damps
-            .extend(wave.iter().map(|t| step_damp(cfg, t.attrs.staleness)));
-        // A single delta takes the exact serial expressions; larger waves
-        // take the fused fold-then-apply pass, which reorders the f64
-        // arithmetic — so here, unlike in the other rules, the branch is
-        // observable.
-        if let [t] = wave {
-            server.asgd_step(w, &t.value.g, cfg.step * self.damps[0], lambda)
-        } else {
-            let delta = |k: usize| &wave[k].value.g;
-            server.asgd_wave(w, wave.len(), delta, &self.damps, cfg.step, lambda)
-        }
+        let a = cfg.step * step_damp(cfg, t.attrs.staleness);
+        server.asgd_step(w, &t.value.g, a, self.objective.lambda())
     }
 
     fn history(&self) -> SolverHistory {

@@ -72,10 +72,10 @@ pub struct Checkpoint {
     /// Total server model updates applied when the checkpoint was taken
     /// (across resumes: a resumed run keeps counting from here).
     pub updates: u64,
-    /// Server model version at capture. Equals `updates` when every wave
-    /// applies one update, but diverges under `absorb_batch > 1` (many
-    /// updates per version); per-task RNG streams key on the version, so
-    /// a resumed run re-seats its counter here, not at `updates`.
+    /// Server model version at capture. Every update advances it by one,
+    /// but a cold run starts at its context's version, so it need not
+    /// equal `updates`; per-task RNG streams key on the version, so a
+    /// resumed run re-seats its counter here, not at `updates`.
     pub version: u64,
     /// The server model.
     pub w: Vec<f64>,

@@ -29,10 +29,9 @@
 //!
 //! All three solvers absorb server-side on the coordinator's thread, as
 //! the paper's server runs on Spark's driver ([`absorber::ShardedAbsorber`],
-//! whose name the frozen `benchmark/` harness still imports): one
-//! whole-vector apply pass per delta, or — with
-//! [`SolverCfg::absorb_batch`] > 1 — a wave of ready deltas folded and
-//! applied fused (value-equivalent, one snapshot push per wave).
+//! whose name the frozen `benchmark/` harness still imports): each
+//! collected result is one whole-vector apply pass, one model version and
+//! one snapshot push.
 //!
 //! The solvers are *elastic*: they keep running through worker kills,
 //! revivals, and mid-run joins (see `async_cluster::chaos` for churn

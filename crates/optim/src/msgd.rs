@@ -101,8 +101,6 @@ impl AsyncSolver for AsyncMsgd {
             objective: self.objective,
             momentum: self.momentum,
             u: Vec::new(),
-            betas: Vec::new(),
-            gammas: Vec::new(),
         };
         self.server.run(rule, ctx, dataset, cfg)
     }
@@ -115,8 +113,6 @@ struct MsgdRule {
     /// The velocity; dense by nature (momentum mixes every coordinate), so
     /// every version is a dense change.
     u: Vec<f64>,
-    betas: Vec<f64>,
-    gammas: Vec<f64>,
 }
 
 impl UpdateRule for MsgdRule {
@@ -144,29 +140,18 @@ impl UpdateRule for MsgdRule {
         &mut self,
         server: &mut ShardedAbsorber,
         w: &mut [f64],
-        wave: &[Tagged<GradMsg>],
+        t: &Tagged<GradMsg>,
         ctx: &AsyncContext,
         cfg: &SolverCfg,
     ) -> bool {
         // The staleness-adaptive rule: consult the STAT table for the
-        // worst delay visible right now (one snapshot per wave), fold in
-        // each result's own staleness tag, and damp momentum (and
-        // optionally the step) per consumed result.
-        let worst_in_flight = ctx.stat().max_staleness();
-        self.betas.clear();
-        self.gammas.clear();
-        for t in wave {
-            let observed = t.attrs.staleness.max(worst_in_flight);
-            self.betas.push(self.momentum * staleness_damp(observed));
-            self.gammas.push(cfg.step * step_damp(cfg, observed));
-        }
-        // Momentum's recurrence has no fold form: the wave applies
-        // delta-sequentially, bit-identical to stepping the batch one
-        // delta at a time with the same (βₖ, γₖ) sequence.
-        let delta = |k: usize| &wave[k].value.g;
+        // worst delay visible right now, fold in the result's own
+        // staleness tag, and damp momentum (and optionally the step).
+        let observed = t.attrs.staleness.max(ctx.stat().max_staleness());
+        let beta = self.momentum * staleness_damp(observed);
+        let gamma = cfg.step * step_damp(cfg, observed);
         let lambda = self.objective.lambda();
-        let (betas, gammas) = (&self.betas, &self.gammas);
-        server.msgd_wave(w, &mut self.u, wave.len(), delta, betas, gammas, lambda);
+        server.msgd_step(w, &mut self.u, &t.value.g, beta, gamma, lambda);
         false
     }
 

@@ -1,7 +1,8 @@
 //! The one server loop under every solver — the paper's Listings 3–4:
-//! submit a wave, collect, update, rebroadcast — and the [`UpdateRule`]
-//! seam where [`crate::Asgd`], [`crate::AsyncMsgd`] and [`crate::Asaga`]
-//! differ.
+//! submit a wave, collect one result, update, rebroadcast — and the
+//! [`UpdateRule`] seam where [`crate::Asgd`], [`crate::AsyncMsgd`] and
+//! [`crate::Asaga`] differ. Every collected result is exactly one model
+//! update, one version and one snapshot push.
 //!
 //! [`ServerLoop::run`] owns everything that is not the update itself:
 //! durable store and resume precedence, the lineage budget, version
@@ -9,8 +10,10 @@
 //! supervision (degrade policy, retries, stall restarts), pin bookkeeping,
 //! evaluation and checkpoint cadences, the end-of-run discard and the
 //! [`RunReport`]. A rule supplies its auxiliary state, its task, and its
-//! per-wave coefficients and absorber call; dispatch is static and every
-//! per-wave buffer is reused, so the loop allocates nothing per step.
+//! update of one result; dispatch is static. Once warm, ASGD's and ASAGA's
+//! absorb allocates nothing (MSGD's reads one `STAT` snapshot), a snapshot
+//! push allocates only its version's `Arc` cell, and a submission clones
+//! the `STAT` rows (`AsyncContext::stat`) and boxes one closure per task.
 
 use async_cluster::ConvergenceTrace;
 use async_core::{AsyncBcast, AsyncContext, SubmitOpts, Tagged, WaveDirective};
@@ -99,15 +102,15 @@ pub(crate) trait UpdateRule {
     /// Per consumed task, before its submission pin is released.
     fn consume(&mut self, _bcast: &AsyncBcast<Vec<f64>>, _task: &Tagged<GradMsg>) {}
 
-    /// Folds one collected wave into `w` (and the auxiliary state) with the
-    /// rule's per-task coefficients. Returns `true` when the update's
-    /// change support is exactly the wave's sparse support — the
-    /// precondition for declaring a sparse version diff to the broadcast.
+    /// Applies one collected result to `w` (and the auxiliary state).
+    /// Returns `true` when the update's change support is exactly the
+    /// delta's sparse support — the precondition for declaring a sparse
+    /// version diff to the broadcast.
     fn absorb(
         &mut self,
         server: &mut ShardedAbsorber,
         w: &mut [f64],
-        wave: &[Tagged<GradMsg>],
+        task: &Tagged<GradMsg>,
         ctx: &AsyncContext,
         cfg: &SolverCfg,
     ) -> bool;
@@ -216,7 +219,7 @@ fn submit_grad_wave(ctx: &mut AsyncContext, env: &WaveEnv<'_>, objective: Object
     ctx.async_reduce_wired(env.rdd, &env.cfg.barrier, opts, task, Some(&routine))
 }
 
-/// The policy gate at every wave boundary: `Proceed` falls through,
+/// The policy gate before every collection: `Proceed` falls through,
 /// `Wait` blocks toward the engine's next scheduled recovery, `Halt` (or
 /// a wait nothing can satisfy) ends the run. With the default policy and a
 /// non-empty alive set this is a pure read.
@@ -267,14 +270,6 @@ impl Pins {
             bcast.unpin(version);
         }
     }
-}
-
-/// True when `now` crossed a multiple of `every` that `prev` had not yet
-/// reached (never, for `every == 0`) — the wave-aware `now % every == 0`:
-/// identical for unit steps, and still firing once per crossed multiple
-/// when a batched wave advances `updates` by more than one.
-fn crossed_multiple(prev: u64, now: u64, every: u64) -> bool {
-    every > 0 && now / every > prev / every
 }
 
 /// What a caller may inject into a solver's next run (each is consumed by
@@ -424,13 +419,14 @@ impl ServerLoop {
                 });
             }
         };
-        submit(&rule, ctx, &mut pinned);
+        // A run with no budget left (a completed lineage resumed, or
+        // `max_updates: 0`) issues nothing.
+        if budget > 0 {
+            submit(&rule, ctx, &mut pinned);
+        }
 
-        // The server absorbs on this thread; with absorb_batch > 1 a wave
-        // of ready deltas is absorbed with one fused pass and one push.
+        // The server absorbs on this thread.
         let mut server = ShardedAbsorber::new(dim, 1);
-        let mut wave: Vec<Tagged<GradMsg>> = Vec::new();
-
         let mut updates = 0u64;
         let mut max_staleness = 0u64;
         let mut grad_entries = 0u64;
@@ -443,12 +439,7 @@ impl ServerLoop {
             if !wave_admitted(ctx) {
                 break;
             }
-            // Block for one result, then drain up to the absorb batch
-            // (capped at the remaining budget) of already-arrived ones.
-            wave.clear();
-            let want = cfg.absorb_batch.min((budget - updates) as usize);
-            ctx.collect_up_to_into(want, &mut wave);
-            if wave.is_empty() {
+            let Some(t) = ctx.collect::<GradMsg>() else {
                 // Total stall: every in-flight task was lost to failures.
                 // If chaos has since revived or joined workers, a fresh
                 // wave restarts the run; otherwise wait for a scheduled
@@ -458,41 +449,30 @@ impl ServerLoop {
                     continue;
                 }
                 break;
-            }
-            for t in &wave {
-                max_staleness = max_staleness.max(t.attrs.staleness);
-                grad_entries += t.value.entries;
-                result_bytes += t.value.wire_bytes;
-                rule.consume(&bcast, t);
-                pinned.release(&bcast, t.attrs.issued_version);
-            }
-            let sparse = rule.absorb(&mut server, &mut w, &wave, ctx, cfg);
-            let prev_updates = updates;
-            updates += wave.len() as u64;
-            // One model version (and one snapshot push) per wave: with
-            // absorb_batch = 1 this is the version-per-delta cadence. A
-            // sparse change's support is the lone delta's own, or the
-            // absorber's fold support for a fused wave.
+            };
+            max_staleness = max_staleness.max(t.attrs.staleness);
+            grad_entries += t.value.entries;
+            result_bytes += t.value.wire_bytes;
+            rule.consume(&bcast, &t);
+            pinned.release(&bcast, t.attrs.issued_version);
+            let sparse = rule.absorb(&mut server, &mut w, &t, ctx, cfg);
+            updates += 1;
+            // One model version and one snapshot push per result; a sparse
+            // change's support is the delta's own.
             ctx.advance_version();
-            let support = match (&wave[..], sparse) {
-                (_, false) => None,
-                ([t], true) => match &t.value.g {
-                    GradDelta::Sparse(s) => Some(s.indices()),
-                    GradDelta::Dense(_) => None,
-                },
-                (_, true) => Some(server.wave_support()),
+            let support = match &t.value.g {
+                GradDelta::Sparse(s) if sparse => Some(s.indices()),
+                _ => None,
             };
             bcast.push_snapshot_sharded(&w, support, server.pool());
-            for t in wave.drain(..) {
-                pool.recycle_ids(t.value.indices);
-                pool.recycle_delta(t.value.g);
-            }
+            pool.recycle_ids(t.value.indices);
+            pool.recycle_delta(t.value.g);
             wall_clock = ctx.now();
-            if crossed_multiple(prev_updates, updates, cfg.eval_every) {
+            if cfg.eval_every > 0 && updates.is_multiple_of(cfg.eval_every) {
                 let f = objective.full_objective(EVAL, dataset, &w);
                 trace.push(wall_clock, f - cfg.baseline);
             }
-            if crossed_multiple(prev_updates, updates, cfg.checkpoint_every) {
+            if cfg.checkpoint_every > 0 && updates.is_multiple_of(cfg.checkpoint_every) {
                 if let Some(session) = &durable {
                     save(session, &rule, base_updates + updates, ctx.version());
                 }

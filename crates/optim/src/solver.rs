@@ -54,29 +54,6 @@ pub struct SolverCfg {
     /// no ridge term (λ = 0); with λ > 0 every version declares a dense
     /// change and resolution falls back to full snapshots.
     pub bcast_ring: usize,
-    /// Deltas absorbed per server wave (at least 1): each wave
-    /// blocks for one result, then opportunistically drains up to this
-    /// many already-arrived results and folds them before **one** fused
-    /// apply pass and **one** snapshot push, on the coordinator's thread
-    /// ([`crate::absorber::ShardedAbsorber`]). Batching reorders the
-    /// f64 arithmetic (fold-then-apply ≠ delta-at-a-time in f64, and the
-    /// model version now advances once per wave), so `absorb_batch > 1` is
-    /// **value-equivalent, not bit-identical**, to the per-delta server;
-    /// every byte-gated bench but `server_scaling`'s batched arm runs 1.
-    ///
-    /// # Example
-    /// ```
-    /// use async_optim::SolverCfg;
-    ///
-    /// // Fold up to 4 ready deltas per wave — the batched arm of the
-    /// // server-scaling bench.
-    /// let cfg = SolverCfg {
-    ///     absorb_batch: 4,
-    ///     ..SolverCfg::default()
-    /// };
-    /// assert_eq!(cfg.absorb_batch, 4);
-    /// ```
-    pub absorb_batch: usize,
     /// Worker → server delta compression ([`CompressCfg::Off`], the
     /// default, ships raw deltas bit-identically to builds predating the
     /// compression layer). With [`CompressCfg::TopK`], every solver routes
@@ -98,8 +75,8 @@ pub struct SolverCfg {
     /// How the run degrades when worker deaths shrink the alive set
     /// ([`DegradePolicy::BestEffort`], the default, reproduces the
     /// pre-supervision behavior: keep going with the survivors, give up
-    /// only when nobody is left and no recovery is scheduled). Consulted at
-    /// every wave boundary; `Wait` directives block through
+    /// only when nobody is left and no recovery is scheduled). Consulted
+    /// before every collection; `Wait` directives block through
     /// [`AsyncContext::await_recovery`] toward supervised respawns and
     /// scripted revivals instead of ending the run early.
     pub degrade: DegradePolicy,
@@ -143,7 +120,6 @@ impl Default for SolverCfg {
             seed: 42,
             checkpoint_every: 0,
             bcast_ring: 0,
-            absorb_batch: 1,
             compress: CompressCfg::Off,
             serve_feed: None,
             degrade: DegradePolicy::BestEffort,
@@ -159,8 +135,6 @@ pub enum SolverCfgError {
     /// `batch_fraction` outside `(0, 1]` — a task would sample nothing or
     /// more than its partition.
     BatchFraction(f64),
-    /// `absorb_batch == 0` — the server wave could never make progress.
-    ZeroAbsorbBatch,
     /// `compress` is [`CompressCfg::TopK`] with `k == 0` — every shipped
     /// delta would be empty and the residual would grow forever.
     ZeroTopK,
@@ -172,7 +146,6 @@ impl std::fmt::Display for SolverCfgError {
             SolverCfgError::BatchFraction(b) => {
                 write!(f, "batch_fraction must lie in (0, 1], got {b}")
             }
-            SolverCfgError::ZeroAbsorbBatch => write!(f, "absorb_batch must be at least 1"),
             SolverCfgError::ZeroTopK => write!(f, "top-k compression must keep at least 1 entry"),
         }
     }
@@ -189,9 +162,6 @@ impl SolverCfg {
     pub fn validate(&self) -> Result<(), SolverCfgError> {
         if !(self.batch_fraction > 0.0 && self.batch_fraction <= 1.0) {
             return Err(SolverCfgError::BatchFraction(self.batch_fraction));
-        }
-        if self.absorb_batch == 0 {
-            return Err(SolverCfgError::ZeroAbsorbBatch);
         }
         if matches!(self.compress, CompressCfg::TopK { k: 0, .. }) {
             return Err(SolverCfgError::ZeroTopK);
@@ -379,11 +349,6 @@ mod tests {
                 Err(SolverCfgError::BatchFraction(_))
             ));
         }
-        let cfg = SolverCfg {
-            absorb_batch: 0,
-            ..SolverCfg::default()
-        };
-        assert_eq!(cfg.validate(), Err(SolverCfgError::ZeroAbsorbBatch));
         let cfg = SolverCfg {
             compress: CompressCfg::TopK {
                 k: 0,

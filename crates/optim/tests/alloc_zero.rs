@@ -26,7 +26,7 @@ use std::cell::Cell;
 use async_core::{AsyncBcast, WirePlan};
 use async_data::{sampler, Dataset, SynthSpec};
 use async_linalg::{DeltaFold, GradDelta, Matrix};
-use async_optim::{Objective, ScratchPool, ShardedAbsorber};
+use async_optim::{Objective, ScratchPool};
 use sparklet::WorkerCtx;
 
 struct CountingAlloc;
@@ -205,87 +205,6 @@ fn dense_arm_is_also_allocation_free_once_warm() {
         );
     }
     assert_eq!(allocations() - before, 0, "dense arm allocated");
-}
-
-/// One steady-state *batched* server wave: produce `batch` pooled
-/// gradients, fold-then-apply them through the absorber's accumulator, and
-/// recycle every consumed delta's buffers through
-/// [`ScratchPool::recycle_delta`].
-#[allow(clippy::too_many_arguments)]
-fn batched_wave(
-    objective: &Objective,
-    block: &async_data::Block,
-    w: &mut [f64],
-    absorber: &mut ShardedAbsorber,
-    pool: &ScratchPool,
-    deltas: &mut Vec<GradDelta>,
-    damps: &[f64],
-    iter: u64,
-) {
-    for k in 0..damps.len() as u64 {
-        let mut scratch = pool.checkout();
-        let mut rng = sampler::derive_rng(7, iter * 101 + k, 0);
-        sampler::sample_fraction_into(&mut rng, block.rows(), 0.1, &mut scratch.rows);
-        let g = objective.minibatch_grad_delta_pooled(block, w, &mut scratch, pool);
-        pool.give_back(scratch);
-        deltas.push(g);
-    }
-    let ds = &*deltas;
-    absorber.asgd_wave(w, ds.len(), |k| &ds[k], damps, 0.05, objective.lambda());
-    for g in deltas.drain(..) {
-        pool.recycle_delta(g);
-    }
-}
-
-#[test]
-fn batched_sharded_waves_allocate_nothing() {
-    // The fold-then-apply wave — DeltaFold folding, the fused apply pass
-    // and the delta recycling — must be as allocation-free as the
-    // per-delta path once warm.
-    let dataset = sparse_dataset();
-    let blocks = dataset.partition(1);
-    let block = &blocks[0];
-    let objective = Objective::Logistic { lambda: 0.0 };
-    let pool = ScratchPool::new();
-    let mut absorber = ShardedAbsorber::new(dataset.cols(), 1);
-    let mut w = vec![0.02; dataset.cols()];
-    let mut deltas: Vec<GradDelta> = Vec::with_capacity(4);
-    let damps = [1.0, 0.5, 1.0, 0.25];
-
-    const ROUNDS: u64 = 30;
-    for i in 0..ROUNDS {
-        batched_wave(
-            &objective,
-            block,
-            &mut w,
-            &mut absorber,
-            &pool,
-            &mut deltas,
-            &damps,
-            i,
-        );
-    }
-    let before = allocations();
-    for i in 0..ROUNDS {
-        batched_wave(
-            &objective,
-            block,
-            &mut w,
-            &mut absorber,
-            &pool,
-            &mut deltas,
-            &damps,
-            i,
-        );
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state batched waves must not allocate ({} allocations over {} waves)",
-        after - before,
-        ROUNDS
-    );
 }
 
 #[test]

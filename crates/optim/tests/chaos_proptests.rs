@@ -1,12 +1,13 @@
 //! Property tests for elasticity: the simulated engine must stay *bit*
-//! deterministic under arbitrary chaos schedules, and the threaded engine
-//! must agree with the simulator on where a fixed chaos script lands.
+//! deterministic under arbitrary chaos schedules, every solver must spend
+//! its budget and descend under churn, and the threaded engine must agree
+//! with the simulator on where a fixed chaos script lands.
 
 use async_cluster::{ChaosCfg, ChaosSchedule, ClusterSpec, CommModel, DelayModel, VDur, VTime};
 use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
 use async_linalg::ParallelismCfg;
-use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
+use async_optim::{Asaga, Asgd, AsyncMsgd, AsyncSolver, Objective, RunReport, SolverCfg};
 use proptest::prelude::*;
 
 const WORKERS: usize = 4;
@@ -19,6 +20,13 @@ fn quiet_spec() -> ClusterSpec {
 
 fn dataset() -> Dataset {
     SynthSpec::dense("chaos-prop", 160, 10, 3)
+        .generate()
+        .unwrap()
+        .0
+}
+
+fn sparse_dataset() -> Dataset {
+    SynthSpec::sparse("churn-prop-sp", 120, 400, 12, 7)
         .generate()
         .unwrap()
         .0
@@ -102,6 +110,45 @@ proptest! {
         prop_assert_eq!(ctx.pending(), 0);
         prop_assert!(!ctx.has_next());
         prop_assert_eq!(c.violations, 0);
+    }
+
+    #[test]
+    fn every_solver_completes_and_descends_under_random_churn(
+        solver in 0u8..3,
+        seed in 0u64..100_000,
+    ) {
+        // Each solver spends its budget through churn, descends below the
+        // ln 2 start, and — one model update per collected result —
+        // completes exactly as many tasks as it applies.
+        let d = sparse_dataset();
+        let chaos = ChaosSchedule::random(
+            seed,
+            WORKERS,
+            VTime::from_micros(100),
+            &ChaosCfg { events: 5, ..ChaosCfg::default() },
+        );
+        let mut ctx = AsyncContext::sim(quiet_spec());
+        ctx.driver_mut().install_chaos(&chaos);
+        let cfg = SolverCfg {
+            step: 0.05,
+            batch_fraction: 0.25,
+            barrier: BarrierFilter::Asp,
+            max_updates: 60,
+            seed: 11,
+            ..SolverCfg::default()
+        };
+        let objective = Objective::Logistic { lambda: 1e-3 };
+        let r = match solver {
+            0 => Asgd::new(objective).run(&mut ctx, &d, &cfg),
+            1 => AsyncMsgd::new(objective).run(&mut ctx, &d, &cfg),
+            _ => Asaga::new(objective).run(&mut ctx, &d, &cfg),
+        };
+        prop_assert_eq!(r.updates, 60);
+        prop_assert_eq!(r.tasks_completed, r.updates);
+        prop_assert!(
+            r.final_objective < std::f64::consts::LN_2,
+            "solver {} must descend: {}", solver, r.final_objective
+        );
     }
 }
 

@@ -242,6 +242,28 @@ fn cold_start_on_an_empty_store_runs_the_full_budget() {
 }
 
 #[test]
+fn a_completed_lineage_resumes_without_issuing_a_task() {
+    // The second driver finds the lineage's whole budget spent: it
+    // resumes, applies nothing, and issues, ships and drains nothing.
+    let d = dataset();
+    let objective = Objective::LeastSquares { lambda: 1e-3 };
+    let dir = scratch_dir("completed");
+    let c = SolverCfg {
+        durable_dir: Some(dir.clone()),
+        ..cfg(40)
+    };
+    assert_eq!(run_asgd(objective, &d, &c).updates, 40);
+    let mut ctx = sim_ctx();
+    let before = ctx.task_counts();
+    let r = Asgd::new(objective).run(&mut ctx, &d, &c);
+    assert_eq!(r.durable.resumed_from, Some(40));
+    assert_eq!(ctx.task_counts().issued, before.issued);
+    assert_eq!(r.bytes_shipped, 0);
+    assert_eq!((r.updates, r.tasks_completed), (0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn explicit_resume_from_takes_precedence_over_the_store() {
     let d = dataset();
     let objective = Objective::LeastSquares { lambda: 1e-3 };

@@ -351,13 +351,6 @@ fn configuration_errors_come_back_from_try_run() {
             },
             SolverCfgError::BatchFraction(0.0),
         ),
-        (
-            SolverCfg {
-                absorb_batch: 0,
-                ..plain.clone()
-            },
-            SolverCfgError::ZeroAbsorbBatch,
-        ),
     ];
     for (bad, why) in contradictions {
         let e = refusal(Asgd::new(objective).try_run(&mut ctx, &d, &bad));
@@ -383,10 +376,25 @@ fn configuration_errors_come_back_from_try_run() {
     );
 }
 
+/// A cold run with no update budget issues no task: nothing ships,
+/// nothing completes, and the ledger is where it was.
+#[test]
+fn a_cold_run_with_no_budget_issues_no_task() {
+    let d = dataset();
+    for (name, _, make) in rules(Objective::LeastSquares { lambda: 1e-3 }) {
+        let mut ctx = sim_ctx();
+        let before = ctx.task_counts();
+        let r = make(None, CompressorBank::new()).run(&mut ctx, &d, &cfg(0, None));
+        assert_eq!(ctx.task_counts().issued, before.issued, "{name}");
+        assert_eq!(r.bytes_shipped, 0, "{name}");
+        assert_eq!((r.updates, r.tasks_completed), (0, 0), "{name}");
+    }
+}
+
 /// The hot-path options under genuinely concurrent workers: the
 /// incremental ring and the shared `CompressorBank` each take a lock the
-/// simulator (one thread) never contends, and a batched server wave drains
-/// however many results the host's threads delivered. Completion order is the host's, so the contract is the
+/// simulator (one thread) never contends. Completion order is the host's,
+/// so the contract is the
 /// budget, no loss, a drained context, and final-loss agreement with the
 /// same cell on the simulator — not bit-equality. SSP, not ASP: on a busy
 /// host ASP lets one scheduled thread take most of the budget, and a model
@@ -414,37 +422,34 @@ fn hot_path_options_complete_on_real_threads() {
     };
     for bcast_ring in [0, 16] {
         for compress in [CompressCfg::Off, topk_i8] {
-            for absorb_batch in [1, 4] {
-                let cell = format!("ring {bcast_ring}, {compress:?}, batch {absorb_batch}");
-                let c = SolverCfg {
-                    step: 0.5,
-                    batch_fraction: 0.1,
-                    barrier: BarrierFilter::Ssp { slack: 2 },
-                    max_updates: 60,
-                    eval_every: 0,
-                    seed: 2026,
-                    bcast_ring,
-                    compress,
-                    absorb_batch,
-                    ..SolverCfg::default()
-                };
-                let solver = || Asgd::new(Objective::Logistic { lambda: 0.0 });
-                let sim = solver().run(&mut AsyncContext::sim(spec()), &d, &c);
-                let mut ctx = AsyncContext::threaded(spec(), 0.0);
-                let real = solver().run(&mut ctx, &d, &c);
-                assert_eq!(real.updates, 60, "{cell}: must spend the budget");
-                assert_eq!(real.lost_tasks, 0, "{cell}");
-                assert_eq!(ctx.pending(), 0, "{cell}: context drained");
-                assert!(real.final_objective < f0, "{cell}: no progress");
-                // compress_e2e's sim-vs-remote tolerance: a tenth of the
-                // closable gap (a logistic loss is bounded below by 0).
-                assert!(
-                    (real.final_objective - sim.final_objective).abs() <= 0.10 * f0,
-                    "{cell}: threads {} vs simulator {}",
-                    real.final_objective,
-                    sim.final_objective
-                );
-            }
+            let cell = format!("ring {bcast_ring}, {compress:?}");
+            let c = SolverCfg {
+                step: 0.5,
+                batch_fraction: 0.1,
+                barrier: BarrierFilter::Ssp { slack: 2 },
+                max_updates: 60,
+                eval_every: 0,
+                seed: 2026,
+                bcast_ring,
+                compress,
+                ..SolverCfg::default()
+            };
+            let solver = || Asgd::new(Objective::Logistic { lambda: 0.0 });
+            let sim = solver().run(&mut AsyncContext::sim(spec()), &d, &c);
+            let mut ctx = AsyncContext::threaded(spec(), 0.0);
+            let real = solver().run(&mut ctx, &d, &c);
+            assert_eq!(real.updates, 60, "{cell}: must spend the budget");
+            assert_eq!(real.lost_tasks, 0, "{cell}");
+            assert_eq!(ctx.pending(), 0, "{cell}: context drained");
+            assert!(real.final_objective < f0, "{cell}: no progress");
+            // compress_e2e's sim-vs-remote tolerance: a tenth of the
+            // closable gap (a logistic loss is bounded below by 0).
+            assert!(
+                (real.final_objective - sim.final_objective).abs() <= 0.10 * f0,
+                "{cell}: threads {} vs simulator {}",
+                real.final_objective,
+                sim.final_objective
+            );
         }
     }
 }
