@@ -108,7 +108,7 @@ fn solver_cfg(cfg: &ServeQpsCfg, feed: &ServeFeed) -> SolverCfg {
 fn serve_cfg(cfg: &ServeQpsCfg) -> ServeCfg {
     ServeCfg {
         max_version_lag: cfg.max_version_lag,
-        log_queries: false,
+        ..ServeCfg::default()
     }
 }
 

@@ -1300,7 +1300,7 @@ mod tests {
             1,
             "second access must hit the worker cache"
         );
-        let (charged, _) = ctx.take_charges();
+        let charged = ctx.take_charges();
         assert_eq!(charged, (vec![1.0f64; 4]).encoded_len());
     }
 
@@ -1757,7 +1757,7 @@ mod tests {
                 let plan = wired.handle().wire_plan(&mut mirror);
                 // What the mirror was charged for this plan is what its
                 // payload section encodes to on the remote engine's socket.
-                let charged = mirror.take_charges().0;
+                let charged = mirror.take_charges();
                 mirror_charged += charged;
                 match &plan {
                     WirePlan::Patch { patch, .. } => {
@@ -1793,7 +1793,7 @@ mod tests {
             assert_eq!(a.incremental_fetches, b.incremental_fetches);
             assert_eq!(a.incremental_bytes, b.incremental_bytes);
             // The mirror charged the same wire bytes the in-process worker did.
-            assert_eq!(ctx.take_charges().0, mirror_charged);
+            assert_eq!(ctx.take_charges(), mirror_charged);
         }
     }
 
@@ -1831,7 +1831,7 @@ mod tests {
             wired.push_snapshot_diff(&w, &u);
             let expect = local.handle().value_incremental(&mut ctx);
             let plan = wired.handle().wire_plan(&mut mirror);
-            let charged = mirror.take_charges().0;
+            let charged = mirror.take_charges();
             if let WirePlan::QPatch { ref delta, .. } = plan {
                 saw_qpatch = true;
                 let CompressedDelta::I8 { scale, .. } = delta else {

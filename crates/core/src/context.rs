@@ -123,35 +123,17 @@ pub struct RemoteRoutine {
     pub decode: Arc<dyn Fn(&[u8]) -> Result<Box<dyn Any + Send>, DecodeError> + Send + Sync>,
 }
 
-/// How the coordinator degrades when worker deaths shrink the alive set
-/// mid-run — the policy consulted (through
-/// [`AsyncContext::degrade_directive`]) wherever the pre-supervision code
-/// gave up unconditionally.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum DegradePolicy {
-    /// Any observed worker death halts the run at the next wave boundary.
-    FailFast,
-    /// Proceed while at least `ceil(frac × workers)` rows are alive
-    /// (clamped to `[1, workers]`); below quorum, wait for a scheduled
-    /// recovery when the engine has one, halt otherwise.
-    Quorum(f64),
-    /// Keep going with whoever is alive; only a fully dead cluster with no
-    /// scheduled recovery halts the run. The default — identical to the
-    /// pre-supervision behavior whenever at least one worker survives.
-    #[default]
-    BestEffort,
-}
-
-/// What a [`DegradePolicy`] tells the caller to do right now.
+/// What [`AsyncContext::degrade_directive`] tells the caller to do right
+/// now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaveDirective {
-    /// The alive set satisfies the policy: submit the next wave.
+    /// A worker is alive: submit the next wave.
     Proceed,
-    /// The policy is violated but the engine has a scheduled membership
+    /// Every worker is dead but the engine has a scheduled membership
     /// event (e.g. a supervised respawn): wait for it
     /// ([`AsyncContext::await_recovery`]) instead of giving up.
     Wait,
-    /// The policy is violated and no recovery is scheduled: stop.
+    /// Every worker is dead and no recovery is scheduled: stop.
     Halt,
 }
 
@@ -223,7 +205,6 @@ pub struct AsyncContext {
     version: u64,
     ready: VecDeque<Tagged<Box<dyn Any + Send>>>,
     next_bcast_id: u64,
-    degrade: DegradePolicy,
     retry_max: u32,
     /// Per worker, the replay of its running task (retries on only).
     replays: Vec<Option<Replay>>,
@@ -243,7 +224,6 @@ impl AsyncContext {
             version: 0,
             ready: VecDeque::new(),
             next_bcast_id: 0,
-            degrade: DegradePolicy::default(),
             retry_max: 0,
             replays: Vec::new(),
             retry_queue: VecDeque::new(),
@@ -257,15 +237,6 @@ impl AsyncContext {
     /// As [`Driver::sim`]: if the spec fails validation.
     pub fn sim(spec: ClusterSpec) -> Self {
         Self::new(Driver::sim(spec))
-    }
-
-    /// A context over the real-thread engine.
-    ///
-    /// # Panics
-    /// As [`Driver::threaded`]: if the spec fails validation or
-    /// `time_scale` is negative or NaN.
-    pub fn threaded(spec: ClusterSpec, time_scale: f64) -> Self {
-        Self::new(Driver::threaded(spec, time_scale))
     }
 
     /// The underlying driver (byte/task accounting, wait recorder).
@@ -321,14 +292,6 @@ impl AsyncContext {
         self.version = version;
     }
 
-    /// Installs the [`DegradePolicy`] consulted by
-    /// [`AsyncContext::degrade_directive`]. The default
-    /// ([`DegradePolicy::BestEffort`]) reproduces the pre-supervision
-    /// behavior.
-    pub fn set_degrade_policy(&mut self, policy: DegradePolicy) {
-        self.degrade = policy;
-    }
-
     /// Enables task retry: a task surfacing as [`Completion::Lost`] is
     /// re-submitted to a surviving worker (at its *original* model version)
     /// up to `max_attempts` times before it is counted lost in
@@ -362,44 +325,20 @@ impl AsyncContext {
         self.ready.clear();
     }
 
-    /// What the installed [`DegradePolicy`] says about the current alive
-    /// set. Callers consult this at wave boundaries — most usefully when a
-    /// collect came back empty (the pre-supervision "give up" points).
-    /// "Recovery is scheduled" is read from
-    /// [`sparklet::Driver::next_event_at`], so supervised respawns and
-    /// scripted chaos revivals both count.
+    /// What to do about the current alive set: proceed while any worker
+    /// is alive, wait if every worker is dead and a recovery is scheduled,
+    /// halt otherwise. Callers consult this at wave boundaries — most
+    /// usefully when a collect came back empty. "Recovery is scheduled" is
+    /// read from [`sparklet::Driver::next_event_at`], so supervised
+    /// respawns and scripted chaos revivals both count.
     pub fn degrade_directive(&self) -> WaveDirective {
         let snap = self.stat.snapshot(self.driver.now(), self.version);
-        let total = snap.workers.len();
-        let alive = snap.alive_count();
-        let recovery = self.driver.next_event_at().is_some();
-        match self.degrade {
-            DegradePolicy::FailFast => {
-                if alive == total {
-                    WaveDirective::Proceed
-                } else {
-                    WaveDirective::Halt
-                }
-            }
-            DegradePolicy::Quorum(frac) => {
-                let need = ((frac * total as f64).ceil() as usize).clamp(1, total.max(1));
-                if alive >= need {
-                    WaveDirective::Proceed
-                } else if recovery {
-                    WaveDirective::Wait
-                } else {
-                    WaveDirective::Halt
-                }
-            }
-            DegradePolicy::BestEffort => {
-                if alive > 0 {
-                    WaveDirective::Proceed
-                } else if recovery {
-                    WaveDirective::Wait
-                } else {
-                    WaveDirective::Halt
-                }
-            }
+        if snap.alive_count() > 0 {
+            WaveDirective::Proceed
+        } else if self.driver.next_event_at().is_some() {
+            WaveDirective::Wait
+        } else {
+            WaveDirective::Halt
         }
     }
 
@@ -1197,7 +1136,6 @@ mod tests {
     #[test]
     fn defaults_leave_losses_unretried_but_counted() {
         let mut ctx = quiet_ctx(3, DelayModel::None);
-        assert_eq!(ctx.degrade, DegradePolicy::BestEffort);
         assert_eq!(ctx.retry_lost(), 0);
         let rdd = unit_rdd(3);
         ctx.driver_mut().schedule_failure(2, VTime::from_micros(10));
@@ -1346,23 +1284,13 @@ mod tests {
     fn degrade_directives_follow_the_alive_set() {
         let mut ctx = quiet_ctx(4, DelayModel::None);
         assert_eq!(ctx.degrade_directive(), WaveDirective::Proceed);
-        ctx.set_degrade_policy(DegradePolicy::FailFast);
-        assert_eq!(ctx.degrade_directive(), WaveDirective::Proceed);
-        // One death: FailFast halts, Quorum(0.5) and BestEffort proceed.
-        ctx.driver_mut().kill_worker(3);
+        // Three deaths: one survivor is enough to proceed.
+        for worker in 1..4 {
+            ctx.driver_mut().kill_worker(worker);
+        }
         while ctx.collect::<i64>().is_some() {}
-        assert_eq!(ctx.degrade_directive(), WaveDirective::Halt);
-        ctx.set_degrade_policy(DegradePolicy::Quorum(0.5));
         assert_eq!(ctx.degrade_directive(), WaveDirective::Proceed);
-        // Two more deaths: 1/4 alive is below quorum, and with no
-        // scheduled recovery the directive is Halt.
-        ctx.driver_mut().kill_worker(2);
-        ctx.driver_mut().kill_worker(1);
-        while ctx.collect::<i64>().is_some() {}
-        assert_eq!(ctx.degrade_directive(), WaveDirective::Halt);
-        ctx.set_degrade_policy(DegradePolicy::BestEffort);
-        assert_eq!(ctx.degrade_directive(), WaveDirective::Proceed);
-        // Full blackout without recovery: even BestEffort halts.
+        // Full blackout without recovery halts.
         ctx.driver_mut().kill_worker(0);
         while ctx.collect::<i64>().is_some() {}
         assert_eq!(ctx.degrade_directive(), WaveDirective::Halt);
@@ -1462,8 +1390,13 @@ mod tests {
             build: Arc::new(|_, part| vec![part as u8]),
             decode: Arc::new(|b| Ok(Box::new(i64::from(b[0])) as Box<dyn Any + Send>)),
         };
-        let threaded = AsyncContext::threaded(spec(), 0.0);
-        for mut ctx in [threaded, AsyncContext::new(Driver::from_engine(remote))] {
+        let threaded = sparklet::EngineBuilder::threaded()
+            .spec(spec())
+            .time_scale(0.0)
+            .build()
+            .expect("valid spec");
+        for engine in [threaded, remote] {
+            let mut ctx = AsyncContext::new(Driver::from_engine(engine));
             ctx.driver_mut().kill_worker(1);
             ctx.driver_mut()
                 .revive_worker(1)

@@ -42,7 +42,6 @@ pub mod stat;
 pub use barrier::BarrierFilter;
 pub use broadcast::{AsyncBcast, HistoryHandle, HistoryStats, ReadPin, WirePlan};
 pub use context::{
-    AsyncContext, DegradePolicy, RemoteRoutine, SubmitOpts, Tagged, TaskAttrs, TaskCounts,
-    WaveDirective,
+    AsyncContext, RemoteRoutine, SubmitOpts, Tagged, TaskAttrs, TaskCounts, WaveDirective,
 };
 pub use stat::{StatSnapshot, WorkerStat};

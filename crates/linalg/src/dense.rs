@@ -266,12 +266,6 @@ pub fn norm2_sq<T: Element>(x: &[T]) -> f64 {
     dot(x, x)
 }
 
-/// Euclidean norm `‖x‖`.
-#[inline]
-pub fn norm2(x: &[f64]) -> f64 {
-    norm2_sq(x).sqrt()
-}
-
 /// Squared Euclidean distance `‖x − y‖²`.
 ///
 /// # Panics
@@ -373,7 +367,7 @@ mod tests {
     #[test]
     fn norms_agree() {
         let x = [3.0, 4.0];
-        assert!((norm2(&x) - 5.0).abs() < 1e-15);
+        assert!((norm2_sq(&x).sqrt() - 5.0).abs() < 1e-15);
         assert!((norm2_sq(&x) - 25.0).abs() < 1e-15);
     }
 

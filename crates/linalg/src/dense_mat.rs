@@ -62,16 +62,6 @@ impl DenseMatrix {
         Self::from_flat(data, rows.len(), ncols)
     }
 
-    /// An `nrows × ncols` matrix of zeros.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        Self {
-            data: Arc::new(vec![0.0; nrows * ncols]),
-            first: 0,
-            nrows,
-            ncols,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -216,7 +206,7 @@ mod tests {
 
     #[test]
     fn empty_matrix() {
-        let a = DenseMatrix::zeros(0, 4);
+        let a = DenseMatrix::from_flat(Vec::new(), 0, 4).unwrap();
         assert_eq!(a.nrows(), 0);
         let mut out: [f64; 0] = [];
         a.matvec(&[0.0; 4], &mut out);

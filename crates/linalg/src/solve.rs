@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn zero_rhs_converges_immediately() {
-        let a = Matrix::Dense(DenseMatrix::zeros(3, 2));
+        let a = Matrix::Dense(DenseMatrix::from_flat(vec![0.0; 6], 3, 2).unwrap());
         let res = cgls(ParallelismCfg::sequential(), &a, &[0.0; 3], 0.0, 1e-10, 10);
         assert!(res.converged);
         assert_eq!(res.iterations, 0);

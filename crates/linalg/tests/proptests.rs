@@ -41,8 +41,8 @@ proptest! {
     fn norm_triangle_inequality(x in finite_vec(24), y in finite_vec(24)) {
         let mut sum = x.clone();
         dense::add_assign(&mut sum, &y);
-        let lhs = dense::norm2(&sum);
-        let rhs = dense::norm2(&x) + dense::norm2(&y);
+        let lhs = dense::norm2_sq(&sum).sqrt();
+        let rhs = dense::norm2_sq(&x).sqrt() + dense::norm2_sq(&y).sqrt();
         prop_assert!(lhs <= rhs + 1e-9);
     }
 

@@ -79,5 +79,5 @@ pub use msgd::AsyncMsgd;
 pub use objective::Objective;
 pub use remote::{worker_registry, EF_NS, ROUTINE_ASAGA, ROUTINE_GRAD};
 pub use scratch::{ScratchPool, TaskScratch};
-pub use serving::{LoggedQuery, PublishedModel, ServeCounters, ServeFeed, ServeStats};
+pub use serving::{PublishedModel, ServeCounters, ServeFeed, ServeStats};
 pub use solver::{block_rdd, AsyncSolver, RunReport, SolverCfg, SolverCfgError, SolverError};

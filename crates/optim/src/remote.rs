@@ -1344,7 +1344,7 @@ pub(crate) mod tests {
         let mut mirror = WorkerCtx::new(0);
         let first = (routine.build)(&mut mirror, 1);
         let second = (routine.build)(&mut mirror, 1);
-        let charged = mirror.take_charges().0;
+        let charged = mirror.take_charges();
         // The first request ships partition 1's 20×6 dense block: 1627
         // bytes when its values went as `f64`, 4·120 fewer as `f32`.
         assert_eq!((first.len(), second.len(), charged), (1627 - 480, 226, 224));

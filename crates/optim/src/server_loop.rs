@@ -7,7 +7,7 @@
 //! [`ServerLoop::run`] owns everything that is not the update itself:
 //! durable store and resume precedence, the lineage budget, version
 //! re-seating, the history broadcast, compressor residuals, serving,
-//! supervision (degrade policy, retries, stall restarts), pin bookkeeping,
+//! supervision (the alive-set gate, retries, stall restarts), pin bookkeeping,
 //! evaluation and checkpoint cadences, the end-of-run discard and the
 //! [`RunReport`]. A rule supplies its auxiliary state, its task, and its
 //! update of one result; dispatch is static. Once warm, ASGD's and ASAGA's
@@ -219,10 +219,10 @@ fn submit_grad_wave(ctx: &mut AsyncContext, env: &WaveEnv<'_>, objective: Object
     ctx.async_reduce_wired(env.rdd, &env.cfg.barrier, opts, task, Some(&routine))
 }
 
-/// The policy gate before every collection: `Proceed` falls through,
-/// `Wait` blocks toward the engine's next scheduled recovery, `Halt` (or
-/// a wait nothing can satisfy) ends the run. With the default policy and a
-/// non-empty alive set this is a pure read.
+/// The gate before every collection: `Proceed` falls through, `Wait`
+/// blocks toward the engine's next scheduled recovery, `Halt` (or a wait
+/// nothing can satisfy) ends the run. With a non-empty alive set this is a
+/// pure read.
 fn wave_admitted(ctx: &mut AsyncContext) -> bool {
     match ctx.degrade_directive() {
         WaveDirective::Proceed => true,
@@ -232,7 +232,7 @@ fn wave_admitted(ctx: &mut AsyncContext) -> bool {
 }
 
 /// The stall decision after a fresh submission admitted nobody: wait for a
-/// scheduled recovery unless the policy already says halt. Returns `true`
+/// scheduled recovery unless the directive already says halt. Returns `true`
 /// when the caller should retry the wave. When nothing is scheduled,
 /// `await_recovery` returns immediately and the run gives up.
 fn stalled_should_wait(ctx: &mut AsyncContext) -> bool {
@@ -343,7 +343,6 @@ impl ServerLoop {
         // with it — is what lines a resumed trajectory up with the
         // uninterrupted one. A cold start seats at the context's version.
         ctx.reseat_version(version);
-        ctx.set_degrade_policy(cfg.degrade);
         ctx.set_retry_lost(cfg.retry_lost);
         let counts0 = ctx.task_counts();
         let bytes0 = ctx.driver().total_bytes_shipped();
@@ -433,9 +432,8 @@ impl ServerLoop {
         let mut result_bytes = 0u64;
         let mut wall_clock = ctx.now();
         while updates < budget {
-            // The degrade-policy gate: FailFast halts on any observed
-            // death, Quorum/BestEffort wait toward scheduled recoveries
-            // when the alive set is too thin to proceed.
+            // The alive-set gate: with every worker dead, wait toward a
+            // scheduled recovery, or end the run when none exists.
             if !wave_admitted(ctx) {
                 break;
             }

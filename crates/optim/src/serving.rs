@@ -8,8 +8,7 @@
 //! seam, only a clone of the broadcast handle (readers and the trainer
 //! share the same MVCC version table). The feed also carries the shared
 //! [`ServeStats`] counters so the solver can fold a [`ServeCounters`]
-//! snapshot into its [`crate::RunReport`] at run end, and a query log the
-//! online-learning hook appends served rows to.
+//! snapshot into its [`crate::RunReport`] at run end.
 //!
 //! With [`crate::SolverCfg::serve_feed`] unset (the default) none of this
 //! executes and every solver is bit-identical to builds predating the
@@ -69,6 +68,13 @@ impl ServeStats {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Zeroes the counters.
+    fn reset(&self) {
+        for c in [&self.reads, &self.rows, &self.refreshes, &self.max_lag] {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+
     /// Snapshots the counters.
     pub fn counters(&self) -> ServeCounters {
         ServeCounters {
@@ -94,22 +100,12 @@ pub struct ServeCounters {
     pub max_version_lag: u64,
 }
 
-/// One served query row fed back for online learning: the feature support
-/// and the label the caller observed after serving.
-#[derive(Debug, Clone)]
-pub struct LoggedQuery {
-    /// Sparse feature pairs `(coordinate, value)`, strictly increasing.
-    pub features: Vec<(u32, f64)>,
-    /// Observed outcome (same label convention as the training set).
-    pub label: f64,
-}
-
+#[derive(Default)]
 struct FeedInner {
     model: Mutex<Option<PublishedModel>>,
     ready: Condvar,
     done: AtomicBool,
     stats: ServeStats,
-    queries: Mutex<Vec<LoggedQuery>>,
 }
 
 /// The rendezvous between one solver run and its serving layer. Cheap to
@@ -118,18 +114,6 @@ struct FeedInner {
 #[derive(Clone, Default)]
 pub struct ServeFeed {
     inner: Arc<FeedInner>,
-}
-
-impl Default for FeedInner {
-    fn default() -> Self {
-        Self {
-            model: Mutex::new(None),
-            ready: Condvar::new(),
-            done: AtomicBool::new(false),
-            stats: ServeStats::default(),
-            queries: Mutex::new(Vec::new()),
-        }
-    }
 }
 
 impl std::fmt::Debug for ServeFeed {
@@ -159,9 +143,11 @@ impl ServeFeed {
         // `mark_done`) must let new readers rendezvous again instead of
         // observing a published model on a "finished" feed. Clearing under
         // the lock keeps the pair atomic for `wait_model`'s loop, which
-        // reads `done` only while holding the same lock.
+        // reads `done` only while holding the same lock. The counters
+        // restart too, so a run's report counts only its own reads.
         let mut m = self.inner.model.lock().expect("serve feed poisoned");
         self.inner.done.store(false, Ordering::SeqCst);
+        self.inner.stats.reset();
         *m = Some(model);
         self.inner.ready.notify_all();
     }
@@ -211,36 +197,10 @@ impl ServeFeed {
         &self.inner.stats
     }
 
-    /// Snapshot of the serving counters (what lands in
-    /// [`crate::RunReport::serve`]).
+    /// Snapshot of the serving counters since the last
+    /// [`ServeFeed::publish`] (what lands in [`crate::RunReport::serve`]).
     pub fn counters(&self) -> ServeCounters {
         self.inner.stats.counters()
-    }
-
-    /// Online-learning hook: appends one served query with its observed
-    /// label to the feed's query log.
-    pub fn log_query(&self, q: LoggedQuery) {
-        self.inner
-            .queries
-            .lock()
-            .expect("serve feed poisoned")
-            .push(q);
-    }
-
-    /// Drains every logged query accumulated so far (oldest first),
-    /// leaving the log empty — the raw material for an online-learning
-    /// retrain pass.
-    pub fn drain_queries(&self) -> Vec<LoggedQuery> {
-        std::mem::take(&mut *self.inner.queries.lock().expect("serve feed poisoned"))
-    }
-
-    /// Number of logged-but-undrained queries.
-    pub fn pending_queries(&self) -> usize {
-        self.inner
-            .queries
-            .lock()
-            .expect("serve feed poisoned")
-            .len()
     }
 }
 
@@ -309,21 +269,5 @@ mod tests {
                 max_version_lag: 7,
             }
         );
-    }
-
-    #[test]
-    fn query_log_drains_in_order() {
-        let feed = ServeFeed::new();
-        for i in 0..3 {
-            feed.log_query(LoggedQuery {
-                features: vec![(i, 1.0)],
-                label: i as f64,
-            });
-        }
-        assert_eq!(feed.pending_queries(), 3);
-        let drained = feed.drain_queries();
-        assert_eq!(drained.len(), 3);
-        assert_eq!(drained[2].features, vec![(2, 1.0)]);
-        assert_eq!(feed.pending_queries(), 0);
     }
 }

@@ -8,7 +8,7 @@
 //! one structure.
 
 use async_cluster::{ConvergenceTrace, VDur, VTime};
-use async_core::{AsyncContext, BarrierFilter, DegradePolicy};
+use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Block, Dataset};
 use sparklet::Rdd;
 
@@ -72,14 +72,6 @@ pub struct SolverCfg {
     /// same MVCC ring the training loop pushes into — and folds the feed's
     /// serving counters into [`RunReport::serve`] at run end.
     pub serve_feed: Option<ServeFeed>,
-    /// How the run degrades when worker deaths shrink the alive set
-    /// ([`DegradePolicy::BestEffort`], the default, reproduces the
-    /// pre-supervision behavior: keep going with the survivors, give up
-    /// only when nobody is left and no recovery is scheduled). Consulted
-    /// before every collection; `Wait` directives block through
-    /// [`AsyncContext::await_recovery`] toward supervised respawns and
-    /// scripted revivals instead of ending the run early.
-    pub degrade: DegradePolicy,
     /// Re-submission bound for tasks lost to worker failures (0, the
     /// default, disables retries). A lost gradient task is re-issued to a
     /// surviving worker at its *original* model version — staleness
@@ -122,7 +114,6 @@ impl Default for SolverCfg {
             bcast_ring: 0,
             compress: CompressCfg::Off,
             serve_feed: None,
-            degrade: DegradePolicy::BestEffort,
             retry_lost: 0,
             durable_dir: None,
         }
@@ -206,7 +197,8 @@ pub struct RunReport {
     /// Final objective value (not baseline-subtracted).
     pub final_objective: f64,
     /// Serving counters accumulated by readers attached through
-    /// [`SolverCfg::serve_feed`] over the run (all zeros without one).
+    /// [`SolverCfg::serve_feed`] from the run's publish to its end (all
+    /// zeros without one; a reused feed counts this run only).
     pub serve: ServeCounters,
     /// Tasks lost over the run (the ledger's `lost`): their worker died
     /// with no attempt left under [`SolverCfg::retry_lost`], or their retry

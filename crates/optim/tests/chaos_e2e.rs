@@ -11,7 +11,7 @@ use async_optim::{
     Asaga, Asgd, AsyncMsgd, AsyncSolver, Checkpoint, CheckpointError, CheckpointStore,
     DurableStats, Objective, RunReport, SolverCfg, SolverHistory,
 };
-use sparklet::WorkerCtx;
+use sparklet::{Driver, EngineBuilder, WorkerCtx};
 
 const WORKERS: usize = 4;
 
@@ -469,7 +469,12 @@ fn chaos_asgd_converges_on_the_threaded_engine() {
         .kill(VTime::from_micros(200), 1)
         .revive(VTime::from_micros(600), 1)
         .join(VTime::from_micros(900));
-    let mut ctx = AsyncContext::threaded(quiet_spec(DelayModel::None), 1.0);
+    let threaded = EngineBuilder::threaded()
+        .spec(quiet_spec(DelayModel::None))
+        .time_scale(1.0)
+        .build()
+        .expect("valid spec");
+    let mut ctx = AsyncContext::new(Driver::from_engine(threaded));
     ctx.driver_mut().install_chaos(&chaos);
     let r = Asgd::new(objective).run(&mut ctx, &d, &cfg(BarrierFilter::Asp, 200, 17));
     assert_eq!(r.updates, 200);

@@ -9,6 +9,7 @@ use async_data::{Dataset, SynthSpec};
 use async_linalg::ParallelismCfg;
 use async_optim::{Asaga, Asgd, AsyncMsgd, AsyncSolver, Objective, RunReport, SolverCfg};
 use proptest::prelude::*;
+use sparklet::{Driver, EngineBuilder};
 
 const WORKERS: usize = 4;
 
@@ -180,7 +181,12 @@ fn sim_and_threaded_agree_on_a_fixed_chaos_script() {
     sim_ctx.driver_mut().install_chaos(&chaos);
     let sim = Asgd::new(objective).run(&mut sim_ctx, &d, &cfg);
 
-    let mut thr_ctx = AsyncContext::threaded(quiet_spec(), 1.0);
+    let threaded = EngineBuilder::threaded()
+        .spec(quiet_spec())
+        .time_scale(1.0)
+        .build()
+        .expect("valid spec");
+    let mut thr_ctx = AsyncContext::new(Driver::from_engine(threaded));
     thr_ctx.driver_mut().install_chaos(&chaos);
     let thr = Asgd::new(objective).run(&mut thr_ctx, &d, &cfg);
 

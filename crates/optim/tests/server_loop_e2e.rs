@@ -15,7 +15,7 @@ use async_optim::{
     CompressorBank, Objective, RunReport, ServeFeed, SolverCfg, SolverCfgError, SolverError,
     SolverHistory,
 };
-use sparklet::{Rdd, WorkerCtx};
+use sparklet::{Driver, EngineBuilder, Rdd, WorkerCtx};
 
 const WORKERS: usize = 4;
 const HALF: u64 = 16;
@@ -436,7 +436,12 @@ fn hot_path_options_complete_on_real_threads() {
             };
             let solver = || Asgd::new(Objective::Logistic { lambda: 0.0 });
             let sim = solver().run(&mut AsyncContext::sim(spec()), &d, &c);
-            let mut ctx = AsyncContext::threaded(spec(), 0.0);
+            let threaded = EngineBuilder::threaded()
+                .spec(spec())
+                .time_scale(0.0)
+                .build()
+                .expect("valid spec");
+            let mut ctx = AsyncContext::new(Driver::from_engine(threaded));
             let real = solver().run(&mut ctx, &d, &c);
             assert_eq!(real.updates, 60, "{cell}: must spend the budget");
             assert_eq!(real.lost_tasks, 0, "{cell}");

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
-use async_core::{AsyncContext, BarrierFilter, DegradePolicy};
+use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
 use async_linalg::ParallelismCfg;
 use async_optim::{Asaga, Asgd, AsyncMsgd, AsyncSolver, Objective, RunReport, SolverCfg};
@@ -259,35 +259,6 @@ fn unscripted_hang_is_detected_and_the_task_reassigned() {
     assert!(
         gap < 0.2 * (f0 - baseline),
         "hang-recovery run should still converge: gap {gap}"
-    );
-}
-
-#[test]
-fn fail_fast_policy_halts_on_the_first_death() {
-    // Reset-heavy faults with FailFast: the first torn connection ends the
-    // run at the next wave boundary instead of degrading.
-    let d = dataset();
-    let objective = Objective::LeastSquares { lambda: 1e-3 };
-    let fault = FaultPlan {
-        seed: 0xDEAD,
-        reset: 0.1,
-        ..FaultPlan::none()
-    };
-    let budget = 400;
-    let mut ctx = supervised_ctx(fault);
-    let cfg = SolverCfg {
-        step: 0.04,
-        batch_fraction: 0.25,
-        max_updates: budget,
-        seed: 11,
-        degrade: DegradePolicy::FailFast,
-        ..SolverCfg::default()
-    };
-    let r = run(&mut Asgd::new(objective), &mut ctx, &d, &cfg);
-    assert!(
-        r.updates < budget,
-        "FailFast must halt early under tears (got {} updates)",
-        r.updates
     );
 }
 

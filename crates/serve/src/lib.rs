@@ -31,23 +31,15 @@
 //! are monotone non-decreasing: the ring's `latest` only grows, across
 //! failures, revivals, and joins alike.
 //!
-//! **Online learning.** Served queries flow back into training through
-//! the feed's query log: [`Predictor::observe`] appends the feature
-//! support and the later-observed label, and the trainer side drains the
-//! log ([`async_optim::ServeFeed::drain_queries`]) into fresh training
-//! rows for the next run.
-//!
-//! Scoring rides the pooled batch kernels
-//! ([`async_linalg::Matrix::rows_dot_into`] — CSR partitions take the
-//! sparse row-gather path) with buffers checked out of an
-//! [`async_optim::ScratchPool`], so the steady-state read loop performs
-//! zero heap allocations.
+//! Scoring rides the batch kernel [`async_linalg::Matrix::rows_dot_into`]
+//! (CSR partitions take the sparse row-gather path) into a caller-owned
+//! buffer, so a read loop that recycles its buffer allocates nothing.
 
 #![deny(missing_docs)]
 
 use async_core::{AsyncBcast, ReadPin};
 use async_linalg::Matrix;
-use async_optim::{LoggedQuery, Objective, PublishedModel, ScratchPool, ServeCounters, ServeFeed};
+use async_optim::{Objective, PublishedModel, ServeCounters, ServeFeed};
 
 /// Serving policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +49,8 @@ pub struct ServeCfg {
     /// behind the ring's watermark. `u64::MAX` disables refreshing — the
     /// reader keeps its original pin for its whole lifetime.
     pub max_version_lag: u64,
-    /// Whether [`Predictor::observe`] records served queries into the
-    /// feed's online-learning log.
+    /// Ignored: serving keeps no query log. The field stays because the
+    /// frozen `benchmark/` harness sets it; it goes with ROADMAP item 10.
     pub log_queries: bool,
 }
 
@@ -66,21 +58,19 @@ impl Default for ServeCfg {
     fn default() -> Self {
         Self {
             max_version_lag: 8,
-            log_queries: true,
+            log_queries: false,
         }
     }
 }
 
 /// A serving endpoint bound to one (possibly still running) solver run.
 ///
-/// Cheap to keep around: holds the published broadcast handle, the feed,
-/// and a shared [`ScratchPool`] that every spawned [`Predictor`] recycles
-/// buffers through.
+/// Cheap to keep around: holds the published broadcast handle and the
+/// feed.
 pub struct Server {
     model: PublishedModel,
     feed: ServeFeed,
     cfg: ServeCfg,
-    pool: ScratchPool,
 }
 
 impl std::fmt::Debug for Server {
@@ -102,7 +92,6 @@ impl Server {
             model,
             feed: feed.clone(),
             cfg,
-            pool: ScratchPool::new(),
         })
     }
 
@@ -132,26 +121,22 @@ impl Server {
         self.feed.is_done()
     }
 
-    /// Snapshot of the cumulative serving counters.
+    /// Snapshot of the serving counters of the feed's current run: they
+    /// count from the run's publish on, so a reused feed starts at zero.
     pub fn counters(&self) -> ServeCounters {
         self.feed.counters()
     }
 
     /// Spawns an independent predictor pinned to the latest model version.
-    /// Each serving thread gets its own (predictors are not `Sync`); all
-    /// of them share this server's buffer pool.
+    /// Each serving thread gets its own.
     pub fn predictor(&self) -> Predictor {
-        let pin = self.model.bcast.pin_read();
-        let margins = self.pool.checkout_dense(0);
         Predictor {
             bcast: self.model.bcast.clone(),
-            pin,
+            pin: self.model.bcast.pin_read(),
             objective: self.model.objective,
             dim: self.model.dim,
             cfg: self.cfg,
             feed: self.feed.clone(),
-            pool: self.pool.clone(),
-            margins,
         }
     }
 }
@@ -171,8 +156,6 @@ pub struct Predictor {
     dim: usize,
     cfg: ServeCfg,
     feed: ServeFeed,
-    pool: ScratchPool,
-    margins: Vec<f64>,
 }
 
 impl std::fmt::Debug for Predictor {
@@ -253,15 +236,6 @@ impl Predictor {
         self.feed.stats().record_read(rows.len() as u64, lag);
     }
 
-    /// [`Predictor::predict_rows_into`] through the predictor's own pooled
-    /// buffer; the returned slice is valid until the next scoring call.
-    pub fn predict_rows(&mut self, m: &Matrix, rows: &[u32]) -> &[f64] {
-        let mut out = std::mem::take(&mut self.margins);
-        self.predict_rows_into(m, rows, &mut out);
-        self.margins = out;
-        &self.margins
-    }
-
     /// Scores a single sparse query: `predict(Σ vᵢ·w[iᵢ])` over strictly
     /// increasing `(coordinate, value)` pairs.
     ///
@@ -283,24 +257,6 @@ impl Predictor {
             .sum();
         self.feed.stats().record_read(1, lag);
         self.objective.predict(z)
-    }
-
-    /// The online-learning hook: records a served query together with the
-    /// outcome the caller later observed. The trainer drains these
-    /// ([`async_optim::ServeFeed::drain_queries`]) into new training rows.
-    /// A no-op when [`ServeCfg::log_queries`] is off.
-    pub fn observe(&self, features: Vec<(u32, f64)>, label: f64) {
-        if self.cfg.log_queries {
-            self.feed.log_query(LoggedQuery { features, label });
-        }
-    }
-}
-
-impl Drop for Predictor {
-    fn drop(&mut self) {
-        // The margin buffer goes back to the shared pool; the pin's own
-        // drop releases the version for pruning.
-        self.pool.give_back_dense(std::mem::take(&mut self.margins));
     }
 }
 
@@ -347,7 +303,9 @@ mod tests {
             vec![0.0, 0.0, 1.0],
         ];
         let m = Matrix::Dense(async_linalg::DenseMatrix::from_rows(&eye).unwrap());
-        assert_eq!(p.predict_rows(&m.slice_rows(1, 3), &[1, 0]), &[0.5, -2.0]);
+        let mut out = Vec::new();
+        p.predict_rows_into(&m.slice_rows(1, 3), &[1, 0], &mut out);
+        assert_eq!(out, [0.5, -2.0]);
     }
 
     #[test]
@@ -370,7 +328,7 @@ mod tests {
             &feed,
             ServeCfg {
                 max_version_lag: 3,
-                log_queries: false,
+                ..ServeCfg::default()
             },
         )
         .unwrap();
@@ -395,42 +353,5 @@ mod tests {
         let c = srv.counters();
         assert_eq!(c.refreshes, 1);
         assert_eq!(c.max_version_lag, 3, "served lag never exceeded the bound");
-    }
-
-    #[test]
-    fn observe_feeds_the_query_log_behind_its_knob() {
-        let (feed, _bcast) = feed_with_model(2, Objective::LeastSquares { lambda: 0.0 });
-        let srv = Server::connect(&feed, ServeCfg::default()).unwrap();
-        let p = srv.predictor();
-        p.observe(vec![(1, 2.0)], 1.0);
-        assert_eq!(feed.pending_queries(), 1);
-
-        let quiet = Server::connect(
-            &feed,
-            ServeCfg {
-                log_queries: false,
-                ..ServeCfg::default()
-            },
-        )
-        .unwrap();
-        let q = quiet.predictor();
-        q.observe(vec![(0, 1.0)], -1.0);
-        assert_eq!(feed.pending_queries(), 1, "log_queries=false drops the row");
-    }
-
-    #[test]
-    fn dropped_predictor_recycles_its_margin_buffer() {
-        let (feed, bcast) = feed_with_model(4, Objective::LeastSquares { lambda: 0.0 });
-        bcast.push_snapshot(&[1.0; 4]);
-        let srv = Server::connect(&feed, ServeCfg::default()).unwrap();
-        let m = Matrix::Dense(
-            async_linalg::DenseMatrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]).unwrap(),
-        );
-        let mut p = srv.predictor();
-        assert_eq!(p.predict_rows(&m, &[0]), &[10.0]);
-        drop(p);
-        // A fresh predictor checks the warm buffer back out of the pool.
-        let mut p2 = srv.predictor();
-        assert_eq!(p2.predict_rows(&m, &[0]), &[10.0]);
     }
 }

@@ -1,14 +1,13 @@
 //! Serve-while-training end-to-end: readers on their own OS threads pin
 //! versions out of a live solver's MVCC snapshot ring and score queries
 //! while the run absorbs gradients — plus the blackout/monotonicity and
-//! online-learning contracts.
+//! per-run counter contracts.
 
 use std::thread;
 
 use async_cluster::{ChaosSchedule, ClusterSpec, CommModel, DelayModel, VDur, VTime};
 use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
-use async_linalg::Matrix;
 use async_optim::{Asgd, AsyncSolver, Objective, RunReport, ServeFeed, SolverCfg};
 use async_serve::{ServeCfg, Server};
 
@@ -102,7 +101,7 @@ fn pinned_version_is_never_recycled_while_training_advances_the_ring() {
     // whole concurrent run, however far the trainer advances.
     let hold = ServeCfg {
         max_version_lag: u64::MAX,
-        log_queries: false,
+        ..ServeCfg::default()
     };
     let solver = spawn_run(&feed, 3000, None);
     let srv = Server::connect(&feed, hold).expect("run publishes");
@@ -176,7 +175,7 @@ fn readers_serve_through_a_full_blackout_with_monotone_versions() {
         &feed,
         ServeCfg {
             max_version_lag: 4,
-            log_queries: false,
+            ..ServeCfg::default()
         },
     )
     .expect("run publishes");
@@ -211,69 +210,30 @@ fn readers_serve_through_a_full_blackout_with_monotone_versions() {
 }
 
 #[test]
-fn served_queries_feed_back_into_a_retraining_run() {
+fn a_reused_feed_reports_only_its_own_runs_reads() {
+    // A feed outlives its runs: a reader served between two runs on the
+    // same feed must not show up in the second run's report.
     let feed = ServeFeed::new();
-    let solver = spawn_run(&feed, 500, None);
-    let srv = Server::connect(&feed, ServeCfg::default()).expect("run publishes");
-    let r1 = solver.join().unwrap();
-    assert_eq!(r1.updates, 500);
-
-    // Serve a query per dataset row; the caller later observes the true
-    // label and feeds both back through the online-learning hook.
     let d = dataset();
+    let objective = Objective::LeastSquares { lambda: 0.0 };
+    let run =
+        || Asgd::new(objective).run(&mut AsyncContext::sim(quiet_spec()), &d, &cfg(&feed, 50));
+    let r1 = run();
+    assert_eq!(r1.updates, 50);
+    assert_eq!(r1.serve.reads, 0, "nobody read during the first run");
+
+    let srv = Server::connect(&feed, ServeCfg::default()).expect("run published");
     let mut p = srv.predictor();
-    p.refresh();
-    let dense = match d.features() {
-        Matrix::Dense(m) => m,
-        Matrix::Sparse(_) => unreachable!("synthetic dense dataset"),
-    };
-    for i in 0..d.rows() {
-        let features: Vec<(u32, f64)> = dense
-            .row(i)
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (j as u32, f64::from(v)))
-            .collect();
-        let _ = p.predict_query(&features);
-        p.observe(features, d.labels()[i]);
+    for _ in 0..7 {
+        assert!(p.predict_query(&[(0, 1.0)]).is_finite());
     }
-    assert_eq!(feed.pending_queries(), d.rows());
+    assert_eq!(srv.counters().reads, 7);
 
-    // Trainer side: drain the log into a fresh dataset and retrain.
-    let drained = feed.drain_queries();
-    assert_eq!(feed.pending_queries(), 0, "drain empties the log");
-    let mut rows = Vec::with_capacity(drained.len());
-    let mut labels = Vec::with_capacity(drained.len());
-    for q in &drained {
-        let mut row = vec![0.0; srv.dim()];
-        for &(j, v) in &q.features {
-            row[j as usize] = v;
-        }
-        rows.push(row);
-        labels.push(q.label);
-    }
-    let online = Dataset::new(
-        "serve-online",
-        Matrix::Dense(async_linalg::DenseMatrix::from_rows(&rows).unwrap()),
-        labels,
-    )
-    .unwrap();
-
-    let feed2 = ServeFeed::new();
-    let mut ctx = AsyncContext::sim(quiet_spec());
-    let r2 = Asgd::new(Objective::LeastSquares { lambda: 0.0 }).run(
-        &mut ctx,
-        &online,
-        &cfg(&feed2, 300),
-    );
+    let r2 = run();
+    assert_eq!(r2.updates, 50);
     assert_eq!(
-        r2.updates, 300,
-        "the drained queries are valid training rows"
+        r2.serve,
+        Default::default(),
+        "reads between runs are not the second run's"
     );
-    assert!(r2.final_objective.is_finite());
-    // The retrained model serves in turn — the loop closes.
-    let srv2 = Server::connect(&feed2, ServeCfg::default()).expect("second run published");
-    let mut p2 = srv2.predictor();
-    p2.refresh();
-    assert_eq!(p2.model(), r2.final_w.as_slice());
 }

@@ -157,22 +157,6 @@ impl Driver {
         )
     }
 
-    /// A driver over the real-thread engine (see
-    /// [`crate::threaded::ThreadedEngine::new`] for `time_scale`).
-    ///
-    /// # Panics
-    /// Panics if the spec fails validation or `time_scale` is negative or
-    /// NaN ([`EngineBuilder::build`] returns the error instead).
-    pub fn threaded(spec: ClusterSpec, time_scale: f64) -> Self {
-        Self::from_engine(
-            EngineBuilder::threaded()
-                .spec(spec)
-                .time_scale(time_scale)
-                .build()
-                .expect("invalid cluster spec or time_scale"),
-        )
-    }
-
     /// A driver over any engine implementation.
     pub fn from_engine(engine: Box<dyn Engine>) -> Self {
         let n = engine.workers();

@@ -730,12 +730,10 @@ impl Engine for RemoteEngine {
         // submission. Fetch charges (snapshots, patches, shipped blocks)
         // fold into the task's bytes exactly as worker-side misses would.
         let request = (wire.build)(&mut self.mirrors[w]);
-        let (extra_bytes, extra_time) = self.mirrors[w].take_charges();
-        let total_bytes = task.bytes_in + extra_bytes;
+        let total_bytes = task.bytes_in + self.mirrors[w].take_charges();
         let factor = self.assignment.factor(w, seq);
-        let modelled = self.spec.profiles[w].exec_time(task.cost)
-            + self.comm.transfer_time(total_bytes)
-            + extra_time;
+        let modelled =
+            self.spec.profiles[w].exec_time(task.cost) + self.comm.transfer_time(total_bytes);
         let sleep_us = (modelled.as_micros() as f64 * self.time_scale * factor) as u64;
         let msg = Msg::Submit {
             tag: task.tag,
@@ -907,8 +905,7 @@ pub struct WorkerOpts {
 }
 
 /// The generic worker-process loop: connect back to the driver, greet,
-/// then serve submissions until shutdown or disconnect. [`run_worker`] is
-/// the options-free shorthand.
+/// then serve submissions until shutdown or disconnect.
 ///
 /// A request naming an unregistered routine, or one whose handler reports
 /// a decode error, terminates the worker with an error — the driver
@@ -1045,17 +1042,6 @@ pub fn run_worker_with(
         let _ = h.join();
     }
     served
-}
-
-/// [`run_worker_with`] with default options (no heartbeats, no faults) —
-/// the original worker loop.
-pub fn run_worker(
-    addr: &str,
-    worker: u32,
-    epoch: u64,
-    registry: RoutineRegistry,
-) -> io::Result<()> {
-    run_worker_with(addr, worker, epoch, registry, WorkerOpts::default())
 }
 
 /// Entry point for worker binaries: parses `--connect <addr> --worker <id>

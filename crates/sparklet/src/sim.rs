@@ -98,15 +98,13 @@ impl Engine for SimEngine {
         // Execute now: the closure sees exactly the state captured at
         // submission, like a task shipped to a real worker.
         let output = (task.run)(&mut self.ctxs[w]);
-        let (extra_bytes, extra_time) = self.ctxs[w].take_charges();
-        let bytes_in = task.bytes_in + extra_bytes;
+        let bytes_in = task.bytes_in + self.ctxs[w].take_charges();
 
         let factor = self.assignment.factor(w, self.roster.next_seq(w));
         let exec = self.spec.profiles[w].exec_time(task.cost).mul_f64(factor);
         let service_time = self.spec.sched_overhead
             + self.spec.comm.transfer_time(bytes_in)
             + exec
-            + extra_time
             // Result submission message back to the server.
             + self.spec.comm.per_msg;
 
@@ -484,31 +482,6 @@ mod tests {
         assert!(e.next().is_none());
         for w in 0..3 {
             assert!(e.alive(w));
-        }
-    }
-
-    #[test]
-    fn charges_from_ctx_extend_duration() {
-        let spec = ClusterSpec::homogeneous(1, DelayModel::None)
-            .with_comm(CommModel::free())
-            .with_sched_overhead(VDur::ZERO);
-        let mut e = SimEngine::new(spec);
-        e.submit(
-            0,
-            Task {
-                tag: 0,
-                cost: 0.0,
-                bytes_in: 0,
-                run: Box::new(|ctx| {
-                    ctx.charge_time(VDur::from_millis(5));
-                    Box::new(())
-                }),
-            },
-        )
-        .unwrap();
-        match e.next() {
-            Some(Completion::Done(d)) => assert_eq!(d.finished_at, VTime::from_micros(5_000)),
-            _ => panic!("expected Done"),
         }
     }
 }

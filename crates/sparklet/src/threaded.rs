@@ -221,14 +221,12 @@ fn worker_loop(
                 let t0 = Instant::now();
                 let output = run(&mut ctx);
                 let measured = t0.elapsed();
-                let (extra_bytes, extra_time) = ctx.take_charges();
-                let total_bytes = bytes_in + extra_bytes;
+                let total_bytes = bytes_in + ctx.take_charges();
                 let factor = assignment.factor(w, seq);
-                // Modelled time (cost + communication + explicit charges),
-                // scaled into real time, all stretched by the straggler
-                // factor; plus the stretch of the real compute time.
-                let modelled =
-                    profile.exec_time(cost) + comm.transfer_time(total_bytes) + extra_time;
+                // Modelled time (cost + communication), scaled into real
+                // time, all stretched by the straggler factor; plus the
+                // stretch of the real compute time.
+                let modelled = profile.exec_time(cost) + comm.transfer_time(total_bytes);
                 let sleep_us = modelled.as_micros() as f64 * time_scale * factor
                     + measured.as_secs_f64() * 1e6 * (factor - 1.0).max(0.0);
                 if sleep_us >= 1.0 {

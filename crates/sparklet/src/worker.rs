@@ -10,7 +10,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use async_cluster::{VDur, WorkerId};
+use async_cluster::WorkerId;
 
 /// A cached, type-erased, shareable value.
 pub type CachedValue = Arc<dyn Any + Send + Sync>;
@@ -22,7 +22,6 @@ pub struct WorkerCtx {
     /// Per broadcast id, the highest watermark already evicted below.
     evicted_below: HashMap<u64, u64>,
     pending_bytes: u64,
-    pending_time: VDur,
 }
 
 impl WorkerCtx {
@@ -33,7 +32,6 @@ impl WorkerCtx {
             cache: HashMap::new(),
             evicted_below: HashMap::new(),
             pending_bytes: 0,
-            pending_time: VDur::ZERO,
         }
     }
 
@@ -100,19 +98,10 @@ impl WorkerCtx {
         self.cache.len()
     }
 
-    /// Charges additional virtual `time` to the running task (e.g. modelled
-    /// disk reads).
-    pub fn charge_time(&mut self, time: VDur) {
-        self.pending_time += time;
-    }
-
-    /// Drains the pending per-task charges; called by the engine after each
-    /// task to fold them into the task's duration.
-    pub fn take_charges(&mut self) -> (u64, VDur) {
-        let out = (self.pending_bytes, self.pending_time);
-        self.pending_bytes = 0;
-        self.pending_time = VDur::ZERO;
-        out
+    /// Drains the bytes fetched since the last call; called by the engine
+    /// after each task to fold their transfer into the task's duration.
+    pub fn take_charges(&mut self) -> u64 {
+        std::mem::take(&mut self.pending_bytes)
     }
 }
 
@@ -135,18 +124,15 @@ mod tests {
         let mut ctx = WorkerCtx::new(0);
         ctx.cache_put_fetched((1, 0), Arc::new(()), 64);
         ctx.cache_put_fetched((1, 1), Arc::new(()), 36);
-        ctx.charge_time(VDur::from_micros(500));
-        let (b, t) = ctx.take_charges();
-        assert_eq!(b, 100);
-        assert_eq!(t, VDur::from_micros(500));
-        assert_eq!(ctx.take_charges(), (0, VDur::ZERO));
+        assert_eq!(ctx.take_charges(), 100);
+        assert_eq!(ctx.take_charges(), 0);
     }
 
     #[test]
     fn local_puts_do_not_charge() {
         let mut ctx = WorkerCtx::new(0);
         ctx.cache_put_local((2, 5), Arc::new(1.0f64));
-        assert_eq!(ctx.take_charges(), (0, VDur::ZERO));
+        assert_eq!(ctx.take_charges(), 0);
     }
 
     #[test]

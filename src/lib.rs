@@ -22,7 +22,7 @@
 //! | Spark substrate (partitioned RDDs, engines, driver; no scheduler of its own) | [`sparklet`] |
 //! | datasets (Table 2 analogues)               | [`data`] |
 //! | BLAS slice + CGLS baselines                | [`linalg`] |
-//! | serving read path (pins, freshness, online learning) | [`serve`] |
+//! | serving read path (pins, freshness)        | [`serve`] |
 //! | experiment harnesses (Figures 3–4, fast path) | `async-bench` (`crates/bench`) |
 
 /// Cluster substrate: virtual time, stragglers, cost models, metrics.
