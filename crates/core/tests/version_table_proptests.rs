@@ -2,7 +2,8 @@
 //! against a `HashMap` oracle written from the table's rules: random
 //! `record_use` / `pin` / `unpin` / `push` sequences, on fresh and re-seated
 //! (`new_at`) tables, must agree on every sample's version and on which
-//! versions are live after every step — so on the order they are pruned in.
+//! versions are live after every step — so on the order they are pruned in —
+//! and the table may hold no slot below the oldest live version.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -68,11 +69,23 @@ impl Oracle {
 }
 
 fn check(b: &AsyncBcast<Vec<f64>>, o: &Oracle, step: usize) -> Result<(), String> {
+    let stats = b.stats();
     prop_assert!(
-        b.stats().versions_live == o.live.len() as u64,
+        stats.versions_live == o.live.len() as u64,
         "step {}: {} live versions, oracle {:?}",
         step,
-        b.stats().versions_live,
+        stats.versions_live,
+        o.live
+    );
+    // The table holds the live span, not the history: pruned slots below
+    // the oldest live version are gone.
+    let span = o.latest - o.live.first().copied().unwrap_or(o.latest) + 1;
+    prop_assert!(
+        stats.version_slots <= span,
+        "step {}: {} slots, live span {} of oracle {:?}",
+        step,
+        stats.version_slots,
+        span,
         o.live
     );
     for v in o.base..=o.latest {

@@ -6,7 +6,7 @@
 //! times the whole absorb it would split. Nothing in the engine runs on
 //! this pool. It stays because `benchmark/`'s microbenchmark
 //! `linalg.shard_pool_wave_us` times one wave at two threads, and goes
-//! when that harness is re-frozen (ROADMAP item 9(b)).
+//! when that harness is re-frozen (ROADMAP item 10).
 //!
 //! Dispatching a wave is a condvar wake plus an atomic claim loop over
 //! threads kept alive for the pool's whole life, and performs **zero heap

@@ -11,7 +11,7 @@
 //! times the whole absorb it would split (ARCHITECTURE.md, "Server
 //! absorption"). The name, [`ShardedAbsorber::new`]'s thread count and
 //! [`ShardedAbsorber::pool`] remain because the frozen `benchmark/` harness
-//! calls them; they go when it is re-frozen (ROADMAP item 9(b)).
+//! calls them; they go when it is re-frozen (ROADMAP item 10).
 //!
 //! The absorber holds no buffers: model vectors are borrowed per call, and
 //! an absorb allocates nothing.
@@ -28,7 +28,7 @@ pub struct ShardedAbsorber {
 impl ShardedAbsorber {
     /// An absorber over models of dimension `dim`. The thread count is
     /// ignored — absorption runs on the caller; the parameter is kept for
-    /// the frozen `benchmark/` harness and goes with ROADMAP item 9(b).
+    /// the frozen `benchmark/` harness and goes with ROADMAP item 10.
     pub fn new(dim: usize, _threads: usize) -> Self {
         Self {
             pool: ShardPool::new(1),
@@ -43,8 +43,7 @@ impl ShardedAbsorber {
 
     /// A one-thread [`ShardPool`], for
     /// `async_core::AsyncBcast::push_snapshot_sharded`, which ignores it.
-    /// Kept for the frozen `benchmark/` harness; goes with ROADMAP item
-    /// 9(b).
+    /// Kept for the frozen `benchmark/` harness; goes with ROADMAP item 10.
     pub fn pool(&self) -> &ShardPool {
         &self.pool
     }

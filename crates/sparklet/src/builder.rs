@@ -52,14 +52,10 @@ pub struct EngineBuilder {
     spec: ClusterSpec,
     time_scale: f64,
     chaos: Option<ChaosSchedule>,
-    addr: String,
-    worker_bin: Option<PathBuf>,
-    worker_args: Vec<String>,
-    loopback: Option<Arc<dyn Fn() -> RoutineRegistry + Send + Sync>>,
-    heartbeat: Option<Duration>,
-    liveness: Option<Duration>,
-    task_deadline: Option<Duration>,
-    fault: Option<FaultPlan>,
+    /// The remote backend's configuration. Its launcher starts as a
+    /// process launcher with no program (the default worker binary, looked
+    /// up at build); loopback workers replace it.
+    remote: RemoteConfig,
 }
 
 impl EngineBuilder {
@@ -71,14 +67,7 @@ impl EngineBuilder {
             spec: ClusterSpec::homogeneous(1, DelayModel::None),
             time_scale: 0.01,
             chaos: None,
-            addr: "127.0.0.1:0".to_string(),
-            worker_bin: None,
-            worker_args: Vec::new(),
-            loopback: None,
-            heartbeat: None,
-            liveness: None,
-            task_deadline: None,
-            fault: None,
+            remote: RemoteConfig::process(PathBuf::new()),
         }
     }
 
@@ -122,22 +111,27 @@ impl EngineBuilder {
 
     /// Listen address for the remote backend (default `127.0.0.1:0`).
     pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.addr = addr.into();
+        self.remote.addr = addr.into();
         self
     }
 
     /// Worker executable for the remote backend. Defaults to
     /// [`default_worker_bin`] (the `ASYNC_WORKER_BIN` environment
     /// variable, or an `async_worker` binary near the current executable).
+    /// Loopback workers, once set, take precedence over it.
     pub fn worker_bin(mut self, bin: impl Into<PathBuf>) -> Self {
-        self.worker_bin = Some(bin.into());
+        if let WorkerLauncher::Process { program, .. } = &mut self.remote.launcher {
+            *program = bin.into();
+        }
         self
     }
 
     /// Extra arguments passed to the worker executable before the
     /// `--connect ..` triple.
-    pub fn worker_args(mut self, args: Vec<String>) -> Self {
-        self.worker_args = args;
+    pub fn worker_args(mut self, worker_args: Vec<String>) -> Self {
+        if let WorkerLauncher::Process { args, .. } = &mut self.remote.launcher {
+            *args = worker_args;
+        }
         self
     }
 
@@ -147,34 +141,34 @@ impl EngineBuilder {
         mut self,
         registry: Arc<dyn Fn() -> RoutineRegistry + Send + Sync>,
     ) -> Self {
-        self.loopback = Some(registry);
+        self.remote.launcher = WorkerLauncher::Loopback(registry);
         self
     }
 
     /// Remote worker heartbeat period (default: no heartbeats).
     pub fn heartbeat(mut self, period: Duration) -> Self {
-        self.heartbeat = Some(period);
+        self.remote.heartbeat = Some(period);
         self
     }
 
     /// Remote liveness deadline: a worker silent for this long is declared
     /// dead. Requires [`EngineBuilder::heartbeat`].
     pub fn liveness(mut self, deadline: Duration) -> Self {
-        self.liveness = Some(deadline);
+        self.remote.liveness = Some(deadline);
         self
     }
 
     /// Remote per-task deadline: an unanswered submission older than this
     /// kills the worker incarnation and surfaces the task as lost.
     pub fn task_deadline(mut self, deadline: Duration) -> Self {
-        self.task_deadline = Some(deadline);
+        self.remote.task_deadline = Some(deadline);
         self
     }
 
     /// Wire-level fault injection plan for the remote backend (default:
     /// zero faults).
     pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
+        self.remote.fault = plan;
         self
     }
 
@@ -192,27 +186,13 @@ impl EngineBuilder {
             EngineKind::Sim => Box::new(SimEngine::new(self.spec)),
             EngineKind::Threaded => Box::new(ThreadedEngine::new(self.spec, self.time_scale)),
             EngineKind::Remote => {
-                let launcher = match self.loopback {
-                    Some(registry) => WorkerLauncher::Loopback(registry),
-                    None => {
-                        let program = match self.worker_bin.or_else(default_worker_bin) {
-                            Some(p) => p,
-                            None => return Err(EngineError::Io(std::io::ErrorKind::NotFound)),
-                        };
-                        WorkerLauncher::Process {
-                            program,
-                            args: self.worker_args,
-                        }
+                let mut cfg = self.remote;
+                if let WorkerLauncher::Process { program, .. } = &mut cfg.launcher {
+                    if program.as_os_str().is_empty() {
+                        *program = default_worker_bin()
+                            .ok_or(EngineError::Io(std::io::ErrorKind::NotFound))?;
                     }
-                };
-                let cfg = RemoteConfig {
-                    addr: self.addr,
-                    heartbeat: self.heartbeat,
-                    liveness: self.liveness,
-                    task_deadline: self.task_deadline,
-                    fault: self.fault.unwrap_or_default(),
-                    ..RemoteConfig::with_launcher(launcher)
-                };
+                }
                 Box::new(RemoteEngine::new(self.spec, self.time_scale, cfg)?)
             }
         };

@@ -53,9 +53,9 @@
 //!   results from the killed incarnation are dropped by the epoch guard
 //!   like any stale completion.
 //! * **Fault injection** ([`RemoteConfig::fault`]): a seeded
-//!   [`FaultPlan`] drops/delays/duplicates/truncates/resets frames on
-//!   either direction, which is how the supervision paths are proven —
-//!   see [`crate::fault`].
+//!   [`FaultPlan`](crate::fault::FaultPlan) drops/delays/duplicates/
+//!   truncates/resets frames on either direction, which is how the
+//!   supervision paths are proven — see [`crate::fault`].
 //!
 //! All supervision knobs default *off*; a default-configured engine is
 //! byte-for-byte the pre-supervision engine.
@@ -77,160 +77,32 @@
 //!
 //! [`Payload`]: crate::payload::Payload
 
-use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+mod launcher;
+mod liveness;
+mod transport;
+mod worker;
 
-use bytes::BytesMut;
+use std::io;
+use std::net::TcpListener;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::time::Instant;
 
 use async_cluster::straggler::DelayAssignment;
-use async_cluster::{ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
+use async_cluster::{ClusterSpec, VTime, WorkerId, WorkerProfile};
 
 use crate::engine::{
     check_cluster, Completion, Engine, EngineError, PendingChaos, Roster, Task, TaskDone,
     TaskOutput, WireTask,
 };
-use crate::fault::{FaultAction, FaultDir, FaultInjector, FaultPlan};
-use crate::frame::{encode_frame, read_frame, write_frame, Msg};
+use crate::frame::Msg;
 use crate::payload::DecodeError;
 use crate::worker::WorkerCtx;
 
-/// Default for [`RemoteConfig::handshake_timeout`].
-const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+pub use launcher::{default_worker_bin, RemoteConfig, WorkerLauncher};
+pub use worker::{run_worker_with, worker_main, RoutineFn, RoutineRegistry, WorkerOpts};
 
-/// Upper bound on how long the result pump blocks per wait *while a timer
-/// is armed* (scheduled chaos, liveness, or task deadlines): it waits
-/// until the earliest deadline, capped by this, the historical poll
-/// cadence. With no timers armed it parks on a blocking receive and burns
-/// no cycles.
-const DEFAULT_POLL_INTERVAL: Duration = Duration::from_micros(500);
-
-/// How a [`RemoteEngine`] starts worker incarnations.
-pub enum WorkerLauncher {
-    /// Spawn `program args.. --connect <addr> --worker <id> --epoch <e>`
-    /// (plus `--beat-us <n>` / `--fault <spec>` when heartbeats or fault
-    /// injection are configured) as a child process. The program is
-    /// expected to call [`worker_main`] (or [`run_worker_with`]) with its
-    /// routine registry.
-    Process {
-        /// Worker executable.
-        program: PathBuf,
-        /// Extra arguments placed before the `--connect ..` triple.
-        args: Vec<String>,
-    },
-    /// Run [`run_worker_with`] on an in-process thread — still a real TCP
-    /// connection through the loopback interface, just without the
-    /// process-management half. Used by tests that exercise the wire
-    /// protocol, epoch guard, and disconnect handling in isolation.
-    Loopback(Arc<dyn Fn() -> RoutineRegistry + Send + Sync>),
-}
-
-/// Configuration for [`RemoteEngine::new`]. Everything beyond `addr` and
-/// `launcher` defaults to the unsupervised engine: generous handshake
-/// timeout, no heartbeats, no deadlines, zero-fault transport. There is no
-/// pipeline depth: a worker holds one task at a time (module docs, "One
-/// slot per worker").
-pub struct RemoteConfig {
-    /// Address the driver listens on; workers connect back to it.
-    /// `127.0.0.1:0` (any free loopback port) by default.
-    pub addr: String,
-    /// How worker processes are started.
-    pub launcher: WorkerLauncher,
-    /// How long to wait for a freshly spawned worker process to connect
-    /// and greet before declaring the spawn failed (default 10 s).
-    pub handshake_timeout: Duration,
-    /// Worker heartbeat period. `None` (default) disables heartbeats.
-    pub heartbeat: Option<Duration>,
-    /// Liveness deadline: a worker whose frames (beats or completions)
-    /// stop arriving for this long is declared dead. Requires `heartbeat`.
-    /// `None` (default) disables the check.
-    pub liveness: Option<Duration>,
-    /// Per-task deadline: an in-flight submission older than this kills
-    /// the worker incarnation and surfaces the task as lost. `None`
-    /// (default) disables the check.
-    pub task_deadline: Option<Duration>,
-    /// Wire-level fault injection plan (default zero — no faults).
-    pub fault: FaultPlan,
-}
-
-impl RemoteConfig {
-    pub(crate) fn with_launcher(launcher: WorkerLauncher) -> Self {
-        Self {
-            addr: "127.0.0.1:0".to_string(),
-            launcher,
-            handshake_timeout: DEFAULT_HANDSHAKE_TIMEOUT,
-            heartbeat: None,
-            liveness: None,
-            task_deadline: None,
-            fault: FaultPlan::none(),
-        }
-    }
-
-    /// Process-launching config using `program` as the worker binary.
-    pub fn process(program: PathBuf) -> Self {
-        Self::with_launcher(WorkerLauncher::Process {
-            program,
-            args: Vec::new(),
-        })
-    }
-
-    /// Loopback-thread config (tests); `registry` builds each worker
-    /// incarnation's routine table.
-    pub fn loopback(registry: Arc<dyn Fn() -> RoutineRegistry + Send + Sync>) -> Self {
-        Self::with_launcher(WorkerLauncher::Loopback(registry))
-    }
-}
-
-/// Locates the conventional worker binary (`async_worker`): the
-/// `ASYNC_WORKER_BIN` environment variable if set, otherwise a file named
-/// `async_worker` next to (or in an ancestor target directory of) the
-/// current executable — which finds `target/<profile>/async_worker` from
-/// test binaries, benches, and examples alike.
-pub fn default_worker_bin() -> Option<PathBuf> {
-    if let Ok(p) = std::env::var("ASYNC_WORKER_BIN") {
-        let p = PathBuf::from(p);
-        if p.is_file() {
-            return Some(p);
-        }
-    }
-    let exe = std::env::current_exe().ok()?;
-    for dir in exe.ancestors().skip(1) {
-        let candidate = dir.join("async_worker");
-        if candidate.is_file() {
-            return Some(candidate);
-        }
-    }
-    None
-}
-
-/// One worker incarnation's driver-side connection state.
-struct WorkerConn {
-    /// Write half (a dup of the reader thread's stream).
-    stream: TcpStream,
-    /// The child process, when launched as one.
-    child: Option<Child>,
-}
-
-/// What the per-connection reader threads report.
-enum WireEvent {
-    /// A completion frame arrived.
-    Done {
-        worker: WorkerId,
-        epoch: u64,
-        tag: u64,
-        response: Vec<u8>,
-    },
-    /// A heartbeat frame arrived.
-    Beat { worker: WorkerId, epoch: u64 },
-    /// The connection dropped (EOF, reset, or a malformed frame).
-    Gone { worker: WorkerId, epoch: u64 },
-}
+use launcher::Conn;
+use transport::{send, Frame, WireEvent};
 
 /// What a worker's seat holds beside the task's tag: response decoding,
 /// the bytes the task shipped, and the real instant its deadline counts
@@ -242,38 +114,44 @@ struct Wired {
     issued_real: Instant,
 }
 
+/// Everything the driver keeps per worker beside its roster row.
+struct Link {
+    /// The current incarnation's connection; `None` while it is down.
+    conn: Option<Conn>,
+    /// Driver-side mirror of the incarnation's cache: which
+    /// `(broadcast, version)` keys (and shipped partitions) it holds.
+    /// Reset to empty on revive/join, exactly like the real cache.
+    mirror: WorkerCtx,
+    /// Last instant the worker proved it was alive (handshake, beat, or
+    /// completion).
+    last_beat: Instant,
+}
+
+impl Link {
+    fn new(w: WorkerId) -> Self {
+        Self {
+            conn: None,
+            mirror: WorkerCtx::new(w),
+            last_beat: Instant::now(),
+        }
+    }
+}
+
 /// The remote multi-process engine. See the module docs.
 pub struct RemoteEngine {
     spec: ClusterSpec,
-    assignment: Arc<DelayAssignment>,
-    comm: CommModel,
+    assignment: DelayAssignment,
     time_scale: f64,
     start: Instant,
     listener: TcpListener,
     local_addr: String,
-    launcher: WorkerLauncher,
-    handshake_timeout: Duration,
-    heartbeat: Option<Duration>,
-    liveness: Option<Duration>,
-    task_deadline: Option<Duration>,
-    fault: FaultPlan,
-    conns: Vec<Option<WorkerConn>>,
-    readers: Vec<Option<std::thread::JoinHandle<()>>>,
+    cfg: RemoteConfig,
+    links: Vec<Link>,
     results_tx: Sender<WireEvent>,
     results_rx: Receiver<WireEvent>,
-    /// Driver-side mirror of each worker incarnation's cache: which
-    /// `(broadcast, version)` keys (and shipped partitions) it holds.
-    /// Reset to empty on revive/join, exactly like the real cache.
-    mirrors: Vec<WorkerCtx>,
     /// Membership, one slot per worker, queued completions, and scheduled
     /// membership events.
     roster: Roster<Wired>,
-    /// Last instant each worker proved it was alive (handshake, beat, or
-    /// completion).
-    last_beat: Vec<Instant>,
-    /// Driver→worker fault injectors, one per live incarnation when the
-    /// plan is non-zero.
-    injectors: Vec<Option<FaultInjector>>,
 }
 
 impl RemoteEngine {
@@ -293,37 +171,24 @@ impl RemoteEngine {
             return Err(EngineError::Io(io::ErrorKind::InvalidInput));
         }
         let n = spec.workers;
-        let assignment = Arc::new(spec.delay.assign(n));
-        let comm = spec.comm.clone();
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| EngineError::Io(e.kind()))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| EngineError::Io(e.kind()))?
             .to_string();
-        let (res_tx, res_rx) = channel::<WireEvent>();
-        let now = Instant::now();
+        let (results_tx, results_rx) = channel::<WireEvent>();
         let mut engine = Self {
+            assignment: spec.delay.assign(n),
             spec,
-            assignment,
-            comm,
             time_scale,
-            start: now,
+            start: Instant::now(),
             listener,
             local_addr,
-            launcher: cfg.launcher,
-            handshake_timeout: cfg.handshake_timeout,
-            heartbeat: cfg.heartbeat,
-            liveness: cfg.liveness,
-            task_deadline: cfg.task_deadline,
-            fault: cfg.fault,
-            conns: (0..n).map(|_| None).collect(),
-            readers: (0..n).map(|_| None).collect(),
-            results_tx: res_tx,
-            results_rx: res_rx,
-            mirrors: (0..n).map(WorkerCtx::new).collect(),
+            cfg,
+            links: (0..n).map(Link::new).collect(),
+            results_tx,
+            results_rx,
             roster: Roster::new(n),
-            last_beat: vec![now; n],
-            injectors: (0..n).map(|_| None).collect(),
         };
         for w in 0..n {
             engine
@@ -338,261 +203,54 @@ impl RemoteEngine {
         &self.local_addr
     }
 
-    /// Launches worker `w`'s current incarnation and completes the
-    /// connection handshake.
-    fn spawn_worker(&mut self, w: WorkerId) -> io::Result<()> {
-        let epoch = self.roster.epoch(w);
-        let opts = WorkerOpts {
-            heartbeat: self.heartbeat,
-            fault: self.fault.clone(),
-        };
-        let mut child = match &self.launcher {
-            WorkerLauncher::Process { program, args } => {
-                let mut cmd = Command::new(program);
-                cmd.args(args)
-                    .arg("--connect")
-                    .arg(&self.local_addr)
-                    .arg("--worker")
-                    .arg(w.to_string())
-                    .arg("--epoch")
-                    .arg(epoch.to_string());
-                if let Some(beat) = opts.heartbeat {
-                    cmd.arg("--beat-us").arg(beat.as_micros().to_string());
-                }
-                if !opts.fault.is_zero() {
-                    cmd.arg("--fault").arg(opts.fault.to_spec());
-                }
-                Some(cmd.stdin(Stdio::null()).spawn()?)
-            }
-            WorkerLauncher::Loopback(factory) => {
-                let addr = self.local_addr.clone();
-                let factory = Arc::clone(factory);
-                std::thread::Builder::new()
-                    .name(format!("remote-loopback-{w}-e{epoch}"))
-                    .spawn(move || {
-                        let _ = run_worker_with(&addr, w as u32, epoch, factory(), opts);
-                    })?;
-                None
-            }
-        };
-        let stream = match self.await_hello(w, epoch, child.as_mut()) {
-            Ok(s) => s,
-            Err(e) => {
-                if let Some(mut c) = child {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                return Err(e);
-            }
-        };
-        let reader_stream = stream.try_clone()?;
-        self.conns[w] = Some(WorkerConn { stream, child });
-        self.last_beat[w] = Instant::now();
-        self.injectors[w] = self
-            .fault
-            .applies(FaultDir::DriverToWorker)
-            .then(|| self.fault.injector(w, epoch, FaultDir::DriverToWorker));
-        let tx = self.results_tx.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("remote-reader-{w}-e{epoch}"))
-            .spawn(move || reader_loop(w, epoch, reader_stream, tx))?;
-        if let Some(old) = self.readers[w].replace(handle) {
-            let _ = old.join();
-        }
-        Ok(())
-    }
-
-    /// Accepts connections until incarnation `epoch` of worker `w` greets,
-    /// dropping stale or foreign greetings, with a deadline.
-    fn await_hello(
-        &self,
-        w: WorkerId,
-        epoch: u64,
-        mut child: Option<&mut Child>,
-    ) -> io::Result<TcpStream> {
-        let timeout = self.handshake_timeout;
-        let deadline = Instant::now() + timeout;
-        self.listener.set_nonblocking(true)?;
-        loop {
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(timeout))?;
-                    match read_frame(&mut stream) {
-                        Ok(Msg::WorkerUp {
-                            worker,
-                            epoch: greeted,
-                        }) if worker as WorkerId == w && greeted == epoch => {
-                            stream.set_read_timeout(None)?;
-                            stream.set_nodelay(true)?;
-                            return Ok(stream);
-                        }
-                        // A greeting from a stale incarnation or unexpected
-                        // worker, a torn frame from a peer that dropped
-                        // mid-handshake, or outright garbage: close it and
-                        // keep waiting for ours.
-                        _ => {
-                            let _ = stream.shutdown(Shutdown::Both);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if let Some(c) = child.as_deref_mut() {
-                        if let Some(status) = c.try_wait()? {
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionRefused,
-                                format!("worker {w} exited before connecting: {status}"),
-                            ));
-                        }
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("worker {w} did not connect within {timeout:?}"),
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn elapsed(&self) -> VTime {
-        VTime::from_micros(self.start.elapsed().as_micros() as u64)
-    }
-
-    /// Tears down worker `w`'s current incarnation: socket shutdown, child
-    /// kill + reap, injector dropped. The reader thread exits on the
-    /// dropped connection and its `Gone` event is epoch-filtered.
-    fn teardown_conn(&mut self, w: WorkerId) {
-        self.injectors[w] = None;
-        if let Some(mut conn) = self.conns[w].take() {
-            let _ = write_frame(&mut conn.stream, &Msg::Shutdown);
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            if let Some(mut child) = conn.child {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
-    }
-
-    /// The instant `w` is declared dead unless a frame (or its task's
-    /// result) arrives first: the earlier of its liveness and task
-    /// deadlines, where configured. `None` for a dead worker.
-    fn deadline(&self, w: WorkerId) -> Option<Instant> {
-        if !self.roster.alive(w) {
+    fn accept(&mut self, ev: WireEvent) -> Option<Completion> {
+        let WireEvent {
+            worker,
+            epoch,
+            frame,
+        } = ev;
+        if !self.roster.current(worker, epoch) {
+            // A result, beat or drop of an incarnation already torn down
+            // (a flushed orphan's loss was reported with the kill).
             return None;
         }
-        let silent = self.liveness.map(|liv| self.last_beat[w] + liv);
-        let overdue = self
-            .task_deadline
-            .zip(self.roster.seat_of(w))
-            .map(|(dl, s)| s.payload.issued_real + dl);
-        silent.into_iter().chain(overdue).min()
-    }
-
-    /// Declares workers dead for missed liveness or task deadlines. Runs
-    /// in every pump iteration; both checks are no-ops unless configured.
-    fn enforce_deadlines(&mut self) {
-        if self.liveness.is_none() && self.task_deadline.is_none() {
-            return;
-        }
-        let now = Instant::now();
-        let victims: Vec<WorkerId> = (0..self.roster.workers())
-            .filter(|&w| self.deadline(w).is_some_and(|d| d < now))
-            .collect();
-        for w in victims {
-            self.kill_worker(w);
-        }
-    }
-
-    /// Time until the earliest armed timer (scheduled chaos, liveness
-    /// deadline, task deadline), or `None` when no timer is armed and the
-    /// pump can park indefinitely.
-    fn wait_horizon(&self) -> Option<Duration> {
-        let now = Instant::now();
-        let chaos = self
-            .roster
-            .next_event_at()
-            .map(|at| Duration::from_micros(at.saturating_since(self.elapsed()).as_micros()));
-        (0..self.roster.workers())
-            .filter_map(|w| self.deadline(w))
-            .map(|d| d.saturating_duration_since(now))
-            .chain(chaos)
-            .min()
-    }
-
-    /// One deadline-aware wait on the result channel: parks indefinitely
-    /// when no timer is armed, otherwise until the earliest deadline
-    /// (capped by [`DEFAULT_POLL_INTERVAL`]).
-    fn wait_event(&self) -> Result<WireEvent, RecvTimeoutError> {
-        match self.wait_horizon() {
-            None => self
-                .results_rx
-                .recv()
-                .map_err(|_| RecvTimeoutError::Disconnected),
-            Some(d) => self.results_rx.recv_timeout(d.min(DEFAULT_POLL_INTERVAL)),
-        }
-    }
-
-    fn accept(&mut self, ev: WireEvent) -> Option<Completion> {
-        match ev {
-            WireEvent::Done {
-                worker,
-                epoch,
-                tag,
-                response,
-            } => {
-                if !self.roster.current(worker, epoch) {
-                    // Orphaned result flushed by a killed incarnation
-                    // before its socket died: its loss was already
-                    // reported.
-                    return None;
-                }
-                // Any frame proves liveness.
-                self.last_beat[worker] = Instant::now();
-                let finished_at = self.elapsed();
-                // An unsolicited completion — a duplicated frame or a
-                // protocol violation — answers no seat: nothing is owed
-                // for it.
-                let seat = self.roster.seat_of(worker).filter(|s| s.tag == tag)?;
-                match (seat.payload.decode)(&response) {
-                    Ok(output) => {
-                        let seat = self.roster.finish(worker, epoch, tag)?;
-                        Some(Completion::Done(TaskDone {
-                            worker,
-                            tag,
-                            output,
-                            issued_at: seat.issued_at,
-                            finished_at,
-                            service_time: finished_at.saturating_since(seat.issued_at),
-                            bytes_in: seat.payload.bytes_in,
-                        }))
-                    }
-                    Err(_) => {
-                        // A response this driver cannot decode means the
-                        // incarnation is not speaking the protocol — treat
-                        // it like a crashed worker, whose still-seated
-                        // task is lost.
-                        self.kill_worker(worker);
-                        None
-                    }
-                }
+        let (tag, response) = match frame {
+            Frame::Done { tag, response } => (tag, response),
+            Frame::Beat => {
+                self.links[worker].last_beat = Instant::now();
+                return None;
             }
-            WireEvent::Beat { worker, epoch } => {
-                if self.roster.current(worker, epoch) {
-                    self.last_beat[worker] = Instant::now();
-                }
-                None
+            Frame::Gone => {
+                // A real, uncommanded connection drop: lost task, dead
+                // worker (revivable like any other death).
+                self.kill_worker(worker);
+                return None;
             }
-            WireEvent::Gone { worker, epoch } => {
-                // A real, uncommanded connection drop: dropped socket →
-                // lost tasks, dead worker (revivable like any other death).
-                // A stale one is expected: we tore that connection down.
-                if self.roster.current(worker, epoch) {
-                    self.kill_worker(worker);
-                }
+        };
+        // Any frame proves liveness.
+        self.links[worker].last_beat = Instant::now();
+        let finished_at = self.now();
+        // An unsolicited completion — a duplicated frame or a protocol
+        // violation — answers no seat: nothing is owed for it.
+        let seat = self.roster.seat_of(worker).filter(|s| s.tag == tag)?;
+        match (seat.payload.decode)(&response) {
+            Ok(output) => {
+                let seat = self.roster.finish(worker, epoch, tag)?;
+                Some(Completion::Done(TaskDone {
+                    worker,
+                    tag,
+                    output,
+                    issued_at: seat.issued_at,
+                    finished_at,
+                    service_time: finished_at.saturating_since(seat.issued_at),
+                    bytes_in: seat.payload.bytes_in,
+                }))
+            }
+            Err(_) => {
+                // A response this driver cannot decode means the
+                // incarnation is not speaking the protocol — treat it like
+                // a crashed worker, whose still-seated task is lost.
+                self.kill_worker(worker);
                 None
             }
         }
@@ -615,97 +273,13 @@ impl RemoteEngine {
     }
 }
 
-/// Writes one frame through a fault injector: delivers, drops, delays,
-/// duplicates, truncates (torn frame + shutdown), or resets per the
-/// injector's deterministic stream. Truncate and reset return an error —
-/// the connection is gone, exactly like a peer dying mid-write.
-fn write_with_faults(stream: &mut TcpStream, msg: &Msg, inj: &mut FaultInjector) -> io::Result<()> {
-    let mut buf = BytesMut::new();
-    encode_frame(msg, &mut buf);
-    match inj.next_action(buf.len()) {
-        FaultAction::Deliver => {
-            stream.write_all(&buf)?;
-            stream.flush()
-        }
-        FaultAction::Drop => Ok(()),
-        FaultAction::Delay(d) => {
-            std::thread::sleep(d);
-            stream.write_all(&buf)?;
-            stream.flush()
-        }
-        FaultAction::Duplicate => {
-            stream.write_all(&buf)?;
-            stream.write_all(&buf)?;
-            stream.flush()
-        }
-        FaultAction::Truncate(n) => {
-            let _ = stream.write_all(&buf[..n]);
-            let _ = stream.flush();
-            let _ = stream.shutdown(Shutdown::Both);
-            Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "fault injection: torn frame",
-            ))
-        }
-        FaultAction::Reset => {
-            let _ = stream.shutdown(Shutdown::Both);
-            Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "fault injection: connection reset",
-            ))
-        }
-    }
-}
-
-fn reader_loop(w: WorkerId, epoch: u64, mut stream: TcpStream, tx: Sender<WireEvent>) {
-    loop {
-        match read_frame(&mut stream) {
-            Ok(Msg::Completion {
-                tag,
-                epoch: e,
-                response,
-            }) => {
-                if tx
-                    .send(WireEvent::Done {
-                        worker: w,
-                        epoch: e,
-                        tag,
-                        response,
-                    })
-                    .is_err()
-                {
-                    break; // engine dropped
-                }
-            }
-            Ok(Msg::Heartbeat { epoch: e, .. }) => {
-                // Trust the connection's identity over the frame's worker
-                // field, like completions; the epoch still guards staleness.
-                if tx
-                    .send(WireEvent::Beat {
-                        worker: w,
-                        epoch: e,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            Ok(_) => continue,
-            Err(_) => {
-                let _ = tx.send(WireEvent::Gone { worker: w, epoch });
-                break;
-            }
-        }
-    }
-}
-
 impl Engine for RemoteEngine {
     fn workers(&self) -> usize {
         self.roster.workers()
     }
 
     fn now(&self) -> VTime {
-        self.elapsed()
+        VTime::from_micros(self.start.elapsed().as_micros() as u64)
     }
 
     fn available(&self, w: WorkerId) -> bool {
@@ -725,15 +299,16 @@ impl Engine for RemoteEngine {
     fn submit_wired(&mut self, w: WorkerId, task: Task, wire: WireTask) -> Result<(), EngineError> {
         self.roster.check(w)?;
         let seq = self.roster.next_seq(w);
+        let link = &mut self.links[w];
         // Build the request against the worker's mirrored cache — the
         // remote analogue of the simulator running the closure at
         // submission. Fetch charges (snapshots, patches, shipped blocks)
         // fold into the task's bytes exactly as worker-side misses would.
-        let request = (wire.build)(&mut self.mirrors[w]);
-        let total_bytes = task.bytes_in + self.mirrors[w].take_charges();
+        let request = (wire.build)(&mut link.mirror);
+        let total_bytes = task.bytes_in + link.mirror.take_charges();
         let factor = self.assignment.factor(w, seq);
         let modelled =
-            self.spec.profiles[w].exec_time(task.cost) + self.comm.transfer_time(total_bytes);
+            self.spec.profiles[w].exec_time(task.cost) + self.spec.comm.transfer_time(total_bytes);
         let sleep_us = (modelled.as_micros() as f64 * self.time_scale * factor) as u64;
         let msg = Msg::Submit {
             tag: task.tag,
@@ -743,14 +318,11 @@ impl Engine for RemoteEngine {
             slow_factor: (factor - 1.0).max(0.0),
             request,
         };
-        let conn = self.conns[w]
+        let sent = link
+            .conn
             .as_mut()
-            .expect("alive worker has a connection");
-        let written = match self.injectors[w].as_mut() {
-            Some(inj) => write_with_faults(&mut conn.stream, &msg, inj),
-            None => write_frame(&mut conn.stream, &msg),
-        };
-        if written.is_err() {
+            .map(|c| send(&mut c.stream, &msg, c.injector.as_mut()));
+        if !matches!(sent, Some(Ok(()))) {
             // The process died under us between completions (or fault
             // injection reset the connection): surface the death now. The
             // task was never seated, so no loss is queued for it.
@@ -762,7 +334,7 @@ impl Engine for RemoteEngine {
             bytes_in: total_bytes,
             issued_real: Instant::now(),
         };
-        let now = self.elapsed();
+        let now = self.now();
         self.roster.seat(w, task.tag, now, wired);
         Ok(())
     }
@@ -811,9 +383,6 @@ impl Engine for RemoteEngine {
         if self.roster.alive(w) {
             return Err(EngineError::WorkerAlive(w));
         }
-        // A fresh incarnation: new process, new connection, and an empty
-        // mirror — the next wired submission re-ships whatever it needs.
-        self.mirrors[w] = WorkerCtx::new(w);
         let started = self.spawn_worker(w);
         self.roster.revive(w, started)
     }
@@ -821,11 +390,7 @@ impl Engine for RemoteEngine {
     fn add_worker(&mut self) -> WorkerId {
         let w = self.roster.join();
         self.spec.profiles.push(WorkerProfile::default_speed());
-        self.mirrors.push(WorkerCtx::new(w));
-        self.last_beat.push(Instant::now());
-        self.injectors.push(None);
-        self.conns.push(None);
-        self.readers.push(None);
+        self.links.push(Link::new(w));
         // A joiner that fails to start died at birth: the roster reports
         // it up, then down.
         let started = self.spawn_worker(w);
@@ -852,244 +417,27 @@ impl Engine for RemoteEngine {
 
 impl Drop for RemoteEngine {
     fn drop(&mut self) {
-        for w in 0..self.conns.len() {
+        for w in 0..self.links.len() {
             self.teardown_conn(w);
         }
-        for h in self.readers.iter_mut() {
-            if let Some(h) = h.take() {
-                let _ = h.join();
-            }
-        }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Worker-process side
-// ---------------------------------------------------------------------------
-
-/// A worker-side request handler: decode the request bytes, compute
-/// against the worker's local cache, encode the response bytes.
-pub type RoutineFn = Box<dyn Fn(&mut WorkerCtx, &[u8]) -> Result<Vec<u8>, DecodeError>>;
-
-/// Maps routine ids to handlers; each worker incarnation owns one.
-#[derive(Default)]
-pub struct RoutineRegistry {
-    handlers: HashMap<u32, RoutineFn>,
-}
-
-impl RoutineRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers `f` as routine `id`, replacing any previous handler.
-    pub fn register(
-        &mut self,
-        id: u32,
-        f: impl Fn(&mut WorkerCtx, &[u8]) -> Result<Vec<u8>, DecodeError> + 'static,
-    ) {
-        self.handlers.insert(id, Box::new(f));
-    }
-}
-
-/// Worker-side runtime options: the heartbeat period the driver asked for
-/// and the transport fault plan this endpoint applies to its own writes.
-/// Defaults are "no beats, no faults" — the pre-supervision worker.
-#[derive(Clone, Debug, Default)]
-pub struct WorkerOpts {
-    /// Heartbeat period (`--beat-us` on a worker command line).
-    pub heartbeat: Option<Duration>,
-    /// Fault plan for worker→driver frames (`--fault <spec>`).
-    pub fault: FaultPlan,
-}
-
-/// The generic worker-process loop: connect back to the driver, greet,
-/// then serve submissions until shutdown or disconnect.
-///
-/// A request naming an unregistered routine, or one whose handler reports
-/// a decode error, terminates the worker with an error — the driver
-/// observes the dropped connection and reports the in-flight task lost,
-/// which is exactly the fault model for a crashed executor.
-///
-/// With a heartbeat period set, a dedicated thread beats over the same
-/// connection (writes are mutex-serialized with completions) so a
-/// long-running routine never silences the worker. With a non-zero fault
-/// plan, completion and heartbeat writes pass through this worker's
-/// deterministic [`FaultInjector`]; the greeting is exempt (see
-/// [`crate::fault`]). A hang-faulted worker keeps computing but stops
-/// writing anything — the driver-side liveness deadline is the only way
-/// to notice.
-pub fn run_worker_with(
-    addr: &str,
-    worker: u32,
-    epoch: u64,
-    registry: RoutineRegistry,
-    opts: WorkerOpts,
-) -> io::Result<()> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let write = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut read = stream;
-    {
-        let mut wh = write.lock().expect("fresh write lock");
-        write_frame(&mut *wh, &Msg::WorkerUp { worker, epoch })?;
-    }
-    let mut inj = opts.fault.applies(FaultDir::WorkerToDriver).then(|| {
-        opts.fault
-            .injector(worker as usize, epoch, FaultDir::WorkerToDriver)
-    });
-    let hung = Arc::new(AtomicBool::new(false));
-    if inj.as_ref().is_some_and(|i| i.hang_reached()) {
-        hung.store(true, Ordering::SeqCst);
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let beat_handle = opts.heartbeat.map(|period| {
-        let write = Arc::clone(&write);
-        let hung = Arc::clone(&hung);
-        let stop = Arc::clone(&stop);
-        // The beat thread gets its own injector stream, decorrelated from
-        // the completion stream by flipping the epoch's top bit; the hang
-        // verdict is shared through the flag so "hung" silences both.
-        let mut binj = opts.fault.applies(FaultDir::WorkerToDriver).then(|| {
-            opts.fault
-                .injector(worker as usize, epoch | (1 << 63), FaultDir::WorkerToDriver)
-        });
-        std::thread::Builder::new()
-            .name(format!("worker-beat-{worker}-e{epoch}"))
-            .spawn(move || loop {
-                std::thread::sleep(period);
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if hung.load(Ordering::SeqCst) {
-                    continue;
-                }
-                let msg = Msg::Heartbeat { worker, epoch };
-                let res = {
-                    let mut s = write.lock().expect("beat write lock");
-                    match binj.as_mut() {
-                        Some(i) => write_with_faults(&mut s, &msg, i),
-                        None => write_frame(&mut *s, &msg),
-                    }
-                };
-                if res.is_err() {
-                    break; // connection gone; the serve loop will see it too
-                }
-            })
-            .expect("spawn beat thread")
-    });
-    let served = (|| -> io::Result<()> {
-        let mut ctx = WorkerCtx::new(worker as WorkerId);
-        loop {
-            match read_frame(&mut read)? {
-                Msg::Submit {
-                    tag,
-                    epoch: e,
-                    routine,
-                    sleep_us,
-                    slow_factor,
-                    request,
-                } => {
-                    let handler = registry.handlers.get(&routine).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!("unregistered routine {routine}"),
-                        )
-                    })?;
-                    let t0 = Instant::now();
-                    let response = handler(&mut ctx, &request)
-                        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
-                    let measured = t0.elapsed();
-                    // Byte charges are accounted by the driver-side mirror;
-                    // drain the local ones so they never accumulate.
-                    let _ = ctx.take_charges();
-                    // The modelled (pre-scaled) delay shipped by the driver,
-                    // plus the straggler stretch of real compute time — the
-                    // threaded engine's sleep, across a socket.
-                    let sleep = sleep_us as f64 + measured.as_secs_f64() * 1e6 * slow_factor;
-                    if sleep >= 1.0 {
-                        std::thread::sleep(Duration::from_micros(sleep as u64));
-                    }
-                    if hung.load(Ordering::SeqCst) {
-                        // Hang fault: keep serving, write nothing.
-                        continue;
-                    }
-                    let msg = Msg::Completion {
-                        tag,
-                        epoch: e,
-                        response,
-                    };
-                    {
-                        let mut s = write.lock().expect("completion write lock");
-                        match inj.as_mut() {
-                            Some(i) => write_with_faults(&mut s, &msg, i)?,
-                            None => write_frame(&mut *s, &msg)?,
-                        }
-                    }
-                    if inj.as_ref().is_some_and(|i| i.hang_reached()) {
-                        hung.store(true, Ordering::SeqCst);
-                    }
-                }
-                Msg::Shutdown => return Ok(()),
-                // Nothing else is driver→worker; ignore rather than die.
-                _ => continue,
-            }
-        }
-    })();
-    stop.store(true, Ordering::SeqCst);
-    if let Some(h) = beat_handle {
-        let _ = h.join();
-    }
-    served
-}
-
-/// Entry point for worker binaries: parses `--connect <addr> --worker <id>
-/// --epoch <e>` (plus the optional `--beat-us <n>` heartbeat period and
-/// `--fault <spec>` plan) from `std::env::args` and runs
-/// [`run_worker_with`]. A worker binary is three lines: build a registry,
-/// call this, exit.
-pub fn worker_main(registry: RoutineRegistry) -> io::Result<()> {
-    let mut addr = None;
-    let mut worker = None;
-    let mut epoch = 0u64;
-    let mut opts = WorkerOpts::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--connect" => addr = args.next(),
-            "--worker" => worker = args.next().and_then(|v| v.parse::<u32>().ok()),
-            "--epoch" => epoch = args.next().and_then(|v| v.parse().ok()).unwrap_or(0),
-            "--beat-us" => {
-                opts.heartbeat = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .map(Duration::from_micros)
-            }
-            "--fault" => {
-                let spec = args.next().unwrap_or_default();
-                opts.fault = FaultPlan::from_spec(&spec)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-            }
-            _ => {}
-        }
-    }
-    let (addr, worker) = match (addr, worker) {
-        (Some(a), Some(w)) => (a, w),
-        _ => return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "usage: --connect <addr> --worker <id> [--epoch <e>] [--beat-us <n>] [--fault <spec>]",
-        )),
-    };
-    run_worker_with(&addr, worker, epoch, registry, opts)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
     use async_cluster::{CommModel, DelayModel, VDur};
     use bytes::BytesMut;
 
+    use super::*;
+    use crate::fault::{FaultDir, FaultPlan};
+    use crate::frame::write_frame;
     use crate::payload::Payload;
 
     fn spec(workers: usize) -> ClusterSpec {
@@ -1224,7 +572,7 @@ mod tests {
         while matches!(e.next(), Some(Completion::Done(_))) {}
         // Seed the mirror, then kill: the revived incarnation must not
         // remember the key.
-        e.mirrors[0].cache_put_local((7, 0), Arc::new(()));
+        e.links[0].mirror.cache_put_local((7, 0), Arc::new(()));
         e.kill_worker(0);
         assert!(matches!(
             e.next(),
@@ -1232,7 +580,7 @@ mod tests {
         ));
         e.revive_worker(0).unwrap();
         assert!(matches!(e.next(), Some(Completion::WorkerUp { worker: 0 })));
-        assert_eq!(e.mirrors[0].cache_len(), 0);
+        assert_eq!(e.links[0].mirror.cache_len(), 0);
         let (task, wire) = wired(2, 21);
         e.submit_wired(0, task, wire).unwrap();
         match e.next() {
@@ -1750,5 +1098,62 @@ mod tests {
         e.schedule_revival(0, VTime::from_micros(50_000));
         e.schedule_failure(0, VTime::from_micros(10_000));
         assert_eq!(e.next_event_at(), Some(VTime::from_micros(10_000)));
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn worker_args_roundtrip_through_the_command_line() {
+        let fault = FaultPlan {
+            seed: 3,
+            drop: 0.25,
+            hang_worker: Some(1),
+            hang_after: 4,
+            only: Some(FaultDir::WorkerToDriver),
+            ..FaultPlan::default()
+        };
+        for (heartbeat, fault) in [
+            (None, FaultPlan::none()),
+            (Some(Duration::from_micros(2_500)), fault),
+        ] {
+            let args = launcher::WorkerArgs {
+                addr: "127.0.0.1:4242".into(),
+                worker: 7,
+                epoch: 12,
+                opts: WorkerOpts { heartbeat, fault },
+            };
+            // The launcher's own arguments lead the command line.
+            let line = strings(&["-v", "--threads", "2"])
+                .into_iter()
+                .chain(args.to_args());
+            let back = launcher::WorkerArgs::parse(line).expect("a written line parses");
+            assert_eq!(
+                (back.addr.as_str(), back.worker, back.epoch),
+                (args.addr.as_str(), args.worker, args.epoch)
+            );
+            assert_eq!(back.opts.heartbeat, args.opts.heartbeat);
+            assert_eq!(back.opts.fault, args.opts.fault);
+        }
+    }
+
+    #[test]
+    fn malformed_worker_flags_are_refused() {
+        let base = ["--connect", "127.0.0.1:1", "--worker", "0"];
+        for bad in [
+            &["--epoch", "x"][..],
+            &["--beat-us", "-1"],
+            &["--worker", "w"],
+            &["--fault", "drop=lots"],
+            &["--epoch"],
+        ] {
+            let line = strings(&base).into_iter().chain(strings(bad));
+            let err = launcher::WorkerArgs::parse(line).expect_err("malformed flag");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad:?}");
+            assert!(err.to_string().contains("usage:"), "{bad:?}: {err}");
+        }
+        let missing = launcher::WorkerArgs::parse(strings(&["--connect", "127.0.0.1:1"]));
+        assert_eq!(missing.unwrap_err().kind(), io::ErrorKind::InvalidInput);
     }
 }
