@@ -4,23 +4,31 @@
 //! equal-length slices in `chunks_exact` blocks or zipped, after an explicit
 //! length assert, so LLVM vectorizes them without bounds checks.
 //!
-//! The row kernels ([`dot`], [`dot2`], [`axpy`], [`norm2_sq`]) read their row
-//! operand as any [`Element`]: `f32` feature rows and `f64` model vectors go
-//! through one body. Widening `f32` to `f64` is exact, so on `f32` data a
-//! kernel performs the `f64` operations, in the order, of its `f64`
-//! instantiation on the widened copy — bit for bit, the contract
+//! The row kernels ([`dot`], [`dot4`], [`axpy`], [`axpy4`], [`norm2_sq`])
+//! read their row operand as any [`Element`]: `f32` feature rows and `f64`
+//! model vectors go through one body. Widening `f32` to `f64` is exact, so
+//! on `f32` data a kernel performs the `f64` operations, in the order, of
+//! its `f64` instantiation on the widened copy — bit for bit, the contract
 //! `f32_storage_is_the_f64_kernel_on_widened_values` proptests.
 //!
+//! **Four rows per pass.** [`dot4`] and [`axpy4`] serve the dense row
+//! loops (`DenseMatrix::{rows_dot_into, rows_axpy}`) four rows at a time.
+//! Lane `k` of [`dot4`] is [`dot`] on row `k`, and [`axpy4`] adds its terms
+//! to each `yⱼ` in row order as four [`axpy`]s would — the one-row kernels'
+//! bits (`dot4_and_axpy4_are_four_dots_and_axpys_bit_for_bit`), from four
+//! independent chains and one pass over `y` per quad.
+//!
 //! **Vector width.** On x86-64 each row kernel's body is compiled twice —
-//! for the baseline (SSE2, two `f64` lanes) and as `dot_avx2`, `dot2_avx2`
-//! and `axpy_avx2` with AVX2 (four lanes) — and the public kernel runs the
-//! wide one when `is_x86_feature_detected!("avx2")`; other targets compile
-//! the body only. The lane contract makes the two bit-identical
-//! (`avx2_instantiation_is_the_baseline_bit_for_bit`): the four
-//! accumulators of [`dot`] and [`dot2`] are the four lanes, [`axpy`] is
-//! elementwise, and Rust neither contracts `a * b + c` nor reassociates.
-//! Hence `avx2` only: FMA rounds once where the body rounds twice, and
-//! AVX-512's eight lanes would be eight accumulators — a different sum.
+//! for the baseline (SSE2, two `f64` lanes) and as `dot_avx2`, `dot4_avx2`,
+//! `axpy_avx2` and `axpy4_avx2` with AVX2 (four lanes) — and the public
+//! kernel runs the wide one when `is_x86_feature_detected!("avx2")`; other
+//! targets compile the body only. The lane contract makes the two
+//! bit-identical (`avx2_instantiation_is_the_baseline_bit_for_bit`): the
+//! four accumulators of a row in [`dot`] and [`dot4`] are the four lanes,
+//! [`axpy`] and [`axpy4`] are elementwise, and Rust neither contracts
+//! `a * b + c` nor reassociates. Hence `avx2` only: FMA rounds once where
+//! the body rounds twice, and AVX-512's eight lanes would be eight
+//! accumulators — a different sum.
 
 mod sealed {
     pub trait Sealed {}
@@ -49,7 +57,7 @@ impl Element for f64 {
     }
 }
 
-/// `(s₀ + s₁) + (s₂ + s₃)`, the lane reduction of [`dot`] and [`dot2`].
+/// `(s₀ + s₁) + (s₂ + s₃)`, the lane reduction of [`dot`] and [`dot4`].
 ///
 /// Out of line on purpose. To pass them, a caller stores its four
 /// accumulators as one consecutive group, and a store group is where LLVM's
@@ -92,71 +100,90 @@ fn dot_avx2<X: Element, Y: Element>(x: &[X], y: &[Y]) -> f64 {
 fn dot_body<X: Element, Y: Element>(x: &[X], y: &[Y]) -> f64 {
     // Four-way unrolled accumulation: breaks the sequential FP dependency
     // chain, which matters for long vectors (d up to ~47k in rcv1-like data).
-    let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0, 0.0, 0.0, 0.0);
+    let mut acc = (0.0, 0.0, 0.0, 0.0);
     let (xc, yc) = (x.chunks_exact(4), y.chunks_exact(4));
     let (x_tail, y_tail) = (xc.remainder(), yc.remainder());
     for (xb, yb) in xc.zip(yc) {
-        acc0 += xb[0].widen() * yb[0].widen();
-        acc1 += xb[1].widen() * yb[1].widen();
-        acc2 += xb[2].widen() * yb[2].widen();
-        acc3 += xb[3].widen() * yb[3].widen();
+        acc = block(acc, xb, yb);
     }
+    finish(acc, x_tail, y_tail)
+}
+
+/// Four dot products in one pass: lane `k` is `x[k]ᵀy[k]`, bit-identical to
+/// [`dot`] (its accumulators, tail and `sum4` order), from four
+/// independent chains. Rows and `y`s may alias each other.
+///
+/// # Panics
+/// Panics if the eight slices do not share one length.
+#[inline]
+pub fn dot4<T: Element>(x: [&[T]; 4], y: [&[f64]; 4]) -> [f64; 4] {
+    let n = x[0].len();
+    let same = x.iter().all(|r| r.len() == n) && y.iter().all(|r| r.len() == n);
+    assert!(same, "dot4: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `dot4_avx2` needs AVX2, which the line above detected.
+        return unsafe { dot4_avx2(x, y) };
+    }
+    dot4_body(x, y)
+}
+
+/// [`dot4`]'s body compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot4_avx2<T: Element>(x: [&[T]; 4], y: [&[f64]; 4]) -> [f64; 4] {
+    dot4_body(x, y)
+}
+
+#[inline(always)]
+fn dot4_body<T: Element>(x: [&[T]; 4], y: [&[f64]; 4]) -> [f64; 4] {
+    // One group of four accumulators per row, as in `dot_body`: LLVM
+    // vectorises each group into one register. Held in arrays, they came
+    // out as scalar chains beside two-lane pairs.
+    let zero = (0.0, 0.0, 0.0, 0.0);
+    let (mut a, mut b, mut c, mut d) = (zero, zero, zero, zero);
+    let (xc, yc) = (x.map(|r| r.chunks_exact(4)), y.map(|r| r.chunks_exact(4)));
+    let xt = xc.clone().map(|c| c.remainder());
+    let yt = yc.clone().map(|c| c.remainder());
+    let [x0, x1, x2, x3] = xc;
+    let [y0, y1, y2, y3] = yc;
+    let blocks = x0.zip(y0).zip(x1.zip(y1)).zip(x2.zip(y2)).zip(x3.zip(y3));
+    for ((((xa, ya), (xb, yb)), (xc, yc)), (xd, yd)) in blocks {
+        (a, b, c, d) = (
+            block(a, xa, ya),
+            block(b, xb, yb),
+            block(c, xc, yc),
+            block(d, xd, yd),
+        );
+    }
+    let [ta, tb, tc, td] = xt;
+    [
+        finish(a, ta, yt[0]),
+        finish(b, tb, yt[1]),
+        finish(c, tc, yt[2]),
+        finish(d, td, yt[3]),
+    ]
+}
+
+/// One four-wide block of one row: each accumulator adds its lane's product.
+#[inline(always)]
+fn block<X: Element, Y: Element>(s: Acc4, x: &[X], y: &[Y]) -> Acc4 {
+    let p = |k: usize| x[k].widen() * y[k].widen();
+    (s.0 + p(0), s.1 + p(1), s.2 + p(2), s.3 + p(3))
+}
+
+/// A row's four accumulators, one per lane.
+type Acc4 = (f64, f64, f64, f64);
+
+/// A row's ending in [`dot`] and [`dot4`]: the tail summed in order, then
+/// `sum4(acc) + tail`.
+#[inline(always)]
+fn finish<X: Element, Y: Element>(acc: Acc4, x_tail: &[X], y_tail: &[Y]) -> f64 {
     let mut rest = 0.0;
     for (xi, yi) in x_tail.iter().zip(y_tail) {
         rest += xi.widen() * yi.widen();
     }
-    sum4(&[acc0, acc1, acc2, acc3]) + rest
-}
-
-/// `(xᵀa, xᵀb)` in one pass over `x`, each bit-identical to [`dot`] (its
-/// accumulators, tail and summation order): a row read from memory once
-/// serves both margins and, still in L1, the caller's [`axpy`].
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn dot2<T: Element>(x: &[T], a: &[f64], b: &[f64]) -> (f64, f64) {
-    assert_eq!(x.len(), a.len(), "dot2: length mismatch");
-    assert_eq!(x.len(), b.len(), "dot2: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: `dot2_avx2` needs AVX2, which the line above detected.
-        return unsafe { dot2_avx2(x, a, b) };
-    }
-    dot2_body(x, a, b)
-}
-
-/// [`dot2`]'s body compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn dot2_avx2<T: Element>(x: &[T], a: &[f64], b: &[f64]) -> (f64, f64) {
-    dot2_body(x, a, b)
-}
-
-#[inline(always)]
-fn dot2_body<T: Element>(x: &[T], a: &[f64], b: &[f64]) -> (f64, f64) {
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-    let (mut b0, mut b1, mut b2, mut b3) = (0.0, 0.0, 0.0, 0.0);
-    let (xc, ac, bc) = (x.chunks_exact(4), a.chunks_exact(4), b.chunks_exact(4));
-    let tail = (xc.remainder(), ac.remainder(), bc.remainder());
-    for ((xk, ak), bk) in xc.zip(ac).zip(bc) {
-        let (x0, x1, x2, x3) = (xk[0].widen(), xk[1].widen(), xk[2].widen(), xk[3].widen());
-        a0 += x0 * ak[0];
-        a1 += x1 * ak[1];
-        a2 += x2 * ak[2];
-        a3 += x3 * ak[3];
-        b0 += x0 * bk[0];
-        b1 += x1 * bk[1];
-        b2 += x2 * bk[2];
-        b3 += x3 * bk[3];
-    }
-    let (mut rest_a, mut rest_b) = (0.0, 0.0);
-    for ((xi, ai), bi) in tail.0.iter().zip(tail.1).zip(tail.2) {
-        rest_a += xi.widen() * ai;
-        rest_b += xi.widen() * bi;
-    }
-    let (ma, mb) = (sum4(&[a0, a1, a2, a3]), sum4(&[b0, b1, b2, b3]));
-    (ma + rest_a, mb + rest_b)
+    sum4(&[acc.0, acc.1, acc.2, acc.3]) + rest
 }
 
 /// `y += a * x` (BLAS `axpy`).
@@ -193,6 +220,39 @@ fn axpy_body<T: Element>(a: f64, x: &[T], y: &mut [f64]) {
     }
 }
 
+/// `yⱼ = (((yⱼ + a₀x₀ⱼ) + a₁x₁ⱼ) + a₂x₂ⱼ) + a₃x₃ⱼ`: per coordinate the
+/// operations of four [`axpy`]s in row order, so their bits, with one pass
+/// over `y`. Rows may alias each other.
+///
+/// # Panics
+/// Panics if the five slices do not share one length.
+#[inline]
+pub fn axpy4<T: Element>(a: [f64; 4], x: [&[T]; 4], y: &mut [f64]) {
+    let same = x.iter().all(|r| r.len() == y.len());
+    assert!(same, "axpy4: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `axpy4_avx2` needs AVX2, which the line above detected.
+        return unsafe { axpy4_avx2(a, x, y) };
+    }
+    axpy4_body(a, x, y)
+}
+
+/// [`axpy4`]'s body compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn axpy4_avx2<T: Element>(a: [f64; 4], x: [&[T]; 4], y: &mut [f64]) {
+    axpy4_body(a, x, y)
+}
+
+#[inline(always)]
+fn axpy4_body<T: Element>(a: [f64; 4], x: [&[T]; 4], y: &mut [f64]) {
+    let [x0, x1, x2, x3] = x;
+    for ((((yj, p), q), r), t) in y.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
+        *yj = (((*yj + a[0] * p.widen()) + a[1] * q.widen()) + a[2] * r.widen()) + a[3] * t.widen();
+    }
+}
+
 /// `x *= a` (BLAS `scal`), processed in width-4 `chunks_exact` blocks so
 /// release builds see constant-trip inner loops with no tail bounds checks;
 /// elementwise, so bit-identical to the naive loop.
@@ -210,75 +270,10 @@ pub fn scal(a: f64, x: &mut [f64]) {
     }
 }
 
-/// Elementwise `y = x` copy.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn copy(x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "copy: length mismatch");
-    y.copy_from_slice(x);
-}
-
-/// `y += x`, blocked like [`scal`].
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn add_assign(y: &mut [f64], x: &[f64]) {
-    assert_eq!(x.len(), y.len(), "add_assign: length mismatch");
-    let mut yc = y.chunks_exact_mut(4);
-    let mut xc = x.chunks_exact(4);
-    for (yb, xb) in (&mut yc).zip(&mut xc) {
-        yb[0] += xb[0];
-        yb[1] += xb[1];
-        yb[2] += xb[2];
-        yb[3] += xb[3];
-    }
-    for (yi, xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *yi += *xi;
-    }
-}
-
-/// `y -= x`, blocked like [`scal`].
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn sub_assign(y: &mut [f64], x: &[f64]) {
-    assert_eq!(x.len(), y.len(), "sub_assign: length mismatch");
-    let mut yc = y.chunks_exact_mut(4);
-    let mut xc = x.chunks_exact(4);
-    for (yb, xb) in (&mut yc).zip(&mut xc) {
-        yb[0] -= xb[0];
-        yb[1] -= xb[1];
-        yb[2] -= xb[2];
-        yb[3] -= xb[3];
-    }
-    for (yi, xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *yi -= *xi;
-    }
-}
-
 /// Squared Euclidean norm `‖x‖²`.
 #[inline]
 pub fn norm2_sq<T: Element>(x: &[T]) -> f64 {
     dot(x, x)
-}
-
-/// Squared Euclidean distance `‖x − y‖²`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn dist2_sq(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dist2_sq: length mismatch");
-    let mut acc = 0.0;
-    for (xi, yi) in x.iter().zip(y.iter()) {
-        let d = *xi - *yi;
-        acc += d * d;
-    }
-    acc
 }
 
 /// Fill `x` with zeros.
@@ -286,43 +281,6 @@ pub fn dist2_sq(x: &[f64], y: &[f64]) -> f64 {
 pub fn zero(x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi = 0.0;
-    }
-}
-
-/// `out = a*x + b*y`, overwriting `out`; blocked like [`scal`].
-///
-/// # Panics
-/// Panics if any slice length differs.
-#[inline]
-pub fn lincomb(a: f64, x: &[f64], b: f64, y: &[f64], out: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "lincomb: length mismatch");
-    assert_eq!(x.len(), out.len(), "lincomb: output length mismatch");
-    let mut oc = out.chunks_exact_mut(4);
-    let mut xc = x.chunks_exact(4);
-    let mut yc = y.chunks_exact(4);
-    for ((ob, xb), yb) in (&mut oc).zip(&mut xc).zip(&mut yc) {
-        ob[0] = a * xb[0] + b * yb[0];
-        ob[1] = a * xb[1] + b * yb[1];
-        ob[2] = a * xb[2] + b * yb[2];
-        ob[3] = a * xb[3] + b * yb[3];
-    }
-    for ((oi, xi), yi) in oc
-        .into_remainder()
-        .iter_mut()
-        .zip(xc.remainder())
-        .zip(yc.remainder())
-    {
-        *oi = a * *xi + b * *yi;
-    }
-}
-
-/// Arithmetic mean of the entries; 0 for the empty slice.
-#[inline]
-pub fn mean(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        0.0
-    } else {
-        x.iter().sum::<f64>() / x.len() as f64
     }
 }
 
@@ -372,31 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn dist2_sq_is_norm_of_difference() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [0.0, 0.0, 0.0];
-        assert!((dist2_sq(&x, &y) - 14.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn lincomb_combines() {
-        let x = [1.0, 0.0];
-        let y = [0.0, 1.0];
-        let mut out = [0.0; 2];
-        lincomb(2.0, &x, 3.0, &y, &mut out);
-        assert_eq!(out, [2.0, 3.0]);
-    }
-
-    #[test]
-    fn add_sub_roundtrip() {
-        let x = [1.5, -2.5, 0.5];
-        let mut y = [1.0, 1.0, 1.0];
-        add_assign(&mut y, &x);
-        sub_assign(&mut y, &x);
-        assert_eq!(y, [1.0, 1.0, 1.0]);
-    }
-
-    #[test]
     fn blocked_kernels_match_naive_on_all_tail_lengths() {
         // chunks_exact blocking must be bit-identical to the scalar loop
         // for every remainder length 0..4.
@@ -413,46 +346,39 @@ mod tests {
             scal(a, &mut got);
             let want: Vec<f64> = x.iter().map(|xi| xi * a).collect();
             assert_eq!(got, want, "scal n={n}");
-
-            let mut got = y0.clone();
-            add_assign(&mut got, &x);
-            let want: Vec<f64> = y0.iter().zip(&x).map(|(yi, xi)| yi + xi).collect();
-            assert_eq!(got, want, "add_assign n={n}");
-
-            let mut got = y0.clone();
-            sub_assign(&mut got, &x);
-            let want: Vec<f64> = y0.iter().zip(&x).map(|(yi, xi)| yi - xi).collect();
-            assert_eq!(got, want, "sub_assign n={n}");
-
-            let mut got = vec![0.0; n];
-            lincomb(a, &x, 0.5, &y0, &mut got);
-            let want: Vec<f64> = x
-                .iter()
-                .zip(&y0)
-                .map(|(xi, yi)| a * xi + 0.5 * yi)
-                .collect();
-            assert_eq!(got, want, "lincomb n={n}");
         }
     }
 
-    /// The row kernels on row `x` through each instantiation, as bits —
-    /// `[AVX2, baseline]`: `dot` against `a`, `dot2` against `a` and `b`,
-    /// `norm2_sq`, and `a + c·x`.
+    /// The row kernels through each instantiation, as bits — `[AVX2,
+    /// baseline]`: `dot` of `x[0]` against `a`, `norm2_sq` of `x[0]`,
+    /// `a + c₀·x[0]`, `dot4` of `x` against `[a, b, a, b]` and
+    /// `a + Σₖ cₖ·x[k]` through `axpy4`.
     #[cfg(target_arch = "x86_64")]
-    fn avx2_and_baseline<T: Element>(x: &[T], a: &[f64], b: &[f64], c: f64) -> [Vec<u64>; 2] {
+    fn avx2_and_baseline<T: Element>(
+        x: [&[T]; 4],
+        a: &[f64],
+        b: &[f64],
+        c: [f64; 4],
+    ) -> [Vec<u64>; 2] {
+        let ys = [a, b, a, b];
         let (mut y_wide, mut y_base) = (a.to_vec(), a.to_vec());
+        let (mut y4_wide, mut y4_base) = (a.to_vec(), a.to_vec());
         assert!(is_x86_feature_detected!("avx2"));
-        // SAFETY: the line above asserted AVX2, which all three need.
+        // SAFETY: the line above asserted AVX2, which all four need.
         let wide = unsafe {
-            axpy_avx2(c, x, &mut y_wide);
-            (dot_avx2(x, a), dot2_avx2(x, a, b), dot_avx2(x, x))
+            axpy_avx2(c[0], x[0], &mut y_wide);
+            axpy4_avx2(c, x, &mut y4_wide);
+            let [d0, d1, d2, d3] = dot4_avx2(x, ys);
+            [dot_avx2(x[0], a), dot_avx2(x[0], x[0]), d0, d1, d2, d3]
         };
-        axpy_body(c, x, &mut y_base);
-        let base = (dot_body(x, a), dot2_body(x, a, b), dot_body(x, x));
-        let bits = |(d, (m, n), sq): (f64, (f64, f64), f64), y: &[f64]| -> Vec<u64> {
-            [d, m, n, sq].iter().chain(y).map(|v| v.to_bits()).collect()
+        axpy_body(c[0], x[0], &mut y_base);
+        axpy4_body(c, x, &mut y4_base);
+        let [d0, d1, d2, d3] = dot4_body(x, ys);
+        let base = [dot_body(x[0], a), dot_body(x[0], x[0]), d0, d1, d2, d3];
+        let bits = |d: [f64; 6], y: &[f64], y4: &[f64]| -> Vec<u64> {
+            d.iter().chain(y).chain(y4).map(|v| v.to_bits()).collect()
         };
-        [bits(wide, &y_wide), bits(base, &y_base)]
+        [bits(wide, &y_wide, &y4_wide), bits(base, &y_base, &y4_base)]
     }
 
     /// The lane contract (module docs): each row kernel's AVX2 instantiation
@@ -485,24 +411,22 @@ mod tests {
         };
         for n in 0..=67usize {
             let strat = (
+                proptest::collection::vec(proptest::collection::vec(value(), n), 4),
                 proptest::collection::vec(value(), n),
                 proptest::collection::vec(value(), n),
-                proptest::collection::vec(value(), n),
-                -5.0..5.0f64,
+                proptest::collection::vec(-5.0..5.0f64, 4),
             );
             proptest!(|((x, a, b, c) in strat)| {
-                let narrow: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-                let [wide, base] = avx2_and_baseline(&x, &a, &b, c);
-                prop_assert!(wide == base, "f64 row, n={}: {:?} != {:?}", n, wide, base);
-                let [wide, base] = avx2_and_baseline(&narrow, &a, &b, c);
-                prop_assert!(wide == base, "f32 row, n={}: {:?} != {:?}", n, wide, base);
+                let c = [c[0], c[1], c[2], c[3]];
+                let x: [&[f64]; 4] = [&x[0], &x[1], &x[2], &x[3]];
+                let narrow: Vec<Vec<f32>> =
+                    x.iter().map(|r| r.iter().map(|&v| v as f32).collect()).collect();
+                let [wide, base] = avx2_and_baseline(x, &a, &b, c);
+                prop_assert!(wide == base, "f64 rows, n={}: {:?} != {:?}", n, wide, base);
+                let narrow = [&narrow[0][..], &narrow[1], &narrow[2], &narrow[3]];
+                let [wide, base] = avx2_and_baseline(narrow, &a, &b, c);
+                prop_assert!(wide == base, "f32 rows, n={}: {:?} != {:?}", n, wide, base);
             });
         }
-    }
-
-    #[test]
-    fn mean_of_empty_is_zero() {
-        assert_eq!(mean(&[]), 0.0);
-        assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-15);
     }
 }

@@ -30,7 +30,7 @@ impl PartialEq for DenseMatrix {
 impl DenseMatrix {
     /// Builds from a flat row-major buffer of stored values.
     pub fn from_flat(data: Vec<f32>, nrows: usize, ncols: usize) -> Result<Self> {
-        if data.len() != nrows * ncols {
+        if nrows.checked_mul(ncols) != Some(data.len()) {
             return Err(Error::InvalidStructure(format!(
                 "flat buffer length {} != {nrows}x{ncols}",
                 data.len()
@@ -110,8 +110,53 @@ impl DenseMatrix {
     pub fn matvec_t_acc(&self, y: &[f64], out: &mut [f64]) {
         assert_eq!(y.len(), self.nrows, "matvec_t: y dim mismatch");
         assert_eq!(out.len(), self.ncols, "matvec_t: out dim mismatch");
-        for i in 0..self.nrows {
-            dense::axpy(y[i], self.row(i), out);
+        self.rows_axpy::<0>(self.nrows, |i| i, |_| [], |i, []| y[i], out);
+    }
+
+    /// Margins `⟨xᵣ, w⟩` for each row in `rows`, in `out` after clearing it:
+    /// four gathered rows per [`dense::dot4`], the rest by [`dense::dot`], so
+    /// `dot`'s bits. (`matvec` keeps one `dot` per row: adjacent rows stream.)
+    pub fn rows_dot_into(&self, rows: &[u32], w: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(rows.len(), 0.0);
+        let (quads, rest) = rows.as_chunks::<4>();
+        for (q, o) in quads.iter().zip(out.chunks_exact_mut(4)) {
+            o.copy_from_slice(&dense::dot4(q.map(|r| self.row(r as usize)), [w; 4]));
+        }
+        let tail = out.len() - rest.len();
+        for (&r, o) in rest.iter().zip(&mut out[tail..]) {
+            *o = dense::dot(self.row(r as usize), w);
+        }
+    }
+
+    /// `out += Σₖ coef(k, zₖ)·x_{row(k)}` over `k < n`, with margins
+    /// `zₖ[m] = x_{row(k)}ᵀ ws(k)[m]` (`M` = 1 for a gradient, 2 for SAGA, 0
+    /// for `Aᵀ·y`): per quad, margins by [`dense::dot4`], then in L1 the
+    /// update by [`dense::axpy4`] — the bits of a `dot` per margin and an
+    /// `axpy` per row in `k` order, which the last `n % 4` rows run.
+    ///
+    /// # Panics
+    /// Panics if a row is out of range or a length differs from `ncols`.
+    pub fn rows_axpy<'w, const M: usize>(
+        &self,
+        n: usize,
+        row: impl Fn(usize) -> usize,
+        ws: impl Fn(usize) -> [&'w [f64]; M],
+        mut coef: impl FnMut(usize, [f64; M]) -> f64,
+        out: &mut [f64],
+    ) {
+        let full = n - n % 4;
+        for k in (0..full).step_by(4) {
+            let ks = [k, k + 1, k + 2, k + 3];
+            let x = ks.map(|i| self.row(row(i)));
+            let w = ks.map(&ws);
+            let z: [[f64; 4]; M] = std::array::from_fn(|m| dense::dot4(x, w.map(|wi| wi[m])));
+            let a = std::array::from_fn(|j| coef(k + j, std::array::from_fn(|m| z[m][j])));
+            dense::axpy4(a, x, out);
+        }
+        for i in full..n {
+            let x = self.row(row(i));
+            dense::axpy(coef(i, ws(i).map(|wm| dense::dot(x, wm))), x, out);
         }
     }
 
@@ -170,6 +215,15 @@ mod tests {
     fn from_flat_validates_len() {
         assert!(DenseMatrix::from_flat(vec![0.0; 5], 2, 3).is_err());
         assert!(DenseMatrix::from_flat(vec![0.0; 6], 2, 3).is_ok());
+    }
+
+    #[test]
+    fn from_flat_refuses_a_shape_whose_element_count_overflows() {
+        // 2^(BITS-1) · 2 wraps to 0 in `usize`, the empty buffer's length.
+        let half = 1usize << (usize::BITS - 1);
+        let err = DenseMatrix::from_flat(Vec::new(), half, 2).unwrap_err();
+        assert!(matches!(err, Error::InvalidStructure(_)), "{err:?}");
+        assert!(DenseMatrix::from_flat(vec![0.0; 6], usize::MAX, 3).is_err());
     }
 
     #[test]

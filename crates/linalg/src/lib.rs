@@ -6,8 +6,8 @@
 //! Spark. It provides exactly the operations the distributed optimization
 //! algorithms need:
 //!
-//! * level-1 kernels over `&[f64]` slices ([`dense`]): dot, axpy, scal,
-//!   norms, elementwise combinators — the row kernels generic over the
+//! * level-1 kernels over `&[f64]` slices ([`dense`]): dot, axpy, their
+//!   four-row forms, scal and norms — the row kernels generic over the
 //!   stored [`dense::Element`];
 //! * a row-major [`DenseMatrix`] and a compressed-sparse-row [`CsrMatrix`]
 //!   with row access, `A·x`, and `Aᵀ·x` ([`dense_mat`], [`csr`]), storing

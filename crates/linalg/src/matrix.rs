@@ -67,13 +67,7 @@ impl Matrix {
     /// to the CSR fast path for sparse storage.
     pub fn rows_dot_into(&self, rows: &[u32], w: &[f64], out: &mut Vec<f64>) {
         match self {
-            Matrix::Dense(m) => {
-                out.clear();
-                out.extend(
-                    rows.iter()
-                        .map(|&r| crate::dense::dot(m.row(r as usize), w)),
-                );
-            }
+            Matrix::Dense(m) => m.rows_dot_into(rows, w, out),
             Matrix::Sparse(m) => m.rows_dot_into(rows, w, out),
         }
     }

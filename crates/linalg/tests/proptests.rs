@@ -39,8 +39,7 @@ proptest! {
 
     #[test]
     fn norm_triangle_inequality(x in finite_vec(24), y in finite_vec(24)) {
-        let mut sum = x.clone();
-        dense::add_assign(&mut sum, &y);
+        let sum: Vec<f64> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
         let lhs = dense::norm2_sq(&sum).sqrt();
         let rhs = dense::norm2_sq(&x).sqrt() + dense::norm2_sq(&y).sqrt();
         prop_assert!(lhs <= rhs + 1e-9);
@@ -202,37 +201,165 @@ proptest! {
     }
 }
 
-/// The fused two-margin kernel is two [`dense::dot`]s, bit for bit: on every
-/// length across the four-wide blocking and its tail (0..=67), with values
-/// drawn to include signed zeros, subnormals and magnitudes whose products
-/// overflow.
+/// `dot4` and `axpy4` on four rows, as bits: the four margins against `ys`
+/// and `y0 + Σₖ aₖ·x[k]`, then the same from four [`dense::dot`]s and four
+/// [`dense::axpy`]s in row order.
+fn quad_and_rows<T: Element>(
+    x: [&[T]; 4],
+    ys: [&[f64]; 4],
+    a: [f64; 4],
+    y0: &[f64],
+) -> [Vec<u64>; 2] {
+    let mut got = y0.to_vec();
+    dense::axpy4(a, x, &mut got);
+    let got = [&dense::dot4(x, ys)[..], &got].concat();
+    let mut want = y0.to_vec();
+    for (&ak, xk) in a.iter().zip(x) {
+        dense::axpy(ak, xk, &mut want);
+    }
+    let margins: Vec<f64> = x
+        .iter()
+        .zip(ys)
+        .map(|(xk, yk)| dense::dot(xk, yk))
+        .collect();
+    let want = [&margins[..], &want].concat();
+    [bits(&got), bits(&want)]
+}
+
+/// The four-row kernels are their one-row kernels, bit for bit: `dot4` is
+/// four [`dense::dot`]s and `axpy4` four [`dense::axpy`]s in row order, on
+/// every length across the four-wide blocking and its tail (0..=67), with
+/// signed zeros, both types' subnormals, `±f32::MAX` and magnitudes whose
+/// products overflow. Rows come distinct, pairwise aliased and all one
+/// slice, against distinct and aliased `y`s; `f32` rows also return what
+/// the `f64` kernels return on the widened copy.
 #[test]
-fn dot2_is_two_dots_bit_for_bit() {
+fn dot4_and_axpy4_are_four_dots_and_axpys_bit_for_bit() {
     let value = || {
         prop_oneof![
             4 => -100.0..100.0f64,
             1 => Just(-0.0),
             1 => Just(0.0),
+            1 => -1.2e-38..1.2e-38f64,
             1 => -1e-310..1e-310f64,
             1 => Just(-5e-324),
+            1 => Just(f64::from(f32::MAX)),
+            1 => Just(f64::from(-f32::MAX)),
             1 => 1e290..1e300f64,
             1 => -1e300..-1e290f64,
+            1 => -1e6..1e6f64,
         ]
     };
     for n in 0..=67usize {
         let strat = (
-            proptest::collection::vec(value(), n),
-            proptest::collection::vec(value(), n),
-            proptest::collection::vec(value(), n),
+            proptest::collection::vec(proptest::collection::vec(value(), n), 4),
+            proptest::collection::vec(proptest::collection::vec(value(), n), 5),
+            proptest::collection::vec(-5.0..5.0f64, 4),
         );
-        proptest!(|((x, a, b) in strat)| {
-            let (got_a, got_b) = dense::dot2(&x, &a, &b);
-            let (want_a, want_b) = (dense::dot(&x, &a), dense::dot(&x, &b));
-            prop_assert!(
-                (got_a.to_bits(), got_b.to_bits()) == (want_a.to_bits(), want_b.to_bits()),
-                "n={}: dot2 gave ({:e}, {:e}), dot gives ({:e}, {:e})",
-                n, got_a, got_b, want_a, want_b
+        proptest!(|((rows, yv, a) in strat)| {
+            let a = [a[0], a[1], a[2], a[3]];
+            let r: [&[f64]; 4] = [&rows[0], &rows[1], &rows[2], &rows[3]];
+            let y: [&[f64]; 4] = [&yv[0], &yv[1], &yv[2], &yv[3]];
+            let narrow: Vec<Vec<f32>> =
+                rows.iter().map(|r| r.iter().map(|&v| v as f32).collect()).collect();
+            let widened: Vec<Vec<f64>> =
+                narrow.iter().map(|r| r.iter().map(|&v| f64::from(v)).collect()).collect();
+            let cases: [([usize; 4], [&[f64]; 4]); 3] = [
+                ([0, 1, 2, 3], y),
+                ([0, 1, 0, 1], [y[0]; 4]),
+                ([2, 2, 2, 2], [y[0], y[1], y[0], y[1]]),
+            ];
+            for (pick, ys) in cases {
+                let [got, want] = quad_and_rows(pick.map(|k| r[k]), ys, a, &yv[4]);
+                prop_assert!(got == want, "f64 rows {:?}, n={}: {:?} != {:?}", pick, n, got, want);
+                let x32 = pick.map(|k| &narrow[k][..]);
+                let [got, want] = quad_and_rows(x32, ys, a, &yv[4]);
+                prop_assert!(got == want, "f32 rows {:?}, n={}: {:?} != {:?}", pick, n, got, want);
+                let [wide, _] = quad_and_rows(pick.map(|k| &widened[k][..]), ys, a, &yv[4]);
+                prop_assert!(got == wide, "f32 rows {:?}, n={}: {:?} != widened {:?}", pick, n, got, wide);
+            }
+        });
+    }
+}
+
+/// Each dense row loop is the row-at-a-time loop, bit for bit, for batches
+/// of 0..=9 rows (two quads and every leftover count), with repeated rows,
+/// on `f32` storage and every width across the four-wide blocking:
+/// `Matrix::rows_dot_into`, `matvec`, `matvec_t_acc`, `par_residual_sq` and
+/// `DenseMatrix::rows_axpy` with one margin and with two per row.
+#[test]
+fn blocked_dense_loops_are_the_row_at_a_time_loops_bit_for_bit() {
+    const MAX_ROWS: usize = 9;
+    const MAX_COLS: usize = 13;
+    for b in 0..=MAX_ROWS {
+        let strat = (
+            0usize..MAX_COLS + 1,
+            proptest::collection::vec(-100.0..100.0f64, MAX_ROWS * MAX_COLS),
+            proptest::collection::vec(finite_vec(MAX_COLS), 3),
+            proptest::collection::vec((0usize..3, -5.0..5.0f64), b),
+        );
+        proptest!(|((n, vals, ws, batch) in strat)| {
+            let flat: Vec<f32> = vals[..b * n].iter().map(|&v| v as f32).collect();
+            let m = DenseMatrix::from_flat(flat, b, n).unwrap();
+            let (w, w2, out0) = (&ws[0][..n], &ws[1][..n], &ws[2][..n]);
+            let (picks, coefs): (Vec<u32>, Vec<f64>) =
+                batch.iter().map(|&(r, c)| ((r % b.max(1)) as u32, c)).unzip();
+            let picks = if b == 0 { Vec::new() } else { picks };
+            let y: Vec<f64> = coefs.iter().take(b).copied().collect();
+
+            let mut got = Vec::new();
+            Matrix::Dense(m.clone()).rows_dot_into(&picks, w, &mut got);
+            let want: Vec<f64> = picks.iter().map(|&r| dense::dot(m.row(r as usize), w)).collect();
+            prop_assert_eq!(bits(&got), bits(&want));
+
+            let mut got = vec![f64::NAN; b];
+            m.matvec(w, &mut got);
+            let margins: Vec<f64> = (0..b).map(|i| dense::dot(m.row(i), w)).collect();
+            prop_assert_eq!(bits(&got), bits(&margins));
+
+            let (mut got, mut want) = (out0.to_vec(), out0.to_vec());
+            m.matvec_t_acc(&y, &mut got);
+            for (i, &yi) in y.iter().enumerate() {
+                dense::axpy(yi, m.row(i), &mut want);
+            }
+            prop_assert_eq!(bits(&got), bits(&want));
+
+            let got = parallel::par_residual_sq(ParallelismCfg::sequential(), &Matrix::Dense(m.clone()), w, &y);
+            let mut want = 0.0;
+            for (i, &yi) in y.iter().enumerate() {
+                let e = dense::dot(m.row(i), w) - yi;
+                want += e * e;
+            }
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+
+            // One margin per row, then the row's update.
+            let coef = |k: usize, z: f64| coefs[k] * z;
+            let (mut got, mut want) = (out0.to_vec(), out0.to_vec());
+            m.rows_axpy(picks.len(), |k| picks[k] as usize, |_| [w], |k, [z]| coef(k, z), &mut got);
+            for (k, &r) in picks.iter().enumerate() {
+                let x = m.row(r as usize);
+                dense::axpy(coef(k, dense::dot(x, w)), x, &mut want);
+            }
+            prop_assert_eq!(bits(&got), bits(&want));
+
+            // Two margins per row against per-row `y`s, as SAGA's new and
+            // old models: `w` and `w2` alternate, so a quad mixes them.
+            let second = |k: usize| if k.is_multiple_of(3) { w } else { w2 };
+            let coef = |k: usize, z: f64, z_old: f64| coefs[k] * (z - z_old);
+            let (mut got, mut want) = (out0.to_vec(), out0.to_vec());
+            m.rows_axpy(
+                picks.len(),
+                |k| picks[k] as usize,
+                |k| [w, second(k)],
+                |k, [z, z_old]| coef(k, z, z_old),
+                &mut got,
             );
+            for (k, &r) in picks.iter().enumerate() {
+                let x = m.row(r as usize);
+                let c = coef(k, dense::dot(x, w), dense::dot(x, second(k)));
+                dense::axpy(c, x, &mut want);
+            }
+            prop_assert_eq!(bits(&got), bits(&want));
         });
     }
 }
@@ -313,13 +440,16 @@ fn f32_storage_is_the_f64_kernel_on_widened_values() {
             for (i, (x64, sv)) in wide.iter().zip(&sparse_rows).enumerate() {
                 let x = dense_m.row(i);
                 prop_assert_eq!(dense::dot(x, &w).to_bits(), dense::dot(x64, &w).to_bits());
-                let (ga, gb) = dense::dot2(x, &a, &b);
-                let (wa, wb) = dense::dot2(x64, &a, &b);
-                prop_assert_eq!((ga.to_bits(), gb.to_bits()), (wa.to_bits(), wb.to_bits()));
+                let (x4, x4_64) = ([x, x, x, x], [&x64[..]; 4]);
+                let g = dense::dot4(x4, [&a[..], &b, &w, &a]);
+                prop_assert_eq!(bits(&g), bits(&dense::dot4(x4_64, [&a[..], &b, &w, &a])));
                 prop_assert_eq!(dense::norm2_sq(x).to_bits(), dense::norm2_sq(x64).to_bits());
                 let (mut got, mut want) = (a.clone(), a.clone());
                 dense::axpy(-1.5, x, &mut got);
                 dense::axpy(-1.5, x64, &mut want);
+                prop_assert_eq!(bits(&got), bits(&want));
+                dense::axpy4([0.5, -2.0, 3.0, 1.25], x4, &mut got);
+                dense::axpy4([0.5, -2.0, 3.0, 1.25], x4_64, &mut want);
                 prop_assert_eq!(bits(&got), bits(&want));
 
                 let want_dot = csr::entries_dot(parts(sv), &w);

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use async_core::{AsyncBcast, AsyncContext, SubmitOpts, Tagged};
 use async_data::{Block, Dataset};
-use async_linalg::{dense, GradDelta, Matrix};
+use async_linalg::{GradDelta, Matrix};
 use sparklet::WorkerCtx;
 
 use crate::absorber::ShardedAbsorber;
@@ -125,9 +125,11 @@ pub(crate) fn sample_batch(
 /// `(1/b) Σⱼ (f'ⱼ(w_cur) − f'ⱼ(w_{φⱼ}))·xⱼ` over `scratch.rows` (last seen
 /// at `scratch.versions`), the entries it touched, and the global row ids
 /// in `scratch.ids`. `resolve(v)` yields `w_v`, once per *distinct* version
-/// in first-need order. A dense row is one pass ([`dense::dot2`], then its
-/// axpy in L1), CSR rows are gathered; batch order either way, so the delta
-/// is bit-identical to a per-row resolve. Buffers come from `pool`.
+/// in first-need order. Dense rows go four per pass
+/// ([`async_linalg::DenseMatrix::rows_axpy`]: new margins against `w_cur`,
+/// old ones against each row's version, then the quad's update in L1); CSR
+/// rows are gathered. Batch order either way, so the delta is bit-identical
+/// to a per-row resolve with one-row kernels. Buffers come from `pool`.
 pub(crate) fn saga_difference<E>(
     objective: Objective,
     block: &Block,
@@ -169,11 +171,10 @@ pub(crate) fn saga_difference<E>(
         }
         Matrix::Dense(m) => {
             let mut d = pool.checkout_dense(block.cols());
-            for (&r, &slot) in rows.iter().zip(slots) {
-                let (i, x) = (r as usize, m.row(r as usize));
-                let (m_new, m_old) = dense::dot2(x, w_cur, &history[slot as usize]);
-                dense::axpy(coef(i, m_new, m_old), x, &mut d);
-            }
+            let row = |k: usize| rows[k] as usize;
+            let ws = |k: usize| [w_cur, &history[slots[k] as usize][..]];
+            let c = |k, [new, old]: [f64; 2]| coef(row(k), new, old);
+            m.rows_axpy(rows.len(), row, ws, c, &mut d);
             GradDelta::Dense(d)
         }
     };
@@ -391,6 +392,56 @@ mod tests {
             assert_eq!(scratch.history.len(), 4);
             pool.give_back(scratch);
             assert!(pool.checkout().history.is_empty());
+        }
+    }
+
+    #[test]
+    fn dense_saga_difference_is_the_row_at_a_time_loop_bit_for_bit() {
+        // Batches of 0..=9 rows with repeated rows; global row `j` last saw
+        // version `j % 4`, so each quad of the batch below mixes three or
+        // four distinct versions.
+        let obj = Objective::Logistic { lambda: 0.0 };
+        let (d, _) = SynthSpec::dense("saga-quads", 32, 11, 5)
+            .generate_classification()
+            .unwrap();
+        let (cols, block) = (d.cols(), &d.partition(1)[0]);
+        let bcast = AsyncBcast::new(4, vec![0.0; cols], 32);
+        for v in 1..=3u64 {
+            bcast.push(
+                (0..cols)
+                    .map(|c| 0.2 * v as f64 - 0.03 * c as f64)
+                    .collect(),
+            );
+            let ids: Vec<u64> = (0..32).filter(|j| j % 4 == v).collect();
+            bcast.record_use(&ids, v);
+        }
+        bcast.push((0..cols).map(|c| 0.05 * c as f64).collect());
+        let handle = bcast.handle();
+        let (pool, mut wctx) = (ScratchPool::new(), WorkerCtx::new(0));
+        let w_cur = handle.value(&mut wctx);
+        let picks = [1u32, 2, 3, 2, 5, 6, 0, 7, 5];
+        for b in 0..=picks.len() {
+            let rows = &picks[..b];
+            let mut scratch = pool.checkout();
+            scratch.rows = rows.to_vec();
+            let ids = rows.iter().map(|&r| block.global_row(r as usize));
+            bcast.versions_for_indices(ids, &mut scratch.versions);
+            let resolve = |v| Ok::<_, Infallible>(handle.value_at(&mut wctx, v));
+            let Ok((delta, _)) = saga_difference(obj, block, &w_cur, &mut scratch, &pool, resolve);
+            pool.give_back(scratch);
+
+            let (f, labels) = (block.features(), block.labels());
+            let scale = 1.0 / b.max(1) as f64;
+            let mut want = vec![0.0; cols];
+            for &r in rows {
+                let i = r as usize;
+                let w_old = handle.value_at(&mut wctx, (i % 4) as u64);
+                let d_new = obj.dloss(f.row_dot(i, &w_cur), labels[i]);
+                let d_old = obj.dloss(f.row_dot(i, &w_old), labels[i]);
+                f.row_axpy(i, scale * (d_new - d_old), &mut want);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&delta.to_dense()), bits(&want), "batch of {b}");
         }
     }
 }

@@ -90,20 +90,22 @@ impl Objective {
 
     /// Mini-batch data gradient over `rows` of `block`:
     /// `out = (1/|rows|) Σ f'(xᵢᵀw, yᵢ)·xᵢ` (no ridge term — the server
-    /// adds `λ·w` when applying the update). `out` is overwritten.
+    /// adds `λ·w` when applying the update). `out` is overwritten. Dense
+    /// rows go four per pass ([`async_linalg::DenseMatrix::rows_axpy`]).
     pub fn minibatch_grad(&self, block: &Block, rows: &[u32], w: &[f64], out: &mut [f64]) {
         dense::zero(out);
         if rows.is_empty() {
             return;
         }
-        let features = block.features();
-        let labels = block.labels();
+        let (features, labels) = (block.features(), block.labels());
         let scale = 1.0 / rows.len() as f64;
-        for &r in rows {
-            let i = r as usize;
-            let z = features.row_dot(i, w);
-            let d = self.dloss(z, labels[i]);
-            features.row_axpy(i, scale * d, out);
+        let row = |k: usize| rows[k] as usize;
+        let coef = |k: usize, z: f64| scale * self.dloss(z, labels[row(k)]);
+        if let Matrix::Dense(m) = features {
+            return m.rows_axpy(rows.len(), row, |_| [w], |k, [z]| coef(k, z), out);
+        }
+        for k in 0..rows.len() {
+            features.row_axpy(row(k), coef(k, features.row_dot(row(k), w)), out);
         }
     }
 
@@ -291,6 +293,37 @@ mod tests {
         o.full_grad(ParallelismCfg::sequential(), &d, &w, &mut full);
         for (a, b) in mb.iter().zip(&full) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn dense_minibatch_grad_is_the_row_at_a_time_loop_bit_for_bit() {
+        // Batches of 0..=9 rows — two quads and every leftover count — with
+        // repeated rows, against one `dot` and one `axpy` per row in batch
+        // order.
+        let d = dataset();
+        let block = &d.partition(1)[0];
+        let features = block.features();
+        let w: Vec<f64> = (0..d.cols()).map(|i| (i as f64 - 3.5) * 0.3).collect();
+        let picks = [7u32, 3, 7, 59, 0, 3, 3, 41, 12];
+        for o in [
+            Objective::Logistic { lambda: 0.0 },
+            Objective::LeastSquares { lambda: 0.0 },
+        ] {
+            for b in 0..=picks.len() {
+                let rows = &picks[..b];
+                let mut got = vec![f64::NAN; d.cols()];
+                o.minibatch_grad(block, rows, &w, &mut got);
+                let mut want = vec![0.0; d.cols()];
+                let scale = 1.0 / b as f64;
+                for &r in rows {
+                    let i = r as usize;
+                    let z = features.row_dot(i, &w);
+                    features.row_axpy(i, scale * o.dloss(z, block.labels()[i]), &mut want);
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{o:?}, batch of {b}");
+            }
         }
     }
 

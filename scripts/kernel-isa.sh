@@ -1,13 +1,14 @@
 #!/bin/sh
-# The dense row kernels' AVX2 instantiations (`dense::dot_avx2`, `dot2_avx2`,
-# `axpy_avx2`) are in the binary, every copy of each uses `ymm` registers,
-# and none contains a fused multiply-add (`vfmadd` and kin), which would
-# round once where the kernel body rounds twice. A refactor that silently
+# The dense row kernels' AVX2 instantiations (`dense::dot_avx2`,
+# `dot4_avx2`, `axpy_avx2`, `axpy4_avx2`) are in the binary, every copy of
+# each uses `ymm` registers, and none contains a fused multiply-add
+# (`vfmadd` and kin), which would round once where the kernel body rounds
+# twice. A refactor that silently
 # loses the wide build, or lets it contract, fails here.
 # Usage: scripts/kernel-isa.sh [binary]
 # Without an argument it builds and inspects `async-linalg`'s release
 # `proptests` binary, which reaches the kernels only through the public
-# `dot` / `dot2` / `axpy`: a dropped dispatch leaves no copy there.
+# `dot` / `dot4` / `axpy` / `axpy4`: a dropped dispatch leaves no copy there.
 set -eu
 cd "$(dirname "$0")/.."
 bin=${1:-}
@@ -20,7 +21,7 @@ if [ ! -f "$bin" ]; then
     exit 2
 fi
 objdump -d --no-show-raw-insn -C "$bin" | awk '
-    BEGIN { split("dot_avx2 dot2_avx2 axpy_avx2", want, " ") }
+    BEGIN { split("dot_avx2 dot4_avx2 axpy_avx2 axpy4_avx2", want, " ") }
     /^[0-9a-f]+ </ {
         cur = ""
         for (k in want) {

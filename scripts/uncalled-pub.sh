@@ -6,6 +6,10 @@
 # rule of `nontest-lines.sh` (above a file's first `#[cfg(test)]`), so a
 # function only tests and doc examples call is listed.
 #
+# String literals (and the `'"'` character literal) are blanked before a
+# line is split into words, so a name that only a message mentions — a
+# function's own assert text, say — is no call.
+#
 # This is a name match, not a resolution: a name shared with a called
 # function (`new`, `len`, ...) hides an uncalled one, never the reverse —
 # everything printed really has no caller by that name. It is the next diet
@@ -21,12 +25,14 @@
 # Usage: scripts/uncalled-pub.sh [repo-root]
 set -eu
 cd "${1:-$(dirname "$0")/..}"
-find crates/*/src benchmark/src examples src -name '*.rs' -exec awk '
+find crates/*/src benchmark/src examples src -name '*.rs' -exec awk -v sq="'" '
     FNR == 1 { in_tests = 0 }
     /#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests { next }
     {
         line = $0
+        gsub(sq "\"" sq, "", line)
+        gsub(/"([^"\\]|\\.)*"/, "", line)
         sub(/\/\/.*/, "", line)
         if (FILENAME ~ /^crates\// && match(line, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
             name = substr(line, RSTART + 7, RLENGTH - 7)
@@ -40,13 +46,15 @@ find crates/*/src benchmark/src examples src -name '*.rs' -exec awk '
     END {
         for (d in decl) if (seen[decl[d]] == 1) print d
     }' {} + | sort -t: -k1,1 -k2,2n
-find shims/*/src crates benchmark/src examples src -name '*.rs' -exec awk '
+find shims/*/src crates benchmark/src examples src -name '*.rs' -exec awk -v sq="'" '
     FNR == 1 { in_tests = 0 }
     /#\[cfg\(test\)\]/ { in_tests = 1 }
     {
         in_shim = FILENAME ~ /^shims\//
         if (in_shim && in_tests) next
         line = $0
+        gsub(sq "\"" sq, "", line)
+        gsub(/"([^"\\]|\\.)*"/, "", line)
         sub(/\/\/.*/, "", line)
         if (in_shim && match(line, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
             name = substr(line, RSTART + 7, RLENGTH - 7)
