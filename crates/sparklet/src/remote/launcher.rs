@@ -4,19 +4,19 @@
 
 use std::io;
 use std::net::{Shutdown, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::str::FromStr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use async_cluster::WorkerId;
 
-use super::transport::{injector, reader_loop, send};
+use super::transport::{injector, send, wait_readable, Inbox};
 use super::{run_worker_with, Link, RemoteEngine, RoutineRegistry, WorkerOpts};
 use crate::fault::{FaultDir, FaultInjector, FaultPlan};
-use crate::frame::{read_frame, Msg};
+use crate::frame::Msg;
 
 /// Default for [`RemoteConfig::handshake_timeout`].
 const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -202,15 +202,14 @@ impl WorkerArgs {
 
 /// One worker incarnation's driver-side connection.
 pub(super) struct Conn {
-    /// Write half (a dup of the reader thread's stream).
+    /// The socket, written by submissions and read by the pump.
     pub(super) stream: TcpStream,
+    pub(super) inbox: Inbox,
     /// The child process, when launched as one.
     child: Option<Child>,
     /// Driver→worker fault injector, when the plan applies to that
     /// direction.
     pub(super) injector: Option<FaultInjector>,
-    /// The thread forwarding this connection's frames to the engine.
-    reader: JoinHandle<()>,
 }
 
 impl RemoteEngine {
@@ -243,17 +242,7 @@ impl RemoteEngine {
                 None
             }
         };
-        let tx = self.results_tx.clone();
-        let seated = self
-            .await_hello(w, epoch, child.as_mut())
-            .and_then(|stream| {
-                let reader_stream = stream.try_clone()?;
-                let reader = std::thread::Builder::new()
-                    .name(format!("remote-reader-{w}-e{epoch}"))
-                    .spawn(move || reader_loop(w, epoch, reader_stream, tx))?;
-                Ok((stream, reader))
-            });
-        let (stream, reader) = match seated {
+        let (stream, inbox) = match self.await_hello(w, epoch, child.as_mut()) {
             Ok(seated) => seated,
             Err(e) => {
                 reap(child);
@@ -265,9 +254,9 @@ impl RemoteEngine {
         self.links[w] = Link {
             conn: Some(Conn {
                 stream,
+                inbox,
                 child,
                 injector: injector(&self.cfg.fault, w, epoch, FaultDir::DriverToWorker),
-                reader,
             }),
             ..Link::new(w)
         };
@@ -275,71 +264,88 @@ impl RemoteEngine {
     }
 
     /// Accepts connections until incarnation `epoch` of worker `w` greets,
-    /// dropping stale or foreign greetings, with a deadline.
+    /// dropping stale or foreign greetings, with a deadline. One `poll(2)`
+    /// waits on the listener and every peer yet to greet, so a silent peer
+    /// holds up no other. Returns the connection and its inbox.
     fn await_hello(
         &self,
         w: WorkerId,
         epoch: u64,
         mut child: Option<&mut Child>,
-    ) -> io::Result<TcpStream> {
+    ) -> io::Result<(TcpStream, Inbox)> {
         let timeout = self.cfg.handshake_timeout;
         let deadline = Instant::now() + timeout;
         self.listener.set_nonblocking(true)?;
+        let mut peers: Vec<(TcpStream, Inbox)> = Vec::new();
+        let mut buf = [0u8; 256];
         loop {
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(timeout))?;
-                    match read_frame(&mut stream) {
-                        Ok(Msg::WorkerUp {
-                            worker,
-                            epoch: greeted,
-                        }) if worker as WorkerId == w && greeted == epoch => {
-                            stream.set_read_timeout(None)?;
-                            stream.set_nodelay(true)?;
-                            return Ok(stream);
-                        }
-                        // A greeting from a stale incarnation or unexpected
-                        // worker, a torn frame from a peer that dropped
-                        // mid-handshake, or outright garbage: close it and
-                        // keep waiting for ours.
-                        _ => {
-                            let _ = stream.shutdown(Shutdown::Both);
-                        }
+            if let Some(c) = child.as_deref_mut() {
+                if let Some(status) = c.try_wait()? {
+                    return Err(io::Error::new(
+                        io::ErrorKind::ConnectionRefused,
+                        format!("worker {w} exited before connecting: {status}"),
+                    ));
+                }
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("worker {w} did not connect within {timeout:?}"),
+                ));
+            }
+            // A child process is checked for an early exit every 2 ms.
+            let wait = child
+                .as_ref()
+                .map_or(left, |_| left.min(Duration::from_millis(2)));
+            let fds = std::iter::once(self.listener.as_raw_fd())
+                .chain(peers.iter().map(|(s, _)| s.as_raw_fd()));
+            // Highest position first, so a dropped peer moves none still to
+            // be read, and the listener's new peers join after the reads.
+            for i in wait_readable(fds, Some(wait))?.into_iter().rev() {
+                let Some(p) = i.checked_sub(1) else {
+                    // One per wakeup: more queued keep the listener readable.
+                    match self.listener.accept() {
+                        Ok((stream, _)) => peers.push((stream, Inbox::default())),
+                        Err(e) if e.kind() != io::ErrorKind::WouldBlock => return Err(e),
+                        Err(_) => {}
+                    }
+                    continue;
+                };
+                let (stream, inbox) = &mut peers[p];
+                let greeting = match inbox.read_from(stream, &mut buf) {
+                    Ok(true) => inbox.next_frame().map_err(drop),
+                    _ => Err(()),
+                };
+                match greeting {
+                    Ok(None) => {}
+                    Ok(Some(Msg::WorkerUp { worker, epoch: e }))
+                        if worker as WorkerId == w && e == epoch =>
+                    {
+                        let (stream, inbox) = peers.swap_remove(p);
+                        stream.set_nonblocking(false)?;
+                        stream.set_nodelay(true)?;
+                        return Ok((stream, inbox));
+                    }
+                    // A greeting from a stale incarnation or unexpected
+                    // worker, a torn frame from a peer that dropped
+                    // mid-handshake, or outright garbage: close it and
+                    // keep waiting for ours.
+                    _ => {
+                        let _ = peers.swap_remove(p).0.shutdown(Shutdown::Both);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if let Some(c) = child.as_deref_mut() {
-                        if let Some(status) = c.try_wait()? {
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionRefused,
-                                format!("worker {w} exited before connecting: {status}"),
-                            ));
-                        }
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("worker {w} did not connect within {timeout:?}"),
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
             }
         }
     }
 
     /// Tears down worker `w`'s current incarnation: socket shutdown, child
-    /// kill + reap, injector dropped, reader joined. The reader thread
-    /// exits on the dropped connection and its `Gone` event is
-    /// epoch-filtered.
+    /// kill + reap, injector and unread inbox dropped.
     pub(super) fn teardown_conn(&mut self, w: WorkerId) {
         if let Some(mut conn) = self.links[w].conn.take() {
             let _ = send(&mut conn.stream, &Msg::Shutdown, None);
             let _ = conn.stream.shutdown(Shutdown::Both);
             reap(conn.child);
-            let _ = conn.reader.join();
         }
     }
 }

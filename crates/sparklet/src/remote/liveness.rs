@@ -2,20 +2,16 @@
 //! worker dead, and how long the result pump may block before it must
 //! look again.
 
-use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
 
 use async_cluster::WorkerId;
 
-use super::transport::WireEvent;
 use super::RemoteEngine;
 use crate::engine::Engine;
 
-/// Upper bound on how long the result pump blocks per wait *while a timer
-/// is armed* (scheduled chaos, liveness, or task deadlines): it waits
-/// until the earliest deadline, capped by this, the historical poll
-/// cadence. With no timers armed it parks on a blocking receive and burns
-/// no cycles.
+/// Upper bound on one pump's wait *while a timer is armed* (scheduled
+/// chaos, liveness, or task deadlines); `poll(2)` rounds it up to 1 ms.
+/// With no timer armed the pump waits without a timeout, burning nothing.
 const DEFAULT_POLL_INTERVAL: Duration = Duration::from_micros(500);
 
 impl RemoteEngine {
@@ -50,10 +46,10 @@ impl RemoteEngine {
         }
     }
 
-    /// Time until the earliest armed timer (scheduled chaos, liveness
-    /// deadline, task deadline), or `None` when no timer is armed and the
-    /// pump can park indefinitely.
-    fn wait_horizon(&self) -> Option<Duration> {
+    /// How long one pump may wait for a frame: until the earliest armed
+    /// timer (scheduled chaos, liveness or task deadline), capped by
+    /// [`DEFAULT_POLL_INTERVAL`]; `None` (no limit) when no timer is armed.
+    pub(super) fn wait_limit(&self) -> Option<Duration> {
         let now = Instant::now();
         let chaos = self
             .roster
@@ -64,18 +60,6 @@ impl RemoteEngine {
             .map(|d| d.saturating_duration_since(now))
             .chain(chaos)
             .min()
-    }
-
-    /// One deadline-aware wait on the result channel: parks indefinitely
-    /// when no timer is armed, otherwise until the earliest deadline
-    /// (capped by [`DEFAULT_POLL_INTERVAL`]).
-    pub(super) fn wait_event(&self) -> Result<WireEvent, RecvTimeoutError> {
-        match self.wait_horizon() {
-            None => self
-                .results_rx
-                .recv()
-                .map_err(|_| RecvTimeoutError::Disconnected),
-            Some(d) => self.results_rx.recv_timeout(d.min(DEFAULT_POLL_INTERVAL)),
-        }
+            .map(|d| d.min(DEFAULT_POLL_INTERVAL))
     }
 }

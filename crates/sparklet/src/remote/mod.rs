@@ -29,8 +29,8 @@
 //!
 //! * [`Engine::kill_worker`] kills the worker *process* (socket shutdown +
 //!   SIGKILL) and surfaces its in-flight task as [`Completion::Lost`];
-//! * a spontaneously dropped socket is detected by the per-connection
-//!   reader thread and handled identically — lost task, dead worker;
+//! * a spontaneously dropped socket is detected by the (unix-only,
+//!   `poll(2)`) result pump and handled identically — lost task, dead worker;
 //! * [`Engine::revive_worker`] / [`Engine::add_worker`] spawn a fresh
 //!   process at a bumped epoch; any result a dying incarnation managed to
 //!   flush is dropped by the same epoch check the threaded engine uses;
@@ -84,8 +84,8 @@ mod worker;
 
 use std::io;
 use std::net::TcpListener;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::time::Instant;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::time::{Duration, Instant};
 
 use async_cluster::straggler::DelayAssignment;
 use async_cluster::{ClusterSpec, VTime, WorkerId, WorkerProfile};
@@ -102,7 +102,7 @@ pub use launcher::{default_worker_bin, RemoteConfig, WorkerLauncher};
 pub use worker::{run_worker_with, worker_main, RoutineFn, RoutineRegistry, WorkerOpts};
 
 use launcher::Conn;
-use transport::{send, Frame, WireEvent};
+use transport::{send, wait_readable, Frame, WireEvent, READ_CHUNK};
 
 /// What a worker's seat holds beside the task's tag: response decoding,
 /// the bytes the task shipped, and the real instant its deadline counts
@@ -147,8 +147,8 @@ pub struct RemoteEngine {
     local_addr: String,
     cfg: RemoteConfig,
     links: Vec<Link>,
-    results_tx: Sender<WireEvent>,
-    results_rx: Receiver<WireEvent>,
+    /// What one `read` off a connection lands in before its inbox.
+    read_buf: Vec<u8>,
     /// Membership, one slot per worker, queued completions, and scheduled
     /// membership events.
     roster: Roster<Wired>,
@@ -176,7 +176,6 @@ impl RemoteEngine {
             .local_addr()
             .map_err(|e| EngineError::Io(e.kind()))?
             .to_string();
-        let (results_tx, results_rx) = channel::<WireEvent>();
         let mut engine = Self {
             assignment: spec.delay.assign(n),
             spec,
@@ -186,8 +185,7 @@ impl RemoteEngine {
             local_addr,
             cfg,
             links: (0..n).map(Link::new).collect(),
-            results_tx,
-            results_rx,
+            read_buf: vec![0; READ_CHUNK],
             roster: Roster::new(n),
         };
         for w in 0..n {
@@ -256,20 +254,32 @@ impl RemoteEngine {
         }
     }
 
-    /// One pump step without waiting: drains every event already sitting
-    /// in the result channel into the roster's queue, applies the due
-    /// membership events, then enforces deadlines — after the drain, so
-    /// liveness verdicts see the freshest beats (a driver that slept
-    /// between pump calls must not declare a dutifully beating worker dead
-    /// on stale bookkeeping).
-    fn poll(&mut self) {
-        while let Ok(ev) = self.results_rx.try_recv() {
+    /// One pump step: waits up to `wait` (`None`: no limit) for live
+    /// connections to turn readable, accepts what one `read` of each
+    /// brings, then applies due membership events, then deadlines — after
+    /// the drain, so liveness verdicts see the freshest beats. `None` when
+    /// `poll(2)` fails.
+    fn pump(&mut self, wait: Option<Duration>) -> Option<()> {
+        let live: Vec<(WorkerId, RawFd)> = (0..self.links.len())
+            .filter_map(|w| Some((w, self.links[w].conn.as_ref()?.stream.as_raw_fd())))
+            .collect();
+        let ready = wait_readable(live.iter().map(|&(_, fd)| fd), wait).ok()?;
+        let mut events = Vec::new();
+        for (w, _) in ready.into_iter().map(|i| live[i]) {
+            let id = (w, self.roster.epoch(w));
+            if let Some(conn) = self.links[w].conn.as_mut() {
+                conn.inbox
+                    .receive(&mut conn.stream, &mut self.read_buf, id, &mut events);
+            }
+        }
+        for ev in events {
             if let Some(c) = self.accept(ev) {
                 self.roster.notify(c);
             }
         }
         PendingChaos::apply_due(self, |e| &mut e.roster);
         self.enforce_deadlines();
+        Some(())
     }
 }
 
@@ -340,8 +350,10 @@ impl Engine for RemoteEngine {
     }
 
     fn next(&mut self) -> Option<Completion> {
+        // The first pass only drains what already arrived.
+        let mut wait = Some(Duration::ZERO);
         loop {
-            self.poll();
+            self.pump(wait)?;
             if let Some(c) = self.roster.pop() {
                 return Some(c);
             }
@@ -352,20 +364,12 @@ impl Engine for RemoteEngine {
                 // see `ThreadedEngine::next`).
                 return None;
             }
-            match self.wait_event() {
-                Ok(ev) => {
-                    if let Some(c) = self.accept(ev) {
-                        return Some(c);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
+            wait = self.wait_limit();
         }
     }
 
     fn try_next(&mut self) -> Option<Completion> {
-        self.poll();
+        let _ = self.pump(Some(Duration::ZERO));
         self.roster.pop()
     }
 
@@ -428,8 +432,8 @@ mod tests {
     use std::io::Write;
     use std::net::TcpStream;
     use std::path::PathBuf;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{mpsc, Arc, Mutex};
     use std::time::Duration;
 
     use async_cluster::{CommModel, DelayModel, VDur};
@@ -437,7 +441,7 @@ mod tests {
 
     use super::*;
     use crate::fault::{FaultDir, FaultPlan};
-    use crate::frame::write_frame;
+    use crate::frame::{encode_frame, write_frame};
     use crate::payload::Payload;
 
     fn spec(workers: usize) -> ClusterSpec {
@@ -994,9 +998,7 @@ mod tests {
         // it connects, writes a torn frame (or a stale greeting), and
         // disconnects. The handshake loop must discard every such
         // connection and still complete the real workers' handshakes.
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = probe.local_addr().unwrap().to_string();
-        drop(probe);
+        let addr = probed_addr();
         let stop = Arc::new(AtomicBool::new(false));
         let rogue = {
             let addr = addr.clone();
@@ -1098,6 +1100,273 @@ mod tests {
         e.schedule_revival(0, VTime::from_micros(50_000));
         e.schedule_failure(0, VTime::from_micros(10_000));
         assert_eq!(e.next_event_at(), Some(VTime::from_micros(10_000)));
+    }
+
+    #[test]
+    fn silent_peers_cannot_hold_the_handshake() {
+        // Three peers connect to the driver's port ahead of every worker and
+        // never write a byte. Each would cost a whole handshake timeout if
+        // the handshake read one accepted connection at a time; every worker
+        // must still greet within one timeout in all.
+        let addr = probed_addr();
+        let (bound_tx, bound_rx) = mpsc::channel::<()>();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new(Some((bound_tx, go_rx)));
+        let registry = Arc::new(move || {
+            // The first worker start: the driver listens, and the silent
+            // peers connect before this worker does.
+            if let Some((bound, go)) = gate.lock().unwrap().take() {
+                bound.send(()).unwrap();
+                go.recv().unwrap();
+            }
+            doubling_registry()
+        });
+        let silent = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                bound_rx.recv().unwrap();
+                let peers: Vec<TcpStream> =
+                    (0..3).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+                go_tx.send(()).unwrap();
+                peers
+            })
+        };
+        let timeout = Duration::from_millis(300);
+        let cfg = RemoteConfig {
+            addr,
+            handshake_timeout: timeout,
+            ..RemoteConfig::loopback(registry)
+        };
+        let t0 = Instant::now();
+        let mut e = RemoteEngine::new(spec(3), 0.0, cfg).expect("every worker greets");
+        let waited = t0.elapsed();
+        let peers = silent.join().unwrap();
+        assert_eq!(peers.len(), 3);
+        assert!(waited < timeout, "the handshake took {waited:?}");
+        for w in 0..3 {
+            let (task, wire) = wired(w as u64, w as u64);
+            e.submit_wired(w, task, wire).unwrap();
+        }
+        let mut done = 0;
+        while let Some(Completion::Done(_)) = e.next() {
+            done += 1;
+        }
+        assert_eq!(done, 3);
+    }
+
+    /// A free loopback port, for an engine whose address a peer must know
+    /// before the engine listens.
+    fn probed_addr() -> String {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap().to_string()
+    }
+
+    /// A one-worker engine whose worker is the test itself. The launched
+    /// process never connects: it writes the address it was given to a
+    /// file and sleeps. A thread reads the address, connects in its place
+    /// and greets as incarnation 0 of worker 0. Returns the engine and the
+    /// worker's end of the connection.
+    fn scripted_worker() -> (RemoteEngine, TcpStream) {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let note = std::env::temp_dir().join(format!(
+            "sparklet-scripted-worker-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::SeqCst)
+        ));
+        let greeter = {
+            let note = note.clone();
+            std::thread::spawn(move || {
+                let t0 = Instant::now();
+                // The newline ends a whole address.
+                let addr = loop {
+                    let written = std::fs::read_to_string(&note).unwrap_or_default();
+                    if let Some(addr) = written.strip_suffix('\n') {
+                        break addr.to_string();
+                    }
+                    assert!(t0.elapsed() < Duration::from_secs(5), "no address");
+                    std::thread::sleep(Duration::from_millis(1));
+                };
+                std::fs::remove_file(&note).unwrap();
+                let mut s = TcpStream::connect(&addr).unwrap();
+                s.set_nodelay(true).unwrap();
+                write_frame(
+                    &mut s,
+                    &Msg::WorkerUp {
+                        worker: 0,
+                        epoch: 0,
+                    },
+                )
+                .unwrap();
+                s
+            })
+        };
+        // `sh -c SCRIPT NOTE --connect ADDR ..`: `$0` is the note, `$2`
+        // the address.
+        let script = r#"printf '%s\n' "$2" > "$0"; exec sleep 30"#;
+        let cfg = RemoteConfig {
+            launcher: WorkerLauncher::Process {
+                program: PathBuf::from("sh"),
+                args: vec!["-c".into(), script.into(), note.display().to_string()],
+            },
+            ..RemoteConfig::process(PathBuf::from("sh"))
+        };
+        let e = RemoteEngine::new(spec(1), 0.0, cfg).expect("the test greets");
+        (e, greeter.join().unwrap())
+    }
+
+    /// The frame bytes of `msgs`, back to back.
+    fn frames(msgs: &[Msg]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        for m in msgs {
+            encode_frame(m, &mut buf);
+        }
+        buf.into_vec()
+    }
+
+    /// Worker 0's answer to `wired(tag, x)`.
+    fn answer(tag: u64, x: u64) -> Msg {
+        let mut response = BytesMut::new();
+        (2 * x).encode(&mut response);
+        Msg::Completion {
+            tag,
+            epoch: 0,
+            response: response.into_vec(),
+        }
+    }
+
+    const BEAT: Msg = Msg::Heartbeat {
+        worker: 0,
+        epoch: 0,
+    };
+
+    /// Pumps without waiting until worker 0's inbox holds `n` unread bytes.
+    fn pump_until_held(e: &mut RemoteEngine, n: usize) -> (usize, usize) {
+        let t0 = Instant::now();
+        loop {
+            assert!(e.try_next().is_none(), "no whole frame has arrived");
+            let held = e.links[0].conn.as_ref().expect("connected").inbox.held();
+            if held.0 == n || t0.elapsed() > Duration::from_secs(5) {
+                return held;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_completion_written_a_byte_at_a_time_is_one_done() {
+        let (mut e, mut peer) = scripted_worker();
+        let (task, wire) = wired(4, 21);
+        e.submit_wired(0, task, wire).unwrap();
+        let bytes = frames(&[answer(4, 21)]);
+        let (last, head) = bytes.split_last().unwrap();
+        for (i, b) in head.iter().enumerate() {
+            peer.write_all(std::slice::from_ref(b)).unwrap();
+            assert_eq!(pump_until_held(&mut e, i + 1).0, i + 1);
+        }
+        peer.write_all(std::slice::from_ref(last)).unwrap();
+        match e.next() {
+            Some(Completion::Done(d)) => {
+                assert_eq!(d.tag, 4);
+                assert_eq!(*d.output.downcast::<u64>().unwrap(), 42);
+            }
+            other => panic!(
+                "expected Done, got {:?}",
+                other.as_ref().map(completion_kind)
+            ),
+        }
+        assert!(e.alive(0) && e.available(0));
+        assert!(e.next().is_none());
+    }
+
+    #[test]
+    fn frames_sharing_one_write_are_all_accepted_in_order() {
+        // Two completions for the one seated task with heartbeats between,
+        // in one write. Read in order, the first is the task's Done and the
+        // second — whose response no decoder accepts — finds no seat and
+        // changes nothing. Read the other way round, the worker would die.
+        let (mut e, mut peer) = scripted_worker();
+        let (task, wire) = wired(7, 5);
+        e.submit_wired(0, task, wire).unwrap();
+        let garbled = Msg::Completion {
+            tag: 7,
+            epoch: 0,
+            response: Vec::new(),
+        };
+        let before = e.links[0].last_beat;
+        peer.write_all(&frames(&[BEAT, answer(7, 5), BEAT, garbled, BEAT]))
+            .unwrap();
+        match e.next() {
+            Some(Completion::Done(d)) => {
+                assert_eq!(d.tag, 7);
+                assert_eq!(*d.output.downcast::<u64>().unwrap(), 10);
+            }
+            other => panic!(
+                "expected Done, got {:?}",
+                other.as_ref().map(completion_kind)
+            ),
+        }
+        assert!(e.try_next().is_none());
+        assert!(e.alive(0) && e.available(0));
+        assert!(e.links[0].last_beat > before);
+        let conn = e.links[0].conn.as_ref().expect("still connected");
+        assert_eq!(conn.inbox.held().0, 0, "every frame was consumed");
+    }
+
+    #[test]
+    fn end_of_stream_mid_frame_is_one_lost_task_and_a_dead_worker() {
+        let (mut e, mut peer) = scripted_worker();
+        let (task, wire) = wired(2, 3);
+        e.submit_wired(0, task, wire).unwrap();
+        let bytes = frames(&[answer(2, 3)]);
+        peer.write_all(&bytes[..bytes.len() / 2]).unwrap();
+        drop(peer);
+        assert!(matches!(
+            e.next(),
+            Some(Completion::Lost { worker: 0, tag: 2 })
+        ));
+        assert!(!e.alive(0));
+        assert!(e.next().is_none(), "one loss, reported once");
+    }
+
+    #[test]
+    fn a_refused_length_prefix_is_one_lost_task_before_any_growth() {
+        for prefix in [u32::MAX, 0] {
+            let (mut e, mut peer) = scripted_worker();
+            let (task, wire) = wired(3, 1);
+            e.submit_wired(0, task, wire).unwrap();
+            let bytes = prefix.to_le_bytes();
+            // Half the prefix: held as it arrived, nothing sized by it.
+            peer.write_all(&bytes[..2]).unwrap();
+            let (unread, allocated) = pump_until_held(&mut e, 2);
+            assert_eq!(unread, 2, "prefix {prefix:#x}");
+            assert!(allocated < 64, "prefix {prefix:#x}: {allocated} bytes");
+            peer.write_all(&bytes[2..]).unwrap();
+            assert!(matches!(
+                e.next(),
+                Some(Completion::Lost { worker: 0, tag: 3 })
+            ));
+            assert!(!e.alive(0), "prefix {prefix:#x}");
+            assert!(e.next().is_none());
+        }
+    }
+
+    #[test]
+    fn next_with_every_worker_dead_returns_none_without_blocking() {
+        let mut e = loopback_engine(2);
+        e.kill_worker(0);
+        e.kill_worker(1);
+        // A timer armed far ahead gives the pump a reason to wait, were it
+        // to wait without a connection to wait on.
+        e.schedule_revival(0, VTime::from_micros(60_000_000));
+        let mut downs = 0;
+        while let Some(Completion::WorkerDown { .. }) = e.next() {
+            downs += 1;
+        }
+        assert_eq!(downs, 2);
+        let t0 = Instant::now();
+        assert!(e.next().is_none());
+        assert!(e.try_next().is_none());
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
     fn strings(args: &[&str]) -> Vec<String> {

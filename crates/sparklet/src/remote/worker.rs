@@ -2,7 +2,7 @@
 //! the loop that connects back to the driver and serves submissions.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -94,7 +94,7 @@ pub fn run_worker_with(
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     let write = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut read = stream;
+    let mut read = BufReader::new(stream); // one `read` takes a whole `Submit`
     send_shared(&write, &Msg::WorkerUp { worker, epoch }, None)?;
     let id = worker as WorkerId;
     let mut inj = injector(&opts.fault, id, epoch, FaultDir::WorkerToDriver);
