@@ -5,60 +5,50 @@
 //! (Figures 3–4).
 
 use async_cluster::DelayModel;
-use async_core::{AsyncContext, BarrierFilter};
-use async_data::{Dataset, SynthSpec};
-use async_linalg::ParallelismCfg;
-use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
+use async_core::BarrierFilter;
+use async_data::SynthSpec;
+use async_optim::{Objective, SolverCfg};
 
 use crate::doc::{bench_doc, BenchDoc, ReportField};
-use crate::workload::{modeled_cluster, LabeledRun};
+use crate::workload::{modeled_cluster, LabeledRun, Scenario};
 
-/// Configuration of the ASP-vs-BSP straggler ablation.
-#[derive(Debug, Clone)]
-pub struct AblationCfg {
-    /// Cluster size.
-    pub workers: usize,
-    /// Controlled-delay straggler intensity (1.0 = half speed).
-    pub intensity: f64,
-    /// Dataset rows (dense synthetic, epsilon-like shape at small scale).
-    pub rows: usize,
-    /// Dataset feature dimension.
-    pub cols: usize,
-    /// Server update budget per mode.
-    pub updates: u64,
-    /// Mini-batch fraction per task.
-    pub batch_fraction: f64,
-    /// Step size.
-    pub step: f64,
-    /// Per-message latency in µs. Task compute must dominate this for
-    /// straggler effects to be visible (the delay factor stretches compute,
-    /// not communication — as in the paper, where tasks run for seconds).
-    pub per_msg_us: u64,
-    /// Sampling seed.
-    pub seed: u64,
-}
-
-impl Default for AblationCfg {
-    fn default() -> Self {
-        Self {
-            workers: 8,
-            intensity: 1.0,
-            rows: 8_192,
-            cols: 256,
-            updates: 400,
-            batch_fraction: 0.25,
+/// The committed workload: ASGD on dense least squares (epsilon-like shape
+/// at small scale), eight workers behind a 100 µs message latency that
+/// task compute dominates, as in the paper, where tasks run for seconds.
+pub fn scenario() -> Scenario {
+    Scenario {
+        data: SynthSpec::dense("bench-dense", 8_192, 256, 2024),
+        objective: Objective::LeastSquares { lambda: 1e-3 },
+        cluster: modeled_cluster(8, DelayModel::None, 100, 1.0),
+        solver: SolverCfg {
             step: 0.05,
-            per_msg_us: 100,
+            batch_fraction: 0.25,
+            max_updates: 400,
+            eval_every: 50,
             seed: 2024,
-        }
+            ..SolverCfg::default()
+        },
     }
 }
+
+/// What this bench varies beyond its [`Scenario`].
+#[derive(Debug, Clone)]
+pub struct Params {
+    /// Controlled-delay straggler intensity of the last worker (1.0 = half
+    /// speed).
+    pub intensity: f64,
+}
+
+/// The committed parameters.
+pub const PARAMS: Params = Params { intensity: 1.0 };
 
 /// The ablation outcome: both modes plus the headline ratios.
 #[derive(Debug, Clone)]
 pub struct Ablation {
-    /// The configuration measured.
-    pub cfg: AblationCfg,
+    /// The scenario measured.
+    pub scenario: Scenario,
+    /// The parameters measured.
+    pub params: Params,
     /// ASP run, "asp".
     pub asp: LabeledRun,
     /// BSP run, "bsp".
@@ -72,68 +62,34 @@ pub struct Ablation {
     pub wait_ratio: f64,
 }
 
-fn run_mode(
-    cfg: &AblationCfg,
-    dataset: &Dataset,
-    baseline: f64,
-    barrier: BarrierFilter,
-) -> RunReport {
-    let straggler = DelayModel::ControlledDelay {
-        worker: cfg.workers - 1,
-        intensity: cfg.intensity,
-    };
-    let mut ctx = AsyncContext::sim(modeled_cluster(cfg.workers, straggler, cfg.per_msg_us, 1.0));
-    let objective = Objective::LeastSquares { lambda: 1e-3 };
-    let solver_cfg = SolverCfg {
-        step: cfg.step,
-        batch_fraction: cfg.batch_fraction,
-        barrier,
-        max_updates: cfg.updates,
-        eval_every: cfg.updates / 8,
-        baseline,
-        seed: cfg.seed,
-        ..SolverCfg::default()
-    };
-    Asgd::new(objective).run(&mut ctx, dataset, &solver_cfg)
-}
-
 /// Runs the ablation: the same ASGD workload under ASP and BSP on
 /// identical clusters with one controlled-delay straggler.
-pub fn run_async_vs_bsp(cfg: AblationCfg) -> Ablation {
-    let (dataset, _) = SynthSpec::dense("bench-dense", cfg.rows, cfg.cols, cfg.seed)
-        .generate()
-        .unwrap();
-    // The CGLS baseline is identical for both modes; solve once.
-    let baseline = Objective::LeastSquares { lambda: 1e-3 }
-        .optimum(ParallelismCfg::sequential(), &dataset)
-        .expect("least-squares baseline");
-    let asp = run_mode(&cfg, &dataset, baseline, BarrierFilter::Asp);
-    let bsp = run_mode(&cfg, &dataset, baseline, BarrierFilter::Bsp);
+pub fn run_async_vs_bsp(mut s: Scenario, params: Params) -> Ablation {
+    s.cluster.delay = DelayModel::ControlledDelay {
+        worker: s.cluster.workers - 1,
+        intensity: params.intensity,
+    };
+    let data = s.generate();
+    let mode = |label, barrier| s.arm(|a| a.solver.barrier = barrier).run(label, &data);
+    let asp = mode("asp", BarrierFilter::Asp);
+    let bsp = mode("bsp", BarrierFilter::Bsp);
+    let (a, b) = (&asp.report, &bsp.report);
     let wall_clock_speedup =
-        bsp.wall_clock.as_micros() as f64 / asp.wall_clock.as_micros().max(1) as f64;
-    let wait_ratio = if asp.mean_wait.as_micros() == 0 {
-        if bsp.mean_wait.as_micros() == 0 {
+        b.wall_clock.as_micros() as f64 / a.wall_clock.as_micros().max(1) as f64;
+    let wait_ratio = if a.mean_wait.as_micros() == 0 {
+        if b.mean_wait.as_micros() == 0 {
             0.0
         } else {
             f64::INFINITY
         }
     } else {
-        bsp.mean_wait.as_micros() as f64 / asp.mean_wait.as_micros() as f64
+        b.mean_wait.as_micros() as f64 / a.mean_wait.as_micros() as f64
     };
-    eprintln!(
-        "async_vs_bsp: wall-clock speedup {wall_clock_speedup:.3}x (ASP {} vs BSP {}), mean wait {} vs {}",
-        asp.wall_clock, bsp.wall_clock, asp.mean_wait, bsp.mean_wait,
-    );
     Ablation {
-        cfg,
-        asp: LabeledRun {
-            label: "asp",
-            report: asp,
-        },
-        bsp: LabeledRun {
-            label: "bsp",
-            report: bsp,
-        },
+        scenario: s,
+        params,
+        asp,
+        bsp,
         wall_clock_speedup,
         wait_ratio,
     }
@@ -156,19 +112,19 @@ const MODE_FIELDS: [ReportField; 9] = [
 impl Ablation {
     /// The `BENCH_async_vs_bsp.json` document; every byte is deterministic.
     pub fn doc(&self) -> BenchDoc {
-        let c = &self.cfg;
+        let s = &self.scenario;
         bench_doc! {
             "benchmark": "async_vs_bsp",
             "description": DESCRIPTION,
             "config": bench_doc! {
-                "workers": c.workers,
-                "straggler_intensity": c.intensity,
-                "dataset": format!("dense synthetic {}x{}", c.rows, c.cols),
-                "updates": c.updates,
-                "batch_fraction": c.batch_fraction,
-                "step": c.step,
-                "per_msg_us": c.per_msg_us,
-                "seed": c.seed,
+                "workers": s.cluster.workers,
+                "straggler_intensity": self.params.intensity,
+                "dataset": s.data_label(),
+                "updates": s.solver.max_updates,
+                "batch_fraction": s.solver.batch_fraction,
+                "step": s.solver.step,
+                "per_msg_us": s.cluster.comm.per_msg.as_micros(),
+                "seed": s.solver.seed,
             },
             "asp": self.asp.doc("mode", &MODE_FIELDS),
             "bsp": self.bsp.doc("mode", &MODE_FIELDS),
@@ -182,23 +138,19 @@ impl Ablation {
 mod tests {
     use super::*;
     use crate::doc::oracle;
+    use crate::workload::small;
 
-    fn small_cfg() -> AblationCfg {
-        // Free comms so compute (and therefore the straggler) dominates
-        // even at test scale.
-        AblationCfg {
-            workers: 4,
-            rows: 256,
-            cols: 32,
-            updates: 60,
-            per_msg_us: 0,
-            ..AblationCfg::default()
-        }
+    fn small_run() -> Ablation {
+        let mut s = small(scenario(), 256, 32, 60);
+        // No message latency, so compute (and therefore the straggler)
+        // dominates even at test scale.
+        s.cluster = modeled_cluster(4, DelayModel::None, 0, 1.0);
+        run_async_vs_bsp(s, PARAMS)
     }
 
     #[test]
     fn asp_beats_bsp_under_straggler() {
-        let a = run_async_vs_bsp(small_cfg());
+        let a = small_run();
         assert_eq!(a.asp.report.updates, 60);
         assert_eq!(a.bsp.report.updates, 60);
         assert!(
@@ -211,13 +163,13 @@ mod tests {
 
     #[test]
     fn ablation_is_deterministic() {
-        let run = || run_async_vs_bsp(small_cfg()).doc();
+        let run = || small_run().doc();
         oracle::check(run, "async_vs_bsp", &[]);
     }
 
     #[test]
     fn json_is_well_formed_enough() {
-        let a = run_async_vs_bsp(small_cfg());
+        let a = small_run();
         oracle::well_formed(&a.doc(), "async_vs_bsp", &["asp", "bsp"]);
     }
 }

@@ -10,75 +10,54 @@
 //! `within_loss_tolerance` verdict per compressed arm: the byte reduction
 //! only counts if the arm lands within 10% of the uncompressed arm's
 //! closed optimality gap.
-//!
-//! The workload is the ridge-free sparse logistic of the hot-path bench:
-//! λ = 0 keeps gradients (and therefore top-k selections and broadcast
-//! diffs) sparse, which is exactly the configuration `SolverCfg::lint`
-//! steers compression users to.
 
-use async_cluster::{ClusterSpec, DelayModel};
-use async_core::{AsyncContext, BarrierFilter};
-use async_data::{Dataset, SynthSpec};
+use async_cluster::DelayModel;
+use async_data::SynthSpec;
 use async_linalg::Quant;
-use async_optim::{Asgd, AsyncSolver, CompressCfg, Objective, SolverCfg};
+use async_optim::{CompressCfg, Objective, SolverCfg};
 
 use crate::doc::{bench_doc, BenchDoc};
-use crate::workload::{modeled_cluster, LabeledRun, SIM_ARM_FIELDS};
+use crate::workload::{modeled_cluster, LabeledRun, Scenario, SIM_ARM_FIELDS};
 
-/// Configuration of the compressed-communication benchmark.
-#[derive(Debug, Clone)]
-pub struct CommCompressCfg {
-    /// Cluster size.
-    pub workers: usize,
-    /// Dataset rows.
-    pub rows: usize,
-    /// Feature dimension.
-    pub cols: usize,
-    /// Mean stored nonzeros per row.
-    pub nnz_per_row: usize,
-    /// Coordinates shipped per compressed delta.
-    pub k: usize,
-    /// Server update budget per run.
-    pub updates: u64,
-    /// Mini-batch fraction per task.
-    pub batch_fraction: f64,
-    /// Step size (ridge-free logistic).
-    pub step: f64,
-    /// Incremental ring capacity (all arms; the quantized arm also
-    /// quantizes its patches).
-    pub ring: usize,
-    /// Per-message latency in µs.
-    pub per_msg_us: u64,
-    /// Modeled wire cost in ns/byte (what compression saves).
-    pub ns_per_byte: f64,
-    /// Sampling/generation seed.
-    pub seed: u64,
-}
-
-impl Default for CommCompressCfg {
-    fn default() -> Self {
-        Self {
-            workers: 4,
-            rows: 2_048,
-            cols: 65_536,
-            nnz_per_row: 20,
-            k: 256,
-            updates: 300,
-            batch_fraction: 0.1,
+/// The committed workload: the hot-path bench's ridge-free sparse
+/// logistic ASGD behind a 50 ns/byte wire (what compression saves), with
+/// the incremental broadcast ring on in every arm. λ = 0 keeps the
+/// gradient support — and so the top-k candidate set and the broadcast
+/// diffs — sparse.
+pub fn scenario() -> Scenario {
+    Scenario {
+        data: SynthSpec::sparse("comm-compress", 2_048, 65_536, 20, 2026),
+        objective: Objective::Logistic { lambda: 0.0 },
+        cluster: modeled_cluster(4, DelayModel::None, 50, 50.0),
+        solver: SolverCfg {
             step: 0.5,
-            ring: 16,
-            per_msg_us: 50,
-            ns_per_byte: 50.0,
+            batch_fraction: 0.1,
+            max_updates: 300,
+            eval_every: 50,
             seed: 2026,
-        }
+            bcast_ring: 16,
+            ..SolverCfg::default()
+        },
     }
 }
+
+/// What this bench varies beyond its [`Scenario`].
+#[derive(Debug, Clone)]
+pub struct Params {
+    /// Coordinates shipped per compressed delta.
+    pub k: usize,
+}
+
+/// The committed parameters.
+pub const PARAMS: Params = Params { k: 256 };
 
 /// The benchmark outcome: three simulated arms, ratios and verdicts.
 #[derive(Debug, Clone)]
 pub struct CommCompress {
-    /// The configuration measured.
-    pub cfg: CommCompressCfg,
+    /// The scenario measured.
+    pub scenario: Scenario,
+    /// The parameters measured.
+    pub params: Params,
     /// Simulated uncompressed arm, "off" (deterministic, the reference).
     pub sim_off: LabeledRun,
     /// Simulated top-k (exact values) arm, "topk".
@@ -98,63 +77,6 @@ pub struct CommCompress {
     pub topk_i8_within_loss_tolerance: bool,
 }
 
-/// The ridge-free sparse logistic problem: λ = 0 keeps the gradient
-/// support — and so the top-k candidate set and the broadcast diffs —
-/// sparse.
-fn workload(cfg: &CommCompressCfg) -> (Dataset, ClusterSpec) {
-    let data = SynthSpec::sparse(
-        "comm-compress",
-        cfg.rows,
-        cfg.cols,
-        cfg.nnz_per_row,
-        cfg.seed,
-    )
-    .generate_classification()
-    .expect("synthetic generation")
-    .0;
-    let cluster = modeled_cluster(
-        cfg.workers,
-        DelayModel::None,
-        cfg.per_msg_us,
-        cfg.ns_per_byte,
-    );
-    (data, cluster)
-}
-
-fn solver_cfg(cfg: &CommCompressCfg, compress: CompressCfg) -> SolverCfg {
-    SolverCfg {
-        step: cfg.step,
-        batch_fraction: cfg.batch_fraction,
-        barrier: BarrierFilter::Asp,
-        max_updates: cfg.updates,
-        eval_every: (cfg.updates / 6).max(1),
-        seed: cfg.seed,
-        bcast_ring: cfg.ring,
-        compress,
-        ..SolverCfg::default()
-    }
-}
-
-fn arms(cfg: &CommCompressCfg) -> [(&'static str, CompressCfg); 3] {
-    [
-        ("off", CompressCfg::Off),
-        (
-            "topk",
-            CompressCfg::TopK {
-                k: cfg.k,
-                quant: Quant::Exact,
-            },
-        ),
-        (
-            "topk_i8",
-            CompressCfg::TopK {
-                k: cfg.k,
-                quant: Quant::I8,
-            },
-        ),
-    ]
-}
-
 /// A compressed arm is "within tolerance" when it closes at least 90% of
 /// the optimality gap the uncompressed arm closes (both start from ln 2 on
 /// ±1 logistic labels at w = 0).
@@ -164,39 +86,22 @@ fn within_tolerance(off_final: f64, comp_final: f64) -> bool {
 }
 
 /// Runs the three arms on the simulator.
-pub fn run_comm_compress(cfg: CommCompressCfg) -> CommCompress {
-    let (data, cluster) = workload(&cfg);
-    let run_sim = |(label, compress)| {
-        let mut ctx = AsyncContext::sim(cluster.clone());
-        let report = Asgd::new(Objective::Logistic { lambda: 0.0 }).run(
-            &mut ctx,
-            &data,
-            &solver_cfg(&cfg, compress),
-        );
-        LabeledRun { label, report }
-    };
-    let [off, topk, topk_i8] = arms(&cfg);
-    let sim_off = run_sim(off);
-    let sim_topk = run_sim(topk);
-    let sim_topk_i8 = run_sim(topk_i8);
-    let off_bytes = sim_off.report.result_bytes as f64;
-    let result_bytes_ratio_topk = off_bytes / sim_topk.report.result_bytes.max(1) as f64;
-    let result_bytes_ratio_topk_i8 = off_bytes / sim_topk_i8.report.result_bytes.max(1) as f64;
-    let bcast_bytes_ratio_topk_i8 =
-        sim_off.report.bytes_shipped as f64 / sim_topk_i8.report.bytes_shipped.max(1) as f64;
-    let topk_within_loss_tolerance = within_tolerance(
-        sim_off.report.final_objective,
-        sim_topk.report.final_objective,
-    );
-    let topk_i8_within_loss_tolerance = within_tolerance(
-        sim_off.report.final_objective,
-        sim_topk_i8.report.final_objective,
-    );
-    eprintln!(
-        "comm_compress: modeled result bytes {result_bytes_ratio_topk:.1}x (topk) / {result_bytes_ratio_topk_i8:.1}x (topk+i8) smaller",
-    );
+pub fn run_comm_compress(mut s: Scenario, params: Params) -> CommCompress {
+    let data = s.generate();
+    let arm = |label, compress| s.arm(|a| a.solver.compress = compress).run(label, &data);
+    let topk = |quant| CompressCfg::TopK { k: params.k, quant };
+    let sim_off = arm("off", CompressCfg::Off);
+    let sim_topk = arm("topk", topk(Quant::Exact));
+    let sim_topk_i8 = arm("topk_i8", topk(Quant::I8));
+    let (off, tk, i8) = (&sim_off.report, &sim_topk.report, &sim_topk_i8.report);
+    let result_bytes_ratio_topk = off.result_bytes as f64 / tk.result_bytes.max(1) as f64;
+    let result_bytes_ratio_topk_i8 = off.result_bytes as f64 / i8.result_bytes.max(1) as f64;
+    let bcast_bytes_ratio_topk_i8 = off.bytes_shipped as f64 / i8.bytes_shipped.max(1) as f64;
+    let topk_within_loss_tolerance = within_tolerance(off.final_objective, tk.final_objective);
+    let topk_i8_within_loss_tolerance = within_tolerance(off.final_objective, i8.final_objective);
     CommCompress {
-        cfg,
+        scenario: s,
+        params,
         sim_off,
         sim_topk,
         sim_topk_i8,
@@ -213,26 +118,23 @@ const DESCRIPTION: &str = "uncompressed vs top-k vs top-k+int8 gradient shipping
 impl CommCompress {
     /// The `BENCH_comm_compress.json` document.
     pub fn doc(&self) -> BenchDoc {
-        let c = &self.cfg;
+        let s = &self.scenario;
         let sim = |a: &LabeledRun| a.doc("arm", &SIM_ARM_FIELDS);
-        let dataset = format!(
-            "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda 0",
-            c.rows, c.cols, c.nnz_per_row
-        );
+        let dataset = format!("{}, lambda {}", s.data_label(), s.objective.lambda());
         bench_doc! {
             "benchmark": "comm_compress",
             "description": DESCRIPTION,
             "config": bench_doc! {
-                "workers": c.workers,
+                "workers": s.cluster.workers,
                 "dataset": dataset,
-                "k": c.k,
-                "updates": c.updates,
-                "batch_fraction": c.batch_fraction,
-                "step": c.step,
-                "ring": c.ring,
-                "per_msg_us": c.per_msg_us,
-                "ns_per_byte": c.ns_per_byte,
-                "seed": c.seed,
+                "k": self.params.k,
+                "updates": s.solver.max_updates,
+                "batch_fraction": s.solver.batch_fraction,
+                "step": s.solver.step,
+                "ring": s.solver.bcast_ring,
+                "per_msg_us": s.cluster.comm.per_msg.as_micros(),
+                "ns_per_byte": s.cluster.comm.ns_per_byte,
+                "seed": s.solver.seed,
             },
             "sim_off": sim(&self.sim_off),
             "sim_topk": sim(&self.sim_topk),
@@ -249,20 +151,15 @@ impl CommCompress {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::small;
 
-    fn small_cfg() -> CommCompressCfg {
-        CommCompressCfg {
-            rows: 256,
-            cols: 4_096,
-            k: 32,
-            updates: 200,
-            ..CommCompressCfg::default()
-        }
+    fn small_run() -> CommCompress {
+        run_comm_compress(small(scenario(), 256, 4_096, 200), Params { k: 32 })
     }
 
     #[test]
     fn compression_slashes_result_bytes_within_loss_tolerance() {
-        let b = run_comm_compress(small_cfg());
+        let b = small_run();
         assert_eq!(b.sim_off.report.updates, 200);
         assert_eq!(b.sim_topk.report.updates, 200);
         assert_eq!(b.sim_topk_i8.report.updates, 200);
@@ -299,7 +196,7 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_filters_wall_clock_keys() {
-        let run = || run_comm_compress(small_cfg()).doc();
+        let run = || small_run().doc();
         let probes = [
             "result_bytes_ratio_off_over_topk_i8",
             "topk_i8_within_loss_tolerance",

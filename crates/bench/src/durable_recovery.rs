@@ -22,54 +22,46 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
-use async_core::{AsyncContext, BarrierFilter};
+use async_cluster::DelayModel;
+use async_core::BarrierFilter;
 use async_data::{Dataset, SynthSpec};
-use async_optim::{
-    Asgd, AsyncSolver, CheckpointStore, DiskFault, DiskFaultPlan, Objective, RunReport, SolverCfg,
-};
+use async_optim::{CheckpointStore, DiskFault, DiskFaultPlan, Objective, RunReport, SolverCfg};
 
 use crate::doc::{bench_doc, BenchDoc, ReportField};
+use crate::workload::{modeled_cluster, Scenario};
 
-/// Configuration of the durable-recovery benchmark.
-#[derive(Debug, Clone)]
-pub struct DurableRecoveryCfg {
-    /// Cluster size (BSP waves are this wide, so `checkpoint_every` must
-    /// be a multiple of it for cadence saves to land on round boundaries).
-    pub workers: usize,
-    /// Dataset rows (dense synthetic).
-    pub rows: usize,
-    /// Dataset feature dimension.
-    pub cols: usize,
-    /// Total lineage update budget.
-    pub updates: u64,
-    /// The "crash": the first driver stops after this many updates.
-    pub crash_at: u64,
-    /// Durable checkpoint cadence in updates.
-    pub checkpoint_every: u64,
-    /// Mini-batch fraction per task.
-    pub batch_fraction: f64,
-    /// Step size.
-    pub step: f64,
-    /// Seed for data and sampling.
-    pub seed: u64,
-}
-
-impl Default for DurableRecoveryCfg {
-    fn default() -> Self {
-        Self {
-            workers: 8,
-            rows: 2_048,
-            cols: 64,
-            updates: 128,
-            crash_at: 64,
-            checkpoint_every: 16,
-            batch_fraction: 0.2,
+/// The committed workload: ASGD on dense least squares under BSP with a
+/// durable checkpoint every 16 updates, on a quiet, homogeneous cluster
+/// with a free wire — the bit-identity acceptance needs the resumed run to
+/// replay the exact completion order of the uninterrupted one. BSP waves
+/// are as wide as the cluster, so the cadence is a multiple of the worker
+/// count: saves land on round boundaries.
+pub fn scenario() -> Scenario {
+    Scenario {
+        data: SynthSpec::dense("durable-recovery", 2_048, 64, 2031),
+        objective: Objective::LeastSquares { lambda: 1e-3 },
+        cluster: modeled_cluster(8, DelayModel::None, 0, 0.0),
+        solver: SolverCfg {
             step: 0.05,
+            batch_fraction: 0.2,
+            barrier: BarrierFilter::Bsp,
+            max_updates: 128,
+            checkpoint_every: 16,
             seed: 2031,
-        }
+            ..SolverCfg::default()
+        },
     }
 }
+
+/// What this bench varies beyond its [`Scenario`].
+#[derive(Debug, Clone)]
+pub struct Params {
+    /// The "crash": the first driver stops after this many updates.
+    pub crash_at: u64,
+}
+
+/// The committed parameters.
+pub const PARAMS: Params = Params { crash_at: 64 };
 
 /// One recovery arm's outcome (`resumed` and `faulted`).
 #[derive(Debug, Clone)]
@@ -100,8 +92,10 @@ pub struct RecoveryArm {
 /// The benchmark outcome.
 #[derive(Debug, Clone)]
 pub struct DurableRecovery {
-    /// The configuration measured.
-    pub cfg: DurableRecoveryCfg,
+    /// The scenario measured.
+    pub scenario: Scenario,
+    /// The parameters measured.
+    pub params: Params,
     /// The uninterrupted reference run.
     pub uninterrupted: RunReport,
     /// Serialized size of one checkpoint payload at the crash point.
@@ -110,34 +104,14 @@ pub struct DurableRecovery {
     pub arms: Vec<RecoveryArm>,
 }
 
-fn spec(cfg: &DurableRecoveryCfg) -> ClusterSpec {
-    // Quiet and homogeneous: the bit-identity acceptance needs the resumed
-    // run to replay the exact completion order of the uninterrupted one.
-    ClusterSpec::homogeneous(cfg.workers, DelayModel::None)
-        .with_comm(CommModel::free())
-        .with_sched_overhead(VDur::ZERO)
-}
-
-fn solver_cfg(cfg: &DurableRecoveryCfg, max_updates: u64, dir: Option<PathBuf>) -> SolverCfg {
-    SolverCfg {
-        step: cfg.step,
-        batch_fraction: cfg.batch_fraction,
-        barrier: BarrierFilter::Bsp,
-        max_updates,
-        checkpoint_every: cfg.checkpoint_every,
-        seed: cfg.seed,
-        durable_dir: dir,
-        ..SolverCfg::default()
-    }
-}
-
-fn run(cfg: &DurableRecoveryCfg, d: &Dataset, max_updates: u64, dir: Option<PathBuf>) -> RunReport {
-    let mut ctx = AsyncContext::sim(spec(cfg));
-    Asgd::new(Objective::LeastSquares { lambda: 1e-3 }).run(
-        &mut ctx,
-        d,
-        &solver_cfg(cfg, max_updates, dir),
-    )
+/// One driver's run of the lineage: `max_updates` in all, resuming from
+/// and saving to `dir` when there is one.
+fn run(s: &Scenario, data: &Dataset, max_updates: u64, dir: Option<PathBuf>) -> RunReport {
+    let driver = s.arm(|a| {
+        a.solver.max_updates = max_updates;
+        a.solver.durable_dir = dir;
+    });
+    driver.asgd(&mut driver.context(), data)
 }
 
 /// A fresh store directory, unique per call: concurrent benchmark runs in
@@ -159,23 +133,22 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 
 /// Runs the benchmark: the uninterrupted reference, the clean
 /// crash-and-resume lineage and the faulted-store lineage.
-pub fn run_durable_recovery(cfg: DurableRecoveryCfg) -> DurableRecovery {
-    let (dataset, _) = SynthSpec::dense("durable-recovery", cfg.rows, cfg.cols, cfg.seed)
-        .generate()
-        .expect("synthetic generation");
+pub fn run_durable_recovery(mut s: Scenario, params: Params) -> DurableRecovery {
+    let dataset = s.generate();
+    let (updates, crash_at) = (s.solver.max_updates, params.crash_at);
 
-    let uninterrupted = run(&cfg, &dataset, cfg.updates, None);
+    let uninterrupted = run(&s, &dataset, updates, None);
 
     // Arm 2: crash at the cadence boundary, resume from the store.
     let clean_dir = scratch_dir("clean");
-    let crashed = run(&cfg, &dataset, cfg.crash_at, Some(clean_dir.clone()));
+    let crashed = run(&s, &dataset, crash_at, Some(clean_dir.clone()));
     let checkpoint_payload_bytes = CheckpointStore::open(&clean_dir)
         .expect("store")
         .latest_valid()
         .map(|(_, bytes)| bytes.len() as u64)
         .expect("crash left a valid generation");
 
-    let resumed = run(&cfg, &dataset, cfg.updates, Some(clean_dir.clone()));
+    let resumed = run(&s, &dataset, updates, Some(clean_dir.clone()));
     let resumed_arm = recovery_arm(
         "resumed",
         &crashed,
@@ -189,7 +162,7 @@ pub fn run_durable_recovery(cfg: DurableRecoveryCfg) -> DurableRecovery {
     // newest generation and bit rot inside it. Recovery must fall back one
     // cadence and still land on the same bits.
     let faulted_dir = scratch_dir("faulted");
-    let crashed_f = run(&cfg, &dataset, cfg.crash_at, Some(faulted_dir.clone()));
+    let crashed_f = run(&s, &dataset, crash_at, Some(faulted_dir.clone()));
     let mut havoc = CheckpointStore::open(&faulted_dir)
         .expect("store")
         .with_fault_plan(DiskFaultPlan::scripted(&[(
@@ -197,15 +170,15 @@ pub fn run_durable_recovery(cfg: DurableRecoveryCfg) -> DurableRecovery {
             DiskFault::TornWrite { keep_bytes: 11 },
         )]));
     havoc
-        .save(cfg.crash_at + cfg.checkpoint_every, &vec![0xEE; 1024])
+        .save(crash_at + s.solver.checkpoint_every, &vec![0xEE; 1024])
         .expect("torn writes believe they succeed");
-    let newest = faulted_dir.join(format!("gen-{:012}.ckpt", cfg.crash_at));
+    let newest = faulted_dir.join(format!("gen-{crash_at:012}.ckpt"));
     let mut payload = std::fs::read(&newest).expect("newest generation payload");
     let mid = payload.len() / 2;
     payload[mid] ^= 0x10;
     std::fs::write(&newest, payload).expect("inject bit rot");
 
-    let resumed_f = run(&cfg, &dataset, cfg.updates, Some(faulted_dir.clone()));
+    let resumed_f = run(&s, &dataset, updates, Some(faulted_dir.clone()));
     let faulted_arm = recovery_arm(
         "faulted",
         &crashed_f,
@@ -215,17 +188,9 @@ pub fn run_durable_recovery(cfg: DurableRecoveryCfg) -> DurableRecovery {
     );
     let _ = std::fs::remove_dir_all(&faulted_dir);
 
-    eprintln!(
-        "durable_recovery: resumed from gen {} (bit_identical {}), faulted fell back to gen {} \
-         (bit_identical {}), write amplification {:.2}x",
-        resumed_arm.resumed_from,
-        resumed_arm.bit_identical,
-        faulted_arm.resumed_from,
-        faulted_arm.bit_identical,
-        resumed_arm.write_amplification,
-    );
     DurableRecovery {
-        cfg,
+        scenario: s,
+        params,
         uninterrupted,
         checkpoint_payload_bytes,
         arms: vec![resumed_arm, faulted_arm],
@@ -266,19 +231,19 @@ const UNINTERRUPTED_FIELDS: [ReportField; 3] = [
 impl DurableRecovery {
     /// The `BENCH_durable_recovery.json` document.
     pub fn doc(&self) -> BenchDoc {
-        let c = &self.cfg;
+        let s = &self.scenario;
         let mut doc = bench_doc! {
             "benchmark": "durable_recovery",
             "description": DESCRIPTION,
             "config": bench_doc! {
-                "workers": c.workers,
-                "dataset": format!("dense synthetic {}x{}", c.rows, c.cols),
-                "updates": c.updates,
-                "crash_at": c.crash_at,
-                "checkpoint_every": c.checkpoint_every,
-                "batch_fraction": c.batch_fraction,
-                "step": c.step,
-                "seed": c.seed,
+                "workers": s.cluster.workers,
+                "dataset": s.data_label(),
+                "updates": s.solver.max_updates,
+                "crash_at": self.params.crash_at,
+                "checkpoint_every": s.solver.checkpoint_every,
+                "batch_fraction": s.solver.batch_fraction,
+                "step": s.solver.step,
+                "seed": s.solver.seed,
             },
             "uninterrupted": BenchDoc::new().report(&self.uninterrupted, &UNINTERRUPTED_FIELDS),
             "checkpoint_payload_bytes": self.checkpoint_payload_bytes,
@@ -305,22 +270,17 @@ impl DurableRecovery {
 mod tests {
     use super::*;
     use crate::doc::oracle;
+    use crate::workload::small;
 
-    fn small_cfg() -> DurableRecoveryCfg {
-        DurableRecoveryCfg {
-            workers: 4,
-            rows: 256,
-            cols: 24,
-            updates: 48,
-            crash_at: 24,
-            checkpoint_every: 8,
-            ..DurableRecoveryCfg::default()
-        }
+    fn small_run() -> DurableRecovery {
+        let mut s = small(scenario(), 256, 24, 48);
+        s.solver.checkpoint_every = 8;
+        run_durable_recovery(s, Params { crash_at: 24 })
     }
 
     #[test]
     fn both_recovery_arms_finish_bit_identically() {
-        let b = run_durable_recovery(small_cfg());
+        let b = small_run();
         let [resumed, faulted] = &b.arms[..] else {
             panic!("two recovery arms");
         };
@@ -353,7 +313,7 @@ mod tests {
 
     #[test]
     fn gated_portion_is_deterministic() {
-        let run = || run_durable_recovery(small_cfg()).doc();
+        let run = || small_run().doc();
         oracle::check(run, "durable_recovery", &[]);
     }
 
@@ -364,7 +324,7 @@ mod tests {
             "faulted.bit_identical_to_uninterrupted",
             "checkpoint_payload_bytes",
         ];
-        let doc = run_durable_recovery(small_cfg()).doc();
+        let doc = small_run().doc();
         oracle::well_formed(&doc, "durable_recovery", &probes);
     }
 }

@@ -16,52 +16,43 @@
 //! in CI like the other two benchmark files.
 
 use async_cluster::{ChaosAction, ChaosSchedule, DelayModel, VTime};
-use async_core::{AsyncContext, BarrierFilter};
+use async_core::BarrierFilter;
 use async_data::SynthSpec;
-use async_linalg::ParallelismCfg;
-use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
+use async_optim::{Objective, RunReport, SolverCfg};
 
 use crate::doc::{bench_doc, BenchDoc, ReportField, Value};
-use crate::workload::modeled_cluster;
+use crate::workload::{modeled_cluster, Scenario};
 
-/// Configuration of the elastic-chaos benchmark.
-#[derive(Debug, Clone)]
-pub struct ElasticChaosCfg {
-    /// Starting cluster size (churn revives every casualty and adds one).
-    pub workers: usize,
-    /// Dataset rows (dense synthetic).
-    pub rows: usize,
-    /// Dataset feature dimension.
-    pub cols: usize,
-    /// Server update budget per run.
-    pub updates: u64,
-    /// Mini-batch fraction per task.
-    pub batch_fraction: f64,
-    /// Step size.
-    pub step: f64,
-    /// Per-message latency in µs (plus 1 ns/byte on payloads).
-    pub per_msg_us: u64,
-    /// Fraction of the *static* run's wall clock the churn script spans.
-    pub chaos_horizon_fraction: f64,
-    /// Seed for data, sampling, and the churn script.
-    pub seed: u64,
-}
-
-impl Default for ElasticChaosCfg {
-    fn default() -> Self {
-        Self {
-            workers: 8,
-            rows: 2_048,
-            cols: 64,
-            updates: 320,
-            batch_fraction: 0.2,
+/// The committed workload: ASGD on dense least squares, eight starting
+/// workers (churn revives every casualty and adds one) behind a 20 µs
+/// message latency plus 1 ns/byte. The seed also seeds the churn script.
+pub fn scenario() -> Scenario {
+    Scenario {
+        data: SynthSpec::dense("elastic-chaos", 2_048, 64, 2026),
+        objective: Objective::LeastSquares { lambda: 1e-3 },
+        cluster: modeled_cluster(8, DelayModel::None, 20, 1.0),
+        solver: SolverCfg {
             step: 0.05,
-            per_msg_us: 20,
-            chaos_horizon_fraction: 0.6,
+            batch_fraction: 0.2,
+            max_updates: 320,
+            eval_every: 40,
             seed: 2026,
-        }
+            ..SolverCfg::default()
+        },
     }
 }
+
+/// What this bench varies beyond its [`Scenario`].
+#[derive(Debug, Clone)]
+pub struct Params {
+    /// Fraction of the *static* run's wall clock the churn script spans.
+    pub chaos_horizon_fraction: f64,
+}
+
+/// The committed parameters.
+pub const PARAMS: Params = Params {
+    chaos_horizon_fraction: 0.6,
+};
 
 /// One barrier's static-vs-chaos pair.
 #[derive(Debug, Clone)]
@@ -83,44 +74,17 @@ pub struct BarrierOutcome {
 /// The benchmark outcome across barriers.
 #[derive(Debug, Clone)]
 pub struct ElasticChaos {
-    /// The configuration measured.
-    pub cfg: ElasticChaosCfg,
+    /// The scenario measured.
+    pub scenario: Scenario,
+    /// The parameters measured.
+    pub params: Params,
     /// Per-barrier outcomes (asp, bsp, ssp2).
     pub outcomes: Vec<BarrierOutcome>,
 }
 
-fn ctx(cfg: &ElasticChaosCfg) -> AsyncContext {
-    AsyncContext::sim(modeled_cluster(
-        cfg.workers,
-        DelayModel::None,
-        cfg.per_msg_us,
-        1.0,
-    ))
-}
-
-fn solver_cfg(cfg: &ElasticChaosCfg, barrier: BarrierFilter, baseline: f64) -> SolverCfg {
-    SolverCfg {
-        step: cfg.step,
-        batch_fraction: cfg.batch_fraction,
-        barrier,
-        max_updates: cfg.updates,
-        eval_every: (cfg.updates / 8).max(1),
-        baseline,
-        seed: cfg.seed,
-        ..SolverCfg::default()
-    }
-}
-
 /// Runs the benchmark: three barriers × {static, churn}.
-pub fn run_elastic_chaos(cfg: ElasticChaosCfg) -> ElasticChaos {
-    let (dataset, _) = SynthSpec::dense("elastic-chaos", cfg.rows, cfg.cols, cfg.seed)
-        .generate()
-        .expect("synthetic generation");
-    let objective = Objective::LeastSquares { lambda: 1e-3 };
-    let baseline = objective
-        .optimum(ParallelismCfg::sequential(), &dataset)
-        .expect("least-squares baseline");
-
+pub fn run_elastic_chaos(mut s: Scenario, params: Params) -> ElasticChaos {
+    let dataset = s.generate();
     let barriers: [(&'static str, BarrierFilter); 3] = [
         ("asp", BarrierFilter::Asp),
         ("bsp", BarrierFilter::Bsp),
@@ -128,22 +92,19 @@ pub fn run_elastic_chaos(cfg: ElasticChaosCfg) -> ElasticChaos {
     ];
     let mut outcomes = Vec::with_capacity(barriers.len());
     for (name, barrier) in barriers {
-        let scfg = solver_cfg(&cfg, barrier, baseline);
-        let static_run = {
-            let mut c = ctx(&cfg);
-            Asgd::new(objective).run(&mut c, &dataset, &scfg)
-        };
+        let arm = s.arm(|a| a.solver.barrier = barrier);
+        let static_run = arm.asgd(&mut arm.context(), &dataset);
         // Size the churn script to this barrier's own pace so the burst,
         // the revivals, and the join all land inside the run.
         let horizon = VTime::from_micros(
-            ((static_run.wall_clock.as_micros() as f64) * cfg.chaos_horizon_fraction).max(1.0)
+            ((static_run.wall_clock.as_micros() as f64) * params.chaos_horizon_fraction).max(1.0)
                 as u64,
         );
-        let chaos = ChaosSchedule::pcs_churn(cfg.seed, cfg.workers, horizon);
+        let chaos = ChaosSchedule::pcs_churn(s.solver.seed, s.cluster.workers, horizon);
         let chaos_run = {
-            let mut c = ctx(&cfg);
-            c.driver_mut().install_chaos(&chaos);
-            Asgd::new(objective).run(&mut c, &dataset, &scfg)
+            let mut ctx = arm.context();
+            ctx.driver_mut().install_chaos(&chaos);
+            arm.asgd(&mut ctx, &dataset)
         };
         let wall_clock_slowdown = chaos_run.wall_clock.as_micros() as f64
             / static_run.wall_clock.as_micros().max(1) as f64;
@@ -158,13 +119,11 @@ pub fn run_elastic_chaos(cfg: ElasticChaosCfg) -> ElasticChaos {
             error_ratio,
         });
     }
-    for o in &outcomes {
-        eprintln!(
-            "elastic_chaos: {} churn slowdown {:.3}x, final-error ratio {:.3}",
-            o.name, o.wall_clock_slowdown, o.error_ratio,
-        );
+    ElasticChaos {
+        scenario: s,
+        params,
+        outcomes,
     }
-    ElasticChaos { cfg, outcomes }
 }
 
 const DESCRIPTION: &str = "ASGD convergence-to-budget under kill/revive/join churn (pcs_churn preset: ~25% of the fleet lost and replaced, one elastic join) vs a static cluster, across ASP/BSP/SSP barriers";
@@ -196,20 +155,20 @@ impl ElasticChaos {
     /// The `BENCH_elastic_chaos.json` document; every byte is
     /// deterministic.
     pub fn doc(&self) -> BenchDoc {
-        let c = &self.cfg;
+        let s = &self.scenario;
         let run = |label: &str, r: &RunReport| bench_doc! { "run": label }.report(r, &RUN_FIELDS);
         let mut doc = bench_doc! {
             "benchmark": "elastic_chaos",
             "description": DESCRIPTION,
             "config": bench_doc! {
-                "workers": c.workers,
-                "dataset": format!("dense synthetic {}x{}", c.rows, c.cols),
-                "updates": c.updates,
-                "batch_fraction": c.batch_fraction,
-                "step": c.step,
-                "per_msg_us": c.per_msg_us,
-                "chaos_horizon_fraction": c.chaos_horizon_fraction,
-                "seed": c.seed,
+                "workers": s.cluster.workers,
+                "dataset": s.data_label(),
+                "updates": s.solver.max_updates,
+                "batch_fraction": s.solver.batch_fraction,
+                "step": s.solver.step,
+                "per_msg_us": s.cluster.comm.per_msg.as_micros(),
+                "chaos_horizon_fraction": self.params.chaos_horizon_fraction,
+                "seed": s.solver.seed,
             },
         };
         for o in &self.outcomes {
@@ -234,21 +193,17 @@ impl ElasticChaos {
 mod tests {
     use super::*;
     use crate::doc::oracle;
+    use crate::workload::small;
 
-    fn small_cfg() -> ElasticChaosCfg {
-        ElasticChaosCfg {
-            workers: 4,
-            rows: 256,
-            cols: 24,
-            updates: 80,
-            per_msg_us: 0,
-            ..ElasticChaosCfg::default()
-        }
+    fn small_run() -> ElasticChaos {
+        let mut s = small(scenario(), 256, 24, 80);
+        s.cluster = modeled_cluster(4, DelayModel::None, 0, 1.0);
+        run_elastic_chaos(s, PARAMS)
     }
 
     #[test]
     fn chaos_runs_reach_the_budget_under_every_barrier() {
-        let b = run_elastic_chaos(small_cfg());
+        let b = small_run();
         assert_eq!(b.outcomes.len(), 3);
         for o in &b.outcomes {
             assert_eq!(o.static_run.updates, 80, "{}", o.name);
@@ -262,7 +217,7 @@ mod tests {
             // The joined worker exists at run end.
             assert_eq!(
                 o.chaos_run.worker_clocks.len(),
-                b.cfg.workers + 1,
+                b.scenario.cluster.workers + 1,
                 "{}",
                 o.name
             );
@@ -280,14 +235,14 @@ mod tests {
 
     #[test]
     fn elastic_chaos_is_deterministic() {
-        let run = || run_elastic_chaos(small_cfg()).doc();
+        let run = || small_run().doc();
         oracle::check(run, "elastic_chaos", &[]);
     }
 
     #[test]
     fn json_is_well_formed_enough() {
         let probes = ["asp.chaos_events", "bsp.static", "ssp2.chaos"];
-        let doc = run_elastic_chaos(small_cfg()).doc();
+        let doc = small_run().doc();
         oracle::well_formed(&doc, "elastic_chaos", &probes);
     }
 }

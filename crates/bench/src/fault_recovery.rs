@@ -6,9 +6,10 @@
 //! casualty itself — the kills here are one-way: a staggered burst takes
 //! out part of the fleet mid-run and only the driver's supervisor
 //! ([`sparklet::SuperviseCfg`]: exponential backoff, jitter, crash-loop
-//! circuit breaker) can restore them, while the [`AsyncContext`] retry
-//! layer re-places the tasks that died with them. The same ASGD workload
-//! runs three ways on the simulated cluster (all byte-gated):
+//! circuit breaker) can restore them, while the
+//! [`async_core::AsyncContext`] retry layer re-places the tasks that died
+//! with them. The same ASGD workload runs three ways on the simulated
+//! cluster (all byte-gated):
 //!
 //! 1. **baseline** — no faults; the reference wall clock and loss.
 //! 2. **unsupervised** — the kill burst with no supervisor and no retry:
@@ -21,65 +22,56 @@
 //! The same stack over real loopback-TCP workers with frames dropped on
 //! the live connections is `supervision_e2e`'s subject, not this file's.
 
-use async_cluster::{ClusterSpec, DelayModel, VTime};
-use async_core::{AsyncContext, BarrierFilter};
+use async_cluster::{DelayModel, VTime};
 use async_data::SynthSpec;
-use async_linalg::ParallelismCfg;
-use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
+use async_optim::{Objective, RunReport, SolverCfg};
 use sparklet::SuperviseCfg;
 
 use crate::doc::{bench_doc, BenchDoc, ReportField, Value};
-use crate::workload::modeled_cluster;
+use crate::workload::{modeled_cluster, Scenario};
 
-/// Configuration of the fault-recovery benchmark.
+/// The committed workload: ASGD on dense least squares, eight workers
+/// behind a 20 µs message latency plus 1 ns/byte, with the supervised
+/// arm's retry budget (three re-placements per lost task); the baseline
+/// and unsupervised arms turn retry off. The seed also seeds the
+/// supervisor's jitter.
+pub fn scenario() -> Scenario {
+    Scenario {
+        data: SynthSpec::dense("fault-recovery", 2_048, 64, 2029),
+        objective: Objective::LeastSquares { lambda: 1e-3 },
+        cluster: modeled_cluster(8, DelayModel::None, 20, 1.0),
+        solver: SolverCfg {
+            step: 0.05,
+            batch_fraction: 0.2,
+            max_updates: 320,
+            eval_every: 40,
+            seed: 2029,
+            retry_lost: 3,
+            ..SolverCfg::default()
+        },
+    }
+}
+
+/// What this bench varies beyond its [`Scenario`]: the kill burst and the
+/// supervisor's pace.
 #[derive(Debug, Clone)]
-pub struct FaultRecoveryCfg {
-    /// Cluster size.
-    pub workers: usize,
+pub struct Params {
     /// Workers killed mid-run (one-way; only the supervisor revives).
     pub kills: usize,
-    /// Dataset rows (dense synthetic).
-    pub rows: usize,
-    /// Dataset feature dimension.
-    pub cols: usize,
-    /// Server update budget per run.
-    pub updates: u64,
-    /// Mini-batch fraction per task.
-    pub batch_fraction: f64,
-    /// Step size.
-    pub step: f64,
-    /// Per-message latency in µs (plus 1 ns/byte on payloads).
-    pub per_msg_us: u64,
     /// First kill lands at this fraction of the baseline wall clock;
     /// later kills are staggered after it.
     pub kill_at_fraction: f64,
     /// Supervisor backoff base as a fraction of the baseline wall clock
     /// (scales the respawn delay to the workload's own pace).
     pub backoff_fraction: f64,
-    /// Retry budget per lost task in the supervised arm.
-    pub retry_lost: u32,
-    /// Seed for data, sampling and supervisor jitter.
-    pub seed: u64,
 }
 
-impl Default for FaultRecoveryCfg {
-    fn default() -> Self {
-        Self {
-            workers: 8,
-            kills: 3,
-            rows: 2_048,
-            cols: 64,
-            updates: 320,
-            batch_fraction: 0.2,
-            step: 0.05,
-            per_msg_us: 20,
-            kill_at_fraction: 0.25,
-            backoff_fraction: 0.05,
-            retry_lost: 3,
-            seed: 2029,
-        }
-    }
-}
+/// The committed parameters.
+pub const PARAMS: Params = Params {
+    kills: 3,
+    kill_at_fraction: 0.25,
+    backoff_fraction: 0.05,
+};
 
 /// One simulated arm's outcome.
 #[derive(Debug, Clone)]
@@ -95,8 +87,10 @@ pub struct SimArm {
 /// The benchmark outcome: three simulated arms and the headline ratios.
 #[derive(Debug, Clone)]
 pub struct FaultRecovery {
-    /// The configuration measured.
-    pub cfg: FaultRecoveryCfg,
+    /// The scenario measured.
+    pub scenario: Scenario,
+    /// The parameters measured.
+    pub params: Params,
     /// Virtual kill instants (identical across the faulty arms).
     pub kill_schedule: Vec<(usize, VTime)>,
     /// `[baseline, unsupervised, supervised]`.
@@ -107,64 +101,42 @@ pub struct FaultRecovery {
     pub error_ratio: f64,
 }
 
-fn spec(cfg: &FaultRecoveryCfg) -> ClusterSpec {
-    modeled_cluster(cfg.workers, DelayModel::None, cfg.per_msg_us, 1.0)
-}
-
-fn solver_cfg(cfg: &FaultRecoveryCfg, retry: u32, baseline: f64) -> SolverCfg {
-    SolverCfg {
-        step: cfg.step,
-        batch_fraction: cfg.batch_fraction,
-        barrier: BarrierFilter::Asp,
-        max_updates: cfg.updates,
-        eval_every: (cfg.updates / 8).max(1),
-        baseline,
-        seed: cfg.seed,
-        retry_lost: retry,
-        ..SolverCfg::default()
-    }
-}
-
 /// Kill instants: the burst starts at `kill_at_fraction` of the baseline
 /// wall clock and staggers one casualty per 5% after it. Workers `1..`
 /// die (worker 0 always survives, so the run can never fully stall).
-fn kill_schedule(cfg: &FaultRecoveryCfg, horizon: VTime) -> Vec<(usize, VTime)> {
+fn kill_schedule(p: &Params, workers: usize, horizon: VTime) -> Vec<(usize, VTime)> {
     let span = horizon.as_micros() as f64;
-    (0..cfg.kills.min(cfg.workers.saturating_sub(1)))
+    (0..p.kills.min(workers.saturating_sub(1)))
         .map(|k| {
-            let frac = cfg.kill_at_fraction + 0.05 * k as f64;
+            let frac = p.kill_at_fraction + 0.05 * k as f64;
             (k + 1, VTime::from_micros((span * frac).max(1.0) as u64))
         })
         .collect()
 }
 
 /// Runs the benchmark: baseline, unsupervised kills, supervised kills.
-pub fn run_fault_recovery(cfg: FaultRecoveryCfg) -> FaultRecovery {
-    let (dataset, _) = SynthSpec::dense("fault-recovery", cfg.rows, cfg.cols, cfg.seed)
-        .generate()
-        .expect("synthetic generation");
-    let objective = Objective::LeastSquares { lambda: 1e-3 };
-    let baseline = objective
-        .optimum(ParallelismCfg::sequential(), &dataset)
-        .expect("least-squares baseline");
+pub fn run_fault_recovery(mut s: Scenario, params: Params) -> FaultRecovery {
+    let dataset = s.generate();
+    let retry_off = s.arm(|a| a.solver.retry_lost = 0);
 
-    let clean = {
-        let mut ctx = AsyncContext::sim(spec(&cfg));
-        let report = Asgd::new(objective).run(&mut ctx, &dataset, &solver_cfg(&cfg, 0, baseline));
-        SimArm {
-            name: "baseline",
-            report,
-            respawns: 0,
-        }
+    let clean = SimArm {
+        name: "baseline",
+        report: retry_off.asgd(&mut retry_off.context(), &dataset),
+        respawns: 0,
     };
-    let schedule = kill_schedule(&cfg, clean.report.wall_clock);
-
-    let unsupervised = {
-        let mut ctx = AsyncContext::sim(spec(&cfg));
+    let schedule = kill_schedule(&params, s.cluster.workers, clean.report.wall_clock);
+    // A context on the scenario's cluster with the kill burst scheduled.
+    let doomed = |arm: &Scenario| {
+        let mut ctx = arm.context();
         for &(w, at) in &schedule {
             ctx.driver_mut().schedule_failure(w, at);
         }
-        let report = Asgd::new(objective).run(&mut ctx, &dataset, &solver_cfg(&cfg, 0, baseline));
+        ctx
+    };
+
+    let unsupervised = {
+        let mut ctx = doomed(&retry_off);
+        let report = retry_off.asgd(&mut ctx, &dataset);
         SimArm {
             name: "unsupervised",
             report,
@@ -173,26 +145,19 @@ pub fn run_fault_recovery(cfg: FaultRecoveryCfg) -> FaultRecovery {
     };
 
     let supervised = {
-        let mut ctx = AsyncContext::sim(spec(&cfg));
-        for &(w, at) in &schedule {
-            ctx.driver_mut().schedule_failure(w, at);
-        }
+        let mut ctx = doomed(&s);
         let base = clean
             .report
             .wall_clock
             .saturating_since(VTime::ZERO)
-            .mul_f64(cfg.backoff_fraction);
+            .mul_f64(params.backoff_fraction);
         ctx.driver_mut().supervise(SuperviseCfg {
             backoff_base: base,
             backoff_max: base.mul_f64(8.0),
-            seed: cfg.seed,
+            seed: s.solver.seed,
             ..SuperviseCfg::default()
         });
-        let report = Asgd::new(objective).run(
-            &mut ctx,
-            &dataset,
-            &solver_cfg(&cfg, cfg.retry_lost, baseline),
-        );
+        let report = s.asgd(&mut ctx, &dataset);
         SimArm {
             name: "supervised",
             report,
@@ -204,16 +169,9 @@ pub fn run_fault_recovery(cfg: FaultRecoveryCfg) -> FaultRecovery {
         / clean.report.wall_clock.as_micros().max(1) as f64;
     let error_ratio = supervised.report.trace.final_error().unwrap_or(f64::NAN)
         / clean.report.trace.final_error().unwrap_or(f64::NAN);
-    eprintln!(
-        "fault_recovery: supervised run lost {} / retried {} / respawned {} \
-         (unsupervised lost {}), slowdown {recovery_slowdown:.3}x",
-        supervised.report.lost_tasks,
-        supervised.report.retried_tasks,
-        supervised.respawns,
-        unsupervised.report.lost_tasks,
-    );
     FaultRecovery {
-        cfg,
+        scenario: s,
+        params,
         kill_schedule: schedule,
         arms: vec![clean, unsupervised, supervised],
         recovery_slowdown,
@@ -241,7 +199,7 @@ const RUN_FIELDS: [ReportField; 10] = [
 impl FaultRecovery {
     /// The `BENCH_fault_recovery.json` document.
     pub fn doc(&self) -> BenchDoc {
-        let c = &self.cfg;
+        let (s, p) = (&self.scenario, &self.params);
         let kill = |&(worker, at): &(usize, VTime)| {
             bench_doc! { "worker": worker, "at_ms": at.as_millis_f64() }
         };
@@ -249,17 +207,17 @@ impl FaultRecovery {
             "benchmark": "fault_recovery",
             "description": DESCRIPTION,
             "config": bench_doc! {
-                "workers": c.workers,
-                "kills": c.kills,
-                "dataset": format!("dense synthetic {}x{}", c.rows, c.cols),
-                "updates": c.updates,
-                "batch_fraction": c.batch_fraction,
-                "step": c.step,
-                "per_msg_us": c.per_msg_us,
-                "kill_at_fraction": c.kill_at_fraction,
-                "backoff_fraction": c.backoff_fraction,
-                "retry_lost": c.retry_lost,
-                "seed": c.seed,
+                "workers": s.cluster.workers,
+                "kills": p.kills,
+                "dataset": s.data_label(),
+                "updates": s.solver.max_updates,
+                "batch_fraction": s.solver.batch_fraction,
+                "step": s.solver.step,
+                "per_msg_us": s.cluster.comm.per_msg.as_micros(),
+                "kill_at_fraction": p.kill_at_fraction,
+                "backoff_fraction": p.backoff_fraction,
+                "retry_lost": s.solver.retry_lost,
+                "seed": s.solver.seed,
             },
             "kill_schedule": Value::inline(self.kill_schedule.iter().map(kill)),
         };
@@ -285,22 +243,17 @@ impl FaultRecovery {
 mod tests {
     use super::*;
     use crate::doc::oracle;
+    use crate::workload::small;
 
-    fn small_cfg() -> FaultRecoveryCfg {
-        FaultRecoveryCfg {
-            workers: 4,
-            kills: 2,
-            rows: 256,
-            cols: 24,
-            updates: 80,
-            per_msg_us: 0,
-            ..FaultRecoveryCfg::default()
-        }
+    fn small_run() -> FaultRecovery {
+        let mut s = small(scenario(), 256, 24, 80);
+        s.cluster = modeled_cluster(4, DelayModel::None, 0, 1.0);
+        run_fault_recovery(s, Params { kills: 2, ..PARAMS })
     }
 
     #[test]
     fn supervision_converts_losses_into_retries() {
-        let b = run_fault_recovery(small_cfg());
+        let b = small_run();
         let [base, unsup, sup] = &b.arms[..] else {
             panic!("three simulated arms");
         };
@@ -332,7 +285,7 @@ mod tests {
 
     #[test]
     fn gated_portion_is_deterministic() {
-        let run = || run_fault_recovery(small_cfg()).doc();
+        let run = || small_run().doc();
         oracle::check(run, "fault_recovery", &[]);
     }
 
@@ -344,7 +297,7 @@ mod tests {
             "supervised.supervised_respawns",
             "kill_schedule",
         ];
-        let doc = run_fault_recovery(small_cfg()).doc();
+        let doc = small_run().doc();
         oracle::well_formed(&doc, "fault_recovery", &probes);
     }
 }

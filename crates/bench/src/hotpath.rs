@@ -13,64 +13,49 @@
 //! gradient's support, which is what makes version diffs exact (the e2e
 //! suite proves bit-identity against the dense arm under free comms).
 
-use async_cluster::{ClusterSpec, DelayModel};
-use async_core::{AsyncContext, BarrierFilter};
-use async_data::{Dataset, SynthSpec};
-use async_optim::{Asgd, AsyncSolver, Objective, SolverCfg};
+use async_cluster::DelayModel;
+use async_data::SynthSpec;
+use async_optim::{Objective, SolverCfg};
 
 use crate::doc::{bench_doc, BenchDoc};
-use crate::workload::{modeled_cluster, LabeledRun, SIM_ARM_FIELDS};
+use crate::workload::{modeled_cluster, LabeledRun, Scenario, SIM_ARM_FIELDS};
 
-/// Configuration of the hot-path benchmark.
-#[derive(Debug, Clone)]
-pub struct HotpathCfg {
-    /// Cluster size.
-    pub workers: usize,
-    /// Dataset rows.
-    pub rows: usize,
-    /// Feature dimension (high — the dense model is the expensive wire).
-    pub cols: usize,
-    /// Mean stored nonzeros per row (low).
-    pub nnz_per_row: usize,
-    /// Server update budget per run.
-    pub updates: u64,
-    /// Mini-batch fraction per task.
-    pub batch_fraction: f64,
-    /// Step size (ridge-free logistic).
-    pub step: f64,
-    /// Incremental ring capacity for the diff arm.
-    pub ring: usize,
-    /// Per-message latency in µs.
-    pub per_msg_us: u64,
-    /// Modeled wire cost in ns/byte (this is what the diff arm saves).
-    pub ns_per_byte: f64,
-    /// Sampling/generation seed.
-    pub seed: u64,
-}
-
-impl Default for HotpathCfg {
-    fn default() -> Self {
-        Self {
-            workers: 4,
-            rows: 2_048,
-            cols: 65_536,
-            nnz_per_row: 20,
-            updates: 300,
-            batch_fraction: 0.1,
+/// The committed workload: ridge-free ASGD on a high-dimensional sparse
+/// logistic problem, where the dense model is the expensive wire
+/// (1 ns/byte beside a 50 µs message latency).
+pub fn scenario() -> Scenario {
+    Scenario {
+        data: SynthSpec::sparse("hotpath", 2_048, 65_536, 20, 2026),
+        objective: Objective::Logistic { lambda: 0.0 },
+        cluster: modeled_cluster(4, DelayModel::None, 50, 1.0),
+        solver: SolverCfg {
             step: 0.5,
-            ring: 16,
-            per_msg_us: 50,
-            ns_per_byte: 1.0,
+            batch_fraction: 0.1,
+            max_updates: 300,
+            eval_every: 50,
             seed: 2026,
-        }
+            ..SolverCfg::default()
+        },
     }
 }
+
+/// What this bench varies beyond its [`Scenario`].
+#[derive(Debug, Clone)]
+pub struct Params {
+    /// Incremental ring capacity of the diff arm.
+    pub ring: usize,
+}
+
+/// The committed parameters.
+pub const PARAMS: Params = Params { ring: 16 };
 
 /// The benchmark outcome: both arms and the headline ratio.
 #[derive(Debug, Clone)]
 pub struct Hotpath {
-    /// The configuration measured.
-    pub cfg: HotpathCfg,
+    /// The scenario measured.
+    pub scenario: Scenario,
+    /// The parameters measured.
+    pub params: Params,
     /// Simulated dense-full-broadcast arm, "dense_full" (deterministic).
     pub sim_dense: LabeledRun,
     /// Simulated incremental arm, "incremental" (deterministic).
@@ -80,54 +65,17 @@ pub struct Hotpath {
     pub bytes_ratio: f64,
 }
 
-/// The ridge-free sparse logistic problem: λ = 0 keeps the ASGD change
-/// support sparse, which is the workload the incremental broadcast targets.
-fn workload(cfg: &HotpathCfg) -> (Dataset, ClusterSpec) {
-    let data = SynthSpec::sparse("hotpath", cfg.rows, cfg.cols, cfg.nnz_per_row, cfg.seed)
-        .generate_classification()
-        .expect("synthetic generation")
-        .0;
-    let cluster = modeled_cluster(
-        cfg.workers,
-        DelayModel::None,
-        cfg.per_msg_us,
-        cfg.ns_per_byte,
-    );
-    (data, cluster)
-}
-
-fn solver_cfg(cfg: &HotpathCfg, ring: usize) -> SolverCfg {
-    SolverCfg {
-        step: cfg.step,
-        batch_fraction: cfg.batch_fraction,
-        barrier: BarrierFilter::Asp,
-        max_updates: cfg.updates,
-        eval_every: (cfg.updates / 6).max(1),
-        seed: cfg.seed,
-        bcast_ring: ring,
-        ..SolverCfg::default()
-    }
-}
-
 /// Runs both arms on the simulator.
-pub fn run_hotpath(cfg: HotpathCfg) -> Hotpath {
-    let (data, cluster) = workload(&cfg);
-    let run_sim = |label, ring| {
-        let mut ctx = AsyncContext::sim(cluster.clone());
-        let report = Asgd::new(Objective::Logistic { lambda: 0.0 }).run(
-            &mut ctx,
-            &data,
-            &solver_cfg(&cfg, ring),
-        );
-        LabeledRun { label, report }
-    };
-    let sim_dense = run_sim("dense_full", 0);
-    let sim_incremental = run_sim("incremental", cfg.ring);
+pub fn run_hotpath(mut s: Scenario, params: Params) -> Hotpath {
+    let data = s.generate();
+    let arm = |label, ring| s.arm(|a| a.solver.bcast_ring = ring).run(label, &data);
+    let sim_dense = arm("dense_full", 0);
+    let sim_incremental = arm("incremental", params.ring);
     let bytes_ratio =
         sim_dense.report.bytes_shipped as f64 / sim_incremental.report.bytes_shipped.max(1) as f64;
-    eprintln!("hotpath: modeled broadcast bytes {bytes_ratio:.1}x smaller");
     Hotpath {
-        cfg,
+        scenario: s,
+        params,
         sim_dense,
         sim_incremental,
         bytes_ratio,
@@ -139,25 +87,22 @@ const DESCRIPTION: &str = "dense-full vs incremental (version-diffed) broadcast 
 impl Hotpath {
     /// The `BENCH_hotpath.json` document.
     pub fn doc(&self) -> BenchDoc {
-        let c = &self.cfg;
+        let s = &self.scenario;
         let sim = |a: &LabeledRun| a.doc("arm", &SIM_ARM_FIELDS);
-        let dataset = format!(
-            "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda 0",
-            c.rows, c.cols, c.nnz_per_row
-        );
+        let dataset = format!("{}, lambda {}", s.data_label(), s.objective.lambda());
         bench_doc! {
             "benchmark": "hotpath",
             "description": DESCRIPTION,
             "config": bench_doc! {
-                "workers": c.workers,
+                "workers": s.cluster.workers,
                 "dataset": dataset,
-                "updates": c.updates,
-                "batch_fraction": c.batch_fraction,
-                "step": c.step,
-                "ring": c.ring,
-                "per_msg_us": c.per_msg_us,
-                "ns_per_byte": c.ns_per_byte,
-                "seed": c.seed,
+                "updates": s.solver.max_updates,
+                "batch_fraction": s.solver.batch_fraction,
+                "step": s.solver.step,
+                "ring": self.params.ring,
+                "per_msg_us": s.cluster.comm.per_msg.as_micros(),
+                "ns_per_byte": s.cluster.comm.ns_per_byte,
+                "seed": s.solver.seed,
             },
             "sim_dense_full": sim(&self.sim_dense),
             "sim_incremental": sim(&self.sim_incremental),
@@ -169,19 +114,15 @@ impl Hotpath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::small;
 
-    fn small_cfg() -> HotpathCfg {
-        HotpathCfg {
-            rows: 256,
-            cols: 4_096,
-            updates: 60,
-            ..HotpathCfg::default()
-        }
+    fn small_run() -> Hotpath {
+        run_hotpath(small(scenario(), 256, 4_096, 60), PARAMS)
     }
 
     #[test]
     fn incremental_slashes_modeled_broadcast_bytes() {
-        let h = run_hotpath(small_cfg());
+        let h = small_run();
         assert_eq!(h.sim_dense.report.updates, 60);
         assert_eq!(h.sim_incremental.report.updates, 60);
         assert!(
@@ -197,7 +138,7 @@ mod tests {
 
     #[test]
     fn modeled_numbers_are_deterministic() {
-        let run = || run_hotpath(small_cfg()).doc();
+        let run = || small_run().doc();
         let probes = ["sim_incremental", "sim_dense_full.bytes_shipped"];
         crate::doc::oracle::check(run, "hotpath", &probes);
     }

@@ -1,16 +1,22 @@
 //! # async-bench
 //!
 //! Experiment harnesses reproducing the paper's measurements on the
-//! simulated cluster. Each bench is one module: its `Cfg`, its run
-//! function, and a `doc()` that lays the outcome out as a [`BenchDoc`].
-//! The one printer in [`doc`] turns that into the bytes of a committed
-//! `BENCH_<name>.json`; every number is on the modeled clock, so for a
-//! fixed configuration every byte is deterministic, which is what makes
-//! the files diffable across PRs. Host wall clock is measured in one
-//! place, the `benchmark/` harness at the repository root.
+//! simulated cluster. Every bench runs a [`workload::Scenario`] — data,
+//! objective, cluster, solver configuration — through one run path, and a
+//! `doc()` lays the outcome out as a [`BenchDoc`]. The one printer in
+//! [`doc`] turns that into the bytes of a committed `BENCH_<name>.json`;
+//! every number is on the modeled clock, so for a fixed configuration
+//! every byte is deterministic, which is what makes the files diffable
+//! across PRs. Host wall clock is measured in one place, the `benchmark/`
+//! harness at the repository root. The JSON is the record: the library
+//! prints nothing.
 //!
-//! Adding a bench: a module with a `doc()`, one row in [`BENCHES`], one
-//! committed `BENCH_<name>.json` — CI regenerates and diffs every row.
+//! Adding a bench: a module with a `scenario()` returning its committed
+//! [`workload::Scenario`], the few values only it varies (a `Params` and
+//! its `PARAMS`), a `run_*` whose arms override only what they vary
+//! ([`workload::Scenario::arm`]), and a `doc()`; one row in [`BENCHES`];
+//! one committed `BENCH_<name>.json` — CI regenerates and diffs every
+//! row. Its tests run at `workload::small` of the scenario.
 
 pub mod async_vs_bsp;
 pub mod comm_compress;
@@ -26,35 +32,46 @@ pub mod workload;
 
 pub use doc::BenchDoc;
 
-/// A bench's name and its run at the default (committed) configuration.
+/// A bench's name and its run at the committed configuration.
 pub type Bench = (&'static str, fn() -> BenchDoc);
 
 /// Every bench, sorted by name: the `bench` binary's subcommand table.
 pub const BENCHES: [Bench; 9] = [
     ("async_vs_bsp", || {
-        async_vs_bsp::run_async_vs_bsp(Default::default()).doc()
+        use async_vs_bsp::*;
+        run_async_vs_bsp(scenario(), PARAMS).doc()
     }),
     ("comm_compress", || {
-        comm_compress::run_comm_compress(Default::default()).doc()
+        use comm_compress::*;
+        run_comm_compress(scenario(), PARAMS).doc()
     }),
     ("durable_recovery", || {
-        durable_recovery::run_durable_recovery(Default::default()).doc()
+        use durable_recovery::*;
+        run_durable_recovery(scenario(), PARAMS).doc()
     }),
     ("elastic_chaos", || {
-        elastic_chaos::run_elastic_chaos(Default::default()).doc()
+        use elastic_chaos::*;
+        run_elastic_chaos(scenario(), PARAMS).doc()
     }),
     ("fault_recovery", || {
-        fault_recovery::run_fault_recovery(Default::default()).doc()
+        use fault_recovery::*;
+        run_fault_recovery(scenario(), PARAMS).doc()
     }),
-    ("hotpath", || hotpath::run_hotpath(Default::default()).doc()),
+    ("hotpath", || {
+        use hotpath::*;
+        run_hotpath(scenario(), PARAMS).doc()
+    }),
     ("serve_qps", || {
-        serve_qps::run_serve_qps(Default::default()).doc()
+        use serve_qps::*;
+        run_serve_qps(scenario(), PARAMS).doc()
     }),
     ("server_scaling", || {
-        server_scaling::run_server_scaling(Default::default()).doc()
+        use server_scaling::*;
+        run_server_scaling(scenario()).doc()
     }),
     ("sparse_fastpath", || {
-        sparse_fastpath::run_sparse_fastpath(Default::default()).doc()
+        use sparse_fastpath::*;
+        run_sparse_fastpath(scenario(), PARAMS).doc()
     }),
 ];
 

@@ -11,101 +11,45 @@
 //! question (`optim.absorb_us_per_step`), not this file's.
 
 use async_cluster::DelayModel;
-use async_core::{AsyncContext, BarrierFilter};
-use async_data::{Dataset, SynthSpec};
-use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
+use async_data::SynthSpec;
+use async_optim::{Objective, RunReport, SolverCfg};
 
 use crate::doc::{bench_doc, BenchDoc, Value};
-use crate::workload::{modeled_cluster, SIM_ARM_FIELDS};
+use crate::workload::{modeled_cluster, Scenario, SIM_ARM_FIELDS};
 
-/// Configuration of the server-scaling benchmark.
-#[derive(Debug, Clone)]
-pub struct ServerScalingCfg {
-    /// Cluster size (gradient workers).
-    pub workers: usize,
-    /// Dataset rows.
-    pub rows: usize,
-    /// Feature dimension (high — the dense server passes are the wall).
-    pub cols: usize,
-    /// Mean stored nonzeros per row (low — workers stay cheap).
-    pub nnz_per_row: usize,
-    /// Ridge coefficient (> 0 forces the dense shrink pass per update).
-    pub lambda: f64,
-    /// Server update budget.
-    pub updates: u64,
-    /// Mini-batch fraction per task.
-    pub batch_fraction: f64,
-    /// Step size.
-    pub step: f64,
-    /// Per-message latency in µs.
-    pub per_msg_us: u64,
-    /// Sampling/generation seed.
-    pub seed: u64,
-}
-
-impl Default for ServerScalingCfg {
-    fn default() -> Self {
-        Self {
-            workers: 4,
-            rows: 2_048,
-            cols: 98_304,
-            nnz_per_row: 16,
-            lambda: 1e-3,
-            updates: 240,
-            batch_fraction: 0.1,
+/// The committed workload: a 98 304-wide model (the dense server passes
+/// are the wall) trained from cheap low-nnz rows, with a ridge λ > 0 that
+/// forces the dense shrink pass on every update.
+pub fn scenario() -> Scenario {
+    Scenario {
+        data: SynthSpec::sparse("server-scaling", 2_048, 98_304, 16, 2027),
+        objective: Objective::Logistic { lambda: 1e-3 },
+        cluster: modeled_cluster(4, DelayModel::None, 20, 0.05),
+        solver: SolverCfg {
             step: 0.5,
-            per_msg_us: 20,
+            batch_fraction: 0.1,
+            max_updates: 240,
+            eval_every: 40,
             seed: 2027,
-        }
+            ..SolverCfg::default()
+        },
     }
 }
 
 /// The benchmark outcome.
 #[derive(Debug, Clone)]
 pub struct ServerScaling {
-    /// The configuration measured.
-    pub cfg: ServerScalingCfg,
+    /// The scenario measured.
+    pub scenario: Scenario,
     /// The simulated (deterministic) run's report.
     pub sim: RunReport,
 }
 
-fn dataset(cfg: &ServerScalingCfg) -> Dataset {
-    SynthSpec::sparse(
-        "server-scaling",
-        cfg.rows,
-        cfg.cols,
-        cfg.nnz_per_row,
-        cfg.seed,
-    )
-    .generate_classification()
-    .expect("synthetic generation")
-    .0
-}
-
-fn solver_cfg(cfg: &ServerScalingCfg) -> SolverCfg {
-    SolverCfg {
-        step: cfg.step,
-        batch_fraction: cfg.batch_fraction,
-        barrier: BarrierFilter::Asp,
-        max_updates: cfg.updates,
-        eval_every: (cfg.updates / 6).max(1),
-        seed: cfg.seed,
-        ..SolverCfg::default()
-    }
-}
-
 /// Runs the workload on the simulator.
-pub fn run_server_scaling(cfg: ServerScalingCfg) -> ServerScaling {
-    let data = dataset(&cfg);
-    let cluster = modeled_cluster(cfg.workers, DelayModel::None, cfg.per_msg_us, 0.05);
-    let mut ctx = AsyncContext::sim(cluster);
-    let sim = Asgd::new(Objective::Logistic { lambda: cfg.lambda }).run(
-        &mut ctx,
-        &data,
-        &solver_cfg(&cfg),
-    );
-    eprintln!("server_scaling: final objective {:.6}", sim.final_objective);
-    ServerScaling { cfg, sim }
+pub fn run_server_scaling(mut s: Scenario) -> ServerScaling {
+    let data = s.generate();
+    let sim = s.asgd(&mut s.context(), &data);
+    ServerScaling { scenario: s, sim }
 }
 
 const DESCRIPTION: &str = "server absorption for ASGD on a server-bound high-dim sparse logistic workload, on the simulator: one model update, one version and one snapshot push per collected result";
@@ -113,23 +57,20 @@ const DESCRIPTION: &str = "server absorption for ASGD on a server-bound high-dim
 impl ServerScaling {
     /// The `BENCH_server_scaling.json` document.
     pub fn doc(&self) -> BenchDoc {
-        let c = &self.cfg;
+        let s = &self.scenario;
         let sim = BenchDoc::new().report(&self.sim, &SIM_ARM_FIELDS);
-        let dataset = format!(
-            "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels, lambda {:.6}",
-            c.rows, c.cols, c.nnz_per_row, c.lambda
-        );
+        let dataset = format!("{}, lambda {:.6}", s.data_label(), s.objective.lambda());
         bench_doc! {
             "benchmark": "server_scaling",
             "description": DESCRIPTION,
             "config": bench_doc! {
-                "workers": c.workers,
+                "workers": s.cluster.workers,
                 "dataset": dataset,
-                "updates": c.updates,
-                "batch_fraction": c.batch_fraction,
-                "step": c.step,
-                "per_msg_us": c.per_msg_us,
-                "seed": c.seed,
+                "updates": s.solver.max_updates,
+                "batch_fraction": s.solver.batch_fraction,
+                "step": s.solver.step,
+                "per_msg_us": s.cluster.comm.per_msg.as_micros(),
+                "seed": s.solver.seed,
             },
             "sim_arms": Value::block([sim]),
         }
@@ -139,19 +80,15 @@ impl ServerScaling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::small;
 
-    fn small_cfg() -> ServerScalingCfg {
-        ServerScalingCfg {
-            rows: 256,
-            cols: 8_192,
-            updates: 48,
-            ..ServerScalingCfg::default()
-        }
+    fn small_run() -> ServerScaling {
+        run_server_scaling(small(scenario(), 256, 8_192, 48))
     }
 
     #[test]
     fn every_arm_spends_its_budget_and_descends() {
-        let s = run_server_scaling(small_cfg());
+        let s = small_run();
         assert_eq!(s.sim.updates, 48);
         assert_eq!(s.sim.tasks_completed, 48);
         assert!(s.sim.final_objective < std::f64::consts::LN_2);
@@ -159,7 +96,7 @@ mod tests {
 
     #[test]
     fn modeled_numbers_are_deterministic() {
-        let run = || run_server_scaling(small_cfg()).doc();
+        let run = || small_run().doc();
         let probes = ["sim_arms.0.final_objective"];
         crate::doc::oracle::check(run, "server_scaling", &probes);
     }

@@ -18,64 +18,56 @@
 //!    makes tasks so cheap that any per-message cost would otherwise
 //!    drown the asynchrony effect being measured.
 
-use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
-use async_core::{AsyncContext, BarrierFilter};
-use async_data::{Dataset, SynthSpec};
-use async_optim::{Asgd, AsyncMsgd, AsyncSolver, Objective, SolverCfg};
+use async_cluster::DelayModel;
+use async_core::BarrierFilter;
+use async_data::SynthSpec;
+use async_optim::{AsyncMsgd, AsyncSolver, Objective, SolverCfg};
 
 use crate::doc::{bench_doc, BenchDoc, ReportField};
-use crate::workload::{modeled_cluster, LabeledRun};
+use crate::workload::{modeled_cluster, LabeledRun, Scenario};
 
-/// Configuration of the sparse-fast-path benchmark.
-#[derive(Debug, Clone)]
-pub struct SparseFastpathCfg {
-    /// Cluster size.
-    pub workers: usize,
-    /// Dataset rows.
-    pub rows: usize,
-    /// Feature dimension (high, rcv1-like).
-    pub cols: usize,
-    /// Mean stored nonzeros per row (low).
-    pub nnz_per_row: usize,
-    /// Server update budget per run.
-    pub updates: u64,
-    /// Mini-batch fraction per task.
-    pub batch_fraction: f64,
-    /// Step size (logistic).
-    pub step: f64,
-    /// Base momentum β₀ for the AsyncMsgd datapoint.
-    pub momentum: f64,
-    /// Straggler intensity for the AsyncMsgd ASP-vs-SSP comparison.
-    pub intensity: f64,
-    /// Per-message latency in µs (plus 1 ns/byte on payloads).
-    pub per_msg_us: u64,
-    /// Sampling/generation seed.
-    pub seed: u64,
-}
-
-impl Default for SparseFastpathCfg {
-    fn default() -> Self {
-        Self {
-            workers: 4,
-            rows: 1_024,
-            cols: 8_192,
-            nnz_per_row: 24,
-            updates: 200,
-            batch_fraction: 0.1,
+/// The committed workload: ASGD on a high-dimension, low-nnz
+/// (rcv1-shaped) logistic problem, four workers behind a 20 µs message
+/// latency plus 1 ns/byte.
+pub fn scenario() -> Scenario {
+    Scenario {
+        data: SynthSpec::sparse("fastpath", 1_024, 8_192, 24, 2025),
+        objective: Objective::Logistic { lambda: 1e-3 },
+        cluster: modeled_cluster(4, DelayModel::None, 20, 1.0),
+        solver: SolverCfg {
             step: 0.5,
-            momentum: 0.9,
-            intensity: 1.0,
-            per_msg_us: 20,
+            batch_fraction: 0.1,
+            max_updates: 200,
+            eval_every: 25,
             seed: 2025,
-        }
+            ..SolverCfg::default()
+        },
     }
 }
+
+/// What this bench varies beyond its [`Scenario`]: the AsyncMsgd
+/// datapoint's solver and straggler.
+#[derive(Debug, Clone)]
+pub struct Params {
+    /// Base momentum β₀.
+    pub momentum: f64,
+    /// Controlled-delay straggler intensity of the last worker.
+    pub intensity: f64,
+}
+
+/// The committed parameters.
+pub const PARAMS: Params = Params {
+    momentum: 0.9,
+    intensity: 1.0,
+};
 
 /// The benchmark outcome: the four runs plus the headline ratios.
 #[derive(Debug, Clone)]
 pub struct SparseFastpath {
-    /// The configuration measured.
-    pub cfg: SparseFastpathCfg,
+    /// The scenario measured.
+    pub scenario: Scenario,
+    /// The parameters measured.
+    pub params: Params,
     /// ASGD on dense storage (no straggler).
     pub dense: LabeledRun,
     /// ASGD on CSR storage, same logical data (no straggler).
@@ -94,80 +86,42 @@ pub struct SparseFastpath {
     pub msgd_asp_speedup: f64,
 }
 
-/// The ±1-labelled logistic problem in both storages (labels from the
-/// planted linear model, shared between the two datasets).
-fn paired_datasets(cfg: &SparseFastpathCfg) -> (Dataset, Dataset) {
-    let (sparse, _) = SynthSpec::sparse("fastpath", cfg.rows, cfg.cols, cfg.nnz_per_row, cfg.seed)
-        .generate_classification()
-        .expect("synthetic generation");
-    let dense = sparse.densified();
-    (sparse, dense)
-}
-
-fn ctx(cfg: &SparseFastpathCfg, delay: DelayModel) -> AsyncContext {
-    AsyncContext::sim(modeled_cluster(cfg.workers, delay, cfg.per_msg_us, 1.0))
-}
-
-fn solver_cfg(cfg: &SparseFastpathCfg, barrier: BarrierFilter) -> SolverCfg {
-    SolverCfg {
-        step: cfg.step,
-        batch_fraction: cfg.batch_fraction,
-        barrier,
-        max_updates: cfg.updates,
-        eval_every: (cfg.updates / 8).max(1),
-        seed: cfg.seed,
-        ..SolverCfg::default()
-    }
-}
-
 /// Runs the four measurements.
-pub fn run_sparse_fastpath(cfg: SparseFastpathCfg) -> SparseFastpath {
-    let objective = Objective::Logistic { lambda: 1e-3 };
-    let (sparse_d, dense_d) = paired_datasets(&cfg);
-
-    let asgd = |label, d: &Dataset| {
-        let mut c = ctx(&cfg, DelayModel::None);
-        let report = Asgd::new(objective).run(&mut c, d, &solver_cfg(&cfg, BarrierFilter::Asp));
-        LabeledRun { label, report }
-    };
-    let dense = asgd("dense", &dense_d);
-    let sparse = asgd("sparse", &sparse_d);
-    // Free comms for the momentum comparison: the straggler stretches
+pub fn run_sparse_fastpath(mut s: Scenario, params: Params) -> SparseFastpath {
+    // The same ±1-labelled problem in both storages.
+    let sparse_d = s.generate();
+    let dense = s.run("dense", &sparse_d.densified());
+    let sparse = s.run("sparse", &sparse_d);
+    // A free wire for the momentum comparison: the straggler stretches
     // compute, and compute must set the pace for the barrier choice to
     // matter on fast sparse tasks.
     let msgd = |label, barrier| {
-        let straggler = DelayModel::ControlledDelay {
-            worker: cfg.workers - 1,
-            intensity: cfg.intensity,
-        };
-        let mut c = AsyncContext::sim(
-            ClusterSpec::homogeneous(cfg.workers, straggler)
-                .with_comm(CommModel::free())
-                .with_sched_overhead(VDur::ZERO),
-        );
-        let report = AsyncMsgd::new(objective).with_momentum(cfg.momentum).run(
-            &mut c,
-            &sparse_d,
-            &solver_cfg(&cfg, barrier),
-        );
+        let arm = s.arm(|a| {
+            let straggler = DelayModel::ControlledDelay {
+                worker: a.cluster.workers - 1,
+                intensity: params.intensity,
+            };
+            a.cluster = modeled_cluster(a.cluster.workers, straggler, 0, 0.0);
+            a.solver.barrier = barrier;
+        });
+        let report = AsyncMsgd::new(arm.objective)
+            .with_momentum(params.momentum)
+            .run(&mut arm.context(), &sparse_d, &arm.solver);
         LabeledRun { label, report }
     };
     let msgd_asp = msgd("msgd_asp", BarrierFilter::Asp);
     let msgd_ssp = msgd("msgd_ssp", BarrierFilter::Ssp { slack: 2 });
 
-    let entries_ratio = dense.report.grad_entries as f64 / sparse.report.grad_entries.max(1) as f64;
-    let result_bytes_ratio =
-        dense.report.result_bytes as f64 / sparse.report.result_bytes.max(1) as f64;
-    let wall_clock_speedup = dense.report.wall_clock.as_micros() as f64
-        / sparse.report.wall_clock.as_micros().max(1) as f64;
+    let (d, sp) = (&dense.report, &sparse.report);
+    let entries_ratio = d.grad_entries as f64 / sp.grad_entries.max(1) as f64;
+    let result_bytes_ratio = d.result_bytes as f64 / sp.result_bytes.max(1) as f64;
+    let wall_clock_speedup =
+        d.wall_clock.as_micros() as f64 / sp.wall_clock.as_micros().max(1) as f64;
     let msgd_asp_speedup = msgd_ssp.report.wall_clock.as_micros() as f64
         / msgd_asp.report.wall_clock.as_micros().max(1) as f64;
-
-    eprintln!(
-        "sparse_fastpath: {entries_ratio:.1}x less gradient work, {result_bytes_ratio:.1}x smaller results, {wall_clock_speedup:.2}x modeled speedup; msgd ASP {msgd_asp_speedup:.2}x over SSP",
-    );
     SparseFastpath {
-        cfg,
+        scenario: s,
+        params,
         dense,
         sparse,
         msgd_asp,
@@ -198,25 +152,21 @@ impl SparseFastpath {
     /// The `BENCH_sparse_fastpath.json` document; every byte is
     /// deterministic.
     pub fn doc(&self) -> BenchDoc {
-        let c = &self.cfg;
+        let s = &self.scenario;
         let run = |r: &LabeledRun| r.doc("run", &RUN_FIELDS);
-        let dataset = format!(
-            "sparse synthetic {}x{} (~{} nnz/row), logistic +-1 labels",
-            c.rows, c.cols, c.nnz_per_row
-        );
         bench_doc! {
             "benchmark": "sparse_fastpath",
             "description": DESCRIPTION,
             "config": bench_doc! {
-                "workers": c.workers,
-                "dataset": dataset,
-                "updates": c.updates,
-                "batch_fraction": c.batch_fraction,
-                "step": c.step,
-                "momentum": c.momentum,
-                "straggler_intensity": c.intensity,
-                "per_msg_us": c.per_msg_us,
-                "seed": c.seed,
+                "workers": s.cluster.workers,
+                "dataset": s.data_label(),
+                "updates": s.solver.max_updates,
+                "batch_fraction": s.solver.batch_fraction,
+                "step": s.solver.step,
+                "momentum": self.params.momentum,
+                "straggler_intensity": self.params.intensity,
+                "per_msg_us": s.cluster.comm.per_msg.as_micros(),
+                "seed": s.solver.seed,
             },
             "dense": run(&self.dense),
             "sparse": run(&self.sparse),
@@ -233,21 +183,18 @@ impl SparseFastpath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::small;
 
-    fn small_cfg() -> SparseFastpathCfg {
-        SparseFastpathCfg {
-            rows: 200,
-            cols: 1_000,
-            nnz_per_row: 12,
-            updates: 60,
-            per_msg_us: 0,
-            ..SparseFastpathCfg::default()
-        }
+    fn small_run() -> SparseFastpath {
+        let mut s = small(scenario(), 200, 1_000, 60);
+        s.data.nnz_per_row = Some(12);
+        s.cluster = modeled_cluster(4, DelayModel::None, 0, 1.0);
+        run_sparse_fastpath(s, PARAMS)
     }
 
     #[test]
     fn sparse_beats_dense_on_every_fastpath_metric() {
-        let b = run_sparse_fastpath(small_cfg());
+        let b = small_run();
         assert_eq!(b.dense.report.updates, 60);
         assert_eq!(b.sparse.report.updates, 60);
         assert!(
@@ -269,19 +216,18 @@ mod tests {
 
     #[test]
     fn msgd_converges_and_asp_outruns_ssp() {
-        let b = run_sparse_fastpath(small_cfg());
+        let b = small_run();
         // Both momentum runs converge well below the ln(2) start.
         let ln2 = std::f64::consts::LN_2;
-        eprintln!(
-            "msgd finals: asp {} ssp {} speedup {}",
-            b.msgd_asp.report.final_objective,
-            b.msgd_ssp.report.final_objective,
-            b.msgd_asp_speedup
+        let (asp, ssp) = (&b.msgd_asp.report, &b.msgd_ssp.report);
+        let finals = format!(
+            "msgd finals: asp {} ssp {}",
+            asp.final_objective, ssp.final_objective
         );
         // ASP trades per-update progress for wall clock: it sees far more
         // staleness, so it lands higher than SSP but still descends.
-        assert!(b.msgd_asp.report.final_objective < 0.85 * ln2);
-        assert!(b.msgd_ssp.report.final_objective < 0.6 * ln2);
+        assert!(asp.final_objective < 0.85 * ln2, "{finals}");
+        assert!(ssp.final_objective < 0.6 * ln2, "{finals}");
         // Under a straggler, ASP reaches the budget first.
         assert!(
             b.msgd_asp_speedup > 1.0,
@@ -292,7 +238,7 @@ mod tests {
 
     #[test]
     fn fastpath_json_is_deterministic_and_well_formed() {
-        let run = || run_sparse_fastpath(small_cfg()).doc();
+        let run = || small_run().doc();
         crate::doc::oracle::check(run, "sparse_fastpath", &["dense", "msgd_ssp"]);
     }
 }

@@ -186,11 +186,12 @@ pub struct TaskCounts {
     pub retried: u64,
     /// Results handed out by a collect.
     pub delivered: u64,
-    /// Tasks whose worker died with no attempt left, or whose retry was
-    /// still queued when the run stopped.
+    /// Tasks whose worker died with no attempt left: the retry budget gave
+    /// up on them.
     pub lost: u64,
-    /// Tasks in flight or unconsumed when the run stopped, whether they then
-    /// finished or died: discarded, never re-issued.
+    /// Tasks in flight, unconsumed or queued for a retry when the run
+    /// stopped, whether they then finished or died: discarded, never
+    /// re-issued.
     pub drained: u64,
     /// Notifications that match no running task — a `Done` or `Lost` from a
     /// worker with none, a `Lost` with another task's tag, a death of a dead
@@ -311,12 +312,12 @@ impl AsyncContext {
         self.counts
     }
 
-    /// Ends a run: every queued retry is lost, and every task in flight or
-    /// unconsumed is drained — pumped to its finish or death, then
-    /// discarded. Nothing is re-issued, so nothing is left pending, queued
-    /// or ready.
+    /// Ends a run: every task queued for a retry, in flight or unconsumed
+    /// is drained — a running one pumped to its finish or death first —
+    /// and discarded. Nothing is re-issued, so nothing is left pending,
+    /// queued or ready.
     pub fn discard_in_flight(&mut self) {
-        self.counts.lost += self.retry_queue.len() as u64;
+        self.counts.drained += self.retry_queue.len() as u64;
         self.retry_queue.clear();
         while let Some(c) = self.driver.next_completion() {
             self.absorb(c, true);
@@ -1232,10 +1233,11 @@ mod tests {
         ctx.driver_mut()
             .schedule_revival(0, VTime::from_micros(2_000_000));
         assert!(ctx.has_next(), "a revival is scheduled for the retry");
-        // Stopping here loses the queued retry; the revival is not waited on.
+        // Stopping here drains the queued retry; the revival is not waited
+        // on.
         ctx.discard_in_flight();
         let c = ctx.task_counts();
-        assert_eq!((c.issued, c.lost, c.drained, c.retried), (1, 1, 0, 0));
+        assert_eq!((c.issued, c.lost, c.drained, c.retried), (1, 0, 1, 0));
         assert_eq!(queued(&ctx), 0);
     }
 

@@ -490,7 +490,7 @@ impl ServerLoop {
         });
 
         // Leave the context and the broadcast clean for the next run: queued
-        // retries are lost, tasks still in flight are drained unapplied, and
+        // retries and tasks still in flight are drained unapplied, and
         // every pin is released. The run's task counters are ledger deltas;
         // its bytes and waits are deltas of the driver's totals.
         ctx.discard_in_flight();

@@ -201,9 +201,9 @@ pub struct RunReport {
     /// zeros without one; a reused feed counts this run only).
     pub serve: ServeCounters,
     /// Tasks lost over the run (the ledger's `lost`): their worker died
-    /// with no attempt left under [`SolverCfg::retry_lost`], or their retry
-    /// was still queued when the loop stopped. A task in flight when the
-    /// loop stops is drained unapplied, not lost, even if it then dies.
+    /// with no attempt left under [`SolverCfg::retry_lost`]. A task in
+    /// flight or queued for a retry when the loop stops is drained
+    /// unapplied, not lost, even if it then dies.
     pub lost_tasks: u64,
     /// Re-submissions of lost tasks to surviving workers over the run (the
     /// ledger's `retried`; always 0 with retries off).

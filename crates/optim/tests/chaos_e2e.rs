@@ -394,6 +394,30 @@ fn a_task_that_dies_in_the_final_drain_is_discarded_not_lost() {
 }
 
 #[test]
+fn a_retry_still_queued_when_the_run_stops_is_drained_not_lost() {
+    // Kill the whole cluster halfway through, with retries on and nothing
+    // scheduled to revive it: every casualty's task waits in the retry
+    // queue for a worker that never comes, and the run stops short of its
+    // budget. The retry budget never gave up on those tasks, so the stop
+    // drains them; `lost` is only what exhausted its attempts.
+    let d = dataset();
+    let objective = Objective::LeastSquares { lambda: 1e-3 };
+    let mut c = cfg(BarrierFilter::Asp, 60, 11);
+    c.retry_lost = 3;
+    let clean = Asgd::new(objective).run(&mut sim_ctx(), &d, &c);
+    let midway = VTime::from_micros(clean.wall_clock.as_micros() / 2);
+    let chaos = (0..WORKERS).fold(ChaosSchedule::new(), |s, w| s.kill(midway, w));
+    let mut ctx = sim_ctx();
+    ctx.driver_mut().install_chaos(&chaos);
+    let r = Asgd::new(objective).run(&mut ctx, &d, &c);
+    assert!(r.updates < 60, "no worker is left to spend the budget");
+    let c = ctx.task_counts();
+    assert!(c.drained >= 1, "the queued retries were drained");
+    assert_eq!((c.lost, c.violations, live_tasks(&ctx)), (0, 0, 0));
+    assert_eq!(r.lost_tasks, 0);
+}
+
+#[test]
 fn checkpoint_mismatches_are_typed_errors() {
     let ckpt = Checkpoint {
         solver: "asgd".into(),

@@ -998,12 +998,28 @@ mod tests {
         // it connects, writes a torn frame (or a stale greeting), and
         // disconnects. The handshake loop must discard every such
         // connection and still complete the real workers' handshakes.
+        // The rogue starts once the driver listens — a connect to the
+        // probed port before the bind could open a connection to itself
+        // and hold the port — and the first worker waits for its first
+        // visit.
         let addr = probed_addr();
+        let (bound_tx, bound_rx) = mpsc::channel::<()>();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new(Some((bound_tx, go_rx)));
+        let registry = Arc::new(move || {
+            if let Some((bound, go)) = gate.lock().unwrap().take() {
+                bound.send(()).unwrap();
+                go.recv().unwrap();
+            }
+            doubling_registry()
+        });
         let stop = Arc::new(AtomicBool::new(false));
         let rogue = {
             let addr = addr.clone();
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                bound_rx.recv().unwrap();
+                let mut go = Some(go_tx);
                 let mut i = 0u64;
                 while !stop.load(Ordering::SeqCst) {
                     if let Ok(mut s) = TcpStream::connect(&addr) {
@@ -1023,6 +1039,9 @@ mod tests {
                         }
                         drop(s);
                     }
+                    if let Some(go) = go.take() {
+                        go.send(()).unwrap();
+                    }
                     i += 1;
                     std::thread::sleep(Duration::from_millis(1));
                 }
@@ -1030,7 +1049,7 @@ mod tests {
         };
         let cfg = RemoteConfig {
             addr: addr.clone(),
-            ..RemoteConfig::loopback(Arc::new(doubling_registry))
+            ..RemoteConfig::loopback(registry)
         };
         let mut e = RemoteEngine::new(spec(2), 0.0, cfg).expect("cluster forms despite rogues");
         for w in 0..2 {

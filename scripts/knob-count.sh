@@ -1,6 +1,6 @@
 #!/bin/sh
 # The option surface in numbers: public fields of each configuration and
-# report struct (the bench crate's `Cfg` structs as one sum),
+# report struct (the bench crate's configuration structs as one sum),
 # `EngineBuilder`'s setters (methods taking `mut self`), `ParallelismCfg`'s
 # constructors (`pub fn .. -> Self`), and the workspace's package count
 # (`members` plus the root package). The figures ROADMAP
@@ -23,10 +23,30 @@ count_in() {
 for s in SolverCfg RunReport RemoteConfig SuperviseCfg FaultPlan ServeCfg SubmitOpts; do
     printf '%-28s %3d\n' "$s fields" "$(count_in "pub struct $s {" '^    pub [a-z_0-9]+:')"
 done
-# Every `pub struct ..Cfg {` of the bench crate, summed: one independently
-# settable value per field.
-printf '%-28s %3d\n' 'bench Cfg fields' "$(find crates/bench/src -name '*.rs' -exec awk '
-    /^pub struct [A-Za-z]+Cfg \{/ { inside = 1; next }
+# The bench crate's configuration, summed: the fields of every non-test
+# `pub struct` whose name a bench's `pub fn run_*` takes as a parameter
+# type (`Scenario` and each bench's own parameter struct, whatever its
+# name), one independently settable value per field.
+bench_taken=$(find crates/bench/src -name '*.rs' -exec awk '
+    /^pub fn run_[a-z_0-9]*\(/ {
+        args = $0
+        sub(/^[^(]*\(/, "", args)
+        sub(/\).*/, "", args)
+        while (match(args, /: *[A-Z][A-Za-z0-9_]*/)) {
+            t = substr(args, RSTART, RLENGTH)
+            sub(/^: */, "", t)
+            print t
+            args = substr(args, RSTART + RLENGTH)
+        }
+    }' {} + | sort -u | tr '\n' ' ')
+printf '%-28s %3d\n' 'bench config fields' "$(find crates/bench/src -name '*.rs' -exec awk -v taken=" $bench_taken" '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && match($0, /^pub struct [A-Za-z0-9_]+ \{/) {
+        name = substr($0, 12, RLENGTH - 13)
+        inside = index(taken, " " name " ") > 0
+        next
+    }
     inside && /^}/ { inside = 0 }
     inside && /^    pub [a-z_0-9]+:/ { n++ }
     END { print n + 0 }' {} +)"

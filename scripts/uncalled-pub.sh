@@ -8,7 +8,9 @@
 #
 # String literals (and the `'"'` character literal) are blanked before a
 # line is split into words, so a name that only a message mentions — a
-# function's own assert text, say — is no call.
+# function's own assert text, say — is no call. The word after `fn` is a
+# declaration, not a use: a trait method of the same name
+# (`impl AddAssign for VDur { fn add_assign`) hides no `pub fn`.
 #
 # This is a name match, not a resolution: a name shared with a called
 # function (`new`, `len`, ...) hides an uncalled one, never the reverse —
@@ -38,13 +40,14 @@ find crates/*/src benchmark/src examples src -name '*.rs' -exec awk -v sq="'" '
             name = substr(line, RSTART + 7, RLENGTH - 7)
             decl[FILENAME ":" FNR " " name] = name
         }
+        gsub(/(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/, " ", line)
         while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
             seen[substr(line, RSTART, RLENGTH)]++
             line = substr(line, RSTART + RLENGTH)
         }
     }
     END {
-        for (d in decl) if (seen[decl[d]] == 1) print d
+        for (d in decl) if (!(decl[d] in seen)) print d
     }' {} + | sort -t: -k1,1 -k2,2n
 find shims/*/src crates benchmark/src examples src -name '*.rs' -exec awk -v sq="'" '
     FNR == 1 { in_tests = 0 }
@@ -60,6 +63,7 @@ find shims/*/src crates benchmark/src examples src -name '*.rs' -exec awk -v sq=
             name = substr(line, RSTART + 7, RLENGTH - 7)
             decl[FILENAME ":" FNR " " name] = name
         }
+        gsub(/(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/, " ", line)
         while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
             word = substr(line, RSTART, RLENGTH)
             if (in_shim) inside[word]++; else seen[word]++
@@ -68,5 +72,5 @@ find shims/*/src crates benchmark/src examples src -name '*.rs' -exec awk -v sq=
     }
     END {
         for (d in decl) if (!(decl[d] in seen))
-            print d (inside[decl[d]] > 1 ? " (named inside shims/)" : "")
+            print d (decl[d] in inside ? " (named inside shims/)" : "")
     }' {} + | sort -t: -k1,1 -k2,2n
