@@ -65,10 +65,9 @@ mod store;
 mod wire;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use async_linalg::{GradDelta, Quant};
-use parking_lot::RwLock;
 use sparklet::Payload;
 
 pub use pin::ReadPin;
@@ -109,8 +108,25 @@ pub struct HistoryStats {
 /// id, the version store and the traffic counters.
 struct Shared<T> {
     id: u64,
-    table: RwLock<VersionTable<T>>,
+    table: Table<T>,
     counters: Counters,
+}
+
+/// The version store behind its lock; `read` and `write` hand out the
+/// guard directly.
+struct Table<T>(RwLock<VersionTable<T>>);
+
+impl<T> Table<T> {
+    fn read(&self) -> RwLockReadGuard<'_, VersionTable<T>> {
+        // invariant: the lock is poisoned only by a panic mid-publish or
+        // mid-pin, after which the table's counts cannot be trusted.
+        self.0.read().expect("broadcast version table poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, VersionTable<T>> {
+        // invariant: as for `read`.
+        self.0.write().expect("broadcast version table poisoned")
+    }
 }
 
 /// A versioned history broadcast. Cheap to clone; clones share the store.
@@ -143,7 +159,7 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
     pub fn new_at(id: u64, initial: T, n_indices: u64, base: u64) -> Self {
         let shared = Shared {
             id,
-            table: RwLock::new(VersionTable::new(initial, n_indices, base)),
+            table: Table(RwLock::new(VersionTable::new(initial, n_indices, base))),
             counters: Counters::default(),
         };
         Self {
@@ -611,7 +627,7 @@ mod tests {
         let h = b.handle();
         let mut ctx = WorkerCtx::new(0);
         let v = h.value(&mut ctx);
-        assert!(v.is_sparse());
+        assert!(matches!(*v, GradDelta::Sparse(_)));
         assert_eq!(v.nnz(), 3);
         let s = b.stats();
         assert_eq!(s.fetched_bytes, wire);

@@ -1434,7 +1434,8 @@ mod tests {
         });
         let cfg = sparklet::RemoteConfig {
             handshake_timeout: std::time::Duration::from_millis(200),
-            ..sparklet::RemoteConfig::loopback(registry)
+            launcher: sparklet::remote::WorkerLauncher::Loopback(registry),
+            ..sparklet::RemoteConfig::process(std::path::PathBuf::new())
         };
         let spec = ClusterSpec::homogeneous(2, DelayModel::None);
         let engine = sparklet::RemoteEngine::new(spec, 0.0, cfg).expect("the founders start");

@@ -359,10 +359,10 @@ mod tests {
     fn storage_conversions_preserve_the_dataset() {
         let d = tiny();
         let dense = d.densified();
-        assert!(!dense.features().is_sparse());
+        assert!(matches!(dense.features(), Matrix::Dense(_)));
         assert_eq!(dense.labels(), d.labels());
         let back = dense.sparsified();
-        assert!(back.features().is_sparse());
+        assert!(matches!(back.features(), Matrix::Sparse(_)));
         assert_eq!(back.features().nnz(), d.features().nnz());
         let w = vec![0.5; 3];
         for i in 0..d.rows() {

@@ -24,7 +24,6 @@ pub mod sampler;
 pub mod synth;
 
 pub use dataset::{Block, Dataset, DatasetStats};
-pub use sampler::MiniBatch;
 pub use synth::SynthSpec;
 
 /// Crate-wide result alias.

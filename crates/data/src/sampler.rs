@@ -8,25 +8,6 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A sampled mini-batch: local row indices into one [`crate::Block`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MiniBatch {
-    /// Local (block-relative) row indices, strictly increasing.
-    pub rows: Vec<u32>,
-}
-
-impl MiniBatch {
-    /// Number of sampled rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows were sampled.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
 /// Mixes `(seed, iteration, partition)` into an independent RNG stream.
 ///
 /// Uses the splitmix64 finalizer twice, which is the standard way to derive
@@ -45,21 +26,9 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Samples `⌈fraction·n⌉` distinct rows from `0..n` without replacement
-/// (at least 1 when `n > 0`), returned sorted. `fraction` is clamped to
-/// `[0, 1]`.
-pub fn sample_fraction(rng: &mut SmallRng, n: usize, fraction: f64) -> MiniBatch {
-    if n == 0 {
-        return MiniBatch { rows: Vec::new() };
-    }
-    let fraction = fraction.clamp(0.0, 1.0);
-    let k = ((fraction * n as f64).ceil() as usize).clamp(1, n);
-    sample_k(rng, n, k)
-}
-
 /// Samples exactly `k ≤ n` distinct rows from `0..n`, sorted ascending.
 /// Uses Floyd's algorithm: `O(k)` draws, no `O(n)` shuffle.
-pub fn sample_k(rng: &mut SmallRng, n: usize, k: usize) -> MiniBatch {
+pub fn sample_k(rng: &mut SmallRng, n: usize, k: usize) -> Vec<u32> {
     assert!(k <= n, "sample_k: k={k} > n={n}");
     let mut chosen = std::collections::HashSet::with_capacity(k);
     for j in n - k..n {
@@ -70,13 +39,13 @@ pub fn sample_k(rng: &mut SmallRng, n: usize, k: usize) -> MiniBatch {
     }
     let mut rows: Vec<u32> = chosen.into_iter().map(|i| i as u32).collect();
     rows.sort_unstable();
-    MiniBatch { rows }
+    rows
 }
 
-/// [`sample_fraction`] into a caller-owned buffer: `rows` is cleared and
-/// refilled, so a warm buffer makes per-task sampling allocation-free. The
-/// RNG draw sequence and the sampled row set are identical to
-/// [`sample_fraction`].
+/// Samples `⌈fraction·n⌉` distinct rows from `0..n` without replacement
+/// (at least 1 when `n > 0`) into a caller-owned buffer, sorted ascending:
+/// `rows` is cleared and refilled, so a warm buffer makes per-task sampling
+/// allocation-free. `fraction` is clamped to `[0, 1]`.
 pub fn sample_fraction_into(rng: &mut SmallRng, n: usize, fraction: f64, rows: &mut Vec<u32>) {
     if n == 0 {
         rows.clear();
@@ -116,7 +85,7 @@ pub fn sample_k_into(rng: &mut SmallRng, n: usize, k: usize, rows: &mut Vec<u32>
         return;
     }
     if k > INSERT_SORT_MAX {
-        rows.extend_from_slice(&sample_k(rng, n, k).rows);
+        rows.extend_from_slice(&sample_k(rng, n, k));
         return;
     }
     for j in n - k..n {
@@ -130,23 +99,17 @@ pub fn sample_k_into(rng: &mut SmallRng, n: usize, k: usize, rows: &mut Vec<u32>
     }
 }
 
-/// Samples `k` rows from `0..n` with replacement (unsorted, in draw order).
-pub fn sample_with_replacement(rng: &mut SmallRng, n: usize, k: usize) -> Vec<u32> {
-    assert!(n > 0, "sample_with_replacement: empty population");
-    (0..k).map(|_| rng.gen_range(0..n) as u32).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn derive_rng_is_deterministic_and_key_sensitive() {
-        let a: Vec<u32> = sample_k(&mut derive_rng(1, 2, 3), 100, 10).rows;
-        let b: Vec<u32> = sample_k(&mut derive_rng(1, 2, 3), 100, 10).rows;
+        let a = sample_k(&mut derive_rng(1, 2, 3), 100, 10);
+        let b = sample_k(&mut derive_rng(1, 2, 3), 100, 10);
         assert_eq!(a, b);
-        let c: Vec<u32> = sample_k(&mut derive_rng(1, 2, 4), 100, 10).rows;
-        let d: Vec<u32> = sample_k(&mut derive_rng(1, 3, 3), 100, 10).rows;
+        let c = sample_k(&mut derive_rng(1, 2, 4), 100, 10);
+        let d = sample_k(&mut derive_rng(1, 3, 3), 100, 10);
         assert!(
             a != c || a != d,
             "distinct keys should give distinct streams"
@@ -157,30 +120,34 @@ mod tests {
     fn sample_k_gives_distinct_sorted_in_range() {
         let mut rng = derive_rng(7, 0, 0);
         for _ in 0..100 {
-            let mb = sample_k(&mut rng, 50, 12);
-            assert_eq!(mb.len(), 12);
-            for w in mb.rows.windows(2) {
+            let rows = sample_k(&mut rng, 50, 12);
+            assert_eq!(rows.len(), 12);
+            for w in rows.windows(2) {
                 assert!(w[0] < w[1]);
             }
-            assert!(mb.rows.iter().all(|&r| (r as usize) < 50));
+            assert!(rows.iter().all(|&r| (r as usize) < 50));
         }
     }
 
     #[test]
     fn sample_k_full_population() {
         let mut rng = derive_rng(7, 0, 0);
-        let mb = sample_k(&mut rng, 10, 10);
-        assert_eq!(mb.rows, (0..10u32).collect::<Vec<_>>());
+        assert_eq!(sample_k(&mut rng, 10, 10), (0..10u32).collect::<Vec<_>>());
     }
 
     #[test]
     fn sample_fraction_sizes() {
         let mut rng = derive_rng(9, 0, 0);
-        assert_eq!(sample_fraction(&mut rng, 100, 0.1).len(), 10);
-        assert_eq!(sample_fraction(&mut rng, 100, 0.0).len(), 1); // min 1
-        assert_eq!(sample_fraction(&mut rng, 100, 1.0).len(), 100);
-        assert_eq!(sample_fraction(&mut rng, 0, 0.5).len(), 0);
-        assert_eq!(sample_fraction(&mut rng, 7, 0.01).len(), 1);
+        let mut len = |n, fraction| {
+            let mut rows = vec![u32::MAX];
+            sample_fraction_into(&mut rng, n, fraction, &mut rows);
+            rows.len()
+        };
+        assert_eq!(len(100, 0.1), 10);
+        assert_eq!(len(100, 0.0), 1); // min 1
+        assert_eq!(len(100, 1.0), 100);
+        assert_eq!(len(0, 0.5), 0);
+        assert_eq!(len(7, 0.01), 1);
     }
 
     #[test]
@@ -197,26 +164,19 @@ mod tests {
                 for seed in 0..8u64 {
                     let a = sample_k(&mut derive_rng(seed, 0, 0), n, k);
                     sample_k_into(&mut derive_rng(seed, 0, 0), n, k, &mut buf);
-                    assert_eq!(a.rows, buf, "n={n} k={k} seed={seed}");
+                    assert_eq!(a, buf, "n={n} k={k} seed={seed}");
                 }
             }
         }
-        for frac in [0.0, 0.05, 0.3, 1.0] {
+        // The fraction form is `sample_k` at `k = ⌈fraction·n⌉`, at least 1.
+        for (frac, k) in [(0.0, 1), (0.05, 4), (0.3, 22), (1.0, 73)] {
             for seed in 0..10u64 {
-                let a = sample_fraction(&mut derive_rng(seed, 1, 2), 73, frac);
+                let a = sample_k(&mut derive_rng(seed, 1, 2), 73, k);
                 sample_fraction_into(&mut derive_rng(seed, 1, 2), 73, frac, &mut buf);
-                assert_eq!(a.rows, buf, "frac={frac} seed={seed}");
+                assert_eq!(a, buf, "frac={frac} seed={seed}");
             }
         }
         sample_fraction_into(&mut derive_rng(0, 0, 0), 0, 0.5, &mut buf);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn with_replacement_can_repeat() {
-        let mut rng = derive_rng(13, 0, 0);
-        let v = sample_with_replacement(&mut rng, 3, 100);
-        assert_eq!(v.len(), 100);
-        assert!(v.iter().all(|&r| r < 3));
     }
 }

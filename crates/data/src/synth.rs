@@ -208,14 +208,14 @@ mod tests {
         assert_eq!(d.rows(), 50);
         assert_eq!(d.cols(), 8);
         assert_eq!(w.len(), 8);
-        assert!(!d.features().is_sparse());
+        assert!(matches!(d.features(), Matrix::Dense(_)));
     }
 
     #[test]
     fn sparse_generation_respects_sparsity() {
         let spec = SynthSpec::sparse("s", 200, 1000, 20, 11);
         let (d, _) = spec.generate().unwrap();
-        assert!(d.features().is_sparse());
+        assert!(matches!(d.features(), Matrix::Sparse(_)));
         let mean_nnz = d.features().nnz() as f64 / 200.0;
         assert!(
             mean_nnz > 10.0 && mean_nnz < 40.0,

@@ -208,11 +208,6 @@ impl CompressedDelta {
             }
         }
     }
-
-    /// Dequantizes to an owned [`GradDelta`] (allocates; cold paths).
-    pub fn to_delta(&self) -> GradDelta {
-        self.clone().into_delta_buffers(Vec::new(), Vec::new())
-    }
 }
 
 /// A gradient delta carried a non-finite (NaN/±inf) coordinate.

@@ -234,17 +234,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Mini-batch margin kernel: `out[k] = x_{rows[k]}ᵀ·w` for each sampled
-    /// row, in one pass over the CSR arrays. This is the forward half of a
-    /// mini-batch gradient evaluation.
-    ///
-    /// # Panics
-    /// Panics if `w.len() != ncols` or any row index is out of range.
-    pub fn rows_dot(&self, rows: &[u32], w: &[f64]) -> Vec<f64> {
-        assert_eq!(w.len(), self.ncols, "rows_dot: dim mismatch");
-        rows.iter().map(|&r| self.row_dot(r as usize, w)).collect()
-    }
-
     /// Mini-batch gather kernel: `Σₖ coefs[k] · x_{rows[k]}` as a
     /// [`SparseVec`] over the union of the sampled rows' supports — the
     /// backward half of a mini-batch gradient, computed without ever
@@ -263,9 +252,10 @@ impl CsrMatrix {
             .expect("gather_axpy: the kernel's output is strictly increasing and in range")
     }
 
-    /// [`CsrMatrix::rows_dot`] into a caller-owned buffer: `out` is cleared
-    /// and refilled, so a warm buffer makes the margin kernel
-    /// allocation-free. Values are identical to `rows_dot`.
+    /// Mini-batch margin kernel: `out[k] = x_{rows[k]}ᵀ·w` for each sampled
+    /// row, in one pass over the CSR arrays — the forward half of a
+    /// mini-batch gradient evaluation. `out` is cleared and refilled, so a
+    /// warm buffer makes it allocation-free.
     ///
     /// # Panics
     /// Panics if `w.len() != ncols` or any row index is out of range.
@@ -366,8 +356,8 @@ fn row_of<'a>(parts: (&[usize], &'a [u32], &'a [f32]), i: usize) -> (&'a [u32], 
 }
 
 /// `Σ val[k] · w[idx[k]]`, summed in stored order: the row kernel of
-/// [`CsrMatrix::row_dot`], [`CsrMatrix::rows_dot_into`],
-/// [`CsrMatrix::matvec`] and [`SparseVec::dot_dense`].
+/// [`CsrMatrix::row_dot`], [`CsrMatrix::rows_dot_into`] and
+/// [`CsrMatrix::matvec`].
 #[inline]
 pub fn entries_dot<T: Element>((idx, val): (&[u32], &[T]), w: &[f64]) -> f64 {
     let mut acc = 0.0;
@@ -575,7 +565,8 @@ mod tests {
         let w = [1.0, -2.0, 3.0];
         let mut margins = Vec::new();
         a.rows_dot_into(&rows, &w, &mut margins);
-        assert_eq!(margins, a.rows_dot(&rows, &w));
+        let per_row: Vec<f64> = rows.iter().map(|&r| a.row_dot(r as usize, &w)).collect();
+        assert_eq!(margins, per_row);
         let (mut pairs, mut idx, mut val) = (Vec::new(), Vec::new(), Vec::new());
         // Run twice so the second pass exercises warm (reused) buffers.
         for _ in 0..2 {
@@ -604,7 +595,8 @@ mod tests {
     fn rows_dot_matches_per_row_dots() {
         let a = sample();
         let w = [1.0, -2.0, 3.0];
-        let z = a.rows_dot(&[2, 0], &w);
+        let mut z = Vec::new();
+        a.rows_dot_into(&[2, 0], &w, &mut z);
         assert_eq!(z, vec![a.row_dot(2, &w), a.row_dot(0, &w)]);
     }
 

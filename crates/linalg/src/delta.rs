@@ -46,11 +46,6 @@ impl GradDelta {
         }
     }
 
-    /// True when stored sparsely.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, GradDelta::Sparse(_))
-    }
-
     /// `out += a * self`, touching only the stored support in the sparse
     /// arm — the "apply without densifying" half of the fast path.
     ///
@@ -204,19 +199,6 @@ impl DeltaFold {
         }
     }
 
-    /// Snapshots the accumulated sum as an owned [`GradDelta`] (allocates;
-    /// intended for tests and cold paths).
-    pub fn to_delta(&self) -> GradDelta {
-        if self.is_dense {
-            GradDelta::Dense(self.dense.clone())
-        } else {
-            GradDelta::Sparse(
-                SparseVec::new(self.idx.clone(), self.val.clone(), self.dim)
-                    .expect("fold maintains strictly increasing indices"),
-            )
-        }
-    }
-
     fn ensure_dense(&mut self) {
         if self.is_dense {
             return;
@@ -298,11 +280,11 @@ mod tests {
     #[test]
     fn shape_and_storage_reporting() {
         let sparse = GradDelta::Sparse(sv(&[(0, 1.0)], 10));
-        assert!(sparse.is_sparse());
+        assert!(matches!(sparse, GradDelta::Sparse(_)));
         assert_eq!(sparse.dim(), 10);
         assert_eq!(sparse.nnz(), 1);
         let dense = GradDelta::Dense(vec![0.0; 10]);
-        assert!(!dense.is_sparse());
+        assert!(matches!(dense, GradDelta::Dense(_)));
         assert_eq!(dense.nnz(), 10);
         assert_eq!(GradDelta::zero_sparse(7).nnz(), 0);
     }
@@ -322,7 +304,9 @@ mod tests {
             d.axpy_into(a, &mut reference);
         }
         assert!(!acc.is_dense());
-        assert_eq!(acc.to_delta().to_dense(), reference);
+        let mut sum = vec![0.0; 6];
+        acc.axpy_into(1.0, &mut sum);
+        assert_eq!(sum, reference);
         let mut out = vec![1.0; 6];
         acc.axpy_into(2.0, &mut out);
         for (o, r) in out.iter().zip(&reference) {
@@ -338,7 +322,9 @@ mod tests {
         assert!(acc.is_dense());
         assert_eq!(acc.nnz(), 4);
         acc.fold_scaled(1.0, &GradDelta::Sparse(sv(&[(3, 2.0)], 4)));
-        assert_eq!(acc.to_delta().to_dense(), vec![0.5, 1.0, 1.0, 2.0]);
+        let mut sum = vec![0.0; 4];
+        acc.axpy_into(1.0, &mut sum);
+        assert_eq!(sum, vec![0.5, 1.0, 1.0, 2.0]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   with row access, `A·x`, and `Aᵀ·x` ([`dense_mat`], [`csr`]), storing
 //!   `f32` values that every kernel widens to `f64`;
 //! * a unified [`Matrix`] enum so downstream code is storage-agnostic;
-//! * mini-batch gradient kernels over CSR ([`CsrMatrix::rows_dot`],
+//! * mini-batch gradient kernels over CSR ([`CsrMatrix::rows_dot_into`],
 //!   [`CsrMatrix::gather_axpy`]) and the [`GradDelta`] dense-or-sparse
 //!   update type they produce ([`delta`]), so gradients over sparse
 //!   partitions never materialize a dense buffer;

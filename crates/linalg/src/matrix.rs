@@ -166,12 +166,6 @@ impl Matrix {
             Matrix::Sparse(m) => m.bytes(),
         }
     }
-
-    /// True if stored as CSR.
-    #[inline]
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, Matrix::Sparse(_))
-    }
 }
 
 #[cfg(test)]
@@ -215,10 +209,10 @@ mod tests {
     fn storage_conversions_round_trip() {
         let (s, d) = both();
         let s2 = d.sparsified();
-        assert!(s2.is_sparse());
+        assert!(matches!(s2, Matrix::Sparse(_)));
         assert_eq!(s2.nnz(), s.nnz());
         let d2 = s.densified();
-        assert!(!d2.is_sparse());
+        assert!(matches!(d2, Matrix::Dense(_)));
         let w = [1.0, 2.0, 3.0];
         for i in 0..2 {
             assert!((s2.row_dot(i, &w) - s.row_dot(i, &w)).abs() < 1e-15);
@@ -258,7 +252,7 @@ mod tests {
         assert_eq!(s.nnz(), 3);
         assert_eq!(d.nnz(), 6);
         assert_eq!(s.nrows(), d.nrows());
-        assert!(s.is_sparse());
-        assert!(!d.is_sparse());
+        assert!(matches!(s, Matrix::Sparse(_)));
+        assert!(matches!(d, Matrix::Dense(_)));
     }
 }

@@ -93,16 +93,6 @@ impl SparseVec {
         &self.values
     }
 
-    /// Sparse–dense dot product `xᵀw`.
-    ///
-    /// # Panics
-    /// Panics if `w.len() != self.dim()`.
-    #[inline]
-    pub fn dot_dense(&self, w: &[f64]) -> f64 {
-        assert_eq!(w.len(), self.dim, "dot_dense: dim mismatch");
-        crate::csr::entries_dot((&self.indices, &self.values), w)
-    }
-
     /// `out += a * self` scattered into a dense buffer.
     ///
     /// # Panics
@@ -379,9 +369,10 @@ mod tests {
     fn dot_dense_matches_dense() {
         let v = sv(&[(0, 2.0), (3, -1.0)], 4);
         let w = [1.0, 10.0, 100.0, 5.0];
-        assert!((v.dot_dense(&w) - (2.0 - 5.0)).abs() < 1e-15);
+        let dot = crate::csr::entries_dot((v.indices(), v.values()), &w);
+        assert!((dot - (2.0 - 5.0)).abs() < 1e-15);
         let dense = v.to_dense();
-        assert!((crate::dense::dot(&dense, &w) - v.dot_dense(&w)).abs() < 1e-15);
+        assert!((crate::dense::dot(&dense, &w) - dot).abs() < 1e-15);
     }
 
     #[test]
@@ -484,7 +475,10 @@ mod tests {
     fn empty_vector_ok() {
         let v = SparseVec::new(vec![], vec![], 10).unwrap();
         assert_eq!(v.nnz(), 0);
-        assert_eq!(v.dot_dense(&[1.0; 10]), 0.0);
+        assert_eq!(
+            crate::csr::entries_dot((v.indices(), v.values()), &[1.0; 10]),
+            0.0
+        );
         assert_eq!(v.norm2_sq(), 0.0);
     }
 }

@@ -73,10 +73,13 @@ proptest! {
 
     #[test]
     fn sparse_vec_dot_matches_dense(pairs in proptest::collection::vec((0u32..32, -10.0..10.0f64), 0..20), w in finite_vec(32)) {
-        let sv = SparseVec::from_pairs(pairs, 32).unwrap();
-        let dense_v = sv.to_dense();
-        let a = sv.dot_dense(&w);
-        let b = dense::dot(&dense_v, &w);
+        // A one-row CSR built from the pairs: `row_dot` runs the sparse dot
+        // kernel (`csr::entries_dot`) over the same stored values that
+        // `dense::dot` reads densified.
+        let trips: Vec<(usize, u32, f64)> = pairs.into_iter().map(|(c, v)| (0, c, v)).collect();
+        let row = CsrMatrix::from_triplets(&trips, 1, 32).unwrap();
+        let a = row.row_dot(0, &w);
+        let b = dense::dot(row.to_dense().row(0), &w);
         prop_assert!((a - b).abs() < 1e-9);
     }
 
@@ -115,7 +118,8 @@ proptest! {
     ) {
         let csr = CsrMatrix::from_triplets(&trips, 8, 6).unwrap();
         let dense_m = csr.to_dense();
-        let got = csr.rows_dot(&rows, &w);
+        let mut got = Vec::new();
+        csr.rows_dot_into(&rows, &w, &mut got);
         for (k, &r) in rows.iter().enumerate() {
             let want = dense::dot(dense_m.row(r as usize), &w);
             prop_assert!((got[k] - want).abs() < 1e-9);

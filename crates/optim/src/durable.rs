@@ -198,7 +198,6 @@ pub struct CheckpointStore {
     dir: PathBuf,
     plan: DiskFaultPlan,
     attempts: u64,
-    keep: usize,
     counters: StoreCounters,
 }
 
@@ -211,7 +210,6 @@ impl CheckpointStore {
             dir,
             plan: DiskFaultPlan::none(),
             attempts: 0,
-            keep: KEEP_GENERATIONS,
             counters: StoreCounters::default(),
         })
     }
@@ -220,14 +218,6 @@ impl CheckpointStore {
     #[must_use]
     pub fn with_fault_plan(mut self, plan: DiskFaultPlan) -> Self {
         self.plan = plan;
-        self
-    }
-
-    /// Overrides how many valid generations a successful save retains
-    /// (minimum 1; the newest valid generation is never deleted).
-    #[must_use]
-    pub fn with_retention(mut self, keep: usize) -> Self {
-        self.keep = keep.max(1);
         self
     }
 
@@ -403,15 +393,15 @@ impl CheckpointStore {
     }
 
     /// Deletes generations beyond the retention window, keeping the
-    /// newest `keep` *valid* generations (and never touching anything at
-    /// or above the oldest of those).
+    /// newest [`KEEP_GENERATIONS`] *valid* generations (and never touching
+    /// anything at or above the oldest of those).
     fn prune(&self) {
         let Ok(gens) = self.generations() else { return };
         let valid: Vec<u64> = gens.iter().copied().filter(|&g| self.is_valid(g)).collect();
-        if valid.len() <= self.keep {
+        if valid.len() <= KEEP_GENERATIONS {
             return;
         }
-        let cutoff = valid[valid.len() - self.keep];
+        let cutoff = valid[valid.len() - KEEP_GENERATIONS];
         for &g in gens.iter().filter(|&&g| g < cutoff) {
             let _ = fs::remove_file(self.payload_path(g));
             let _ = fs::remove_file(self.manifest_path(g));
@@ -655,12 +645,14 @@ mod tests {
     #[test]
     fn retention_keeps_the_newest_valid_generations() {
         let dir = scratch_dir("retain");
-        let mut store = CheckpointStore::open(&dir).unwrap().with_retention(2);
-        for g in 1..=5u64 {
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let saved = KEEP_GENERATIONS as u64 + 3;
+        for g in 1..=saved {
             store.save(g * 10, &payload(g as u8, 30)).unwrap();
         }
-        assert_eq!(store.generations().unwrap(), vec![40, 50]);
-        assert_eq!(store.latest_valid().map(|(g, _)| g), Some(50));
+        let newest: Vec<u64> = (4..=saved).map(|g| g * 10).collect();
+        assert_eq!(store.generations().unwrap(), newest);
+        assert_eq!(store.latest_valid().map(|(g, _)| g), Some(saved * 10));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -674,7 +666,6 @@ mod tests {
             .collect();
         let mut store = CheckpointStore::open(&dir)
             .unwrap()
-            .with_retention(1)
             .with_fault_plan(DiskFaultPlan::scripted(&faults));
         store.save(1, &payload(9, 30)).unwrap();
         for g in 2..=8u64 {

@@ -88,34 +88,15 @@ impl Objective {
         }
     }
 
-    /// Mini-batch data gradient over `rows` of `block`:
-    /// `out = (1/|rows|) Σ f'(xᵢᵀw, yᵢ)·xᵢ` (no ridge term — the server
-    /// adds `λ·w` when applying the update). `out` is overwritten. Dense
-    /// rows go four per pass ([`async_linalg::DenseMatrix::rows_axpy`]).
-    pub fn minibatch_grad(&self, block: &Block, rows: &[u32], w: &[f64], out: &mut [f64]) {
-        dense::zero(out);
-        if rows.is_empty() {
-            return;
-        }
-        let (features, labels) = (block.features(), block.labels());
-        let scale = 1.0 / rows.len() as f64;
-        let row = |k: usize| rows[k] as usize;
-        let coef = |k: usize, z: f64| scale * self.dloss(z, labels[row(k)]);
-        if let Matrix::Dense(m) = features {
-            return m.rows_axpy(rows.len(), row, |_| [w], |k, [z]| coef(k, z), out);
-        }
-        for k in 0..rows.len() {
-            features.row_axpy(row(k), coef(k, features.row_dot(row(k), w)), out);
-        }
-    }
-
-    /// Mini-batch data gradient as a [`GradDelta`]: identical semantics to
-    /// [`Objective::minibatch_grad`], but CSR blocks take the sparse fast
-    /// path — margins via [`async_linalg::CsrMatrix::rows_dot_into`], then
-    /// one [`async_linalg::CsrMatrix::gather_axpy_into`] over the per-row
-    /// loss derivatives — so the gradient's cost and size scale with the
-    /// batch's stored nonzeros, never with the feature dimension. Dense
-    /// blocks fall back to the dense kernel unchanged.
+    /// Mini-batch data gradient over the batch `scratch.rows` of `block`,
+    /// as a [`GradDelta`]: `(1/|rows|) Σ f'(xᵢᵀw, yᵢ)·xᵢ` (no ridge term —
+    /// the server adds `λ·w` when applying the update). CSR blocks take the
+    /// sparse fast path — margins via
+    /// [`async_linalg::CsrMatrix::rows_dot_into`], then one
+    /// [`async_linalg::CsrMatrix::gather_axpy_into`] over the per-row loss
+    /// derivatives — so the gradient's cost and size scale with the batch's
+    /// stored nonzeros, never with the feature dimension. Dense rows go four
+    /// per pass ([`async_linalg::DenseMatrix::rows_axpy`]).
     ///
     /// Allocation-free once warm: the batch is `scratch.rows` (sampled
     /// there by the caller), the margin/coefficient buffers come from
@@ -136,13 +117,13 @@ impl Objective {
             pairs,
             ..
         } = scratch;
+        let labels = block.labels();
+        let scale = 1.0 / rows.len() as f64;
         match block.features() {
             Matrix::Sparse(csr) => {
                 if rows.is_empty() {
                     return GradDelta::zero_sparse(block.cols());
                 }
-                let labels = block.labels();
-                let scale = 1.0 / rows.len() as f64;
                 csr.rows_dot_into(rows, w, margins);
                 coefs.clear();
                 coefs.extend(
@@ -157,9 +138,11 @@ impl Objective {
                         .expect("gather kernel produces valid sparse output"),
                 )
             }
-            Matrix::Dense(_) => {
+            Matrix::Dense(m) => {
                 let mut g = pool.checkout_dense(block.cols());
-                self.minibatch_grad(block, rows, w, &mut g);
+                let row = |k: usize| rows[k] as usize;
+                let coef = |k: usize, [z]: [f64; 1]| scale * self.dloss(z, labels[row(k)]);
+                m.rows_axpy(rows.len(), row, |_| [w], coef, &mut g);
                 GradDelta::Dense(g)
             }
         }
@@ -287,8 +270,7 @@ mod tests {
         let w: Vec<f64> = (0..d.cols()).map(|i| (i as f64 - 3.0) * 0.1).collect();
         let blocks = d.partition(1);
         let rows: Vec<u32> = (0..d.rows() as u32).collect();
-        let mut mb = vec![0.0; d.cols()];
-        o.minibatch_grad(&blocks[0], &rows, &w, &mut mb);
+        let mb = grad_delta(&o, &blocks[0], &rows, &w).to_dense();
         let mut full = vec![0.0; d.cols()];
         o.full_grad(ParallelismCfg::sequential(), &d, &w, &mut full);
         for (a, b) in mb.iter().zip(&full) {
@@ -312,8 +294,7 @@ mod tests {
         ] {
             for b in 0..=picks.len() {
                 let rows = &picks[..b];
-                let mut got = vec![f64::NAN; d.cols()];
-                o.minibatch_grad(block, rows, &w, &mut got);
+                let got = grad_delta(&o, block, rows, &w).to_dense();
                 let mut want = vec![0.0; d.cols()];
                 let scale = 1.0 / b as f64;
                 for &r in rows {
@@ -348,7 +329,7 @@ mod tests {
                 let rows: Vec<u32> = (0..sb.rows() as u32).step_by(2).collect();
                 let gs = grad_delta(&o, sb, &rows, &w);
                 let gd = grad_delta(&o, db, &rows, &w);
-                assert!(gs.is_sparse() && !gd.is_sparse());
+                assert!(matches!(gs, GradDelta::Sparse(_)) && matches!(gd, GradDelta::Dense(_)));
                 let (a, b) = (gs.to_dense(), gd.to_dense());
                 for (x, y) in a.iter().zip(&b) {
                     assert!((x - y).abs() < 1e-12, "{x} vs {y}");

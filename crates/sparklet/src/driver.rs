@@ -668,7 +668,7 @@ mod tests {
         });
         let cfg = RemoteConfig {
             handshake_timeout: Duration::from_millis(200),
-            ..RemoteConfig::loopback(registry)
+            ..RemoteConfig::with_launcher(crate::remote::WorkerLauncher::Loopback(registry))
         };
         let engine = RemoteEngine::new(ClusterSpec::homogeneous(2, DelayModel::None), 0.0, cfg)
             .expect("the founders start");

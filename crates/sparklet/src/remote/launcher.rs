@@ -70,7 +70,7 @@ pub struct RemoteConfig {
 }
 
 impl RemoteConfig {
-    fn with_launcher(launcher: WorkerLauncher) -> Self {
+    pub(crate) fn with_launcher(launcher: WorkerLauncher) -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
             launcher,
@@ -88,12 +88,6 @@ impl RemoteConfig {
             program,
             args: Vec::new(),
         })
-    }
-
-    /// Loopback-thread config (tests); `registry` builds each worker
-    /// incarnation's routine table.
-    pub fn loopback(registry: Arc<dyn Fn() -> RoutineRegistry + Send + Sync>) -> Self {
-        Self::with_launcher(WorkerLauncher::Loopback(registry))
     }
 }
 

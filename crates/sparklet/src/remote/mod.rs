@@ -466,7 +466,7 @@ mod tests {
         RemoteEngine::new(
             spec(workers),
             0.0,
-            RemoteConfig::loopback(Arc::new(doubling_registry)),
+            RemoteConfig::with_launcher(WorkerLauncher::Loopback(Arc::new(doubling_registry))),
         )
         .expect("engine starts")
     }
@@ -613,8 +613,12 @@ mod tests {
             });
             reg
         });
-        let mut e = RemoteEngine::new(spec(1), 0.0, RemoteConfig::loopback(registry))
-            .expect("engine starts");
+        let mut e = RemoteEngine::new(
+            spec(1),
+            0.0,
+            RemoteConfig::with_launcher(WorkerLauncher::Loopback(registry)),
+        )
+        .expect("engine starts");
         let task = Task {
             tag: 3,
             cost: 0.0,
@@ -767,7 +771,7 @@ mod tests {
     fn liveness_without_heartbeat_is_rejected() {
         let cfg = RemoteConfig {
             liveness: Some(Duration::from_millis(10)),
-            ..RemoteConfig::loopback(Arc::new(doubling_registry))
+            ..RemoteConfig::with_launcher(WorkerLauncher::Loopback(Arc::new(doubling_registry)))
         };
         match RemoteEngine::new(spec(1), 0.0, cfg).map(|_| ()) {
             Err(EngineError::Io(io::ErrorKind::InvalidInput)) => {}
@@ -780,7 +784,8 @@ mod tests {
         let mut short = spec(2);
         short.profiles.pop();
         for (spec, time_scale) in [(short, 0.0), (spec(1), -1.0), (spec(1), f64::NAN)] {
-            let cfg = RemoteConfig::loopback(Arc::new(doubling_registry));
+            let cfg =
+                RemoteConfig::with_launcher(WorkerLauncher::Loopback(Arc::new(doubling_registry)));
             match RemoteEngine::new(spec, time_scale, cfg).map(|_| ()) {
                 Err(EngineError::Io(io::ErrorKind::InvalidInput)) => {}
                 other => panic!("time_scale {time_scale}: expected InvalidInput, got {other:?}"),
@@ -799,7 +804,9 @@ mod tests {
                 hang_after: 0,
                 ..FaultPlan::default()
             },
-            ..supervised_cfg(RemoteConfig::loopback(Arc::new(doubling_registry)))
+            ..supervised_cfg(RemoteConfig::with_launcher(WorkerLauncher::Loopback(
+                Arc::new(doubling_registry),
+            )))
         };
         let mut e = RemoteEngine::new(spec(1), 0.0, cfg).expect("engine starts");
         let (task, wire) = wired(5, 4);
@@ -838,7 +845,9 @@ mod tests {
             });
             reg
         });
-        let cfg = supervised_cfg(RemoteConfig::loopback(registry));
+        let cfg = supervised_cfg(RemoteConfig::with_launcher(WorkerLauncher::Loopback(
+            registry,
+        )));
         let mut e = RemoteEngine::new(spec(1), 0.0, cfg).expect("engine starts");
         let task = Task {
             tag: 1,
@@ -877,7 +886,9 @@ mod tests {
         });
         let cfg = RemoteConfig {
             task_deadline: Some(Duration::from_millis(50)),
-            ..supervised_cfg(RemoteConfig::loopback(registry))
+            ..supervised_cfg(RemoteConfig::with_launcher(WorkerLauncher::Loopback(
+                registry,
+            )))
         };
         let mut e = RemoteEngine::new(spec(1), 0.0, cfg).expect("engine starts");
         let task = Task {
@@ -934,7 +945,7 @@ mod tests {
                 only: Some(FaultDir::WorkerToDriver),
                 ..FaultPlan::default()
             },
-            ..RemoteConfig::loopback(Arc::new(doubling_registry))
+            ..RemoteConfig::with_launcher(WorkerLauncher::Loopback(Arc::new(doubling_registry)))
         };
         let mut e = RemoteEngine::new(spec(1), 0.0, cfg).expect("engine starts");
         let (task, wire) = wired(6, 2);
@@ -1049,7 +1060,7 @@ mod tests {
         };
         let cfg = RemoteConfig {
             addr: addr.clone(),
-            ..RemoteConfig::loopback(registry)
+            ..RemoteConfig::with_launcher(WorkerLauncher::Loopback(registry))
         };
         let mut e = RemoteEngine::new(spec(2), 0.0, cfg).expect("cluster forms despite rogues");
         for w in 0..2 {
@@ -1080,7 +1091,7 @@ mod tests {
         });
         let cfg = RemoteConfig {
             handshake_timeout: Duration::from_millis(100),
-            ..RemoteConfig::loopback(registry)
+            ..RemoteConfig::with_launcher(WorkerLauncher::Loopback(registry))
         };
         let mut e = RemoteEngine::new(spec(1), 0.0, cfg).expect("engine starts");
         e.kill_worker(0);
@@ -1154,7 +1165,7 @@ mod tests {
         let cfg = RemoteConfig {
             addr,
             handshake_timeout: timeout,
-            ..RemoteConfig::loopback(registry)
+            ..RemoteConfig::with_launcher(WorkerLauncher::Loopback(registry))
         };
         let t0 = Instant::now();
         let mut e = RemoteEngine::new(spec(3), 0.0, cfg).expect("every worker greets");

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Public functions nothing calls: for every `pub fn` declared in the
-# non-test, non-comment lines of `crates/*/src`, prints `file:line name`
-# when the name occurs nowhere else in the non-test, non-comment lines of
-# `crates/*/src`, `benchmark/src`, `examples/` and `src/`. "Non-test" is the
+# Public functions nothing calls: for every `pub fn` (`pub const fn` and
+# `pub unsafe fn` included) declared in the non-test, non-comment lines of
+# `crates/*/src`, prints `file:line name` when the name occurs nowhere else
+# in the non-test, non-comment lines of `crates/*/src`, `benchmark/src`,
+# `examples/` and `src/`. "Non-test" is the
 # rule of `nontest-lines.sh` (above a file's first `#[cfg(test)]`), so a
 # function only tests and doc examples call is listed.
 #
@@ -36,8 +37,9 @@ find crates/*/src benchmark/src examples src -name '*.rs' -exec awk -v sq="'" '
         gsub(sq "\"" sq, "", line)
         gsub(/"([^"\\]|\\.)*"/, "", line)
         sub(/\/\/.*/, "", line)
-        if (FILENAME ~ /^crates\// && match(line, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
-            name = substr(line, RSTART + 7, RLENGTH - 7)
+        if (FILENAME ~ /^crates\// && match(line, /pub (const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(line, RSTART, RLENGTH)
+            sub(/.* /, "", name)
             decl[FILENAME ":" FNR " " name] = name
         }
         gsub(/(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/, " ", line)
@@ -59,8 +61,9 @@ find shims/*/src crates benchmark/src examples src -name '*.rs' -exec awk -v sq=
         gsub(sq "\"" sq, "", line)
         gsub(/"([^"\\]|\\.)*"/, "", line)
         sub(/\/\/.*/, "", line)
-        if (in_shim && match(line, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
-            name = substr(line, RSTART + 7, RLENGTH - 7)
+        if (in_shim && match(line, /pub (const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(line, RSTART, RLENGTH)
+            sub(/.* /, "", name)
             decl[FILENAME ":" FNR " " name] = name
         }
         gsub(/(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/, " ", line)
